@@ -399,19 +399,6 @@ fn main() -> ExitCode {
     }
 
     if opts.profile {
-        // Kernel micro-benches: identical workloads through the calendar
-        // queue vs the retained heap, and batched MLE vs the scalar
-        // reference, so the profile carries the rewrite wins explicitly.
-        let q = concilium_bench::micro::queue_churn(WORLD_SEED, 20_000, 8);
-        println!(
-            "  micro: queue churn {} ops x{} reps, {} pops, {} rejections, high-water {}",
-            q.ops, q.reps, q.pops, q.rejected, q.high_water
-        );
-        let m = concilium_bench::micro::mle_churn(&world, 0, 64, 32, 8);
-        println!(
-            "  micro: mle {} windows x {} stripes x{} reps over a {}-leaf tree",
-            m.windows, m.stripes, m.reps, m.leaves
-        );
         // Tracing-overhead A/B: ring at default capacity vs capacity 0,
         // hash-equality asserted, so the profile carries the causal
         // layer's retention cost explicitly.

@@ -1,320 +1,23 @@
-//! Micro-benchmarks for the two rewritten DST kernels, reported as
-//! `bench.*` spans in `BENCH_profile.json`.
+//! The tracing-overhead micro-benchmark, reported as `bench.trace.*`
+//! spans in `BENCH_profile.json`.
 //!
-//! `dst-sweep --profile` runs both after the sweep so the committed
-//! profile carries the calendar-vs-heap and batched-vs-reference numbers
-//! alongside the episode phases:
+//! `dst-sweep --profile` runs it after the sweep so the committed profile
+//! carries the number alongside the episode phases:
 //!
-//! * `bench.queue.calendar` / `bench.queue.heap` — identical schedule/pop
-//!   churn through [`EventQueue`] and [`HeapEventQueue`] at DST-realistic
-//!   virtual-time distributions (sub-50 ms deliveries, second-scale
-//!   timeouts, minute-scale verdict windows, a thin overflow tail, and
-//!   same-instant ties). The two pop sequences are asserted identical,
-//!   so the numbers always describe equivalent work.
-//! * `bench.mle.batched` / `bench.mle.reference` — verdict-window MLE
-//!   inference over a real DST probe tree, batched via
-//!   [`infer_pass_rates_batch`] versus the retained scalar reference
-//!   kernel, asserted bit-identical per edge.
 //! * `bench.trace.on` / `bench.trace.off` — identical DST episodes with
 //!   the structured trace ring at its default capacity versus capacity
 //!   0 (events still hashed and counted, never retained), with the
 //!   trace hashes asserted identical — the observability layer's
 //!   retention cost, and proof the ring never feeds the digest.
 //!
+//! The event queue and the MLE kernel are timed by the repository
+//! benchmark instead (`benchmark/`: `sim.queue_*_ns_per_op`,
+//! `tomography.infer_batch_us`).
+//!
 //! Everything here is seeded and std-only; wall-clock time enters only
 //! through the sanctioned [`concilium_obs::span`] timers.
 
-use concilium_sim::{
-    run_episode, EpisodeConfig, EpisodeOptions, EventQueue, HeapEventQueue, SimWorld,
-};
-use concilium_tomography::probe::ProbeRecord;
-use concilium_tomography::{infer_pass_rates_batch, infer_pass_rates_reference, InferScratch};
-use concilium_types::SimTime;
-
-/// SplitMix64 step — the same generator the deterministic parallel layer
-/// uses for seed derivation; good enough to shape a benchmark workload.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One pre-generated queue operation, replayed identically against both
-/// queue implementations.
-enum QueueOp {
-    /// `try_schedule` at `now + delay` microseconds.
-    Schedule(u64),
-    /// `try_schedule` strictly before `now` — the rejection path.
-    SchedulePast,
-    /// Pop up to this many events.
-    Pop(u32),
-}
-
-/// Delay mixture matched to the DST episode event population: deliveries
-/// dominate, second-scale ticks and timeouts follow, verdict windows are
-/// rare, and a thin tail exercises ties and the overflow level.
-fn dst_delay(r: u64) -> u64 {
-    match r % 100 {
-        // Message deliveries: hundreds of µs to tens of ms.
-        0..=59 => 200 + (r >> 8) % 50_000,
-        // Ack timeouts and retransmit backoffs: 1–30 s.
-        60..=84 => 1_000_000 + (r >> 8) % 29_000_000,
-        // Second-boundary ticks: exactly 1 s ahead.
-        85..=94 => 1_000_000,
-        // Verdict windows and outage timers: 30 s – 4 min.
-        95..=97 => 30_000_000 + (r >> 8) % 210_000_000,
-        // Same-instant ties: exercise (time, seq) ordering.
-        98 => 0,
-        // Beyond any wheel horizon: lands in the sorted overflow level.
-        _ => 1 << 41,
-    }
-}
-
-/// How many events the op stream keeps in flight: the DST sweep's own
-/// `queue.depth_high_water` gauge reads ~240, so the bench prefills to
-/// that depth and then holds schedule and pop rates balanced.
-const STEADY_DEPTH: usize = 240;
-
-fn gen_ops(seed: u64, n: usize) -> Vec<QueueOp> {
-    let mut s = seed;
-    let mut ops = Vec::with_capacity(n + STEADY_DEPTH);
-    for _ in 0..STEADY_DEPTH {
-        ops.push(QueueOp::Schedule(dst_delay(splitmix(&mut s))));
-    }
-    for _ in 0..n {
-        let r = splitmix(&mut s);
-        ops.push(match r % 16 {
-            0..=6 => QueueOp::Schedule(dst_delay(splitmix(&mut s))),
-            // Avg 1 pop per pop-op: rates balance, depth random-walks
-            // around the prefill level like the real episode loop.
-            7..=13 => QueueOp::Pop(((r >> 4) % 3) as u32),
-            _ => QueueOp::SchedulePast,
-        });
-    }
-    ops
-}
-
-/// What one replay of the op stream observed; equality across the two
-/// queue implementations is the correctness check.
-#[derive(Debug, PartialEq, Eq)]
-struct QueueRunStats {
-    pops: u64,
-    rejected: u64,
-    checksum: u64,
-    high_water: usize,
-}
-
-/// The slice of the queue contract the churn driver exercises, so one
-/// driver body can run against both implementations.
-trait DriveQueue {
-    fn now_us(&self) -> u64;
-    fn try_schedule_at(&mut self, at: u64, payload: u64) -> bool;
-    fn pop_one(&mut self) -> Option<(u64, u64)>;
-    fn high_water(&self) -> usize;
-}
-
-impl DriveQueue for EventQueue<u64> {
-    fn now_us(&self) -> u64 {
-        self.now().as_micros()
-    }
-    fn try_schedule_at(&mut self, at: u64, payload: u64) -> bool {
-        self.try_schedule(SimTime::from_micros(at), payload).is_ok()
-    }
-    fn pop_one(&mut self) -> Option<(u64, u64)> {
-        self.pop().map(|(t, e)| (t.as_micros(), e))
-    }
-    fn high_water(&self) -> usize {
-        self.depth_high_water()
-    }
-}
-
-impl DriveQueue for HeapEventQueue<u64> {
-    fn now_us(&self) -> u64 {
-        self.now().as_micros()
-    }
-    fn try_schedule_at(&mut self, at: u64, payload: u64) -> bool {
-        self.try_schedule(SimTime::from_micros(at), payload).is_ok()
-    }
-    fn pop_one(&mut self) -> Option<(u64, u64)> {
-        self.pop().map(|(t, e)| (t.as_micros(), e))
-    }
-    fn high_water(&self) -> usize {
-        self.depth_high_water()
-    }
-}
-
-fn drive<Q: DriveQueue>(q: &mut Q, ops: &[QueueOp]) -> QueueRunStats {
-    let mut stats = QueueRunStats { pops: 0, rejected: 0, checksum: 0, high_water: 0 };
-    let mut payload = 0u64;
-    let absorb = |stats: &mut QueueRunStats, t: u64, e: u64| {
-        stats.pops += 1;
-        let mut mix = stats.checksum ^ t ^ e.rotate_left(17);
-        stats.checksum = splitmix(&mut mix);
-    };
-    for op in ops {
-        match op {
-            QueueOp::Schedule(delay) => {
-                let at = q.now_us().saturating_add(*delay);
-                if !q.try_schedule_at(at, payload) {
-                    stats.rejected += 1;
-                }
-                payload += 1;
-            }
-            QueueOp::SchedulePast => {
-                let now = q.now_us();
-                if now > 0 {
-                    if !q.try_schedule_at(now - 1, payload) {
-                        stats.rejected += 1;
-                    }
-                    payload += 1;
-                }
-            }
-            QueueOp::Pop(n) => {
-                for _ in 0..*n {
-                    match q.pop_one() {
-                        Some((t, e)) => absorb(&mut stats, t, e),
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
-    while let Some((t, e)) = q.pop_one() {
-        absorb(&mut stats, t, e);
-    }
-    stats.high_water = q.high_water();
-    stats
-}
-
-/// Aggregate outcome of [`queue_churn`], for the driver's summary line.
-#[derive(Debug)]
-pub struct QueueBenchReport {
-    /// Operations per repetition.
-    pub ops: usize,
-    /// Repetitions run against each implementation.
-    pub reps: usize,
-    /// Events popped per repetition (identical across implementations).
-    pub pops: u64,
-    /// `try_schedule` rejections per repetition (identical too).
-    pub rejected: u64,
-    /// Queue depth high-water mark per repetition.
-    pub high_water: usize,
-}
-
-/// Replays one seeded schedule/pop op stream `reps` times through each
-/// queue implementation under its `bench.queue.*` span.
-///
-/// # Panics
-///
-/// Panics if the two implementations ever disagree on pops, order (via
-/// the fold checksum), rejections, or the high-water mark — the bench
-/// refuses to time non-equivalent work.
-pub fn queue_churn(seed: u64, ops: usize, reps: usize) -> QueueBenchReport {
-    let stream = gen_ops(seed, ops);
-    let mut last = None;
-    for _ in 0..reps {
-        let heap = {
-            let _span = concilium_obs::span("bench.queue.heap");
-            drive(&mut HeapEventQueue::new(), &stream)
-        };
-        let calendar = {
-            let _span = concilium_obs::span("bench.queue.calendar");
-            drive(&mut EventQueue::new(), &stream)
-        };
-        assert_eq!(calendar, heap, "calendar and heap queues diverged on identical op streams");
-        last = Some(calendar);
-    }
-    let last = last.expect("reps must be > 0");
-    QueueBenchReport {
-        ops,
-        reps,
-        pops: last.pops,
-        rejected: last.rejected,
-        high_water: last.high_water,
-    }
-}
-
-/// Aggregate outcome of [`mle_churn`].
-#[derive(Debug)]
-pub struct MleBenchReport {
-    /// Verdict windows inferred per repetition.
-    pub windows: usize,
-    /// Stripes per window.
-    pub stripes: usize,
-    /// Leaves of the probe tree used.
-    pub leaves: usize,
-    /// Repetitions run against each kernel.
-    pub reps: usize,
-}
-
-/// Verdict-window MLE inference over a real DST probe tree: batched
-/// kernel vs the retained scalar reference, `reps` times each under
-/// their `bench.mle.*` spans.
-///
-/// # Panics
-///
-/// Panics if `host` has no probe tree, or if the batched kernel's output
-/// is not bit-identical to the reference kernel's on any window.
-pub fn mle_churn(
-    world: &SimWorld,
-    host: usize,
-    windows: usize,
-    stripes: usize,
-    reps: usize,
-) -> MleBenchReport {
-    let logical = world.tree(host).logical();
-    let leaves = logical.num_leaves();
-    let mut s = 0x4d4c_455f_4245_4e43u64 ^ host as u64;
-    // Per-leaf pass rate in [50%, 98%], drawn once; outcomes are then
-    // independent Bernoulli draws — the regime the estimator assumes.
-    let pass_permille: Vec<u64> = (0..leaves).map(|_| 500 + splitmix(&mut s) % 480).collect();
-    let records: Vec<ProbeRecord> = (0..windows)
-        .map(|_| {
-            let outcomes = (0..stripes)
-                .map(|_| {
-                    (0..leaves)
-                        .map(|leaf| splitmix(&mut s) % 1000 < pass_permille[leaf])
-                        .collect()
-                })
-                .collect();
-            ProbeRecord::new(outcomes)
-        })
-        .collect();
-
-    for _ in 0..reps {
-        let reference: Vec<_> = {
-            let _span = concilium_obs::span("bench.mle.reference");
-            records.iter().map(|r| infer_pass_rates_reference(&logical, r)).collect()
-        };
-        let batched = {
-            let _span = concilium_obs::span("bench.mle.batched");
-            let mut scratch = InferScratch::default();
-            infer_pass_rates_batch(&logical, &records, &mut scratch)
-        };
-        assert_eq!(batched.len(), reference.len());
-        for (b, r) in batched.iter().zip(&reference) {
-            match (b, r) {
-                (Ok(b), Ok(r)) => {
-                    for edge in 0..logical.num_edges() {
-                        assert_eq!(
-                            b.edge_pass_rate(edge).to_bits(),
-                            r.edge_pass_rate(edge).to_bits(),
-                            "batched MLE diverged from the reference kernel on edge {edge}"
-                        );
-                    }
-                }
-                (b, r) => assert_eq!(
-                    b.is_err(),
-                    r.is_err(),
-                    "batched MLE error shape diverged from the reference kernel"
-                ),
-            }
-        }
-    }
-    MleBenchReport { windows, stripes, leaves, reps }
-}
+use concilium_sim::{run_episode, EpisodeConfig, EpisodeOptions, SimWorld};
 
 /// Aggregate outcome of [`trace_overhead`].
 #[derive(Debug)]
@@ -365,24 +68,6 @@ pub fn trace_overhead(world: &SimWorld, seeds: u64, reps: usize) -> TraceBenchRe
 mod tests {
     use super::*;
     use concilium_sim::dst_world;
-
-    #[test]
-    fn queue_churn_agrees_across_implementations() {
-        // The assert inside queue_churn is the test; exercise enough ops
-        // to hit rotation, overflow, rejection, and same-instant ties.
-        let report = queue_churn(7, 4_000, 1);
-        assert!(report.pops > 1_000);
-        assert!(report.rejected > 0, "rejection path never exercised");
-        assert!(report.high_water > 0);
-    }
-
-    #[test]
-    fn mle_churn_agrees_with_reference() {
-        let world = dst_world(77);
-        let report = mle_churn(&world, 0, 8, 16, 1);
-        assert!(report.leaves > 0);
-        assert_eq!(report.windows, 8);
-    }
 
     #[test]
     fn trace_overhead_modes_share_a_digest() {

@@ -1,24 +1,10 @@
 //! A generic discrete-event queue with a virtual clock.
 //!
-//! Two implementations share one contract:
-//!
-//! * [`EventQueue`] — the production queue, a **calendar queue** (Brown
-//!   1988): an array of time-bucketed FIFO rings indexed by
-//!   `(time / width) mod buckets`, plus a sorted overflow level for
-//!   events beyond the wheel's horizon. Virtual-time keys in the
-//!   simulator are near-monotonic (events schedule a short delay ahead
-//!   of `now`), so almost every operation touches one small bucket
-//!   instead of a `log n` heap path.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation,
-//!   retained verbatim as the *reference*: the property tests drive both
-//!   queues through arbitrary schedules and require identical behaviour,
-//!   and the `bench.queue.*` micro-bench reports the calendar-vs-heap
-//!   win in `BENCH_profile.json`.
-//!
-//! Both pop events in exact `(time, seq)` order — time ascending,
-//! insertion order breaking ties — so swapping the implementation cannot
-//! move a single event in any schedule, and every committed trace hash
-//! is preserved bit-for-bit (DESIGN.md §16).
+//! [`EventQueue`] is a `BinaryHeap` keyed on `(time, seq)`: events pop in
+//! time order, and events scheduled for the same instant pop in the order
+//! they were scheduled. That order is the determinism contract of the
+//! whole simulator — every committed trace hash depends on it
+//! (DESIGN.md §16).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -73,24 +59,8 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Smallest number of calendar buckets.
-const MIN_BUCKETS: usize = 16;
-/// Largest number of calendar buckets the wheel will grow to.
-const MAX_BUCKETS: usize = 1 << 16;
-/// Initial bucket width in microseconds of virtual time (~1 s).
-const INITIAL_WIDTH: u64 = 1 << 20;
-/// Bucket-width clamp (microseconds).
-const MIN_WIDTH: u64 = 16;
-const MAX_WIDTH: u64 = 1 << 40;
-/// How many event timestamps the resize heuristic samples.
-const WIDTH_SAMPLE: usize = 64;
-
 /// A discrete-event queue: schedule events at virtual times, pop them in
 /// order, and watch the clock advance.
-///
-/// Internally a calendar queue — see the module docs for the layout and
-/// [`HeapEventQueue`] for the reference implementation it is
-/// property-tested against.
 ///
 /// # Examples
 ///
@@ -107,27 +77,13 @@ const WIDTH_SAMPLE: usize = 64;
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// The wheel: bucket `i` collects events with `(t / width) % n == i`.
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Total events currently held in `buckets` (not counting overflow).
-    bucket_events: usize,
-    /// Sorted overflow level for events at or beyond `wheel_end`.
-    /// Min-first by `(time, seq)` via the reversed `Ord` on `Scheduled`.
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// Index of the bucket whose day contains `day_start`.
-    cursor: usize,
-    /// Width-aligned lower bound of the cursor bucket's day.
-    day_start: u64,
-    /// Exclusive upper bound of the wheel's horizon
-    /// (`day_start + width * buckets`, saturating).
-    wheel_end: u64,
-    /// Bucket width in microseconds of virtual time.
-    width: u64,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     now: SimTime,
     high_water: usize,
 }
 
+// Hand-written: a derive would demand `E: Default`.
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
@@ -137,21 +93,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        let mut q = EventQueue {
-            buckets: Vec::new(),
-            bucket_events: 0,
-            overflow: BinaryHeap::new(),
-            cursor: 0,
-            day_start: 0,
-            wheel_end: 0,
-            width: INITIAL_WIDTH,
-            seq: 0,
-            now: SimTime::ZERO,
-            high_water: 0,
-        };
-        q.buckets.resize_with(MIN_BUCKETS, Vec::new);
-        q.wheel_end = horizon(0, INITIAL_WIDTH, MIN_BUCKETS);
-        q
+        EventQueue { heap: BinaryHeap::new(), seq: 0, now: SimTime::ZERO, high_water: 0 }
     }
 
     /// The current virtual time (the time of the last popped event).
@@ -178,288 +120,6 @@ impl<E> EventQueue<E> {
         if at < self.now {
             return Err((ScheduleError { at, now: self.now }, event));
         }
-        let entry = Scheduled { time: at, seq: self.seq, event };
-        self.seq += 1;
-        let t = at.as_micros();
-        if t >= self.wheel_end {
-            self.overflow.push(entry);
-        } else {
-            let idx = self.index_for(t);
-            self.buckets[idx].push(entry);
-            self.bucket_events += 1;
-        }
-        self.high_water = self.high_water.max(self.len());
-        // Keep bucket occupancy near O(1): double the wheel when the
-        // population outgrows it (amortized over the pushes in between).
-        if self.len() > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            let target = self.buckets.len() * 2;
-            self.rebuild(target);
-        }
-        Ok(())
-    }
-
-    /// Pops the earliest event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.bucket_events == 0 {
-            // Either empty, or everything pending sits in the overflow
-            // level: jump the wheel to the overflow head's day.
-            self.overflow.peek()?;
-            self.jump_to_overflow();
-            if self.bucket_events == 0 {
-                // Events at the saturated far end of the clock that no
-                // wheel window can represent; the overflow level's exact
-                // (time, seq) order serves them directly.
-                let s = self.overflow.pop()?;
-                self.now = s.time;
-                return Some((s.time, s.event));
-            }
-        }
-        loop {
-            let day_end = self.day_start.saturating_add(self.width);
-            if let Some(i) = min_position(&self.buckets[self.cursor]) {
-                let t = self.buckets[self.cursor][i].time.as_micros();
-                // Only events inside the current day may pop; a larger
-                // time in this bucket belongs to a later wheel rotation
-                // (aliased index) and must wait for its own day.
-                if t < day_end {
-                    let s = self.buckets[self.cursor].swap_remove(i);
-                    self.bucket_events -= 1;
-                    self.now = s.time;
-                    self.maybe_shrink();
-                    return Some((s.time, s.event));
-                }
-            }
-            self.rotate();
-        }
-    }
-
-    /// Pops the earliest event only if it is scheduled at or before
-    /// `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time().map(|t| t <= deadline).unwrap_or(false) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.bucket_events + self.overflow.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The time of the earliest pending event, without popping it —
-    /// `None` when the queue is empty. Lets drivers decide whether the
-    /// simulation has quiesced before a deadline without consuming the
-    /// event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.bucket_events > 0 {
-            // Every bucketed event precedes every overflow event (the
-            // overflow holds only times at or beyond the wheel horizon),
-            // so the earliest bucketed time is the global minimum.
-            self.buckets
-                .iter()
-                .flat_map(|b| b.iter().map(|s| s.time))
-                .min()
-        } else {
-            self.overflow.peek().map(|s| s.time)
-        }
-    }
-
-    /// The largest number of events ever pending at once — a virtual-time
-    /// fact (scheduling order is deterministic), so it is safe to report
-    /// in per-episode metrics.
-    pub fn depth_high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// The bucket an in-horizon time maps to. Times before `day_start`
-    /// (possible after a wheel jump) clamp to the cursor bucket, whose
-    /// min-scan pops them first regardless.
-    ///
-    /// Width and bucket count are both powers of two, so the map is a
-    /// shift and a mask — no division on the schedule hot path.
-    fn index_for(&self, t: u64) -> usize {
-        debug_assert!(self.width.is_power_of_two() && self.buckets.len().is_power_of_two());
-        if t < self.day_start {
-            self.cursor
-        } else {
-            ((t >> self.width.trailing_zeros()) as usize) & (self.buckets.len() - 1)
-        }
-    }
-
-    /// Advances the wheel by one day: the vacated bucket becomes the new
-    /// last day, and overflow events that now fall inside the horizon
-    /// migrate into it.
-    fn rotate(&mut self) {
-        self.day_start = self.day_start.saturating_add(self.width);
-        self.cursor = (self.cursor + 1) % self.buckets.len();
-        self.wheel_end = self.wheel_end.saturating_add(self.width);
-        self.migrate_overflow();
-    }
-
-    /// Re-anchors the wheel at the overflow head's day — used when all
-    /// buckets drained and the next event is far in the future, so the
-    /// wheel skips the empty days in O(1) instead of rotating through
-    /// them.
-    fn jump_to_overflow(&mut self) {
-        let Some(head) = self.overflow.peek() else { return };
-        let t = head.time.as_micros();
-        self.day_start = t & !(self.width - 1);
-        self.cursor = ((self.day_start >> self.width.trailing_zeros()) as usize)
-            & (self.buckets.len() - 1);
-        self.wheel_end = horizon(self.day_start, self.width, self.buckets.len());
-        self.migrate_overflow();
-    }
-
-    /// Moves every overflow event inside the current horizon into its
-    /// bucket, restoring the invariant `overflow ⇒ time ≥ wheel_end`.
-    fn migrate_overflow(&mut self) {
-        while let Some(head) = self.overflow.peek() {
-            if head.time.as_micros() >= self.wheel_end {
-                break;
-            }
-            // The pop is guarded by the peek above.
-            if let Some(s) = self.overflow.pop() {
-                let idx = self.index_for(s.time.as_micros());
-                self.buckets[idx].push(s);
-                self.bucket_events += 1;
-            }
-        }
-    }
-
-    fn maybe_shrink(&mut self) {
-        if self.buckets.len() > MIN_BUCKETS && self.len() < self.buckets.len() / 4 {
-            let target = (self.buckets.len() / 2).max(MIN_BUCKETS);
-            self.rebuild(target);
-        }
-    }
-
-    /// Rebuilds the wheel with `nbuckets` buckets and a width re-estimated
-    /// from the pending events' spacing. O(len + nbuckets); triggered only
-    /// when the population doubles or quarters, so amortized O(1).
-    fn rebuild(&mut self, nbuckets: usize) {
-        let mut pending: Vec<Scheduled<E>> = Vec::with_capacity(self.len());
-        for bucket in &mut self.buckets {
-            pending.append(bucket);
-        }
-        pending.extend(std::mem::take(&mut self.overflow));
-
-        self.width = estimate_width(&pending, self.width);
-        self.buckets.clear();
-        self.buckets.resize_with(nbuckets, Vec::new);
-        self.bucket_events = 0;
-        self.day_start = self.now.as_micros() & !(self.width - 1);
-        self.cursor = ((self.day_start >> self.width.trailing_zeros()) as usize) & (nbuckets - 1);
-        self.wheel_end = horizon(self.day_start, self.width, nbuckets);
-        for s in pending {
-            let t = s.time.as_micros();
-            if t >= self.wheel_end {
-                self.overflow.push(s);
-            } else {
-                let idx = self.index_for(t);
-                self.buckets[idx].push(s);
-                self.bucket_events += 1;
-            }
-        }
-    }
-}
-
-/// `start + width * nbuckets`, saturating at the end of time.
-fn horizon(start: u64, width: u64, nbuckets: usize) -> u64 {
-    start.saturating_add(width.saturating_mul(nbuckets as u64))
-}
-
-/// Position of the `(time, seq)`-minimal entry, or `None` when empty.
-fn min_position<E>(bucket: &[Scheduled<E>]) -> Option<usize> {
-    let mut best: Option<(usize, SimTime, u64)> = None;
-    for (i, s) in bucket.iter().enumerate() {
-        match best {
-            Some((_, bt, bs)) if (bt, bs) <= (s.time, s.seq) => {}
-            _ => best = Some((i, s.time, s.seq)),
-        }
-    }
-    best.map(|(i, _, _)| i)
-}
-
-/// Bucket width from the spacing of a sample of pending events — Brown's
-/// calendar-queue heuristic: a few events per bucket keeps both the
-/// per-pop scan and the empty-day rotation count small. The result is
-/// rounded to a power of two so bucket indexing is a shift and a mask.
-/// Deterministic (pure function of the pending set) and integer-only.
-fn estimate_width<E>(pending: &[Scheduled<E>], current: u64) -> u64 {
-    let mut sample: Vec<u64> = pending
-        .iter()
-        .take(WIDTH_SAMPLE)
-        .map(|s| s.time.as_micros())
-        .collect();
-    sample.sort_unstable();
-    sample.dedup();
-    if sample.len() < 2 {
-        return current;
-    }
-    let span = sample[sample.len() - 1] - sample[0];
-    let avg_gap = span / (sample.len() as u64 - 1);
-    avg_gap
-        .saturating_mul(4)
-        .clamp(MIN_WIDTH, MAX_WIDTH)
-        .next_power_of_two()
-        .min(MAX_WIDTH)
-}
-
-/// The original `BinaryHeap`-backed event queue, kept as the reference
-/// implementation: property tests drive it in lock-step with the calendar
-/// [`EventQueue`] over arbitrary schedules and require identical pops,
-/// clocks, rejections, and high-water marks; the `bench.queue.*`
-/// micro-bench times both so the calendar-vs-heap win lands in
-/// `BENCH_profile.json`.
-///
-/// Not used on any production path.
-#[derive(Default)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-    now: SimTime,
-    high_water: usize,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue { heap: BinaryHeap::new(), seq: 0, now: SimTime::ZERO, high_water: 0 }
-    }
-
-    /// The current virtual time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `event` at time `at`; see [`EventQueue::schedule`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past (before the last popped event).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        if let Err((err, _)) = self.try_schedule(at, event) {
-            panic!("{err}");
-        }
-    }
-
-    /// Non-panicking schedule; see [`EventQueue::try_schedule`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the event and a [`ScheduleError`] when `at` precedes the
-    /// queue's clock.
-    pub fn try_schedule(&mut self, at: SimTime, event: E) -> Result<(), (ScheduleError, E)> {
-        if at < self.now {
-            return Err((ScheduleError { at, now: self.now }, event));
-        }
         self.heap.push(Scheduled { time: at, seq: self.seq, event });
         self.seq += 1;
         self.high_water = self.high_water.max(self.heap.len());
@@ -476,7 +136,7 @@ impl<E> HeapEventQueue<E> {
     /// Pops the earliest event only if it is scheduled at or before
     /// `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek().map(|s| s.time <= deadline).unwrap_or(false) {
+        if self.peek_time()? <= deadline {
             self.pop()
         } else {
             None
@@ -493,12 +153,17 @@ impl<E> HeapEventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// The time of the earliest pending event without popping it.
+    /// The time of the earliest pending event, without popping it —
+    /// `None` when the queue is empty. Lets drivers decide whether the
+    /// simulation has quiesced before a deadline without consuming the
+    /// event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
     }
 
-    /// The largest number of events ever pending at once.
+    /// The largest number of events ever pending at once — a virtual-time
+    /// fact (scheduling order is deterministic), so it is safe to report
+    /// in per-episode metrics.
     pub fn depth_high_water(&self) -> usize {
         self.high_water
     }
@@ -618,9 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_overflow_level() {
-        // An event past the initial horizon sits in the overflow level,
-        // migrates when the wheel jumps, and pops in order.
+    fn far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), "near");
         q.schedule(SimTime::from_secs(1_000_000), "far");
@@ -634,8 +297,6 @@ mod tests {
 
     #[test]
     fn saturated_end_of_time_is_poppable() {
-        // u64::MAX microseconds can never fall inside a wheel window
-        // (the horizon saturates); the overflow level serves it directly.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(u64::MAX), "eot");
         q.schedule(SimTime::from_micros(u64::MAX - 1), "almost");
@@ -648,16 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn growth_and_shrink_preserve_order() {
-        // Push enough to force several rebuilds, interleaved with pops
-        // that trigger shrinking; order must stay exact throughout.
+    fn scattered_ties_pop_in_exact_order() {
         let mut q = EventQueue::new();
-        let mut expect: Vec<u64> = Vec::new();
         for i in 0..500u64 {
             // Deterministic scatter of times, many ties.
             let t = (i * 7919) % 257;
             q.schedule(SimTime::from_micros(t * 1_000), i);
-            expect.push(t);
         }
         let mut last = (SimTime::ZERO, 0u64);
         let mut popped = 0;
@@ -673,7 +330,14 @@ mod tests {
         assert_eq!(q.depth_high_water(), 500);
     }
 
-    /// One operation of the differential driver below.
+    #[test]
+    fn default_does_not_require_a_default_event() {
+        struct NoDefault;
+        let q: EventQueue<NoDefault> = EventQueue::default();
+        assert!(q.is_empty());
+    }
+
+    /// One operation of the model driver below.
     #[derive(Clone, Debug)]
     enum Op {
         /// Schedule at `now + dt` (µs). Always valid.
@@ -683,70 +347,102 @@ mod tests {
         Pop,
         /// `pop_until(now + dt)`.
         PopUntil(u64),
-        Peek,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         // DST-realistic deltas: sub-second RTTs, multi-second retries,
         // multi-minute outage repairs, plus exact ties (dt = 0).
-        (0u8..6, 0u64..600_000_000).prop_map(|(kind, v)| match kind {
+        (0u8..5, 0u64..600_000_000).prop_map(|(kind, v)| match kind {
             0 | 1 => Op::Schedule(v % 400_000_000),
             2 => Op::TryScheduleAbs(v),
             3 => Op::Pop,
-            4 => Op::PopUntil(v % 500_000_000),
-            _ => Op::Peek,
+            _ => Op::PopUntil(v % 500_000_000),
         })
     }
 
+    /// The executable specification: pending events in a `Vec`, kept in
+    /// insertion order, so a stable sort by time is exactly `(time,
+    /// insertion index)` order.
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<(SimTime, u32)>,
+        now: SimTime,
+        high_water: usize,
+    }
+
+    impl Model {
+        fn try_schedule(&mut self, at: SimTime, tag: u32) -> Result<(), (ScheduleError, u32)> {
+            if at < self.now {
+                return Err((ScheduleError { at, now: self.now }, tag));
+            }
+            self.pending.push((at, tag));
+            self.high_water = self.high_water.max(self.pending.len());
+            Ok(())
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.pending.iter().map(|&(t, _)| t).min()
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            self.pending.sort_by_key(|&(t, _)| t);
+            if self.pending.is_empty() {
+                return None;
+            }
+            let head = self.pending.remove(0);
+            self.now = head.0;
+            Some(head)
+        }
+
+        fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u32)> {
+            if self.peek_time()? <= deadline {
+                self.pop()
+            } else {
+                None
+            }
+        }
+    }
+
     proptest! {
-        /// The calendar queue is indistinguishable from the reference
-        /// heap on arbitrary schedules: identical pops (time AND payload,
-        /// so tie-breaks match), identical clocks, identical
-        /// `try_schedule` rejections, identical `peek_time`, `len`, and
-        /// high-water marks.
+        /// `EventQueue` is indistinguishable from the sorted-`Vec` model on
+        /// arbitrary schedules: identical pops (time AND payload, so
+        /// tie-breaks match), clocks, `try_schedule` rejections handing the
+        /// event back, `peek_time`, `len` and high-water marks.
         #[test]
-        fn calendar_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-            let mut cal: EventQueue<u32> = EventQueue::new();
-            let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+        fn queue_matches_stable_sort_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut model = Model::default();
             for (tag, op) in ops.into_iter().enumerate() {
                 let tag = tag as u32;
                 match op {
                     Op::Schedule(dt) => {
-                        let at = cal.now() + SimDuration::from_micros(dt);
-                        cal.schedule(at, tag);
-                        heap.schedule(at, tag);
+                        let at = q.now() + SimDuration::from_micros(dt);
+                        q.schedule(at, tag);
+                        prop_assert_eq!(model.try_schedule(at, tag), Ok(()));
                     }
                     Op::TryScheduleAbs(t) => {
                         let at = SimTime::from_micros(t);
-                        let c = cal.try_schedule(at, tag);
-                        let h = heap.try_schedule(at, tag);
-                        prop_assert_eq!(c.is_err(), h.is_err());
-                        if let (Err((ce, cv)), Err((he, hv))) = (c, h) {
-                            prop_assert_eq!(ce, he);
-                            prop_assert_eq!(cv, hv);
-                        }
+                        prop_assert_eq!(q.try_schedule(at, tag), model.try_schedule(at, tag));
                     }
                     Op::Pop => {
-                        prop_assert_eq!(cal.pop(), heap.pop());
+                        prop_assert_eq!(q.pop(), model.pop());
                     }
                     Op::PopUntil(dt) => {
-                        let deadline = cal.now() + SimDuration::from_micros(dt);
-                        prop_assert_eq!(cal.pop_until(deadline), heap.pop_until(deadline));
-                    }
-                    Op::Peek => {
-                        prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                        let deadline = q.now() + SimDuration::from_micros(dt);
+                        prop_assert_eq!(q.pop_until(deadline), model.pop_until(deadline));
                     }
                 }
-                prop_assert_eq!(cal.now(), heap.now());
-                prop_assert_eq!(cal.len(), heap.len());
-                prop_assert_eq!(cal.is_empty(), heap.is_empty());
-                prop_assert_eq!(cal.depth_high_water(), heap.depth_high_water());
+                prop_assert_eq!(q.now(), model.now);
+                prop_assert_eq!(q.len(), model.pending.len());
+                prop_assert_eq!(q.is_empty(), model.pending.is_empty());
+                prop_assert_eq!(q.peek_time(), model.peek_time());
+                prop_assert_eq!(q.depth_high_water(), model.high_water);
             }
             // Drain both: the full remaining order must agree.
             loop {
-                let (c, h) = (cal.pop(), heap.pop());
-                prop_assert_eq!(&c, &h);
-                if c.is_none() {
+                let (got, want) = (q.pop(), model.pop());
+                prop_assert_eq!(&got, &want);
+                if got.is_none() {
                     break;
                 }
             }

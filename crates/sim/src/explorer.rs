@@ -1026,13 +1026,11 @@ enum WalkEnd {
     Standing(usize),
 }
 
-/// Dense per-episode event counters, mirroring the registry keys the old
-/// per-event `Registry::inc` calls produced. `flush` recreates *exactly*
-/// the same final registry — a key appears iff the old code would have
-/// called `inc` for it at least once (note `episode.snapshot_observations`,
-/// which the old code created on every batch even when a batch carried
-/// zero observations) — so the metrics snapshot crossing the digest
-/// boundary is unchanged.
+/// Dense per-episode event counters, folded into the registry once by
+/// `flush`. The key set crosses the digest boundary with the metrics
+/// snapshot, so it is part of the contract: a key exists iff its count is
+/// greater than zero, except `episode.snapshot_observations`, which exists
+/// iff a snapshot batch was gathered (even one carrying zero observations).
 #[derive(Clone, Copy, Debug, Default)]
 struct EventTallies {
     sent: u64,
@@ -1057,8 +1055,7 @@ struct EventTallies {
 }
 
 impl EventTallies {
-    /// Folds the tallies into `metrics`, creating exactly the keys the
-    /// per-event `inc` calls used to create.
+    /// Folds the tallies into `metrics` under the key-existence rule above.
     fn flush(&self, metrics: &mut Registry) {
         let counters = [
             ("episode.sent", self.sent),
@@ -1085,9 +1082,7 @@ impl EventTallies {
                 metrics.inc(key, value);
             }
         }
-        // Observation totals were incremented once per gathered batch even
-        // when the batch carried zero observations, so the key's existence
-        // tracks batches, not the total.
+        // The key's existence tracks batches, not the total.
         if self.snapshot_batches > 0 {
             metrics.inc("episode.snapshot_observations", self.snapshot_observations);
         }
@@ -2230,9 +2225,9 @@ impl<'w> Episode<'w> {
                 |l: LinkId| if world.link_up_at(l, t_mid) { 0.95 } else { 0.05 };
             let record =
                 simulate_stripes(&logical, &pass, self.opts.tomography_stripes, &mut trng);
-            // Batched entry points (bit-identical to the per-record
-            // `_with` calls) so the DST inner loop exercises the same
-            // kernel the verdict-window experiments run.
+            // Batched entry points, reusing `scratch` across the episode's
+            // checks, so the DST inner loop exercises the same kernel the
+            // verdict-window experiments run.
             let full = infer_pass_rates_batch(&logical, std::slice::from_ref(&record), &mut scratch)
                 .remove(0);
             let partial = PartialProbeRecord::from_complete(&record);

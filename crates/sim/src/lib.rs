@@ -10,7 +10,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`EventQueue`] — a generic discrete-event queue with a virtual clock.
+//! * [`EventQueue`] — a generic discrete-event queue with a virtual clock:
+//!   a binary heap popping in exact `(time, insertion order)` order, the
+//!   order every trace digest depends on.
 //! * [`SimConfig`] — all evaluation parameters, with presets matching the
 //!   paper ([`SimConfig::paper_scale`]) and fast test sizes.
 //! * [`SimWorld`] — the assembled world: topology, overlay, per-host probe
@@ -64,7 +66,7 @@ mod world;
 pub use archive::ProbeArchive;
 pub use behavior::AdversarySets;
 pub use config::SimConfig;
-pub use engine::{EventQueue, HeapEventQueue, ScheduleError};
+pub use engine::{EventQueue, ScheduleError};
 pub use explorer::{
     dst_world, explore, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions,
     EpisodeReport, EpisodeStats, EpisodeTrace, ExploreOutcome, FailingCase,

@@ -15,7 +15,11 @@
 //! * [`probe`] — striped-unicast probe simulation: per-stripe link
 //!   outcomes shared across back-to-back packets, emulating multicast.
 //! * [`infer`] — the MINC maximum-likelihood estimator recovering
-//!   per-edge pass rates from leaf acknowledgment patterns.
+//!   per-edge pass rates from leaf acknowledgment patterns: one
+//!   bit-packed kernel behind [`infer_pass_rates`] (complete records)
+//!   and [`infer_pass_rates_tolerant`] (partial records), each with a
+//!   `_batch` form that reuses an [`InferScratch`] across a verdict
+//!   window.
 //! * [`snapshot`] — signed, timestamped tomographic snapshots with the
 //!   compact loss-bucket encoding of §4.4.
 //! * [`feedback`] — defences against lying leaves: probe nonces and the
@@ -75,9 +79,8 @@ pub use error::TomographyError;
 pub use forest::Forest;
 pub use identify::AmbiguityClasses;
 pub use infer::{
-    infer_pass_rates_batch, infer_pass_rates_reference, infer_pass_rates_tolerant,
-    infer_pass_rates_tolerant_batch, infer_pass_rates_tolerant_reference,
-    infer_pass_rates_tolerant_with, infer_pass_rates_with, InferScratch,
+    infer_pass_rates, infer_pass_rates_batch, infer_pass_rates_tolerant,
+    infer_pass_rates_tolerant_batch, InferScratch,
 };
 pub use probe::PartialProbeRecord;
 pub use snapshot::{LinkObservation, LossBucket, TomographySnapshot};

@@ -86,10 +86,10 @@ impl ProbeRecord {
         self.outcomes[stripe][leaf]
     }
 
-    /// One stripe's outcomes across all leaves — the packed inference
+    /// Every stripe's outcomes across all leaves — the packed inference
     /// kernel transposes rows into per-leaf bitmasks in a single pass.
-    pub(crate) fn row(&self, stripe: usize) -> &[bool] {
-        &self.outcomes[stripe]
+    pub(crate) fn rows(&self) -> &[Vec<bool>] {
+        &self.outcomes
     }
 
     /// The fraction of stripes `leaf` acknowledged.
@@ -202,10 +202,10 @@ impl PartialProbeRecord {
         self.outcomes[stripe][leaf]
     }
 
-    /// One stripe's tri-state outcomes across all leaves — see
-    /// [`ProbeRecord::row`].
-    pub(crate) fn row(&self, stripe: usize) -> &[Option<bool>] {
-        &self.outcomes[stripe]
+    /// Every stripe's tri-state outcomes across all leaves — see
+    /// [`ProbeRecord::rows`].
+    pub(crate) fn rows(&self) -> &[Vec<Option<bool>>] {
+        &self.outcomes
     }
 
     /// Marks one cell indeterminate (its ack never made it back).
