@@ -7,17 +7,17 @@
 //!
 //! With `--jobs N` the sweep fans episodes out over N worker threads; the
 //! deterministic parallel layer guarantees bit-identical results at any
-//! worker count. With `--bench-json PATH` the sweep is additionally timed
-//! serially (jobs = 1) and in parallel, the two trace digests are compared
-//! (non-zero exit on mismatch), and a JSON benchmark report is written.
+//! worker count, so stdout (bar the worker-count banner) and the
+//! `--trace-out`/`--metrics-out`/`--explain-out` files of two runs at
+//! different `--jobs` values must `cmp` equal. The sweep is never timed
+//! here: wall-clock numbers come from `benchmark/` only.
 //!
 //! ```text
 //! cargo run --release -p concilium-bench --bin dst-sweep -- \
-//!     --seeds 32 --jobs 4 --bench-json BENCH_dst_sweep.json
+//!     --seeds 32 --jobs 4 --trace-out dst_trace.jsonl
 //! ```
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use concilium_obs::{explain, json, CausalIndex, ExplainQuery};
 use concilium_par::Jobs;
@@ -31,13 +31,10 @@ const WORLD_SEED: u64 = 77;
 struct Options {
     seeds: u64,
     jobs: Option<usize>,
-    bench_json: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     explain: Option<String>,
     explain_out: Option<String>,
-    before_secs: Option<f64>,
-    profile: bool,
     verbose: bool,
 }
 
@@ -45,13 +42,10 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         seeds: 32,
         jobs: None,
-        bench_json: None,
         trace_out: None,
         metrics_out: None,
         explain: None,
         explain_out: None,
-        before_secs: None,
-        profile: false,
         verbose: false,
     };
     let mut args = std::env::args().skip(1);
@@ -76,10 +70,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.jobs = Some(jobs);
             }
-            "--bench-json" => {
-                let value = args.next().ok_or("--bench-json requires a path")?;
-                opts.bench_json = Some(value);
-            }
             "--trace-out" => {
                 let value = args.next().ok_or("--trace-out requires a path")?;
                 opts.trace_out = Some(value);
@@ -96,27 +86,16 @@ fn parse_args() -> Result<Options, String> {
                 let value = args.next().ok_or("--explain-out requires a path")?;
                 opts.explain_out = Some(value);
             }
-            "--before-secs" => {
-                let value = args.next().ok_or("--before-secs requires a number")?;
-                let secs: f64 =
-                    value.parse().map_err(|e| format!("--before-secs: {e}"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err("--before-secs must be a positive number".into());
-                }
-                opts.before_secs = Some(secs);
-            }
-            "--profile" => opts.profile = true,
             "--verbose" | "-v" => opts.verbose = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: dst-sweep [--seeds N] [--jobs N] [--bench-json PATH]\n\
+                    "usage: dst-sweep [--seeds N] [--jobs N]\n\
                      \x20                [--trace-out PATH] [--metrics-out PATH]\n\
-                     \x20                [--profile] [--verbose]\n\
+                     \x20                [--explain ENTITY] [--explain-out PATH]\n\
+                     \x20                [--verbose|-v] [--help|-h]\n\
                      \n\
                      --seeds N        seeds per grid arm (default: 32)\n\
                      --jobs N         worker threads (default: CONCILIUM_JOBS or all cores)\n\
-                     --bench-json P   time serial vs parallel, assert identical trace\n\
-                     \x20                digests, and write a JSON benchmark report to P\n\
                      --trace-out P    write every episode's structured trace as JSONL to P\n\
                      \x20                (byte-identical at any --jobs value)\n\
                      --metrics-out P  write the merged deterministic metrics registry to P\n\
@@ -126,11 +105,8 @@ fn parse_args() -> Result<Options, String> {
                      --explain-out P  write the explanation (and, on an invariant\n\
                      \x20                violation, the causal-chain reproducer) to P —\n\
                      \x20                the CI failure artifact\n\
-                     --before-secs S  embed a pre-rewrite serial baseline (seconds) in the\n\
-                     \x20                bench report, with the resulting improvement factor\n\
-                     --profile        enable wall-clock span timers (outside the\n\
-                     \x20                determinism contract) and write BENCH_profile.json\n\
-                     --verbose        per-arm progress lines and cache statistics"
+                     --verbose, -v    per-arm progress lines and cache statistics\n\
+                     --help, -h       print this help"
                 );
                 std::process::exit(0);
             }
@@ -153,47 +129,6 @@ fn print_outcome(out: &ExploreOutcome) {
     println!("  trace digest {}", out.trace_digest);
 }
 
-/// Hand-formatted JSON (the workspace deliberately has no JSON dependency;
-/// every emitted value is a number, a bool, or a hex/ASCII string).
-#[allow(clippy::too_many_arguments)]
-fn bench_report(
-    seeds: u64,
-    arms: usize,
-    jobs: usize,
-    host_cores: usize,
-    serial_secs: f64,
-    parallel_secs: f64,
-    before_secs: Option<f64>,
-    serial: &ExploreOutcome,
-    parallel: &ExploreOutcome,
-) -> String {
-    let speedup = if parallel_secs > 0.0 { serial_secs / parallel_secs } else { 0.0 };
-    // The pre-rewrite baseline is an input, not a measurement this run can
-    // make itself; when provided it records the A/B result alongside the
-    // fresh numbers so the committed report is self-describing.
-    let before = before_secs.map_or(String::new(), |b| {
-        let improvement = if serial_secs > 0.0 { b / serial_secs } else { 0.0 };
-        format!(
-            "  \"before_serial_secs\": {b:.6},\n  \
-             \"serial_improvement_x\": {improvement:.4},\n"
-        )
-    });
-    format!(
-        "{{\n  \"benchmark\": \"dst_sweep\",\n  \"world_seed\": {WORLD_SEED},\n  \
-         \"seeds_per_arm\": {seeds},\n  \"grid_arms\": {arms},\n  \
-         \"episodes\": {episodes},\n  \"jobs\": {jobs},\n  \
-         \"host_cores\": {host_cores},\n  \"serial_secs\": {serial_secs:.6},\n  \
-         \"parallel_secs\": {parallel_secs:.6},\n  \"speedup\": {speedup:.4},\n\
-         {before}  \
-         \"serial_trace_digest\": \"{sd}\",\n  \"parallel_trace_digest\": \"{pd}\",\n  \
-         \"digests_match\": {ok}\n}}\n",
-        episodes = serial.episodes_run,
-        sd = serial.trace_digest,
-        pd = parallel.trace_digest,
-        ok = serial.trace_digest == parallel.trace_digest,
-    )
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -203,9 +138,6 @@ fn main() -> ExitCode {
         }
     };
     let jobs = Jobs::resolve(opts.jobs).get();
-    if opts.profile {
-        concilium_obs::set_profiling(true);
-    }
 
     // Validate an --explain query before the sweep spends any time.
     let explain_query = match &opts.explain {
@@ -255,53 +187,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let out = if let Some(path) = &opts.bench_json {
-        // Benchmark mode: timed serial baseline, then the timed parallel
-        // sweep, then a digest-equality check between the two.
-        let t0 = Instant::now();
-        let serial = explore_jobs(&world, &grid, &seeds, &episode_opts, 1);
-        let serial_secs = t0.elapsed().as_secs_f64();
-        println!("  serial   ({} episodes) {serial_secs:.3}s", serial.episodes_run);
-
-        let t1 = Instant::now();
-        let parallel = explore_jobs(&world, &grid, &seeds, &episode_opts, jobs);
-        let parallel_secs = t1.elapsed().as_secs_f64();
-        let speedup = if parallel_secs > 0.0 { serial_secs / parallel_secs } else { 0.0 };
-        println!(
-            "  parallel ({} episodes, {jobs} jobs) {parallel_secs:.3}s  speedup {speedup:.2}x",
-            parallel.episodes_run
-        );
-
-        let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let report = bench_report(
-            opts.seeds,
-            grid.len(),
-            jobs,
-            host_cores,
-            serial_secs,
-            parallel_secs,
-            opts.before_secs,
-            &serial,
-            &parallel,
-        );
-        if let Err(err) = std::fs::write(path, &report) {
-            eprintln!("dst-sweep: cannot write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("  bench report written to {path}");
-
-        if serial.trace_digest != parallel.trace_digest {
-            eprintln!(
-                "dst-sweep: TRACE DIGEST MISMATCH between jobs=1 and jobs={jobs}:\n  {}\n  {}",
-                serial.trace_digest, parallel.trace_digest
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("  digests match across jobs=1 and jobs={jobs}");
-        parallel
-    } else {
-        explore_jobs(&world, &grid, &seeds, &episode_opts, jobs)
-    };
+    let out = explore_jobs(&world, &grid, &seeds, &episode_opts, jobs);
 
     print_outcome(&out);
 
@@ -396,25 +282,6 @@ fn main() -> ExitCode {
             "  [caches] world-build path cache: {} hits, {} misses",
             tree.hits, tree.misses
         );
-    }
-
-    if opts.profile {
-        // Tracing-overhead A/B: ring at default capacity vs capacity 0,
-        // hash-equality asserted, so the profile carries the causal
-        // layer's retention cost explicitly.
-        let tr = concilium_bench::micro::trace_overhead(&world, 4, 4);
-        println!(
-            "  micro: trace on/off {} episodes x{} reps, digests identical",
-            tr.episodes, tr.reps
-        );
-        let path = "BENCH_profile.json";
-        let report = concilium_obs::profile_report_json();
-        if let Err(err) = std::fs::write(path, &report) {
-            eprintln!("dst-sweep: cannot write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        let phases = concilium_obs::profile_snapshot().len();
-        println!("  profile ({phases} phases) written to {path}");
     }
 
     // Service-mode chaos arm: seeded kill/recover schedules against the

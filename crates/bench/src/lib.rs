@@ -2,8 +2,9 @@
 //!
 //! One module per figure/table of the paper's evaluation (§4). Each
 //! module exposes a `run(...)` function returning printable rows so the
-//! same code backs both the `experiments` binary and the Criterion
-//! benches. See `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
+//! same code backs both the `experiments` binary and the repository
+//! benchmark (`benchmark/`, the only place a wall-clock number comes
+//! from). See `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
 //! for recorded paper-vs-measured results.
 
 #![forbid(unsafe_code)]
@@ -16,7 +17,6 @@ pub mod fig23;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod micro;
 pub mod stretch;
 pub mod system;
 pub mod tables;

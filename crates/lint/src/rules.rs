@@ -106,13 +106,13 @@ impl FileScope {
     }
 
     /// L1 exemptions: the profiler is *defined* to read wall-clock time,
-    /// and the bench bins time real sweeps.
+    /// and the bench bins print the elapsed time of an experiment run.
     fn wall_clock_applies(&self) -> bool {
         if self.all_rules {
             return true;
         }
         self.rel != "crates/obs/src/profile.rs"
-            && !self.starts_with_any(&["crates/bench/src/bin/", "crates/bench/benches/"])
+            && !self.rel.starts_with("crates/bench/src/bin/")
     }
 
     /// L2 scope: everything on the digest path. `obs` feeds the trace

@@ -116,7 +116,7 @@ pub fn profile_snapshot() -> Vec<(&'static str, PhaseTotals)> {
 }
 
 /// Renders the current phase totals as a pretty-printed JSON report
-/// (the `BENCH_profile.json` payload). Times are in milliseconds.
+/// (what `experiments --profile` writes). Times are in milliseconds.
 pub fn profile_report_json() -> String {
     let snapshot = profile_snapshot();
     let mut out = String::from("{\n  \"phases\": {\n");

@@ -106,7 +106,7 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    let cfg = ServeConfig { collect_admission_waits: true, ..ServeConfig::default() };
+    let cfg = ServeConfig::default();
     let spec = WorkloadSpec {
         reports: args.reports,
         shape: args.shape,

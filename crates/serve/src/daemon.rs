@@ -107,8 +107,6 @@ pub struct Daemon {
     counters: Counters,
     /// Whether records were journaled since the last commit boundary.
     dirty: bool,
-    /// Admission waits (µs) for latency percentiles, when collected.
-    pub admission_waits: Vec<u64>,
     /// Chaos hook: panic when processing this input index at this site.
     pub panic_at: Option<(u64, PanicSite)>,
     trace: Trace,
@@ -230,7 +228,6 @@ impl Daemon {
             next_batch,
             counters,
             dirty: false,
-            admission_waits: Vec::new(),
             panic_at: None,
             trace,
             metrics,
@@ -362,9 +359,6 @@ impl Daemon {
                     self.cfg.admission_deadline.as_micros() as f64,
                     32,
                 );
-                if self.cfg.collect_admission_waits {
-                    self.admission_waits.push(wait.as_micros());
-                }
             }
             Err(reason) => {
                 let seq = self.take_seq();

@@ -76,8 +76,6 @@ pub struct ServeConfig {
     pub replication: usize,
     /// Restarts the supervisor allows before degrading to read-only.
     pub restart_budget: usize,
-    /// Record per-admission predicted waits (for latency percentiles).
-    pub collect_admission_waits: bool,
     /// Trace ring capacity.
     pub trace_capacity: usize,
 }
@@ -97,7 +95,6 @@ impl Default for ServeConfig {
             members: 32,
             replication: 3,
             restart_budget: 3,
-            collect_admission_waits: false,
             trace_capacity: 2048,
         }
     }

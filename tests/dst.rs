@@ -60,6 +60,22 @@ fn episodes_replay_bit_identically() {
 }
 
 #[test]
+fn trace_ring_capacity_never_feeds_the_digest() {
+    // Capacity 0 still hashes, counts and causally checks every event; it
+    // only stops retaining them. Retention must be invisible to the digest.
+    let retained = EpisodeOptions::default();
+    let unretained = EpisodeOptions { trace_capacity: 0, ..EpisodeOptions::default() };
+    for (name, cfg) in EpisodeConfig::standard_grid() {
+        let on = run_episode(world(), &cfg, 0, &retained);
+        let off = run_episode(world(), &cfg, 0, &unretained);
+        assert_eq!(
+            on.trace_hash, off.trace_hash,
+            "{name}: trace ring capacity changed the digest"
+        );
+    }
+}
+
+#[test]
 fn blame_oracle_catches_broken_combinator() {
     let opts = EpisodeOptions { blame_fn: broken_blame, ..EpisodeOptions::default() };
     let out = explore(world(), &EpisodeConfig::standard_grid(), &seeds(32), &opts);
