@@ -38,7 +38,7 @@
 //! assert!(!keys.public().verify(b"tampered bytes", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cert;

@@ -1,8 +1,37 @@
 //! A from-scratch SHA-256 implementation (FIPS 180-4).
 //!
 //! Used for all digests in the workspace: snapshot hashes, Schnorr
-//! challenges, probe-nonce derivation, and DHT keys. Verified against the
+//! challenges, probe-nonce derivation, DHT keys, the DST's chained trace
+//! hash and the daemon's journal-frame checksums. Verified against the
 //! official NIST test vectors in the unit tests.
+//!
+//! # Two compression kernels, one digest
+//!
+//! The compression function exists twice. [`Sha256`] picks per call, from
+//! what it observes in its host and nothing else (no cargo feature, env
+//! var or build flag):
+//!
+//! * on x86-64, when `is_x86_feature_detected!` reports `sha` (with
+//!   `sse2`, `ssse3`, `sse4.1`), the SHA-NI kernel in the private `shani`
+//!   module — two rounds per `sha256rnds2` instruction, the message
+//!   schedule in `sha256msg1`/`sha256msg2`;
+//! * on every other CPU and every other target, the portable scalar
+//!   rounds of `compress_scalar`.
+//!
+//! Both compute the FIPS 180-4 function, so every digest is bit-identical
+//! whichever runs. The scalar path stays for two reasons: it is the only
+//! one that runs where the instruction is absent, and it is the oracle
+//! the differential test drives the SHA-NI kernel against.
+//!
+//! The SHA-NI kernel is a *safe* `#[target_feature]` function built from
+//! value intrinsics only — words go in through `_mm_set_epi32`, come out
+//! through `_mm_extract_epi32`, and no pointer is ever handed to an
+//! intrinsic — so nothing in it can touch memory the borrow checker has
+//! not vouched for. What safe Rust cannot express is the promise that the
+//! CPU has the instructions; that promise is the one `unsafe` call in
+//! [`Sha256`]'s dispatch, sitting under the detection it depends on. It is
+//! the only `unsafe` in the workspace's first-party code (`tests/lint.rs`
+//! holds that count at one).
 
 use std::fmt;
 
@@ -165,16 +194,52 @@ impl Sha256 {
         Digest(out)
     }
 
-    /// One compression round over the 64-byte `block`.
+    /// Folds the 64-byte `block` into the state with whichever kernel the
+    /// host supports.
     ///
     /// This is the hottest function in the workspace: the DST's chained
-    /// trace hash runs it two or three times per simulated event. It uses
-    /// the textbook optimizations — a 16-word ring for the message
+    /// trace hash runs it two or three times per simulated event, and the
+    /// daemon once or more per journal frame. The two kernels are
+    /// bit-identical (FIPS 180-4); the differential tests in this file
+    /// drive them from the same states and blocks.
+    fn compress(&mut self, block: &[u8; 64]) {
+        if !self.compress_shani(block) {
+            self.compress_scalar(block);
+        }
+    }
+
+    /// Runs the SHA-NI kernel if this host has it and says whether it did;
+    /// on `false` the state is untouched.
+    ///
+    /// The rule is what the code observes in its host: x86-64 with `sha`,
+    /// `sse2`, `ssse3` and `sse4.1` detected (a cached atomic load after
+    /// the first call). Other targets compile the `false` arm only.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn compress_shani(&mut self, block: &[u8; 64]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("sse2")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+        {
+            #[allow(unsafe_code)]
+            // SAFETY: every CPU feature `shani::compress` enables was detected on this host just above.
+            unsafe {
+                shani::compress(&mut self.state, block)
+            };
+            return true;
+        }
+        false
+    }
+
+    /// The portable compression function.
+    ///
+    /// It uses the textbook optimizations — a 16-word ring for the message
     /// schedule instead of the expanded 64-word array, and fully unrolled
     /// rounds with register *renaming* in place of the 8-way shuffle — and
     /// produces bit-identical digests to the straightforward form (the
     /// NIST vectors below and the chained-trace goldens both pin it).
-    fn compress(&mut self, block: &[u8; 64]) {
+    fn compress_scalar(&mut self, block: &[u8; 64]) {
         #[inline(always)]
         fn sig0(x: u32) -> u32 {
             x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3)
@@ -284,6 +349,95 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
+/// The compression function on the x86 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// Four consecutive words as one vector, `w[0]` in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lanes(w: &[u32]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    /// Rounds `4g..4g + 4` over the schedule words `m = W[4g..4g + 4]`.
+    /// The state travels split the way `sha256rnds2` wants it, {a,b,e,f}
+    /// and {c,d,g,h} with the first-named in the highest lane; each call
+    /// runs two rounds and turns one half into the next-but-one.
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: __m128i, cdgh: __m128i, m: __m128i, g: usize) -> (__m128i, __m128i) {
+        let wk = _mm_add_epi32(m, lanes(&K[4 * g..4 * g + 4]));
+        let cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        let abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        (abef, cdgh)
+    }
+
+    /// The next four schedule words from the previous sixteen, oldest
+    /// first: W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]. `msg1`
+    /// supplies the σ0 and W[t-16] terms, `alignr` picks W[t-7..t-3] out
+    /// of the two newest vectors, `msg2` adds σ1 (of words it is itself
+    /// producing).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(m0: __m128i, m1: __m128i, m2: __m128i, m3: __m128i) -> __m128i {
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8(m3, m2, 4));
+        _mm_sha256msg2_epu32(partial, m3)
+    }
+
+    /// Folds `block` into `state`; bit-identical to `compress_scalar`.
+    ///
+    /// Safe code throughout: only value intrinsics, no pointer loads or
+    /// stores. Callers need `unsafe` solely to vouch for the CPU features.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let (words, _) = block.as_chunks::<4>();
+        let w: [u32; 16] = std::array::from_fn(|i| u32::from_be_bytes(words[i]));
+        let (mut m0, mut m1) = (lanes(&w[0..4]), lanes(&w[4..8]));
+        let (mut m2, mut m3) = (lanes(&w[8..12]), lanes(&w[12..16]));
+
+        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+        let (abef0, cdgh0) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+
+        let (abef, cdgh) = rounds4(abef0, cdgh0, m0, 0);
+        let (abef, cdgh) = rounds4(abef, cdgh, m1, 1);
+        let (abef, cdgh) = rounds4(abef, cdgh, m2, 2);
+        let (mut abef, mut cdgh) = rounds4(abef, cdgh, m3, 3);
+        // Named vectors rather than a ring indexed by `g & 3`, which the
+        // compiler keeps in memory.
+        for g in [4, 8, 12] {
+            m0 = schedule(m0, m1, m2, m3);
+            (abef, cdgh) = rounds4(abef, cdgh, m0, g);
+            m1 = schedule(m1, m2, m3, m0);
+            (abef, cdgh) = rounds4(abef, cdgh, m1, g + 1);
+            m2 = schedule(m2, m3, m0, m1);
+            (abef, cdgh) = rounds4(abef, cdgh, m2, g + 2);
+            m3 = schedule(m3, m0, m1, m2);
+            (abef, cdgh) = rounds4(abef, cdgh, m3, g + 3);
+        }
+
+        let abef = _mm_add_epi32(abef, abef0);
+        let cdgh = _mm_add_epi32(cdgh, cdgh0);
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|x| x as u32);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +483,74 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+    }
+
+    /// Whole-message SHA-256 over `compress_scalar` alone, with the padding
+    /// written out longhand: the reference the dispatching [`sha256`] is
+    /// held to, independent of `update`/`finalize` and of the host's CPU.
+    fn sha256_scalar(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha256::new();
+        for block in padded.chunks_exact(64) {
+            h.compress_scalar(block.try_into().expect("64-byte chunk"));
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    /// The scalar half of the differential pair; runs on every host. Every
+    /// length across the first four block boundaries (padding flips at 55/56
+    /// and 119/120, blocks fill at 64 and 128), then one multi-MiB input.
+    #[test]
+    fn dispatch_matches_scalar_reference() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1_ab1e);
+        let mut data = vec![0u8; 3 * 1024 * 1024 + 17];
+        rng.fill_bytes(&mut data);
+        for len in 0..=300 {
+            assert_eq!(sha256(&data[..len]), sha256_scalar(&data[..len]), "length {len}");
+        }
+        assert_eq!(sha256(&data), sha256_scalar(&data), "multi-MiB input");
+        // The reference itself is anchored to FIPS 180-4, not just to its twin.
+        assert_eq!(
+            sha256_scalar(b"abc").to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+    }
+
+    /// The SHA-NI half: both kernels from the same random states and
+    /// blocks. Says so on stderr when the host cannot run it.
+    #[test]
+    fn shani_kernel_matches_scalar_kernel() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0dd_ba11);
+        for case in 0..20_000 {
+            let mut scalar = Sha256::new();
+            scalar.state = std::array::from_fn(|_| rng.next_u32());
+            let mut shani = scalar.clone();
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            // Twice, so each kernel also eats its own output.
+            for _ in 0..2 {
+                if !shani.compress_shani(&block) {
+                    eprintln!(
+                        "shani_kernel_matches_scalar_kernel: SKIPPED, this host has no SHA \
+                         extensions; only the scalar kernel was tested"
+                    );
+                    return;
+                }
+                scalar.compress_scalar(&block);
+                assert_eq!(shani.state, scalar.state, "case {case}");
+            }
         }
     }
 

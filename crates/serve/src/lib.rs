@@ -25,6 +25,8 @@
 //! no `unwrap`/`expect`/`panic!` (outside the two explicit chaos
 //! injection points), no iteration-order-dependent hashing.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod daemon;
 pub mod flight;

@@ -16,6 +16,8 @@ use concilium_types::{LinkId, SimDuration, SimTime};
 pub struct ProbeArchive {
     /// Sorted probe times.
     times: Vec<SimTime>,
+    /// Column → link, in the order `new` was handed.
+    columns: Vec<LinkId>,
     /// Link → column index.
     link_index: HashMap<LinkId, u32>,
     /// Bit-packed rows.
@@ -24,12 +26,20 @@ pub struct ProbeArchive {
 }
 
 impl ProbeArchive {
-    /// Creates an archive over the given tree links (column order fixed).
+    /// Creates an archive over the given distinct tree links (column
+    /// order fixed).
     pub fn new(links: &[LinkId]) -> Self {
         let link_index: HashMap<LinkId, u32> =
             links.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect();
+        debug_assert_eq!(link_index.len(), links.len(), "tree links must be distinct");
         let words_per_row = links.len().div_ceil(64).max(1);
-        ProbeArchive { times: Vec::new(), link_index, bits: Vec::new(), words_per_row }
+        ProbeArchive {
+            times: Vec::new(),
+            columns: links.to_vec(),
+            link_index,
+            bits: Vec::new(),
+            words_per_row,
+        }
     }
 
     /// Whether this host's tree covers `link`.
@@ -60,13 +70,10 @@ impl ProbeArchive {
         }
         let row_start = self.bits.len();
         self.bits.resize(row_start + self.words_per_row, 0);
-        // Iterate links in column order for determinism.
-        let mut cols: Vec<(u32, LinkId)> =
-            self.link_index.iter().map(|(&l, &c)| (c, l)).collect();
-        cols.sort();
-        for (col, link) in cols {
+        // Column order, so `observed` sees the same call sequence every run.
+        for (col, &link) in self.columns.iter().enumerate() {
             if observed(link) {
-                self.bits[row_start + (col as usize) / 64] |= 1u64 << (col % 64);
+                self.bits[row_start + col / 64] |= 1u64 << (col % 64);
             }
         }
         self.times.push(time);
@@ -112,11 +119,12 @@ impl ProbeArchive {
         t: SimTime,
         delta: SimDuration,
     ) -> Vec<bool> {
-        if !self.covers(link) {
+        let Some(&col) = self.link_index.get(&link) else {
             return Vec::new();
-        }
+        };
+        let (word, bit) = ((col as usize) / 64, col % 64);
         self.rounds_in_window(t, delta)
-            .filter_map(|r| self.observation(r, link))
+            .map(|r| self.bits[r * self.words_per_row + word] >> bit & 1 == 1)
             .collect()
     }
 }

@@ -736,7 +736,11 @@ pub fn run_episode(
     seed: u64,
     opts: &EpisodeOptions,
 ) -> EpisodeReport {
-    Episode::new(world, cfg, seed, opts).run()
+    let episode = {
+        let _span = concilium_obs::span("episode.setup");
+        Episode::new(world, cfg, seed, opts)
+    };
+    episode.run()
 }
 
 /// Sweeps `grid` × `seeds` in order, stopping at the first violation.
@@ -1530,6 +1534,7 @@ impl<'w> Episode<'w> {
     }
 
     fn poll_retransmits(&mut self, t: SimTime) {
+        let _span = concilium_obs::span("episode.poll");
         for p in self.retrans.due(t) {
             let idx = (p.msg.0 - 1) as usize;
             self.emit(
@@ -2187,6 +2192,7 @@ impl<'w> Episode<'w> {
     /// inference on the fully-known record, and match the closed-form
     /// oracle.
     fn tomography_check(&mut self) {
+        let _span = concilium_obs::span("episode.tomo_check");
         let world = self.world;
         let mut trng = StdRng::seed_from_u64(self.seed ^ TOMO_SALT);
         let n = world.num_hosts();

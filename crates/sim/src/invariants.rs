@@ -551,4 +551,19 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(run(&[("send", 1)]), run(&[("send", 2)]));
     }
+
+    /// The chained form itself, held apart from any sweep digest: the hex
+    /// was computed outside this workspace (Python's `hashlib`) over
+    /// `state ‖ len ‖ label ‖ fields`. The last record is wider than the
+    /// 256-byte stack buffer, so the streaming fallback is pinned too.
+    #[test]
+    fn trace_hasher_golden() {
+        let wide: Vec<u64> = (0..30).collect();
+        let mut h = TraceHasher::new();
+        h.record("send", &[1, 2, 3]);
+        h.record("ack", &[]);
+        h.record("verdict", &[u64::MAX, 7]);
+        h.record("wide", &wide);
+        assert_eq!(h.hex(), "9627dafc350786ff0528ee757f32300462f8178e9631a5d183a3a575ddbad1ca");
+    }
 }
