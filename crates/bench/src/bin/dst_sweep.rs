@@ -279,7 +279,7 @@ fn main() -> ExitCode {
         );
         let tree = world.build_tree_stats();
         eprintln!(
-            "  [caches] world-build path cache: {} hits, {} misses",
+            "  [caches] world-build BFS trees: {} reuses, {} searches",
             tree.hits, tree.misses
         );
     }

@@ -26,23 +26,28 @@ pub fn run(world: &SimWorld, host_sample: usize) -> Vec<Row> {
     run_jobs(world, host_sample, 1)
 }
 
-/// [`run`] with the per-host forest construction spread over `jobs`
-/// workers. Forest assembly is a pure function of the world, so the rows
-/// are identical at any worker count.
+/// [`run`] with the link-set and forest construction spread over `jobs`
+/// workers. Both are pure functions of the world, so the rows are
+/// identical at any worker count.
 pub fn run_jobs(world: &SimWorld, host_sample: usize, jobs: usize) -> Vec<Row> {
-    let n = world.num_hosts().min(host_sample);
-    let hosts: Vec<usize> = (0..n).collect();
-    let forests = concilium_par::par_map(jobs, &hosts, |_, &h| {
-        let peer_trees: Vec<_> = world
-            .peers_of(h)
-            .iter()
-            .map(|&p| world.tree(p).clone())
-            .collect();
-        Forest::new(world.tree(h), &peer_trees)
-    });
+    let forests = {
+        let _span = concilium_obs::span("fig4.forest");
+        // One link set per tree, borrowed by every forest the tree is in;
+        // a sampled host's peers can be any host.
+        let all: Vec<usize> = (0..world.num_hosts()).collect();
+        let link_sets = concilium_par::par_map(jobs, &all, |_, &h| world.tree(h).link_set());
+        let sampled = &all[..world.num_hosts().min(host_sample)];
+        concilium_par::par_map(jobs, sampled, |_, &h| {
+            Forest::new(
+                &link_sets[h],
+                world.peers_of(h).iter().map(|&p| link_sets[p].as_slice()),
+            )
+        })
+    };
     // num_trees counts the host's own tree too; peers = num_trees - 1.
     let max_peers = forests.iter().map(|f| f.num_trees() - 1).max().unwrap_or(0);
 
+    let _span = concilium_obs::span("fig4.rows");
     let mut rows = Vec::new();
     for k in 0..=max_peers {
         let mut cov = 0.0;

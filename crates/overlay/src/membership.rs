@@ -70,12 +70,10 @@ impl Membership {
         if prefix_digits == 0 {
             return &self.sorted;
         }
-        let lo = self
-            .sorted
-            .partition_point(|c| c.id() < floor_of_prefix(point, prefix_digits));
-        let hi = self
-            .sorted
-            .partition_point(|c| c.id() <= ceil_of_prefix(point, prefix_digits));
+        let floor = floor_of_prefix(point, prefix_digits);
+        let ceil = ceil_of_prefix(point, prefix_digits);
+        let lo = self.sorted.partition_point(|c| c.id() < floor);
+        let hi = self.sorted.partition_point(|c| c.id() <= ceil);
         &self.sorted[lo..hi]
     }
 

@@ -1,6 +1,12 @@
 //! An indexed, query-efficient view of a link-failure history.
-
-use std::collections::HashMap;
+//!
+//! Built once, after the failure phase: [`IndexedHistory::from_status`]
+//! buckets the recorded downtimes by link into a table indexed by
+//! `LinkId` — O(intervals) plus a sort per failed link. A query is then
+//! one slice index and a binary search over that link's intervals, no
+//! hashing: the probing phase asks once per host × round × tree link and
+//! Figure 5 once per link of every judged hop, and nearly every answer is
+//! "this link never failed", which is a single length check.
 
 use concilium_topology::LinkStatus;
 use concilium_types::{LinkId, SimTime};
@@ -11,37 +17,42 @@ use concilium_types::{LinkId, SimTime};
 /// queries.
 #[derive(Clone, Debug, Default)]
 pub struct IndexedHistory {
-    /// link → sorted, disjoint `(from, to)` downtime intervals.
-    intervals: HashMap<LinkId, Vec<(SimTime, SimTime)>>,
+    /// Indexed by `LinkId`: sorted, disjoint `(from, to)` downtime
+    /// intervals; empty for a link that never failed.
+    intervals: Vec<Vec<(SimTime, SimTime)>>,
 }
 
 impl IndexedHistory {
-    /// Builds the index from a finished [`LinkStatus`].
+    /// Builds the index from a finished [`LinkStatus`] over `num_links`
+    /// links.
     ///
     /// Open downtimes (links still down) are closed at `end_of_time`.
+    ///
+    /// # Panics
+    ///
+    /// `num_links` is the number of links `status` tracks; panics if
+    /// `status` holds a downtime for a link at or past it.
     pub fn from_status(status: &LinkStatus, num_links: usize, end_of_time: SimTime) -> Self {
-        let mut intervals: HashMap<LinkId, Vec<(SimTime, SimTime)>> = HashMap::new();
+        let mut intervals: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); num_links];
         for &(link, from, to) in status.history() {
-            intervals.entry(link).or_default().push((from, to));
+            intervals[link.index()].push((from, to));
         }
         // Close still-open downtimes.
-        for i in 0..num_links {
-            let link = LinkId(i as u32);
-            if let Some(from) = status.down_since(link) {
-                intervals.entry(link).or_default().push((from, end_of_time));
+        for (i, iv) in intervals.iter_mut().enumerate() {
+            if let Some(from) = status.down_since(LinkId(i as u32)) {
+                iv.push((from, end_of_time));
             }
-        }
-        for v in intervals.values_mut() {
-            v.sort();
+            iv.sort();
         }
         IndexedHistory { intervals }
     }
 
     /// Whether `link` was up at time `t`. Interval ends are exclusive (a
     /// link repaired at `t` is up at `t`), matching
-    /// [`LinkStatus::was_up`].
+    /// [`LinkStatus::was_up`]. A link the history does not know — one
+    /// beyond `num_links` — never failed, so it is up.
     pub fn was_up(&self, link: LinkId, t: SimTime) -> bool {
-        let Some(iv) = self.intervals.get(&link) else {
+        let Some(iv) = self.intervals.get(link.index()) else {
             return true;
         };
         // Find the last interval starting at or before t.
@@ -60,7 +71,7 @@ impl IndexedHistory {
 
     /// Number of links with any recorded downtime.
     pub fn links_with_failures(&self) -> usize {
-        self.intervals.len()
+        self.intervals.iter().filter(|iv| !iv.is_empty()).count()
     }
 }
 
@@ -97,6 +108,18 @@ mod tests {
         // Untouched link always up.
         assert!(idx.was_up(LinkId(2), t(50)));
         assert_eq!(idx.links_with_failures(), 2);
+    }
+
+    #[test]
+    fn unknown_links_are_up() {
+        let mut status = LinkStatus::new(2);
+        status.fail(LinkId(1), t(10));
+        let idx = IndexedHistory::from_status(&status, 2, t(100));
+        assert!(!idx.was_up(LinkId(1), t(50)));
+        // Ids at and past `num_links` answer "up" instead of panicking.
+        assert!(idx.was_up(LinkId(2), t(50)));
+        assert!(idx.was_up(LinkId(u32::MAX), t(50)));
+        assert!(IndexedHistory::default().was_up(LinkId(0), t(50)));
     }
 
     #[test]

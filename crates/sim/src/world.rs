@@ -8,7 +8,7 @@ use concilium_crypto::{Certificate, CertificateAuthority, KeyPair};
 use concilium_overlay::{build_overlay, NextHop, OverlayNode, RoutingMode};
 use concilium_tomography::ProbeTree;
 use concilium_topology::{
-    generate, FailureModel, IpPath, LinkStatus, PathCache, Topology,
+    generate, BfsScratch, FailureModel, IpPath, LinkStatus, Topology,
 };
 use concilium_types::{Id, LinkId, SimDuration, SimTime};
 
@@ -143,7 +143,8 @@ pub struct SimWorld {
     history: IndexedHistory,
     /// Pairwise IP hop distances between overlay hosts (row-major).
     host_dist: Vec<u16>,
-    /// BFS-tree cache hit/miss counts observed while building the world.
+    /// BFS runs (misses) and reuses of a retained tree (hits) while
+    /// building the world.
     build_tree_stats: concilium_topology::CacheStats,
 }
 
@@ -175,34 +176,47 @@ impl SimWorld {
             members.push((cert, keys));
         }
 
-        // 2a. Pairwise IP distances between overlay hosts (one BFS per
-        //     host), used as the proximity oracle for *standard* routing
-        //     tables ("proximity affinity", §2) and by the stretch
-        //     analysis.
+        // 2a. One BFS per host, through one scratch: the per-router
+        //     arrays (16 B per router) are allocated once and overwritten
+        //     by the next host's search, so no full tree outlives its
+        //     host's iteration. Two things are kept from each. The row of
+        //     pairwise IP distances between overlay hosts, the proximity
+        //     oracle for *standard* routing tables ("proximity affinity",
+        //     §2) and the stretch analysis. And the tree pruned to the
+        //     overlay routers: which of them become this host's routing
+        //     peers is only known once the overlay is built from those
+        //     distances, and every peer is one of them, so this is all
+        //     pass 2b can ask for — at most hosts × depth parent pointers,
+        //     where retaining the trees cost hosts × routers.
+        let span = concilium_obs::span("world.bfs");
         let router_to_slot: HashMap<concilium_types::RouterId, usize> = overlay_routers
             .iter()
             .enumerate()
             .map(|(i, &r)| (r, i))
             .collect();
         let n_hosts = overlay_routers.len();
-        // One BFS per host router, memoized: pass 2b below revisits the
-        // same sources for peer paths, so the cache halves total BFS work
-        // during construction with identical results.
-        let mut path_cache = PathCache::new();
+        let mut build_tree_stats = concilium_topology::CacheStats::default();
         let mut host_dist = vec![u16::MAX; n_hosts * n_hosts];
+        let mut routes = Vec::with_capacity(n_hosts);
+        let mut scratch = BfsScratch::new();
         for (i, &r) in overlay_routers.iter().enumerate() {
-            let bfs = path_cache.tree(&topology.graph, r);
+            let bfs = scratch.run(&topology.graph, r);
+            build_tree_stats.misses += 1;
             for (j, &other) in overlay_routers.iter().enumerate() {
                 let d = bfs.distance(other).expect("topology is connected");
                 host_dist[i * n_hosts + j] = d.min(u16::MAX as u32) as u16;
             }
+            routes.push(bfs.pruned_to(&overlay_routers));
         }
+        drop(scratch);
+        drop(span);
         let proximity = |a: concilium_types::HostAddr, b: concilium_types::HostAddr| -> u64 {
             let i = router_to_slot[&a.router()];
             let j = router_to_slot[&b.router()];
             host_dist[i * n_hosts + j] as u64
         };
 
+        let span = concilium_obs::span("world.overlay");
         let nodes = build_overlay(
             &members,
             config.leaf_capacity,
@@ -212,15 +226,21 @@ impl SimWorld {
         );
         let host_index: HashMap<Id, usize> =
             nodes.iter().enumerate().map(|(i, n)| (n.id(), i)).collect();
+        drop(span);
 
         // 2b. IP paths host → routing peers (secure peers define the probe
         //     tree T_H; standard-table peers get paths too so standard
-        //     routes can be measured), and probe trees.
+        //     routes can be measured), and probe trees. `build_overlay`
+        //     returns nodes in member order, so host `h`'s pruned tree is
+        //     `routes[h]`; each is read once here and dropped with the
+        //     pass.
+        let span = concilium_obs::span("world.paths");
         let mut paths = Vec::with_capacity(nodes.len());
         let mut peer_hosts = Vec::with_capacity(nodes.len());
         let mut trees = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            let bfs = path_cache.tree(&topology.graph, node.addr().router());
+        for (node, bfs) in nodes.iter().zip(routes) {
+            assert_eq!(bfs.source(), node.addr().router(), "nodes keep member order");
+            build_tree_stats.hits += 1;
             let peers = node.routing_peers(RoutingMode::Secure);
             let mut pmap = HashMap::with_capacity(peers.len());
             let mut phosts = Vec::with_capacity(peers.len());
@@ -246,9 +266,11 @@ impl SimWorld {
             paths.push(pmap);
             peer_hosts.push(phosts);
         }
+        drop(span);
 
         // 3. Link-failure phase: keep `fraction_bad` of links down for the
         //    whole duration, event-driven.
+        let span = concilium_obs::span("world.failures");
         // Deterministic order: host order, then peer-id order (HashMap
         // iteration order would differ between runs and desynchronise the
         // rng stream).
@@ -283,10 +305,12 @@ impl SimWorld {
             queue.schedule(next.at, next.link);
         }
         let history = IndexedHistory::from_status(&status, topology.graph.num_links(), end);
+        drop(span);
 
         // 4. Probing phase: every host heavyweight-probes its whole tree
         //    at uniform random intervals; each observation is correct with
         //    probability `probe_accuracy`.
+        let span = concilium_obs::span("world.probe");
         let mut archives = Vec::with_capacity(nodes.len());
         let max_probe = config.max_probe_time.as_micros();
         for tree in &trees {
@@ -307,6 +331,7 @@ impl SimWorld {
             }
             archives.push(archive);
         }
+        drop(span);
 
         SimWorld {
             config,
@@ -319,13 +344,15 @@ impl SimWorld {
             history,
             host_dist,
             peer_paths,
-            build_tree_stats: path_cache.tree_stats(),
+            build_tree_stats,
         }
     }
 
-    /// Hit/miss counts of the BFS-tree cache used during construction —
-    /// a single-threaded, deterministic build phase, so these reproduce
-    /// exactly; reported by the sweep drivers for cache-efficacy checks.
+    /// BFS work during construction: `misses` counts searches run (one
+    /// per host), `hits` counts the times a retained, pruned tree answered
+    /// instead of a second search (once per host, in the peer-path pass).
+    /// A single-threaded, deterministic build phase, so these reproduce
+    /// exactly; reported by the sweep drivers.
     pub fn build_tree_stats(&self) -> concilium_topology::CacheStats {
         self.build_tree_stats
     }
@@ -471,19 +498,9 @@ impl SimWorld {
     ///
     /// Panics if `h` is out of range.
     pub fn observed_near(&self, h: usize, t: SimTime, guard: SimDuration) -> bool {
-        let lo = if t.as_micros() >= guard.as_micros() {
-            SimTime::from_micros(t.as_micros() - guard.as_micros())
-        } else {
-            SimTime::ZERO
-        };
-        let hi = t + guard;
-        self.peer_hosts[h].iter().any(|&p| {
-            let archive = &self.archives[p];
-            (0..archive.num_probes()).any(|round| {
-                let rt = archive.round_time(round);
-                rt >= lo && rt <= hi
-            })
-        })
+        self.peer_hosts[h]
+            .iter()
+            .any(|&p| !self.archives[p].rounds_in_window(t, guard).is_empty())
     }
 
     /// Computes the overlay route from host `src` toward key `target`
@@ -973,5 +990,85 @@ mod tests {
             assert_eq!(a.archive(h).num_probes(), b.archive(h).num_probes());
         }
     }
-}
 
+    #[test]
+    fn pruned_trees_rebuild_every_host_pair_path() {
+        use concilium_topology::{BfsScratch, BfsTree};
+        for (cfg, seed) in [(SimConfig::small(), 41u64), (SimConfig::tiny(), 42)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = SimWorld::build(cfg, &mut rng);
+            let graph = &w.topology().graph;
+            let routers: Vec<_> =
+                (0..w.num_hosts()).map(|h| w.node(h).addr().router()).collect();
+            // One scratch across hosts, as the build uses it, against a
+            // fresh full tree per host.
+            let mut scratch = BfsScratch::new();
+            for (a, &from) in routers.iter().enumerate() {
+                let fresh = BfsTree::compute(graph, from);
+                let pruned = scratch.run(graph, from).pruned_to(&routers);
+                for (b, &to) in routers.iter().enumerate() {
+                    let want = fresh.path_to(to).expect("connected");
+                    assert_eq!(pruned.path_to(to).as_ref(), Some(&want), "{a} → {b}");
+                    assert_eq!(w.ip_distance(a, b), fresh.distance(to).unwrap());
+                    if let Some(kept) = w.peer_path(a, b) {
+                        assert_eq!(kept, &want, "stored peer path {a} → {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// SHA-256 over everything `SimWorld::build` derives from the rng:
+    /// the distance table, every peer path's links, every archive's round
+    /// times and observation bits, and ground truth on a fixed grid.
+    fn world_fingerprint(w: &SimWorld) -> String {
+        let mut h = concilium_crypto::Sha256::new();
+        let n = w.num_hosts();
+        h.update(&(n as u64).to_le_bytes());
+        for a in 0..n {
+            for b in 0..n {
+                h.update(&w.ip_distance(a, b).to_le_bytes());
+            }
+        }
+        for u in 0..n {
+            for v in 0..n {
+                let Some(path) = w.peer_path(u, v) else { continue };
+                h.update(&(u as u32).to_le_bytes());
+                h.update(&(v as u32).to_le_bytes());
+                for l in path.links() {
+                    h.update(&l.0.to_le_bytes());
+                }
+            }
+        }
+        for host in 0..n {
+            let a = w.archive(host);
+            let links = w.tree(host).link_set();
+            h.update(&(a.num_probes() as u64).to_le_bytes());
+            for round in 0..a.num_probes() {
+                h.update(&a.round_time(round).as_micros().to_le_bytes());
+                for &l in &links {
+                    h.update(&[a.observation(round, l).expect("tree links are covered") as u8]);
+                }
+            }
+        }
+        let end = w.config().duration.as_micros();
+        for l in w.topology().graph.links() {
+            for step in 0..=16u64 {
+                h.update(&[w.link_up_at(l, SimTime::from_micros(end * step / 16)) as u8]);
+            }
+        }
+        h.finalize().to_hex()
+    }
+
+    /// The hex values were recorded at the commit before the build stopped
+    /// retaining BFS trees (PR 16's parent), so a build that draws, orders
+    /// or routes anything differently fails here.
+    #[test]
+    fn golden_world_fingerprints() {
+        for (seed, want) in [(2007u64, "3ef4b20c74e44f86dcdbe1362633a51dc907c5bdbcc42ba1f9a7a1c9987ff946"), (2008, "4a4a5305991d0c2fd7a31fe186442bdaf19b7953bc0c47eaf9f37ba49f938f76")] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = SimWorld::build(SimConfig::small(), &mut rng);
+            assert_eq!(world_fingerprint(&w), want, "seed {seed}");
+        }
+    }
+}

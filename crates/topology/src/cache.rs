@@ -1,9 +1,8 @@
 //! Memoized shortest-path routing shared across episodes.
 //!
 //! IP routes in the reproduction are static per topology (see [`BfsTree`]:
-//! stable for at least a day, §3.2), yet the simulator historically
-//! recomputed BFS trees from the same sources again and again — twice per
-//! host during world construction alone, and once per judge per diagnosis.
+//! stable for at least a day, §3.2), so a caller that asks for routes from
+//! the same sources again and again need not search again.
 //! A [`PathCache`] memoizes both the per-source trees and the extracted
 //! `(source, destination)` paths. Because [`BfsTree::compute`] is a pure,
 //! deterministic function of `(graph, source)`, a cache hit returns exactly
@@ -16,6 +15,11 @@
 //! so there is nothing to invalidate; the cache asserts it is always handed
 //! the same graph shape and must simply be dropped with the topology it
 //! belongs to.
+//!
+//! **Cost:** a retained tree is 16 bytes per router of the graph. The world
+//! build, which searches once from each of hundreds of hosts, therefore
+//! does not use this cache: it keeps a
+//! [`PrunedBfsTree`](crate::PrunedBfsTree) per host instead.
 
 use concilium_types::RouterId;
 

@@ -13,7 +13,9 @@
 //!   structural property the experiments depend on: a highly shared core
 //!   plus many degree-1 last-mile links.
 //! * [`BfsTree`] / [`IpPath`] — single-source shortest-path routing and the
-//!   router/link paths that overlay hosts learn (the RocketFuel substitute).
+//!   router/link paths that overlay hosts learn (the RocketFuel substitute);
+//!   [`BfsScratch`] / [`PrunedBfsTree`] for searching from many sources
+//!   without holding a per-router array for each.
 //! * [`LinkStatus`] / [`FailureModel`] — the link-failure process of §4.2:
 //!   a target fraction of links down at any moment, normally distributed
 //!   downtimes, and Beta(0.9, 0.6)-distributed failure depth biased toward
@@ -46,4 +48,4 @@ pub use failure::{FailureModel, FailureModelConfig, LinkStatus, PendingRepair};
 pub use gen::{generate, Topology, TransitStubConfig};
 pub use graph::{Graph, GraphBuilder};
 pub use path::IpPath;
-pub use routing::BfsTree;
+pub use routing::{BfsScratch, BfsTree, PrunedBfsTree};

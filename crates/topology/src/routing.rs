@@ -5,6 +5,12 @@
 //! [`BfsTree`] holds the parent pointers of a breadth-first search from a
 //! source router; [`BfsTree::path_to`] extracts the router/link path that
 //! the host's link map records.
+//!
+//! A tree costs 16 bytes per router, so a caller that searches from many
+//! sources runs them through one [`BfsScratch`] — the per-router arrays are
+//! allocated once and the tree of each run is only borrowed until the next
+//! — and keeps per source a [`PrunedBfsTree`]: the parent pointers on the
+//! paths to the routers it will ask about, nothing else.
 
 use concilium_types::{LinkId, RouterId};
 
@@ -37,8 +43,50 @@ pub struct BfsTree {
     dist: Vec<u32>,
 }
 
-impl BfsTree {
-    /// Runs a breadth-first search from `source`.
+/// Reusable breadth-first search state: the per-router arrays of one
+/// [`BfsTree`] plus the frontier, allocated on the first run and reused by
+/// every later one.
+///
+/// # Examples
+///
+/// ```
+/// use concilium_topology::{BfsScratch, BfsTree, GraphBuilder};
+/// use concilium_types::RouterId;
+///
+/// let mut b = GraphBuilder::new(3);
+/// b.add_link(RouterId(0), RouterId(1));
+/// b.add_link(RouterId(1), RouterId(2));
+/// let g = b.build();
+/// let mut scratch = BfsScratch::new();
+/// for src in g.routers() {
+///     let fresh = BfsTree::compute(&g, src);
+///     let tree = scratch.run(&g, src);
+///     assert_eq!(tree.path_to(RouterId(2)), fresh.path_to(RouterId(2)));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct BfsScratch {
+    tree: BfsTree,
+    /// Routers in visit order; the search reads it as a queue.
+    frontier: Vec<RouterId>,
+}
+
+impl Default for BfsScratch {
+    fn default() -> Self {
+        BfsScratch::new()
+    }
+}
+
+impl BfsScratch {
+    /// Empty scratch; the first [`BfsScratch::run`] sizes it.
+    pub fn new() -> Self {
+        let tree = BfsTree { source: RouterId(0), parent: Vec::new(), dist: Vec::new() };
+        BfsScratch { tree, frontier: Vec::new() }
+    }
+
+    /// Runs a breadth-first search from `source`, overwriting the previous
+    /// run's tree. The borrow ends the returned tree's life at the next
+    /// run.
     ///
     /// Ties between equal-length paths are broken by adjacency order, which
     /// is deterministic for a given graph — all hosts deduce the same route
@@ -47,26 +95,46 @@ impl BfsTree {
     /// # Panics
     ///
     /// Panics if `source` is out of range.
-    pub fn compute(graph: &Graph, source: RouterId) -> Self {
+    pub fn run(&mut self, graph: &Graph, source: RouterId) -> &BfsTree {
         let _span = concilium_obs::span("topo.bfs");
         assert!(source.index() < graph.num_routers(), "router {source} out of range");
         let n = graph.num_routers();
-        let mut parent = vec![None; n];
-        let mut dist = vec![u32::MAX; n];
+        let BfsTree { parent, dist, .. } = &mut self.tree;
+        parent.clear();
+        parent.resize(n, None);
+        dist.clear();
+        dist.resize(n, u32::MAX);
         dist[source.index()] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(source);
-        while let Some(r) = queue.pop_front() {
+        self.frontier.clear();
+        self.frontier.push(source);
+        let mut head = 0;
+        while let Some(&r) = self.frontier.get(head) {
+            head += 1;
             let d = dist[r.index()];
             for &(nbr, link) in graph.neighbors(r) {
                 if dist[nbr.index()] == u32::MAX {
                     dist[nbr.index()] = d + 1;
                     parent[nbr.index()] = Some((r, link));
-                    queue.push_back(nbr);
+                    self.frontier.push(nbr);
                 }
             }
         }
-        BfsTree { source, parent, dist }
+        self.tree.source = source;
+        &self.tree
+    }
+}
+
+impl BfsTree {
+    /// Runs a breadth-first search from `source` into a tree of its own
+    /// (see [`BfsScratch::run`] for the search and its tie-breaking).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn compute(graph: &Graph, source: RouterId) -> Self {
+        let mut scratch = BfsScratch::new();
+        scratch.run(graph, source);
+        scratch.tree
     }
 
     /// The source router.
@@ -90,17 +158,80 @@ impl BfsTree {
         if self.dist[target.index()] == u32::MAX {
             return None;
         }
-        let mut routers = vec![target];
-        let mut links = Vec::new();
-        let mut cur = target;
-        while let Some((p, link)) = self.parent[cur.index()] {
-            links.push(link);
-            routers.push(p);
-            cur = p;
+        Some(path_up(target, |r| self.parent[r.index()]))
+    }
+
+    /// The part of this tree that reaches `targets`: the parent pointers on
+    /// the union of the source → target paths. At most `targets.len()` ×
+    /// depth entries, where the tree itself has one per router of the
+    /// graph. Unreachable targets are left out.
+    pub fn pruned_to(&self, targets: &[RouterId]) -> PrunedBfsTree {
+        let mut hops = Vec::new();
+        let mut kept = vec![false; self.parent.len()];
+        for &target in targets {
+            // Up from the target until a router an earlier walk kept: the
+            // rest of the way to the source is already in `hops`.
+            let mut cur = target;
+            while let Some((p, link)) = self.parent[cur.index()] {
+                if std::mem::replace(&mut kept[cur.index()], true) {
+                    break;
+                }
+                hops.push((cur, p, link));
+                cur = p;
+            }
         }
-        routers.reverse();
-        links.reverse();
-        Some(IpPath::new(routers, links))
+        hops.sort_unstable();
+        hops.shrink_to_fit();
+        PrunedBfsTree { source: self.source, hops }
+    }
+}
+
+/// Walks parent pointers from `target` up to the router that has none and
+/// returns the path in source → target order.
+fn path_up(target: RouterId, parent: impl Fn(RouterId) -> Option<(RouterId, LinkId)>) -> IpPath {
+    let mut routers = vec![target];
+    let mut links = Vec::new();
+    let mut cur = target;
+    while let Some((p, link)) = parent(cur) {
+        links.push(link);
+        routers.push(p);
+        cur = p;
+    }
+    routers.reverse();
+    links.reverse();
+    IpPath::new(routers, links)
+}
+
+/// The parent pointers of a [`BfsTree`] on the union of its paths to a
+/// fixed set of targets (see [`BfsTree::pruned_to`]) — what a caller keeps
+/// per source when it cannot afford the whole tree.
+#[derive(Clone, Debug)]
+pub struct PrunedBfsTree {
+    source: RouterId,
+    /// `(router, parent router, link to parent)`, sorted by router.
+    hops: Vec<(RouterId, RouterId, LinkId)>,
+}
+
+impl PrunedBfsTree {
+    /// The source router.
+    pub fn source(&self) -> RouterId {
+        self.source
+    }
+
+    /// The path from the source to `target`, equal to what the full tree's
+    /// [`BfsTree::path_to`] returns.
+    ///
+    /// Returns `None` if `target` is not on a path to one of the targets
+    /// the tree was pruned to.
+    pub fn path_to(&self, target: RouterId) -> Option<IpPath> {
+        let parent = |r: RouterId| {
+            let i = self.hops.binary_search_by_key(&r, |&(router, _, _)| router).ok()?;
+            Some((self.hops[i].1, self.hops[i].2))
+        };
+        if target != self.source && parent(target).is_none() {
+            return None;
+        }
+        Some(path_up(target, parent))
     }
 }
 
@@ -187,5 +318,44 @@ mod tests {
         let ta = BfsTree::compute(&topo.graph, a);
         let tb = BfsTree::compute(&topo.graph, b);
         assert_eq!(ta.distance(b), tb.distance(a));
+    }
+
+    #[test]
+    fn reused_scratch_and_pruned_tree_match_fresh_trees() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let topo = generate(&TransitStubConfig::tiny(), &mut rng);
+        let targets = &topo.end_hosts[..topo.end_hosts.len().min(12)];
+        let mut scratch = BfsScratch::new();
+        for &src in targets {
+            let fresh = BfsTree::compute(&topo.graph, src);
+            let reused = scratch.run(&topo.graph, src);
+            let pruned = reused.pruned_to(targets);
+            assert_eq!(pruned.source(), src);
+            for r in topo.graph.routers() {
+                assert_eq!(reused.distance(r), fresh.distance(r));
+                assert_eq!(reused.path_to(r), fresh.path_to(r));
+            }
+            for &dst in targets {
+                assert_eq!(pruned.path_to(dst), fresh.path_to(dst));
+                // Every router on a kept path is answerable too.
+                for &mid in fresh.path_to(dst).unwrap().routers() {
+                    assert_eq!(pruned.path_to(mid), fresh.path_to(mid));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_tree_knows_only_its_targets() {
+        let mut b = GraphBuilder::new(5);
+        b.add_link(RouterId(0), RouterId(1));
+        b.add_link(RouterId(1), RouterId(2));
+        b.add_link(RouterId(1), RouterId(3));
+        let g = b.build(); // router 4 isolated
+        let pruned = BfsTree::compute(&g, RouterId(0)).pruned_to(&[RouterId(2), RouterId(4)]);
+        assert_eq!(pruned.path_to(RouterId(2)).unwrap().hop_count(), 2);
+        assert_eq!(pruned.path_to(RouterId(0)).unwrap().hop_count(), 0);
+        assert!(pruned.path_to(RouterId(3)).is_none(), "off every kept path");
+        assert!(pruned.path_to(RouterId(4)).is_none(), "unreachable");
     }
 }

@@ -67,9 +67,9 @@ fn main() {
     let peer_trees: Vec<_> = world
         .peers_of(host)
         .iter()
-        .map(|&p| world.tree(p).clone())
+        .map(|&p| world.tree(p).link_set())
         .collect();
-    let forest = Forest::new(tree, &peer_trees);
+    let forest = Forest::new(&tree.link_set(), peer_trees.iter().map(Vec::as_slice));
     let _curve = forest.coverage_curve();
     println!(
         "\nforest F_H: {} links across {} trees",

@@ -51,10 +51,13 @@ fn fig4_coverage_has_diminishing_returns() {
     let peer_trees: Vec<_> = world
         .peers_of(host)
         .iter()
-        .map(|&p| world.tree(p).clone())
+        .map(|&p| world.tree(p).link_set())
         .collect();
     assert!(peer_trees.len() >= 6, "need several peers for the curve");
-    let forest = Forest::new(world.tree(host), &peer_trees);
+    let forest = Forest::new(
+        &world.tree(host).link_set(),
+        peer_trees.iter().map(Vec::as_slice),
+    );
     let curve = forest.coverage_curve();
 
     // Monotone.
@@ -74,6 +77,32 @@ fn fig4_coverage_has_diminishing_returns() {
     );
     // Vouching peers grow with included trees.
     assert!(forest.mean_vouchers_with(peer_trees.len()) > forest.mean_vouchers_with(0));
+}
+
+/// Paper scale as a check: one `SimConfig::paper_scale()` build (112,969
+/// routers, 1,131 hosts) peaks under a gigabyte of resident memory. The
+/// build keeps no per-router array alive for more than one host's BFS;
+/// retaining one tree per host was 2 GB of the 2.3 this build used to
+/// hold. Ignored by default (a few seconds in release, far longer in
+/// debug); CI runs it by name in its own process, so `VmHWM` is this
+/// build's peak.
+#[test]
+#[ignore = "paper-scale world build; run in release with -- --ignored paper_scale"]
+fn paper_scale_build_fits_in_a_gigabyte() {
+    let mut rng = StdRng::seed_from_u64(2007);
+    let world = SimWorld::build(SimConfig::paper_scale(), &mut rng);
+    assert_eq!(world.num_hosts(), 1_131);
+
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        eprintln!("paper_scale_build_fits_in_a_gigabyte: no /proc/self/status, peak memory not checked");
+        return;
+    };
+    let hwm_kb: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("a VmHWM line in /proc/self/status");
+    assert!(hwm_kb < 1_024 * 1_024, "peak resident set is {} MB", hwm_kb / 1_024);
 }
 
 /// Figure 5's shape: blame concentrates high for faulty forwarders and
