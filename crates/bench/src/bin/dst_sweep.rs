@@ -8,9 +8,10 @@
 //! With `--jobs N` the sweep fans episodes out over N worker threads; the
 //! deterministic parallel layer guarantees bit-identical results at any
 //! worker count, so stdout (bar the worker-count banner) and the
-//! `--trace-out`/`--metrics-out`/`--explain-out` files of two runs at
-//! different `--jobs` values must `cmp` equal. The sweep is never timed
-//! here: wall-clock numbers come from `benchmark/` only.
+//! `--trace-out`/`--metrics-out` files of two runs at different `--jobs`
+//! values must `cmp` equal. "Why?" is answered from the trace file by
+//! `concilium-explain`, never here. The sweep is never timed here:
+//! wall-clock numbers come from `benchmark/` only.
 //!
 //! ```text
 //! cargo run --release -p concilium-bench --bin dst-sweep -- \
@@ -19,7 +20,6 @@
 
 use std::process::ExitCode;
 
-use concilium_obs::{explain, json, CausalIndex, ExplainQuery};
 use concilium_par::Jobs;
 use concilium_serve::{chaos_sweep, ServeConfig, WorkloadSpec};
 use concilium_sim::{
@@ -33,8 +33,6 @@ struct Options {
     jobs: Option<usize>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    explain: Option<String>,
-    explain_out: Option<String>,
     verbose: bool,
 }
 
@@ -44,8 +42,6 @@ fn parse_args() -> Result<Options, String> {
         jobs: None,
         trace_out: None,
         metrics_out: None,
-        explain: None,
-        explain_out: None,
         verbose: false,
     };
     let mut args = std::env::args().skip(1);
@@ -78,33 +74,19 @@ fn parse_args() -> Result<Options, String> {
                 let value = args.next().ok_or("--metrics-out requires a path")?;
                 opts.metrics_out = Some(value);
             }
-            "--explain" => {
-                let value = args.next().ok_or("--explain requires an entity")?;
-                opts.explain = Some(value);
-            }
-            "--explain-out" => {
-                let value = args.next().ok_or("--explain-out requires a path")?;
-                opts.explain_out = Some(value);
-            }
             "--verbose" | "-v" => opts.verbose = true,
             "--help" | "-h" => {
                 println!(
                     "usage: dst-sweep [--seeds N] [--jobs N]\n\
                      \x20                [--trace-out PATH] [--metrics-out PATH]\n\
-                     \x20                [--explain ENTITY] [--explain-out PATH]\n\
                      \x20                [--verbose|-v] [--help|-h]\n\
                      \n\
                      --seeds N        seeds per grid arm (default: 32)\n\
                      --jobs N         worker threads (default: CONCILIUM_JOBS or all cores)\n\
                      --trace-out P    write every episode's structured trace as JSONL to P\n\
-                     \x20                (byte-identical at any --jobs value)\n\
+                     \x20                (byte-identical at any --jobs value; query it\n\
+                     \x20                with concilium-explain)\n\
                      --metrics-out P  write the merged deterministic metrics registry to P\n\
-                     --explain E      explain entity E (message:3 | blame:4 | shed:9) from\n\
-                     \x20                every collected episode trace, as canonical JSON\n\
-                     \x20                lines (byte-identical at any --jobs value)\n\
-                     --explain-out P  write the explanation (and, on an invariant\n\
-                     \x20                violation, the causal-chain reproducer) to P —\n\
-                     \x20                the CI failure artifact\n\
                      --verbose, -v    per-arm progress lines and cache statistics\n\
                      --help, -h       print this help"
                 );
@@ -139,24 +121,9 @@ fn main() -> ExitCode {
     };
     let jobs = Jobs::resolve(opts.jobs).get();
 
-    // Validate an --explain query before the sweep spends any time.
-    let explain_query = match &opts.explain {
-        Some(token) => match ExplainQuery::parse_token(token) {
-            Some(q) => Some(q),
-            None => {
-                eprintln!(
-                    "dst-sweep: bad --explain {token:?} (want message:<id>, blame:<host>, \
-                     or shed:<report>)"
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-
     let world = dst_world(WORLD_SEED);
     let episode_opts = EpisodeOptions {
-        collect_traces: opts.trace_out.is_some() || explain_query.is_some(),
+        collect_traces: opts.trace_out.is_some(),
         ..EpisodeOptions::default()
     };
     let grid = EpisodeConfig::standard_grid();
@@ -220,55 +187,6 @@ fn main() -> ExitCode {
         println!("  metrics registry written to {path} ({} keys)", out.metrics.len());
     }
 
-    if explain_query.is_some() || opts.explain_out.is_some() {
-        // Deterministic explain passthrough: the causal chain for the
-        // requested entity from every collected episode trace, in sweep
-        // submission order — the same canonical JSON `concilium-explain
-        // --json` renders, byte-identical at any --jobs value. On an
-        // invariant violation the causal-chain reproducer is appended,
-        // which is what CI uploads as the failure artifact.
-        let mut payload = String::new();
-        if let Some(query) = &explain_query {
-            for et in &out.traces {
-                let index = CausalIndex::from_events(et.trace.events());
-                let ex = explain(&index, query);
-                if !ex.found() {
-                    continue;
-                }
-                payload.push_str(&format!(
-                    "{{\"episode\":{},\"seed\":{},\"explanation\":{}}}\n",
-                    json::escape(&et.name),
-                    json::escape(&et.seed.to_string()),
-                    ex.render_json()
-                ));
-            }
-            if payload.is_empty() {
-                println!(
-                    "  explain {}: no events about it in {} collected trace(s)",
-                    opts.explain.as_deref().unwrap_or(""),
-                    out.traces.len()
-                );
-            }
-        }
-        if let Some(failure) = &out.failure {
-            payload.push_str(&failure.reproducer());
-            payload.push('\n');
-        }
-        match &opts.explain_out {
-            Some(path) => {
-                if let Err(err) = std::fs::write(path, &payload) {
-                    eprintln!("dst-sweep: cannot write {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  explanation written to {path} ({} line(s))",
-                    payload.lines().count()
-                );
-            }
-            None => print!("{payload}"),
-        }
-    }
-
     if opts.verbose {
         // Thread-dependent cache statistics: useful for tuning, but
         // deliberately outside the deterministic registry and digests.
@@ -277,39 +195,25 @@ fn main() -> ExitCode {
             "  [caches] signature memo: {} hits, {} misses, {} evictions",
             memo.hits, memo.misses, memo.evictions
         );
-        let tree = world.build_tree_stats();
-        eprintln!(
-            "  [caches] world-build BFS trees: {} reuses, {} searches",
-            tree.hits, tree.misses
-        );
     }
 
     // Service-mode chaos arm: seeded kill/recover schedules against the
     // diagnosis daemon. Each seed's supervised run must leave the same
-    // journal and state digests as an uninterrupted baseline, and the
-    // aggregate digest must be identical at any worker count.
+    // journal and state digests as an uninterrupted baseline.
     let serve_cfg = ServeConfig::default();
     let serve_spec = WorkloadSpec { reports: 64, ..WorkloadSpec::default() };
-    let serve_serial = chaos_sweep(&serve_cfg, &serve_spec, WORLD_SEED, opts.seeds as usize, 1);
-    let serve_fanned = chaos_sweep(&serve_cfg, &serve_spec, WORLD_SEED, opts.seeds as usize, jobs);
+    let chaos = chaos_sweep(&serve_cfg, &serve_spec, WORLD_SEED, opts.seeds as usize, jobs);
     println!(
         "  serve-chaos: {} seeds, {} kills injected, {} violations",
-        opts.seeds, serve_serial.total_kills, serve_serial.total_violations
+        opts.seeds, chaos.total_kills, chaos.total_violations
     );
-    println!("  serve-chaos digest {}", serve_serial.aggregate_digest);
-    if serve_serial.total_violations > 0 {
-        for o in &serve_serial.outcomes {
+    println!("  serve-chaos digest {}", chaos.aggregate_digest);
+    if chaos.total_violations > 0 {
+        for o in &chaos.outcomes {
             for v in &o.violations {
                 eprintln!("dst-sweep: SERVE CHAOS VIOLATION seed {}: {v}", o.seed);
             }
         }
-        return ExitCode::FAILURE;
-    }
-    if serve_serial.aggregate_digest != serve_fanned.aggregate_digest {
-        eprintln!(
-            "dst-sweep: SERVE CHAOS DIGEST MISMATCH between jobs=1 and jobs={jobs}:\n  {}\n  {}",
-            serve_serial.aggregate_digest, serve_fanned.aggregate_digest
-        );
         return ExitCode::FAILURE;
     }
 

@@ -27,7 +27,6 @@ struct Options {
     /// `Some(n)` = the deterministic parallel path with n workers.
     jobs: Option<usize>,
     verbose: bool,
-    trace_out: Option<String>,
     profile: bool,
 }
 
@@ -39,21 +38,12 @@ fn parse_args() -> Options {
     let mut triples = None;
     let mut jobs = None;
     let mut verbose = false;
-    let mut trace_out = None;
     let mut profile = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--verbose" | "-v" => verbose = true,
             "--profile" => profile = true,
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace-out expects a path")),
-                );
-            }
             "--scale" => {
                 i += 1;
                 scale = Scale::parse(args.get(i).map(String::as_str).unwrap_or(""))
@@ -99,14 +89,13 @@ fn parse_args() -> Options {
         triples,
         jobs,
         verbose,
-        trace_out,
         profile,
     }
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: experiments [fig1|fig2|fig3|fig4|fig5|fig6|bandwidth|ablation|detection|stretch|system|all] [--scale tiny|small|medium|paper] [--seed N] [--triples N] [--jobs N] [--verbose] [--trace-out PATH] [--profile]");
+    eprintln!("usage: experiments [fig1|fig2|fig3|fig4|fig5|fig6|bandwidth|ablation|detection|stretch|system|all] [--scale tiny|small|medium|paper] [--seed N] [--triples N] [--jobs N] [--verbose|-v] [--profile]");
     std::process::exit(2);
 }
 
@@ -132,42 +121,6 @@ fn build_world(opts: &Options) -> SimWorld {
         );
     }
     world
-}
-
-/// Runs one DST episode per standard grid arm and writes the structured
-/// traces as JSONL — the same export format as `dst-sweep --trace-out`,
-/// keyed by arm name and seed.
-fn export_traces(opts: &Options, path: &str) {
-    let world = concilium_sim::dst_world(77);
-    let grid = concilium_sim::EpisodeConfig::standard_grid();
-    let episode_opts = concilium_sim::EpisodeOptions {
-        collect_traces: true,
-        ..concilium_sim::EpisodeOptions::default()
-    };
-    let out = concilium_sim::explore_jobs(
-        &world,
-        &grid,
-        &[opts.seed],
-        &episode_opts,
-        opts.jobs.unwrap_or(1),
-    );
-    let mut jsonl = String::new();
-    for et in &out.traces {
-        jsonl.push_str(
-            &et.trace
-                .to_jsonl(&[("episode", &et.name), ("seed", &et.seed.to_string())]),
-        );
-    }
-    if let Err(err) = std::fs::write(path, &jsonl) {
-        die(&format!("cannot write {path}: {err}"));
-    }
-    if opts.verbose {
-        eprintln!(
-            "trace JSONL written to {path} ({} episodes, {} events)",
-            out.traces.len(),
-            jsonl.lines().count()
-        );
-    }
 }
 
 fn run_fig1(opts: &Options) {
@@ -330,9 +283,6 @@ fn main() {
             system::print(&r);
         }
         other => die(&format!("unknown command {other}")),
-    }
-    if let Some(path) = &opts.trace_out {
-        export_traces(&opts, path);
     }
     if opts.profile {
         let path = "BENCH_profile.json";

@@ -19,10 +19,10 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use concilium::blame::LinkEvidence;
-use concilium_obs::{explain, json, AmbiguityNote, CausalIndex, ExplainQuery, TraceEvent};
+use concilium_obs::{json, Trace, TraceEvent};
 use concilium_par::Jobs;
 use concilium_sim::{
-    fuzz::fuzz, run_episode, EpisodeConfig, EpisodeOptions, FuzzConfig, WorldKind,
+    fuzz::fuzz, run_episode, EpisodeConfig, EpisodeOptions, FuzzConfig, SimWorld, WorldKind,
 };
 use concilium_tomography::AmbiguityClasses;
 
@@ -36,8 +36,6 @@ struct Options {
     corpus_out: Option<String>,
     findings_out: Option<String>,
     trace_out: Option<String>,
-    explain: Option<String>,
-    explain_out: Option<String>,
     max_corpus: usize,
     no_shrink: bool,
     plant_mutant: bool,
@@ -55,8 +53,6 @@ fn parse_args() -> Result<Options, String> {
         corpus_out: None,
         findings_out: None,
         trace_out: None,
-        explain: None,
-        explain_out: None,
         max_corpus: 32,
         no_shrink: false,
         plant_mutant: false,
@@ -106,8 +102,6 @@ fn parse_args() -> Result<Options, String> {
             "--corpus-out" => opts.corpus_out = Some(take("--corpus-out")?),
             "--findings-out" => opts.findings_out = Some(take("--findings-out")?),
             "--trace-out" => opts.trace_out = Some(take("--trace-out")?),
-            "--explain" => opts.explain = Some(take("--explain")?),
-            "--explain-out" => opts.explain_out = Some(take("--explain-out")?),
             "--max-corpus" => {
                 let v = take("--max-corpus")?;
                 opts.max_corpus =
@@ -121,9 +115,8 @@ fn parse_args() -> Result<Options, String> {
                     "usage: fuzz [--fuzz-budget N] [--seed N] [--jobs N] [--batch N]\n\
                      \x20           [--world dst|bottleneck] [--world-seed N]\n\
                      \x20           [--corpus-out DIR] [--findings-out PATH]\n\
-                     \x20           [--trace-out PATH] [--explain E] [--explain-out PATH]\n\
-                     \x20           [--max-corpus N] [--no-shrink] [--plant-mutant]\n\
-                     \x20           [--compare-grid]\n\
+                     \x20           [--trace-out PATH] [--max-corpus N] [--no-shrink]\n\
+                     \x20           [--plant-mutant] [--compare-grid] [--help|-h]\n\
                      \n\
                      --fuzz-budget N  episodes to run (default: 200)\n\
                      --seed N         master fuzz seed (default: 1)\n\
@@ -134,13 +127,12 @@ fn parse_args() -> Result<Options, String> {
                      --world-seed N   world build seed (default: 77)\n\
                      --corpus-out D   write each corpus entry to D/<name>.corpus\n\
                      --findings-out P write failure reproducers (with causal chains) to P\n\
-                     --trace-out P    replay the corpus and write every entry's trace as\n\
-                     \x20               JSONL to P, with meta-ambiguity sidecar lines (the\n\
-                     \x20               per-judge identifiability partition) when a judge's\n\
-                     \x20               probe matrix is ambiguous — bottleneck worlds\n\
-                     --explain E      explain entity E (message:3 | blame:4 | shed:9) from\n\
-                     \x20               every corpus replay and failure trace\n\
-                     --explain-out P  write the explanation to P instead of stdout\n\
+                     --trace-out P    replay the corpus and write every entry's trace,\n\
+                     \x20               then every failing case's, as JSONL to P, with\n\
+                     \x20               meta-ambiguity sidecar lines (the per-judge\n\
+                     \x20               identifiability partition) when a judge's probe\n\
+                     \x20               matrix is ambiguous — bottleneck worlds; query it\n\
+                     \x20               with concilium-explain\n\
                      --max-corpus N   keep at most N corpus entries (default: 32)\n\
                      --no-shrink      skip coverage-preserving corpus minimisation\n\
                      --plant-mutant   negative control: plant the constant-1.0 blame\n\
@@ -161,6 +153,44 @@ fn mutant_blame(_evidence: &[LinkEvidence], _accuracy: f64) -> f64 {
     1.0
 }
 
+/// Appends one episode stream to a `--trace-out` file: the trace as
+/// JSONL, followed by `meta-ambiguity` sidecar lines — for every judge
+/// that accumulated a verdict in the stream, the identifiability
+/// partition its probe matrix admits, but only when a class is genuinely
+/// ambiguous (more than one link), which is the bottleneck-world
+/// signature. `concilium-explain` folds the sidecars into its answers.
+fn push_stream(jsonl: &mut String, world: &SimWorld, name: &str, seed: u64, trace: &Trace) {
+    let seed_s = seed.to_string();
+    jsonl.push_str(&trace.to_jsonl(&[("episode", name), ("seed", &seed_s)]));
+    let mut judges: BTreeSet<u64> = BTreeSet::new();
+    for t in trace.events() {
+        if let TraceEvent::VerdictAccumulated { judge, .. } = &t.event {
+            judges.insert(*judge);
+        }
+    }
+    for judge in judges {
+        let classes = AmbiguityClasses::from_probe_tree(world.tree(judge as usize));
+        if classes.classes().iter().all(|c| c.len() < 2) {
+            continue;
+        }
+        let rendered: Vec<String> = classes
+            .classes()
+            .iter()
+            .map(|c| {
+                let links: Vec<String> = c.iter().map(|l| l.0.to_string()).collect();
+                format!("[{}]", links.join(","))
+            })
+            .collect();
+        jsonl.push_str(&format!(
+            "{{\"kind\":\"meta-ambiguity\",\"episode\":{},\"seed\":{},\
+             \"judge\":{judge},\"classes\":[{}]}}\n",
+            json::escape(name),
+            json::escape(&seed_s),
+            rendered.join(",")
+        ));
+    }
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -175,18 +205,6 @@ fn main() -> ExitCode {
     if opts.plant_mutant {
         episode_opts.blame_fn = mutant_blame;
     }
-    // Reject a malformed --explain token before spending the budget.
-    let explain_query = match opts.explain.as_deref().map(ExplainQuery::parse_token) {
-        Some(Some(q)) => Some(q),
-        Some(None) => {
-            eprintln!(
-                "fuzz: bad --explain {:?} (want message:<id>, blame:<host>, or shed:<report>)",
-                opts.explain.as_deref().unwrap_or("")
-            );
-            return ExitCode::FAILURE;
-        }
-        None => None,
-    };
     let fuzz_cfg = FuzzConfig {
         budget: opts.budget,
         seed: opts.seed,
@@ -246,125 +264,26 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.trace_out {
-        // Replay every corpus entry with its traces retained and write
-        // the streams as JSONL, each followed by `meta-ambiguity`
-        // sidecar lines: for every judge that accumulated a verdict in
-        // the entry, the identifiability partition its probe matrix
-        // admits — but only when a class is genuinely ambiguous (more
-        // than one link), which is the bottleneck-world signature.
-        // `concilium-explain` folds the sidecars into its answers.
+        // Every corpus entry replayed with its trace retained, then every
+        // failing case's own trace, one JSONL stream each.
         let mut jsonl = String::new();
         for entry in &out.corpus {
             let ep = run_episode(&world, &entry.config, entry.seed, &episode_opts);
-            let seed_s = entry.seed.to_string();
-            jsonl.push_str(&ep.trace.to_jsonl(&[
-                ("episode", &entry.name),
-                ("seed", &seed_s),
-            ]));
-            let mut judges: BTreeSet<u64> = BTreeSet::new();
-            for t in ep.trace.events() {
-                if let TraceEvent::VerdictAccumulated { judge, .. } = &t.event {
-                    judges.insert(*judge);
-                }
-            }
-            for judge in judges {
-                let classes = AmbiguityClasses::from_probe_tree(world.tree(judge as usize));
-                if classes.classes().iter().all(|c| c.len() < 2) {
-                    continue;
-                }
-                let rendered: Vec<String> = classes
-                    .classes()
-                    .iter()
-                    .map(|c| {
-                        let links: Vec<String> =
-                            c.iter().map(|l| l.0.to_string()).collect();
-                        format!("[{}]", links.join(","))
-                    })
-                    .collect();
-                jsonl.push_str(&format!(
-                    "{{\"kind\":\"meta-ambiguity\",\"episode\":{},\"seed\":{},\
-                     \"judge\":{judge},\"classes\":[{}]}}\n",
-                    json::escape(&entry.name),
-                    json::escape(&seed_s),
-                    rendered.join(",")
-                ));
-            }
+            push_stream(&mut jsonl, &world, &entry.name, entry.seed, &ep.trace);
+        }
+        for case in &out.failures {
+            push_stream(&mut jsonl, &world, &case.name, case.seed, &case.trace);
         }
         if let Err(err) = std::fs::write(path, &jsonl) {
             eprintln!("fuzz: cannot write {path}: {err}");
             return ExitCode::FAILURE;
         }
         println!(
-            "  corpus traces written to {path} ({} entries, {} lines)",
+            "  traces written to {path} ({} corpus entries, {} failing cases, {} lines)",
             out.corpus.len(),
+            out.failures.len(),
             jsonl.lines().count()
         );
-    }
-
-    if explain_query.is_some() || opts.explain_out.is_some() {
-        let mut payload = String::new();
-        if let Some(query) = &explain_query {
-            let mut explain_stream = |name: &str, seed: u64, index: &CausalIndex| {
-                let mut ex = explain(index, query);
-                // With the world in hand, attach the identifiability
-                // partition directly: for each chain's judge, the
-                // ambiguous class (if any) containing an evidence link.
-                for chain in &ex.chains {
-                    let Some(judge) = chain.judge else { continue };
-                    let classes = AmbiguityClasses::from_probe_tree(world.tree(judge as usize));
-                    for class in classes.classes() {
-                        if class.len() < 2 {
-                            continue;
-                        }
-                        let hit = chain
-                            .evidence
-                            .iter()
-                            .any(|l| class.iter().any(|c| c.0 as u64 == l.link));
-                        let class_ids: Vec<u64> = class.iter().map(|c| c.0 as u64).collect();
-                        let dup = ex
-                            .ambiguity
-                            .iter()
-                            .any(|n| n.judge == judge && n.class == class_ids);
-                        if hit && !dup {
-                            ex.ambiguity.push(AmbiguityNote { judge, class: class_ids });
-                        }
-                    }
-                }
-                if ex.found() {
-                    payload.push_str(&format!(
-                        "{{\"episode\":{},\"seed\":{},\"explanation\":{}}}\n",
-                        json::escape(name),
-                        json::escape(&seed.to_string()),
-                        ex.render_json()
-                    ));
-                }
-            };
-            for entry in &out.corpus {
-                let ep = run_episode(&world, &entry.config, entry.seed, &episode_opts);
-                explain_stream(
-                    &entry.name,
-                    entry.seed,
-                    &CausalIndex::from_events(ep.trace.events()),
-                );
-            }
-            for case in &out.failures {
-                explain_stream(
-                    &case.name,
-                    case.seed,
-                    &CausalIndex::from_events(case.trace.events()),
-                );
-            }
-        }
-        match &opts.explain_out {
-            Some(path) => {
-                if let Err(err) = std::fs::write(path, &payload) {
-                    eprintln!("fuzz: cannot write {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-                println!("  explanation written to {path} ({} line(s))", payload.lines().count());
-            }
-            None => print!("{payload}"),
-        }
     }
 
     let mut findings = String::new();

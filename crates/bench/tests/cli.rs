@@ -1,0 +1,88 @@
+//! The drivers' command lines: every flag a parser matches is in its usage
+//! text and the reverse, and the flags whose work moved to
+//! `concilium-explain` (and the second trace exporter) are refused.
+//! Nothing here runs a sweep: every invocation stops in the argument parser.
+
+use std::collections::BTreeSet;
+use std::process::Command;
+
+/// One driver; the flag lists are whitespace-separated.
+struct Cli {
+    exe: &'static str,
+    /// The argument that makes the binary print its usage text.
+    usage: &'static str,
+    /// Flags that take a value.
+    valued: &'static str,
+    /// Flags that take none.
+    switches: &'static str,
+    deleted: &'static str,
+}
+
+const CLIS: [Cli; 3] = [
+    Cli {
+        exe: env!("CARGO_BIN_EXE_dst-sweep"),
+        usage: "--help",
+        valued: "--seeds --jobs --trace-out --metrics-out",
+        switches: "--verbose --help",
+        deleted: "--explain --explain-out",
+    },
+    Cli {
+        exe: env!("CARGO_BIN_EXE_fuzz"),
+        usage: "--help",
+        valued: "--fuzz-budget --seed --jobs --batch --world --world-seed --corpus-out \
+                 --findings-out --trace-out --max-corpus",
+        switches: "--no-shrink --plant-mutant --compare-grid --help",
+        deleted: "--explain --explain-out",
+    },
+    Cli {
+        // No --help: an unknown subcommand prints the usage line.
+        exe: env!("CARGO_BIN_EXE_experiments"),
+        usage: "no-such-figure",
+        valued: "--scale --seed --triples --jobs",
+        switches: "--verbose --profile",
+        deleted: "--trace-out",
+    },
+];
+
+/// Runs the driver; returns whether it exited zero, and stdout + stderr.
+fn run(exe: &str, args: &[&str]) -> (bool, String) {
+    let out = Command::new(exe).args(args).output().expect("driver binary runs");
+    let text = [out.stdout, out.stderr].concat();
+    (out.status.success(), String::from_utf8_lossy(&text).into_owned())
+}
+
+#[test]
+fn usage_lists_exactly_the_flags_the_parser_matches() {
+    for cli in &CLIS {
+        let (_, usage) = run(cli.exe, &[cli.usage]);
+        let listed: BTreeSet<&str> = usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        let matched: BTreeSet<&str> =
+            cli.valued.split_whitespace().chain(cli.switches.split_whitespace()).collect();
+        assert_eq!(listed, matched, "{}: usage text vs parser", cli.exe);
+
+        // A valued flag with its value missing is refused by name; a
+        // switch is consumed, so the refusal names the flag after it (an
+        // unmatched switch would be the one refused).
+        for flag in cli.valued.split_whitespace() {
+            let (ok, text) = run(cli.exe, &[flag]);
+            assert!(!ok && text.contains(flag) && !text.contains("unknown"), "{flag}: {text}");
+        }
+        for flag in cli.switches.split_whitespace().filter(|f| *f != "--help") {
+            let (ok, text) = run(cli.exe, &[flag, "--no-such-flag"]);
+            assert!(!ok && text.contains("--no-such-flag"), "{flag}: {text}");
+        }
+    }
+}
+
+#[test]
+fn deleted_flags_are_refused() {
+    for cli in &CLIS {
+        for flag in cli.deleted.split_whitespace() {
+            let (ok, text) = run(cli.exe, &[flag, "message:3"]);
+            assert!(!ok && text.contains("unknown argument"), "{} {flag}: {text}", cli.exe);
+        }
+    }
+}

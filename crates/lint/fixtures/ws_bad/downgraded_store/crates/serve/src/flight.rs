@@ -2,7 +2,7 @@
 
 use crate::journal::Record;
 
-pub fn records_to_traced(rec: &Record) -> u64 {
+pub fn trace_event(rec: &Record) -> u64 {
     match rec {
         Record::Admitted { seq } => *seq,
         Record::Dropped { seq } => *seq,

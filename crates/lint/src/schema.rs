@@ -5,7 +5,7 @@
 //! `crates/obs/src/causal.rs` keep pace with the `TraceEvent` enum —
 //! `entities()` (which entities an event touches), `CausalLedger::observe`
 //! (happens-before ingestion), and `CausalIndex::push` (parent-link
-//! rules) — and if `records_to_traced` in `crates/serve/src/flight.rs`
+//! rules) — and if `trace_event` in `crates/serve/src/flight.rs`
 //! keeps pace with the WAL `Record` enum. All of them compile happily
 //! with a `_ => {}` arm while silently dropping a newly added kind, which
 //! is exactly how a causal-reachability invariant rots.
@@ -60,7 +60,7 @@ const CHECKS: &[Check] = &[
     Check {
         enum_name: "Record",
         enum_file: "crates/serve/src/journal.rs",
-        fn_name: "records_to_traced",
+        fn_name: "trace_event",
         fn_impl: None,
         fn_file: "crates/serve/src/flight.rs",
         what: "WAL-to-trace projection",

@@ -953,6 +953,32 @@ mod tests {
         }
     }
 
+    /// The renderings the recorded digests, JSONL exports and explanations
+    /// were made with (fixture recorded at 115ffc0): the round trip above
+    /// proves the renderings agree with each other, this that none moved.
+    #[test]
+    fn every_kind_matches_the_golden_fixture() {
+        let mut out = String::new();
+        let mut keys = Vec::new();
+        for event in one_of_each() {
+            let mut words = Vec::new();
+            event.hash_fields(&mut words);
+            crate::causal::entities(&event, &mut keys);
+            let entity_keys: Vec<String> = keys.iter().map(ToString::to_string).collect();
+            let traced = Traced { at_micros: 1_234_567, event };
+            let _ = writeln!(
+                out,
+                "{} code={} words={words:?} entities=[{}]\n  {}\n  {}",
+                traced.event.label(),
+                traced.event.kind_code(),
+                entity_keys.join(" "),
+                traced.to_json(&[("episode", "rt"), ("seed", "5")]),
+                traced.render(),
+            );
+        }
+        assert_eq!(out, include_str!("../fixtures/trace_events.golden"));
+    }
+
     #[test]
     fn ppb_from_f64_rounds_instead_of_truncating() {
         // 0.123456789's nearest f64 is fractionally below the printed

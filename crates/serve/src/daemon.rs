@@ -21,7 +21,7 @@ use concilium::Verdict;
 use concilium_obs::{Registry, Trace, TraceEvent};
 use concilium_types::{SimDuration, SimTime};
 
-use crate::flight::{FlightEntry, FlightRecorder};
+use crate::flight::{shed_reason_from_code, trace_event, FlightEntry, FlightRecorder};
 use crate::journal::{Journal, Record, SharedStore};
 use crate::mailbox::Mailbox;
 use crate::report::FailureReport;
@@ -64,6 +64,28 @@ pub struct Counters {
     pub batches: u64,
     /// Formal accusations filed.
     pub accusations: u64,
+}
+
+impl Counters {
+    /// Folds one journal record in: the only place a counter moves, live
+    /// ([`Daemon::append`]) and on recovery replay alike.
+    fn absorb(&mut self, record: &Record) {
+        match record {
+            Record::Admitted { .. } => {
+                self.admitted += 1;
+                self.offered += 1;
+            }
+            Record::Shed { .. } => {
+                self.shed += 1;
+                self.offered += 1;
+            }
+            Record::BatchStarted { .. } => self.batches += 1,
+            Record::VerdictRecorded { .. } => self.completed += 1,
+            Record::AccusationFiled { .. } => self.accusations += 1,
+            // Boundary marker and observability only: never counted.
+            Record::Commit { .. } | Record::FlightTail { .. } => {}
+        }
+    }
 }
 
 /// A point-in-time health surface for operators and the readiness probe.
@@ -141,30 +163,18 @@ impl Daemon {
         let mut last_batch: Option<(u64, u64, Vec<u64>)> = None;
         let mut next_batch = 0;
         for rec in &recovery.records {
+            counters.absorb(rec);
             match rec {
-                Record::Admitted { report, .. } => {
-                    admitted.push(report);
-                    counters.admitted += 1;
-                }
-                Record::Shed { .. } => counters.shed += 1,
+                Record::Admitted { report, .. } => admitted.push(report),
                 Record::BatchStarted { batch, start_us, report_ids, .. } => {
                     batched.extend(report_ids.iter().copied());
-                    counters.batches += 1;
                     next_batch = *batch + 1;
                     last_batch = Some((*batch, *start_us, report_ids.clone()));
                 }
-                Record::VerdictRecorded { report_id, .. } => {
-                    completed.push(*report_id);
-                    counters.completed += 1;
-                }
-                Record::AccusationFiled { .. } => counters.accusations += 1,
-                Record::Commit { .. } => {}
-                // Observability only: never counted, never replayed into
-                // the mailbox.
-                Record::FlightTail { .. } => {}
+                Record::VerdictRecorded { report_id, .. } => completed.push(*report_id),
+                _ => {}
             }
         }
-        counters.offered = counters.admitted + counters.shed;
         completed.sort_unstable();
         batched.sort_unstable();
 
@@ -283,26 +293,45 @@ impl Daemon {
         }
     }
 
+    /// Journals `record`, applies it, and emits everything observable
+    /// that follows from it — flight entry, counter, metric, trace event.
+    /// The daemon's single emit point: callers decide, then append.
     fn append(&mut self, record: Record) {
         self.dirty = !matches!(record, Record::Commit { .. });
-        let frame_bytes = self.journal.append(&record) as u64;
+        self.pending_fsync_bytes += self.journal.append(&record) as u64;
         self.state.apply(&record);
         if let Some(entry) = FlightEntry::from_record(&record) {
             self.flight.push(entry);
         }
-        self.pending_fsync_bytes += frame_bytes;
-        if matches!(record, Record::Commit { .. }) {
-            // Bytes, not wall time: the write set a commit-boundary
-            // fsync flushes — the deterministic proxy for fsync cost in
-            // a crate where wall clocks are lint-banned.
-            self.metrics.observe(
-                "serve.journal-fsync-bytes",
-                self.pending_fsync_bytes as f64,
-                0.0,
-                8192.0,
-                32,
-            );
-            self.pending_fsync_bytes = 0;
+        self.counters.absorb(&record);
+        match &record {
+            Record::Admitted { .. } => self.metrics.inc("serve.admitted", 1),
+            Record::Shed { reason_code, .. } => {
+                let reason = shed_reason_from_code(*reason_code);
+                self.metrics.inc(&format!("serve.shed.{}", reason.name()), 1);
+            }
+            Record::BatchStarted { .. } => self.metrics.inc("serve.batches", 1),
+            Record::VerdictRecorded { .. } => self.metrics.inc("serve.completed", 1),
+            Record::AccusationFiled { .. } => self.metrics.inc("serve.accusations", 1),
+            Record::Commit { .. } => {
+                // Bytes, not wall time: the write set a commit-boundary
+                // fsync flushes — the deterministic proxy for fsync cost in
+                // a crate where wall clocks are lint-banned.
+                self.metrics.observe(
+                    "serve.journal-fsync-bytes",
+                    self.pending_fsync_bytes as f64,
+                    0.0,
+                    8192.0,
+                    32,
+                );
+                self.pending_fsync_bytes = 0;
+            }
+            Record::FlightTail { .. } => {}
+        }
+        // An admission is journaled before its report enters the mailbox,
+        // so the depth it takes effect at is one more than the depth now.
+        if let Some(event) = trace_event(&record, self.mailbox.depth() as u64 + 1) {
+            self.trace.push(self.clock.as_micros(), event);
         }
         self.next_seq += 1;
     }
@@ -310,10 +339,6 @@ impl Daemon {
     /// The flight recorder ring (recent journal activity).
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    fn take_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Runs every workload input at or past the recovered resume point.
@@ -340,18 +365,10 @@ impl Daemon {
             .map_or(SimDuration::ZERO, |b| b.done_at.abs_diff(self.clock));
         match self.mailbox.decide(report, in_flight_left, false, &self.cfg) {
             Ok(wait) => {
-                let seq = self.take_seq();
-                self.append(Record::Admitted { seq, input, report: report.clone() });
+                self.append(Record::Admitted { seq: self.next_seq, input, report: report.clone() });
                 self.mailbox.push(report.clone(), &self.cfg);
-                self.counters.admitted += 1;
-                self.counters.offered += 1;
-                let depth = self.mailbox.depth();
-                self.trace.push(
-                    self.clock.as_micros(),
-                    TraceEvent::ReportAdmitted { report: report.id, queue_depth: depth as u64 },
-                );
-                self.metrics.inc("serve.admitted", 1);
-                self.metrics.max_gauge("serve.queue-depth.max", depth as f64);
+                // The two metrics whose values no record carries.
+                self.metrics.max_gauge("serve.queue-depth.max", self.mailbox.depth() as f64);
                 self.metrics.observe(
                     "serve.admission-wait-us",
                     wait.as_micros() as f64,
@@ -361,28 +378,19 @@ impl Daemon {
                 );
             }
             Err(reason) => {
-                let seq = self.take_seq();
                 self.append(Record::Shed {
-                    seq,
+                    seq: self.next_seq,
                     input,
                     report_id: report.id,
                     reason_code: reason.code(),
                 });
-                self.counters.shed += 1;
-                self.counters.offered += 1;
-                self.trace.push(
-                    self.clock.as_micros(),
-                    TraceEvent::LoadShed { report: report.id, reason },
-                );
-                self.metrics.inc(&format!("serve.shed.{}", reason.name()), 1);
                 // Flush the flight ring into the WAL alongside the
                 // refusal: `explain shed <report>` can then render the
                 // context from the journal alone, post-crash included.
                 // The tail is committed with this input, and the ring is
                 // a pure function of the journal prefix, so baseline and
                 // chaos runs journal identical tails.
-                let seq = self.take_seq();
-                let entries = self.flight.tail();
+                let (seq, entries) = (self.next_seq, self.flight.tail());
                 self.append(Record::FlightTail { seq, report_id: report.id, entries });
             }
         }
@@ -393,16 +401,11 @@ impl Daemon {
             panic!("chaos: injected crash after admission of input {input}");
         }
 
-        let seq = self.take_seq();
         self.append(Record::Commit {
-            seq,
+            seq: self.next_seq,
             next_input: input + 1,
             clock_us: self.clock.as_micros(),
         });
-        self.trace.push(
-            self.clock.as_micros(),
-            TraceEvent::JournalCommitted { seq, next_input: input + 1 },
-        );
     }
 
     /// Advances the virtual clock to `t`, completing every batch that
@@ -426,35 +429,25 @@ impl Daemon {
         for report in &batch.reports {
             let blame = blame_from_path_evidence(&report.evidence(), self.cfg.accuracy);
             let verdict = Verdict::from_blame(blame, self.cfg.blame_threshold);
-            let seq = self.take_seq();
             self.append(Record::VerdictRecorded {
-                seq,
+                seq: self.next_seq,
                 report_id: report.id,
                 batch: batch.batch,
                 judge: report.judge,
                 accused: report.accused,
                 guilty: verdict.is_guilty(),
             });
-            self.counters.completed += 1;
-            self.trace.push(
-                self.clock.as_micros(),
-                TraceEvent::ReportCompleted { report: report.id, batch: batch.batch },
-            );
-            self.metrics.inc("serve.completed", 1);
             if self.state.filing_due(report.judge, report.accused, self.cfg.accuse_threshold) {
                 let guilty_count = self
                     .state
                     .window(report.judge, report.accused)
                     .map_or(0, |w| w.guilty_count() as u64);
-                let seq = self.take_seq();
                 self.append(Record::AccusationFiled {
-                    seq,
+                    seq: self.next_seq,
                     judge: report.judge,
                     accused: report.accused,
                     guilty_count,
                 });
-                self.counters.accusations += 1;
-                self.metrics.inc("serve.accusations", 1);
             }
         }
     }
@@ -470,15 +463,12 @@ impl Daemon {
         let cost: u64 = reports.iter().map(|r| r.service_cost(&self.cfg).as_micros()).sum();
         let batch = self.next_batch;
         self.next_batch += 1;
-        let seq = self.take_seq();
         self.append(Record::BatchStarted {
-            seq,
+            seq: self.next_seq,
             batch,
             start_us: self.clock.as_micros(),
             report_ids: reports.iter().map(|r| r.id).collect(),
         });
-        self.counters.batches += 1;
-        self.metrics.inc("serve.batches", 1);
         self.in_flight = Some(InFlight {
             batch,
             reports,
@@ -497,17 +487,12 @@ impl Daemon {
             self.advance_to(done_at);
         }
         if self.dirty {
-            let seq = self.take_seq();
             let next_input = self.state.next_input();
             self.append(Record::Commit {
-                seq,
+                seq: self.next_seq,
                 next_input,
                 clock_us: self.clock.as_micros(),
             });
-            self.trace.push(
-                self.clock.as_micros(),
-                TraceEvent::JournalCommitted { seq, next_input },
-            );
         }
     }
 }

@@ -156,17 +156,45 @@ impl FlightRecorder {
     }
 }
 
+/// The trace event a journal record stands for, if any: the one
+/// `Record` → [`TraceEvent`] mapping, behind both the daemon's live ring
+/// (`Daemon::append`) and [`records_to_traced`]. `queue_depth` is the
+/// mailbox depth once the record has taken effect; only an admission
+/// reads it.
+pub(crate) fn trace_event(record: &Record, queue_depth: u64) -> Option<TraceEvent> {
+    match record {
+        Record::Admitted { report, .. } => {
+            Some(TraceEvent::ReportAdmitted { report: report.id, queue_depth })
+        }
+        Record::Shed { report_id, reason_code, .. } => Some(TraceEvent::LoadShed {
+            report: *report_id,
+            reason: shed_reason_from_code(*reason_code),
+        }),
+        Record::VerdictRecorded { report_id, batch, .. } => {
+            Some(TraceEvent::ReportCompleted { report: *report_id, batch: *batch })
+        }
+        Record::Commit { seq, next_input, .. } => {
+            Some(TraceEvent::JournalCommitted { seq: *seq, next_input: *next_input })
+        }
+        Record::BatchStarted { .. }
+        | Record::AccusationFiled { .. }
+        | Record::FlightTail { .. } => None,
+    }
+}
+
 /// Derives the daemon's trace-event stream from a journal record
 /// sequence, so the causal layer (`CausalIndex`, `concilium-explain`)
 /// can answer queries from the WAL alone — including after a crash,
 /// when the in-memory trace ring is gone.
 ///
-/// Timestamps are reconstructed from the times the records carry
-/// (arrival, batch start, commit clock) on a monotone running clock;
-/// records without a time reuse the latest. Queue depth is replayed
-/// from admissions minus batch drafts — the same arithmetic the live
-/// mailbox performs. The derivation is a pure function of the records,
-/// so byte-identical journals explain byte-identically.
+/// The events are `trace_event`'s; what is reconstructed here is what
+/// the live daemon reads off its own state. Timestamps come from the
+/// times the records carry (arrival, batch start, commit clock) on a
+/// monotone running clock; records without a time reuse the latest.
+/// Queue depth is replayed from admissions minus batch drafts — the
+/// same arithmetic the live mailbox performs. The derivation is a pure
+/// function of the records, so byte-identical journals explain
+/// byte-identically.
 pub fn records_to_traced(records: &[Record]) -> Vec<Traced> {
     let mut out = Vec::with_capacity(records.len());
     let mut clock = 0u64;
@@ -176,20 +204,6 @@ pub fn records_to_traced(records: &[Record]) -> Vec<Traced> {
             Record::Admitted { report, .. } => {
                 clock = clock.max(report.arrival.as_micros());
                 queued.insert(report.id);
-                out.push(Traced {
-                    at_micros: clock,
-                    event: TraceEvent::ReportAdmitted {
-                        report: report.id,
-                        queue_depth: queued.len() as u64,
-                    },
-                });
-            }
-            Record::Shed { report_id, reason_code, .. } => {
-                let reason = shed_reason_from_code(*reason_code);
-                out.push(Traced {
-                    at_micros: clock,
-                    event: TraceEvent::LoadShed { report: *report_id, reason },
-                });
             }
             Record::BatchStarted { start_us, report_ids, .. } => {
                 clock = clock.max(*start_us);
@@ -197,21 +211,11 @@ pub fn records_to_traced(records: &[Record]) -> Vec<Traced> {
                     queued.remove(id);
                 }
             }
-            Record::VerdictRecorded { report_id, batch, .. } => {
-                out.push(Traced {
-                    at_micros: clock,
-                    event: TraceEvent::ReportCompleted { report: *report_id, batch: *batch },
-                });
-            }
-            Record::AccusationFiled { .. } => {}
-            Record::Commit { seq, next_input, clock_us } => {
-                clock = clock.max(*clock_us);
-                out.push(Traced {
-                    at_micros: clock,
-                    event: TraceEvent::JournalCommitted { seq: *seq, next_input: *next_input },
-                });
-            }
-            Record::FlightTail { .. } => {}
+            Record::Commit { clock_us, .. } => clock = clock.max(*clock_us),
+            _ => {}
+        }
+        if let Some(event) = trace_event(rec, queued.len() as u64) {
+            out.push(Traced { at_micros: clock, event });
         }
     }
     out
@@ -220,7 +224,7 @@ pub fn records_to_traced(records: &[Record]) -> Vec<Traced> {
 /// Inverse of [`ShedReason::code`]; unknown codes map to the most
 /// conservative reason rather than failing (journal corruption is
 /// caught by checksums, not here).
-fn shed_reason_from_code(code: u64) -> ShedReason {
+pub(crate) fn shed_reason_from_code(code: u64) -> ShedReason {
     match code {
         0 => ShedReason::MailboxFull,
         1 => ShedReason::DeadlineExceeded,

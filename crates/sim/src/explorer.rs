@@ -15,7 +15,7 @@
 //!
 //! Episodes are bit-deterministic: the same world, seed, and
 //! [`EpisodeConfig`] produce the same chained trace hash. The
-//! [`explore`] sweep runs a seed × configuration grid and reports the
+//! [`explore_jobs`] sweep runs a seed × configuration grid and reports the
 //! first failure; [`shrink`] then minimises the failing configuration —
 //! dropping adversary roles, zeroing fault knobs, halving magnitudes and
 //! churn windows — until no smaller configuration reproduces the same
@@ -741,18 +741,6 @@ pub fn run_episode(
         Episode::new(world, cfg, seed, opts)
     };
     episode.run()
-}
-
-/// Sweeps `grid` × `seeds` in order, stopping at the first violation.
-///
-/// Serial shorthand for [`explore_jobs`] with one worker.
-pub fn explore(
-    world: &SimWorld,
-    grid: &[(&str, EpisodeConfig)],
-    seeds: &[u64],
-    opts: &EpisodeOptions,
-) -> ExploreOutcome {
-    explore_jobs(world, grid, seeds, opts, 1)
 }
 
 /// Sweeps `grid` × `seeds` on up to `jobs` workers, stopping at the first
@@ -2388,7 +2376,7 @@ mod tests {
         let opts = EpisodeOptions { blame_fn: mutant, ..EpisodeOptions::default() };
         let grid = EpisodeConfig::standard_grid();
         let seeds: Vec<u64> = (0..8).collect();
-        let out = explore(&w, &grid, &seeds, &opts);
+        let out = explore_jobs(&w, &grid, &seeds, &opts, 1);
         let failure = out.failure.expect("a broken combinator must trip an invariant");
         assert_eq!(failure.violation.kind, InvariantKind::BlameOracle);
     }

@@ -14,7 +14,7 @@
 //!   giving churn windows the recovery layer must ride out.
 //!
 //! The plan also parameterises the Byzantine roles of
-//! [`AdversarySets`](crate::AdversarySets) that go beyond droppers and
+//! [`AdversarySets`] that go beyond droppers and
 //! colluders: acknowledgment withholding ([`FaultPlan::ack_arrives`]) and
 //! snapshot delaying/stale replay ([`FaultPlan::snapshot_time`]).
 //!

@@ -252,7 +252,7 @@ pub struct FuzzOutcome {
     /// order (minimised when [`FuzzConfig::shrink_corpus`] is set).
     pub corpus: Vec<CorpusEntry>,
     /// Invariant violations found, in discovery order; the first
-    /// [`MAX_SHRUNK_FAILURES`] are greedily shrunk.
+    /// `MAX_SHRUNK_FAILURES` are greedily shrunk.
     pub failures: Vec<FailingCase>,
 }
 

@@ -28,9 +28,9 @@
 //!   oracles (Eq. 2–3 blame, binomial verdict tail) for simulation testing.
 //! * [`explorer`] — deterministic simulation testing: seeded fault-plan
 //!   episodes running the full diagnose–accuse–revise pipeline, a seed ×
-//!   configuration sweep ([`explore`]), and counterexample shrinking
+//!   configuration sweep ([`explore_jobs`]), and counterexample shrinking
 //!   ([`shrink`]) down to a copy-pasteable reproducer.
-//! * [`fuzz`] — coverage-guided scenario fuzzing: a seeded loop mutating
+//! * [`mod@fuzz`] — coverage-guided scenario fuzzing: a seeded loop mutating
 //!   episode configurations toward novel trace/metric coverage, with a
 //!   replayable corpus, coverage-preserving shrinking, and the AS-like
 //!   shared-bottleneck world ([`bottleneck_world`]).
@@ -68,7 +68,7 @@ pub use behavior::AdversarySets;
 pub use config::SimConfig;
 pub use engine::{EventQueue, ScheduleError};
 pub use explorer::{
-    dst_world, explore, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions,
+    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions,
     EpisodeReport, EpisodeStats, EpisodeTrace, ExploreOutcome, FailingCase,
 };
 pub use failhist::IndexedHistory;

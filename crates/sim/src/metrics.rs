@@ -1,9 +1,8 @@
 //! Measurement accumulators.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-bin histogram over `[0, 1]`, used to accumulate the blame PDFs
-/// of Figure 5.
+/// of Figure 5: the unit-interval view of [`concilium_obs::Histogram`],
+/// which owns the binning rule (`1.0` lands in the last bin).
 ///
 /// # Examples
 ///
@@ -17,12 +16,8 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.count(), 3);
 /// assert!((h.fraction_at_least(0.9) - 2.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    bins: Vec<u64>,
-    count: u64,
-    sum: f64,
-}
+#[derive(Clone, Debug, PartialEq)]
+pub struct Histogram(concilium_obs::Histogram);
 
 impl Histogram {
     /// Creates a histogram with `bins` equal-width bins over `[0, 1]`.
@@ -31,78 +26,35 @@ impl Histogram {
     ///
     /// Panics if `bins == 0`.
     pub fn new(bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        Histogram { bins: vec![0; bins], count: 0, sum: 0.0 }
+        Histogram(concilium_obs::Histogram::new(0.0, 1.0, bins))
     }
 
-    /// Adds a sample.
-    ///
-    /// Use this at call sites where the sample is an invariant of the
-    /// producing code — e.g. the bench drivers feeding Eq. 2–3 blame
-    /// values, which the combinator already guarantees to lie in `[0, 1]`:
-    /// an out-of-range value there is a bug worth crashing on.
+    /// Adds a sample. The bench drivers feed Eq. 2–3 blame values, which
+    /// the combinator already guarantees to lie in `[0, 1]`: an
+    /// out-of-range value there is a bug worth crashing on.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not in `[0, 1]`. Use [`Histogram::try_add`] or
-    /// [`Histogram::add_clamped`] when out-of-range samples are data.
+    /// Panics if `x` is not in `[0, 1]`.
     pub fn add(&mut self, x: f64) {
-        assert!((0.0..=1.0).contains(&x), "sample {x} out of [0,1]");
-        let idx = ((x * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
-        self.bins[idx] += 1;
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Adds a sample, returning `false` (and leaving the histogram
-    /// unchanged) instead of panicking when `x` is outside `[0, 1]` or
-    /// NaN.
-    ///
-    /// Use this when the sample crosses a trust boundary — values parsed
-    /// from external reports or produced by a system under test (a DST
-    /// mutant combinator may legitimately emit garbage, and the harness
-    /// wants to record the refusal, not crash).
-    #[must_use = "a false return means the sample was rejected"]
-    pub fn try_add(&mut self, x: f64) -> bool {
-        if !(0.0..=1.0).contains(&x) {
-            return false;
-        }
-        self.add(x);
-        true
-    }
-
-    /// Adds a sample, saturating it into `[0, 1]` first; NaN saturates
-    /// to 0.
-    ///
-    /// Use this for observational metrics where an outlier should still
-    /// be counted rather than dropped — e.g. rate-style measurements
-    /// that can overshoot 1.0 through rounding but belong in the top bin.
-    pub fn add_clamped(&mut self, x: f64) {
-        let clamped = if x.is_nan() { 0.0 } else { x.clamp(0.0, 1.0) };
-        self.add(clamped);
+        self.0.add(x);
     }
 
     /// Total number of samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
     /// Sample mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
+        self.0.mean()
     }
 
     /// The normalised probability mass per bin (sums to 1), or all zeros
     /// when empty.
     pub fn pdf(&self) -> Vec<f64> {
-        if self.count == 0 {
-            return vec![0.0; self.bins.len()];
-        }
-        self.bins.iter().map(|&b| b as f64 / self.count as f64).collect()
+        let total = self.count().max(1) as f64;
+        self.bins().iter().map(|&b| b as f64 / total).collect()
     }
 
     /// The fraction of samples at or above `threshold` — e.g. the guilty
@@ -117,23 +69,18 @@ impl Histogram {
     /// Panics if `threshold` is not in `[0, 1]`.
     pub fn fraction_at_least(&self, threshold: f64) -> f64 {
         assert!((0.0..=1.0).contains(&threshold), "threshold {threshold} out of [0,1]");
-        if self.count == 0 {
+        if self.count() == 0 {
             return 0.0;
         }
-        let start = ((threshold * self.bins.len() as f64).floor() as usize)
-            .min(self.bins.len() - 1);
-        let above: u64 = self.bins[start..].iter().sum();
-        above as f64 / self.count as f64
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
+        let bins = self.bins();
+        let start = ((threshold * bins.len() as f64).floor() as usize).min(bins.len() - 1);
+        let above: u64 = bins[start..].iter().sum();
+        above as f64 / self.count() as f64
     }
 
     /// The raw bin counts.
     pub fn bins(&self) -> &[u64] {
-        &self.bins
+        self.0.bins()
     }
 
     /// Merges another histogram with the same binning into this one.
@@ -142,12 +89,7 @@ impl Histogram {
     ///
     /// Panics if bin counts differ.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.0.merge(&other.0);
     }
 }
 
@@ -163,13 +105,6 @@ mod tests {
         }
         assert_eq!(h.bins(), &[2, 1, 1, 2]);
         assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn one_point_zero_lands_in_last_bin() {
-        let mut h = Histogram::new(10);
-        h.add(1.0);
-        assert_eq!(h.bins()[9], 1);
     }
 
     #[test]
@@ -212,33 +147,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert!((a.fraction_at_least(0.75) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of [0,1]")]
-    fn out_of_range_sample_rejected() {
-        let mut h = Histogram::new(2);
-        h.add(1.5);
-    }
-
-    #[test]
-    fn try_add_rejects_without_mutating() {
-        let mut h = Histogram::new(4);
-        assert!(h.try_add(0.5));
-        assert!(!h.try_add(1.5));
-        assert!(!h.try_add(-0.1));
-        assert!(!h.try_add(f64::NAN));
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.bins(), &[0, 0, 1, 0]);
-    }
-
-    #[test]
-    fn add_clamped_saturates_into_edge_bins() {
-        let mut h = Histogram::new(4);
-        h.add_clamped(7.0);
-        h.add_clamped(-3.0);
-        h.add_clamped(f64::NAN);
-        assert_eq!(h.bins(), &[2, 0, 0, 1]);
-        assert_eq!(h.count(), 3);
     }
 }

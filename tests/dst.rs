@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use concilium::blame::LinkEvidence;
 use concilium_sim::{
-    dst_world, explore, run_episode, shrink, EpisodeConfig, EpisodeOptions, InvariantKind,
+    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions, InvariantKind,
     SimWorld,
 };
 
@@ -32,7 +32,7 @@ fn broken_blame(_: &[LinkEvidence], _: f64) -> f64 {
 #[test]
 fn honest_sweep_satisfies_all_invariants() {
     let grid = EpisodeConfig::standard_grid();
-    let out = explore(world(), &grid, &seeds(32), &EpisodeOptions::default());
+    let out = explore_jobs(world(), &grid, &seeds(32), &EpisodeOptions::default(), 1);
     assert_eq!(out.episodes_run, 32 * grid.len());
     if let Some(failure) = &out.failure {
         panic!("honest sweep violated an invariant:\n{}", failure.reproducer());
@@ -78,7 +78,7 @@ fn trace_ring_capacity_never_feeds_the_digest() {
 #[test]
 fn blame_oracle_catches_broken_combinator() {
     let opts = EpisodeOptions { blame_fn: broken_blame, ..EpisodeOptions::default() };
-    let out = explore(world(), &EpisodeConfig::standard_grid(), &seeds(32), &opts);
+    let out = explore_jobs(world(), &EpisodeConfig::standard_grid(), &seeds(32), &opts, 1);
     let failure = out.failure.expect("the Eq. 2–3 oracle must flag a constant-1.0 combinator");
     assert_eq!(failure.violation.kind, InvariantKind::BlameOracle);
 }
@@ -93,7 +93,7 @@ fn false_blame_invariant_catches_broken_combinator_and_shrinks() {
         check_blame_oracle: false,
         ..EpisodeOptions::default()
     };
-    let out = explore(world(), &EpisodeConfig::standard_grid(), &seeds(32), &opts);
+    let out = explore_jobs(world(), &EpisodeConfig::standard_grid(), &seeds(32), &opts, 1);
     let failure = out
         .failure
         .expect("a combinator that always blames must eventually convict an honest host");

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use concilium::blame::LinkEvidence;
 use concilium_sim::{
-    dst_world, explore, explore_jobs, shrink, EpisodeConfig, EpisodeOptions, InvariantKind,
+    dst_world, explore_jobs, shrink, EpisodeConfig, EpisodeOptions, InvariantKind,
     SimWorld,
 };
 
@@ -42,11 +42,6 @@ fn honest_sweep_is_bit_identical_across_worker_counts() {
     );
     assert!(serial.failure.is_none());
     assert!(parallel.failure.is_none());
-
-    // And the legacy serial entry point agrees with explore_jobs(.., 1).
-    let legacy = explore(world(), &grid, &seeds(32), &opts);
-    assert_eq!(legacy.trace_digest, serial.trace_digest);
-    assert_eq!(legacy.totals, serial.totals);
 }
 
 #[test]

@@ -8,9 +8,10 @@
 //! always land on a committed prefix, and must replay idempotently to
 //! the same canonical state a clean replay of that prefix produces.
 
+use concilium_obs::TraceEvent;
 use concilium_serve::{
-    chaos_sweep, records_digest, Daemon, Journal, Record, ServeConfig, ServeState, SharedStore,
-    Supervisor, WorkloadSpec,
+    chaos_sweep, records_digest, records_to_traced, Daemon, FailureReport, Journal, Record,
+    ServeConfig, ServeState, SharedStore, Supervisor, WorkloadSpec,
 };
 use concilium_types::SimDuration;
 use proptest::prelude::*;
@@ -138,10 +139,8 @@ fn thirty_two_seed_chaos_sweep_holds_all_invariants() {
     assert_eq!(serial.aggregate_digest, fanned.aggregate_digest, "jobs must not affect the sweep");
 }
 
-/// Overload at 2× saturation: the mailbox bound holds, every refusal is
-/// a typed shed, and reports are conserved end to end.
-#[test]
-fn two_x_saturation_sheds_typed_and_conserves() {
+/// A small mailbox under 2× saturation, so both admission outcomes occur.
+fn overloaded() -> (ServeConfig, Vec<FailureReport>) {
     let cfg = ServeConfig {
         mailbox_capacity: 16,
         admission_deadline: SimDuration::from_millis(400),
@@ -149,6 +148,14 @@ fn two_x_saturation_sheds_typed_and_conserves() {
     };
     let inputs = WorkloadSpec { reports: 256, load: 2.0, ..WorkloadSpec::default() }
         .generate(&cfg, 99);
+    (cfg, inputs)
+}
+
+/// Overload at 2× saturation: the mailbox bound holds, every refusal is
+/// a typed shed, and reports are conserved end to end.
+#[test]
+fn two_x_saturation_sheds_typed_and_conserves() {
+    let (cfg, inputs) = overloaded();
     let run = Supervisor::new(cfg.clone(), SharedStore::new(), Vec::new()).run(&inputs);
     assert!(!run.degraded);
     let c = run.counters;
@@ -164,4 +171,27 @@ fn two_x_saturation_sheds_typed_and_conserves() {
     // The memory bound: the queue never exceeded the mailbox capacity.
     let peak = run.metrics.gauge("serve.queue-depth.max").unwrap_or(0.0);
     assert!(peak <= cfg.mailbox_capacity as f64, "queue peaked at {peak}");
+}
+
+/// The trace an uninterrupted daemon emits live and the trace lifted back
+/// out of its journal are the same events — kind for kind, report for
+/// report, queue depth for queue depth — because both come from one
+/// `Record` → `TraceEvent` mapping at `Daemon::append`: what
+/// `concilium-serve --explain` answers from a WAL is what `--trace-out`
+/// showed. Times are not compared: a shed record carries none, so the
+/// lifted stream dates it at the latest journaled time.
+#[test]
+fn live_trace_equals_the_trace_lifted_from_the_journal() {
+    let (cfg, inputs) = overloaded();
+    let store = SharedStore::new();
+    let run = Supervisor::new(cfg, store.clone(), Vec::new()).run(&inputs);
+    assert_eq!(run.trace.dropped(), 0, "the ring must hold the whole run");
+    let live: Vec<&TraceEvent> = run.trace.events().map(|t| &t.event).collect();
+    for label in ["admit", "shed", "complete", "journal-commit"] {
+        assert!(live.iter().any(|e| e.label() == label), "no {label} event in the run");
+    }
+
+    let (records, _) = Journal::over(store).scan();
+    let lifted = records_to_traced(&records);
+    assert_eq!(live, lifted.iter().map(|t| &t.event).collect::<Vec<_>>());
 }
