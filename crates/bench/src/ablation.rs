@@ -43,17 +43,6 @@ pub struct BlameAblation {
 ///
 /// Every judged B is treated as an *intentional* dropper, so under
 /// "no exclusion" it fabricates down-probes for its whole path.
-pub fn blame_rules<R: Rng + ?Sized>(
-    world: &SimWorld,
-    triples: usize,
-    rng: &mut R,
-) -> BlameAblation {
-    let mut hist = vec![Histogram::new(20); 6]; // [rule][class] flattened
-    sample_rules(world, triples, rng, &mut hist);
-    finish(hist)
-}
-
-/// Deterministic parallel variant of [`blame_rules`].
 ///
 /// Triples are sampled in fixed chunks, each from its own RNG stream
 /// derived from `seed` and the chunk index; per-chunk histograms are merged
@@ -68,7 +57,7 @@ pub fn blame_rules_par(
     let chunks = crate::fig5::chunk_sizes(triples, CHUNK);
     let partials = concilium_par::par_map(jobs, &chunks, |i, &len| {
         let mut rng = StdRng::seed_from_u64(concilium_par::derive_seed(seed, i as u64));
-        let mut hist = vec![Histogram::new(20); 6];
+        let mut hist = vec![Histogram::new(20); 6]; // [rule][class] flattened
         sample_rules(world, len, &mut rng, &mut hist);
         hist
     });
@@ -78,10 +67,6 @@ pub fn blame_rules_par(
             acc.merge(p);
         }
     }
-    finish(hist)
-}
-
-fn finish(hist: Vec<Histogram>) -> BlameAblation {
     let threshold = 0.4;
     let idx = |rule: usize, faulty: bool| rule * 2 + usize::from(!faulty);
     let outcome = |rule: usize| RuleOutcome {
@@ -96,7 +81,7 @@ fn finish(hist: Vec<Histogram>) -> BlameAblation {
     }
 }
 
-/// The sampling loop shared by [`blame_rules`] and [`blame_rules_par`].
+/// The sampling loop of one chunk of [`blame_rules_par`].
 fn sample_rules<R: Rng + ?Sized>(
     world: &SimWorld,
     triples: usize,
@@ -225,7 +210,7 @@ mod tests {
     fn exclusion_rule_matters() {
         let mut rng = StdRng::seed_from_u64(601);
         let world = SimWorld::build(SimConfig::small(), &mut rng);
-        let ab = blame_rules(&world, 1_500, &mut rng);
+        let ab = blame_rules_par(&world, 1_500, 601, 1);
         // Letting the accused vote lets guilty nodes escape: the faulty
         // guilty rate must drop. The effect is bounded by how much honest
         // evidence dilutes the lies, so require a clear but modest gap.
@@ -275,7 +260,7 @@ mod tests {
     fn noisy_or_blames_hosts_less() {
         let mut rng = StdRng::seed_from_u64(602);
         let world = SimWorld::build(SimConfig::small(), &mut rng);
-        let ab = blame_rules(&world, 1_500, &mut rng);
+        let ab = blame_rules_par(&world, 1_500, 602, 1);
         // Noisy-OR multiplies per-link goods, so blame ≤ fuzzy blame:
         // fewer guilty verdicts in BOTH classes.
         assert!(ab.noisy_or.p_faulty_guilty <= ab.paper.p_faulty_guilty + 1e-9);

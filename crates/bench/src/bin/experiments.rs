@@ -8,9 +8,9 @@
 //! Subcommands: `fig1 fig2 fig3 fig4 fig5 fig6 bandwidth all`.
 //! Options: `--scale tiny|small|medium|paper` (default `medium`),
 //! `--seed N` (default 2007), `--triples N` (Figure 5 sample size),
-//! `--jobs N` (deterministic parallel sampling; results depend only on
-//! the seed, not on N, but the parallel sampling streams differ from the
-//! serial ones, so compare like with like).
+//! `--jobs N` (worker threads; default `CONCILIUM_JOBS` or all cores).
+//! Sampling is chunked on seeds derived from `--seed`, so every number
+//! printed depends only on the seed, never on N.
 
 use concilium::bandwidth::BandwidthModel;
 use concilium_bench::{ablation, detection, fig1, fig23, fig4, fig5, fig6, stretch, system, tables, Scale};
@@ -23,9 +23,7 @@ struct Options {
     scale: Scale,
     seed: u64,
     triples: Option<usize>,
-    /// `None` = the historical serial path (single rng stream);
-    /// `Some(n)` = the deterministic parallel path with n workers.
-    jobs: Option<usize>,
+    jobs: usize,
     verbose: bool,
     profile: bool,
 }
@@ -66,14 +64,10 @@ fn parse_args() -> Options {
             }
             "--jobs" => {
                 i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs expects an integer >= 1"));
-                if n == 0 {
+                jobs = args.get(i).and_then(|s| s.parse().ok()).filter(|&n| n >= 1);
+                if jobs.is_none() {
                     die("--jobs expects an integer >= 1");
                 }
-                jobs = Some(concilium_par::Jobs::resolve(Some(n)).get());
             }
             cmd if command.is_none() && !cmd.starts_with('-') => {
                 command = Some(cmd.to_string());
@@ -87,7 +81,7 @@ fn parse_args() -> Options {
         scale,
         seed,
         triples,
-        jobs,
+        jobs: concilium_par::Jobs::resolve(jobs).get(),
         verbose,
         profile,
     }
@@ -130,7 +124,6 @@ fn run_fig1(opts: &Options) {
 }
 
 fn run_fig5_and_6(opts: &Options, world: &SimWorld) {
-    let mut rng = StdRng::seed_from_u64(opts.seed + 5);
     // Under the paper's failure regime (5% of links down, biased onto
     // overlay paths) good B→C paths are rare, so the faulty-B class needs
     // many samples at scale. Judgments are ~20 µs each.
@@ -145,18 +138,14 @@ fn run_fig5_and_6(opts: &Options, world: &SimWorld) {
         ..Default::default()
     };
 
-    let clean = match opts.jobs {
-        Some(jobs) => fig5::run_par(world, &AdversarySets::none(), &params, opts.seed + 5, jobs),
-        None => fig5::run(world, &AdversarySets::none(), &params, &mut rng),
-    };
+    let clean =
+        fig5::run_par(world, &AdversarySets::none(), &params, opts.seed + 5, opts.jobs);
     fig5::print("a: faithful reporting", &clean, &params);
 
+    let mut rng = StdRng::seed_from_u64(opts.seed + 5);
     let adversaries = AdversarySets::sample(world.num_hosts(), 0.2, 0.2, &mut rng);
-    let polluted = match opts.jobs {
-        // Same sampling seed as panel (a): the comparison is paired.
-        Some(jobs) => fig5::run_par(world, &adversaries, &params, opts.seed + 5, jobs),
-        None => fig5::run(world, &adversaries, &params, &mut rng),
-    };
+    // Same sampling seed as panel (a): the comparison is paired.
+    let polluted = fig5::run_par(world, &adversaries, &params, opts.seed + 5, opts.jobs);
     fig5::print("b: 20% colluders flip probe results", &polluted, &params);
 
     // Figure 6 from the measured per-judgment rates.
@@ -179,31 +168,19 @@ fn run_fig5_and_6(opts: &Options, world: &SimWorld) {
 }
 
 fn run_fig4(opts: &Options, world: &SimWorld) {
-    let rows = fig4::run_jobs(world, 200, opts.jobs.unwrap_or(1));
+    let rows = fig4::run_jobs(world, 200, opts.jobs);
     fig4::print(&rows);
 }
 
 fn run_ablation(opts: &Options, world: &SimWorld) {
     let triples = opts.triples.unwrap_or(20_000);
-    let ab = match opts.jobs {
-        Some(jobs) => ablation::blame_rules_par(world, triples, opts.seed + 9, jobs),
-        None => {
-            let mut rng = StdRng::seed_from_u64(opts.seed + 9);
-            ablation::blame_rules(world, triples, &mut rng)
-        }
-    };
+    let ab = ablation::blame_rules_par(world, triples, opts.seed + 9, opts.jobs);
     ablation::print(&ab);
 }
 
 fn run_detection(opts: &Options, gentle: &SimWorld) {
     let ms = [2, 4, 6, 10, 16];
-    let rows = match opts.jobs {
-        Some(jobs) => detection::run_par(gentle, &ms, 30, 120, opts.seed + 11, jobs),
-        None => {
-            let mut rng = StdRng::seed_from_u64(opts.seed + 11);
-            detection::run(gentle, &ms, 30, 120, &mut rng)
-        }
-    };
+    let rows = detection::run_par(gentle, &ms, 30, 120, opts.seed + 11, opts.jobs);
     detection::print(&rows, 120);
 }
 

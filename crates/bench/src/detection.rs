@@ -46,34 +46,10 @@ pub struct Row {
 
 /// Runs the sweep: for each m, `pairs` random (judge, dropper) peer pairs
 /// are driven for up to `max_drops` judged drops each.
-pub fn run<R: Rng + ?Sized>(
-    world: &SimWorld,
-    ms: &[usize],
-    pairs: usize,
-    max_drops: usize,
-    rng: &mut R,
-) -> Vec<Row> {
-    let mut rows = Vec::with_capacity(ms.len());
-    for &m in ms {
-        let mut total_drops = 0usize;
-        let mut fired = 0usize;
-        for _ in 0..pairs {
-            if let Some((drops, accused)) = drive_pair(world, m, max_drops, rng) {
-                total_drops += drops;
-                fired += usize::from(accused);
-            }
-        }
-        rows.push(finish_row(m, total_drops, fired, pairs));
-    }
-    rows
-}
-
-/// Deterministic parallel variant of [`run`].
 ///
 /// Each (m, pair) cell gets its own RNG stream derived from `seed` and the
 /// cell index, so rows depend only on `seed` — never on `jobs` or thread
-/// timing. The streams differ from the serial [`run`] (per-cell vs one
-/// contiguous stream), so compare parallel runs against parallel runs.
+/// timing.
 pub fn run_par(
     world: &SimWorld,
     ms: &[usize],
@@ -96,23 +72,19 @@ pub fn run_par(
                 total_drops += outcome.0;
                 fired += usize::from(outcome.1);
             }
-            finish_row(m, total_drops, fired, pairs)
+            Row {
+                m,
+                mean_drops_to_accusation: total_drops as f64 / pairs as f64,
+                fired_fraction: fired as f64 / pairs as f64,
+            }
         })
         .collect()
-}
-
-fn finish_row(m: usize, total_drops: usize, fired: usize, pairs: usize) -> Row {
-    Row {
-        m,
-        mean_drops_to_accusation: total_drops as f64 / pairs as f64,
-        fired_fraction: fired as f64 / pairs as f64,
-    }
 }
 
 /// Drives one (judge, dropper) pair at quota `m` for up to `max_drops`
 /// judged drops. Returns `None` if the sampled pair was unusable (no
 /// peers / degenerate triangle — such pairs still count in the caller's
-/// denominator, matching the serial accounting), otherwise
+/// denominator), otherwise
 /// `Some((judged drops consumed, accusation fired))`.
 fn drive_pair<R: Rng + ?Sized>(
     world: &SimWorld,
@@ -226,7 +198,7 @@ mod tests {
     fn latency_grows_with_quota() {
         let mut rng = StdRng::seed_from_u64(701);
         let world = SimWorld::build(gentle_config(SimConfig::small()), &mut rng);
-        let rows = run(&world, &[2, 6], 12, 60, &mut rng);
+        let rows = run_par(&world, &[2, 6], 12, 60, 701, 1);
         assert_eq!(rows.len(), 2);
         assert!(
             rows[1].mean_drops_to_accusation > rows[0].mean_drops_to_accusation,

@@ -69,27 +69,11 @@ pub struct Fig5Result {
     pub p_good_guilty: f64,
 }
 
-/// Runs the experiment. Pass an empty adversary set for panel (a) and a
-/// 20%-colluder set for panel (b).
-pub fn run<R: Rng + ?Sized>(
-    world: &SimWorld,
-    adversaries: &AdversarySets,
-    params: &Fig5Params,
-    rng: &mut R,
-) -> Fig5Result {
-    let mut faulty = Histogram::new(params.bins);
-    let mut nonfaulty = Histogram::new(params.bins);
-    sample_triples(world, adversaries, params, params.triples, rng, &mut faulty, &mut nonfaulty);
-    finish(faulty, nonfaulty, params)
-}
-
-/// Deterministic parallel variant of [`run`].
-///
-/// Triples are sampled in fixed chunks, each from its own RNG stream
+/// [`run`] over fixed chunks of triples, each from its own RNG stream
 /// derived from `seed` and the chunk index, so the result depends only on
-/// `seed` — never on `jobs` or thread timing. The sampling stream differs
-/// from the serial [`run`] (chunked streams vs one contiguous stream), so
-/// compare parallel runs against parallel runs.
+/// `seed` — never on `jobs` or thread timing. This is the stream the
+/// `experiments` binary prints from; [`run`]'s one contiguous stream
+/// samples different triples at the same seed.
 pub fn run_par(
     world: &SimWorld,
     adversaries: &AdversarySets,
@@ -99,18 +83,15 @@ pub fn run_par(
 ) -> Fig5Result {
     const CHUNK: usize = 256;
     let chunks: Vec<usize> = chunk_sizes(params.triples, CHUNK);
-    let partials = concilium_par::par_map(jobs, &chunks, |i, &len| {
+    let partials = concilium_par::par_map(jobs, &chunks, |i, &triples| {
         let mut rng = StdRng::seed_from_u64(concilium_par::derive_seed(seed, i as u64));
-        let mut faulty = Histogram::new(params.bins);
-        let mut nonfaulty = Histogram::new(params.bins);
-        sample_triples(world, adversaries, params, len, &mut rng, &mut faulty, &mut nonfaulty);
-        (faulty, nonfaulty)
+        run(world, adversaries, &Fig5Params { triples, ..*params }, &mut rng)
     });
     let mut faulty = Histogram::new(params.bins);
     let mut nonfaulty = Histogram::new(params.bins);
-    for (f, nf) in &partials {
-        faulty.merge(f);
-        nonfaulty.merge(nf);
+    for part in &partials {
+        faulty.merge(&part.faulty);
+        nonfaulty.merge(&part.nonfaulty);
     }
     finish(faulty, nonfaulty, params)
 }
@@ -133,18 +114,18 @@ fn finish(faulty: Histogram, nonfaulty: Histogram, params: &Fig5Params) -> Fig5R
     Fig5Result { faulty, nonfaulty, p_faulty_guilty, p_good_guilty }
 }
 
-/// The sampling loop shared by [`run`] and [`run_par`]: draws up to
-/// `triples` valid (A, B, C) triples from `rng` and accumulates blame
-/// judgments into the two class histograms.
-fn sample_triples<R: Rng + ?Sized>(
+/// Runs the experiment on one RNG stream: draws up to `params.triples`
+/// valid (A, B, C) triples and accumulates blame judgments into the two
+/// class histograms. Pass an empty adversary set for panel (a) and a
+/// 20%-colluder set for panel (b).
+pub fn run<R: Rng + ?Sized>(
     world: &SimWorld,
     adversaries: &AdversarySets,
     params: &Fig5Params,
-    triples: usize,
     rng: &mut R,
-    faulty: &mut Histogram,
-    nonfaulty: &mut Histogram,
-) {
+) -> Fig5Result {
+    let mut faulty = Histogram::new(params.bins);
+    let mut nonfaulty = Histogram::new(params.bins);
     let n = world.num_hosts();
     let duration = world.config().duration;
     let t_lo = params.delta.as_micros();
@@ -152,7 +133,7 @@ fn sample_triples<R: Rng + ?Sized>(
 
     let mut sampled = 0usize;
     let mut guard = 0usize;
-    while sampled < triples && guard < triples * 20 {
+    while sampled < params.triples && guard < params.triples * 20 {
         guard += 1;
         let a = rng.gen_range(0..n);
         let peers_a = world.peers_of(a);
@@ -214,6 +195,7 @@ fn sample_triples<R: Rng + ?Sized>(
             }
         }
     }
+    finish(faulty, nonfaulty, params)
 }
 
 /// Prints one panel.

@@ -1,7 +1,8 @@
 //! The drivers' command lines: every flag a parser matches is in its usage
 //! text and the reverse, and the flags whose work moved to
 //! `concilium-explain` (and the second trace exporter) are refused.
-//! Nothing here runs a sweep: every invocation stops in the argument parser.
+//! Those invocations stop in the argument parser; the one that runs an
+//! experiment (tiny scale) checks that `--jobs` only sets a worker count.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -85,4 +86,21 @@ fn deleted_flags_are_refused() {
             assert!(!ok && text.contains("unknown argument"), "{} {flag}: {text}", cli.exe);
         }
     }
+}
+
+/// `--jobs` chooses how many workers sample, never what is sampled: the
+/// default, one worker and two print the same Figure 5 and 6.
+#[test]
+fn experiments_print_the_same_figures_at_any_worker_count() {
+    let exe = env!("CARGO_BIN_EXE_experiments");
+    let fig5 = |jobs: &[&str]| {
+        let args = [&["fig5", "--scale", "tiny"], jobs].concat();
+        let out = Command::new(exe).args(&args).output().expect("experiments runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8 tables")
+    };
+    let default = fig5(&[]);
+    assert!(default.contains("Figure 5(a") && default.contains("Figure 6"), "{default}");
+    assert_eq!(default, fig5(&["--jobs", "1"]));
+    assert_eq!(default, fig5(&["--jobs", "2"]));
 }

@@ -15,14 +15,16 @@
 //! | `no-panic` (L5) | no `unwrap()`/`expect()`/`panic!` in non-test library code of the de-panicked crates |
 //! | `stub-hygiene` (L6) | no `rand::thread_rng`, no `std::process::abort` |
 //! | `digest-taint` (L7) | no nondeterminism source reachable from a digest sink through the call graph |
-//! | `causal-schema` (L8) | every `TraceEvent`/`Record` variant named at every causal consumer |
 //! | `atomic-ordering` (L9) | Acquire loads pair with Release stores on the same atomic field |
 //!
-//! L1–L6 are token-stream matchers with per-path scoping. L7–L9 are
+//! L1–L6 are token-stream matchers with per-path scoping. L7 and L9 are
 //! *parse-aware*: a lightweight item parser ([`parser`]) builds a
 //! workspace index and conservative call graph ([`graph`]), on which the
-//! taint ([`taint`]), schema ([`schema`]) and ordering ([`atomics`])
-//! analyses run. The difference matters: L1 exempts `obs::profile` by
+//! taint ([`taint`]) and ordering ([`atomics`]) analyses run. (L8, which
+//! checked that every event kind had a named arm at every causal
+//! consumer, is retired: those consumers now carry
+//! `#[deny(clippy::wildcard_enum_match_arm)]`, so rustc's exhaustiveness
+//! check and clippy enforce it.) The difference matters: L1 exempts `obs::profile` by
 //! path, but L7 still fires if a profiler helper that reads the clock
 //! becomes *reachable from* the trace-hash choke point — path scoping
 //! can be laundered through a helper two crates away, reachability
@@ -59,7 +61,6 @@ pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod schema;
 pub mod taint;
 
 pub use report::{Finding, Report, REPORT_VERSION};
@@ -97,7 +98,7 @@ pub fn lint_source(scope: &FileScope, src: &str) -> Vec<Finding> {
 /// Like [`lint_source`], additionally returning how many `lint:allow`
 /// directives suppressed at least one finding.
 pub fn lint_source_counted(scope: &FileScope, src: &str) -> (Vec<Finding>, usize) {
-    let (findings, used, _) = lint_set(vec![(scope.clone(), src.to_string())], false);
+    let (findings, used, _) = lint_set(vec![(scope.clone(), src.to_string())]);
     (findings, used)
 }
 
@@ -111,11 +112,10 @@ pub fn lint_file(path: &Path, rel: &str, all_rules: bool) -> io::Result<Vec<Find
 
 /// The full pipeline over a prepared file set: per-file token rules,
 /// then the parse-aware workspace analyses over the combined index, then
-/// suppression with the reason audit. `anchored` marks a full workspace
-/// scan, where the schema check's canonical anchors must exist.
+/// suppression with the reason audit.
 ///
 /// Returns `(findings, suppressions_used, graph_json)`.
-fn lint_set(inputs: Vec<(FileScope, String)>, anchored: bool) -> (Vec<Finding>, usize, String) {
+fn lint_set(inputs: Vec<(FileScope, String)>) -> (Vec<Finding>, usize, String) {
     let mut scopes = Vec::with_capacity(inputs.len());
     let mut lexeds = Vec::with_capacity(inputs.len());
     let mut indexed = Vec::with_capacity(inputs.len());
@@ -140,7 +140,6 @@ fn lint_set(inputs: Vec<(FileScope, String)>, anchored: bool) -> (Vec<Finding>, 
         findings.extend(fs);
     }
     taint::check(&index, &call_graph, &lexeds, all_rules, &mut findings);
-    schema::check(&index, &lexeds, all_rules, anchored, &mut findings);
     let atomic_files: Vec<(String, &lexer::LexedFile, bool)> = scopes
         .iter()
         .zip(&lexeds)
@@ -252,7 +251,7 @@ pub fn lint_workspace_full(root: &Path) -> io::Result<LintOutcome> {
         inputs.push((FileScope { rel, all_rules: false }, src));
     }
     let files_scanned = inputs.len();
-    let (findings, used, graph_json) = lint_set(inputs, true);
+    let (findings, used, graph_json) = lint_set(inputs);
     let mut report = Report { findings, files_scanned, suppressions_used: used };
     report.finalize();
     Ok(LintOutcome { report, graph_json })
@@ -260,8 +259,8 @@ pub fn lint_workspace_full(root: &Path) -> io::Result<LintOutcome> {
 
 /// Lints an explicit file set (CLI arguments) with every rule enabled;
 /// the parse-aware analyses see the set as one combined index, so
-/// cross-file pairings (a laundered helper, an enum and its consumer)
-/// work across the given files.
+/// cross-file pairings (a laundered helper, an Acquire load and its
+/// store) work across the given files.
 pub fn lint_file_set(files: &[(PathBuf, String)]) -> io::Result<LintOutcome> {
     let mut inputs = Vec::with_capacity(files.len());
     for (path, rel) in files {
@@ -270,7 +269,7 @@ pub fn lint_file_set(files: &[(PathBuf, String)]) -> io::Result<LintOutcome> {
         inputs.push((FileScope { rel: rel.clone(), all_rules: true }, src));
     }
     let files_scanned = inputs.len();
-    let (findings, used, graph_json) = lint_set(inputs, false);
+    let (findings, used, graph_json) = lint_set(inputs);
     let mut report = Report { findings, files_scanned, suppressions_used: used };
     report.finalize();
     Ok(LintOutcome { report, graph_json })
@@ -368,9 +367,6 @@ mod tests {
         // L7: emit() reaches a helper that reads the environment.
         let src = "fn emit(x: u64) { stamp(x); }\nfn stamp(x: u64) { let _ = std::env::var(\"X\"); }";
         assert_eq!(rules_of(&all(src)), vec!["digest-taint"]);
-        // L8: a TraceEvent variant with no named arm in entities().
-        let src = "enum TraceEvent { A, B }\nfn entities(e: &TraceEvent) { match e { TraceEvent::A => {}, _ => {} } }";
-        assert_eq!(rules_of(&all(src)), vec!["causal-schema"]);
         // L9: Acquire load paired with a Relaxed store. The Relaxed token
         // itself also trips L3 in all-rules mode.
         let src = "fn r(f: &A) -> bool { f.load(Ordering::Acquire) }\nfn w(f: &A) { f.store(true, Ordering::Relaxed); }";

@@ -16,7 +16,7 @@ USAGE:
 With no FILES, walks crates/, src/ and tests/ under the workspace root
 applying the per-path rule scoping documented in DESIGN.md §13/§18.
 Explicit FILES are linted with every rule enabled regardless of path, as
-one combined index — cross-file call chains and enum/consumer pairings
+one combined index — cross-file call chains and load/store pairings
 resolve across the given set (this is how the fixture corpus is
 exercised).
 
@@ -36,7 +36,6 @@ RULES:
     no-panic         no unwrap/expect/panic! in de-panicked library code
     stub-hygiene     no rand::thread_rng, no std::process::abort
     digest-taint     no nondeterminism source reachable from a digest sink (call graph)
-    causal-schema    every TraceEvent/Record variant named at every causal consumer
     atomic-ordering  Acquire loads pair with Release stores per atomic field
 
 Suppress with `// lint:allow(<rule>, reason = \"…\")` on or above the line.

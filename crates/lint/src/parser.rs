@@ -1,9 +1,9 @@
 //! A recursive-descent *item* parser over the lexed token stream.
 //!
 //! This is deliberately not a Rust grammar. The analyses built on top of
-//! it ([`crate::graph`], [`crate::taint`], [`crate::schema`],
-//! [`crate::atomics`]) need exactly four structural facts that the flat
-//! token stream cannot give them:
+//! it ([`crate::graph`], [`crate::taint`], [`crate::atomics`]) need
+//! exactly three structural facts that the flat token stream cannot give
+//! them:
 //!
 //! 1. **Function extents** — which tokens belong to which `fn`, so a
 //!    nondeterminism source can be attributed to the function containing
@@ -12,13 +12,11 @@
 //!    `TraceHasher::record` and `Reputation::record` are distinct nodes.
 //! 3. **Call expressions** — `foo(`, `Path::foo(`, `.foo(` sites with
 //!    enough of the path kept to resolve them conservatively.
-//! 4. **Enum variant lists** — so schema-conformance can check that every
-//!    variant of `TraceEvent`/`Record` is named in its consumer matches.
 //!
 //! Like the lexer, the parser is *forgiving*: malformed input produces a
 //! best-effort item list, never a panic, because everything it scans has
 //! already been through `rustc`. Constructs it does not model (macro
-//! bodies, `struct`/`enum` interiors beyond variants, token soup in
+//! bodies, `struct`/`enum` interiors, token soup in
 //! attributes) are skipped wholesale rather than half-parsed — a skipped
 //! region can hide a call edge, which is why the dynamic digest gate in
 //! CI remains the backstop, but it can never *invent* one.
@@ -47,19 +45,6 @@ pub struct FnItem {
     /// there is no body).
     pub end_line: u32,
     /// Whether the name token sits in `#[cfg(test)]`/`#[test]` scope.
-    pub is_test: bool,
-}
-
-/// One `enum` item with its variant names.
-#[derive(Clone, Debug)]
-pub struct EnumItem {
-    /// The enum's name.
-    pub name: String,
-    /// 1-based line of the name.
-    pub line: u32,
-    /// Variant names with their lines, in declaration order.
-    pub variants: Vec<(String, u32)>,
-    /// Whether the enum sits in test scope.
     pub is_test: bool,
 }
 
@@ -106,8 +91,6 @@ pub struct ParsedFile {
     /// All functions, in source order (nested fns appear after their
     /// enclosing fn).
     pub fns: Vec<FnItem>,
-    /// All enums, in source order.
-    pub enums: Vec<EnumItem>,
     /// All call expressions found inside function bodies.
     pub calls: Vec<Call>,
     /// All `use` leaves.
@@ -296,17 +279,12 @@ pub fn parse(toks: &[Tok]) -> ParsedFile {
                     None => i = (j + 1).min(toks.len()),
                 }
             }
-            "enum" if toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) => {
-                let (item, next) = parse_enum(toks, i);
-                out.enums.push(item);
-                i = next;
-            }
-            "struct" | "union"
+            "struct" | "union" | "enum"
                 if toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
                     && !in_fn_call_position(toks, i) =>
             {
-                // Skip the item body so tuple-struct field types and
-                // struct literals never read as calls.
+                // Skip the item body so tuple-struct field types, tuple
+                // variants and struct literals never read as calls.
                 i = skip_item(toks, i + 2);
             }
             "use" if !in_fn_call_position(toks, i) => {
@@ -383,63 +361,6 @@ fn parse_impl_header(toks: &[Tok], start: usize) -> (Option<String>, Option<usiz
     (None, None)
 }
 
-/// Parses an enum starting at the `enum` keyword; returns the item and
-/// the index just past the enum's body.
-fn parse_enum(toks: &[Tok], start: usize) -> (EnumItem, usize) {
-    let name_tok = start + 1;
-    let mut item = EnumItem {
-        name: toks[name_tok].text.clone(),
-        line: toks[name_tok].line,
-        variants: Vec::new(),
-        is_test: toks[name_tok].test_scope,
-    };
-    // Find the body `{` (skipping generics) or a terminating `;`.
-    let mut j = name_tok + 1;
-    let mut open = None;
-    while j < toks.len() {
-        match punct_of(&toks[j]) {
-            Some(b'{') => {
-                open = Some(j);
-                break;
-            }
-            Some(b';') => return (item, j + 1),
-            _ => j += 1,
-        }
-    }
-    let Some(open) = open else { return (item, toks.len()) };
-    // Variant names sit at relative depth 1, first ident after `{`, `,`,
-    // or a closed attribute.
-    let mut d = 0isize;
-    let mut expecting = true;
-    let mut k = open;
-    while k < toks.len() {
-        let t = &toks[k];
-        match punct_of(t) {
-            Some(b'{') | Some(b'(') | Some(b'[') => d += 1,
-            Some(b'}') | Some(b')') | Some(b']') => {
-                d -= 1;
-                if d == 0 {
-                    return (item, k + 1);
-                }
-            }
-            Some(b',') if d == 1 => expecting = true,
-            // Variant attribute: skip `#[…]` without disturbing state.
-            Some(b'#') if toks.get(k + 1).is_some_and(|t| t.is_punct('[')) => {
-                k = skip_delims(toks, k + 1, b'[', b']');
-                continue;
-            }
-            Some(b'=') => expecting = false, // discriminant expression
-            _ => {}
-        }
-        if d == 1 && expecting && t.kind == TokKind::Ident {
-            item.variants.push((t.text.clone(), t.line));
-            expecting = false;
-        }
-        k += 1;
-    }
-    (item, toks.len())
-}
-
 /// Parses a `use` declaration body (everything after the `use` keyword)
 /// into its leaves; returns them and the index past the `;`.
 fn parse_use(toks: &[Tok], start: usize) -> (Vec<UseItem>, usize) {
@@ -513,7 +434,7 @@ fn flush_use_leaf(leaves: &mut Vec<UseItem>, prefix: &mut Vec<String>, base: usi
     }
 }
 
-/// Whether the `struct`/`use` keyword at `i` is actually in expression
+/// Whether the `struct`/`enum`/`use` keyword at `i` is actually in expression
 /// position (it cannot be, in real Rust, but fuzzed input may put it
 /// there — and raw identifiers already had their `r#` stripped).
 fn in_fn_call_position(toks: &[Tok], i: usize) -> bool {
@@ -702,23 +623,6 @@ mod tests {
             ]
         );
         assert!(p.calls.iter().all(|c| c.caller == 0));
-    }
-
-    #[test]
-    fn enum_variants_with_payloads_and_attrs() {
-        let src = r#"
-            pub enum TraceEvent {
-                MessageSent { msg: u64, flow: u32 },
-                AckReceived(u64),
-                #[allow(dead_code)]
-                Tick,
-                Coded = 7,
-            }
-        "#;
-        let p = parse_src(src);
-        assert_eq!(p.enums.len(), 1);
-        let names: Vec<&str> = p.enums[0].variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["MessageSent", "AckReceived", "Tick", "Coded"]);
     }
 
     #[test]

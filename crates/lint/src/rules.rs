@@ -38,9 +38,6 @@ pub enum Rule {
     /// `available_parallelism`, env read, `{:p}` formatting) reachable
     /// from a digest sink through the call graph (see [`crate::taint`]).
     DigestTaint,
-    /// L8: a `TraceEvent`/`Record` variant with no named arm in one of
-    /// the causal-schema consumer functions (see [`crate::schema`]).
-    CausalSchema,
     /// L9: an Acquire load without a Release store on the same atomic
     /// field, or a pairing downgraded to Relaxed (see [`crate::atomics`]).
     AtomicOrdering,
@@ -64,7 +61,6 @@ impl Rule {
             Rule::NoPanic => "no-panic",
             Rule::StubHygiene => "stub-hygiene",
             Rule::DigestTaint => "digest-taint",
-            Rule::CausalSchema => "causal-schema",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::AllowWithoutReason => "allow-without-reason",
             Rule::WeakReason => "weak-reason",
@@ -83,7 +79,6 @@ impl Rule {
             "no-panic",
             "stub-hygiene",
             "digest-taint",
-            "causal-schema",
             "atomic-ordering",
         ]
     }

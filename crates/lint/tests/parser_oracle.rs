@@ -1,12 +1,12 @@
 //! Differential tests for the item parser: an independent token-stream
-//! oracle re-derives function/enum counts and body spans over every `.rs`
+//! oracle re-derives function counts and body spans over every `.rs`
 //! file in the workspace, and property tests feed the parser malformed
 //! input to prove it never panics and never produces inverted spans.
 //!
 //! The oracle is deliberately dumber than the parser — a flat scan for
-//! `fn <ident>` / `enum <ident>` outside `macro_rules!` bodies, plus an
-//! independent brace matcher for spans — so the two can only agree by
-//! both being right about the token stream.
+//! `fn <ident>` outside `macro_rules!` bodies, plus an independent brace
+//! matcher for spans — so the two can only agree by both being right
+//! about the token stream.
 
 use std::path::{Path, PathBuf};
 
@@ -86,13 +86,13 @@ fn macro_rules_body_mask(toks: &[Tok]) -> Vec<bool> {
     mask
 }
 
-/// Oracle: count `kw <ident>` keyword-headed items outside macro bodies.
-fn oracle_item_count(toks: &[Tok], kw: &str) -> usize {
+/// Oracle: count `fn <ident>` items outside macro bodies.
+fn oracle_fn_count(toks: &[Tok]) -> usize {
     let mask = macro_rules_body_mask(toks);
     let mut n = 0usize;
     for i in 0..toks.len() {
         if !mask[i]
-            && toks[i].is_ident(kw)
+            && toks[i].is_ident("fn")
             && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
         {
             n += 1;
@@ -117,10 +117,10 @@ fn oracle_match_brace(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
-/// Every function and enum the oracle sees, the parser sees — and vice
-/// versa — across the entire real workspace.
+/// Every function the oracle sees, the parser sees — and vice versa —
+/// across the entire real workspace.
 #[test]
-fn fn_and_enum_counts_match_oracle_on_every_workspace_file() {
+fn fn_counts_match_oracle_on_every_workspace_file() {
     for path in workspace_rs_files() {
         let src = std::fs::read_to_string(&path).expect("readable");
         let toks = lex(&src);
@@ -128,13 +128,8 @@ fn fn_and_enum_counts_match_oracle_on_every_workspace_file() {
         let rel = path.display();
         assert_eq!(
             parsed.fns.len(),
-            oracle_item_count(&toks, "fn"),
+            oracle_fn_count(&toks),
             "{rel}: fn count diverges from the token-stream oracle"
-        );
-        assert_eq!(
-            parsed.enums.len(),
-            oracle_item_count(&toks, "enum"),
-            "{rel}: enum count diverges from the token-stream oracle"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Causal correlation over the typed trace (DESIGN.md §17).
 //!
 //! The trace stream records *what* happened; this module recovers *why*.
-//! Three pieces, all pure functions of the event stream so every output
+//! Four pieces, all pure functions of the event stream so every output
 //! is bit-identical at any worker count:
 //!
 //! * **Correlation keys** ([`entities`], [`EntityRef`]): the identifiers
@@ -13,20 +13,24 @@
 //!   event opens accusation `k`, and the dissolve/standing/revise/store
 //!   events that follow it (which carry no message field of their own)
 //!   are attributed to it positionally.
-//! * **[`CausalLedger`]**: a streaming reachability monitor. Observed at
-//!   the same choke point that feeds the trace hash, it enforces the
-//!   causal grammar of the pipeline — send → fault → retry → expiry →
-//!   blame → verdict → escalation → revision → store for episodes,
-//!   admit → complete → commit for the daemon — and reports the first
-//!   *orphan*: a terminal outcome event not reachable from its
-//!   originating send/admit. Orphans are invariant violations.
-//! * **[`CausalIndex`] + [`explain`]**: the offline query layer. Builds
-//!   per-entity timelines and cause→effect links from any [`Traced`]
-//!   stream and answers `explain message <id>` / `explain blame <host>` /
-//!   `explain shed <report>` with the full causal chain, the tomography
-//!   evidence window behind each verdict, and (when the caller supplies
-//!   one) the ambiguity-class partition the verdict was confined to.
+//! * **The causal grammar** (private): one state machine over the event
+//!   stream — send → fault → retry → expiry → blame → verdict →
+//!   escalation → revision → store for episodes, admit → complete →
+//!   commit for the daemon — that gives each event its causal parent,
+//!   its accusation and whether it is an *orphan*: an event whose
+//!   required cause the stream never produced, an invariant violation.
+//! * **[`CausalLedger`]**: the grammar streaming, nothing stored —
+//!   observed at the choke point that feeds the trace hash, it reports
+//!   each orphan as it is emitted.
+//! * **[`CausalIndex`] + [`explain`]**: the grammar with everything
+//!   stored — per-entity timelines and cause→effect links over any
+//!   [`Traced`] stream, answering `explain message <id>` /
+//!   `explain blame <host>` / `explain shed <report>` with the full
+//!   causal chain, the tomography evidence window behind each verdict,
+//!   and (when the caller supplies one) the ambiguity-class partition
+//!   the verdict was confined to.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -132,6 +136,7 @@ impl fmt::Display for EntityRef {
 /// existing fields. Accusation keys are *not* produced here — they are
 /// positional (assigned by [`CausalIndex`] in stream order), because the
 /// dissolve/standing/revise/store events carry no accusation field.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn entities(event: &TraceEvent, out: &mut Vec<EntityRef>) {
     out.clear();
     match event {
@@ -181,7 +186,7 @@ pub fn entities(event: &TraceEvent, out: &mut Vec<EntityRef>) {
     }
 }
 
-/// A terminal outcome event that is not reachable from its originating
+/// An event the causal grammar cannot reach from its originating
 /// send/admit — the causal-reachability invariant's failure report.
 #[derive(Clone, Debug)]
 pub struct CausalOrphan {
@@ -191,26 +196,263 @@ pub struct CausalOrphan {
     pub detail: String,
 }
 
-/// Streaming causal-reachability monitor.
+/// A message's latest event, and whether a send opened the message.
+#[derive(Clone, Copy, Debug)]
+struct MsgTail {
+    at: usize,
+    sent: bool,
+}
+
+/// What the grammar derives for one event.
+#[derive(Default)]
+struct Step {
+    /// The event's causal parent, as a stream index.
+    parent: Option<usize>,
+    /// The accusation (by escalation order) the event belongs to.
+    accusation: Option<u64>,
+    /// Set when the event is a causal orphan.
+    orphan: Option<CausalOrphan>,
+}
+
+impl Step {
+    /// Marks the event an orphan of `entity` unless `ok`, citing the
+    /// `rule` the stream broke; returns `ok`.
+    fn require(&mut self, ok: bool, entity: EntityRef, rule: fmt::Arguments<'_>) -> bool {
+        if !ok {
+            self.orphan = Some(CausalOrphan { entity, detail: rule.to_string() });
+        }
+        ok
+    }
+
+    fn require_sent(&mut self, sent: bool, msg: u64, what: &str) -> bool {
+        self.require(
+            sent,
+            EntityRef::message(msg),
+            format_args!("{what} for message {msg} with no originating send in the stream"),
+        )
+    }
+}
+
+/// The causal grammar: the one statement of the link rules (DESIGN.md
+/// §17). It mirrors the episode's synchronous emission order: all
+/// judgment events of one expiry are emitted consecutively at the same
+/// virtual time, so single-slot blame/accusation tracking is exact.
 ///
-/// Observed once per emitted event at the same choke point that feeds
-/// the trace hash, so it sees the *full* stream (the ring-buffered trace
-/// may have evicted the originating send by the time a verdict lands —
-/// the ledger has not). The state machine mirrors the episode's
-/// synchronous emission order: all judgment events of one expiry are
-/// emitted consecutively at the same virtual time, so single-slot
-/// blame/accusation tracking is exact.
+/// Linking is lenient and orphan detection strict. A parent is the
+/// nearest event the rules could attach to, whatever came before it, so
+/// a stream that lost its head (a truncated ring) still indexes into
+/// chains; an orphan is any event whose required cause was never
+/// accepted. The `sound_*` fields are that acceptance: until the first
+/// orphan they say what the link slots say; after it an unaccepted
+/// event still links but opens nothing.
 #[derive(Clone, Debug, Default)]
-pub struct CausalLedger {
-    sends: BTreeMap<u64, bool>,
-    admitted: BTreeMap<u64, bool>,
-    open_blame: Option<u64>,
-    open_accusation: Option<u64>,
-    standing: Option<u64>,
+struct Grammar {
+    /// Events stepped so far: the index of the next one.
+    len: usize,
+    msgs: BTreeMap<u64, MsgTail>,
+    /// Admit event index per report.
+    admit_of: BTreeMap<u64, usize>,
+    last_serve: Option<usize>,
+    last_expiry: Option<usize>,
+    last_blame: Option<usize>,
+    last_verdict: Option<usize>,
+    /// The accusation awaiting its dissolve or standing: its number and
+    /// its escalation event.
+    open_accusation: Option<(u64, usize)>,
+    /// The accusation standing until its store or refusal: its number
+    /// and the latest event of its revision chain.
+    standing: Option<(u64, usize)>,
+    escalations: u64,
+    /// Message of the latest blame computation on a sent message.
+    sound_blame: Option<u64>,
+    /// Message whose escalation followed its own blame computation.
+    sound_accusation: Option<u64>,
+    /// Whether a standing followed that escalation and is unresolved.
+    sound_standing: bool,
     /// After a recovery replay the pre-crash admit events live only in
     /// the journal, not the trace; completions of replayed reports are
     /// then legitimate without an in-stream admit.
     recovered: bool,
+}
+
+impl Grammar {
+    /// Moves `msg`'s tail to event `i`; returns the tail it had and
+    /// whether a send opened the message.
+    fn touch(&mut self, msg: u64, i: usize) -> (Option<usize>, bool) {
+        match self.msgs.entry(msg) {
+            Entry::Occupied(mut e) => {
+                let tail = e.get_mut();
+                (Some(std::mem::replace(&mut tail.at, i)), tail.sent)
+            }
+            Entry::Vacant(e) => {
+                e.insert(MsgTail { at: i, sent: false });
+                (None, false)
+            }
+        }
+    }
+
+    /// Advances the grammar by one event in stream order.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    fn step(&mut self, event: &TraceEvent) -> Step {
+        let i = self.len;
+        self.len += 1;
+        let mut out = Step::default();
+        out.parent = match event {
+            TraceEvent::MessageSent { msg, .. } => {
+                self.msgs.insert(*msg, MsgTail { at: i, sent: true });
+                None
+            }
+            TraceEvent::ChurnBlocked { msg }
+            | TraceEvent::RouteOutcome { msg, .. }
+            | TraceEvent::FaultInjected { msg, .. }
+            | TraceEvent::AckReceived { msg }
+            | TraceEvent::RetryFired { msg, .. } => {
+                let (tail, sent) = self.touch(*msg, i);
+                out.require_sent(sent, *msg, event.label());
+                tail
+            }
+            TraceEvent::MessageExpired { msg } => {
+                let (tail, sent) = self.touch(*msg, i);
+                out.require_sent(sent, *msg, "expiry");
+                self.last_expiry = Some(i);
+                tail
+            }
+            // Gathered inside the expiry's synchronous judgment.
+            TraceEvent::SnapshotsGathered { .. } => self.last_expiry,
+            TraceEvent::BlameComputed { msg, .. } => {
+                let (tail, sent) = self.touch(*msg, i);
+                if out.require_sent(sent, *msg, "blame computation") {
+                    self.sound_blame = Some(*msg);
+                }
+                self.last_blame = Some(i);
+                tail
+            }
+            TraceEvent::VerdictAccumulated { judge, accused, .. } => {
+                out.require(
+                    self.sound_blame.is_some(),
+                    EntityRef::host(*accused),
+                    format_args!("verdict {judge}->{accused} with no preceding blame computation"),
+                );
+                self.last_verdict = Some(i);
+                self.last_blame
+            }
+            TraceEvent::Escalated { msg, judge, accused } => {
+                if out.require(
+                    self.sound_blame == Some(*msg),
+                    EntityRef::message(*msg),
+                    format_args!(
+                        "escalation {judge}->{accused} without a blame computation \
+                         for message {msg}"
+                    ),
+                ) {
+                    self.sound_accusation = Some(*msg);
+                    self.sound_standing = false;
+                }
+                out.accusation = Some(self.escalations);
+                self.open_accusation = Some((self.escalations, i));
+                self.escalations += 1;
+                // A new accusation supersedes any unresolved standing.
+                self.standing = None;
+                self.touch(*msg, i);
+                self.last_verdict
+            }
+            TraceEvent::Dissolved { msg } => {
+                out.require(
+                    self.sound_accusation.take_if(|m| m == msg).is_some(),
+                    EntityRef::message(*msg),
+                    format_args!("dissolve for message {msg} with no open accusation"),
+                );
+                let (seq, escalation) = self.open_accusation.take().unzip();
+                out.accusation = seq;
+                escalation.or(self.touch(*msg, i).0)
+            }
+            TraceEvent::CulpritStanding { msg, culprit, .. } => {
+                self.sound_standing |= out.require(
+                    self.sound_accusation.take_if(|m| m == msg).is_some(),
+                    EntityRef::message(*msg),
+                    format_args!("standing culprit {culprit} with no open accusation"),
+                );
+                let (seq, escalation) = self.open_accusation.take().unzip();
+                if let Some(seq) = seq {
+                    self.standing = Some((seq, i));
+                }
+                out.accusation = seq;
+                escalation.or(self.touch(*msg, i).0)
+            }
+            TraceEvent::AccusationRevised { step, .. } => {
+                out.require(
+                    self.sound_standing,
+                    EntityRef::accusation(*step),
+                    format_args!("revision step {step} with no standing accusation"),
+                );
+                let (seq, tail) = self.standing.unzip();
+                if let Some(seq) = seq {
+                    self.standing = Some((seq, i));
+                }
+                out.accusation = seq;
+                tail
+            }
+            // The stored culprit may differ from the standing culprit: a
+            // withheld revision legitimately leaves blame upstream. Only
+            // the existence of a standing accusation is required.
+            TraceEvent::AccusationStored { culprit, .. } | TraceEvent::DhtRefused { culprit } => {
+                out.require(
+                    std::mem::take(&mut self.sound_standing),
+                    EntityRef::host(*culprit),
+                    format_args!(
+                        "terminal accusation against host {culprit} with no standing \
+                         accusation in the stream"
+                    ),
+                );
+                let (seq, tail) = self.standing.take().unzip();
+                out.accusation = seq;
+                tail
+            }
+            TraceEvent::ReportAdmitted { report, .. } => {
+                self.admit_of.insert(*report, i);
+                self.last_serve = Some(i);
+                None
+            }
+            // A shed is both root and terminal: the refusal happens at
+            // the offer, before any admit exists.
+            TraceEvent::LoadShed { .. } => {
+                self.last_serve = Some(i);
+                None
+            }
+            TraceEvent::ReportCompleted { report, .. } => {
+                let admit = self.admit_of.get(report).copied();
+                out.require(
+                    admit.is_some() || self.recovered,
+                    EntityRef::report(*report),
+                    format_args!("completion for report {report} never admitted in the stream"),
+                );
+                self.last_serve = Some(i);
+                admit
+            }
+            // The commit seals the inputs processed since the last one.
+            TraceEvent::JournalCommitted { .. } => self.last_serve.replace(i),
+            TraceEvent::RecoveryReplayed { .. } => {
+                self.recovered = true;
+                None
+            }
+            TraceEvent::SupervisorRestarted { .. }
+            | TraceEvent::DegradedEntered { .. }
+            | TraceEvent::Tick => None,
+        };
+        out
+    }
+}
+
+/// Streaming causal-reachability monitor: the grammar with nothing
+/// stored.
+///
+/// Observed once per emitted event at the same choke point that feeds
+/// the trace hash, so it sees the *full* stream (the ring-buffered trace
+/// may have evicted the originating send by the time a verdict lands —
+/// the ledger has not).
+#[derive(Clone, Debug, Default)]
+pub struct CausalLedger {
+    grammar: Grammar,
 }
 
 impl CausalLedger {
@@ -219,164 +461,26 @@ impl CausalLedger {
         CausalLedger::default()
     }
 
-    fn orphan(entity: EntityRef, detail: String) -> Option<CausalOrphan> {
-        Some(CausalOrphan { entity, detail })
-    }
-
-    /// Observes one event in stream order; returns the first causal
-    /// orphan, if this event is one.
+    /// Observes one event in stream order; returns the causal orphan,
+    /// if this event is one.
     pub fn observe(&mut self, event: &TraceEvent) -> Option<CausalOrphan> {
-        let unsent = |msg: u64, what: &str| {
-            CausalLedger::orphan(
-                EntityRef::message(msg),
-                format!("{what} for message {msg} with no originating send in the stream"),
-            )
-        };
-        match event {
-            TraceEvent::MessageSent { msg, .. } => {
-                self.sends.insert(*msg, true);
-                None
-            }
-            TraceEvent::ChurnBlocked { msg }
-            | TraceEvent::RouteOutcome { msg, .. }
-            | TraceEvent::FaultInjected { msg, .. }
-            | TraceEvent::AckReceived { msg }
-            | TraceEvent::RetryFired { msg, .. } => {
-                if !self.sends.contains_key(msg) {
-                    return unsent(*msg, event.label());
-                }
-                None
-            }
-            TraceEvent::MessageExpired { msg } => {
-                if !self.sends.contains_key(msg) {
-                    return unsent(*msg, "expiry");
-                }
-                None
-            }
-            TraceEvent::SnapshotsGathered { .. } => None,
-            TraceEvent::BlameComputed { msg, .. } => {
-                if !self.sends.contains_key(msg) {
-                    return unsent(*msg, "blame computation");
-                }
-                self.open_blame = Some(*msg);
-                None
-            }
-            TraceEvent::VerdictAccumulated { judge, accused, .. } => match self.open_blame {
-                Some(_) => None,
-                None => CausalLedger::orphan(
-                    EntityRef::host(*accused),
-                    format!(
-                        "verdict {judge}->{accused} with no preceding blame computation"
-                    ),
-                ),
-            },
-            TraceEvent::Escalated { msg, judge, accused } => {
-                if self.open_blame != Some(*msg) {
-                    return CausalLedger::orphan(
-                        EntityRef::message(*msg),
-                        format!(
-                            "escalation {judge}->{accused} without a blame computation \
-                             for message {msg}"
-                        ),
-                    );
-                }
-                self.open_accusation = Some(*msg);
-                // A new accusation supersedes any unresolved standing.
-                self.standing = None;
-                None
-            }
-            TraceEvent::Dissolved { msg } => {
-                if self.open_accusation != Some(*msg) {
-                    return CausalLedger::orphan(
-                        EntityRef::message(*msg),
-                        format!("dissolve for message {msg} with no open accusation"),
-                    );
-                }
-                self.open_accusation = None;
-                None
-            }
-            TraceEvent::CulpritStanding { msg, culprit, .. } => {
-                if self.open_accusation != Some(*msg) {
-                    return CausalLedger::orphan(
-                        EntityRef::message(*msg),
-                        format!("standing culprit {culprit} with no open accusation"),
-                    );
-                }
-                self.open_accusation = None;
-                self.standing = Some(*msg);
-                None
-            }
-            TraceEvent::AccusationRevised { step, .. } => match self.standing {
-                Some(_) => None,
-                None => CausalLedger::orphan(
-                    EntityRef::accusation(*step),
-                    format!("revision step {step} with no standing accusation"),
-                ),
-            },
-            // The stored culprit may differ from the standing culprit: a
-            // withheld revision legitimately leaves blame upstream. Only
-            // the existence of a standing accusation is required.
-            TraceEvent::AccusationStored { culprit, .. } | TraceEvent::DhtRefused { culprit } => {
-                match self.standing.take() {
-                    Some(_) => None,
-                    None => CausalLedger::orphan(
-                        EntityRef::host(*culprit),
-                        format!(
-                            "terminal accusation against host {culprit} with no standing \
-                             accusation in the stream"
-                        ),
-                    ),
-                }
-            }
-            TraceEvent::ReportAdmitted { report, .. } => {
-                self.admitted.insert(*report, true);
-                None
-            }
-            // A shed is both root and terminal: the refusal happens at
-            // the offer, before any admit exists.
-            TraceEvent::LoadShed { .. } => None,
-            TraceEvent::ReportCompleted { report, .. } => {
-                if !self.admitted.contains_key(report) && !self.recovered {
-                    return CausalLedger::orphan(
-                        EntityRef::report(*report),
-                        format!("completion for report {report} never admitted in the stream"),
-                    );
-                }
-                None
-            }
-            TraceEvent::RecoveryReplayed { .. } => {
-                self.recovered = true;
-                None
-            }
-            TraceEvent::JournalCommitted { .. }
-            | TraceEvent::SupervisorRestarted { .. }
-            | TraceEvent::DegradedEntered { .. }
-            | TraceEvent::Tick => None,
-        }
+        self.grammar.step(event).orphan
     }
 }
 
-/// Per-entity timelines and cause→effect links over a [`Traced`] stream.
+/// Per-entity timelines and cause→effect links over a [`Traced`] stream:
+/// the grammar with every event, link and orphan stored.
 ///
 /// Built in stream order; every derived structure (timelines, parents,
 /// accusation numbering) is a pure function of the event sequence, so
 /// two byte-identical traces index identically.
 #[derive(Clone, Debug, Default)]
 pub struct CausalIndex {
+    grammar: Grammar,
     events: Vec<Traced>,
     parents: Vec<Option<usize>>,
     timelines: BTreeMap<EntityRef, Vec<usize>>,
-    /// Last event index per message (chain tail for msg-keyed events).
-    last_of_msg: BTreeMap<u64, usize>,
-    /// Admit event index per report.
-    admit_of: BTreeMap<u64, usize>,
-    last_serve: Option<usize>,
-    last_expiry: Option<usize>,
-    last_blame: Option<usize>,
-    last_verdict: Option<usize>,
-    open_accusation: Option<(u64, usize)>,
-    standing: Option<(u64, usize)>,
-    escalations: u64,
+    orphans: Vec<(usize, String)>,
     scratch: Vec<EntityRef>,
 }
 
@@ -422,167 +526,36 @@ impl CausalIndex {
         chain
     }
 
-    /// Appends one event, deriving its correlation keys and causal
-    /// parent from the link rules (DESIGN.md §17).
+    /// Appends one event, deriving its correlation keys from
+    /// [`entities`] and its causal parent, accusation and orphan status
+    /// from the grammar (DESIGN.md §17).
     pub fn push(&mut self, traced: Traced) {
         let i = self.events.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        entities(&traced.event, &mut scratch);
-        for e in &scratch {
+        entities(&traced.event, &mut self.scratch);
+        for e in &self.scratch {
             self.timelines.entry(*e).or_default().push(i);
         }
-        self.scratch = scratch;
-
-        let parent = match &traced.event {
-            TraceEvent::MessageSent { msg, .. } => {
-                self.last_of_msg.insert(*msg, i);
-                None
-            }
-            TraceEvent::ChurnBlocked { msg }
-            | TraceEvent::RouteOutcome { msg, .. }
-            | TraceEvent::FaultInjected { msg, .. }
-            | TraceEvent::AckReceived { msg }
-            | TraceEvent::RetryFired { msg, .. } => {
-                let p = self.last_of_msg.get(msg).copied();
-                self.last_of_msg.insert(*msg, i);
-                p
-            }
-            TraceEvent::MessageExpired { msg } => {
-                let p = self.last_of_msg.get(msg).copied();
-                self.last_of_msg.insert(*msg, i);
-                self.last_expiry = Some(i);
-                p
-            }
-            // Gathered inside the expiry's synchronous judgment.
-            TraceEvent::SnapshotsGathered { .. } => self.last_expiry,
-            TraceEvent::BlameComputed { msg, .. } => {
-                let p = self.last_of_msg.get(msg).copied();
-                self.last_of_msg.insert(*msg, i);
-                self.last_blame = Some(i);
-                p
-            }
-            TraceEvent::VerdictAccumulated { .. } => {
-                self.last_verdict = Some(i);
-                self.last_blame
-            }
-            TraceEvent::Escalated { msg, .. } => {
-                let seq = self.escalations;
-                self.escalations += 1;
-                self.timelines.entry(EntityRef::accusation(seq)).or_default().push(i);
-                self.open_accusation = Some((seq, i));
-                self.standing = None;
-                self.last_of_msg.insert(*msg, i);
-                self.last_verdict
-            }
-            TraceEvent::Dissolved { msg } => {
-                let open = self.open_accusation.take();
-                if let Some((seq, _)) = open {
-                    self.timelines.entry(EntityRef::accusation(seq)).or_default().push(i);
-                }
-                let p = open.map(|(_, at)| at).or_else(|| self.last_of_msg.get(msg).copied());
-                self.last_of_msg.insert(*msg, i);
-                p
-            }
-            TraceEvent::CulpritStanding { msg, .. } => {
-                let open = self.open_accusation.take();
-                if let Some((seq, _)) = open {
-                    self.timelines.entry(EntityRef::accusation(seq)).or_default().push(i);
-                    self.standing = Some((seq, i));
-                }
-                let p = open.map(|(_, at)| at).or_else(|| self.last_of_msg.get(msg).copied());
-                self.last_of_msg.insert(*msg, i);
-                p
-            }
-            TraceEvent::AccusationRevised { .. } => match self.standing {
-                Some((seq, tail)) => {
-                    self.timelines.entry(EntityRef::accusation(seq)).or_default().push(i);
-                    self.standing = Some((seq, i));
-                    Some(tail)
-                }
-                None => None,
-            },
-            TraceEvent::AccusationStored { .. } | TraceEvent::DhtRefused { .. } => {
-                match self.standing.take() {
-                    Some((seq, tail)) => {
-                        self.timelines.entry(EntityRef::accusation(seq)).or_default().push(i);
-                        Some(tail)
-                    }
-                    None => None,
-                }
-            }
-            TraceEvent::ReportAdmitted { report, .. } => {
-                self.admit_of.insert(*report, i);
-                self.last_serve = Some(i);
-                None
-            }
-            TraceEvent::LoadShed { .. } => {
-                self.last_serve = Some(i);
-                None
-            }
-            TraceEvent::ReportCompleted { report, .. } => {
-                let p = self.admit_of.get(report).copied();
-                self.last_serve = Some(i);
-                p
-            }
-            // The commit seals the inputs processed since the last one.
-            TraceEvent::JournalCommitted { .. } => {
-                let p = self.last_serve;
-                self.last_serve = Some(i);
-                p
-            }
-            TraceEvent::SupervisorRestarted { .. }
-            | TraceEvent::DegradedEntered { .. }
-            | TraceEvent::RecoveryReplayed { .. }
-            | TraceEvent::Tick => None,
-        };
-        self.parents.push(parent);
+        let step = self.grammar.step(&traced.event);
+        if let Some(seq) = step.accusation {
+            self.timelines.entry(EntityRef::accusation(seq)).or_default().push(i);
+        }
+        if let Some(orphan) = step.orphan {
+            self.orphans.push((i, orphan.detail));
+        }
+        self.parents.push(step.parent);
         self.events.push(traced);
     }
 
-    /// Offline form of the reachability invariant: every terminal outcome
-    /// event must chain back to a send (episodes) or an admit/shed
-    /// (serve). Returns the offenders with a human-readable reason.
+    /// Offline form of the reachability invariant: the events the
+    /// grammar flagged as orphans when they were pushed, each with the
+    /// rule it broke — index for index and word for word what
+    /// [`CausalLedger::observe`] reports on the same stream.
     ///
-    /// Only meaningful over *full* streams — a ring-truncated trace may
-    /// have evicted its roots, which is exactly why the runtime check
+    /// Only meaningful over *full* streams — a ring-truncated trace has
+    /// evicted its roots, which is exactly why the runtime check
     /// ([`CausalLedger`]) streams at the emission choke point instead.
     pub fn orphan_terminals(&self) -> Vec<(usize, String)> {
-        let mut orphans = Vec::new();
-        for (i, t) in self.events.iter().enumerate() {
-            let terminal = matches!(
-                t.event,
-                TraceEvent::MessageExpired { .. }
-                    | TraceEvent::VerdictAccumulated { .. }
-                    | TraceEvent::Dissolved { .. }
-                    | TraceEvent::AccusationStored { .. }
-                    | TraceEvent::DhtRefused { .. }
-                    | TraceEvent::LoadShed { .. }
-                    | TraceEvent::ReportCompleted { .. }
-            );
-            if !terminal {
-                continue;
-            }
-            let chain = self.chain(i);
-            let root = &self.events[chain[0]].event;
-            let ok = match t.event {
-                TraceEvent::LoadShed { .. } => true,
-                TraceEvent::ReportCompleted { .. } => {
-                    matches!(root, TraceEvent::ReportAdmitted { .. })
-                }
-                _ => matches!(root, TraceEvent::MessageSent { .. }),
-            };
-            if !ok {
-                orphans.push((
-                    i,
-                    format!(
-                        "terminal `{}` at index {i} roots at `{}`, not a send/admit",
-                        t.event.label(),
-                        root.label()
-                    ),
-                ));
-            }
-        }
-        orphans
+        self.orphans.clone()
     }
 }
 
@@ -1063,15 +1036,19 @@ mod tests {
         assert!(ex4.chains.is_empty(), "superseded standing must not duplicate the chain");
     }
 
-    #[test]
-    fn explain_shed_roots_at_the_offer() {
-        let stream = vec![
+    /// A daemon fragment: admit, shed, complete, commit.
+    fn serve_story() -> Vec<Traced> {
+        vec![
             t(10, TraceEvent::ReportAdmitted { report: 1, queue_depth: 1 }),
             t(20, TraceEvent::LoadShed { report: 2, reason: ShedReason::MailboxFull }),
             t(30, TraceEvent::ReportCompleted { report: 1, batch: 0 }),
             t(30, TraceEvent::JournalCommitted { seq: 4, next_input: 3 }),
-        ];
-        let index = CausalIndex::from_events(&stream);
+        ]
+    }
+
+    #[test]
+    fn explain_shed_roots_at_the_offer() {
+        let index = CausalIndex::from_events(&serve_story());
         assert!(index.orphan_terminals().is_empty());
         let shed = explain(&index, &ExplainQuery::Shed(2));
         assert_eq!(shed.chains.len(), 1);
@@ -1079,6 +1056,57 @@ mod tests {
         let served = explain(&index, &ExplainQuery::Shed(1));
         assert_eq!(served.chains.len(), 1);
         assert_eq!(served.chains[0].events.len(), 2, "admit -> complete");
+    }
+
+    /// One line per event of `stream`: the parent the index links it to,
+    /// the accusation timeline it joined, and the ledger's orphan report
+    /// (which the index's must equal).
+    fn render_links(name: &str, stream: &[Traced], out: &mut String) {
+        let index = CausalIndex::from_events(stream);
+        let mut ledger = CausalLedger::new();
+        let mut orphans = Vec::new();
+        let _ = writeln!(out, "== {name}");
+        for (i, ev) in stream.iter().enumerate() {
+            let parent = index.parent(i).map_or("-".to_string(), |p| p.to_string());
+            let accusation = (0..)
+                .map(EntityRef::accusation)
+                .take_while(|a| !index.timeline(a).is_empty())
+                .find(|a| index.timeline(a).contains(&i))
+                .map_or("-".to_string(), |a| a.id.to_string());
+            let orphan = ledger.observe(&ev.event).map_or("-".to_string(), |o| {
+                orphans.push((i, o.detail.clone()));
+                format!("{}: {}", o.entity, o.detail)
+            });
+            let _ = writeln!(
+                out,
+                "{i} {} parent={parent} accusation={accusation} orphan={orphan}",
+                ev.event.label()
+            );
+        }
+        assert_eq!(index.orphan_terminals(), orphans, "{name}: the index's orphans are the ledger's");
+    }
+
+    /// The links, accusation numbering and orphan reports the index and
+    /// the ledger produced while they were two state machines (fixture
+    /// recorded at 0081abd): the full story, each single-event deletion
+    /// of it, the daemon fragment, and a completion after a recovery.
+    #[test]
+    fn links_and_orphans_match_the_golden_fixture() {
+        let mut out = String::new();
+        let story = full_story();
+        render_links("full-story", &story, &mut out);
+        for k in 0..story.len() {
+            let mut mutant = story.clone();
+            let gone = mutant.remove(k);
+            render_links(&format!("full-story minus {k} ({})", gone.event.label()), &mutant, &mut out);
+        }
+        render_links("serve-story", &serve_story(), &mut out);
+        let recovered = [
+            t(0, TraceEvent::RecoveryReplayed { records: 4, resumed_input: 2 }),
+            t(5, TraceEvent::ReportCompleted { report: 5, batch: 1 }),
+        ];
+        render_links("recovered-completion", &recovered, &mut out);
+        assert_eq!(out, include_str!("../fixtures/causal_links.golden"));
     }
 
     #[test]

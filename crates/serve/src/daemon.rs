@@ -18,7 +18,7 @@
 
 use concilium::blame::blame_from_path_evidence;
 use concilium::Verdict;
-use concilium_obs::{Registry, Trace, TraceEvent};
+use concilium_obs::{Registry, Trace};
 use concilium_types::{SimDuration, SimTime};
 
 use crate::flight::{shed_reason_from_code, trace_event, FlightEntry, FlightRecorder};
@@ -69,6 +69,7 @@ pub struct Counters {
 impl Counters {
     /// Folds one journal record in: the only place a counter moves, live
     /// ([`Daemon::append`]) and on recovery replay alike.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn absorb(&mut self, record: &Record) {
         match record {
             Record::Admitted { .. } => {
@@ -114,6 +115,14 @@ pub struct RecoveryStats {
     pub uncommitted_records: usize,
     /// The input index processing resumes at.
     pub resumed_input: u64,
+}
+
+impl RecoveryStats {
+    /// Whether the boot found a journal — committed records to replay or
+    /// a tail to truncate — rather than a fresh store.
+    pub(crate) fn found_journal(&self) -> bool {
+        self.records_replayed > 0 || self.truncated_bytes > 0
+    }
 }
 
 /// The diagnosis daemon.
@@ -207,26 +216,18 @@ impl Daemon {
         let next_seq = state.applied_seq().map_or(0, |s| s + 1);
         let resumed_input = state.next_input();
 
-        let mut trace = Trace::with_capacity(cfg.trace_capacity);
-        let mut metrics = Registry::new();
-        if !recovery.records.is_empty() || recovery.truncated_bytes > 0 {
-            trace.push(
-                clock.as_micros(),
-                TraceEvent::RecoveryReplayed {
-                    records: replayed as u64,
-                    resumed_input,
-                },
-            );
-            metrics.inc("serve.recoveries", 1);
-            metrics.inc("serve.recovery.truncated-bytes", recovery.truncated_bytes as u64);
-        }
-
         let stats = RecoveryStats {
             records_replayed: replayed,
             truncated_bytes: recovery.truncated_bytes,
             uncommitted_records: recovery.uncommitted_records,
             resumed_input,
         };
+        let trace = Trace::with_capacity(cfg.trace_capacity);
+        let mut metrics = Registry::new();
+        if stats.found_journal() {
+            metrics.inc("serve.recoveries", 1);
+            metrics.inc("serve.recovery.truncated-bytes", recovery.truncated_bytes as u64);
+        }
         let daemon = Daemon {
             cfg,
             journal,

@@ -63,6 +63,7 @@ pub struct FlightEntry {
 impl FlightEntry {
     /// Projects a journal record into a ring entry. `FlightTail` records
     /// project to `None`: a flush never records itself.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn from_record(record: &Record) -> Option<FlightEntry> {
         let (kind, key, aux) = match record {
             Record::Admitted { input, report, .. } => (1, report.id, *input),
@@ -161,6 +162,7 @@ impl FlightRecorder {
 /// (`Daemon::append`) and [`records_to_traced`]. `queue_depth` is the
 /// mailbox depth once the record has taken effect; only an admission
 /// reads it.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub(crate) fn trace_event(record: &Record, queue_depth: u64) -> Option<TraceEvent> {
     match record {
         Record::Admitted { report, .. } => {

@@ -68,6 +68,7 @@ impl ServeState {
     /// Applies one journal record. Returns `false` (and does nothing) if
     /// the record's sequence number is not past the high-water mark —
     /// the idempotency guard replay relies on.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn apply(&mut self, record: &Record) -> bool {
         let seq = record.seq();
         if let Some(applied) = self.applied_seq {

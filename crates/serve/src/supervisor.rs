@@ -66,6 +66,21 @@ pub struct SupervisedRun {
     pub metrics: Registry,
 }
 
+/// Records one recovery in the supervisor's trace. The supervisor is the
+/// fact's only producer: it outlives every incarnation, while a crashed
+/// daemon's own ring dies with it.
+fn push_recovery(trace: &mut Trace, daemon: &Daemon, stats: &RecoveryStats) {
+    if stats.found_journal() {
+        trace.push(
+            daemon.health().clock_us,
+            TraceEvent::RecoveryReplayed {
+                records: stats.records_replayed as u64,
+                resumed_input: stats.resumed_input,
+            },
+        );
+    }
+}
+
 /// Supervises a daemon over `store` through the whole workload,
 /// consuming `kills` (which must be sorted by input) as the daemon
 /// reaches them.
@@ -94,15 +109,7 @@ impl Supervisor {
 
         loop {
             let (mut daemon, stats) = Daemon::recover(self.cfg.clone(), self.store.clone());
-            if incidents > 0 {
-                trace.push(
-                    daemon.health().clock_us,
-                    TraceEvent::RecoveryReplayed {
-                        records: stats.records_replayed as u64,
-                        resumed_input: stats.resumed_input,
-                    },
-                );
-            }
+            push_recovery(&mut trace, &daemon, &stats);
             recoveries.push(stats);
             if let Some(kill) = self.kills.get(next_kill) {
                 daemon.panic_at = Some((kill.input, kill.site));
@@ -191,9 +198,10 @@ impl Supervisor {
         mut trace: Trace,
         mut metrics: Registry,
     ) -> SupervisedRun {
-        let (daemon, _) = Daemon::recover(self.cfg.clone(), self.store.clone());
+        let (daemon, stats) = Daemon::recover(self.cfg.clone(), self.store.clone());
         let health = daemon.health();
         trace.push(health.clock_us, TraceEvent::DegradedEntered { incidents });
+        push_recovery(&mut trace, &daemon, &stats);
         for t in daemon.trace().events() {
             trace.push(t.at_micros, t.event.clone());
         }

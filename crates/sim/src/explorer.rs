@@ -70,17 +70,17 @@ fn production_blame(evidence: &[LinkEvidence], accuracy: f64) -> f64 {
 
 const RTT: SimDuration = SimDuration::from_millis(200);
 
-/// Retry schedule for application messages. The horizon (~50–100 s of
-/// backoff across five retries) is deliberately long relative to probe
-/// cadence but short relative to ambient outages: a message that exhausts
-/// it has seen the network fail persistently, so the evidence gathered at
-/// the midpoint of its lifetime squarely covers the outage.
 /// Midpoint of a failed message's lifetime: the Δ evidence window around
 /// it covers the span in which every delivery attempt failed.
 fn evidence_time(sent_at: SimTime, expired_at: SimTime) -> SimTime {
     SimTime::from_micros((sent_at.as_micros() + expired_at.as_micros()) / 2)
 }
 
+/// Retry schedule for application messages. The horizon (~50–100 s of
+/// backoff across five retries) is deliberately long relative to probe
+/// cadence but short relative to ambient outages: a message that exhausts
+/// it has seen the network fail persistently, so the evidence gathered at
+/// the midpoint of its lifetime squarely covers the outage.
 fn data_retry_policy() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 6,
@@ -1278,6 +1278,7 @@ impl<'w> Episode<'w> {
     /// folded into the registry by [`EventTallies::flush`] at the end of
     /// the run. Every count here is deterministic — a function of virtual
     /// time and the seed only.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn count(&mut self, event: &TraceEvent) {
         let t = &mut self.tallies;
         match event {

@@ -101,3 +101,31 @@ fn the_only_unsafe_is_the_sha_ni_dispatch() {
         ),
     }
 }
+
+#[test]
+fn every_per_kind_consumer_denies_wildcard_arms() {
+    // What lint rule L8 checked by reading source, the compiler checks: a
+    // `match` naming every `TraceEvent`/`Record` kind stops compiling when
+    // a kind is added, and `#[deny(clippy::wildcard_enum_match_arm)]`
+    // keeps a catch-all arm out. Only CI's clippy step reads that
+    // attribute, so its place on each per-kind consumer is pinned here.
+    const CONSUMERS: &[(&str, &str)] = &[
+        ("crates/obs/src/causal.rs", "pub fn entities("),
+        ("crates/obs/src/causal.rs", "fn step("),
+        ("crates/sim/src/explorer.rs", "fn count("),
+        ("crates/serve/src/flight.rs", "pub(crate) fn trace_event("),
+        ("crates/serve/src/flight.rs", "pub fn from_record("),
+        ("crates/serve/src/daemon.rs", "fn absorb("),
+        ("crates/serve/src/state.rs", "pub fn apply("),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (rel, signature) in CONSUMERS {
+        let src = fs::read_to_string(root.join(rel)).expect("readable source file");
+        // Lexed, so neither comments nor layout come between the two.
+        let code: String =
+            concilium_lint::lexer::lex(&src).toks.iter().map(|t| t.text.as_str()).collect();
+        let attributed =
+            format!("#[deny(clippy::wildcard_enum_match_arm)]{}", signature.replace(' ', ""));
+        assert!(code.contains(&attributed), "{rel}: `{signature}` lost its deny attribute");
+    }
+}

@@ -8,10 +8,10 @@
 //! always land on a committed prefix, and must replay idempotently to
 //! the same canonical state a clean replay of that prefix produces.
 
-use concilium_obs::TraceEvent;
+use concilium_obs::{json, traced_from_json_line, CausalIndex, TraceEvent, Traced};
 use concilium_serve::{
-    chaos_sweep, records_digest, records_to_traced, Daemon, FailureReport, Journal, Record,
-    ServeConfig, ServeState, SharedStore, Supervisor, WorkloadSpec,
+    chaos_sweep, records_digest, records_to_traced, Daemon, FailureReport, Journal, KillPoint,
+    PanicSite, Record, ServeConfig, ServeState, SharedStore, Supervisor, WorkloadSpec,
 };
 use concilium_types::SimDuration;
 use proptest::prelude::*;
@@ -194,4 +194,39 @@ fn live_trace_equals_the_trace_lifted_from_the_journal() {
     let (records, _) = Journal::over(store).scan();
     let lifted = records_to_traced(&records);
     assert_eq!(live, lifted.iter().map(|t| &t.event).collect::<Vec<_>>());
+}
+
+/// Each recovery is one `recovered` event in the exported trace — the
+/// crashed incarnations' as well as the survivor's, and the survivor's
+/// once — and the export is causally whole: completions of reports
+/// admitted before a crash follow a `recovered` marker, so nothing in it
+/// is an orphan.
+#[test]
+fn a_twice_killed_run_exports_one_recovered_event_per_recovery() {
+    let (cfg, inputs) = overloaded();
+    let kills = [(60, PanicSite::AfterAdmission), (140, PanicSite::BeforeInput)]
+        .map(|(input, site)| KillPoint { input, site, torn_garbage: Vec::new() })
+        .to_vec();
+    let run = Supervisor::new(cfg, SharedStore::new(), kills).run(&inputs);
+    assert_eq!((run.incidents, run.degraded), (2, false));
+    assert_eq!(run.trace.dropped(), 0, "the ring must hold the whole run");
+
+    let exported: Vec<Traced> = run
+        .trace
+        .to_jsonl(&[("episode", "serve"), ("seed", "99")])
+        .lines()
+        .map(|line| {
+            let parsed = json::parse(line).expect("exported line parses");
+            traced_from_json_line(&parsed).expect("exported line decodes").0
+        })
+        .collect();
+    let recovered = exported.iter().filter(|t| t.event.label() == "recovered").count();
+    let recoveries = run
+        .recoveries
+        .iter()
+        .filter(|r| r.records_replayed > 0 || r.truncated_bytes > 0)
+        .count();
+    assert_eq!((recovered, recoveries), (2, 2), "boot over a fresh store, then one per kill");
+    let orphans = CausalIndex::from_events(&exported).orphan_terminals();
+    assert!(orphans.is_empty(), "{orphans:?}");
 }
