@@ -122,10 +122,13 @@ fn main() -> ExitCode {
     let jobs = Jobs::resolve(opts.jobs).get();
 
     let world = dst_world(WORLD_SEED);
-    let episode_opts = EpisodeOptions {
-        collect_traces: opts.trace_out.is_some(),
-        ..EpisodeOptions::default()
-    };
+    let mut episode_opts = EpisodeOptions::default();
+    if opts.trace_out.is_some() {
+        // An export holds whole episodes; from the default ring's tail
+        // `concilium-explain --orphans` reads every evicted send as one.
+        episode_opts.collect_traces = true;
+        episode_opts.trace_capacity = usize::MAX;
+    }
     let grid = EpisodeConfig::standard_grid();
     let seeds: Vec<u64> = (0..opts.seeds).collect();
 

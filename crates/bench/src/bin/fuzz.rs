@@ -264,15 +264,19 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.trace_out {
-        // Every corpus entry replayed with its trace retained, then every
-        // failing case's own trace, one JSONL stream each.
+        // Every corpus entry, then every failing case, replayed with its
+        // whole trace retained (the fuzz loop itself keeps only the ring
+        // tail), one JSONL stream each.
+        let whole = EpisodeOptions { trace_capacity: usize::MAX, ..episode_opts };
+        let replays = out
+            .corpus
+            .iter()
+            .map(|e| (&e.name, &e.config, e.seed))
+            .chain(out.failures.iter().map(|c| (&c.name, &c.config, c.seed)));
         let mut jsonl = String::new();
-        for entry in &out.corpus {
-            let ep = run_episode(&world, &entry.config, entry.seed, &episode_opts);
-            push_stream(&mut jsonl, &world, &entry.name, entry.seed, &ep.trace);
-        }
-        for case in &out.failures {
-            push_stream(&mut jsonl, &world, &case.name, case.seed, &case.trace);
+        for (name, config, seed) in replays {
+            let ep = run_episode(&world, config, seed, &whole);
+            push_stream(&mut jsonl, &world, name, seed, &ep.trace);
         }
         if let Err(err) = std::fs::write(path, &jsonl) {
             eprintln!("fuzz: cannot write {path}: {err}");

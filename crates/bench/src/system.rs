@@ -21,7 +21,7 @@ use concilium::dht::AccusationDht;
 use concilium::policy::{PolicyConfig, PolicyEngine, Sanction};
 use concilium::{ConciliumConfig, ConciliumNode, ForwardingCommitment, Verdict};
 use concilium_crypto::PublicKey;
-use concilium_sim::{AdversarySets, MessageOutcome, SimWorld};
+use concilium_sim::{AdversarySets, RouteFate, SimWorld};
 use concilium_tomography::{LinkObservation, TomographySnapshot};
 use concilium_types::{Id, MsgId, SimTime};
 use rand::Rng;
@@ -121,41 +121,40 @@ pub fn run<R: Rng + ?Sized>(
             rng.gen_range(delta.as_micros()..duration - delta.as_micros()),
         );
         last_t = last_t.max(t);
-        let outcome = world.message_outcome(src, target, t, &adversaries);
+        let route = world.route(src, target).expect("routing loops cannot occur");
+        let fate = world.route_fate_on_route(&route, t, &adversaries);
 
         // Track droppers that actually forwarded something (they can only
         // be caught when routes cross them).
-        if let Some(route) = world.route(src, target) {
-            for &h in route.iter().skip(1).take(route.len().saturating_sub(2)) {
-                if adversaries.is_dropper(h) {
-                    exercised.insert(h);
-                }
+        for &h in route.iter().skip(1).take(route.len().saturating_sub(2)) {
+            if adversaries.is_dropper(h) {
+                exercised.insert(h);
             }
         }
 
         // Identify the judged pair: the failure point's upstream steward
+        // (the last-but-one of the `hops` hosts that held the message)
         // judges the failure point.
-        let (judge_idx, accused) = match &outcome {
-            MessageOutcome::Delivered { .. } => {
+        let (judge_idx, accused) = match fate {
+            RouteFate::Delivered { .. } => {
                 report.delivered += 1;
                 continue;
             }
-            MessageOutcome::DroppedByHost { route, at } => {
+            RouteFate::DroppedByHost { hops, at } => {
                 report.dropped_by_host += 1;
-                (route[route.len() - 2], *at)
+                (route[hops - 2], at)
             }
-            MessageOutcome::DroppedByNetwork { route, from, .. } => {
+            RouteFate::DroppedByNetwork { hops, from, .. } => {
                 report.dropped_by_network += 1;
-                if route.len() < 2 {
+                if hops < 2 {
                     continue; // the failed hop left the source directly
                 }
-                (route[route.len() - 2], *from)
+                (route[hops - 2], from)
             }
         };
         // The accused must have an onward hop (B→C) to judge against.
-        let planned = world.route(src, target).expect("routes converge");
-        let pos = planned.iter().position(|&h| h == accused).expect("accused on route");
-        let Some(&next) = planned.get(pos + 1) else {
+        let pos = route.iter().position(|&h| h == accused).expect("accused on route");
+        let Some(&next) = route.get(pos + 1) else {
             continue;
         };
         if judge_idx == accused {

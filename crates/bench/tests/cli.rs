@@ -2,9 +2,12 @@
 //! text and the reverse, and the flags whose work moved to
 //! `concilium-explain` (and the second trace exporter) are refused.
 //! Those invocations stop in the argument parser; the one that runs an
-//! experiment (tiny scale) checks that `--jobs` only sets a worker count.
+//! experiment (tiny scale) checks that `--jobs` only sets a worker count,
+//! and the one that runs a two-seed sweep checks that `--trace-out` holds
+//! whole episodes, by asking `concilium-explain --orphans`.
 
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// One driver; the flag lists are whitespace-separated.
@@ -103,4 +106,45 @@ fn experiments_print_the_same_figures_at_any_worker_count() {
     assert!(default.contains("Figure 5(a") && default.contains("Figure 6"), "{default}");
     assert_eq!(default, fig5(&["--jobs", "1"]));
     assert_eq!(default, fig5(&["--jobs", "2"]));
+}
+
+/// `concilium-explain` is `concilium-obs`'s binary, which cargo builds for
+/// this package's tests only when asked: same profile, same directory as
+/// the driver binaries it did build.
+fn explain_exe() -> PathBuf {
+    let bin_dir = Path::new(env!("CARGO_BIN_EXE_dst-sweep")).parent().expect("binary directory");
+    let mut build = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()));
+    build.args(["build", "--quiet", "--offline", "-p", "concilium-obs"]);
+    build.args(["--bin", "concilium-explain", "--target-dir"]);
+    build.arg(bin_dir.parent().expect("target directory"));
+    if !cfg!(debug_assertions) {
+        build.arg("--release");
+    }
+    assert!(build.status().expect("cargo runs").success(), "building concilium-explain");
+    bin_dir.join("concilium-explain")
+}
+
+/// An exported trace holds whole episodes, not ring tails: the offline
+/// half of the causal invariant finds no orphan in it, and every episode
+/// stream opens with the send its later events descend from.
+#[test]
+fn trace_out_exports_whole_episodes() {
+    let trace = std::env::temp_dir().join(format!("dst_trace_{}.jsonl", std::process::id()));
+    let path = trace.to_str().expect("utf-8 temp path");
+    let (ok, text) = run(env!("CARGO_BIN_EXE_dst-sweep"), &["--seeds", "2", "--trace-out", path]);
+    assert!(ok, "{text}");
+    let (ok, text) = run(explain_exe().to_str().expect("utf-8"), &[path, "message:0", "--orphans"]);
+    assert!(ok, "{text}");
+
+    let jsonl = std::fs::read_to_string(&trace).expect("trace written");
+    std::fs::remove_file(&trace).expect("trace removed");
+    let mut streams = BTreeSet::new();
+    for line in jsonl.lines() {
+        // What precedes the timestamp names the stream: episode and seed.
+        let (stream, event) = line.split_once("\"t_us\"").expect("timestamped line");
+        if streams.insert(stream) {
+            assert!(event.contains("\"kind\":\"send\""), "a stream opens mid-episode: {line}");
+        }
+    }
+    assert_eq!(streams.len(), 8, "4 arms x 2 seeds");
 }

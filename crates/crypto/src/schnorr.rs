@@ -91,35 +91,21 @@ impl Mont {
     }
 }
 
-/// Modular exponentiation by squaring.
-///
-/// Odd moduli (every group operation: `p` and `q` are prime) run in
-/// Montgomery form; the generic path is kept for even moduli so the
-/// function's domain is unchanged.
-fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
-    if m & 1 == 1 && m > 1 {
-        let mont = Mont::new(m);
-        let mut base_m = mont.to_mont(base % m);
-        let mut acc_m = mont.to_mont(1);
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc_m = mont.mul(acc_m, base_m);
-            }
-            base_m = mont.mul(base_m, base_m);
-            exp >>= 1;
-        }
-        return mont.redc(acc_m as u128);
-    }
-    let mut acc: u64 = 1;
-    base %= m;
+/// Modular exponentiation by squaring, in Montgomery form: the modulus
+/// must be odd, as every group operation's is (`p` and `q` are prime).
+fn pow_mod(base: u64, mut exp: u64, m: u64) -> u64 {
+    debug_assert!(m & 1 == 1, "Montgomery form needs an odd modulus");
+    let mont = Mont::new(m);
+    let mut base_m = mont.to_mont(base % m);
+    let mut acc_m = mont.to_mont(1);
     while exp > 0 {
         if exp & 1 == 1 {
-            acc = mul_mod(acc, base, m);
+            acc_m = mont.mul(acc_m, base_m);
         }
-        base = mul_mod(base, base, m);
+        base_m = mont.mul(base_m, base_m);
         exp >>= 1;
     }
-    acc
+    mont.redc(acc_m as u128)
 }
 
 /// A Schnorr secret key: a scalar in `[1, q)`.
@@ -337,8 +323,6 @@ mod tests {
         assert_eq!(pow_mod(2, 10, 1_000_000_007), 1024);
         assert_eq!(pow_mod(5, 0, 7), 1);
         assert_eq!(pow_mod(0, 5, 7), 0);
-        // Even modulus exercises the non-Montgomery path.
-        assert_eq!(pow_mod(3, 4, 10), 1);
     }
 
     /// Square-and-multiply with plain 128-bit division — the reference the

@@ -117,8 +117,11 @@ impl FileScope {
     /// it iterates.
     fn hash_iter_applies(&self) -> bool {
         self.all_rules
-            || self.starts_with_any(&["crates/obs/src/", "crates/serve/src/"])
-            || self.rel == "crates/sim/src/explorer.rs"
+            || self.starts_with_any(&[
+                "crates/obs/src/",
+                "crates/serve/src/",
+                "crates/sim/src/explorer/",
+            ])
             || self.rel == "crates/sim/src/fuzz.rs"
             || self.rel == "crates/sim/src/metrics.rs"
     }

@@ -11,12 +11,12 @@
 //!
 //! * **Sinks** are the functions whose outputs must be bit-identical
 //!   across runs: the `emit()` event choke point in
-//!   `crates/sim/src/explorer.rs` (it feeds the chained trace hash, the
-//!   metrics tallies, and the causal ledger), every `TraceHasher` method
-//!   in `crates/sim/src/invariants.rs` (the hash itself, also used for
-//!   the sweep-digest fold and corpus replay hashes), and every function
-//!   in `crates/serve/src/journal.rs` (WAL framing: bytes written there
-//!   are replayed byte-exact on recovery).
+//!   `crates/sim/src/explorer/episode.rs` (it feeds the chained trace
+//!   hash, the metrics tallies, and the causal ledger), every
+//!   `TraceHasher` method in `crates/sim/src/invariants.rs` (the hash
+//!   itself, also used for the sweep-digest fold and corpus replay
+//!   hashes), and every function in `crates/serve/src/journal.rs` (WAL
+//!   framing: bytes written there are replayed byte-exact on recovery).
 //! * **Sources** are constructs whose value depends on the host rather
 //!   than the seed: wall-clock reads, `HashMap`/`HashSet` (iteration
 //!   order is per-process random), `available_parallelism`, environment
@@ -36,7 +36,7 @@ use crate::rules::Rule;
 /// Where digest sinks live in this workspace: `(file, impl, fn)` patterns
 /// with `None` as a wildcard (see module docs for why each is a sink).
 const WORKSPACE_SINKS: &[(Option<&str>, Option<&str>, Option<&str>)] = &[
-    (Some("crates/sim/src/explorer.rs"), None, Some("emit")),
+    (Some("crates/sim/src/explorer/episode.rs"), None, Some("emit")),
     (Some("crates/sim/src/invariants.rs"), Some("TraceHasher"), None),
     (Some("crates/serve/src/journal.rs"), None, None),
 ];

@@ -9,9 +9,9 @@
 //! daemon:
 //!
 //! ```text
-//! concilium-explain trace.jsonl message 3 --episode lossy --seed 7
-//! concilium-explain trace.jsonl blame 4 --json
-//! concilium-explain trace.jsonl shed 9
+//! concilium-explain trace.jsonl message:3 --episode lossy --seed 7
+//! concilium-explain trace.jsonl blame:4 --json
+//! concilium-explain trace.jsonl shed:9
 //! ```
 //!
 //! Output is a pure function of the trace bytes: two byte-identical
@@ -29,12 +29,13 @@ use concilium_obs::json::{self, Json};
 use concilium_obs::{explain, AmbiguityNote, CausalIndex, ExplainQuery, Explanation};
 
 const USAGE: &str = "\
-usage: concilium-explain <FILE|-> <message|blame|shed> <ID> [options]
+usage: concilium-explain <FILE|-> <message|blame|shed>:<ID> [options]
 
 Answer `why?` for one entity against a --trace-out JSONL trace:
-  message <id>   why did this message die (or survive)?
-  blame <host>   why does this host stand accused?
-  shed <report>  why was this report shed (or how was it served)?
+  message:<id>   why did this message die (or survive)?
+  blame:<host>   why does this host stand accused?
+  shed:<report>  why was this report shed (or how was it served)?
+The spaced spelling (`message 3`) is accepted as well.
 
 options:
   --episode NAME   only explain within this episode arm
@@ -96,7 +97,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
         _ => {
             return Err(
-                "expected <FILE|-> and a query (message <id> | blame <host> | shed <report>)"
+                "expected <FILE|-> and a query (message:<id> | blame:<host> | shed:<report>)"
                     .to_string(),
             )
         }

@@ -435,15 +435,8 @@ pub fn fuzz(world: &SimWorld, cfg: &FuzzConfig, opts: &EpisodeOptions) -> FuzzOu
             episodes_run += 1;
             let novel = cov.difference(&coverage);
             coverage.absorb(&cov);
-            if let Some(violation) = report.violation {
-                let case = FailingCase {
-                    name: format!("fuzz-{episodes_run:06}"),
-                    config: c.clone(),
-                    seed: *s,
-                    violation,
-                    trace_hash: report.trace_hash,
-                    trace: report.trace,
-                };
+            let name = format!("fuzz-{episodes_run:06}");
+            if let Some(case) = FailingCase::from_report(&name, c, *s, &report) {
                 let case = if failures.len() < MAX_SHRUNK_FAILURES {
                     crate::explorer::shrink(world, &case, opts)
                 } else {
@@ -454,7 +447,7 @@ pub fn fuzz(world: &SimWorld, cfg: &FuzzConfig, opts: &EpisodeOptions) -> FuzzOu
             }
             if !novel.is_empty() {
                 corpus.push(CorpusEntry {
-                    name: format!("fuzz-{episodes_run:06}"),
+                    name,
                     config: c.clone(),
                     seed: *s,
                     trace_hash: report.trace_hash,

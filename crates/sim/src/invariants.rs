@@ -32,11 +32,26 @@
 
 use std::fmt;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 use concilium::blame::LinkEvidence;
 use concilium::verdict::VerdictWindow;
 use concilium_crypto::{sha256, Digest, Sha256};
 use concilium_obs::EntityRef;
-use concilium_types::SimTime;
+use concilium_tomography::infer::infer_pass_rates_batch;
+use concilium_tomography::oracle::oracle_pass_rates;
+use concilium_tomography::probe::simulate_stripes;
+use concilium_tomography::{
+    infer_pass_rates_tolerant_batch, AmbiguityClasses, InferScratch, PartialProbeRecord,
+};
+use concilium_types::{LinkId, SimTime};
+
+use crate::SimWorld;
+
+/// Separates the tomography cross-check's stripe stream from the episode
+/// streams drawn from the same seed.
+const TOMO_SALT: u64 = 0x517c_c1b7_2722_0a95;
 
 /// The invariant classes a DST episode can violate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -114,6 +129,13 @@ pub struct Violation {
     /// The entity the violation is about, when one is identifiable —
     /// the correlation key the failing-case reproducer explains.
     pub entity: Option<EntityRef>,
+}
+
+impl Violation {
+    /// A violation of `kind` at `at`, about `entity`.
+    pub(crate) fn new(kind: InvariantKind, at: SimTime, entity: EntityRef, detail: String) -> Self {
+        Violation { kind, at, detail, entity: Some(entity) }
+    }
 }
 
 impl fmt::Display for Violation {
@@ -234,6 +256,122 @@ pub fn check_conservation(
         });
     }
     None
+}
+
+/// End-of-episode tomography cross-check, a function of `(world, seed)`
+/// alone: simulate `stripes` fresh stripes on a couple of hosts' trees
+/// against the world's ground-truth link state, then require tolerant
+/// inference to stay in range, agree with strict inference on the
+/// fully-known record, match the closed-form oracle, and localize no finer
+/// than the probe matrix's ambiguity classes.
+pub(crate) fn check_tomography(
+    world: &SimWorld,
+    seed: u64,
+    stripes: usize,
+) -> Result<(), Violation> {
+    let mut trng = StdRng::seed_from_u64(seed ^ TOMO_SALT);
+    let n = world.num_hosts();
+    let t_mid = SimTime::from_micros(world.config().duration.as_micros() / 2);
+    let mut hosts = vec![0];
+    if n > 1 {
+        hosts.push(n / 2);
+    }
+    hosts.dedup();
+    let mut scratch = InferScratch::default();
+    for h in hosts {
+        let violated = |kind: InvariantKind, detail: String| {
+            Violation::new(kind, t_mid, EntityRef::host(h as u64), format!("host {h}: {detail}"))
+        };
+        let disagree = |detail: String| violated(InvariantKind::TomographyDisagreement, detail);
+        let tree = world.tree(h);
+        let logical = tree.logical();
+        if logical.num_leaves() < 2 {
+            continue;
+        }
+        // Identifiability bound: the ambiguity classes the probe/route
+        // matrix admits must coincide with the logical-tree edges the
+        // inference assigns rates to. A mismatch means the estimator
+        // claims per-edge localization the matrix cannot support.
+        let classes = AmbiguityClasses::from_probe_tree(tree);
+        if !classes.matches_logical(&logical) {
+            return Err(violated(
+                InvariantKind::IdentifiabilityBound,
+                format!(
+                    "inference units diverge from the probe matrix's {} ambiguity classes",
+                    classes.num_classes()
+                ),
+            ));
+        }
+        let pass = |l: LinkId| if world.link_up_at(l, t_mid) { 0.95 } else { 0.05 };
+        let record = simulate_stripes(&logical, &pass, stripes, &mut trng);
+        // Batched entry points, reusing `scratch` across the episode's
+        // checks, so the DST inner loop exercises the same kernel the
+        // verdict-window experiments run.
+        let full = infer_pass_rates_batch(&logical, std::slice::from_ref(&record), &mut scratch)
+            .remove(0);
+        let partial = PartialProbeRecord::from_complete(&record);
+        let tolerant =
+            infer_pass_rates_tolerant_batch(&logical, std::slice::from_ref(&partial), &mut scratch)
+                .remove(0);
+        let (strict, tol) = match (full, tolerant) {
+            (Ok(strict), Ok(tol)) => (strict, tol),
+            (Err(_), Err(_)) => continue,
+            (Ok(_), Err(err)) => {
+                return Err(disagree(format!(
+                    "tolerant inference refused a fully-known record strict inference \
+                     accepted: {err:?}"
+                )))
+            }
+            (Err(err), Ok(_)) => {
+                return Err(disagree(format!(
+                    "strict inference refused a record tolerant inference accepted: {err:?}"
+                )))
+            }
+        };
+        for edge in 0..logical.num_edges() {
+            let rate = tol.edge_pass_rate(edge);
+            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
+                return Err(violated(
+                    InvariantKind::TomographyRange,
+                    format!("tolerant pass rate {rate} on edge {edge}"),
+                ));
+            }
+            let diff = (rate - strict.edge_pass_rate(edge)).abs();
+            if diff > 1e-9 {
+                return Err(disagree(format!(
+                    "tolerant and strict inference differ by {diff} on edge {edge} of a \
+                     fully-known record"
+                )));
+            }
+        }
+        // Any edge inferred *down* is a localization claim; it is sound
+        // only at whole-ambiguity-class granularity — never a proper
+        // subset of links the matrix cannot tell apart.
+        for edge in 0..logical.num_edges() {
+            if tol.edge_pass_rate(edge) < 0.5 && !classes.is_whole_class(logical.edge_links(edge))
+            {
+                return Err(violated(
+                    InvariantKind::IdentifiabilityBound,
+                    format!(
+                        "edge {edge} blamed down but its link set is a proper subset of an \
+                         ambiguity class"
+                    ),
+                ));
+            }
+        }
+        let oracle = oracle_pass_rates(&logical, &record).map_err(|err| {
+            disagree(format!("oracle refused a record the MLE accepted: {err:?}"))
+        })?;
+        for node in 1..logical.num_nodes() {
+            let diff = (strict.cumulative(node) - oracle.cumulative[node]).abs();
+            if diff > 1e-6 {
+                return Err(disagree(format!(
+                    "MLE and closed-form oracle differ by {diff} at node {node}"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Direct evaluation of `P[X ≥ m]` for `X ~ Binomial(w, p)`, written

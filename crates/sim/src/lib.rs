@@ -83,4 +83,4 @@ pub use invariants::{
     check_metrics_conservation, check_serve_conservation, InvariantKind, TraceHasher, Violation,
 };
 pub use metrics::Histogram;
-pub use world::{HopOutcome, MessageOutcome, RouteFate, SimWorld, ADAPTIVE_GUARD};
+pub use world::{RouteFate, SimWorld, ADAPTIVE_GUARD};

@@ -24,51 +24,14 @@ use crate::failhist::IndexedHistory;
 /// rare but possible.
 pub const ADAPTIVE_GUARD: SimDuration = SimDuration::from_secs(75);
 
-/// The outcome of sending one application message across the overlay at a
+/// The fate of one application message sent along an overlay route at a
 /// given instant.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MessageOutcome {
-    /// The message reached the node responsible for the destination key.
-    Delivered {
-        /// Host indices visited, source first.
-        route: Vec<usize>,
-    },
-    /// A misbehaving overlay host silently dropped the message.
-    DroppedByHost {
-        /// Host indices visited, source first, up to and including the
-        /// dropper.
-        route: Vec<usize>,
-        /// The dropper's host index.
-        at: usize,
-    },
-    /// A failed IP link prevented a hop from completing.
-    DroppedByNetwork {
-        /// Host indices visited, source first, up to and including the
-        /// last host that held the message.
-        route: Vec<usize>,
-        /// The host that could not transmit.
-        from: usize,
-        /// The unreachable next hop.
-        to: usize,
-        /// The first failed link on the hop's IP path.
-        link: LinkId,
-    },
-}
-
-impl MessageOutcome {
-    /// Whether the message was delivered.
-    pub fn delivered(&self) -> bool {
-        matches!(self, MessageOutcome::Delivered { .. })
-    }
-}
-
-/// The fate of one message on a route — [`MessageOutcome`] without the
-/// visited-host vector.
 ///
-/// The DST resolves every application send and retransmission through this
-/// type; it is `Copy` and allocation-free so the hot path never touches the
-/// heap. `hops` is always the length of the visited prefix of the queried
-/// route (what [`MessageOutcome`] returns as `route.len()`).
+/// Every send and retransmission — the DST's, the experiments' and the
+/// examples' — resolves through this type; it is `Copy` and
+/// allocation-free so the hot path never touches the heap. The hosts that
+/// held the message are always a prefix of the queried route, and `hops`
+/// is that prefix's length: `route[..hops]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteFate {
     /// The message reached the node responsible for the destination key.
@@ -110,18 +73,6 @@ impl RouteFate {
             | RouteFate::DroppedByNetwork { hops, .. } => hops,
         }
     }
-}
-
-/// One hop of an overlay route with its IP-level fate — used by recursive
-/// stewardship demonstrations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HopOutcome {
-    /// Sending host index.
-    pub from: usize,
-    /// Receiving host index.
-    pub to: usize,
-    /// Whether the IP path between them was fully up.
-    pub ip_path_up: bool,
 }
 
 /// The fully built world of one evaluation run: topology, overlay, trees,
@@ -560,57 +511,11 @@ impl SimWorld {
         route.windows(2).map(|w| self.ip_distance(w[0], w[1])).sum()
     }
 
-    /// Sends an application message from `src` toward `target` at time
-    /// `t`, modelling both IP-link failures and message-dropping hosts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range or routing state is inconsistent.
-    pub fn message_outcome(
-        &self,
-        src: usize,
-        target: Id,
-        t: SimTime,
-        adversaries: &AdversarySets,
-    ) -> MessageOutcome {
-        let route = self.route(src, target).expect("routing loops cannot occur");
-        self.message_outcome_on_route(&route, t, adversaries)
-    }
-
-    /// Like [`SimWorld::message_outcome`] for a route that has already been
-    /// computed. Overlay routes are time-independent (tables are static
-    /// within an episode), so callers that send repeatedly along one flow
-    /// can route once and replay the outcome per instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `route` is empty or is not a valid overlay route.
-    pub fn message_outcome_on_route(
-        &self,
-        route: &[usize],
-        t: SimTime,
-        adversaries: &AdversarySets,
-    ) -> MessageOutcome {
-        // The visited hosts are always a prefix of the queried route, so
-        // the fate's hop count reconstructs the vector exactly.
-        match self.route_fate_on_route(route, t, adversaries) {
-            RouteFate::Delivered { hops } => {
-                MessageOutcome::Delivered { route: route[..hops].to_vec() }
-            }
-            RouteFate::DroppedByHost { hops, at } => {
-                MessageOutcome::DroppedByHost { route: route[..hops].to_vec(), at }
-            }
-            RouteFate::DroppedByNetwork { hops, from, to, link } => MessageOutcome::DroppedByNetwork {
-                route: route[..hops].to_vec(),
-                from,
-                to,
-                link,
-            },
-        }
-    }
-
-    /// Allocation-free form of [`SimWorld::message_outcome_on_route`]: the
-    /// same walk, returning only the fate and visited-prefix length.
+    /// Sends an application message along `route` (as [`SimWorld::route`]
+    /// returns it) at time `t`, modelling both IP-link failures and
+    /// message-dropping hosts. Overlay routes are time-independent (tables
+    /// are static within an episode), so callers that send repeatedly
+    /// along one flow route once and ask for the fate per instant.
     ///
     /// # Panics
     ///
@@ -644,23 +549,6 @@ impl SimWorld {
             }
         }
         RouteFate::Delivered { hops }
-    }
-
-    /// The per-hop IP fates of an overlay route at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    pub fn hop_outcomes(&self, src: usize, target: Id, t: SimTime) -> Vec<HopOutcome> {
-        let route = self.route(src, target).expect("routing loops cannot occur");
-        route
-            .windows(2)
-            .map(|w| {
-                let (u, v) = (w[0], w[1]);
-                let path = self.peer_path(u, v).expect("next hops are routing peers");
-                HopOutcome { from: u, to: v, ip_path_up: self.path_up_at(path, t) }
-            })
-            .collect()
     }
 }
 
@@ -761,13 +649,14 @@ mod tests {
         }
         let t = good_t.expect("path is up at some point");
         // No adversaries → delivered.
-        let out = w.message_outcome(src, id, t, &AdversarySets::none());
+        let route = [src, dst];
+        let out = w.route_fate_on_route(&route, t, &AdversarySets::none());
         assert!(out.delivered(), "{out:?}");
         // The final destination being a "dropper" does not matter — only
         // intermediate forwarders drop. A two-node route has none.
         let mut adv = AdversarySets::none();
         adv.droppers.insert(dst);
-        assert!(w.message_outcome(src, id, t, &adv).delivered());
+        assert!(w.route_fate_on_route(&route, t, &adv).delivered());
     }
 
     #[test]
@@ -789,8 +678,8 @@ mod tests {
         }
         if let Some(t) = bad_t {
             if w.route(src, id) == Some(vec![src, dst]) {
-                match w.message_outcome(src, id, t, &AdversarySets::none()) {
-                    MessageOutcome::DroppedByNetwork { link, from, to, .. } => {
+                match w.route_fate_on_route(&[src, dst], t, &AdversarySets::none()) {
+                    RouteFate::DroppedByNetwork { link, from, to, .. } => {
                         assert_eq!((from, to), (src, dst));
                         assert!(!w.link_up_at(link, t));
                     }
@@ -876,24 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn hop_outcomes_match_path_state() {
-        let w = tiny_world(23);
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..10 {
-            let target = Id::random(&mut rng);
-            let t = SimTime::from_secs(rng.gen_range(0..600));
-            let hops = w.hop_outcomes(0, target, t);
-            let route = w.route(0, target).unwrap();
-            assert_eq!(hops.len(), route.len() - 1);
-            for h in &hops {
-                let peer_id = w.node(h.to).id();
-                let path = w.path_to_peer(h.from, peer_id).unwrap();
-                assert_eq!(h.ip_path_up, w.path_up_at(path, t));
-            }
-        }
-    }
-
-    #[test]
     fn ip_distances_are_symmetric_and_consistent() {
         let w = tiny_world(22);
         for a in 0..w.num_hosts() {
@@ -945,7 +816,7 @@ mod tests {
                 }
                 for s in 0..600 {
                     let t = SimTime::from_secs(s);
-                    if w.message_outcome_on_route(&route, t, &AdversarySets::none())
+                    if w.route_fate_on_route(&route, t, &AdversarySets::none())
                         .delivered()
                     {
                         break 'found (route, t);
@@ -958,13 +829,13 @@ mod tests {
         // An unconditional dropper at the intermediate hop always drops.
         let mut plain = AdversarySets::none();
         plain.droppers.insert(mid);
-        assert!(!w.message_outcome_on_route(&route, t, &plain).delivered());
+        assert!(!w.route_fate_on_route(&route, t, &plain).delivered());
         // An adaptive dropper drops only while unprobed: probe rounds are
         // dense within the episode (max interval 60s < 75s guard), so at a
         // deliverable in-episode instant it is observed and behaves.
         let mut adaptive = AdversarySets::none();
         adaptive.adaptive_droppers.insert(mid);
-        let out = w.message_outcome_on_route(&route, t, &adaptive);
+        let out = w.route_fate_on_route(&route, t, &adaptive);
         assert_eq!(
             out.delivered(),
             w.observed_near(mid, t, ADAPTIVE_GUARD),
@@ -973,10 +844,10 @@ mod tests {
         // Far outside the probing phase nothing observes it → it drops.
         let far = SimTime::from_secs(1_000_000);
         assert!(!w.observed_near(mid, far, ADAPTIVE_GUARD));
-        match w.message_outcome_on_route(&route, far, &adaptive) {
-            MessageOutcome::DroppedByHost { at, .. } => assert_eq!(at, mid),
-            MessageOutcome::DroppedByNetwork { .. } => {} // a link died first
-            MessageOutcome::Delivered { .. } => panic!("unobserved adaptive host must drop"),
+        match w.route_fate_on_route(&route, far, &adaptive) {
+            RouteFate::DroppedByHost { at, .. } => assert_eq!(at, mid),
+            RouteFate::DroppedByNetwork { .. } => {} // a link died first
+            RouteFate::Delivered { .. } => panic!("unobserved adaptive host must drop"),
         }
     }
 

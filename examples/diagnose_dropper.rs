@@ -13,7 +13,7 @@ use concilium::accusation::DropContext;
 use concilium::dht::AccusationDht;
 use concilium::{ConciliumConfig, ConciliumNode, ForwardingCommitment};
 use concilium_crypto::PublicKey;
-use concilium_sim::{AdversarySets, MessageOutcome, SimConfig, SimWorld};
+use concilium_sim::{AdversarySets, RouteFate, SimConfig, SimWorld};
 use concilium_tomography::{LinkObservation, TomographySnapshot};
 use concilium_types::{Id, MsgId, SimTime};
 use rand::rngs::StdRng;
@@ -74,17 +74,16 @@ fn main() {
     let mut accusation = None;
     for k in 0..100u64 {
         let t = SimTime::from_secs(200 + k * 60);
-        let outcome = world.message_outcome(judge_idx, dest, t, &adversaries);
-        let MessageOutcome::DroppedByHost { at, .. } = &outcome else {
-            println!("  t={t}: message got through ({outcome:?})");
+        let fate = world.route_fate_on_route(&route, t, &adversaries);
+        let RouteFate::DroppedByHost { at, .. } = fate else {
+            println!("  t={t}: message got through ({fate:?})");
             continue;
         };
-        assert_eq!(*at, dropper);
+        assert_eq!(at, dropper);
 
         // Snapshot exchange: the judge's peers publish their latest probe
         // results for the links of the dropper's next IP path.
-        let accused_route = world.route(judge_idx, dest).unwrap();
-        let next = accused_route[2];
+        let next = route[2];
         let next_id = world.node(next).id();
         let path = world.path_to_peer(dropper, next_id).unwrap().clone();
         for (origin, link, up) in path.links().iter().flat_map(|&l| {

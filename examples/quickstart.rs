@@ -9,7 +9,7 @@
 
 use concilium::blame::{blame_from_path_evidence, LinkEvidence};
 use concilium::{ConciliumConfig, Verdict};
-use concilium_sim::{AdversarySets, MessageOutcome, SimConfig, SimWorld};
+use concilium_sim::{AdversarySets, RouteFate, SimConfig, SimWorld};
 use concilium_types::{Id, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,19 +39,19 @@ fn main() {
         let src = rng.gen_range(0..world.num_hosts());
         let target = Id::random(&mut rng);
         let t = SimTime::from_secs(rng.gen_range(300..1500));
-        let outcome = world.message_outcome(src, target, t, &adversaries);
+        let accused_route = world.route(src, target).expect("routes converge");
+        let fate = world.route_fate_on_route(&accused_route, t, &adversaries);
 
-        let (faulty_host, first_hop) = match &outcome {
-            MessageOutcome::Delivered { .. } => continue,
-            MessageOutcome::DroppedByHost { route, at } => (Some(*at), route[route.len() - 2]),
-            MessageOutcome::DroppedByNetwork { from, .. } => (None, *from),
+        let (faulty_host, first_hop) = match fate {
+            RouteFate::Delivered { .. } => continue,
+            RouteFate::DroppedByHost { hops, at } => (Some(at), accused_route[hops - 2]),
+            RouteFate::DroppedByNetwork { from, .. } => (None, from),
         };
 
         // The upstream neighbour of the failure point judges its next hop:
         // gather probe evidence for the links of the accused's next IP
         // path, excluding the accused's own probes.
         let judge = first_hop;
-        let accused_route = world.route(src, target).expect("routes converge");
         let pos = accused_route.iter().position(|&h| h == judge).expect("judge on route");
         let Some(&accused) = accused_route.get(pos + 1) else { continue };
         let Some(&next) = accused_route.get(pos + 2) else {

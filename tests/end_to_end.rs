@@ -7,7 +7,7 @@ use concilium::dht::AccusationDht;
 use concilium::revision::AccusationChain;
 use concilium::{ConciliumConfig, ConciliumNode, ForwardingCommitment, Verdict};
 use concilium_crypto::PublicKey;
-use concilium_sim::{AdversarySets, MessageOutcome, SimConfig, SimWorld};
+use concilium_sim::{AdversarySets, RouteFate, SimConfig, SimWorld};
 use concilium_tomography::{LinkObservation, TomographySnapshot};
 use concilium_types::{Id, MsgId, SimTime};
 use rand::rngs::StdRng;
@@ -54,13 +54,14 @@ fn dropper_is_formally_accused_and_verifiable() {
     let mut guilty_seen = 0;
     for k in 0..100u64 {
         let t = SimTime::from_secs(200 + k * 60);
-        let outcome = world.message_outcome(judge_idx, dest, t, &adversaries);
-        let MessageOutcome::DroppedByHost { at, .. } = &outcome else {
+        let route = world.route(judge_idx, dest).unwrap();
+        let RouteFate::DroppedByHost { at, .. } =
+            world.route_fate_on_route(&route, t, &adversaries)
+        else {
             continue;
         };
-        assert_eq!(*at, dropper, "only the designated dropper drops");
+        assert_eq!(at, dropper, "only the designated dropper drops");
 
-        let route = world.route(judge_idx, dest).unwrap();
         let next = route[2];
         let next_id = world.node(next).id();
         let path = world.path_to_peer(dropper, next_id).unwrap().clone();
@@ -149,16 +150,18 @@ fn network_drops_exonerate_the_forwarder() {
         for k in 0..600u64 {
             let t = SimTime::from_secs(120 + (k * 7) % 1_560);
             let target = Id::random(&mut rng);
-            let outcome = world.message_outcome(src, target, t, &AdversarySets::none());
-            let MessageOutcome::DroppedByNetwork { route, from, to, .. } = outcome else {
+            let route = world.route(src, target).expect("routes converge");
+            let RouteFate::DroppedByNetwork { hops, from, to, .. } =
+                world.route_fate_on_route(&route, t, &AdversarySets::none())
+            else {
                 continue;
             };
             // Judge `to` from the perspective of `from`'s upstream... we
             // judge the hop (from → to): evidence over that hop's links.
-            if route.len() < 2 {
+            if hops < 2 {
                 continue; // the failed hop left the source: no upstream judge
             }
-            let judge = route[route.len() - 2];
+            let judge = route[hops - 2];
             let accused = from;
             if judge == accused {
                 continue;

@@ -13,7 +13,7 @@ use concilium::blame::{blame_from_path_evidence, LinkEvidence};
 use concilium::retry::RetryPolicy;
 use concilium::{ConciliumConfig, Verdict};
 use concilium_sim::faults::{FaultConfig, FaultPlan, MessageFate};
-use concilium_sim::{AdversarySets, EventQueue, MessageOutcome, SimConfig, SimWorld};
+use concilium_sim::{AdversarySets, EventQueue, RouteFate, SimConfig, SimWorld};
 use concilium_types::{Id, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,13 +77,12 @@ fn run_arm(ack_drop: f64, ack_attempts: u32) -> Tally {
         let Some(planned) = world.route(src, target) else {
             continue;
         };
-        let outcome = world.message_outcome(src, target, t, &adversaries);
+        let fate = world.route_fate_on_route(&planned, t, &adversaries);
 
         // The ack path: only delivered messages can be acknowledged; each
         // retransmission re-solicits the ack, re-rolling transport loss.
         let dest = *planned.last().expect("routes are non-empty");
-        let delivered = matches!(outcome, MessageOutcome::Delivered { .. });
-        let acked = delivered
+        let acked = fate.delivered()
             && (0..ack_attempts).any(|_| plan.ack_arrives(&adversaries, dest));
 
         if acked {
@@ -97,24 +96,24 @@ fn run_arm(ack_drop: f64, ack_attempts: u32) -> Tally {
         // the system harness does — the failure point's upstream steward
         // judges the failure point; a phantom drop (delivered, ack lost)
         // has no failure point, so the source judges its own next hop.
-        let (judge, accused, truly_guilty, tag) = match &outcome {
-            MessageOutcome::Delivered { route } => {
-                if route.len() < 3 {
+        let (judge, accused, truly_guilty, tag) = match fate {
+            RouteFate::Delivered { hops } => {
+                if hops < 3 {
                     continue;
                 }
-                (route[0], route[1], false, 1u8)
+                (planned[0], planned[1], false, 1u8)
             }
-            MessageOutcome::DroppedByHost { route, at } => {
-                if route.len() < 2 {
+            RouteFate::DroppedByHost { hops, at } => {
+                if hops < 2 {
                     continue;
                 }
-                (route[route.len() - 2], *at, true, 2u8)
+                (planned[hops - 2], at, true, 2u8)
             }
-            MessageOutcome::DroppedByNetwork { route, from, .. } => {
-                if route.len() < 2 {
+            RouteFate::DroppedByNetwork { hops, from, .. } => {
+                if hops < 2 {
                     continue;
                 }
-                (route[route.len() - 2], *from, false, 3u8)
+                (planned[hops - 2], from, false, 3u8)
             }
         };
         if judge == accused {

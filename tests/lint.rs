@@ -112,7 +112,7 @@ fn every_per_kind_consumer_denies_wildcard_arms() {
     const CONSUMERS: &[(&str, &str)] = &[
         ("crates/obs/src/causal.rs", "pub fn entities("),
         ("crates/obs/src/causal.rs", "fn step("),
-        ("crates/sim/src/explorer.rs", "fn count("),
+        ("crates/sim/src/explorer/episode.rs", "fn count("),
         ("crates/serve/src/flight.rs", "pub(crate) fn trace_event("),
         ("crates/serve/src/flight.rs", "pub fn from_record("),
         ("crates/serve/src/daemon.rs", "fn absorb("),
