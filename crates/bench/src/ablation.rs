@@ -12,7 +12,7 @@
 
 use concilium::blame::{blame_from_path_evidence, blame_with_noisy_or, LinkEvidence};
 use concilium::verdict::minimal_m;
-use concilium_sim::{Histogram, SimWorld};
+use concilium_sim::{Histogram, PathEvidence, SimWorld};
 use concilium_types::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +94,7 @@ fn sample_rules<R: Rng + ?Sized>(
     let duration = world.config().duration.as_micros();
     let idx = |rule: usize, faulty: bool| rule * 2 + usize::from(!faulty);
 
+    let mut evidence = PathEvidence::new();
     let mut sampled = 0usize;
     let mut guard = 0usize;
     while sampled < triples && guard < triples * 20 {
@@ -116,21 +117,18 @@ fn sample_rules<R: Rng + ?Sized>(
         let t = SimTime::from_micros(
             rng.gen_range(delta.as_micros()..duration - delta.as_micros()),
         );
-        let c_id = world.node(c).id();
-        let path = world.path_to_peer(b, c_id).expect("C is B's peer");
+        let path = world.peer_path(b, c).expect("C is B's peer");
         let faulty = world.path_up_at(path, t);
 
         // Evidence under the paper's rule (B excluded).
+        world.path_evidence(a, path.links(), t, delta, Some(b), &mut evidence);
         let honest: Vec<LinkEvidence> = path
             .links()
             .iter()
-            .map(|&link| LinkEvidence {
+            .zip(evidence.per_link())
+            .map(|(&link, observations)| LinkEvidence {
                 link,
-                observations: world
-                    .probe_evidence(a, link, t, delta, Some(b))
-                    .into_iter()
-                    .map(|(_, up)| up)
-                    .collect(),
+                observations: observations.iter().map(|&(_, up)| up).collect(),
             })
             .collect();
         // Evidence with B included: B's own (lying) probes claim every

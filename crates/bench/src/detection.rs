@@ -17,7 +17,7 @@
 
 use concilium::accusation::DropContext;
 use concilium::{ConciliumConfig, ConciliumNode, ForwardingCommitment};
-use concilium_sim::SimWorld;
+use concilium_sim::{PathEvidence, SimWorld};
 use concilium_tomography::{LinkObservation, TomographySnapshot};
 use concilium_sim::SimConfig;
 use concilium_types::{MsgId, SimDuration, SimTime};
@@ -112,10 +112,7 @@ fn drive_pair<R: Rng + ?Sized>(
         return None;
     }
     let next_id = world.node(next).id();
-    let path = world
-        .path_to_peer(dropper, next_id)
-        .expect("next is dropper's peer")
-        .clone();
+    let path = world.peer_path(dropper, next).expect("next is dropper's peer");
     let dropper_id = world.node(dropper).id();
 
     let mut judge = ConciliumNode::new(
@@ -123,16 +120,16 @@ fn drive_pair<R: Rng + ?Sized>(
         world.node(judge_idx).keys().clone(),
         config,
     );
+    let mut evidence = PathEvidence::new();
 
     for k in 0..max_drops {
         let t = SimTime::from_micros(
             rng.gen_range(delta.as_micros()..duration - delta.as_micros()),
         );
         // Peers' snapshots for the B→C links around t.
-        for &link in path.links() {
-            for (origin, up) in
-                world.probe_evidence(judge_idx, link, t, delta, Some(dropper))
-            {
+        world.path_evidence(judge_idx, path.links(), t, delta, Some(dropper), &mut evidence);
+        for (&link, observations) in path.links().iter().zip(evidence.per_link()) {
+            for &(origin, up) in observations {
                 let snap = TomographySnapshot::new_signed(
                     world.node(origin).id(),
                     t,

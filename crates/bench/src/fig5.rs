@@ -18,8 +18,8 @@
 //! routing state, C ∈ B's routing state — the paper's constraint) and
 //! reports how many were evaluated.
 
-use concilium::blame::{blame_from_path_evidence, LinkEvidence};
-use concilium_sim::{AdversarySets, Histogram, SimWorld};
+use concilium::blame::blame_from_observations;
+use concilium_sim::{AdversarySets, Histogram, PathEvidence, SimWorld};
 use concilium_types::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,6 +131,7 @@ pub fn run<R: Rng + ?Sized>(
     let t_lo = params.delta.as_micros();
     let t_hi = duration.as_micros().saturating_sub(params.delta.as_micros());
 
+    let mut evidence = PathEvidence::new();
     let mut sampled = 0usize;
     let mut guard = 0usize;
     while sampled < params.triples && guard < params.triples * 20 {
@@ -151,35 +152,14 @@ pub fn run<R: Rng + ?Sized>(
         }
         sampled += 1;
 
-        let c_id = world.node(c).id();
-        let path = world.path_to_peer(b, c_id).expect("C is in B's routing state");
+        let path = world.peer_path(b, c).expect("C is in B's routing state");
         let b_is_colluder = adversaries.is_colluder(b);
 
         for _ in 0..params.times_per_triple {
             let t = SimTime::from_micros(rng.gen_range(t_lo..t_hi));
             let path_good = world.path_up_at(path, t);
-
-            let per_link: Vec<LinkEvidence> = path
-                .links()
-                .iter()
-                .map(|&link| LinkEvidence {
-                    link,
-                    observations: world
-                        .probe_evidence(a, link, t, params.delta, Some(b))
-                        .into_iter()
-                        .map(|(origin, up)| {
-                            if adversaries.is_colluder(origin) {
-                                // §4.3 collusion model: protect fellow
-                                // colluders, frame the innocent.
-                                !b_is_colluder
-                            } else {
-                                up
-                            }
-                        })
-                        .collect(),
-                })
-                .collect();
-            let blame = blame_from_path_evidence(&per_link, params.accuracy);
+            world.path_evidence(a, path.links(), t, params.delta, Some(b), &mut evidence);
+            let blame = reported_blame(&evidence, adversaries, b_is_colluder, params.accuracy);
             if path_good {
                 // A good path plus a missing acknowledgment means B
                 // dropped the message. In the adversarial scenario only
@@ -196,6 +176,33 @@ pub fn run<R: Rng + ?Sized>(
         }
     }
     finish(faulty, nonfaulty, params)
+}
+
+/// Eq. 2–3 over `evidence` as its origins report it under the §4.3
+/// collusion model: a colluder swears every link down when a fellow
+/// colluder is judged (protecting it) and up when anyone else is (framing
+/// the innocent). One origin's observations are contiguous, so membership
+/// is decided once per run, not once per observation.
+fn reported_blame(
+    evidence: &PathEvidence,
+    adversaries: &AdversarySets,
+    b_is_colluder: bool,
+    accuracy: f64,
+) -> f64 {
+    let per_link = evidence.per_link().map(|observations| {
+        let mut run = (usize::MAX, false);
+        observations.iter().map(move |&(origin, up)| {
+            if origin != run.0 {
+                run = (origin, adversaries.is_colluder(origin));
+            }
+            if run.1 {
+                !b_is_colluder
+            } else {
+                up
+            }
+        })
+    });
+    blame_from_observations(per_link, accuracy)
 }
 
 /// Prints one panel.
@@ -238,6 +245,55 @@ mod tests {
         assert!(r.faulty.count() > 100 && r.nonfaulty.count() > 100);
         assert!(r.p_faulty_guilty > 0.8, "faulty guilty rate {}", r.p_faulty_guilty);
         assert!(r.p_good_guilty < 0.15, "innocent guilty rate {}", r.p_good_guilty);
+    }
+
+    #[test]
+    fn reported_blame_matches_the_materialised_judgment() {
+        use concilium::blame::{blame_from_path_evidence, LinkEvidence};
+        let mut rng = StdRng::seed_from_u64(504);
+        let world = SimWorld::build(SimConfig::small(), &mut rng);
+        let colluders = AdversarySets::sample(world.num_hosts(), 0.2, 0.2, &mut rng);
+        let delta = SimDuration::from_secs(60);
+        let mut evidence = PathEvidence::new();
+        let mut lied = 0usize;
+        for adversaries in [&AdversarySets::none(), &colluders] {
+            for k in 0..1_500 {
+                let a = k % world.num_hosts();
+                let b = world.peers_of(a)[k % world.peers_of(a).len()];
+                let c = world.peers_of(b)[(k / 3) % world.peers_of(b).len()];
+                let path = world.peer_path(b, c).expect("C is B's peer");
+                let t = SimTime::from_secs(rng.gen_range(60..1_740));
+                world.path_evidence(a, path.links(), t, delta, Some(b), &mut evidence);
+                // Membership asked per observation, evidence materialised.
+                let materialised: Vec<LinkEvidence> = path
+                    .links()
+                    .iter()
+                    .zip(evidence.per_link())
+                    .map(|(&link, obs)| LinkEvidence {
+                        link,
+                        observations: obs
+                            .iter()
+                            .map(|&(origin, up)| {
+                                if adversaries.is_colluder(origin) {
+                                    lied += 1;
+                                    !adversaries.is_colluder(b)
+                                } else {
+                                    up
+                                }
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                let folded =
+                    reported_blame(&evidence, adversaries, adversaries.is_colluder(b), 0.9);
+                assert_eq!(
+                    folded.to_bits(),
+                    blame_from_path_evidence(&materialised, 0.9).to_bits(),
+                    "judge {a}, forwarder {b}, next {c}, t {t:?}"
+                );
+            }
+        }
+        assert!(lied > 1_000, "colluders must appear among the origins ({lied})");
     }
 
     #[test]

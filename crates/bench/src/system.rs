@@ -21,7 +21,7 @@ use concilium::dht::AccusationDht;
 use concilium::policy::{PolicyConfig, PolicyEngine, Sanction};
 use concilium::{ConciliumConfig, ConciliumNode, ForwardingCommitment, Verdict};
 use concilium_crypto::PublicKey;
-use concilium_sim::{AdversarySets, RouteFate, SimWorld};
+use concilium_sim::{AdversarySets, PathEvidence, RouteFate, SimWorld};
 use concilium_tomography::{LinkObservation, TomographySnapshot};
 use concilium_types::{Id, MsgId, SimTime};
 use rand::Rng;
@@ -112,6 +112,7 @@ pub fn run<R: Rng + ?Sized>(
         ..Default::default()
     };
     let mut last_t = SimTime::ZERO;
+    let mut evidence = PathEvidence::new();
 
     for k in 0..cfg.messages {
         report.sent += 1;
@@ -163,10 +164,7 @@ pub fn run<R: Rng + ?Sized>(
 
         let accused_id = world.node(accused).id();
         let next_id = world.node(next).id();
-        let path = world
-            .path_to_peer(accused, next_id)
-            .expect("next hops are routing peers")
-            .clone();
+        let path = world.peer_path(accused, next).expect("next hops are routing peers");
 
         let judge = judges.entry(judge_idx).or_insert_with(|| {
             ConciliumNode::new(
@@ -177,12 +175,10 @@ pub fn run<R: Rng + ?Sized>(
         });
 
         // Snapshot exchange for the B→C links around t.
+        world.path_evidence(judge_idx, path.links(), t, delta, Some(accused), &mut evidence);
         let mut covered_links = 0usize;
-        for &link in path.links() {
-            let mut covered = false;
-            for (origin, up) in world.probe_evidence(judge_idx, link, t, delta, Some(accused))
-            {
-                covered = true;
+        for (&link, observations) in path.links().iter().zip(evidence.per_link()) {
+            for &(origin, up) in observations {
                 let snap = TomographySnapshot::new_signed(
                     world.node(origin).id(),
                     t,
@@ -192,7 +188,7 @@ pub fn run<R: Rng + ?Sized>(
                 );
                 let _ = judge.receive_snapshot(snap, &world.node(origin).public_key(), t);
             }
-            covered_links += usize::from(covered);
+            covered_links += usize::from(!observations.is_empty());
         }
 
         // Unprobed links are skipped by the fuzzy-OR of Eq. 3, so a path

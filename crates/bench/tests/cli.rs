@@ -3,8 +3,10 @@
 //! `concilium-explain` (and the second trace exporter) are refused.
 //! Those invocations stop in the argument parser; the one that runs an
 //! experiment (tiny scale) checks that `--jobs` only sets a worker count,
-//! and the one that runs a two-seed sweep checks that `--trace-out` holds
-//! whole episodes, by asking `concilium-explain --orphans`.
+//! the one that runs the evidence-reading figures (small scale) replays
+//! `fixtures/experiments_small.golden` byte for byte, and the one that
+//! runs a two-seed sweep checks that `--trace-out` holds whole episodes,
+//! by asking `concilium-explain --orphans`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -106,6 +108,26 @@ fn experiments_print_the_same_figures_at_any_worker_count() {
     assert!(default.contains("Figure 5(a") && default.contains("Figure 6"), "{default}");
     assert_eq!(default, fig5(&["--jobs", "1"]));
     assert_eq!(default, fig5(&["--jobs", "2"]));
+}
+
+/// The figures that read tomographic evidence — Figure 5 (both panels) with
+/// Figure 6, the blame-rule ablation, the detection sweep and the system
+/// run — print, at small scale, byte for byte what the fixture recorded at
+/// the commit before the evidence query became an index read.
+#[test]
+fn small_scale_figures_match_the_golden() {
+    let mut printed = Vec::new();
+    for figure in ["fig5", "ablation", "detection", "system"] {
+        let args = [figure, "--scale", "small", "--seed", "2007", "--jobs", "1"];
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("experiments runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        printed.extend(out.stdout);
+    }
+    let golden = include_str!("../fixtures/experiments_small.golden");
+    assert_eq!(String::from_utf8(printed).expect("utf-8 tables"), golden);
 }
 
 /// `concilium-explain` is `concilium-obs`'s binary, which cargo builds for

@@ -17,9 +17,9 @@
 //! confident was bad, weighing each probe equally. Crucially, B's own
 //! probe results are excluded when judging B, so B cannot talk its way
 //! out of blame — the caller is responsible for that exclusion (see
-//! [`SimWorld::probe_evidence`]).
+//! [`SimWorld::path_evidence`]).
 //!
-//! [`SimWorld::probe_evidence`]: https://docs.rs/concilium-sim
+//! [`SimWorld::path_evidence`]: https://docs.rs/concilium-sim
 
 use concilium_types::LinkId;
 
@@ -63,18 +63,23 @@ pub struct LinkEvidence {
 /// assert!((c - 0.8).abs() < 1e-12);
 /// ```
 pub fn link_bad_confidence(observations: &[bool], accuracy: f64) -> Option<f64> {
+    bad_confidence(observations.iter().copied(), accuracy)
+}
+
+/// [`link_bad_confidence`] over any sequence of observations: one pass,
+/// summing in sequence order.
+fn bad_confidence(observations: impl IntoIterator<Item = bool>, accuracy: f64) -> Option<f64> {
     assert!(
         accuracy > 0.5 && accuracy <= 1.0,
         "probe accuracy must be in (0.5, 1], got {accuracy}"
     );
-    if observations.is_empty() {
-        return None;
-    }
+    let mut count = 0usize;
     let sum: f64 = observations
-        .iter()
-        .map(|&up| if up { 1.0 - accuracy } else { accuracy })
+        .into_iter()
+        .inspect(|_| count += 1)
+        .map(|up| if up { 1.0 - accuracy } else { accuracy })
         .sum();
-    Some(sum / observations.len() as f64)
+    (count > 0).then(|| sum / count as f64)
 }
 
 /// Eq. 2 over a whole path: the blame assigned to the forwarder given the
@@ -91,9 +96,26 @@ pub fn link_bad_confidence(observations: &[bool], accuracy: f64) -> Option<f64> 
 ///
 /// Panics if `accuracy` is not in `(0.5, 1]`.
 pub fn blame_from_path_evidence(evidence: &[LinkEvidence], accuracy: f64) -> f64 {
-    let path_bad = evidence
-        .iter()
-        .filter_map(|e| link_bad_confidence(&e.observations, accuracy))
+    blame_from_observations(evidence.iter().map(|e| e.observations.iter().copied()), accuracy)
+}
+
+/// [`blame_from_path_evidence`] over observations that need not be
+/// materialised: `links` yields, per path link, that link's probe
+/// judgments in the order Eq. 3 sums them. The same additions in the same
+/// order, so the result is bit-identical to building the [`LinkEvidence`]
+/// list first.
+///
+/// # Panics
+///
+/// Panics if `accuracy` is not in `(0.5, 1]`.
+pub fn blame_from_observations<L>(links: L, accuracy: f64) -> f64
+where
+    L: IntoIterator,
+    L::Item: IntoIterator<Item = bool>,
+{
+    let path_bad = links
+        .into_iter()
+        .filter_map(|observations| bad_confidence(observations, accuracy))
         .fold(0.0f64, f64::max); // fuzzy OR
     1.0 - path_bad
 }
@@ -199,6 +221,32 @@ mod tests {
                     .collect();
                 let b = blame_from_path_evidence(&evidence, acc);
                 prop_assert!((0.0..=1.0).contains(&b));
+            }
+
+            #[test]
+            fn streamed_fold_is_bit_identical_to_the_slice_formula(
+                obs in proptest::collection::vec(
+                    proptest::collection::vec(any::<bool>(), 0..40), 0..12),
+                acc in 0.51f64..=1.0,
+            ) {
+                // Eq. 2–3 written out over slices, as the code read before
+                // the fold took iterators.
+                let mut path_bad = 0.0f64;
+                for o in obs.iter().filter(|o| !o.is_empty()) {
+                    let sum: f64 = o.iter().map(|&up| if up { 1.0 - acc } else { acc }).sum();
+                    path_bad = path_bad.max(sum / o.len() as f64);
+                }
+                let want = (1.0 - path_bad).to_bits();
+
+                let evidence: Vec<LinkEvidence> = obs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, o)| LinkEvidence { link: LinkId(i as u32), observations: o.clone() })
+                    .collect();
+                prop_assert_eq!(blame_from_path_evidence(&evidence, acc).to_bits(), want);
+                let streamed =
+                    blame_from_observations(obs.iter().map(|o| o.iter().copied()), acc);
+                prop_assert_eq!(streamed.to_bits(), want);
             }
 
             #[test]

@@ -1,7 +1,5 @@
 //! Per-host probe archives: what each host observed about its tree links.
 
-use std::collections::HashMap;
-
 use concilium_types::{LinkId, SimDuration, SimTime};
 
 /// One host's archive of tomographic observations.
@@ -16,35 +14,46 @@ use concilium_types::{LinkId, SimDuration, SimTime};
 pub struct ProbeArchive {
     /// Sorted probe times.
     times: Vec<SimTime>,
-    /// Column → link, in the order `new` was handed.
+    /// Column → link: strictly ascending, so a link's column is a binary
+    /// search away and no second index is kept.
     columns: Vec<LinkId>,
-    /// Link → column index.
-    link_index: HashMap<LinkId, u32>,
     /// Bit-packed rows.
     bits: Vec<u64>,
     words_per_row: usize,
 }
 
 impl ProbeArchive {
-    /// Creates an archive over the given distinct tree links (column
-    /// order fixed).
+    /// Creates an archive over the given tree links, one column each in
+    /// the order given.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `links` is strictly ascending (sorted and distinct, as
+    /// [`ProbeTree::link_set`] returns it).
+    ///
+    /// [`ProbeTree::link_set`]: https://docs.rs/concilium-tomography
     pub fn new(links: &[LinkId]) -> Self {
-        let link_index: HashMap<LinkId, u32> =
-            links.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect();
-        debug_assert_eq!(link_index.len(), links.len(), "tree links must be distinct");
+        assert!(
+            links.windows(2).all(|w| w[0] < w[1]),
+            "tree links must be sorted and distinct"
+        );
         let words_per_row = links.len().div_ceil(64).max(1);
-        ProbeArchive {
-            times: Vec::new(),
-            columns: links.to_vec(),
-            link_index,
-            bits: Vec::new(),
-            words_per_row,
-        }
+        ProbeArchive { times: Vec::new(), columns: links.to_vec(), bits: Vec::new(), words_per_row }
+    }
+
+    /// The links of this host's tree, in column order (ascending).
+    pub fn links(&self) -> &[LinkId] {
+        &self.columns
+    }
+
+    /// The column holding `link`'s observations, if the tree covers it.
+    fn column_of(&self, link: LinkId) -> Option<usize> {
+        self.columns.binary_search(&link).ok()
     }
 
     /// Whether this host's tree covers `link`.
     pub fn covers(&self, link: LinkId) -> bool {
-        self.link_index.contains_key(&link)
+        self.column_of(link).is_some()
     }
 
     /// Number of probe rounds recorded.
@@ -54,7 +63,7 @@ impl ProbeArchive {
 
     /// Number of links per round.
     pub fn num_links(&self) -> usize {
-        self.link_index.len()
+        self.columns.len()
     }
 
     /// Appends a probe round at `time` with per-link observations supplied
@@ -86,10 +95,25 @@ impl ProbeArchive {
     ///
     /// Panics if `round` is out of range.
     pub fn observation(&self, round: usize, link: LinkId) -> Option<bool> {
-        let &col = self.link_index.get(&link)?;
-        assert!(round < self.times.len(), "round {round} out of range");
-        let word = self.bits[round * self.words_per_row + (col as usize) / 64];
-        Some(word >> (col % 64) & 1 == 1)
+        let col = self.column_of(link)?;
+        self.column_observations(col, round..round + 1).next()
+    }
+
+    /// The observations, oldest first, that probe rounds `rounds` made of
+    /// the link in column `col` (its position in [`ProbeArchive::links`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` or `rounds` is out of range.
+    pub fn column_observations(
+        &self,
+        col: usize,
+        rounds: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = bool> + '_ {
+        assert!(col < self.columns.len(), "column {col} out of range");
+        assert!(rounds.end <= self.times.len(), "rounds {rounds:?} out of range");
+        let (word, bit) = (col / 64, col % 64);
+        rounds.map(move |r| self.bits[r * self.words_per_row + word] >> bit & 1 == 1)
     }
 
     /// The probe rounds whose times fall within `[t − Δ, t + Δ]`,
@@ -119,13 +143,10 @@ impl ProbeArchive {
         t: SimTime,
         delta: SimDuration,
     ) -> Vec<bool> {
-        let Some(&col) = self.link_index.get(&link) else {
+        let Some(col) = self.column_of(link) else {
             return Vec::new();
         };
-        let (word, bit) = ((col as usize) / 64, col % 64);
-        self.rounds_in_window(t, delta)
-            .map(|r| self.bits[r * self.words_per_row + word] >> bit & 1 == 1)
-            .collect()
+        self.column_observations(col, self.rounds_in_window(t, delta)).collect()
     }
 }
 
@@ -197,6 +218,30 @@ mod tests {
         let mut a = ProbeArchive::new(&ls);
         a.record_round(t(10), |_| true);
         a.record_round(t(5), |_| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and distinct")]
+    fn unsorted_or_repeated_links_rejected() {
+        let _ = ProbeArchive::new(&[LinkId(3), LinkId(3)]);
+    }
+
+    #[test]
+    fn columns_are_found_by_binary_search() {
+        // Sparse ids: a column is the link's rank among the tree's links.
+        let ls: Vec<LinkId> = [2u32, 5, 9, 400, 70_000].map(LinkId).to_vec();
+        let mut a = ProbeArchive::new(&ls);
+        a.record_round(t(1), |l| l.0 >= 9);
+        assert_eq!(a.links(), &ls[..]);
+        for (col, &l) in ls.iter().enumerate() {
+            assert!(a.covers(l));
+            assert_eq!(a.observation(0, l), Some(l.0 >= 9));
+            assert_eq!(a.column_observations(col, 0..1).collect::<Vec<_>>(), [l.0 >= 9]);
+        }
+        for absent in [0u32, 3, 10, 69_999, 70_001] {
+            assert!(!a.covers(LinkId(absent)));
+            assert_eq!(a.observation(0, LinkId(absent)), None);
+        }
     }
 
     #[test]

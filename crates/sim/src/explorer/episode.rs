@@ -29,7 +29,7 @@ use crate::invariants::{
     check_blame, check_conservation, check_metrics_conservation, check_tomography, check_window,
     InvariantKind, TraceHasher, Violation,
 };
-use crate::{AdversarySets, EventQueue, FaultPlan, RouteFate, SimWorld};
+use crate::{AdversarySets, EventQueue, FaultPlan, PathEvidence, RouteFate, SimWorld};
 
 const RTT: SimDuration = SimDuration::from_millis(200);
 
@@ -804,24 +804,21 @@ impl<'w> Episode<'w> {
         t0: SimTime,
     ) -> Gathered {
         let world = self.world;
-        let next_id = world.node(next).id();
-        let Some(path) = world.path_to_peer(accused, next_id) else {
+        let Some(path) = world.peer_path(accused, next) else {
             return Gathered::default();
         };
-        let links: Vec<LinkId> = path.links().to_vec();
+        let links = path.links();
+        let (mut from_judge, mut from_accused) = (PathEvidence::new(), PathEvidence::new());
+        world.path_evidence(judge, links, t0, self.delta, Some(accused), &mut from_judge);
+        world.path_evidence(accused, links, t0, self.delta, Some(accused), &mut from_accused);
         let mut per_link = Vec::with_capacity(links.len());
-        for link in links {
-            let mut raw = world.probe_evidence(judge, link, t0, self.delta, Some(accused));
-            let seen: BTreeSet<usize> = raw.iter().map(|&(origin, _)| origin).collect();
-            for (origin, up) in
-                world.probe_evidence(accused, link, t0, self.delta, Some(accused))
-            {
-                if !seen.contains(&origin) {
-                    raw.push((origin, up));
-                }
-            }
+        for ((&link, own), vouching) in
+            links.iter().zip(from_judge.per_link()).zip(from_accused.per_link())
+        {
+            let unseen =
+                vouching.iter().filter(|(origin, _)| !own.iter().any(|(o, _)| o == origin));
             let mut kept = Vec::new();
-            for (origin, up) in raw {
+            for &(origin, up) in own.iter().chain(unseen) {
                 if origin != judge {
                     if !self.plan.transport_delivers() {
                         continue;

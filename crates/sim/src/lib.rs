@@ -18,7 +18,9 @@
 //! * [`SimWorld`] — the assembled world: topology, overlay, per-host probe
 //!   trees, the full two-hour link-failure history, and every host's
 //!   probe archive (per-link up/down observations at the paper's 90%
-//!   accuracy).
+//!   accuracy), and the link → voucher index that answers Eq. 3's "who
+//!   probed this link" for a whole B→C path in one query
+//!   ([`SimWorld::path_evidence`] into a reusable [`PathEvidence`]).
 //! * [`AdversarySets`] — which hosts drop messages, collude on probe
 //!   results, withhold acks, delay snapshots, or replay stale ones.
 //! * [`FaultPlan`] — seeded, deterministic fault injection: message drop,
@@ -55,6 +57,7 @@ mod archive;
 mod behavior;
 mod config;
 mod engine;
+mod evidence;
 pub mod explorer;
 mod failhist;
 pub mod faults;
@@ -67,6 +70,7 @@ pub use archive::ProbeArchive;
 pub use behavior::AdversarySets;
 pub use config::SimConfig;
 pub use engine::{EventQueue, ScheduleError};
+pub use evidence::PathEvidence;
 pub use explorer::{
     dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions,
     EpisodeReport, EpisodeStats, EpisodeTrace, ExploreOutcome, FailingCase,

@@ -16,6 +16,7 @@ use crate::archive::ProbeArchive;
 use crate::behavior::AdversarySets;
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
+use crate::evidence::{EvidenceIndex, PathEvidence};
 use crate::failhist::IndexedHistory;
 
 /// How close (in virtual time) a routing peer's probe round must be for an
@@ -91,6 +92,10 @@ pub struct SimWorld {
     peer_hosts: Vec<Vec<usize>>,
     trees: Vec<ProbeTree>,
     archives: Vec<ProbeArchive>,
+    /// Which trees cover each link and each host's rank among every
+    /// judge's vantages: the evidence query reads this instead of asking
+    /// every peer's archive.
+    evidence: EvidenceIndex,
     history: IndexedHistory,
     /// Pairwise IP hop distances between overlay hosts (row-major).
     host_dist: Vec<u16>,
@@ -265,8 +270,7 @@ impl SimWorld {
         let mut archives = Vec::with_capacity(nodes.len());
         let max_probe = config.max_probe_time.as_micros();
         for tree in &trees {
-            let links = tree.link_set();
-            let mut archive = ProbeArchive::new(&links);
+            let mut archive = ProbeArchive::new(&tree.link_set());
             let mut t = SimTime::from_micros(rng.gen_range(0..=max_probe));
             while t < end {
                 archive.record_round(t, |link| {
@@ -284,6 +288,13 @@ impl SimWorld {
         }
         drop(span);
 
+        // 5. The link → voucher incidence the evidence query reads, from
+        //    the link sets the archives already hold. Derived state: it
+        //    draws nothing.
+        let span = concilium_obs::span("world.evidence_index");
+        let evidence = EvidenceIndex::build(topology.graph.num_links(), &archives, &peer_hosts);
+        drop(span);
+
         SimWorld {
             config,
             topology,
@@ -292,6 +303,7 @@ impl SimWorld {
             peer_hosts,
             trees,
             archives,
+            evidence,
             history,
             host_dist,
             peer_paths,
@@ -390,7 +402,7 @@ impl SimWorld {
     /// # Panics
     ///
     /// Panics if `u` or `v` is out of range.
-    fn peer_path(&self, u: usize, v: usize) -> Option<&IpPath> {
+    pub fn peer_path(&self, u: usize, v: usize) -> Option<&IpPath> {
         self.peer_paths[u * self.nodes.len() + v].as_ref()
     }
 
@@ -404,13 +416,63 @@ impl SimWorld {
         self.history.path_up(path.links(), t)
     }
 
-    /// The tomographic evidence available to `judge` about `link` around
-    /// time `t`: observations from the judge's own archive and from the
-    /// snapshots its routing peers sent it, restricted to probes initiated
-    /// within `[t − Δ, t + Δ]`. Probes originated by `exclude` (the node
-    /// being judged) are omitted, as Eq. 3 requires.
+    /// The tomographic evidence available to `judge` about each of
+    /// `links` (the B→C path) around time `t`: observations from the
+    /// judge's own archive and from the snapshots its routing peers sent
+    /// it, restricted to probes initiated within `[t − Δ, t + Δ]`. Probes
+    /// originated by `exclude` (the node being judged) are omitted, as
+    /// Eq. 3 requires.
     ///
-    /// Returns `(origin host, observed up)` pairs.
+    /// Overwrites `out` with one run of `(origin host, observed up)` pairs
+    /// per link: judge first, then its peers in [`SimWorld::peers_of`]
+    /// order, each origin's rounds oldest first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `judge` is out of range.
+    pub fn path_evidence(
+        &self,
+        judge: usize,
+        links: &[LinkId],
+        t: SimTime,
+        delta: SimDuration,
+        exclude: Option<usize>,
+        out: &mut PathEvidence,
+    ) {
+        let _span = concilium_obs::span("world.evidence");
+        let PathEvidence { observations, ends, admitted, windows } = out;
+        observations.clear();
+        ends.clear();
+        windows.clear();
+        windows.resize(self.peer_hosts[judge].len() + 1, None);
+        for &link in links {
+            admitted.clear();
+            for &(origin, col) in self.evidence.vouchers(link) {
+                if Some(origin as usize) == exclude {
+                    continue;
+                }
+                if let Some(rank) = self.evidence.rank(judge, origin as usize) {
+                    admitted.push((rank, origin, col));
+                }
+            }
+            // Ranks are distinct, so this orders by rank alone.
+            admitted.sort_unstable();
+            for &(rank, origin, col) in admitted.iter() {
+                let archive = &self.archives[origin as usize];
+                let rounds = windows[usize::from(rank)]
+                    .get_or_insert_with(|| archive.rounds_in_window(t, delta))
+                    .clone();
+                observations.extend(
+                    archive
+                        .column_observations(col as usize, rounds)
+                        .map(|up| (origin as usize, up)),
+                );
+            }
+            ends.push(observations.len());
+        }
+    }
+
+    /// [`SimWorld::path_evidence`] for a single link, as an owned list.
     ///
     /// # Panics
     ///
@@ -423,20 +485,9 @@ impl SimWorld {
         delta: SimDuration,
         exclude: Option<usize>,
     ) -> Vec<(usize, bool)> {
-        let mut out = Vec::new();
-        let push_from = |origin: usize, out: &mut Vec<(usize, bool)>| {
-            if Some(origin) == exclude {
-                return;
-            }
-            for up in self.archives[origin].observations_in_window(link, t, delta) {
-                out.push((origin, up));
-            }
-        };
-        push_from(judge, &mut out);
-        for &p in &self.peer_hosts[judge] {
-            push_from(p, &mut out);
-        }
-        out
+        let mut out = PathEvidence::new();
+        self.path_evidence(judge, &[link], t, delta, exclude, &mut out);
+        out.observations
     }
 
     /// Whether any routing peer of host `h` initiated a probe round within
@@ -702,6 +753,99 @@ mod tests {
         let without = w.probe_evidence(judge, link, t, delta, Some(excluded));
         assert!(without.iter().all(|&(o, _)| o != excluded));
         assert!(with.len() >= without.len());
+    }
+
+    /// The per-peer scan the evidence index replaced — ask the judge's
+    /// archive, then each routing peer's, whether it covers the link —
+    /// kept as the reference the index answer is compared with.
+    fn evidence_by_peer_scan(
+        w: &SimWorld,
+        judge: usize,
+        link: LinkId,
+        t: SimTime,
+        delta: SimDuration,
+        exclude: Option<usize>,
+    ) -> Vec<(usize, bool)> {
+        std::iter::once(judge)
+            .chain(w.peers_of(judge).iter().copied())
+            .filter(|&origin| Some(origin) != exclude)
+            .flat_map(|origin| {
+                let observations = w.archive(origin).observations_in_window(link, t, delta);
+                observations.into_iter().map(move |up| (origin, up))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn evidence_index_matches_the_peer_scan() {
+        for (cfg, seed) in [(SimConfig::tiny(), 61u64), (SimConfig::small(), 62)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = SimWorld::build(cfg, &mut rng);
+            let n = w.num_hosts();
+            let end = SimTime::ZERO + w.config().duration;
+            let times = [
+                SimTime::ZERO,
+                SimTime::from_micros(500_000),
+                SimTime::from_micros(end.as_micros() / 2),
+                end,
+                end + SimDuration::from_mins(60),
+            ];
+            let deltas =
+                [SimDuration::from_secs(1), SimDuration::from_secs(60), w.config().duration];
+
+            // Every link of the topology, not only the trees' — most are
+            // covered by no tree, some by one, the busiest by every tree
+            // (more vouchers than the scratch list holds before it first
+            // grows; it is a `Vec`, there is no inline bound to exceed) —
+            // and an id past the topology's last.
+            let mut links: Vec<LinkId> = w.topology().graph.links().collect();
+            links.push(LinkId(links.len() as u32 + 7));
+            let covered_by =
+                |k: usize| links.iter().filter(|&&l| w.evidence.vouchers(l).len() == k).count();
+            assert!(covered_by(0) > 1 && covered_by(1) > 0, "uncovered and once-covered links");
+            assert!(covered_by(n) > 0, "a link every tree covers");
+
+            let mut buf = PathEvidence::new();
+            let mut compared = 0usize;
+            let mut strangers = 0usize;
+            for judge in 0..n {
+                let peer = w.peers_of(judge)[judge % w.peers_of(judge).len()];
+                // A judge that peers with everyone has no stranger.
+                let stranger = (0..n).find(|h| *h != judge && !w.peers_of(judge).contains(h));
+                strangers += usize::from(stranger.is_some());
+                let excludes = [None, Some(judge), Some(peer), stranger.or(Some(peer))];
+                for (&t, &delta) in times.iter().flat_map(|t| deltas.iter().map(move |d| (t, d))) {
+                    for exclude in excludes {
+                        // One path-level query over every link agrees link
+                        // by link with the scan, order included, and with
+                        // the one-link query.
+                        w.path_evidence(judge, &links, t, delta, exclude, &mut buf);
+                        assert_eq!(buf.per_link().len(), links.len());
+                        for (k, &link) in links.iter().enumerate() {
+                            let want = evidence_by_peer_scan(&w, judge, link, t, delta, exclude);
+                            assert_eq!(
+                                buf.link(k),
+                                &want[..],
+                                "judge {judge} link {link:?} t {t:?} Δ {delta:?} excl {exclude:?}"
+                            );
+                            compared += want.len();
+                        }
+                        let flat: Vec<_> = buf.per_link().flatten().copied().collect();
+                        assert_eq!(flat, buf.observations);
+                    }
+                }
+                // The one-link query is the same code on a fresh buffer.
+                for &link in &links {
+                    let (t, delta) = (times[2], deltas[1]);
+                    assert_eq!(
+                        w.probe_evidence(judge, link, t, delta, Some(peer)),
+                        evidence_by_peer_scan(&w, judge, link, t, delta, Some(peer))
+                    );
+                }
+            }
+            assert!(strangers > 0, "some judge must have a non-peer to exclude");
+            assert!(compared > 100_000, "the cases must carry evidence ({compared})");
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 use concilium::blame::{blame_from_path_evidence, LinkEvidence};
 use concilium_overlay::montecarlo::sample_occupancy;
 use concilium_overlay::occupancy::{DensityScenario, OccupancyModel};
-use concilium_sim::{AdversarySets, Histogram, SimConfig, SimWorld};
+use concilium_sim::{AdversarySets, Histogram, PathEvidence, SimConfig, SimWorld};
 use concilium_tomography::Forest;
-use concilium_types::{IdSpace, SimTime};
+use concilium_types::{IdSpace, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,15 +83,49 @@ fn fig4_coverage_has_diminishing_returns() {
 /// routers, 1,131 hosts) peaks under a gigabyte of resident memory. The
 /// build keeps no per-router array alive for more than one host's BFS;
 /// retaining one tree per host was 2 GB of the 2.3 this build used to
-/// hold. Ignored by default (a few seconds in release, far longer in
-/// debug); CI runs it by name in its own process, so `VmHWM` is this
-/// build's peak.
+/// hold. The evidence index (link → vouching hosts, and every host's rank
+/// among every judge's vantages) is resident in that peak, and this is
+/// the world where its voucher lists are longest, so 2,000 sampled
+/// (A, B, C, t) judgments are cross-checked here against the per-peer
+/// archive scan the index replaced. Ignored by default (a few seconds in
+/// release, far longer in debug); CI runs it by name in its own process,
+/// so `VmHWM` is this build's peak.
 #[test]
 #[ignore = "paper-scale world build; run in release with -- --ignored paper_scale"]
 fn paper_scale_build_fits_in_a_gigabyte() {
     let mut rng = StdRng::seed_from_u64(2007);
     let world = SimWorld::build(SimConfig::paper_scale(), &mut rng);
     assert_eq!(world.num_hosts(), 1_131);
+
+    let delta = SimDuration::from_secs(60);
+    let end = world.config().duration.as_micros();
+    let mut evidence = PathEvidence::new();
+    let (mut judgments, mut observations) = (0, 0usize);
+    while judgments < 2_000 {
+        let a = rng.gen_range(0..world.num_hosts());
+        let b = world.peers_of(a)[rng.gen_range(0..world.peers_of(a).len())];
+        let c = world.peers_of(b)[rng.gen_range(0..world.peers_of(b).len())];
+        if c == a || c == b {
+            continue;
+        }
+        judgments += 1;
+        let t = SimTime::from_micros(rng.gen_range(0..end));
+        let path = world.peer_path(b, c).expect("c is b's peer");
+        world.path_evidence(a, path.links(), t, delta, Some(b), &mut evidence);
+        for (&link, got) in path.links().iter().zip(evidence.per_link()) {
+            let scan: Vec<(usize, bool)> = std::iter::once(a)
+                .chain(world.peers_of(a).iter().copied())
+                .filter(|&origin| origin != b)
+                .flat_map(|origin| {
+                    let seen = world.archive(origin).observations_in_window(link, t, delta);
+                    seen.into_iter().map(move |up| (origin, up))
+                })
+                .collect();
+            assert_eq!(got, &scan[..], "judge {a}, forwarder {b}, next {c}, {link:?} at {t:?}");
+            observations += scan.len();
+        }
+    }
+    assert!(observations > 20_000, "the sampled judgments must carry evidence");
 
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         eprintln!("paper_scale_build_fits_in_a_gigabyte: no /proc/self/status, peak memory not checked");
