@@ -102,6 +102,10 @@ fn build_world(opts: &Options) -> SimWorld {
             opts.scale, opts.seed
         );
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the world-build time goes to stderr under --verbose, never to stdout or a digest"
+    )]
     let start = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let world = SimWorld::build(opts.scale.sim_config(), &mut rng);

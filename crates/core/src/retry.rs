@@ -148,7 +148,7 @@ impl RetryPolicy {
         }
         Err(RetryError {
             attempts: self.max_attempts,
-            // lint:allow(no-panic, reason = "max_attempts >= 1 is asserted above, so the loop body ran")
+            #[expect(clippy::expect_used, reason = "max_attempts >= 1 is asserted above, so the loop body ran")]
             last: last.expect("at least one attempt ran"),
         })
     }

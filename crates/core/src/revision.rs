@@ -74,7 +74,7 @@ impl AccusationChain {
     /// not the currently blamed node, or [`ChainError::ContextMismatch`]
     /// if it concerns a different message or destination.
     pub fn amend(&mut self, revision: Accusation) -> Result<(), ChainError> {
-        // lint:allow(no-panic, reason = "constructor seeds links with one entry and nothing removes")
+        #[expect(clippy::expect_used, reason = "constructor seeds links with one entry and nothing removes")]
         let last = self.links.last().expect("chains are never empty");
         if revision.accuser() != last.accused() {
             return Err(ChainError::BrokenLinkage {
@@ -92,8 +92,8 @@ impl AccusationChain {
     }
 
     /// The node currently held responsible: the last link's accused.
+    #[expect(clippy::expect_used, reason = "constructor seeds links with one entry and nothing removes")]
     pub fn culprit(&self) -> Id {
-        // lint:allow(no-panic, reason = "constructor seeds links with one entry and nothing removes")
         self.links.last().expect("chains are never empty").accused()
     }
 

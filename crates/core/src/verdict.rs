@@ -183,11 +183,10 @@ pub fn binomial_cdf_below(w: usize, m: usize, p: f64) -> f64 {
     }
     // Iterate pmf terms with the recurrence
     // pmf(k+1) = pmf(k) · (w−k)/(k+1) · p/(1−p), in log space for safety.
-    // lint:allow(float-cmp, reason = "exact degenerate-case guard: p is a caller-supplied constant, not a computed value")
     if p == 0.0 {
         return 1.0; // W = 0 < m (m ≥ 1 here)
     }
-    // lint:allow(float-cmp, reason = "exact degenerate-case guard: p is a caller-supplied constant, not a computed value")
+    #[expect(clippy::float_cmp, reason = "exact degenerate-case guard: p is a caller-supplied constant, not a computed value")]
     if p == 1.0 {
         return if m > w { 1.0 } else { 0.0 };
     }

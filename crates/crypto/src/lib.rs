@@ -39,6 +39,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod cert;

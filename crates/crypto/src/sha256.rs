@@ -64,7 +64,7 @@ impl Digest {
         let mut s = String::with_capacity(64);
         for b in &self.0 {
             use fmt::Write;
-            // lint:allow(no-panic, reason = "fmt::Write to String is infallible")
+            #[expect(clippy::expect_used, reason = "fmt::Write to String is infallible")]
             write!(s, "{b:02x}").expect("writing to String cannot fail");
         }
         s
@@ -73,8 +73,8 @@ impl Digest {
     /// Interprets the first 8 bytes as a big-endian `u64`.
     ///
     /// Used to derive group scalars and nonce material from digests.
+    #[expect(clippy::expect_used, reason = "slice length is the fixed 32-byte digest")]
     pub fn to_u64(&self) -> u64 {
-        // lint:allow(no-panic, reason = "slice length is the fixed 32-byte digest")
         u64::from_be_bytes(self.0[..8].try_into().expect("digest has 32 bytes"))
     }
 }
@@ -157,7 +157,7 @@ impl Sha256 {
             }
         }
         while data.len() >= 64 {
-            // lint:allow(no-panic, reason = "loop condition guarantees 64 bytes remain")
+            #[expect(clippy::expect_used, reason = "loop condition guarantees 64 bytes remain")]
             let block: [u8; 64] = data[..64].try_into().expect("64-byte chunk");
             self.compress(&block);
             data = &data[64..];
@@ -214,7 +214,10 @@ impl Sha256 {
     /// The rule is what the code observes in its host: x86-64 with `sha`,
     /// `sse2`, `ssse3` and `sse4.1` detected (a cached atomic load after
     /// the first call). Other targets compile the `false` arm only.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    #[cfg_attr(
+        not(target_arch = "x86_64"),
+        expect(unused_variables, reason = "only the x86_64 arm reads the block")
+    )]
     fn compress_shani(&mut self, block: &[u8; 64]) -> bool {
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("sha")
@@ -222,7 +225,10 @@ impl Sha256 {
             && std::is_x86_feature_detected!("ssse3")
             && std::is_x86_feature_detected!("sse4.1")
         {
-            #[allow(unsafe_code)]
+            #[expect(
+                unsafe_code,
+                reason = "the SHA-NI kernel needs CPU features safe code cannot promise; detected just above"
+            )]
             // SAFETY: every CPU feature `shani::compress` enables was detected on this host just above.
             unsafe {
                 shani::compress(&mut self.state, block)
@@ -239,6 +245,7 @@ impl Sha256 {
     /// rounds with register *renaming* in place of the 8-way shuffle — and
     /// produces bit-identical digests to the straightforward form (the
     /// NIST vectors below and the chained-trace goldens both pin it).
+    #[expect(clippy::expect_used, reason = "chunks_exact(4) yields exactly 4 bytes")]
     fn compress_scalar(&mut self, block: &[u8; 64]) {
         #[inline(always)]
         fn sig0(x: u32) -> u32 {
@@ -251,7 +258,6 @@ impl Sha256 {
 
         let mut w = [0u32; 16];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
-            // lint:allow(no-panic, reason = "chunks_exact(4) yields exactly 4 bytes")
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
 

@@ -71,8 +71,12 @@ pub fn span(phase: &'static str) -> SpanGuard {
         return SpanGuard { phase: None, started: None };
     }
     OPEN_SPANS.with(|s| s.borrow_mut().push(0));
-    // lint:allow(digest-taint, reason = "span timing flows only into the profiler's phase totals, never into digest or trace bytes")
-    SpanGuard { phase: Some(phase), started: Some(Instant::now()) }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timing flows only into the profiler's phase totals, never into digest or trace bytes"
+    )]
+    let started = Some(Instant::now());
+    SpanGuard { phase: Some(phase), started }
 }
 
 /// An open profiling span; records elapsed time for its phase on drop.
@@ -152,6 +156,10 @@ mod tests {
     }
 
     fn spin_for(ns: u64) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test needs real elapsed time so spans record a nonzero duration"
+        )]
         let start = Instant::now();
         while (start.elapsed().as_nanos() as u64) < ns {
             std::hint::spin_loop();

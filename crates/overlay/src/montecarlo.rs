@@ -54,11 +54,11 @@ pub fn sample_occupancy_once<R: Rng + ?Sized>(space: IdSpace, n: usize, rng: &mu
                 break;
             }
             let p = 1.0 / (v - j) as f64;
+            #[expect(clippy::expect_used, reason = "p = 1/(v-j) is in (0, 1] by construction and remaining > 0")]
             let count = if j == v - 1 {
                 remaining
             } else {
                 Binomial::new(remaining, p)
-                    // lint:allow(no-panic, reason = "p = 1/(v-j) is in (0, 1] by construction and remaining > 0")
                     .expect("binomial parameters are valid")
                     .sample(rng)
             };

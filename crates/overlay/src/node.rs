@@ -187,9 +187,12 @@ pub fn compute_route(
     let mut visited = vec![source];
     let budget = 4 * concilium_types::ID_DIGITS;
     for _ in 0..budget {
+        #[expect(
+            clippy::panic,
+            reason = "documented caller contract: a route through a node absent from the membership map is memory corruption, not protocol input"
+        )]
         let node = nodes
             .get(&cur)
-            // lint:allow(no-panic, reason = "documented caller contract: a route through a node absent from the membership map is memory corruption, not protocol input")
             .unwrap_or_else(|| panic!("route passes through unknown node {cur}"));
         match node.next_hop(target, mode) {
             NextHop::Deliver => return Some(visited),

@@ -293,15 +293,13 @@ mod tests {
         let items: Vec<u64> = (0..10_000).collect();
         let executed = AtomicU64::new(0);
         let (results, stopped) = par_map_while(4, &items, |idx, &x| {
-            // lint:allow(relaxed-atomic, reason = "test-only tally read after scope join; no coordination")
-            executed.fetch_add(1, Ordering::Relaxed);
+            executed.fetch_add(1, Ordering::SeqCst);
             (x, idx == 2)
         });
         assert_eq!(stopped, Some(2));
         assert_eq!(results, vec![0, 1, 2]);
         assert!(
-            // lint:allow(relaxed-atomic, reason = "test-only tally read after scope join; no coordination")
-            executed.load(Ordering::Relaxed) < 9_000,
+            executed.load(Ordering::SeqCst) < 9_000,
             "cancellation should prune most of the tail"
         );
     }

@@ -14,7 +14,8 @@
 //! the two interesting crash points (before an input's first journal
 //! write, and after admission but before the commit), and the daemon
 //! panics there when instructed. Nothing else in the crate may panic —
-//! `concilium-lint` enforces the no-panic rule over `crates/serve/src/`.
+//! the crate root's `clippy::panic` warning enforces it, and
+//! `process_input` carries the one `#[expect]` for the two sites.
 
 use concilium::blame::blame_from_path_evidence;
 use concilium::Verdict;
@@ -317,7 +318,7 @@ impl Daemon {
             Record::Commit { .. } => {
                 // Bytes, not wall time: the write set a commit-boundary
                 // fsync flushes — the deterministic proxy for fsync cost in
-                // a crate where wall clocks are lint-banned.
+                // a crate where clippy.toml bans wall clocks.
                 self.metrics.observe(
                     "serve.journal-fsync-bytes",
                     self.pending_fsync_bytes as f64,
@@ -353,9 +354,9 @@ impl Daemon {
         }
     }
 
+    #[expect(clippy::panic, reason = "the two chaos injection points; the supervisor catches them")]
     fn process_input(&mut self, input: u64, report: &FailureReport) {
         if self.panic_at == Some((input, PanicSite::BeforeInput)) {
-            // lint:allow(no-panic, reason = "chaos injection point; the supervisor catches it")
             panic!("chaos: injected crash before input {input}");
         }
         self.advance_to(report.arrival);
@@ -398,7 +399,6 @@ impl Daemon {
         self.maybe_start_batch();
 
         if self.panic_at == Some((input, PanicSite::AfterAdmission)) {
-            // lint:allow(no-panic, reason = "chaos injection point; the supervisor catches it")
             panic!("chaos: injected crash after admission of input {input}");
         }
 

@@ -21,11 +21,12 @@
 //! style: for every seed, a chaos-ridden run must leave the same
 //! journal and state digests as an uninterrupted one, at any `--jobs`.
 //!
-//! The crate is in `concilium-lint`'s strictest scopes: no wall-clock,
+//! The crate is under every determinism rule (DESIGN.md §13): no wall-clock,
 //! no `unwrap`/`expect`/`panic!` (outside the two explicit chaos
 //! injection points), no iteration-order-dependent hashing.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod chaos;
 pub mod daemon;

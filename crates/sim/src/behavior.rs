@@ -1,5 +1,10 @@
 //! Adversary assignments.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "adversary sets answer membership only; nothing on the digest path iterates them"
+)]
+
 use std::collections::HashSet;
 
 use rand::seq::SliceRandom;

@@ -209,7 +209,7 @@ pub(super) struct Episode<'w> {
     retrans: RetransmitQueue,
     // Ordered containers only: the episode feeds emit()/trace hashing, so
     // any iterable state on this struct must have a deterministic order
-    // (lint rule hash-iter).
+    // (crates/sim/clippy.toml bans HashMap/HashSet).
     pairs: BTreeMap<(usize, usize), PairState>,
     dht: AccusationDht,
     queue: EventQueue<Ev>,

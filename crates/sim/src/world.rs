@@ -1,5 +1,10 @@
 //! The assembled simulation world.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the id/router/peer maps are point lookups; every ordered walk goes through host or peer order"
+)]
+
 use std::collections::HashMap;
 
 use rand::Rng;

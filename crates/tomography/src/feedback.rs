@@ -112,7 +112,7 @@ pub fn suspicious_leaves(
 ) -> Vec<usize> {
     match try_suspicious_leaves(tree, record, min_evidence, ratio_threshold) {
         Ok(flagged) => flagged,
-        // lint:allow(no-panic, reason = "documented-panic convenience wrapper; try_suspicious_leaves is the protocol-input path")
+        #[expect(clippy::panic, reason = "documented-panic convenience wrapper; try_suspicious_leaves is the protocol-input path")]
         Err(err) => panic!("{err}"),
     }
 }

@@ -35,7 +35,7 @@ impl ProbeRecord {
     pub fn new(outcomes: Vec<Vec<bool>>) -> Self {
         match Self::try_new(outcomes) {
             Ok(record) => record,
-            // lint:allow(no-panic, reason = "documented-panic constructor; try_new is the protocol-input path")
+            #[expect(clippy::panic, reason = "documented-panic constructor; try_new is the protocol-input path")]
             Err(err) => panic!("{err}"),
         }
     }

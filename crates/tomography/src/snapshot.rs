@@ -71,7 +71,7 @@ impl LossBucket {
             1 => LossBucket::Light,
             2 => LossBucket::Heavy,
             3 => LossBucket::Down,
-            // lint:allow(no-panic, reason = "documented panic: codes come from a 2-bit field, callers mask to 0..=3")
+            #[expect(clippy::panic, reason = "documented panic: codes come from a 2-bit field, callers mask to 0..=3")]
             _ => panic!("invalid loss bucket code {code}"),
         }
     }

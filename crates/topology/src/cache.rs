@@ -59,8 +59,8 @@ pub struct PathCache {
     /// BFS tree per source router, indexed by `RouterId::index()`. Router
     /// ids are dense `u32`s assigned contiguously at generation time, so a
     /// flat slot vector replaces the former `HashMap` — no hashing on the
-    /// per-message hot path, and nothing for the hash-iteration lint to
-    /// worry about.
+    /// per-message hot path, and no hash iteration order to worry
+    /// about.
     trees: Vec<Option<BfsTree>>,
     /// Extracted paths, outer index = source, inner index = destination.
     /// A source's row is allocated lazily on its first path lookup; within
@@ -98,7 +98,7 @@ impl PathCache {
         }
         self.trees[source.index()]
             .as_ref()
-            .expect("slot filled above") // lint:allow(no-panic, reason = "slot was just filled on the miss branch; unreachable")
+            .expect("slot filled above")
     }
 
     /// The shortest path `source → destination`, computing and memoizing it
@@ -125,7 +125,7 @@ impl PathCache {
         }
         self.paths[src][dst]
             .as_ref()
-            .expect("slot filled above") // lint:allow(no-panic, reason = "slot was just filled on the miss branch; unreachable")
+            .expect("slot filled above")
             .as_ref()
     }
 
