@@ -40,7 +40,9 @@ pub struct JumpTableEntry {
 pub struct JumpTable {
     local: Id,
     space: IdSpace,
-    /// rows × columns, row-major. `None` = empty slot.
+    /// Row-major, `None` = empty slot. Only the rows up to the deepest
+    /// entry ever set are allocated: an overlay of n hosts fills about
+    /// log₁₆ n of the space's rows, and a slot is about 100 bytes.
     slots: Vec<Option<JumpTableEntry>>,
 }
 
@@ -64,8 +66,7 @@ impl JumpTable {
             space.digits() <= concilium_types::ID_DIGITS as u32 && space.base() == 16,
             "jump tables require a base-16 space of at most 40 digits"
         );
-        let n = space.table_slots() as usize;
-        JumpTable { local, space, slots: vec![None; n] }
+        JumpTable { local, space, slots: Vec::new() }
     }
 
     /// The local identifier this table routes for.
@@ -90,7 +91,7 @@ impl JumpTable {
     ///
     /// Panics if the coordinates are out of range.
     pub fn entry(&self, row: u32, col: u8) -> Option<&JumpTableEntry> {
-        self.slots[self.slot_index(row, col)].as_ref()
+        self.slots.get(self.slot_index(row, col))?.as_ref()
     }
 
     /// Installs `entry` at (`row`, `col`), replacing any previous entry.
@@ -114,6 +115,10 @@ impl JumpTable {
             "the local node's own column must stay empty"
         );
         let idx = self.slot_index(row, col);
+        if idx >= self.slots.len() {
+            // Whole rows, so `entries` can keep decoding positions.
+            self.slots.resize(((row + 1) * self.space.base()) as usize, None);
+        }
         self.slots[idx] = Some(entry);
     }
 
@@ -124,7 +129,9 @@ impl JumpTable {
     /// Panics if the coordinates are out of range.
     pub fn clear_entry(&mut self, row: u32, col: u8) {
         let idx = self.slot_index(row, col);
-        self.slots[idx] = None;
+        if let Some(slot) = self.slots.get_mut(idx) {
+            *slot = None;
+        }
     }
 
     /// Number of occupied slots — the density `d` used by the jump-table
@@ -394,6 +401,31 @@ mod tests {
             jt.validate(SimTime::from_secs(110), SimDuration::from_secs(60)),
             Err(JumpTableViolation::StampForged { row: 0, col: 3 })
         );
+    }
+
+    #[test]
+    fn rows_are_allocated_only_up_to_the_deepest_entry() {
+        let mut fx = fixture();
+        let mut jt = JumpTable::new(fx.local);
+        // Reads and clears of rows never filled are empty and harmless.
+        assert!(jt.entry(39, 0xf).is_none());
+        jt.clear_entry(39, 0xf);
+        let (e, _) = fx.entry(2, 0x4, SimTime::ZERO);
+        jt.set_entry(2, 0x4, e);
+        assert_eq!(jt.slots.len(), 3 * 16);
+        assert!(jt.entry(2, 0x4).is_some() && jt.entry(3, 0x4).is_none());
+        let all: Vec<(u32, u8)> = jt.entries().map(|(r, c, _)| (r, c)).collect();
+        assert_eq!(all, vec![(2, 0x4)]);
+        let (e, _) = fx.entry(0, 0x1, SimTime::ZERO);
+        jt.set_entry(0, 0x1, e);
+        assert_eq!(jt.slots.len(), 3 * 16, "a shallower entry does not grow the table");
+        assert_eq!(jt.occupied(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 40 out of range")]
+    fn rows_past_the_space_are_rejected() {
+        let _ = JumpTable::new(Id::from_u64(0)).entry(40, 0);
     }
 
     #[test]

@@ -67,13 +67,18 @@ impl ProbeArchive {
     }
 
     /// Appends a probe round at `time` with per-link observations supplied
-    /// by `observed(link) -> up?` evaluated in this archive's column order.
+    /// by `observed(column, link) -> up?` evaluated in this archive's
+    /// column order.
     ///
     /// # Panics
     ///
     /// Panics if `time` precedes the previous round (rounds are appended
     /// in chronological order).
-    pub fn record_round(&mut self, time: SimTime, mut observed: impl FnMut(LinkId) -> bool) {
+    pub fn record_round(
+        &mut self,
+        time: SimTime,
+        mut observed: impl FnMut(usize, LinkId) -> bool,
+    ) {
         if let Some(&last) = self.times.last() {
             assert!(time >= last, "probe rounds must be appended in time order");
         }
@@ -81,7 +86,7 @@ impl ProbeArchive {
         self.bits.resize(row_start + self.words_per_row, 0);
         // Column order, so `observed` sees the same call sequence every run.
         for (col, &link) in self.columns.iter().enumerate() {
-            if observed(link) {
+            if observed(col, link) {
                 self.bits[row_start + col / 64] |= 1u64 << (col % 64);
             }
         }
@@ -166,8 +171,8 @@ mod tests {
     fn record_and_read_back() {
         let ls = links(70); // spans two u64 words
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(10), |l| l.0 % 2 == 0);
-        a.record_round(t(20), |l| l.0 == 69);
+        a.record_round(t(10), |_, l| l.0 % 2 == 0);
+        a.record_round(t(20), |_, l| l.0 == 69);
         assert_eq!(a.num_probes(), 2);
         assert_eq!(a.num_links(), 70);
         assert_eq!(a.observation(0, LinkId(0)), Some(true));
@@ -184,7 +189,7 @@ mod tests {
         let ls = links(4);
         let mut a = ProbeArchive::new(&ls);
         for s in [10u64, 70, 130, 190, 250] {
-            a.record_round(t(s), |_| true);
+            a.record_round(t(s), |_, _| true);
         }
         // Window [130−60, 130+60] = [70, 190].
         let w = a.rounds_in_window(t(130), SimDuration::from_secs(60));
@@ -206,7 +211,7 @@ mod tests {
     fn saturating_window_at_time_zero() {
         let ls = links(1);
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(5), |_| false);
+        a.record_round(t(5), |_, _| false);
         let w = a.rounds_in_window(t(10), SimDuration::from_secs(60));
         assert_eq!(w, 0..1);
     }
@@ -216,8 +221,8 @@ mod tests {
     fn out_of_order_rounds_rejected() {
         let ls = links(1);
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(10), |_| true);
-        a.record_round(t(5), |_| true);
+        a.record_round(t(10), |_, _| true);
+        a.record_round(t(5), |_, _| true);
     }
 
     #[test]
@@ -231,7 +236,7 @@ mod tests {
         // Sparse ids: a column is the link's rank among the tree's links.
         let ls: Vec<LinkId> = [2u32, 5, 9, 400, 70_000].map(LinkId).to_vec();
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(1), |l| l.0 >= 9);
+        a.record_round(t(1), |_, l| l.0 >= 9);
         assert_eq!(a.links(), &ls[..]);
         for (col, &l) in ls.iter().enumerate() {
             assert!(a.covers(l));
@@ -247,7 +252,7 @@ mod tests {
     #[test]
     fn empty_tree_archive_is_harmless() {
         let mut a = ProbeArchive::new(&[]);
-        a.record_round(t(1), |_| true);
+        a.record_round(t(1), |_, _| true);
         assert_eq!(a.num_links(), 0);
         assert!(a.observations_in_window(LinkId(0), t(1), SimDuration::from_secs(1)).is_empty());
     }

@@ -4,9 +4,11 @@
 //! buckets the recorded downtimes by link into a table indexed by
 //! `LinkId` — O(intervals) plus a sort per failed link. A query is then
 //! one slice index and a binary search over that link's intervals, no
-//! hashing: the probing phase asks once per host × round × tree link and
-//! Figure 5 once per link of every judged hop, and nearly every answer is
-//! "this link never failed", which is a single length check.
+//! hashing: Figure 5 asks once per link of every judged hop, and nearly
+//! every answer is "this link never failed", which is a single length
+//! check. The probing phase asks once per host × round × tree link, always
+//! later than the last time for the same link, so it reads through a
+//! [`HistoryCursor`] per link instead: no search at all.
 
 use concilium_topology::LinkStatus;
 use concilium_types::{LinkId, SimTime};
@@ -64,6 +66,13 @@ impl IndexedHistory {
         t >= to
     }
 
+    /// A reader of `link`'s history for queries whose times never
+    /// decrease; see [`HistoryCursor::was_up`].
+    pub(crate) fn cursor(&self, link: LinkId) -> HistoryCursor<'_> {
+        let intervals = self.intervals.get(link.index()).map_or(&[][..], Vec::as_slice);
+        HistoryCursor { intervals, started: 0 }
+    }
+
     /// Whether every link of `links` was up at `t`.
     pub fn path_up(&self, links: &[LinkId], t: SimTime) -> bool {
         links.iter().all(|&l| self.was_up(l, t))
@@ -72,6 +81,28 @@ impl IndexedHistory {
     /// Number of links with any recorded downtime.
     pub fn links_with_failures(&self) -> usize {
         self.intervals.iter().filter(|iv| !iv.is_empty()).count()
+    }
+}
+
+/// A forward-only reader of one link's downtime intervals, made by
+/// [`IndexedHistory::cursor`]: each query resumes where the previous one
+/// stopped instead of searching from the start.
+#[derive(Clone, Debug)]
+pub(crate) struct HistoryCursor<'a> {
+    intervals: &'a [(SimTime, SimTime)],
+    /// How many intervals start at or before the last query time.
+    started: usize,
+}
+
+impl HistoryCursor<'_> {
+    /// [`IndexedHistory::was_up`] for this cursor's link, provided `t` is
+    /// no earlier than any previous query's time; an earlier `t` may be
+    /// answered as if it were the latest.
+    pub(crate) fn was_up(&mut self, t: SimTime) -> bool {
+        while self.intervals.get(self.started).is_some_and(|&(from, _)| from <= t) {
+            self.started += 1;
+        }
+        self.started == 0 || t >= self.intervals[self.started - 1].1
     }
 }
 
@@ -233,6 +264,29 @@ mod tests {
                         // ...and the closing interval end is exclusive,
                         // like every repair.
                         prop_assert!(idx.was_up(link, end));
+                    }
+                }
+            }
+
+            #[test]
+            fn cursors_match_was_up_over_non_decreasing_times(
+                events in proptest::collection::vec(any::<u64>(), 1..80),
+                steps in proptest::collection::vec(0u64..40, 1..120),
+            ) {
+                let (status, end) = build(&events);
+                let idx = IndexedHistory::from_status(&status, NUM_LINKS, end);
+                // Links past `NUM_LINKS` included: they never failed.
+                let mut cursors: Vec<HistoryCursor> =
+                    (0..=NUM_LINKS as u32).map(|l| idx.cursor(LinkId(l))).collect();
+                // Steps of 0 repeat a time; the walk runs past `end`.
+                let mut now = 0u64;
+                for step in steps {
+                    now += step;
+                    let t = SimTime::from_secs(now);
+                    for (l, cursor) in cursors.iter_mut().enumerate() {
+                        let link = LinkId(l as u32);
+                        let want = idx.was_up(link, t);
+                        prop_assert_eq!(cursor.was_up(t), want, "link {} at {}", l, t);
                     }
                 }
             }

@@ -12,9 +12,7 @@ use rand::Rng;
 use concilium_crypto::{Certificate, CertificateAuthority, KeyPair};
 use concilium_overlay::{build_overlay, NextHop, OverlayNode, RoutingMode};
 use concilium_tomography::ProbeTree;
-use concilium_topology::{
-    generate, BfsScratch, FailureModel, IpPath, LinkStatus, Topology,
-};
+use concilium_topology::{generate, FailureModel, IpPath, LinkStatus, MultiBfs, Topology};
 use concilium_types::{Id, LinkId, SimDuration, SimTime};
 
 use crate::archive::ProbeArchive;
@@ -22,13 +20,16 @@ use crate::behavior::AdversarySets;
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
 use crate::evidence::{EvidenceIndex, PathEvidence};
-use crate::failhist::IndexedHistory;
+use crate::failhist::{HistoryCursor, IndexedHistory};
 
 /// How close (in virtual time) a routing peer's probe round must be for an
 /// adaptive adversary to consider itself "observed" and behave. Slightly
 /// above the tiny-world max probe interval so honest-looking stretches are
 /// rare but possible.
 pub const ADAPTIVE_GUARD: SimDuration = SimDuration::from_secs(75);
+
+/// `slot_of` entry of a router that hosts no overlay node.
+const NO_SLOT: u32 = u32::MAX;
 
 /// The fate of one application message sent along an overlay route at a
 /// given instant.
@@ -104,7 +105,7 @@ pub struct SimWorld {
     history: IndexedHistory,
     /// Pairwise IP hop distances between overlay hosts (row-major).
     host_dist: Vec<u16>,
-    /// BFS runs (misses) and reuses of a retained tree (hits) while
+    /// Search passes (misses) and the host searches they ran (hits) while
     /// building the world.
     build_tree_stats: concilium_topology::CacheStats,
 }
@@ -137,43 +138,44 @@ impl SimWorld {
             members.push((cert, keys));
         }
 
-        // 2a. One BFS per host, through one scratch: the per-router
-        //     arrays (16 B per router) are allocated once and overwritten
-        //     by the next host's search, so no full tree outlives its
-        //     host's iteration. Two things are kept from each. The row of
-        //     pairwise IP distances between overlay hosts, the proximity
+        // 2a. Pairwise IP distances between overlay hosts: the proximity
         //     oracle for *standard* routing tables ("proximity affinity",
-        //     §2) and the stretch analysis. And the tree pruned to the
-        //     overlay routers: which of them become this host's routing
-        //     peers is only known once the overlay is built from those
-        //     distances, and every peer is one of them, so this is all
-        //     pass 2b can ask for — at most hosts × depth parent pointers,
-        //     where retaining the trees cost hosts × routers.
+        //     §2) and the stretch analysis. One search per host, 64 hosts
+        //     per pass; a host's distance to an overlay router is written
+        //     when that router's bit turns on. `slot_of` maps a router to
+        //     its host slot (`NO_SLOT` for the rest).
         let span = concilium_obs::span("world.bfs");
-        let router_to_slot: HashMap<concilium_types::RouterId, usize> = overlay_routers
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i))
-            .collect();
         let n_hosts = overlay_routers.len();
+        let mut slot_of = vec![NO_SLOT; topology.graph.num_routers()];
+        for (i, &r) in overlay_routers.iter().enumerate() {
+            slot_of[r.index()] = i as u32;
+        }
         let mut build_tree_stats = concilium_topology::CacheStats::default();
         let mut host_dist = vec![u16::MAX; n_hosts * n_hosts];
-        let mut routes = Vec::with_capacity(n_hosts);
-        let mut scratch = BfsScratch::new();
-        for (i, &r) in overlay_routers.iter().enumerate() {
-            let bfs = scratch.run(&topology.graph, r);
+        let mut search = MultiBfs::new();
+        for (pass, sources) in overlay_routers.chunks(MultiBfs::WIDTH).enumerate() {
+            let first = pass * MultiBfs::WIDTH;
+            let mut found = 0;
+            search.run(&topology.graph, sources, |router, mut lanes, depth| {
+                let slot = slot_of[router.index()];
+                if slot == NO_SLOT {
+                    return;
+                }
+                while lanes != 0 {
+                    let row = first + lanes.trailing_zeros() as usize;
+                    host_dist[row * n_hosts + slot as usize] = depth.min(u16::MAX as u32) as u16;
+                    found += 1;
+                    lanes &= lanes - 1;
+                }
+            });
+            assert_eq!(found, sources.len() * n_hosts, "topology is connected");
             build_tree_stats.misses += 1;
-            for (j, &other) in overlay_routers.iter().enumerate() {
-                let d = bfs.distance(other).expect("topology is connected");
-                host_dist[i * n_hosts + j] = d.min(u16::MAX as u32) as u16;
-            }
-            routes.push(bfs.pruned_to(&overlay_routers));
+            build_tree_stats.hits += sources.len() as u64;
         }
-        drop(scratch);
         drop(span);
         let proximity = |a: concilium_types::HostAddr, b: concilium_types::HostAddr| -> u64 {
-            let i = router_to_slot[&a.router()];
-            let j = router_to_slot[&b.router()];
+            let i = slot_of[a.router().index()] as usize;
+            let j = slot_of[b.router().index()] as usize;
             host_dist[i * n_hosts + j] as u64
         };
 
@@ -191,42 +193,54 @@ impl SimWorld {
 
         // 2b. IP paths host → routing peers (secure peers define the probe
         //     tree T_H; standard-table peers get paths too so standard
-        //     routes can be measured), and probe trees. `build_overlay`
-        //     returns nodes in member order, so host `h`'s pruned tree is
-        //     `routes[h]`; each is read once here and dropped with the
-        //     pass.
+        //     routes can be measured), and probe trees. Which overlay
+        //     routers are a host's peers is only known now, so the passes
+        //     of 2a run again (keeping their level tables would cost
+        //     routers × 64 bytes per pass), and each host's peer paths come
+        //     from a search restricted to the peers' shortest-path
+        //     ancestors (`MultiBfs::paths_to`). `build_overlay` returns
+        //     nodes in member order, so pass `p` lane `i` is host
+        //     `64p + i`.
         let span = concilium_obs::span("world.paths");
         let mut paths = Vec::with_capacity(nodes.len());
         let mut peer_hosts = Vec::with_capacity(nodes.len());
         let mut trees = Vec::with_capacity(nodes.len());
-        for (node, bfs) in nodes.iter().zip(routes) {
-            assert_eq!(bfs.source(), node.addr().router(), "nodes keep member order");
-            build_tree_stats.hits += 1;
-            let peers = node.routing_peers(RoutingMode::Secure);
-            let mut pmap = HashMap::with_capacity(peers.len());
-            let mut phosts = Vec::with_capacity(peers.len());
-            let mut tree_leaves = Vec::with_capacity(peers.len());
-            for peer in &peers {
-                let path = bfs
-                    .path_to(peer.addr().router())
-                    .expect("generated topologies are connected");
-                tree_leaves.push((peer.id(), path.clone()));
-                pmap.insert(peer.id(), path);
-                phosts.push(host_index[&peer.id()]);
+        for (pass, batch) in nodes.chunks(MultiBfs::WIDTH).enumerate() {
+            let sources = &overlay_routers[pass * MultiBfs::WIDTH..][..batch.len()];
+            search.run(&topology.graph, sources, |_, _, _| {});
+            build_tree_stats.misses += 1;
+            build_tree_stats.hits += batch.len() as u64;
+            for (lane, node) in batch.iter().enumerate() {
+                assert_eq!(sources[lane], node.addr().router(), "nodes keep member order");
+                let secure = node.routing_peers(RoutingMode::Secure);
+                let mut standard = node.routing_peers(RoutingMode::Standard);
+                standard.retain(|peer| !secure.iter().any(|s| s.id() == peer.id()));
+                let targets: Vec<_> =
+                    secure.iter().chain(&standard).map(|peer| peer.addr().router()).collect();
+                let mut found = search
+                    .paths_to(&topology.graph, lane, &targets)
+                    .into_iter()
+                    .map(|path| path.expect("generated topologies are connected"));
+                let mut pmap = HashMap::with_capacity(targets.len());
+                let mut phosts = Vec::with_capacity(secure.len());
+                let mut tree_leaves = Vec::with_capacity(secure.len());
+                for (peer, path) in secure.iter().zip(found.by_ref()) {
+                    tree_leaves.push((peer.id(), path.clone()));
+                    pmap.insert(peer.id(), path);
+                    phosts.push(host_index[&peer.id()]);
+                }
+                for (peer, path) in standard.iter().zip(found) {
+                    pmap.insert(peer.id(), path);
+                }
+                trees.push(
+                    ProbeTree::from_paths(node.addr().router(), tree_leaves)
+                        .expect("BFS path unions are trees"),
+                );
+                paths.push(pmap);
+                peer_hosts.push(phosts);
             }
-            for peer in node.routing_peers(RoutingMode::Standard) {
-                pmap.entry(peer.id()).or_insert_with(|| {
-                    bfs.path_to(peer.addr().router())
-                        .expect("generated topologies are connected")
-                });
-            }
-            trees.push(
-                ProbeTree::from_paths(node.addr().router(), tree_leaves)
-                    .expect("BFS path unions are trees"),
-            );
-            paths.push(pmap);
-            peer_hosts.push(phosts);
         }
+        drop(search);
         drop(span);
 
         // 3. Link-failure phase: keep `fraction_bad` of links down for the
@@ -275,11 +289,15 @@ impl SimWorld {
         let mut archives = Vec::with_capacity(nodes.len());
         let max_probe = config.max_probe_time.as_micros();
         for tree in &trees {
-            let mut archive = ProbeArchive::new(&tree.link_set());
+            let links = tree.link_set();
+            let mut archive = ProbeArchive::new(&links);
+            // Rounds come in time order: one history cursor per column.
+            let mut cursors: Vec<HistoryCursor> =
+                links.iter().map(|&l| history.cursor(l)).collect();
             let mut t = SimTime::from_micros(rng.gen_range(0..=max_probe));
             while t < end {
-                archive.record_round(t, |link| {
-                    let truth = history.was_up(link, t);
+                archive.record_round(t, |col, _| {
+                    let truth = cursors[col].was_up(t);
                     let correct = rng.gen_bool(config.probe_accuracy);
                     if correct {
                         truth
@@ -316,11 +334,11 @@ impl SimWorld {
         }
     }
 
-    /// BFS work during construction: `misses` counts searches run (one
-    /// per host), `hits` counts the times a retained, pruned tree answered
-    /// instead of a second search (once per host, in the peer-path pass).
-    /// A single-threaded, deterministic build phase, so these reproduce
-    /// exactly; reported by the sweep drivers.
+    /// Search work during construction: `misses` counts passes over the
+    /// graph, `hits` the host searches those passes served — 64 hosts to a
+    /// full pass, each host once for its distances and once for its peer
+    /// paths. A single-threaded, deterministic build phase, so these
+    /// reproduce exactly; reported by the sweep drivers.
     pub fn build_tree_stats(&self) -> concilium_topology::CacheStats {
         self.build_tree_stats
     }
@@ -1012,29 +1030,33 @@ mod tests {
     }
 
     #[test]
-    fn pruned_trees_rebuild_every_host_pair_path() {
-        use concilium_topology::{BfsScratch, BfsTree};
-        for (cfg, seed) in [(SimConfig::small(), 41u64), (SimConfig::tiny(), 42)] {
+    fn multi_bfs_rebuilds_every_host_pair_path() {
+        use concilium_topology::BfsTree;
+        // The small worlds fit one pass; the medium world takes three.
+        let worlds =
+            [(SimConfig::small(), 41u64), (SimConfig::tiny(), 42), (SimConfig::medium(), 43)];
+        for (cfg, seed) in worlds {
             let mut rng = StdRng::seed_from_u64(seed);
             let w = SimWorld::build(cfg, &mut rng);
             let graph = &w.topology().graph;
             let routers: Vec<_> =
                 (0..w.num_hosts()).map(|h| w.node(h).addr().router()).collect();
-            // One scratch across hosts, as the build uses it, against a
-            // fresh full tree per host.
-            let mut scratch = BfsScratch::new();
+            let mut stored = 0;
             for (a, &from) in routers.iter().enumerate() {
                 let fresh = BfsTree::compute(graph, from);
-                let pruned = scratch.run(graph, from).pruned_to(&routers);
                 for (b, &to) in routers.iter().enumerate() {
-                    let want = fresh.path_to(to).expect("connected");
-                    assert_eq!(pruned.path_to(to).as_ref(), Some(&want), "{a} → {b}");
-                    assert_eq!(w.ip_distance(a, b), fresh.distance(to).unwrap());
+                    assert_eq!(w.ip_distance(a, b), fresh.distance(to).unwrap(), "{a} → {b}");
                     if let Some(kept) = w.peer_path(a, b) {
-                        assert_eq!(kept, &want, "stored peer path {a} → {b}");
+                        let want = fresh.path_to(to);
+                        assert_eq!(Some(kept), want.as_ref(), "stored peer path {a} → {b}");
+                        stored += 1;
                     }
                 }
             }
+            let passes = w.num_hosts().div_ceil(64) as u64;
+            let stats = w.build_tree_stats();
+            assert_eq!((stats.misses, stats.hits), (2 * passes, 2 * w.num_hosts() as u64));
+            assert!(stored >= w.num_hosts(), "every host has peer paths");
         }
     }
 
@@ -1080,14 +1102,22 @@ mod tests {
         h.finalize().to_hex()
     }
 
-    /// The hex values were recorded at the commit before the build stopped
-    /// retaining BFS trees (PR 16's parent), so a build that draws, orders
-    /// or routes anything differently fails here.
+    /// The small worlds' hex values were recorded at the commit before the
+    /// build stopped retaining BFS trees, the medium world's at the commit
+    /// before the build searched 64 hosts per pass,
+    /// so a build that draws, orders or routes anything differently fails
+    /// here. The small worlds fit in one 64-host pass; the medium world
+    /// takes several, the last one partly filled.
     #[test]
     fn golden_world_fingerprints() {
-        for (seed, want) in [(2007u64, "3ef4b20c74e44f86dcdbe1362633a51dc907c5bdbcc42ba1f9a7a1c9987ff946"), (2008, "4a4a5305991d0c2fd7a31fe186442bdaf19b7953bc0c47eaf9f37ba49f938f76")] {
+        let cases = [
+            (SimConfig::small(), 2007u64, "3ef4b20c74e44f86dcdbe1362633a51dc907c5bdbcc42ba1f9a7a1c9987ff946"),
+            (SimConfig::small(), 2008, "4a4a5305991d0c2fd7a31fe186442bdaf19b7953bc0c47eaf9f37ba49f938f76"),
+            (SimConfig::medium(), 2007, "f2b5352ad667149300b915d7c7f31fa48677e7aaa3086c1246b4a3faaf2ef10a"),
+        ];
+        for (cfg, seed, want) in cases {
             let mut rng = StdRng::seed_from_u64(seed);
-            let w = SimWorld::build(SimConfig::small(), &mut rng);
+            let w = SimWorld::build(cfg, &mut rng);
             assert_eq!(world_fingerprint(&w), want, "seed {seed}");
         }
     }

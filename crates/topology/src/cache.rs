@@ -18,8 +18,8 @@
 //!
 //! **Cost:** a retained tree is 16 bytes per router of the graph. The world
 //! build, which searches once from each of hundreds of hosts, therefore
-//! does not use this cache: it keeps a
-//! [`PrunedBfsTree`](crate::PrunedBfsTree) per host instead.
+//! does not use this cache: it runs them 64 at a time through a
+//! [`MultiBfs`](crate::MultiBfs) and keeps only distances and peer paths.
 
 use concilium_types::RouterId;
 

@@ -66,6 +66,9 @@ pub struct PendingRepair {
 #[derive(Clone, Debug, Default)]
 pub struct LinkStatus {
     down_since: Vec<Option<SimTime>>,
+    /// How many entries of `down_since` are `Some`: kept by `fail` and
+    /// `repair` so the failure process's population check is O(1).
+    down: usize,
     /// Completed downtime intervals `(link, from, to)`, plus open intervals
     /// tracked via `down_since`.
     history: Vec<(LinkId, SimTime, SimTime)>,
@@ -74,7 +77,7 @@ pub struct LinkStatus {
 impl LinkStatus {
     /// Creates status tracking for `num_links` links, all up.
     pub fn new(num_links: usize) -> Self {
-        LinkStatus { down_since: vec![None; num_links], history: Vec::new() }
+        LinkStatus { down_since: vec![None; num_links], down: 0, history: Vec::new() }
     }
 
     /// Whether `link` is currently up.
@@ -87,6 +90,7 @@ impl LinkStatus {
         let slot = &mut self.down_since[link.index()];
         if slot.is_none() {
             *slot = Some(now);
+            self.down += 1;
         }
     }
 
@@ -94,6 +98,7 @@ impl LinkStatus {
     /// Idempotent for already-up links.
     pub fn repair(&mut self, link: LinkId, now: SimTime) {
         if let Some(from) = self.down_since[link.index()].take() {
+            self.down -= 1;
             self.history.push((link, from, now));
         }
     }
@@ -105,7 +110,7 @@ impl LinkStatus {
 
     /// Number of links currently down.
     pub fn num_down(&self) -> usize {
-        self.down_since.iter().filter(|d| d.is_some()).count()
+        self.down
     }
 
     /// Ground truth: was `link` up at time `t`?
@@ -315,8 +320,10 @@ mod tests {
         let mut s = LinkStatus::new(1);
         s.fail(LinkId(0), SimTime::from_secs(1));
         s.fail(LinkId(0), SimTime::from_secs(2)); // ignored
+        assert_eq!(s.num_down(), 1);
         s.repair(LinkId(0), SimTime::from_secs(3));
         s.repair(LinkId(0), SimTime::from_secs(4)); // ignored
+        assert_eq!(s.num_down(), 0);
         assert_eq!(s.history(), &[(LinkId(0), SimTime::from_secs(1), SimTime::from_secs(3))]);
     }
 

@@ -14,8 +14,10 @@
 //!   plus many degree-1 last-mile links.
 //! * [`BfsTree`] / [`IpPath`] — single-source shortest-path routing and the
 //!   router/link paths that overlay hosts learn (the RocketFuel substitute);
-//!   [`BfsScratch`] / [`PrunedBfsTree`] for searching from many sources
-//!   without holding a per-router array for each.
+//!   [`MultiBfs`] for searching from many sources: 64 bit-parallel
+//!   searches per pass over the graph, and each source's paths to a few
+//!   targets from a search over only their shortest-path ancestors — equal
+//!   to [`BfsTree::path_to`], without a per-router array per source.
 //! * [`LinkStatus`] / [`FailureModel`] — the link-failure process of §4.2:
 //!   a target fraction of links down at any moment, normally distributed
 //!   downtimes, and Beta(0.9, 0.6)-distributed failure depth biased toward
@@ -48,4 +50,4 @@ pub use failure::{FailureModel, FailureModelConfig, LinkStatus, PendingRepair};
 pub use gen::{generate, Topology, TransitStubConfig};
 pub use graph::{Graph, GraphBuilder};
 pub use path::IpPath;
-pub use routing::{BfsScratch, BfsTree, PrunedBfsTree};
+pub use routing::{BfsTree, MultiBfs};
