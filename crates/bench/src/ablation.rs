@@ -91,7 +91,7 @@ fn sample_rules<R: Rng + ?Sized>(
     let n = world.num_hosts();
     let delta = SimDuration::from_secs(60);
     let accuracy = 0.9;
-    let duration = world.config().duration.as_micros();
+    let instants = crate::fig5::judgment_micros(world.config().duration, delta);
     let idx = |rule: usize, faulty: bool| rule * 2 + usize::from(!faulty);
 
     let mut evidence = PathEvidence::new();
@@ -114,9 +114,7 @@ fn sample_rules<R: Rng + ?Sized>(
             continue;
         }
         sampled += 1;
-        let t = SimTime::from_micros(
-            rng.gen_range(delta.as_micros()..duration - delta.as_micros()),
-        );
+        let t = SimTime::from_micros(rng.gen_range(instants.clone()));
         let path = world.peer_path(b, c).expect("C is B's peer");
         let faulty = world.path_up_at(path, t);
 

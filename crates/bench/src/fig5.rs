@@ -18,6 +18,8 @@
 //! routing state, C ∈ B's routing state — the paper's constraint) and
 //! reports how many were evaluated.
 
+use std::ops::Range;
+
 use concilium::blame::blame_from_observations;
 use concilium_sim::{AdversarySets, Histogram, PathEvidence, SimWorld};
 use concilium_types::{SimDuration, SimTime};
@@ -108,6 +110,21 @@ pub(crate) fn chunk_sizes(total: usize, chunk: usize) -> Vec<usize> {
     sizes
 }
 
+/// The judgment instants, in microseconds, whose window `[t − Δ, t + Δ]`
+/// starts inside a run of `duration`: `Δ..duration − Δ`.
+///
+/// # Panics
+///
+/// Panics unless `duration` exceeds `2Δ`, which leaves no such instant.
+pub(crate) fn judgment_micros(duration: SimDuration, delta: SimDuration) -> Range<u64> {
+    let (lo, hi) = (delta.as_micros(), duration.as_micros().saturating_sub(delta.as_micros()));
+    assert!(
+        lo < hi,
+        "a world of duration {duration} has no judgment instant: it must exceed 2Δ = 2 × {delta}"
+    );
+    lo..hi
+}
+
 fn finish(faulty: Histogram, nonfaulty: Histogram, params: &Fig5Params) -> Fig5Result {
     let p_faulty_guilty = faulty.fraction_at_least(params.threshold);
     let p_good_guilty = nonfaulty.fraction_at_least(params.threshold);
@@ -127,9 +144,8 @@ pub fn run<R: Rng + ?Sized>(
     let mut faulty = Histogram::new(params.bins);
     let mut nonfaulty = Histogram::new(params.bins);
     let n = world.num_hosts();
-    let duration = world.config().duration;
-    let t_lo = params.delta.as_micros();
-    let t_hi = duration.as_micros().saturating_sub(params.delta.as_micros());
+    let instants = judgment_micros(world.config().duration, params.delta);
+    let any_droppers = !adversaries.droppers.is_empty();
 
     let mut evidence = PathEvidence::new();
     let mut sampled = 0usize;
@@ -154,11 +170,13 @@ pub fn run<R: Rng + ?Sized>(
 
         let path = world.peer_path(b, c).expect("C is in B's routing state");
         let b_is_colluder = adversaries.is_colluder(b);
+        // Who vouches for B→C's links does not depend on the instant.
+        world.plan_evidence(a, path.links(), Some(b), &mut evidence);
 
         for _ in 0..params.times_per_triple {
-            let t = SimTime::from_micros(rng.gen_range(t_lo..t_hi));
+            let t = SimTime::from_micros(rng.gen_range(instants.clone()));
             let path_good = world.path_up_at(path, t);
-            world.path_evidence(a, path.links(), t, params.delta, Some(b), &mut evidence);
+            world.evidence_at(t, params.delta, &mut evidence);
             let blame = reported_blame(&evidence, adversaries, b_is_colluder, params.accuracy);
             if path_good {
                 // A good path plus a missing acknowledgment means B
@@ -167,7 +185,7 @@ pub fn run<R: Rng + ?Sized>(
                 // to droppers (the paper's droppers and colluders are the
                 // same 20%); with no adversaries the hypothetical drop can
                 // come from any B.
-                if adversaries.droppers.is_empty() || adversaries.is_dropper(b) {
+                if !any_droppers || adversaries.is_dropper(b) {
                     faulty.add(blame);
                 }
             } else {
@@ -310,6 +328,31 @@ mod tests {
         // And the parallel path still separates the classes.
         assert!(serial.p_faulty_guilty > 0.8);
         assert!(serial.p_good_guilty < 0.15);
+    }
+
+    #[test]
+    fn judgment_instants_keep_the_window_inside_the_run() {
+        let delta = SimDuration::from_secs(60);
+        // Both samplers drew `Δ..duration − Δ` before; they still do.
+        assert_eq!(
+            judgment_micros(SimDuration::from_secs(1_800), delta),
+            60_000_000..1_740_000_000
+        );
+        assert_eq!(
+            judgment_micros(SimDuration::from_micros(120_000_001), delta),
+            60_000_000..60_000_001
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a world of duration 120.000s has no judgment instant: it must \
+                               exceed 2Δ = 2 × 60.000s")]
+    fn a_world_too_short_for_the_window_is_refused_by_name() {
+        let mut rng = StdRng::seed_from_u64(505);
+        let cfg = SimConfig { duration: SimDuration::from_secs(120), ..SimConfig::tiny() };
+        let world = SimWorld::build(cfg, &mut rng);
+        let params = Fig5Params { triples: 10, ..Default::default() };
+        let _ = run(&world, &AdversarySets::none(), &params, &mut rng);
     }
 
     #[test]

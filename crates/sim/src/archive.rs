@@ -123,12 +123,24 @@ impl ProbeArchive {
 
     /// The probe rounds whose times fall within `[t − Δ, t + Δ]`,
     /// returned as an index range.
+    ///
+    /// One binary search finds the start; the end is galloped to from
+    /// there (probes 1, 2, 4, … rounds ahead, then a binary search of the
+    /// last step), so a window of `w` rounds costs O(log w) beyond it.
     pub fn rounds_in_window(&self, t: SimTime, delta: SimDuration) -> std::ops::Range<usize> {
         let lo = t.saturating_sub(delta);
         let hi = t + delta;
         let start = self.times.partition_point(|&pt| pt < lo);
-        let end = self.times.partition_point(|&pt| pt <= hi);
-        start..end
+        let rest = &self.times[start..];
+        let mut step = 1;
+        while step < rest.len() && rest[step] <= hi {
+            step *= 2;
+        }
+        // `rest[step / 2] <= hi` once galloped, and `rest[step] > hi` if
+        // it exists, so the end lies in `step / 2..=step`.
+        let base = step / 2;
+        let end = base + rest[base..step.min(rest.len())].partition_point(|&pt| pt <= hi);
+        start..start + end
     }
 
     /// The time of probe round `round`.
@@ -255,5 +267,49 @@ mod tests {
         a.record_round(t(1), |_, _| true);
         assert_eq!(a.num_links(), 0);
         assert!(a.observations_in_window(LinkId(0), t(1), SimDuration::from_secs(1)).is_empty());
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The window as two full binary searches: the formula the gallop
+        /// must agree with.
+        fn two_searches(
+            times: &[SimTime],
+            t: SimTime,
+            delta: SimDuration,
+        ) -> std::ops::Range<usize> {
+            let (lo, hi) = (t.saturating_sub(delta), t + delta);
+            times.partition_point(|&pt| pt < lo)..times.partition_point(|&pt| pt <= hi)
+        }
+
+        proptest! {
+            /// Zero gaps repeat an instant; no gaps at all is the empty
+            /// archive. Every case also asks Δ = 0, `t < Δ` (the start
+            /// saturates at zero), a window wider than the archive and
+            /// `t` past the last round.
+            #[test]
+            fn gallop_matches_two_binary_searches(
+                gaps in proptest::collection::vec(0u64..4, 0..70),
+                queries in proptest::collection::vec((0u64..300, 0u64..300), 1..40),
+            ) {
+                let mut a = ProbeArchive::new(&links(1));
+                let mut now = 0;
+                for gap in gaps {
+                    now += gap;
+                    a.record_round(t(now), |_, _| true);
+                }
+                let fixed = [(now / 2, 0), (1, 5), (now / 2, now + 1), (now + 1, 1)];
+                for (at, delta) in queries.into_iter().chain(fixed) {
+                    let (at, delta) = (t(at), SimDuration::from_secs(delta));
+                    prop_assert_eq!(
+                        a.rounds_in_window(at, delta),
+                        two_searches(&a.times, at, delta),
+                        "t {:?} Δ {:?} over {} rounds", at, delta, a.num_probes()
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,14 +1,101 @@
 //! Adversary assignments.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "adversary sets answer membership only; nothing on the digest path iterates them"
-)]
-
-use std::collections::HashSet;
+use std::fmt;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+/// A set of host indices as a dense bitset: membership is one word read,
+/// and iteration is in ascending order.
+#[derive(Clone, Default)]
+pub struct HostSet {
+    words: Vec<u64>,
+}
+
+impl HostSet {
+    /// The empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds host `h`; returns whether it was absent.
+    pub fn insert(&mut self, h: usize) -> bool {
+        let (word, bit) = (h / 64, 1u64 << (h % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let absent = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        absent
+    }
+
+    /// Whether host `h` is in the set.
+    pub fn contains(&self, h: usize) -> bool {
+        self.words.get(h / 64).is_some_and(|w| w >> (h % 64) & 1 == 1)
+    }
+
+    /// Number of hosts in the set.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set holds no host.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The hosts in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Whether every host of `self` is in `other`.
+    pub fn is_subset(&self, other: &HostSet) -> bool {
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+    }
+}
+
+/// Equal sets are equal however far either one's storage grew.
+impl PartialEq for HostSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for HostSet {}
+
+impl fmt::Debug for HostSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<usize> for HostSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(hosts: I) -> Self {
+        let mut set = HostSet::new();
+        for h in hosts {
+            set.insert(h);
+        }
+        set
+    }
+}
 
 /// Which hosts misbehave, and how.
 ///
@@ -36,24 +123,24 @@ use rand::Rng;
 #[derive(Clone, Debug, Default)]
 pub struct AdversarySets {
     /// Hosts (by index) that drop forwarded messages.
-    pub droppers: HashSet<usize>,
+    pub droppers: HostSet,
     /// Hosts (by index) that flip probe results in collusion.
-    pub colluders: HashSet<usize>,
+    pub colluders: HostSet,
     /// Hosts (by index) that deliver but never acknowledge.
-    pub ack_withholders: HashSet<usize>,
+    pub ack_withholders: HostSet,
     /// Hosts (by index) whose snapshots arrive too late to be admissible.
-    pub probe_delayers: HashSet<usize>,
+    pub probe_delayers: HostSet,
     /// Hosts (by index) that replay outdated snapshots.
-    pub stale_replayers: HashSet<usize>,
+    pub stale_replayers: HostSet,
     /// Hosts (by index) in a colluding accuser coalition: they withhold
     /// acknowledgments to manufacture phantom drops *and* flip their
     /// probe results in the resulting judgments — framing non-members
     /// and shielding members in one coordinated attack.
-    pub coalition: HashSet<usize>,
+    pub coalition: HostSet,
     /// Hosts (by index) that drop forwarded messages only while no
     /// vantage has probed their neighbourhood recently — adaptive
     /// adversaries that behave whenever they might be observed.
-    pub adaptive_droppers: HashSet<usize>,
+    pub adaptive_droppers: HostSet,
 }
 
 impl AdversarySets {
@@ -111,19 +198,9 @@ impl AdversarySets {
         replayer_fraction: f64,
         rng: &mut R,
     ) -> Self {
-        let draw = |name: &str, fraction: f64, rng: &mut R| -> HashSet<usize> {
-            assert!(
-                (0.0..=1.0).contains(&fraction),
-                "{name} fraction must be in [0,1], got {fraction}"
-            );
-            let mut order: Vec<usize> = (0..num_hosts).collect();
-            order.shuffle(rng);
-            let k = (num_hosts as f64 * fraction).round() as usize;
-            order.into_iter().take(k).collect()
-        };
-        self.ack_withholders = draw("ack withholder", withholder_fraction, rng);
-        self.probe_delayers = draw("probe delayer", delayer_fraction, rng);
-        self.stale_replayers = draw("stale replayer", replayer_fraction, rng);
+        self.ack_withholders = draw("ack withholder", num_hosts, withholder_fraction, rng);
+        self.probe_delayers = draw("probe delayer", num_hosts, delayer_fraction, rng);
+        self.stale_replayers = draw("stale replayer", num_hosts, replayer_fraction, rng);
         self
     }
 
@@ -142,54 +219,44 @@ impl AdversarySets {
         adaptive_fraction: f64,
         rng: &mut R,
     ) -> Self {
-        let draw = |name: &str, fraction: f64, rng: &mut R| -> HashSet<usize> {
-            assert!(
-                (0.0..=1.0).contains(&fraction),
-                "{name} fraction must be in [0,1], got {fraction}"
-            );
-            let mut order: Vec<usize> = (0..num_hosts).collect();
-            order.shuffle(rng);
-            let k = (num_hosts as f64 * fraction).round() as usize;
-            order.into_iter().take(k).collect()
-        };
-        self.coalition = draw("coalition", coalition_fraction, rng);
-        self.adaptive_droppers = draw("adaptive dropper", adaptive_fraction, rng);
+        self.coalition = draw("coalition", num_hosts, coalition_fraction, rng);
+        self.adaptive_droppers = draw("adaptive dropper", num_hosts, adaptive_fraction, rng);
         self
     }
 
     /// Whether host `h` drops messages.
     pub fn is_dropper(&self, h: usize) -> bool {
-        self.droppers.contains(&h)
+        self.droppers.contains(h)
     }
 
     /// Whether host `h` colludes on probe results.
     pub fn is_colluder(&self, h: usize) -> bool {
-        self.colluders.contains(&h)
+        self.colluders.contains(h)
     }
 
     /// Whether host `h` withholds acknowledgments for delivered messages.
     pub fn is_ack_withholder(&self, h: usize) -> bool {
-        self.ack_withholders.contains(&h)
+        self.ack_withholders.contains(h)
     }
 
     /// Whether host `h` delays its snapshots past admissibility.
     pub fn is_probe_delayer(&self, h: usize) -> bool {
-        self.probe_delayers.contains(&h)
+        self.probe_delayers.contains(h)
     }
 
     /// Whether host `h` replays stale snapshots.
     pub fn is_stale_replayer(&self, h: usize) -> bool {
-        self.stale_replayers.contains(&h)
+        self.stale_replayers.contains(h)
     }
 
     /// Whether host `h` belongs to the colluding accuser coalition.
     pub fn is_coalition(&self, h: usize) -> bool {
-        self.coalition.contains(&h)
+        self.coalition.contains(h)
     }
 
     /// Whether host `h` drops messages adaptively (only while unprobed).
     pub fn is_adaptive_dropper(&self, h: usize) -> bool {
-        self.adaptive_droppers.contains(&h)
+        self.adaptive_droppers.contains(h)
     }
 
     /// Whether host `h` lies in probe snapshots — plain colluders and
@@ -217,11 +284,53 @@ impl AdversarySets {
     }
 }
 
+/// `fraction` of `num_hosts`, the head of one shuffle of every host.
+///
+/// # Panics
+///
+/// Panics if `fraction` is outside `[0, 1]`.
+fn draw<R: Rng + ?Sized>(name: &str, num_hosts: usize, fraction: f64, rng: &mut R) -> HostSet {
+    assert!((0.0..=1.0).contains(&fraction), "{name} fraction must be in [0,1], got {fraction}");
+    let mut order: Vec<usize> = (0..num_hosts).collect();
+    order.shuffle(rng);
+    let k = (num_hosts as f64 * fraction).round() as usize;
+    order.into_iter().take(k).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn host_set_is_a_set() {
+        let mut s = HostSet::new();
+        assert!(s.is_empty() && s.iter().next().is_none());
+        for h in [130, 3, 64, 63, 3, 0] {
+            s.insert(h);
+        }
+        assert!(!s.insert(64), "a second insert reports presence");
+        assert_eq!(s.len(), 5);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [0, 3, 63, 64, 130], "ascending");
+        assert!(s.contains(63) && s.contains(130) && !s.contains(65) && !s.contains(10_000));
+        assert_eq!(format!("{s:?}"), "{0, 3, 63, 64, 130}");
+
+        // Equality and inclusion ignore storage grown past the last member.
+        let mut wide: HostSet = [0, 3, 63, 64, 130].into_iter().collect();
+        wide.insert(5_000);
+        assert_ne!(s, wide);
+        assert!(s.is_subset(&wide) && !wide.is_subset(&s));
+        let narrow: HostSet = [3, 64].into_iter().collect();
+        assert!(narrow.is_subset(&s) && !s.is_subset(&narrow));
+        let grown_empty = HostSet { words: vec![0; 12] };
+        assert_eq!(grown_empty, HostSet::new());
+        assert_eq!(HostSet::new(), grown_empty);
+        assert!(grown_empty.is_empty() && grown_empty.is_subset(&HostSet::new()));
+        let same = HostSet { words: [s.words.clone(), vec![0; 4]].concat() };
+        assert_eq!(s, same);
+        assert_eq!(same, s);
+    }
 
     #[test]
     fn sample_sizes_match_fractions() {
@@ -261,8 +370,7 @@ mod tests {
         assert_eq!(a.ack_withholders.len(), 10);
         assert_eq!(a.probe_delayers.len(), 30);
         assert_eq!(a.stale_replayers.len(), 5);
-        let w: Vec<usize> = a.ack_withholders.iter().copied().collect();
-        assert!(w.iter().all(|&h| h < 100));
+        assert!(a.ack_withholders.iter().all(|h| h < 100));
     }
 
     #[test]
@@ -272,7 +380,7 @@ mod tests {
             .sample_extended(100, 0.15, 0.2, &mut rng);
         assert_eq!(a.coalition.len(), 15);
         assert_eq!(a.adaptive_droppers.len(), 20);
-        let c = *a.coalition.iter().next().unwrap();
+        let c = a.coalition.iter().next().unwrap();
         assert!(a.is_coalition(c));
         assert!(a.lies_in_snapshots(c));
         assert!(a.is_shielded(c));

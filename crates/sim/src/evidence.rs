@@ -105,16 +105,28 @@ impl EvidenceIndex {
 /// flat buffer. Caller-owned and reused across queries, so a judgment
 /// allocates nothing once the buffer has grown to its working size.
 ///
+/// A query is two halves. [`SimWorld::plan_evidence`] fixes who vouches
+/// for each link — it depends on the judge, the path and the excluded
+/// host only — and [`SimWorld::evidence_at`] reads the planned vouchers'
+/// rounds around one instant; one plan serves any number of reads.
+///
 /// [`SimWorld::path_evidence`]: crate::SimWorld::path_evidence
+/// [`SimWorld::plan_evidence`]: crate::SimWorld::plan_evidence
+/// [`SimWorld::evidence_at`]: crate::SimWorld::evidence_at
 #[derive(Clone, Debug, Default)]
 pub struct PathEvidence {
     pub(crate) observations: Vec<(usize, bool)>,
     /// `ends[i]` closes link `i`'s run in `observations`.
     pub(crate) ends: Vec<usize>,
-    /// Scratch: one link's admissible `(rank, origin, column)` vouchers.
-    pub(crate) admitted: Vec<(u16, u32, u32)>,
+    /// The plan: each link's admissible `(rank, origin, column)`
+    /// vouchers, by rank.
+    pub(crate) planned: Vec<(u16, u32, u32)>,
+    /// `plan_ends[i]` closes link `i`'s run in `planned`.
+    pub(crate) plan_ends: Vec<usize>,
+    /// The planning judge's vantage count (itself and its peers).
+    pub(crate) vantages: usize,
     /// Scratch: each vantage's probe rounds inside the window, by rank,
-    /// computed at most once per query.
+    /// computed at most once per read.
     pub(crate) windows: Vec<Option<Range<usize>>>,
 }
 

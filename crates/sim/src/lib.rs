@@ -67,7 +67,7 @@ mod metrics;
 mod world;
 
 pub use archive::ProbeArchive;
-pub use behavior::AdversarySets;
+pub use behavior::{AdversarySets, HostSet};
 pub use config::SimConfig;
 pub use engine::{EventQueue, ScheduleError};
 pub use evidence::PathEvidence;

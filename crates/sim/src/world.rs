@@ -448,7 +448,8 @@ impl SimWorld {
     ///
     /// Overwrites `out` with one run of `(origin host, observed up)` pairs
     /// per link: judge first, then its peers in [`SimWorld::peers_of`]
-    /// order, each origin's rounds oldest first.
+    /// order, each origin's rounds oldest first. The same as
+    /// [`SimWorld::plan_evidence`] followed by [`SimWorld::evidence_at`].
     ///
     /// # Panics
     ///
@@ -462,25 +463,63 @@ impl SimWorld {
         exclude: Option<usize>,
         out: &mut PathEvidence,
     ) {
-        let _span = concilium_obs::span("world.evidence");
-        let PathEvidence { observations, ends, admitted, windows } = out;
+        self.plan_evidence(judge, links, exclude, out);
+        self.evidence_at(t, delta, out);
+    }
+
+    /// The time-independent half of [`SimWorld::path_evidence`]: which of
+    /// `judge`'s vantages (itself, then its peers), other than `exclude`,
+    /// probe each of `links`, in rank order. Overwrites the plan in `out`
+    /// and empties its observations until [`SimWorld::evidence_at`] reads
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `judge` is out of range.
+    pub fn plan_evidence(
+        &self,
+        judge: usize,
+        links: &[LinkId],
+        exclude: Option<usize>,
+        out: &mut PathEvidence,
+    ) {
+        let _span = concilium_obs::span("world.evidence_plan");
+        let PathEvidence { observations, ends, planned, plan_ends, vantages, .. } = out;
         observations.clear();
         ends.clear();
-        windows.clear();
-        windows.resize(self.peer_hosts[judge].len() + 1, None);
+        planned.clear();
+        plan_ends.clear();
+        *vantages = self.peer_hosts[judge].len() + 1;
         for &link in links {
-            admitted.clear();
+            let start = planned.len();
             for &(origin, col) in self.evidence.vouchers(link) {
                 if Some(origin as usize) == exclude {
                     continue;
                 }
                 if let Some(rank) = self.evidence.rank(judge, origin as usize) {
-                    admitted.push((rank, origin, col));
+                    planned.push((rank, origin, col));
                 }
             }
             // Ranks are distinct, so this orders by rank alone.
-            admitted.sort_unstable();
-            for &(rank, origin, col) in admitted.iter() {
+            planned[start..].sort_unstable();
+            plan_ends.push(planned.len());
+        }
+    }
+
+    /// The time-dependent half of [`SimWorld::path_evidence`]: overwrites
+    /// `evidence`'s observations with what its planned vouchers probed in
+    /// `[t − Δ, t + Δ]`. Each vantage's round window is searched once per
+    /// read, however many links it vouches for.
+    pub fn evidence_at(&self, t: SimTime, delta: SimDuration, evidence: &mut PathEvidence) {
+        let _span = concilium_obs::span("world.evidence");
+        let PathEvidence { observations, ends, planned, plan_ends, vantages, windows } = evidence;
+        observations.clear();
+        ends.clear();
+        windows.clear();
+        windows.resize(*vantages, None);
+        let mut start = 0;
+        for &end in plan_ends.iter() {
+            for &(rank, origin, col) in &planned[start..end] {
                 let archive = &self.archives[origin as usize];
                 let rounds = windows[usize::from(rank)]
                     .get_or_insert_with(|| archive.rounds_in_window(t, delta))
@@ -492,6 +531,7 @@ impl SimWorld {
                 );
             }
             ends.push(observations.len());
+            start = end;
         }
     }
 
@@ -828,33 +868,47 @@ mod tests {
             assert!(covered_by(0) > 1 && covered_by(1) > 0, "uncovered and once-covered links");
             assert!(covered_by(n) > 0, "a link every tree covers");
 
-            let mut buf = PathEvidence::new();
+            // One buffer holds every judge's plans in turn, so a judge
+            // planned after one with more (or fewer) peers reads through
+            // window slots the previous judge's reads filled.
+            let mut planned = PathEvidence::new();
+            let mut whole = PathEvidence::new();
             let mut compared = 0usize;
             let mut strangers = 0usize;
+            let mut resized = 0usize;
             for judge in 0..n {
                 let peer = w.peers_of(judge)[judge % w.peers_of(judge).len()];
                 // A judge that peers with everyone has no stranger.
                 let stranger = (0..n).find(|h| *h != judge && !w.peers_of(judge).contains(h));
                 strangers += usize::from(stranger.is_some());
+                resized += usize::from(
+                    judge > 0 && w.peers_of(judge).len() != w.peers_of(judge - 1).len(),
+                );
                 let excludes = [None, Some(judge), Some(peer), stranger.or(Some(peer))];
-                for (&t, &delta) in times.iter().flat_map(|t| deltas.iter().map(move |d| (t, d))) {
-                    for exclude in excludes {
-                        // One path-level query over every link agrees link
-                        // by link with the scan, order included, and with
-                        // the one-link query.
-                        w.path_evidence(judge, &links, t, delta, exclude, &mut buf);
-                        assert_eq!(buf.per_link().len(), links.len());
+                for exclude in excludes {
+                    // One plan over every link, read at every instant,
+                    // agrees link by link with the scan, order included,
+                    // and with a whole path-level query.
+                    w.plan_evidence(judge, &links, exclude, &mut planned);
+                    for (t, delta) in times.iter().flat_map(|&t| deltas.iter().map(move |&d| (t, d))) {
+                        w.evidence_at(t, delta, &mut planned);
+                        assert_eq!(planned.per_link().len(), links.len());
                         for (k, &link) in links.iter().enumerate() {
                             let want = evidence_by_peer_scan(&w, judge, link, t, delta, exclude);
                             assert_eq!(
-                                buf.link(k),
+                                planned.link(k),
                                 &want[..],
                                 "judge {judge} link {link:?} t {t:?} Δ {delta:?} excl {exclude:?}"
                             );
                             compared += want.len();
                         }
-                        let flat: Vec<_> = buf.per_link().flatten().copied().collect();
-                        assert_eq!(flat, buf.observations);
+                        let flat: Vec<_> = planned.per_link().flatten().copied().collect();
+                        assert_eq!(flat, planned.observations);
+                        w.path_evidence(judge, &links, t, delta, exclude, &mut whole);
+                        assert_eq!(
+                            (&whole.observations, &whole.ends),
+                            (&planned.observations, &planned.ends)
+                        );
                     }
                 }
                 // The one-link query is the same code on a fresh buffer.
@@ -867,6 +921,7 @@ mod tests {
                 }
             }
             assert!(strangers > 0, "some judge must have a non-peer to exclude");
+            assert!(resized > 0, "consecutive judges must differ in peer count");
             assert!(compared > 100_000, "the cases must carry evidence ({compared})");
         }
     }

@@ -90,8 +90,9 @@ fn fig4_coverage_has_diminishing_returns() {
 /// `BfsTree`. The evidence index (link → vouching hosts, and every host's rank
 /// among every judge's vantages) is resident in that peak, and this is
 /// the world where its voucher lists are longest, so 2,000 sampled
-/// (A, B, C, t) judgments are cross-checked here against the per-peer
-/// archive scan the index replaced. Ignored by default (a few seconds in
+/// (A, B, C) triples, each planned once and read at three instants, are
+/// cross-checked here against the per-peer archive scan the index
+/// replaced. Ignored by default (a few seconds in
 /// release, far longer in debug); CI runs it by name in its own process,
 /// so `VmHWM` is this build's peak.
 #[test]
@@ -113,23 +114,27 @@ fn paper_scale_build_fits_in_a_gigabyte() {
             continue;
         }
         judgments += 1;
-        let t = SimTime::from_micros(rng.gen_range(0..end));
         let path = world.peer_path(b, c).expect("c is b's peer");
-        world.path_evidence(a, path.links(), t, delta, Some(b), &mut evidence);
-        for (&link, got) in path.links().iter().zip(evidence.per_link()) {
-            let scan: Vec<(usize, bool)> = std::iter::once(a)
-                .chain(world.peers_of(a).iter().copied())
-                .filter(|&origin| origin != b)
-                .flat_map(|origin| {
-                    let seen = world.archive(origin).observations_in_window(link, t, delta);
-                    seen.into_iter().map(move |up| (origin, up))
-                })
-                .collect();
-            assert_eq!(got, &scan[..], "judge {a}, forwarder {b}, next {c}, {link:?} at {t:?}");
-            observations += scan.len();
+        // One plan per triple, read at three instants, as Figure 5 does.
+        world.plan_evidence(a, path.links(), Some(b), &mut evidence);
+        for _ in 0..3 {
+            let t = SimTime::from_micros(rng.gen_range(0..end));
+            world.evidence_at(t, delta, &mut evidence);
+            for (&link, got) in path.links().iter().zip(evidence.per_link()) {
+                let scan: Vec<(usize, bool)> = std::iter::once(a)
+                    .chain(world.peers_of(a).iter().copied())
+                    .filter(|&origin| origin != b)
+                    .flat_map(|origin| {
+                        let seen = world.archive(origin).observations_in_window(link, t, delta);
+                        seen.into_iter().map(move |up| (origin, up))
+                    })
+                    .collect();
+                assert_eq!(got, &scan[..], "judge {a}, forwarder {b}, next {c}, {link:?} at {t:?}");
+                observations += scan.len();
+            }
         }
     }
-    assert!(observations > 20_000, "the sampled judgments must carry evidence");
+    assert!(observations > 60_000, "the sampled judgments must carry evidence");
 
     let graph = &world.topology().graph;
     let mut peer_paths = 0;
