@@ -24,8 +24,8 @@
 //!   each orphan as it is emitted.
 //! * **[`CausalIndex`] + [`explain`]**: the grammar with everything
 //!   stored — per-entity timelines and cause→effect links over any
-//!   [`Traced`] stream, answering `explain message <id>` /
-//!   `explain blame <host>` / `explain shed <report>` with the full
+//!   [`Traced`] stream, answering `message:<id>` / `blame:<host>` /
+//!   `shed:<report>` with the full
 //!   causal chain, the tomography evidence window behind each verdict,
 //!   and (when the caller supplies one) the ambiguity-class partition
 //!   the verdict was confined to.
@@ -571,22 +571,17 @@ pub enum ExplainQuery {
 }
 
 impl ExplainQuery {
-    /// Parses `message <id>` / `blame <host>` / `shed <report>` word
-    /// pairs, or the equivalent `kind:id` entity spelling.
-    pub fn parse(verb: &str, id: &str) -> Option<ExplainQuery> {
+    /// Parses the `verb:id` spelling (`message:3`, `blame:7`, `shed:9`),
+    /// or its entity form (`msg:3`, `host:7`, `report:9`).
+    pub fn parse_token(s: &str) -> Option<ExplainQuery> {
+        let (verb, id) = s.split_once(':')?;
         let id: u64 = id.trim().parse().ok()?;
-        match verb {
+        match verb.trim() {
             "message" | "msg" => Some(ExplainQuery::Message(id)),
             "blame" | "host" => Some(ExplainQuery::Blame(id)),
             "shed" | "report" => Some(ExplainQuery::Shed(id)),
             _ => None,
         }
-    }
-
-    /// Parses a single-token spelling (`message:3`, `blame:7`, `shed:9`).
-    pub fn parse_token(s: &str) -> Option<ExplainQuery> {
-        let (verb, id) = s.split_once(':')?;
-        ExplainQuery::parse(verb.trim(), id)
     }
 
     /// The entity the query is about.
@@ -709,9 +704,9 @@ impl Explanation {
         let mut s = String::with_capacity(256);
         let _ = write!(
             s,
-            "{{\"query\":{:?},\"entity\":{:?},\"found\":{},\"events\":{},\"chains\":[",
-            self.query.token(),
-            self.query.entity().to_string(),
+            "{{\"query\":{},\"entity\":{},\"found\":{},\"events\":{},\"chains\":[",
+            crate::json::escape(&self.query.token()),
+            crate::json::escape(&self.query.entity().to_string()),
             self.found(),
             self.timeline.len()
         );
@@ -1119,9 +1114,7 @@ mod tests {
         assert!(EntityRef::parse("msg").is_none());
         assert!(EntityRef::parse("widget:3").is_none());
         assert_eq!(ExplainQuery::parse_token("blame:7"), Some(ExplainQuery::Blame(7)));
-        assert_eq!(
-            ExplainQuery::parse("shed", "9"),
-            Some(ExplainQuery::Shed(9))
-        );
+        assert_eq!(ExplainQuery::parse_token("report:9"), Some(ExplainQuery::Shed(9)));
+        assert_eq!(ExplainQuery::parse_token("message 3"), None);
     }
 }

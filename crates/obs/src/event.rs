@@ -15,12 +15,12 @@
 //!   is what makes the trace part of the replay-determinism contract.
 //! * [`Traced::to_json`] — one flat-ish JSON object per event, the JSONL
 //!   export format behind `--trace-out`.
-//! * [`Traced::render`] — the human-readable line used by the
-//!   `concilium-obs` pretty-printer and by failing-case reproducers.
+//! * [`Traced::render`] — the human-readable line used by
+//!   `concilium-explain list` and by failing-case reproducers.
 
 use std::fmt::Write as _;
 
-use crate::json::Json;
+use crate::json::{escape, Json};
 
 /// Why a message never progressed past its first overlay hop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -445,7 +445,7 @@ impl Traced {
         let mut s = String::with_capacity(96);
         s.push('{');
         for (k, v) in extra {
-            let _ = write!(s, "{:?}:{:?},", k, v);
+            let _ = write!(s, "{}:{},", escape(k), escape(v));
         }
         let _ = write!(s, "\"t_us\":{},\"kind\":{:?}", self.at_micros, self.event.label());
         match &self.event {
@@ -638,7 +638,7 @@ impl Traced {
 }
 
 fn field_u64(v: &Json, key: &str) -> Option<u64> {
-    v.get(key).and_then(Json::as_num).map(|n| n as u64)
+    v.get(key).and_then(Json::as_u64)
 }
 
 fn field_bool(v: &Json, key: &str) -> Option<bool> {
@@ -649,10 +649,9 @@ fn field_bool(v: &Json, key: &str) -> Option<bool> {
 }
 
 /// Rebuilds the typed event from one parsed `--trace-out` JSONL object,
-/// the inverse of [`Traced::to_json`]. Shared by the `concilium-obs`
-/// filter and the `concilium-explain` causal query tool. `None` for
-/// unknown kinds or missing fields — callers fall back to the raw line.
-pub fn event_from_json(kind: &str, v: &Json) -> Option<TraceEvent> {
+/// the inverse of [`Traced::to_json`]. `None` for unknown kinds and for
+/// missing or malformed fields.
+fn event_from_json(kind: &str, v: &Json) -> Option<TraceEvent> {
     let msg = || field_u64(v, "msg");
     Some(match kind {
         "send" => TraceEvent::MessageSent { msg: msg()?, flow: field_u64(v, "flow")? },
@@ -761,7 +760,9 @@ pub fn event_from_json(kind: &str, v: &Json) -> Option<TraceEvent> {
 
 /// Parses one `--trace-out` JSONL line into a [`Traced`] event, returning
 /// any `episode`/`seed` annotations alongside. `None` when the line's
-/// kind is unknown (forward compatibility: never invent an event).
+/// kind is unknown (forward compatibility: never invent an event) or a
+/// field does not decode — integers must be non-negative, integral and
+/// at most 2^53 ([`Json::as_u64`]).
 pub fn traced_from_json_line(
     v: &Json,
 ) -> Option<(Traced, Option<String>, Option<String>)> {
@@ -911,7 +912,7 @@ mod tests {
     }
 
     /// Pins all three renderings together: every event kind's JSON must
-    /// decode back ([`event_from_json`]) to an event with the same label
+    /// decode back ([`traced_from_json_line`]) to an event with the same label
     /// and the same canonical `hash_fields` encoding, and re-serializing
     /// the decoded event must reproduce the original JSON byte for byte.
     /// Any drift between `to_json`, `render`, and the hash encoding for
@@ -977,6 +978,19 @@ mod tests {
             );
         }
         assert_eq!(out, include_str!("../fixtures/trace_events.golden"));
+    }
+
+    #[test]
+    fn malformed_integers_do_not_decode() {
+        let decode = |line: &str| traced_from_json_line(&crate::json::parse(line).unwrap());
+        assert!(decode("{\"t_us\":5,\"kind\":\"ack\",\"msg\":3}").is_some());
+        for line in [
+            "{\"t_us\":-5,\"kind\":\"ack\",\"msg\":3}",
+            "{\"t_us\":5,\"kind\":\"ack\",\"msg\":3.7}",
+            "{\"t_us\":5,\"kind\":\"ack\",\"msg\":1e300}",
+        ] {
+            assert!(decode(line).is_none(), "{line}");
+        }
     }
 
     #[test]

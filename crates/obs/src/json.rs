@@ -2,15 +2,25 @@
 //!
 //! The workspace deliberately carries no JSON dependency: emitters
 //! hand-format their output (see the bench reports and
-//! [`crate::trace::Trace::to_jsonl`]). This module is the matching reader —
-//! just enough of RFC 8259 to parse everything this workspace emits, used
-//! by the `concilium-obs` filter binary and the metrics round-trip.
+//! [`crate::trace::Trace::to_jsonl`]) with [`escape`] for strings. This
+//! module is the matching reader — just enough of RFC 8259 to parse
+//! everything this workspace emits, used by `concilium-explain`, the
+//! metrics round-trip and the repository benchmark's result files.
 //!
 //! Not a general-purpose parser: no `\u` escapes beyond BMP pass-through,
-//! integers and floats both land in [`Json::Num`] as `f64`.
+//! integers and floats both land in [`Json::Num`] as `f64`, and nesting
+//! deeper than [`MAX_DEPTH`] is refused rather than recursed into.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// The deepest array/object nesting [`parse`] accepts. Far above what
+/// this workspace writes (traces and metrics nest 3 levels, benchmark
+/// result files 5), and far below what would exhaust the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// 2^53: above it an `f64` no longer holds every integer.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,6 +52,17 @@ impl Json {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an integer, if it is a non-negative integral number
+    /// no larger than 2^53; `-5`, `3.7` and `1e300` are not.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Json::Num(n) if (0.0..=MAX_EXACT_INT).contains(&n) && n.fract() == 0.0 => {
+                Some(n as u64)
+            }
             _ => None,
         }
     }
@@ -90,7 +111,7 @@ impl std::error::Error for ParseError {}
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing garbage after value"));
@@ -117,12 +138,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// `depth` counts the arrays/objects enclosing the value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(err(*pos, &format!("nesting deeper than {MAX_DEPTH}")))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -209,7 +234,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -218,7 +243,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -231,7 +256,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -244,7 +269,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -258,9 +283,27 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
+/// Escapes `s` as a JSON string literal (with surrounding quotes): `"`,
+/// `\` and the control characters are escaped (RFC 8259 §7), everything
+/// else is written as raw UTF-8.
 pub fn escape(s: &str) -> String {
-    format!("{s:?}")
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -290,6 +333,40 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn refuses_nesting_past_the_cap_without_recursing_into_it() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(parse(&nested(100_000)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn escape_writes_json_the_parser_reads_back() {
+        let controls = "\"\\/\n\r\t\u{8}\u{c}\u{1f}";
+        for s in ["\u{1}", "\0", "a\u{7f}b", "e\u{301}", controls, "naïve ✓"] {
+            assert_eq!(parse(&escape(s)), Ok(Json::Str(s.to_string())), "{s:?}");
+        }
+        // Printable ASCII matches Rust's `Debug` output, the escaping the
+        // recorded exports and goldens were written with.
+        let ascii: String = (' '..='~').collect();
+        assert_eq!(escape(&ascii), format!("{ascii:?}"));
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn integers_are_exact_non_negative_numbers() {
+        assert_eq!(Json::Num(3.0).as_u64(), Some(3));
+        assert_eq!(Json::Num(MAX_EXACT_INT).as_u64(), Some(1 << 53));
+        for n in [-5.0, 3.7, 1e300, MAX_EXACT_INT * 2.0] {
+            assert_eq!(Json::Num(n).as_u64(), None, "{n}");
+        }
+        assert_eq!(Json::Str("3".into()).as_u64(), None);
     }
 
     #[test]

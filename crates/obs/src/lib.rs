@@ -43,8 +43,8 @@ pub use causal::{
 };
 pub use coverage::CoverageSet;
 pub use event::{
-    event_from_json, ppb, ppb_from_f64, traced_from_json_line, FaultKind, LinkObsSummary,
-    ShedReason, TraceEvent, Traced,
+    ppb, ppb_from_f64, traced_from_json_line, FaultKind, LinkObsSummary, ShedReason, TraceEvent,
+    Traced,
 };
 pub use metrics::{Histogram, Metric, OutOfRange, Registry, Scope};
 pub use profile::{

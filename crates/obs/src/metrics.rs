@@ -357,9 +357,9 @@ impl Registry {
                 "counter" => {
                     let v = entry
                         .get("value")
-                        .and_then(Json::as_num)
+                        .and_then(Json::as_u64)
                         .ok_or_else(|| format!("counter `{key}` missing value"))?;
-                    Metric::Counter(v as u64)
+                    Metric::Counter(v)
                 }
                 "gauge" => {
                     let v = entry
@@ -380,15 +380,18 @@ impl Registry {
                         .and_then(Json::as_arr)
                         .ok_or_else(|| format!("histogram `{key}` missing bins"))?
                         .iter()
-                        .map(|b| b.as_num().map(|n| n as u64))
+                        .map(Json::as_u64)
                         .collect::<Option<_>>()
-                        .ok_or_else(|| format!("histogram `{key}` has non-numeric bins"))?;
+                        .ok_or_else(|| format!("histogram `{key}` has non-integer bins"))?;
                     if bins.is_empty() {
                         return Err(format!("histogram `{key}` has no bins"));
                     }
                     let mut h = Histogram::new(num("lo")?, num("hi")?, bins.len());
                     h.bins = bins;
-                    h.count = num("count")? as u64;
+                    h.count = entry
+                        .get("count")
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| format!("histogram `{key}` missing count"))?;
                     h.sum = num("sum")?;
                     Metric::Histogram(h)
                 }
@@ -526,5 +529,9 @@ mod tests {
         let back = Registry::from_json(&json).expect("own output must parse");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json, "serialization must be canonical");
+        for bad in ["-5", "3.7", "1e300"] {
+            let counter = format!("{{\"c\":{{\"type\":\"counter\",\"value\":{bad}}}}}");
+            assert!(Registry::from_json(&counter).is_err(), "{counter}");
+        }
     }
 }
