@@ -26,21 +26,19 @@ pub fn run(world: &SimWorld, host_sample: usize) -> Vec<Row> {
     run_jobs(world, host_sample, 1)
 }
 
-/// [`run`] with the link-set and forest construction spread over `jobs`
-/// workers. Both are pure functions of the world, so the rows are
-/// identical at any worker count.
+/// [`run`] with the forest construction spread over `jobs` workers. It
+/// is a pure function of the world, so the rows are identical at any
+/// worker count.
 pub fn run_jobs(world: &SimWorld, host_sample: usize, jobs: usize) -> Vec<Row> {
     let forests = {
         let _span = concilium_obs::span("fig4.forest");
-        // One link set per tree, borrowed by every forest the tree is in;
-        // a sampled host's peers can be any host.
-        let all: Vec<usize> = (0..world.num_hosts()).collect();
-        let link_sets = concilium_par::par_map(jobs, &all, |_, &h| world.tree(h).link_set());
-        let sampled = &all[..world.num_hosts().min(host_sample)];
-        concilium_par::par_map(jobs, sampled, |_, &h| {
+        // A tree's link set is its archive's columns, borrowed by every
+        // forest the tree is in; a sampled host's peers can be any host.
+        let sampled: Vec<usize> = (0..world.num_hosts().min(host_sample)).collect();
+        concilium_par::par_map(jobs, &sampled, |_, &h| {
             Forest::new(
-                &link_sets[h],
-                world.peers_of(h).iter().map(|&p| link_sets[p].as_slice()),
+                world.archive(h).links(),
+                world.peers_of(h).iter().map(|&p| world.archive(p).links()),
             )
         })
     };

@@ -13,7 +13,6 @@
 //! machinery for that trade-off lives in [`occupancy`](crate::occupancy).
 
 use crate::leaf_set::LeafSet;
-use crate::jump_table::JumpTable;
 
 /// Concilium's jump-table density test: is the advertised density
 /// `d_peer` suspiciously sparse relative to the local density `d_local`?
@@ -36,15 +35,6 @@ use crate::jump_table::JumpTable;
 pub fn jump_table_too_sparse(d_peer: u32, d_local: u32, gamma: f64) -> bool {
     assert!(gamma >= 1.0, "gamma must be at least 1, got {gamma}");
     gamma * (d_peer as f64) < d_local as f64
-}
-
-/// Convenience wrapper running the jump-table test on concrete tables.
-///
-/// # Panics
-///
-/// Panics if `gamma < 1.0`.
-pub fn check_jump_tables(peer: &JumpTable, local: &JumpTable, gamma: f64) -> bool {
-    jump_table_too_sparse(peer.occupied(), local.occupied(), gamma)
 }
 
 /// Castro's leaf-set density test: is the peer's average spacing

@@ -70,8 +70,8 @@ impl Membership {
         if prefix_digits == 0 {
             return &self.sorted;
         }
-        let floor = floor_of_prefix(point, prefix_digits);
-        let ceil = ceil_of_prefix(point, prefix_digits);
+        let floor = fill_after_prefix(point, prefix_digits, 0x00);
+        let ceil = fill_after_prefix(point, prefix_digits, 0xff);
         let lo = self.sorted.partition_point(|c| c.id() < floor);
         let hi = self.sorted.partition_point(|c| c.id() <= ceil);
         &self.sorted[lo..hi]
@@ -79,37 +79,44 @@ impl Membership {
 
     /// The secure-routing occupant of a slot: among hosts sharing the
     /// first `prefix_digits` digits of `point`, the one (other than
-    /// `exclude`) whose identifier is closest to `point` on the ring.
+    /// `exclude`) whose identifier is closest to `point` on the ring; of
+    /// two equally close, the lower identifier.
+    ///
+    /// Only the two members flanking `point` can be closest: the first
+    /// candidate at or above it and the last below it. With a prefix the
+    /// candidates lie in an interval under half the ring that holds
+    /// `point`, where ring distance is plain distance; without one they
+    /// are the whole ring, and the flanks wrap around it. Either way one
+    /// search finds them, and skipping `exclude` moves a flank by at most
+    /// one member.
     pub fn closest_in_prefix_range(
         &self,
         point: Id,
         prefix_digits: usize,
         exclude: Id,
     ) -> Option<&Certificate> {
-        self.in_prefix_range(point, prefix_digits)
-            .iter()
-            .filter(|c| c.id() != exclude)
-            .min_by_key(|c| c.id().ring_distance(&point))
+        let range = self.in_prefix_range(point, prefix_digits);
+        let (below, above) = range.split_at(range.partition_point(|c| c.id() < point));
+        let wrap = if prefix_digits == 0 { range } else { &[] };
+        let kept = |c: &&Certificate| c.id() != exclude;
+        let up = above.iter().chain(wrap).find(kept);
+        let down = below.iter().rev().chain(wrap.iter().rev()).find(kept);
+        up.into_iter().chain(down).min_by_key(|c| (c.id().ring_distance(&point), c.id()))
     }
 }
 
-/// The identifier with the first `digits` digits of `point` and zeros
-/// after.
-fn floor_of_prefix(point: Id, digits: usize) -> Id {
-    let mut out = point;
-    for i in digits..concilium_types::ID_DIGITS {
-        out = out.with_digit(i, 0x0);
+/// `point` with every digit from `digits` on set to `fill`'s nibble: its
+/// prefix interval's floor (`0x00`) or ceiling (`0xff`). Whole bytes are
+/// written at once; `digits` past [`ID_DIGITS`] changes nothing.
+///
+/// [`ID_DIGITS`]: concilium_types::ID_DIGITS
+fn fill_after_prefix(point: Id, digits: usize, fill: u8) -> Id {
+    let mut bytes = point.into_bytes();
+    if digits % 2 == 1 && digits < concilium_types::ID_DIGITS {
+        bytes[digits / 2] = bytes[digits / 2] & 0xf0 | fill & 0x0f;
     }
-    out
-}
-
-/// The identifier with the first `digits` digits of `point` and 0xf after.
-fn ceil_of_prefix(point: Id, digits: usize) -> Id {
-    let mut out = point;
-    for i in digits..concilium_types::ID_DIGITS {
-        out = out.with_digit(i, 0xf);
-    }
-    out
+    bytes[digits.div_ceil(2).min(concilium_types::ID_BYTES)..].fill(fill);
+    Id::from_bytes(bytes)
 }
 
 /// Builds the full overlay: one [`OverlayNode`] per input, with leaf sets
@@ -243,14 +250,14 @@ mod tests {
         let (nodes, _) = make_nodes(200, 2);
         let m = Membership::new(nodes.iter().map(|(c, _)| *c).collect());
         let point = nodes[0].0.id();
-        for digits in 0..4usize {
-            let in_range = m.in_prefix_range(point, digits);
+        for digits in 0..=concilium_types::ID_DIGITS {
+            let in_range: Vec<Id> = m.in_prefix_range(point, digits).iter().map(|c| c.id()).collect();
             let expected: Vec<Id> = m
                 .iter()
                 .filter(|c| c.id().common_prefix_len(&point) >= digits)
                 .map(|c| c.id())
                 .collect();
-            assert_eq!(in_range.len(), expected.len(), "digits={digits}");
+            assert_eq!(in_range, expected, "digits={digits}");
         }
     }
 
@@ -337,5 +344,84 @@ mod tests {
     fn single_node_rejected() {
         let (nodes, mut rng) = make_nodes(1, 7);
         let _ = build_overlay(&nodes, 8, SimTime::ZERO, None, &mut rng);
+    }
+
+    mod props {
+        use super::*;
+        use concilium_types::ID_DIGITS;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Memberships of 2–300 whose ids often copy a random-length
+            /// prefix of an earlier member's (so deep prefixes have
+            /// candidates), plus `centre ± gap`. Asked: every slot point
+            /// of four members' tables at the row's prefix, and `centre`,
+            /// members' own ids (exact hits) and raw ids at every prefix
+            /// up to the first empty range; each excluding an absent id,
+            /// then excluding the linear scan's answer, a flank.
+            #[test]
+            fn closest_in_prefix_range_matches_the_linear_scan(
+                seed in any::<u64>(),
+                n in 2usize..300,
+                gap in 1u64..1_000_000,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut ids: Vec<Id> = Vec::with_capacity(n + 2);
+                while ids.len() < n {
+                    let mut id = Id::random(&mut rng);
+                    if let Some(&parent) = ids.get(rng.gen_range(0..2 * ids.len() + 1)) {
+                        for d in 0..rng.gen_range(0..=ID_DIGITS) {
+                            id = id.with_digit(d, parent.digit(d));
+                        }
+                    }
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
+                // Low eight bytes in [2^62, 2^63), so `± gap` carries nowhere.
+                let mut bytes = Id::random(&mut rng).into_bytes();
+                let mut at = |low: u64| {
+                    bytes[12..].copy_from_slice(&low.to_be_bytes());
+                    Id::from_bytes(bytes)
+                };
+                let low = 1u64 << 62 | rng.gen::<u64>() >> 2;
+                let (centre, lower) = (at(low), at(low - gap));
+                ids.extend([lower, at(low + gap)]);
+                let ca = CertificateAuthority::new(&mut rng);
+                let keys = KeyPair::generate(&mut rng);
+                let addr = HostAddr(RouterId(0));
+                let certs = ids.iter().map(|&id| ca.issue_with_id(id, addr, keys.public(), &mut rng));
+                let m = Membership::new(certs.collect());
+
+                let mut asked = Vec::new();
+                for &local in &ids[..4.min(n)] {
+                    for row in (0..ID_DIGITS).take_while(|&r| m.in_prefix_range(local, r).len() > 1) {
+                        let cols = (0..16).filter(|&c| c != local.digit(row));
+                        asked.extend(cols.map(|c| (local.with_digit(row, c), row + 1)));
+                    }
+                }
+                let raw: Vec<Id> = (0..8).map(|_| Id::random(&mut rng)).collect();
+                for point in [centre, ids[0], ids[n - 1]].into_iter().chain(raw) {
+                    let empty = (0..ID_DIGITS).find(|&d| m.in_prefix_range(point, d).is_empty());
+                    asked.extend((0..=empty.unwrap_or(ID_DIGITS)).map(|d| (point, d)));
+                }
+                let absent = Id::random(&mut rng);
+                for (point, digits) in asked {
+                    let mut exclude = absent;
+                    for _ in 0..2 {
+                        let candidates = m.in_prefix_range(point, digits).iter().map(|c| c.id());
+                        let scan = candidates
+                            .filter(|&c| c != exclude)
+                            .min_by_key(|c| c.ring_distance(&point));
+                        let got = m.closest_in_prefix_range(point, digits, exclude).map(|c| c.id());
+                        prop_assert_eq!(got, scan, "{} prefix {} excluding {}", point, digits, exclude);
+                        let Some(flank) = scan else { break };
+                        exclude = flank;
+                    }
+                }
+                let tie = m.closest_in_prefix_range(centre, 0, absent).map(|c| c.id());
+                prop_assert_eq!(tie, Some(lower), "centre ± {} ties to the lower id", gap);
+            }
+        }
     }
 }

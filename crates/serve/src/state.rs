@@ -135,16 +135,6 @@ impl ServeState {
             && !self.filings.contains_key(&(judge, accused))
     }
 
-    /// Number of pairs with at least one verdict.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Number of formal accusations filed.
-    pub fn filing_count(&self) -> usize {
-        self.filings.len()
-    }
-
     /// The next workload input index per the last commit boundary.
     pub fn next_input(&self) -> u64 {
         self.next_input

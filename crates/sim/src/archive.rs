@@ -79,16 +79,31 @@ impl ProbeArchive {
         time: SimTime,
         mut observed: impl FnMut(usize, LinkId) -> bool,
     ) {
+        self.record_words(time, |first, links| {
+            let cells = links.iter().enumerate();
+            cells.fold(0, |word, (i, &link)| word | u64::from(observed(first + i, link)) << i)
+        });
+    }
+
+    /// Appends a probe round at `time` one word of observations at a
+    /// time: `word(first, links)` returns the bits of columns `first..`,
+    /// bit `i` for `links[i]` (up to 64 links, the columns' links), and is
+    /// called in column order. The archive's one append path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` precedes the previous round (rounds are appended
+    /// in chronological order).
+    pub fn record_words(&mut self, time: SimTime, mut word: impl FnMut(usize, &[LinkId]) -> u64) {
         if let Some(&last) = self.times.last() {
             assert!(time >= last, "probe rounds must be appended in time order");
         }
         let row_start = self.bits.len();
         self.bits.resize(row_start + self.words_per_row, 0);
-        // Column order, so `observed` sees the same call sequence every run.
-        for (col, &link) in self.columns.iter().enumerate() {
-            if observed(col, link) {
-                self.bits[row_start + col / 64] |= 1u64 << (col % 64);
-            }
+        for (k, links) in self.columns.chunks(64).enumerate() {
+            let bits = word(64 * k, links);
+            debug_assert!(links.len() == 64 || bits >> links.len() == 0, "bits past the row");
+            self.bits[row_start + k] = bits;
         }
         self.times.push(time);
     }

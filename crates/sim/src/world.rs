@@ -31,6 +31,15 @@ pub const ADAPTIVE_GUARD: SimDuration = SimDuration::from_secs(75);
 /// `slot_of` entry of a router that hosts no overlay node.
 const NO_SLOT: u32 = u32::MAX;
 
+/// `rng.gen_bool(p)` as an integer threshold on the same draw: it is
+/// `unit_f64(x) < p`, where `unit_f64(x)` is `(x >> 11) · 2⁻⁵³` exactly,
+/// so it holds iff `x >> 11 < p · 2⁵³`, and for an integer left side iff
+/// `x >> 11 < ⌈p · 2⁵³⌉` (the product is exact: a power-of-two scaling).
+fn bernoulli_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// The fate of one application message sent along an overlay route at a
 /// given instant.
 ///
@@ -143,7 +152,8 @@ impl SimWorld {
         //     §2) and the stretch analysis. One search per host, 64 hosts
         //     per pass; a host's distance to an overlay router is written
         //     when that router's bit turns on. `slot_of` maps a router to
-        //     its host slot (`NO_SLOT` for the rest).
+        //     its host slot (`NO_SLOT` for the rest). Each pass's levels
+        //     are kept for 2b.
         let span = concilium_obs::span("world.bfs");
         let n_hosts = overlay_routers.len();
         let mut slot_of = vec![NO_SLOT; topology.graph.num_routers()];
@@ -153,10 +163,11 @@ impl SimWorld {
         let mut build_tree_stats = concilium_topology::CacheStats::default();
         let mut host_dist = vec![u16::MAX; n_hosts * n_hosts];
         let mut search = MultiBfs::new();
+        let mut passes = Vec::with_capacity(n_hosts.div_ceil(MultiBfs::WIDTH));
         for (pass, sources) in overlay_routers.chunks(MultiBfs::WIDTH).enumerate() {
             let first = pass * MultiBfs::WIDTH;
             let mut found = 0;
-            search.run(&topology.graph, sources, |router, mut lanes, depth| {
+            passes.push(search.run(&topology.graph, sources, |router, mut lanes, depth| {
                 let slot = slot_of[router.index()];
                 if slot == NO_SLOT {
                     return;
@@ -167,7 +178,7 @@ impl SimWorld {
                     found += 1;
                     lanes &= lanes - 1;
                 }
-            });
+            }));
             assert_eq!(found, sources.len() * n_hosts, "topology is connected");
             build_tree_stats.misses += 1;
             build_tree_stats.hits += sources.len() as u64;
@@ -194,31 +205,26 @@ impl SimWorld {
         // 2b. IP paths host → routing peers (secure peers define the probe
         //     tree T_H; standard-table peers get paths too so standard
         //     routes can be measured), and probe trees. Which overlay
-        //     routers are a host's peers is only known now, so the passes
-        //     of 2a run again (keeping their level tables would cost
-        //     routers × 64 bytes per pass), and each host's peer paths come
-        //     from a search restricted to the peers' shortest-path
-        //     ancestors (`MultiBfs::paths_to`). `build_overlay` returns
-        //     nodes in member order, so pass `p` lane `i` is host
-        //     `64p + i`.
+        //     routers are a host's peers is only known now, so each host's
+        //     peer paths come from a search restricted to the peers'
+        //     shortest-path ancestors (`MultiBfs::paths_to`) over the
+        //     levels its 2a pass kept; a pass is dropped once its hosts
+        //     are done. `build_overlay` returns nodes in member order, so
+        //     pass `p` lane `i` is host `64p + i`.
         let span = concilium_obs::span("world.paths");
         let mut paths = Vec::with_capacity(nodes.len());
         let mut peer_hosts = Vec::with_capacity(nodes.len());
         let mut trees = Vec::with_capacity(nodes.len());
-        for (pass, batch) in nodes.chunks(MultiBfs::WIDTH).enumerate() {
-            let sources = &overlay_routers[pass * MultiBfs::WIDTH..][..batch.len()];
-            search.run(&topology.graph, sources, |_, _, _| {});
-            build_tree_stats.misses += 1;
-            build_tree_stats.hits += batch.len() as u64;
+        for (pass, batch) in passes.into_iter().zip(nodes.chunks(MultiBfs::WIDTH)) {
             for (lane, node) in batch.iter().enumerate() {
-                assert_eq!(sources[lane], node.addr().router(), "nodes keep member order");
+                assert_eq!(pass.sources()[lane], node.addr().router(), "nodes keep member order");
                 let secure = node.routing_peers(RoutingMode::Secure);
                 let mut standard = node.routing_peers(RoutingMode::Standard);
                 standard.retain(|peer| !secure.iter().any(|s| s.id() == peer.id()));
                 let targets: Vec<_> =
                     secure.iter().chain(&standard).map(|peer| peer.addr().router()).collect();
                 let mut found = search
-                    .paths_to(&topology.graph, lane, &targets)
+                    .paths_to(&topology.graph, &pass, lane, &targets)
                     .into_iter()
                     .map(|path| path.expect("generated topologies are connected"));
                 let mut pmap = HashMap::with_capacity(targets.len());
@@ -284,10 +290,12 @@ impl SimWorld {
 
         // 4. Probing phase: every host heavyweight-probes its whole tree
         //    at uniform random intervals; each observation is correct with
-        //    probability `probe_accuracy`.
+        //    probability `probe_accuracy`. A round is built a word of 64
+        //    columns at a time, one draw per column in column order.
         let span = concilium_obs::span("world.probe");
         let mut archives = Vec::with_capacity(nodes.len());
         let max_probe = config.max_probe_time.as_micros();
+        let accurate = bernoulli_threshold(config.probe_accuracy);
         for tree in &trees {
             let links = tree.link_set();
             let mut archive = ProbeArchive::new(&links);
@@ -296,14 +304,13 @@ impl SimWorld {
                 links.iter().map(|&l| history.cursor(l)).collect();
             let mut t = SimTime::from_micros(rng.gen_range(0..=max_probe));
             while t < end {
-                archive.record_round(t, |col, _| {
-                    let truth = cursors[col].was_up(t);
-                    let correct = rng.gen_bool(config.probe_accuracy);
-                    if correct {
-                        truth
-                    } else {
-                        !truth
+                archive.record_words(t, |first, chunk| {
+                    let mut word = 0;
+                    for (bit, cursor) in cursors[first..][..chunk.len()].iter_mut().enumerate() {
+                        let correct = rng.next_u64() >> 11 < accurate;
+                        word |= u64::from(cursor.was_up(t) == correct) << bit;
                     }
+                    word
                 });
                 t += SimDuration::from_micros(rng.gen_range(1..=max_probe));
             }
@@ -335,10 +342,10 @@ impl SimWorld {
     }
 
     /// Search work during construction: `misses` counts passes over the
-    /// graph, `hits` the host searches those passes served — 64 hosts to a
-    /// full pass, each host once for its distances and once for its peer
-    /// paths. A single-threaded, deterministic build phase, so these
-    /// reproduce exactly; reported by the sweep drivers.
+    /// graph, `hits` the host searches those passes ran — 64 hosts to a
+    /// full pass, each host once: its pass gives its distances and is kept
+    /// for its peer paths. A single-threaded, deterministic build phase, so
+    /// these reproduce exactly; reported by the sweep drivers.
     pub fn build_tree_stats(&self) -> concilium_topology::CacheStats {
         self.build_tree_stats
     }
@@ -689,8 +696,10 @@ mod tests {
                 let pid = w.node(p).id();
                 assert!(w.path_to_peer(h, pid).is_some());
             }
-            // The archive has probes spread over the duration.
+            // The archive has probes spread over the duration, one column
+            // per tree link.
             assert!(w.archive(h).num_probes() >= 2);
+            assert_eq!(w.archive(h).links(), &w.tree(h).link_set()[..]);
         }
     }
 
@@ -927,6 +936,27 @@ mod tests {
     }
 
     #[test]
+    fn bernoulli_threshold_is_gen_bool() {
+        use rand::rngs::mock::StepRng;
+        // Draws on either side of the threshold and at it, each with the
+        // eleven bits `unit_f64` drops clear, lowest set and all set.
+        for p in [0.5 + 2f64.powi(-52), 0.9, 0.99, 1.0] {
+            let threshold = bernoulli_threshold(p);
+            let mantissas = [threshold - 1, threshold, threshold + 1];
+            for m in mantissas.into_iter().filter(|&m| m < 1 << 53) {
+                for low in [0, 1, 0x7ff] {
+                    let x = m << 11 | low;
+                    assert_eq!(
+                        x >> 11 < threshold,
+                        StepRng::new(x, 0).gen_bool(p),
+                        "p {p} draw {x:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn probe_accuracy_matches_configuration() {
         // The fraction of observations agreeing with ground truth must be
         // the configured probe accuracy (0.9).
@@ -1108,9 +1138,10 @@ mod tests {
                     }
                 }
             }
+            // One pass per 64 hosts, run once: 2b reads the passes 2a kept.
             let passes = w.num_hosts().div_ceil(64) as u64;
             let stats = w.build_tree_stats();
-            assert_eq!((stats.misses, stats.hits), (2 * passes, 2 * w.num_hosts() as u64));
+            assert_eq!((stats.misses, stats.hits), (passes, w.num_hosts() as u64));
             assert!(stored >= w.num_hosts(), "every host has peer paths");
         }
     }

@@ -6,16 +6,14 @@
 //! links used by only a few hosts. [`Forest`] computes that coverage curve
 //! and the per-link "vouching peer" counts.
 //!
-//! Everything is computed once, in [`Forest::new`]: every (link, tree)
-//! occurrence goes into one list, and one sort of it puts a link's
-//! occurrences side by side, earliest tree first. Reading the runs off
-//! gives the sorted union of the link sets, how many trees probe each link
-//! and which tree is the first to cover it; a running sum over the trees
-//! in order is then the prefix table — after tree `k`, how many distinct
-//! links and how many link occurrences trees `..=k` hold. That is
-//! O(N log N) for N link occurrences; every query afterwards is an O(1)
-//! read of the table, so a whole coverage curve costs what a single point
-//! used to.
+//! Everything is computed once, in [`Forest::new`], in one sweep over the
+//! trees in order with a count per link in a table indexed by `LinkId`.
+//! A link's first occurrence adds it to the union, and a running count
+//! over the trees is the prefix table — after tree `k`, how many distinct
+//! links and how many link occurrences trees `..=k` hold. That is O(N)
+//! for N link occurrences, with no sort; every query afterwards is an
+//! O(1) read of the table, so a whole coverage curve costs what a single
+//! point used to.
 
 use std::collections::HashMap;
 
@@ -25,7 +23,7 @@ use concilium_types::LinkId;
 /// rooted at each of its routing peers.
 #[derive(Clone, Debug)]
 pub struct Forest {
-    /// Union of all links in the forest, sorted.
+    /// Union of all links in the forest, in order of first occurrence.
     universe: Vec<LinkId>,
     /// Per `universe` entry: how many trees probe that link.
     vouchers: Vec<u32>,
@@ -39,37 +37,24 @@ impl Forest {
     /// link sets of its peers' trees (see `ProbeTree::link_set`), borrowed:
     /// a caller assembling many forests computes each tree's set once.
     pub fn new<'a>(own: &'a [LinkId], peers: impl IntoIterator<Item = &'a [LinkId]>) -> Self {
-        // (link, index of the tree it occurs in); `tree_links[t]` counts
-        // tree t's links.
-        let mut occurrences: Vec<(LinkId, usize)> = Vec::new();
-        let mut tree_links = Vec::new();
-        for (t, ls) in std::iter::once(own).chain(peers).enumerate() {
-            occurrences.extend(ls.iter().map(|&l| (l, t)));
-            tree_links.push(ls.len());
-        }
-        occurrences.sort_unstable();
-
+        let trees: Vec<&[LinkId]> = std::iter::once(own).chain(peers).collect();
+        let links = trees.iter().flat_map(|ls| ls.iter());
+        // Per `LinkId`: how many trees so far hold the link.
+        let mut count = vec![0u32; links.map(|l| l.index() + 1).max().unwrap_or(0)];
         let mut universe = Vec::new();
-        let mut vouchers = Vec::new();
-        // `first_covered[t]`: links no tree before t holds.
-        let mut first_covered = vec![0usize; tree_links.len()];
-        for run in occurrences.chunk_by(|a, b| a.0 == b.0) {
-            let (link, first_tree) = run[0];
-            universe.push(link);
-            vouchers.push(run.len() as u32);
-            first_covered[first_tree] += 1;
+        let mut prefix = Vec::with_capacity(trees.len());
+        let mut total = 0;
+        for ls in trees {
+            for &link in ls {
+                if count[link.index()] == 0 {
+                    universe.push(link);
+                }
+                count[link.index()] += 1;
+            }
+            total += ls.len();
+            prefix.push((universe.len(), total));
         }
-
-        let (mut distinct, mut total) = (0usize, 0usize);
-        let prefix = first_covered
-            .iter()
-            .zip(&tree_links)
-            .map(|(new, len)| {
-                distinct += new;
-                total += len;
-                (distinct, total)
-            })
-            .collect();
+        let vouchers = universe.iter().map(|l| count[l.index()]).collect();
         Forest { universe, vouchers, prefix }
     }
 

@@ -86,12 +86,6 @@ impl AmbiguityClasses {
         self.class_of.get(&link).copied()
     }
 
-    /// The member links of class `idx`, or an empty slice when out of
-    /// range.
-    pub fn class_members(&self, idx: usize) -> &[LinkId] {
-        self.classes.get(idx).map(|c| c.as_slice()).unwrap_or(&[])
-    }
-
     /// Whether `link` is *identifiable*: covered, and alone in its class,
     /// so its loss can in principle be localized to it.
     pub fn is_identifiable(&self, link: LinkId) -> bool {

@@ -9,9 +9,11 @@
 //! A tree costs 16 bytes per router, and a world build needs one search
 //! per overlay host. [`MultiBfs`] runs 64 of them per pass over the graph,
 //! one bit per search in each router's word (Then et al., "The More the
-//! Merrier", VLDB 2014), and answers a source's paths to a few targets
-//! with a search restricted to their shortest-path ancestors — the same
-//! paths [`BfsTree::path_to`] returns.
+//! Merrier", VLDB 2014), and keeps each pass as a [`BfsPass`]: every
+//! search's level of every router, mod 4, in 16 bytes per router. From
+//! that it answers a source's paths to a few targets with a search
+//! restricted to their shortest-path ancestors — the same paths
+//! [`BfsTree::path_to`] returns.
 
 use concilium_types::{LinkId, RouterId};
 
@@ -129,13 +131,10 @@ fn path_up(target: RouterId, parent: impl Fn(RouterId) -> Option<(RouterId, Link
 /// to each neighbour at once, so 64 searches cost one scan of each
 /// router's adjacency per level it is on a frontier, not 64 scans.
 ///
-/// Besides the distances a pass reports as it goes, it keeps each search's
-/// level of every router, mod 256: a `routers × 64` table of bytes, stored
-/// as eight bit planes per router so that a router reached by many
-/// searches at once is written in eight word operations. Neighbours differ
-/// by at most one level, so "one level closer" is still decidable from
-/// the byte. [`MultiBfs::paths_to`] uses it to give one search's paths to
-/// a few targets without a tree per search.
+/// [`MultiBfs::run`] reports distances as they are found and returns the
+/// pass's levels as a [`BfsPass`], which [`MultiBfs::paths_to`] reads for
+/// one search's paths to a few targets without a tree per search; a
+/// caller keeps a pass for as long as it has paths to ask of it.
 ///
 /// # Examples
 ///
@@ -151,32 +150,53 @@ fn path_up(target: RouterId, parent: impl Fn(RouterId) -> Option<(RouterId, Link
 /// let sources = [RouterId(0), RouterId(3)];
 /// let mut dist = [[0u32; 4]; 2];
 /// let mut search = MultiBfs::new();
-/// search.run(&g, &sources, |router, mut lanes, depth| {
+/// let pass = search.run(&g, &sources, |router, mut lanes, depth| {
 ///     while lanes != 0 {
 ///         dist[lanes.trailing_zeros() as usize][router.index()] = depth;
 ///         lanes &= lanes - 1;
 ///     }
 /// });
 /// assert_eq!(dist, [[0, 1, 2, 2], [2, 1, 2, 0]]);
-/// let paths = search.paths_to(&g, 1, &[RouterId(2)]);
+/// let paths = search.paths_to(&g, &pass, 1, &[RouterId(2)]);
 /// assert_eq!(paths[0], BfsTree::compute(&g, RouterId(3)).path_to(RouterId(2)));
 /// ```
 #[derive(Debug, Default)]
 pub struct MultiBfs {
-    sources: Vec<RouterId>,
     seen: Vec<u64>,
     visit: Vec<u64>,
     next: Vec<u64>,
-    /// `level[r][k]` bit `lane`: bit `k` of the level, mod 256, at which
-    /// search `lane` reached router `r`; meaningful only where `seen` has
-    /// the bit.
-    level: Vec<[u64; 8]>,
     /// Scratch of [`MultiBfs::paths_to`]: per router, whether it is an
     /// ancestor of a target and whether the restricted search found it.
     mark: Vec<Mark>,
     parent: Vec<(RouterId, LinkId)>,
     ancestors: Vec<RouterId>,
     queue: Vec<RouterId>,
+}
+
+/// One [`MultiBfs`] pass, kept: its sources and each search's level of
+/// every router, mod 4. A neighbour's level is one closer, equal or one
+/// further: three distinct values mod 4, so two bits decide "one level
+/// closer", all [`MultiBfs::paths_to`] asks. Bit `lane` of plane `k` is
+/// bit `k` of search `lane`'s level: 16 bytes per router for 64 searches,
+/// and a router reached by many searches at once is two word writes.
+#[derive(Debug)]
+pub struct BfsPass {
+    sources: Vec<RouterId>,
+    /// Zero where a search never reached the router.
+    level: Vec<[u64; 2]>,
+}
+
+impl BfsPass {
+    /// The pass's sources; search `lane` started at `sources()[lane]`.
+    pub fn sources(&self) -> &[RouterId] {
+        &self.sources
+    }
+
+    /// Search `lane`'s level of router `r`, mod 4.
+    fn level(&self, lane: usize, r: RouterId) -> u8 {
+        let [low, high] = self.level[r.index()];
+        ((low >> lane & 1) | (high >> lane & 1) << 1) as u8
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -197,7 +217,7 @@ impl MultiBfs {
     }
 
     /// Runs one breadth-first search from each of `sources` (search `i`
-    /// is lane `i`), replacing the previous pass. Calls `reached(router,
+    /// is lane `i`) and returns the pass's levels. Calls `reached(router,
     /// lanes, depth)` for every router and depth at which some searches
     /// first reach it, `lanes` holding their bits; depth 0 is a source.
     ///
@@ -210,17 +230,15 @@ impl MultiBfs {
         graph: &Graph,
         sources: &[RouterId],
         mut reached: impl FnMut(RouterId, u64, u32),
-    ) {
+    ) -> BfsPass {
         let _span = concilium_obs::span("topo.bfs");
         assert!(sources.len() <= Self::WIDTH, "at most {} sources per pass", Self::WIDTH);
         let n = graph.num_routers();
-        self.sources.clear();
-        self.sources.extend_from_slice(sources);
+        let mut pass = BfsPass { sources: sources.to_vec(), level: vec![[0; 2]; n] };
         self.seen.clear();
         self.seen.resize(n, 0);
         self.visit.resize(n, 0);
         self.next.resize(n, 0);
-        self.level.resize(n, [0; 8]);
         let mut frontier = Vec::new();
         for (lane, &s) in sources.iter().enumerate() {
             assert!(s.index() < n, "router {s} out of range");
@@ -232,12 +250,13 @@ impl MultiBfs {
         let mut depth = 0;
         let mut upcoming = Vec::new();
         loop {
+            // A search reaches a router once, so its bits are still zero.
+            let mask = [depth & 1, depth >> 1 & 1].map(|bit| 0u64.wrapping_sub(u64::from(bit)));
             for &r in &frontier {
                 let lanes = self.visit[r.index()];
                 self.seen[r.index()] |= lanes;
-                for (k, plane) in self.level[r.index()].iter_mut().enumerate() {
-                    let bit = 0u64.wrapping_sub(u64::from(depth >> k & 1));
-                    *plane = *plane & !lanes | lanes & bit;
+                for (plane, mask) in pass.level[r.index()].iter_mut().zip(mask) {
+                    *plane |= lanes & mask;
                 }
                 reached(r, lanes, depth);
             }
@@ -269,17 +288,14 @@ impl MultiBfs {
         for &r in &frontier {
             self.visit[r.index()] = 0;
         }
+        pass
     }
 
-    /// Whether the last pass's search `lane` reached `target`.
-    fn reaches(&self, lane: usize, target: RouterId) -> bool {
-        lane < self.sources.len() && self.seen[target.index()] >> lane & 1 == 1
-    }
-
-    /// The paths from the last pass's search `lane` to each of `targets`,
-    /// equal to what [`BfsTree::compute`] from that source and
+    /// The paths from `pass`'s search `lane` to each of `targets`, equal
+    /// to what [`BfsTree::compute`] from that source and
     /// [`BfsTree::path_to`] return; `None` where a target is unreachable.
-    /// `graph` must be the graph that pass searched.
+    /// `graph` must be the graph that pass searched; `pass` need not be
+    /// the latest.
     ///
     /// It collects A, the targets' shortest-path ancestors: every
     /// neighbour one level closer to the source than a member. A search
@@ -288,26 +304,25 @@ impl MultiBfs {
     /// A member's candidate parents are all one level closer, hence in A;
     /// by induction on the level they are dequeued in the full search's
     /// relative order, so the first to find the member is the same router
-    /// over the same link.
+    /// over the same link. An unreachable target joins A alone (its
+    /// component has no level one closer to anything) and the search never
+    /// finds it.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is not a search of the last pass, if a target is
-    /// out of range, or if `graph` has a different number of routers than
-    /// the graph that pass searched.
+    /// Panics if `lane` is not a search of `pass`, if a target is out of
+    /// range, or if `graph` has a different number of routers than the
+    /// graph `pass` searched.
     pub fn paths_to(
         &mut self,
         graph: &Graph,
+        pass: &BfsPass,
         lane: usize,
         targets: &[RouterId],
     ) -> Vec<Option<IpPath>> {
-        assert!(lane < self.sources.len(), "search {lane} was not run");
-        assert_eq!(graph.num_routers(), self.seen.len(), "a different graph");
-        let source = self.sources[lane];
-        let level = |r: RouterId| {
-            let planes = &self.level[r.index()];
-            (0..8).fold(0u8, |byte, k| byte | ((planes[k] >> lane & 1) as u8) << k)
-        };
+        assert!(lane < pass.sources.len(), "search {lane} was not run");
+        assert_eq!(graph.num_routers(), pass.level.len(), "a different graph");
+        let source = pass.sources[lane];
         self.mark.resize(graph.num_routers(), Mark::Outside);
         self.parent.resize(graph.num_routers(), (source, LinkId(0)));
 
@@ -315,7 +330,7 @@ impl MultiBfs {
         self.ancestors.push(source);
         self.mark[source.index()] = Mark::Ancestor;
         for &t in targets {
-            if self.reaches(lane, t) && self.mark[t.index()] == Mark::Outside {
+            if self.mark[t.index()] == Mark::Outside {
                 self.mark[t.index()] = Mark::Ancestor;
                 self.ancestors.push(t);
             }
@@ -326,9 +341,9 @@ impl MultiBfs {
             if r == source {
                 continue;
             }
-            let closer = level(r).wrapping_sub(1);
+            let closer = pass.level(lane, r).wrapping_sub(1) & 3;
             for &(nbr, _) in graph.neighbors(r) {
-                if self.mark[nbr.index()] == Mark::Outside && level(nbr) == closer {
+                if self.mark[nbr.index()] == Mark::Outside && pass.level(lane, nbr) == closer {
                     self.mark[nbr.index()] = Mark::Ancestor;
                     self.ancestors.push(nbr);
                 }
@@ -449,12 +464,14 @@ mod tests {
         assert_eq!(ta.distance(b), tb.distance(a));
     }
 
-    /// Runs `sources` through [`MultiBfs`] 64 at a time and holds every
-    /// search to a fresh [`BfsTree`]: each router reported once per search
-    /// at its distance, `reaches` exactly where the tree does, and
-    /// `paths_to` — over `targets` plus the source itself, asked lane by
-    /// lane so each call starts from the previous one's scratch — equal to
-    /// the tree's paths, `None` included.
+    /// Runs `sources` through [`MultiBfs`] 64 at a time, keeping every
+    /// pass, then holds every search to a fresh [`BfsTree`]: each router
+    /// reported once per search at its distance, its kept level equal to
+    /// that distance mod 4 (zero where unreached), and `paths_to` — over
+    /// `targets` plus the source itself — equal to the tree's paths,
+    /// `None` included. The passes are read last to first, so every pass
+    /// but the last is read after later passes ran, and lane by lane, so
+    /// each call starts from the previous one's scratch.
     fn check_against_trees(
         g: &Graph,
         sources: &[RouterId],
@@ -462,10 +479,11 @@ mod tests {
     ) -> Result<(), String> {
         let n = g.num_routers();
         let mut search = MultiBfs::new();
+        let mut passes = Vec::new();
         for chunk in sources.chunks(MultiBfs::WIDTH) {
             let mut dist = vec![vec![None; n]; chunk.len()];
             let mut repeated = None;
-            search.run(g, chunk, |r, mut lanes, depth| {
+            let pass = search.run(g, chunk, |r, mut lanes, depth| {
                 while lanes != 0 {
                     let lane = lanes.trailing_zeros() as usize;
                     if dist[lane][r.index()].replace(depth).is_some() {
@@ -477,19 +495,22 @@ mod tests {
             if let Some((lane, r)) = repeated {
                 return Err(format!("search {lane} reached {r} twice"));
             }
-            for (lane, &s) in chunk.iter().enumerate() {
+            passes.push((pass, dist));
+        }
+        for (pass, dist) in passes.iter().rev() {
+            for (lane, &s) in pass.sources().iter().enumerate() {
                 let tree = BfsTree::compute(g, s);
                 for r in g.routers() {
                     let (got, want) = (dist[lane][r.index()], tree.distance(r));
                     if got != want {
                         return Err(format!("{s} → {r}: {got:?} vs {want:?}"));
                     }
-                    if search.reaches(lane, r) != tree.distance(r).is_some() {
-                        return Err(format!("{s} → {r}: reaches disagrees"));
+                    if u32::from(pass.level(lane, r)) != want.map_or(0, |d| d % 4) {
+                        return Err(format!("{s} → {r}: level {} at {want:?}", pass.level(lane, r)));
                     }
                 }
                 let asked: Vec<RouterId> = targets.iter().copied().chain([s]).collect();
-                for (&t, got) in asked.iter().zip(search.paths_to(g, lane, &asked)) {
+                for (&t, got) in asked.iter().zip(search.paths_to(g, pass, lane, &asked)) {
                     if got != tree.path_to(t) {
                         return Err(format!("{s} → {t}: {got:?} vs {:?}", tree.path_to(t)));
                     }
@@ -514,7 +535,8 @@ mod tests {
     fn multi_bfs_levels_wrap_past_256_hops() {
         // A ladder 2 × 200 routers long, rungs doubled every seventh step:
         // paths of up to ~200 hops with many equal-length alternatives, so
-        // "one level closer" is decided from bytes that have wrapped.
+        // "one level closer" is decided from levels that have wrapped mod 4
+        // fifty times.
         let rungs = 200u32;
         let mut b = GraphBuilder::new(2 * rungs as usize);
         for k in 0..rungs {
@@ -545,14 +567,13 @@ mod tests {
         b.add_link(RouterId(1), RouterId(3));
         let g = b.build(); // router 4 isolated
         let mut search = MultiBfs::new();
-        search.run(&g, &[RouterId(0), RouterId(4)], |_, _, _| {});
-        let paths = search.paths_to(&g, 0, &[RouterId(2), RouterId(4), RouterId(0)]);
+        let pass = search.run(&g, &[RouterId(0), RouterId(4)], |_, _, _| {});
+        let paths = search.paths_to(&g, &pass, 0, &[RouterId(2), RouterId(4), RouterId(0)]);
         assert_eq!(paths[0].as_ref().unwrap().hop_count(), 2);
         assert!(paths[1].is_none(), "unreachable");
         assert_eq!(paths[2].as_ref().unwrap().hop_count(), 0, "the source itself");
-        assert!(!search.reaches(1, RouterId(0)) && search.reaches(1, RouterId(4)));
         let alone = IpPath::new(vec![RouterId(4)], vec![]);
-        assert_eq!(search.paths_to(&g, 1, &[RouterId(4), RouterId(2)]), [Some(alone), None]);
+        assert_eq!(search.paths_to(&g, &pass, 1, &[RouterId(4), RouterId(2)]), [Some(alone), None]);
     }
 
     mod props {
@@ -562,7 +583,8 @@ mod tests {
         proptest! {
             /// Random multigraphs, often disconnected, with parallel links
             /// wherever a pair repeats; up to 150 sources, so several
-            /// passes, repeated sources sharing a router in one pass.
+            /// passes, kept and read after later ones ran, and repeated
+            /// sources sharing a router in one pass.
             #[test]
             fn multi_bfs_matches_bfs_tree(
                 n in 2usize..48,
