@@ -1,15 +1,20 @@
 //! Recursive stewardship and accusation revision (§3.5).
 //!
-//! A judge can only ascribe blame to its immediate next hop, so an honest
-//! forwarder whose *downstream* dropped the message would be blamed
-//! unfairly. Under recursive stewardship every forwarder awaits the
-//! destination's acknowledgment; when it never arrives, a *chain* of
-//! guilty verdicts forms along the route: A blames B, B blames C, C blames
-//! D. The chain stops at the true culprit D, because D's peers have not
-//! probed any links as down and D cannot fabricate such probes (its own
-//! probes are inadmissible against it). Each innocent node pushes its
-//! verdict upstream; upstream nodes verify it and amend their accusations.
-//! The amended accusation carries the signed data of every step, making it
+//! A judge can only blame its immediate next hop, so an honest forwarder
+//! whose *downstream* dropped the message would be blamed unfairly. §3.5's
+//! remedy, as the statements [`steward`]'s rules cite:
+//!
+//! - **S1.** Every forwarder awaits the destination's ack; when none comes,
+//!   a chain of verdicts forms (A blames B, B blames C, C blames D), each
+//!   innocent node pushing its verdict upstream as an amendment.
+//! - **S2.** A node proves it passed the message on with its next hop's
+//!   forwarding commitment; without one, the loss lies on the path between.
+//! - **S3.** Tomography showing that path down blames the network.
+//! - **S4.** The chain stops at the culprit, whose own probes cannot clear
+//!   it. The destination, once committed, owes the ack and can re-issue it.
+//! - **S5.** A node that does not push its verdict upstream keeps the blame.
+//!
+//! The amended accusation carries every step's signed data, so it is
 //! self-verifying end to end.
 
 use std::fmt;
@@ -23,14 +28,92 @@ use crate::accusation::{Accusation, AccusationError};
 use crate::config::ConciliumConfig;
 use crate::retry::RetryPolicy;
 
-/// Projects an identifier onto the low 8 bytes of its ring position —
-/// the word [`AccusationChain::encode_to`] journals per participant.
-/// (Identifiers built with [`Id::from_u64`] round-trip exactly.)
-fn id_word(id: Id) -> u64 {
-    let bytes = id.as_bytes();
-    let mut word = [0u8; 8];
-    word.copy_from_slice(&bytes[bytes.len() - 8..]);
-    u64::from_be_bytes(word)
+/// An evidence window a defence reads, in the order [`steward`] asks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Window {
+    /// The midpoint of the failed-retry span; the batch a revision cites.
+    Midpoint,
+    /// The send instant.
+    Send,
+    /// The expiry.
+    Expiry,
+}
+
+/// Where [`steward`] leaves the blame for a dropped message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resting {
+    /// No host keeps it.
+    Dissolved,
+    /// The host at this route position keeps it.
+    Standing(usize),
+}
+
+/// What the `k`-th revision (route position `k + 1` against `k + 2`) cites.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Amendment {
+    /// The reviser's [`Window::Midpoint`] evidence about its next hop.
+    Evidence,
+    /// The destination's receive commitment alone.
+    Commitment,
+}
+
+/// Decides where the blame for a dropped message comes to rest (§3.5).
+///
+/// `answers[p]`: the host at route position `p` answers revision requests
+/// (it is up and forwards). `received_upto`: the last position holding the
+/// message. `dest_reacks`: the destination can re-issue its ack.
+/// `implicates(judge, accused, next, window)`: whether `judge`'s evidence
+/// from `window` about the path `accused → next` blames `accused`, asked
+/// lazily in route order. The rules, tagged with the module doc's
+/// statements:
+///
+/// 1. The destination can re-ack: the drop was phantom; dissolve (S4).
+/// 2. A blamed host X that does not answer keeps the blame (S5).
+/// 3. X's next hop Y never received: the judge's evidence about X → Y
+///    keeps the blame on X or dissolves the chain (S2, S3).
+/// 4. X holds the destination's commitment: X's revision cites it alone,
+///    and the blame moves on (S2, S4).
+/// 5. X holds Y's commitment: if X's evidence about Y → Z implicates, X's
+///    revision cites it and the blame moves to Y (S1); if not, dissolve (S3).
+/// 6. Blame that reaches the destination rests there (S4).
+/// 7. *Beyond the paper:* a defence implicates only if every [`Window`]
+///    does, and the first that exonerates ends it. One Δ window straddling
+///    an outage boundary, or serial outages on different links, would
+///    otherwise leave residual blame on an honest forwarder.
+///
+/// Returns the resting place and, when blame stands, the amendments that
+/// carry the chain from position 1 to it.
+pub fn steward(
+    received_upto: usize,
+    answers: &[bool],
+    dest_reacks: bool,
+    mut implicates: impl FnMut(usize, usize, usize, Window) -> bool,
+) -> (Resting, Vec<Amendment>) {
+    let windows = [Window::Midpoint, Window::Send, Window::Expiry];
+    let mut defends = |j, a, n| windows.into_iter().all(|w| implicates(j, a, n, w)); // rule 7
+    let dissolved = || (Resting::Dissolved, Vec::new());
+    if dest_reacks {
+        return dissolved(); // rule 1
+    }
+    let last = answers.len().saturating_sub(1);
+    let mut amendments = Vec::new();
+    for (x, &answers_x) in answers.iter().enumerate().take(last).skip(1) {
+        if !answers_x {
+            return (Resting::Standing(x), amendments); // rule 2
+        }
+        if received_upto <= x {
+            let stands = defends(0, x, x + 1); // rule 3
+            return if stands { (Resting::Standing(x), amendments) } else { dissolved() };
+        }
+        if x + 1 == last {
+            amendments.push(Amendment::Commitment); // rule 4
+        } else if defends(x, x + 1, x + 2) {
+            amendments.push(Amendment::Evidence); // rule 5
+        } else {
+            return dissolved();
+        }
+    }
+    (Resting::Standing(last), amendments) // rule 6
 }
 
 /// How a retried steward handoff ended.
@@ -126,8 +209,8 @@ impl AccusationChain {
         out.push(self.links.len() as u64);
         for link in &self.links {
             let ctx = link.context();
-            out.push(id_word(link.accuser()));
-            out.push(id_word(ctx.accused));
+            out.push(link.accuser().low_u64());
+            out.push(ctx.accused.low_u64());
             out.push(ctx.msg.0);
             out.push(ctx.at.as_micros());
         }
@@ -251,7 +334,7 @@ mod tests {
     use concilium_types::{MsgId, SimTime};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     /// Builds the §3.5 scenario: route A → B → C → D → Z with all IP
     /// links good, D drops the message.
@@ -469,5 +552,140 @@ mod tests {
         chain.encode_to(&mut two);
         assert_eq!(two, vec![2, A, B, 42, 100_000_000, B, C, 42, 100_000_000]);
         assert_ne!(one, two, "amending must change the encoding");
+    }
+
+    /// §3.5 read literally, one evidence window per defence: blame starts
+    /// on route position 1 and walks down to the first host that is silent
+    /// (S5), is the destination (S4), holds no commitment from its next hop
+    /// (S2), or whose evidence clears its next hop's onward path (S3).
+    /// `midpoint(judge, accused)` is that one window's verdict.
+    fn literal(
+        received_upto: usize,
+        answers: &[bool],
+        dest_reacks: bool,
+        midpoint: impl Fn(usize, usize) -> bool,
+    ) -> (Resting, Vec<Amendment>) {
+        let last = answers.len() - 1;
+        if dest_reacks {
+            return (Resting::Dissolved, vec![]); // S4: the ack is re-issued, nothing dropped
+        }
+        let stops = |k: usize| {
+            !answers[k] || k == last || received_upto <= k || (k + 1 < last && !midpoint(k, k + 1))
+        };
+        let stop = (1..=last).find(|&k| stops(k)).expect("the destination ends every chain");
+        // Silent (S5), the destination (S4), or no commitment from the next
+        // hop while the path to it was up (S2, S3). Otherwise the network
+        // was at fault (S3).
+        let standing = !answers[stop] || stop == last || (received_upto <= stop && midpoint(0, stop));
+        if !standing {
+            return (Resting::Dissolved, vec![]);
+        }
+        // Each host above the culprit revised (S1), citing the
+        // destination's commitment when that is whom it blamed (S2, S4).
+        let chain = (1..stop)
+            .map(|k| if k + 1 == last { Amendment::Commitment } else { Amendment::Evidence })
+            .collect();
+        (Resting::Standing(stop), chain)
+    }
+
+    /// Where `steward` departs from [`literal`], as (route length, the
+    /// defence (judge, accused) at which `steward` dissolves the chain, the
+    /// position the literal reading convicts, distinct cases). In every one
+    /// that defence's midpoint window implicates and its send or expiry
+    /// window exonerates: rule 7. DESIGN.md §10 prints the same rows.
+    const DISAGREEMENTS: &[(usize, (usize, usize), usize, usize)] = &[
+        (3, (0, 1), 1, 8),
+        (4, (0, 1), 1, 16),
+        (4, (0, 2), 2, 4),
+        (4, (1, 2), 2, 12),
+        (4, (1, 2), 3, 4),
+        (5, (0, 1), 1, 32),
+        (5, (0, 2), 2, 8),
+        (5, (0, 3), 3, 4),
+        (5, (1, 2), 2, 32),
+        (5, (1, 2), 3, 12),
+        (5, (1, 2), 4, 4),
+        (5, (2, 3), 3, 12),
+        (5, (2, 3), 4, 4),
+    ];
+
+    #[test]
+    fn steward_matches_the_literal_reading_but_for_the_pinned_rows() {
+        const WINDOWS: [Window; 3] = [Window::Midpoint, Window::Send, Window::Expiry];
+        // A case is what the two readings observe, so defences neither
+        // asks about do not multiply it.
+        let mut found: BTreeMap<_, BTreeSet<Vec<usize>>> = BTreeMap::new();
+        for n in 3..=5usize {
+            let last = n - 1;
+            // Every defence `steward` may ask for: a forwarder's of its next
+            // hop (x, x + 1), and the judge's rebuttal evidence (0, x).
+            let defences: Vec<(usize, usize)> =
+                (1..last - 1).map(|x| (x, x + 1)).chain((1..last).map(|x| (0, x))).collect();
+            let facts = (0..n).flat_map(|recv| {
+                (0..1usize << last).flat_map(move |mask| [(recv, mask, false), (recv, mask, true)])
+            });
+            for (received_upto, mask, dest_reacks) in facts {
+                let answers: Vec<bool> = (0..n).map(|p| p == 0 || mask >> (p - 1) & 1 == 1).collect();
+                // Base-4 digit k: the index of the first window that
+                // exonerates in defence k, 3 when none does.
+                for code in 0..4usize.pow(defences.len() as u32) {
+                    let digit = |d: (usize, usize)| {
+                        let k = defences.iter().position(|&e| e == d).expect("a known defence");
+                        code / 4usize.pow(k as u32) % 4
+                    };
+                    let mut asked = Vec::new();
+                    let got = steward(received_upto, &answers, dest_reacks, |j, a, next, w| {
+                        assert_eq!(next, a + 1, "a defence is about the accused's next hop");
+                        asked.push((j, a, w));
+                        WINDOWS.iter().position(|&v| v == w) < Some(digit((j, a)))
+                    });
+                    // Lazy: each defence once, windows in order up to
+                    // the first that exonerates.
+                    let mut lazy: Vec<(usize, usize, Window)> = Vec::new();
+                    for &(j, a, _) in &asked {
+                        if !lazy.iter().any(|&(lj, la, _)| (lj, la) == (j, a)) {
+                            let upto = digit((j, a)).min(2);
+                            lazy.extend(WINDOWS[..=upto].iter().map(|&w| (j, a, w)));
+                        }
+                    }
+                    assert_eq!(asked, lazy);
+                    let read = std::cell::RefCell::new(BTreeSet::new());
+                    let want = literal(received_upto, &answers, dest_reacks, |j, a| {
+                        read.borrow_mut().insert((j, a));
+                        digit((j, a)) > 0
+                    });
+                    if got == want {
+                        continue;
+                    }
+                    // The one departure allowed: rule 7 dissolves at a
+                    // defence whose midpoint window implicates.
+                    let case = format!("n={n} recv={received_upto} answers={answers:?} code={code}");
+                    let (Resting::Standing(pos), Some(&(j, a, w))) = (want.0, asked.last()) else {
+                        panic!("{case}: steward {got:?}, literal {want:?}");
+                    };
+                    assert!(got == (Resting::Dissolved, vec![]) && w != Window::Midpoint, "{case}");
+                    // What the readings observed: the first exonerating
+                    // window where `steward` asked, the midpoint where only
+                    // `literal` read.
+                    let seen: Vec<usize> = defences
+                        .iter()
+                        .map(|&d| {
+                            if asked.iter().any(|&(j, a, _)| (j, a) == d) {
+                                digit(d)
+                            } else if read.borrow().contains(&d) {
+                                4 + usize::from(digit(d) > 0)
+                            } else {
+                                6
+                            }
+                        })
+                        .chain([received_upto, mask])
+                        .collect();
+                    found.entry((n, (j, a), pos)).or_default().insert(seen);
+                }
+            }
+        }
+        let found: Vec<_> =
+            found.into_iter().map(|((n, d, pos), cases)| (n, d, pos, cases.len())).collect();
+        assert_eq!(found, DISAGREEMENTS);
     }
 }

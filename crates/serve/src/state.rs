@@ -97,7 +97,7 @@ impl ServeState {
                     .placement
                     .replicas(Id::from_u64(*accused))
                     .into_iter()
-                    .map(id_word)
+                    .map(|id| id.low_u64())
                     .collect();
                 self.filings
                     .insert((*judge, *accused), Filing { guilty_count: *guilty_count, replicas });
@@ -183,15 +183,6 @@ impl ServeState {
     pub fn digest_hex(&self) -> String {
         self.digest().iter().map(|b| format!("{b:02x}")).collect()
     }
-}
-
-/// Recovers the trailing-u64 word from an [`Id`] minted by
-/// [`Id::from_u64`] — placement members are always minted that way here.
-fn id_word(id: Id) -> u64 {
-    let bytes = id.as_bytes();
-    let mut tail = [0u8; 8];
-    tail.copy_from_slice(&bytes[12..20]);
-    u64::from_be_bytes(tail)
 }
 
 #[cfg(test)]

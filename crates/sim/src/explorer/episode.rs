@@ -13,7 +13,7 @@ use concilium::ack::{Ack, AckBody, RetransmitQueue};
 use concilium::blame::LinkEvidence;
 use concilium::dht::AccusationDht;
 use concilium::retry::RetryPolicy;
-use concilium::revision::{AccusationChain, HandoffOutcome};
+use concilium::revision::{steward, AccusationChain, Amendment, HandoffOutcome, Resting, Window};
 use concilium::verdict::VerdictWindow;
 use concilium::{
     Accusation, ConciliumConfig, DropContext, ForwardingCommitment, Verdict,
@@ -118,11 +118,6 @@ impl Gathered {
 struct PairState {
     window: VerdictWindow,
     accused: bool,
-}
-
-enum WalkEnd {
-    Dissolved,
-    Standing(usize),
 }
 
 /// Dense per-episode event counters, folded into the registry once by
@@ -606,8 +601,8 @@ impl<'w> Episode<'w> {
                 t,
                 EntityRef::message(idx as u64),
                 format!(
-                    "ack settled {settled} entries for message {} in state {:?}",
-                    info.msg.0, self.msg_state[idx]
+                    "ack settled {settled} entries for message {idx} in state {:?}",
+                    self.msg_state[idx]
                 ),
             ));
         }
@@ -656,7 +651,7 @@ impl<'w> Episode<'w> {
                     InvariantKind::RetryConservation,
                     t,
                     EntityRef::message(idx as u64),
-                    format!("message {} expired while in state {:?}", p.msg.0, self.msg_state[idx]),
+                    format!("message {idx} expired while in state {:?}", self.msg_state[idx]),
                 ));
             }
             self.msg_state[idx] = MsgState::Expired;
@@ -849,151 +844,73 @@ impl<'w> Episode<'w> {
         Gathered { per_link }
     }
 
-    /// Evidence windows a defender cites across the message's lifetime:
-    /// the midpoint of the failed-retry span, the send instant, and the
-    /// expiry. A single Δ window straddling an outage boundary — or a
-    /// pair of *serial* outages on different path links, each covering
-    /// too little of one window for Eq. 3's per-link exoneration — can
-    /// leave residual blame on an honest forwarder; the accusation
-    /// stands only if every window implicates the host. Gathers the
-    /// evidence for each window in turn and returns the midpoint batch
-    /// (the one a revision amendment would carry) plus whether any
-    /// window exonerated the network.
-    fn defense(
-        &mut self,
-        judge: usize,
-        accused: usize,
-        next: usize,
-        info: &MsgInfo,
-        now: SimTime,
-    ) -> (Gathered, bool) {
-        let threshold = self.protocol.blame_threshold;
-        let midpoint =
-            self.gather_evidence(judge, accused, next, evidence_time(info.sent_at, now));
-        let mut exonerated =
-            (self.opts.blame_fn)(&midpoint.to_link_evidence(), self.accuracy) < threshold;
-        for t0 in [info.sent_at, now] {
-            if exonerated {
-                break;
-            }
-            let ev = self.gather_evidence(judge, accused, next, t0);
-            exonerated = (self.opts.blame_fn)(&ev.to_link_evidence(), self.accuracy) < threshold;
-        }
-        (midpoint, exonerated)
-    }
-
-    /// Walks the §3.5 revision chain on ground truth plus the judging
-    /// combinator, returning where the blame comes to rest and the
-    /// evidence gathered for each amendment (reused when the chain is
-    /// actually built, so the stored chain matches the walk).
-    fn walk(&mut self, info: &MsgInfo, now: SimTime) -> (WalkEnd, Vec<Option<Gathered>>) {
-        let route = info.route.clone();
+    /// [`steward`] over ground truth, its defence oracle gathering each
+    /// window's evidence on demand. Also returns the midpoint batch of each
+    /// downstream defence in route order: what [`Amendment::Evidence`] cites.
+    fn walk(&mut self, info: &MsgInfo, now: SimTime) -> (Resting, Vec<Amendment>, Vec<Gathered>) {
+        let route = &info.route;
         let dst = *route.last().expect("routes are non-empty");
-        let mut rev_evidence = Vec::new();
-        if info.truly_delivered
+        let answers: Vec<bool> =
+            route.iter().map(|&h| !self.adv.is_dropper(h) && self.plan.host_up(h, now)).collect();
+        let reacks = info.truly_delivered
             && !self.adv.is_ack_withholder(dst)
             && !self.adv.is_coalition(dst)
-            && self.plan.host_up(dst, now)
-        {
-            // The destination can re-issue a signed ack on demand: the
-            // "drop" was phantom and the accusation dissolves.
-            return (WalkEnd::Dissolved, rev_evidence);
-        }
-        let mut i = 1;
-        loop {
-            let x = route[i];
-            if self.adv.is_dropper(x) || !self.plan.host_up(x, now) {
-                // Refuses to answer or cannot: silence keeps the blame.
-                return (WalkEnd::Standing(i), rev_evidence);
-            }
-            if i + 1 == route.len() {
-                // The destination held the message and never acked it.
-                return (WalkEnd::Standing(i), rev_evidence);
-            }
-            let y = route[i + 1];
-            if info.received_upto > i {
-                if i + 1 == route.len() - 1 {
-                    // Y is the destination: its receive commitment plus
-                    // the missing ack carry the blame without evidence.
-                    rev_evidence.push(None);
-                    i += 1;
-                    continue;
+            && self.plan.host_up(dst, now);
+        let mut cited = Vec::new();
+        let (resting, amendments) =
+            steward(info.received_upto, &answers, reacks, |judge, accused, next, window| {
+                let t0 = match window {
+                    Window::Midpoint => evidence_time(info.sent_at, now),
+                    Window::Send => info.sent_at,
+                    Window::Expiry => now,
+                };
+                let ev = self.gather_evidence(route[judge], route[accused], route[next], t0);
+                let blame = (self.opts.blame_fn)(&ev.to_link_evidence(), self.accuracy);
+                // Judge 0's evidence is a rebuttal, which no revision cites.
+                if window == Window::Midpoint && judge > 0 {
+                    cited.push(ev);
                 }
-                let z = route[i + 2];
-                let (ev, exonerated) = self.defense(x, y, z, info, now);
-                if !exonerated {
-                    rev_evidence.push(Some(ev));
-                    i += 1;
-                    continue;
-                }
-                // X holds Y's commitment but its own evidence shows the
-                // network at fault downstream: the chain dissolves.
-                return (WalkEnd::Dissolved, rev_evidence);
-            }
-            // Y never received the message: the loss happened between X
-            // and Y. X's rebuttal is the evidence about that path.
-            let (_, exonerated) = self.defense(route[0], x, y, info, now);
-            if !exonerated {
-                return (WalkEnd::Standing(i), rev_evidence);
-            }
-            return (WalkEnd::Dissolved, rev_evidence);
-        }
+                blame >= self.protocol.blame_threshold
+            });
+        (resting, amendments, cited)
     }
 
-    fn escalate(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        trigger_ev: &Gathered,
-    ) -> Result<(), Violation> {
+    fn escalate(&mut self, idx: usize, now: SimTime, ev: &Gathered) -> Result<(), Violation> {
         let info = self.infos[idx].clone().expect("escalations follow judgments");
-        let (end, rev_evidence) = self.walk(&info, now);
-        match end {
-            WalkEnd::Dissolved => {
-                self.stats.dissolved += 1;
-                self.emit(now, TraceEvent::Dissolved { msg: idx as u64 })
-            }
-            WalkEnd::Standing(ci) => {
-                let culprit = info.route[ci];
-                self.emit(
+        let (resting, amendments, cited) = self.walk(&info, now);
+        let Resting::Standing(ci) = resting else {
+            self.stats.dissolved += 1;
+            return self.emit(now, TraceEvent::Dissolved { msg: idx as u64 });
+        };
+        let culprit = info.route[ci];
+        let (msg, position) = (idx as u64, ci as u64);
+        self.emit(now, TraceEvent::CulpritStanding { msg, position, culprit: culprit as u64 })?;
+        let honest = !self.adv.is_adversarial(culprit);
+        // A crash anywhere on the route during the message's lifetime can
+        // defeat every retransmission without the network being at fault;
+        // such standings are churn casualties, not combinator bugs.
+        let route_churned = info.route.iter().any(|&h| {
+            self.plan.outage(h).is_some_and(|(s, e)| s <= now && e >= info.sent_at)
+        });
+        if honest && !route_churned {
+            if self.enforce_no_false_blame {
+                return Err(Violation::new(
+                    InvariantKind::FalseAccusation,
                     now,
-                    TraceEvent::CulpritStanding {
-                        msg: idx as u64,
-                        position: ci as u64,
-                        culprit: culprit as u64,
-                    },
-                )?;
-                let honest = !self.adv.is_adversarial(culprit);
-                // A crash anywhere on the route during the message's
-                // lifetime can defeat every retransmission without the
-                // network being at fault; such standings are churn
-                // casualties, not combinator bugs.
-                let route_churned = info.route.iter().any(|&h| {
-                    self.plan
-                        .outage(h)
-                        .is_some_and(|(s, e)| s <= now && e >= info.sent_at)
-                });
-                if honest && !route_churned {
-                    if self.enforce_no_false_blame {
-                        return Err(Violation::new(
-                            InvariantKind::FalseAccusation,
-                            now,
-                            EntityRef::host(culprit as u64),
-                            format!(
-                                "honest host {culprit} (route position {ci} of {:?}) ends \
-                                 the accusation chain as culprit for message {} sent at {}",
-                                info.route, info.msg.0, info.sent_at
-                            ),
-                        ));
-                    }
-                    // Under ambient transport loss a false standing is the
-                    // paper's bounded false-positive rate, not a bug; the
-                    // chain mechanics below must still hold for it.
-                    self.stats.false_standings += 1;
-                }
-                self.check_chain(&info, ci, now, trigger_ev, &rev_evidence)
+                    EntityRef::host(culprit as u64),
+                    format!(
+                        "honest host {culprit} (route position {ci} of {:?}) ends the \
+                         accusation chain as culprit for message {idx} sent at {}",
+                        info.route, info.sent_at
+                    ),
+                ));
             }
+            // Under ambient transport loss a false standing is the paper's
+            // bounded false-positive rate, not a bug; the chain mechanics
+            // below must still hold for it.
+            self.stats.false_standings += 1;
         }
+        self.check_chain(&info, ci, now, ev, &amendments, &cited)
     }
 
     /// Builds the real accusation chain for a blameworthy culprit, hands
@@ -1005,7 +922,8 @@ impl<'w> Episode<'w> {
         culprit_pos: usize,
         now: SimTime,
         trigger_ev: &Gathered,
-        rev_evidence: &[Option<Gathered>],
+        amendments: &[Amendment],
+        cited: &[Gathered],
     ) -> Result<(), Violation> {
         let world = self.world;
         let route = &info.route;
@@ -1014,16 +932,20 @@ impl<'w> Episode<'w> {
             Violation::new(InvariantKind::ChainIntegrity, now, entity, detail)
         };
         let next_pos = 2.min(route.len() - 1);
-        let original = self.build_accusation(info, 0, 1, next_pos, Some(trigger_ev));
+        let original = self.build_accusation(info, 0, 1, next_pos, trigger_ev);
         let mut chain = AccusationChain::new(original);
         let policy = RetryPolicy::default();
         let mut expected_culprit_pos = culprit_pos;
-        for (j, ev) in rev_evidence.iter().enumerate() {
+        let (mut cited, uncited) = (cited.iter(), Gathered::default());
+        for (j, amendment) in amendments.iter().enumerate() {
             let accuser_pos = j + 1;
             let accused_pos = j + 2;
             let next_pos = (accused_pos + 1).min(route.len() - 1);
-            let revision =
-                self.build_accusation(info, accuser_pos, accused_pos, next_pos, ev.as_ref());
+            let ev = match amendment {
+                Amendment::Evidence => cited.next().expect("each cited defence kept its evidence"),
+                Amendment::Commitment => &uncited,
+            };
+            let revision = self.build_accusation(info, accuser_pos, accused_pos, next_pos, ev);
             let plan = &mut self.plan;
             let outcome = chain.amend_with_retry(
                 &policy,
@@ -1138,7 +1060,7 @@ impl<'w> Episode<'w> {
         accuser_pos: usize,
         accused_pos: usize,
         next_pos: usize,
-        ev: Option<&Gathered>,
+        ev: &Gathered,
     ) -> Accusation {
         let world = self.world;
         let route = &info.route;
@@ -1163,28 +1085,21 @@ impl<'w> Episode<'w> {
             accused.keys(),
             &mut self.rng,
         );
-        let (path_links, snapshots) = match ev {
-            Some(gathered) => {
-                let links: Vec<LinkId> =
-                    gathered.per_link.iter().map(|(link, _)| *link).collect();
-                let mut snaps = Vec::new();
-                for (link, obs) in &gathered.per_link {
-                    for &(origin, up) in obs {
-                        let o = world.node(origin);
-                        let stamped = self.plan.snapshot_time(&self.adv, origin, t0);
-                        snaps.push(TomographySnapshot::new_signed(
-                            o.id(),
-                            stamped,
-                            vec![LinkObservation::binary(*link, up)],
-                            o.keys(),
-                            &mut self.rng,
-                        ));
-                    }
-                }
-                (links, snaps)
+        let path_links = ev.per_link.iter().map(|(link, _)| *link).collect();
+        let mut snapshots = Vec::new();
+        for (link, obs) in &ev.per_link {
+            for &(origin, up) in obs {
+                let o = world.node(origin);
+                let stamped = self.plan.snapshot_time(&self.adv, origin, t0);
+                snapshots.push(TomographySnapshot::new_signed(
+                    o.id(),
+                    stamped,
+                    vec![LinkObservation::binary(*link, up)],
+                    o.keys(),
+                    &mut self.rng,
+                ));
             }
-            None => (Vec::new(), Vec::new()),
-        };
+        }
         Accusation::build(
             context,
             commitment,

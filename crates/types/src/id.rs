@@ -100,6 +100,14 @@ impl Id {
         Id(bytes)
     }
 
+    /// The low-order 64 bits, the inverse of [`Id::from_u64`]: the word
+    /// journals and chain encodings record per identifier.
+    pub fn low_u64(&self) -> u64 {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&self.0[ID_BYTES - 8..]);
+        u64::from_be_bytes(word)
+    }
+
     /// Returns the `i`-th base-16 digit (0 = most significant).
     ///
     /// # Panics
@@ -284,6 +292,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn low_u64_inverts_from_u64() {
+        for v in [0, 1, 42, u64::MAX / 3, u64::MAX] {
+            assert_eq!(Id::from_u64(v).low_u64(), v);
+        }
+        // Only the low word survives: high bytes are dropped, not folded.
+        let mut rng = StdRng::seed_from_u64(5);
+        let id = Id::random(&mut rng);
+        let low = Id::from_u64(id.low_u64());
+        assert_eq!(low.as_bytes()[..ID_BYTES - 8], [0; ID_BYTES - 8]);
+        assert_eq!(low.as_bytes()[ID_BYTES - 8..], id.as_bytes()[ID_BYTES - 8..]);
+    }
 
     #[test]
     fn hex_round_trip() {

@@ -10,10 +10,12 @@
 use std::sync::OnceLock;
 
 use concilium::blame::LinkEvidence;
+use concilium_obs::TraceEvent;
 use concilium_sim::{
-    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions, InvariantKind,
-    SimWorld,
+    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions, FailingCase,
+    InvariantKind, SimWorld,
 };
+use concilium_types::SimTime;
 
 fn world() -> &'static SimWorld {
     static WORLD: OnceLock<SimWorld> = OnceLock::new();
@@ -29,6 +31,21 @@ fn broken_blame(_: &[LinkEvidence], _: f64) -> f64 {
     1.0
 }
 
+/// A false accusation names its message by the index the trace uses: the
+/// case's trace holds a `send msg=N` at the instant the text states.
+fn assert_names_its_send(case: &FailingCase) {
+    let detail = &case.violation.detail;
+    let tail = detail.split_once("culprit for message ").expect("the text names a message").1;
+    let (msg, sent_at) = tail.split_once(" sent at ").expect("the text states the send time");
+    let msg: u64 = msg.parse().expect("a message index");
+    let sent = case
+        .trace
+        .events()
+        .find(|e| matches!(e.event, TraceEvent::MessageSent { msg: m, .. } if m == msg))
+        .unwrap_or_else(|| panic!("no send of message {msg} in the trace: {detail}"));
+    assert_eq!(SimTime::from_micros(sent.at_micros).to_string(), sent_at, "{detail}");
+}
+
 #[test]
 fn honest_sweep_satisfies_all_invariants() {
     let grid = EpisodeConfig::standard_grid();
@@ -37,6 +54,12 @@ fn honest_sweep_satisfies_all_invariants() {
     if let Some(failure) = &out.failure {
         panic!("honest sweep violated an invariant:\n{}", failure.reproducer());
     }
+    // The digest `dst-sweep --seeds 32` prints. It moves only with the
+    // protocol's behaviour; a change that moves it on purpose edits it here.
+    assert_eq!(
+        out.trace_digest,
+        "f5bad5df764b38fb35413a2b251e07b79599a982b4eee524265a2a4b85b02bab"
+    );
     // The sweep must actually exercise the protocol, not vacuously pass.
     assert!(out.totals.sent > 0);
     assert!(out.totals.expired > 0, "fault grid must expire some messages");
@@ -98,9 +121,11 @@ fn false_blame_invariant_catches_broken_combinator_and_shrinks() {
         .failure
         .expect("a combinator that always blames must eventually convict an honest host");
     assert_eq!(failure.violation.kind, InvariantKind::FalseAccusation);
+    assert_names_its_send(&failure);
 
     let shrunk = shrink(world(), &failure, &opts);
     assert_eq!(shrunk.violation.kind, InvariantKind::FalseAccusation);
+    assert_names_its_send(&shrunk);
     assert!(
         shrunk.config.active_dimensions() <= 2,
         "shrinking must reduce the reproducer to at most 2 active fault dimensions, got {}:\n{}",

@@ -264,3 +264,24 @@ fn clippy_config_is_pinned() {
         assert!(code(&read(&rel)).contains("[lints]workspace=true"), "{rel} must inherit [workspace.lints]");
     }
 }
+
+#[test]
+fn stewardship_is_decided_once() {
+    // Where §3.5's blame comes to rest has one statement,
+    // `core::revision::steward`, checked exhaustively there. The simulator
+    // gathers the route's facts and evidence for it and decides nothing:
+    // its old walk result and private defence rule stay gone.
+    let mut defined = Vec::new();
+    for (rel, src) in first_party_sources() {
+        let code = code(&src);
+        if rel.starts_with("crates/sim/") {
+            for gone in ["WalkEnd", "fndefense("] {
+                assert!(!code.contains(gone), "{rel}: `{gone}` is back; use core::revision::steward");
+            }
+        }
+        for _ in code.matches("fnsteward(") {
+            defined.push(rel.clone());
+        }
+    }
+    assert_eq!(defined, ["crates/core/src/revision.rs"], "files defining `fn steward(`");
+}
