@@ -182,8 +182,10 @@ impl Accusation {
     }
 }
 
-/// Recomputes Eq. 2 blame from quoted snapshots over the path's link map.
-fn recompute_blame(
+/// Eq. 2 blame from quoted snapshots over the path's link map, ignoring
+/// the accused's own: the judge's verdict and the verifier's check are
+/// this one fold.
+pub(crate) fn recompute_blame(
     path_links: &[LinkId],
     evidence: &[TomographySnapshot],
     accused: Id,

@@ -76,4 +76,4 @@ pub use accusation::{Accusation, AccusationError, DropContext};
 pub use commitment::ForwardingCommitment;
 pub use config::ConciliumConfig;
 pub use node::ConciliumNode;
-pub use verdict::{Verdict, VerdictWindow};
+pub use verdict::{Verdict, VerdictBook, VerdictWindow};

@@ -14,11 +14,10 @@ use concilium_crypto::{Certificate, KeyPair, PublicKey};
 use concilium_tomography::TomographySnapshot;
 use concilium_types::{Id, LinkId, SimTime};
 
-use crate::accusation::{Accusation, DropContext};
-use crate::blame::{blame_from_path_evidence, LinkEvidence};
+use crate::accusation::{recompute_blame, Accusation, DropContext};
 use crate::commitment::ForwardingCommitment;
 use crate::config::ConciliumConfig;
-use crate::verdict::{Verdict, VerdictWindow};
+use crate::verdict::{Verdict, VerdictBook, VerdictWindow};
 
 /// The result of judging one dropped message.
 #[derive(Clone, Debug)]
@@ -60,7 +59,7 @@ pub struct ConciliumNode {
     /// Archived snapshots, per origin, sorted by time.
     archive: HashMap<Id, Vec<TomographySnapshot>>,
     /// Sliding verdict windows, per judged peer.
-    windows: HashMap<Id, VerdictWindow>,
+    windows: VerdictBook<Id>,
     /// Accusations this node issued (its rebuttal archive).
     issued: Vec<Accusation>,
 }
@@ -74,13 +73,12 @@ impl ConciliumNode {
     /// configuration is invalid.
     pub fn new(cert: Certificate, keys: KeyPair, config: ConciliumConfig) -> Self {
         assert_eq!(cert.public_key(), keys.public(), "certificate/key mismatch");
-        config.validate();
         ConciliumNode {
             cert,
             keys,
+            windows: VerdictBook::new(&config),
             config,
             archive: HashMap::new(),
-            windows: HashMap::new(),
             issued: Vec::new(),
         }
     }
@@ -173,28 +171,12 @@ impl ConciliumNode {
     ) -> JudgeOutcome {
         assert_eq!(context.accuser, self.id(), "only the local node may judge here");
         let evidence = self.admissible_evidence(context.accused, path_links, context.at);
-        let per_link: Vec<LinkEvidence> = path_links
-            .iter()
-            .map(|&link| LinkEvidence {
-                link,
-                observations: evidence
-                    .iter()
-                    .filter_map(|s| s.observation_for(link))
-                    .map(|o| o.is_up())
-                    .collect(),
-            })
-            .collect();
-        let blame = blame_from_path_evidence(&per_link, self.config.probe_accuracy);
+        let blame = recompute_blame(path_links, &evidence, context.accused, &self.config);
         let verdict = Verdict::from_blame(blame, self.config.blame_threshold);
 
-        let window = self
-            .windows
-            .entry(context.accused)
-            .or_insert_with(|| VerdictWindow::new(self.config.window));
-        window.push(verdict);
-
-        let accusation = if verdict.is_guilty() && window.should_accuse(self.config.guilty_quota)
-        {
+        // Every verdict meeting the quota accuses again (§3.7's rate
+        // sanctions count the repeats).
+        let accusation = if self.windows.record(context.accused, verdict).0 {
             let acc = Accusation::build(
                 context,
                 commitment,
@@ -215,7 +197,7 @@ impl ConciliumNode {
 
     /// The verdict window for `peer`, if any verdicts were issued.
     pub fn window_for(&self, peer: Id) -> Option<&VerdictWindow> {
-        self.windows.get(&peer)
+        self.windows.window(&peer)
     }
 
     /// Looks up an archived accusation usable to rebut `against` (same

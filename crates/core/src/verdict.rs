@@ -12,10 +12,15 @@
 //! Pr(false positive) = Pr(W ≥ m),  W ~ Binomial(w, p_good)
 //! Pr(false negative) = Pr(W < m),  W ~ Binomial(w, p_faulty)
 //! ```
+//!
+//! [`VerdictBook`] is the one statement of that rule: the node, the DST
+//! explorer and the daemon each record into one and keep their own latch.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
+
+use crate::config::ConciliumConfig;
 
 /// The binary judgment for one dropped message.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -108,11 +113,6 @@ impl VerdictWindow {
         self.verdicts.is_empty()
     }
 
-    /// The window capacity `w`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of guilty verdicts in the window.
     pub fn guilty_count(&self) -> usize {
         self.guilty
@@ -139,21 +139,56 @@ impl VerdictWindow {
         out.push(self.verdicts.len() as u64);
         out.extend(self.verdicts.iter().map(|v| u64::from(v.is_guilty())));
     }
+}
 
-    /// Rebuilds a window from its capacity and verdict sequence (oldest
-    /// first), the inverse of [`Self::encode_to`]. Verdicts beyond
-    /// `capacity` evict the oldest exactly as live pushes would, so
-    /// replaying a journal through `restore` matches the online window.
+/// Whether `window`'s newest verdict is guilty and meets quota `m`: the
+/// §3.4 trigger, met again by every guilty verdict while `m` or more are
+/// held.
+fn meets_quota(window: &VerdictWindow, m: usize) -> bool {
+    window.verdicts.back().is_some_and(Verdict::is_guilty) && window.should_accuse(m)
+}
+
+/// The m-of-w rule of §3.4 over every judged peer: one [`VerdictWindow`]
+/// of the configuration's `w` per key, judged against its `m`.
+#[derive(Clone, Debug)]
+pub struct VerdictBook<K> {
+    windows: BTreeMap<K, VerdictWindow>,
+    window: usize,
+    quota: usize,
+}
+
+impl<K: Ord> VerdictBook<K> {
+    /// An empty book with `config`'s window size `w` and quota `m`.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
-    pub fn restore(capacity: usize, verdicts: impl IntoIterator<Item = Verdict>) -> Self {
-        let mut w = VerdictWindow::new(capacity);
-        for v in verdicts {
-            w.push(v);
-        }
-        w
+    /// Panics if `config` is invalid ([`ConciliumConfig::validate`]).
+    pub fn new(config: &ConciliumConfig) -> Self {
+        config.validate();
+        VerdictBook { windows: BTreeMap::new(), window: config.window, quota: config.guilty_quota }
+    }
+
+    /// Records `verdict` in `key`'s window (opened on first use) and
+    /// returns whether it meets the quota, with the window after the push.
+    pub fn record(&mut self, key: K, verdict: Verdict) -> (bool, &VerdictWindow) {
+        let window = self.windows.entry(key).or_insert_with(|| VerdictWindow::new(self.window));
+        window.push(verdict);
+        (meets_quota(window, self.quota), window)
+    }
+
+    /// Whether the verdict last recorded for `key` met the quota.
+    pub fn quota_met(&self, key: &K) -> bool {
+        self.windows.get(key).is_some_and(|w| meets_quota(w, self.quota))
+    }
+
+    /// The window for `key`, if any verdict was recorded.
+    pub fn window(&self, key: &K) -> Option<&VerdictWindow> {
+        self.windows.get(key)
+    }
+
+    /// Every window, in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&K, &VerdictWindow)> {
+        self.windows.iter()
     }
 }
 
@@ -340,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_restore_round_trips_including_eviction() {
+    fn encode_lists_capacity_length_and_verdicts_oldest_first() {
         let mut w = VerdictWindow::new(3);
         for v in [Verdict::Guilty, Verdict::Innocent, Verdict::Guilty, Verdict::Guilty] {
             w.push(v);
@@ -348,16 +383,27 @@ mod tests {
         let mut encoded = Vec::new();
         w.encode_to(&mut encoded);
         assert_eq!(encoded, vec![3, 3, 0, 1, 1], "capacity, len, verdict bits oldest-first");
+    }
 
-        // Restoring from the full push history (capacity exceeded)
-        // reproduces the online window, eviction included.
-        let history =
-            [Verdict::Guilty, Verdict::Innocent, Verdict::Guilty, Verdict::Guilty];
-        let restored = VerdictWindow::restore(3, history);
-        let mut re_encoded = Vec::new();
-        restored.encode_to(&mut re_encoded);
-        assert_eq!(re_encoded, encoded);
-        assert_eq!(restored.guilty_count(), w.guilty_count());
-        assert_eq!(restored.should_accuse(2), w.should_accuse(2));
+    #[test]
+    fn book_meets_the_quota_on_guilty_verdicts_per_key() {
+        let config = ConciliumConfig { window: 5, guilty_quota: 2, ..ConciliumConfig::default() };
+        let mut book = VerdictBook::new(&config);
+        assert!(!book.record(1, Verdict::Guilty).0);
+        // Innocent verdicts never meet m, even with m guilty held.
+        assert!(book.record(1, Verdict::Guilty).0);
+        assert!(!book.record(1, Verdict::Innocent).0);
+        assert!(!book.quota_met(&1));
+        // Every guilty verdict past m meets it again; the latch is the caller's.
+        for _ in 0..3 {
+            assert!(book.record(1, Verdict::Guilty).0);
+        }
+        assert!(book.quota_met(&1));
+        // Keys are independent: key 2 starts from an empty window.
+        assert!(!book.record(2, Verdict::Guilty).0);
+        assert_eq!(book.window(&2).map(VerdictWindow::guilty_count), Some(1));
+        assert_eq!(book.window(&1).map(VerdictWindow::guilty_count), Some(4));
+        assert_eq!(book.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [1, 2]);
+        assert!(book.window(&3).is_none());
     }
 }

@@ -428,8 +428,9 @@ impl Daemon {
 
     fn complete_batch(&mut self, batch: InFlight) {
         for report in &batch.reports {
-            let blame = blame_from_path_evidence(&report.evidence(), self.cfg.accuracy);
-            let verdict = Verdict::from_blame(blame, self.cfg.blame_threshold);
+            let protocol = &self.cfg.protocol;
+            let blame = blame_from_path_evidence(&report.evidence(), protocol.probe_accuracy);
+            let verdict = Verdict::from_blame(blame, protocol.blame_threshold);
             self.append(Record::VerdictRecorded {
                 seq: self.next_seq,
                 report_id: report.id,
@@ -438,7 +439,7 @@ impl Daemon {
                 accused: report.accused,
                 guilty: verdict.is_guilty(),
             });
-            if self.state.filing_due(report.judge, report.accused, self.cfg.accuse_threshold) {
+            if self.state.filing_due(report.judge, report.accused) {
                 let guilty_count = self
                     .state
                     .window(report.judge, report.accused)
@@ -519,7 +520,8 @@ mod tests {
 
     #[test]
     fn a_quiet_run_completes_everything_and_files_at_the_quota() {
-        let cfg = ServeConfig { accuse_threshold: 3, ..ServeConfig::default() };
+        let cfg = ServeConfig::default();
+        assert_eq!(cfg.protocol.guilty_quota, 3);
         let spacing = 10_000_000; // far apart: every report is its own batch
         let inputs: Vec<FailureReport> =
             (0..5).map(|i| guilty_report(i, (i + 1) * spacing)).collect();

@@ -48,10 +48,11 @@ pub use state::{Filing, ServeState};
 pub use supervisor::{KillPoint, SupervisedRun, Supervisor};
 pub use workload::{Shape, WorkloadSpec};
 
+use concilium::ConciliumConfig;
 use concilium_types::SimDuration;
 
-/// Daemon configuration: service-time model, admission policy, verdict
-/// quota, placement, and supervision budget.
+/// Daemon configuration: service-time model, admission policy, the
+/// protocol's parameters, placement, and supervision budget.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeConfig {
     /// Bounded mailbox capacity (reports).
@@ -65,18 +66,11 @@ pub struct ServeConfig {
     /// Reports whose evidence timestamps fall within this window are
     /// batched into one evaluation pass.
     pub evidence_window: SimDuration,
-    /// Verdict window capacity `w` (paper §5).
-    pub window_capacity: usize,
-    /// Guilty-verdict quota `m`: crossing it files a formal accusation.
-    pub accuse_threshold: usize,
-    /// Probe accuracy fed to the Eq. 2–3 blame combinator.
-    pub accuracy: f64,
-    /// Blame threshold above which a verdict is guilty.
-    pub blame_threshold: f64,
+    /// The protocol's parameters: the daemon reads probe accuracy, blame
+    /// threshold, window `w`, quota `m` and DHT replication from here.
+    pub protocol: ConciliumConfig,
     /// Overlay population size for accusation placement.
     pub members: usize,
-    /// DHT replication factor for filed accusations.
-    pub replication: usize,
     /// Restarts the supervisor allows before degrading to read-only.
     pub restart_budget: usize,
     /// Trace ring capacity.
@@ -91,12 +85,16 @@ impl Default for ServeConfig {
             base_service: SimDuration::from_millis(20),
             per_observation: SimDuration::from_millis(1),
             evidence_window: SimDuration::from_millis(500),
-            window_capacity: 20,
-            accuse_threshold: 3,
-            accuracy: 0.9,
-            blame_threshold: 0.5,
+            // Not the paper's w = 100, m = 6 and 40% threshold: short
+            // workloads must reach filings (DESIGN.md §14).
+            protocol: ConciliumConfig {
+                blame_threshold: 0.5,
+                window: 20,
+                guilty_quota: 3,
+                dht_replication: 3,
+                ..ConciliumConfig::default()
+            },
             members: 32,
-            replication: 3,
             restart_budget: 3,
             trace_capacity: 2048,
         }

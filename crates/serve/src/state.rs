@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use concilium::dht::AccusationDht;
-use concilium::{Verdict, VerdictWindow};
+use concilium::{Verdict, VerdictBook, VerdictWindow};
 use concilium_crypto::sha256;
 use concilium_types::Id;
 
@@ -35,8 +35,9 @@ pub struct Filing {
 #[derive(Clone, Debug)]
 pub struct ServeState {
     /// Sliding verdict windows keyed by (judge, accused).
-    windows: BTreeMap<(u64, u64), VerdictWindow>,
-    /// Formal accusations keyed by (judge, accused).
+    book: VerdictBook<(u64, u64)>,
+    /// Formal accusations keyed by (judge, accused): the latch that files
+    /// each pair once.
     filings: BTreeMap<(u64, u64), Filing>,
     /// Highest applied record sequence number; `None` before the first.
     applied_seq: Option<u64>,
@@ -44,24 +45,26 @@ pub struct ServeState {
     next_input: u64,
     /// The daemon's virtual clock at the last `Commit`, µs.
     clock_us: u64,
-    /// Window capacity `w`, fixed by config.
-    window_capacity: usize,
     /// Ring placement for filings, fixed by config.
     placement: AccusationDht,
 }
 
 impl ServeState {
     /// Fresh state for a daemon with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.protocol` is invalid, so a bad quota is refused at
+    /// boot rather than during replay.
     pub fn new(cfg: &ServeConfig) -> Self {
         let members: Vec<Id> = (0..cfg.members as u64).map(Id::from_u64).collect();
         ServeState {
-            windows: BTreeMap::new(),
+            book: VerdictBook::new(&cfg.protocol),
             filings: BTreeMap::new(),
             applied_seq: None,
             next_input: 0,
             clock_us: 0,
-            window_capacity: cfg.window_capacity,
-            placement: AccusationDht::new(members, cfg.replication),
+            placement: AccusationDht::new(members, cfg.protocol.dht_replication),
         }
     }
 
@@ -86,11 +89,8 @@ impl ServeState {
             // record).
             | Record::FlightTail { .. } => {}
             Record::VerdictRecorded { judge, accused, guilty, .. } => {
-                let w = self
-                    .windows
-                    .entry((*judge, *accused))
-                    .or_insert_with(|| VerdictWindow::new(self.window_capacity));
-                w.push(if *guilty { Verdict::Guilty } else { Verdict::Innocent });
+                let verdict = if *guilty { Verdict::Guilty } else { Verdict::Innocent };
+                self.book.record((*judge, *accused), verdict);
             }
             Record::AccusationFiled { judge, accused, guilty_count, .. } => {
                 let replicas = self
@@ -118,7 +118,7 @@ impl ServeState {
     /// The verdict window for a (judge, accused) pair, if any verdicts
     /// have been recorded.
     pub fn window(&self, judge: u64, accused: u64) -> Option<&VerdictWindow> {
-        self.windows.get(&(judge, accused))
+        self.book.window(&(judge, accused))
     }
 
     /// The filing for a (judge, accused) pair, if one was made.
@@ -126,13 +126,10 @@ impl ServeState {
         self.filings.get(&(judge, accused))
     }
 
-    /// Whether a pair's window has crossed the m-of-w quota but no
-    /// filing exists yet — the daemon files exactly when this is true.
-    pub fn filing_due(&self, judge: u64, accused: u64, m: usize) -> bool {
-        self.windows
-            .get(&(judge, accused))
-            .is_some_and(|w| w.should_accuse(m))
-            && !self.filings.contains_key(&(judge, accused))
+    /// Whether the pair's last verdict met the m-of-w quota and no filing
+    /// exists yet — the daemon files exactly when this is true.
+    pub fn filing_due(&self, judge: u64, accused: u64) -> bool {
+        self.book.quota_met(&(judge, accused)) && !self.filings.contains_key(&(judge, accused))
     }
 
     /// The next workload input index per the last commit boundary.
@@ -156,8 +153,9 @@ impl ServeState {
     /// accuse identically from here on.
     pub fn digest(&self) -> [u8; 32] {
         let mut words: Vec<u64> = Vec::new();
-        words.push(self.windows.len() as u64);
-        for ((judge, accused), window) in &self.windows {
+        let windows = self.book.iter();
+        words.push(windows.len() as u64);
+        for ((judge, accused), window) in windows {
             words.push(*judge);
             words.push(*accused);
             window.encode_to(&mut words);
@@ -188,6 +186,7 @@ impl ServeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concilium::ConciliumConfig;
 
     fn verdict(seq: u64, judge: u64, accused: u64, guilty: bool) -> Record {
         Record::VerdictRecorded { seq, report_id: seq, batch: 0, judge, accused, guilty }
@@ -227,20 +226,37 @@ mod tests {
         assert_eq!(replayed.clock_us(), 777);
         let filing = replayed.filing(1, 2).cloned();
         assert!(filing.is_some_and(|f| f.guilty_count == 3
-            && f.replicas.len() == cfg.replication
+            && f.replicas.len() == cfg.protocol.dht_replication
             && f.replicas.iter().all(|&r| r < cfg.members as u64)));
+    }
+
+    fn with_quota(guilty_quota: usize) -> ServeConfig {
+        let cfg = ServeConfig::default();
+        ServeConfig { protocol: ConciliumConfig { guilty_quota, ..cfg.protocol }, ..cfg }
     }
 
     #[test]
     fn filing_due_flips_once_the_quota_is_crossed() {
-        let cfg = ServeConfig { accuse_threshold: 2, ..ServeConfig::default() };
-        let mut s = ServeState::new(&cfg);
+        let mut s = ServeState::new(&with_quota(2));
         s.apply(&verdict(0, 4, 9, true));
-        assert!(!s.filing_due(4, 9, cfg.accuse_threshold));
+        assert!(!s.filing_due(4, 9));
         s.apply(&verdict(1, 4, 9, true));
-        assert!(s.filing_due(4, 9, cfg.accuse_threshold));
+        assert!(s.filing_due(4, 9));
         s.apply(&Record::AccusationFiled { seq: 2, judge: 4, accused: 9, guilty_count: 2 });
-        assert!(!s.filing_due(4, 9, cfg.accuse_threshold), "filed pairs are not due again");
+        assert!(!s.filing_due(4, 9), "filed pairs are not due again");
+    }
+
+    #[test]
+    #[should_panic(expected = "guilty quota")]
+    fn a_zero_quota_is_refused_at_boot() {
+        let _ = ServeState::new(&with_quota(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "guilty quota")]
+    fn a_quota_above_the_window_is_refused_at_boot() {
+        // w = 20 by default: a quota of 21 could never be met.
+        let _ = ServeState::new(&with_quota(21));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! as it goes. Each step returns `Result<(), Violation>`; `run` drives the
 //! queue until it drains or a step fails, then finalises the report.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -14,9 +14,8 @@ use concilium::blame::LinkEvidence;
 use concilium::dht::AccusationDht;
 use concilium::retry::RetryPolicy;
 use concilium::revision::{steward, AccusationChain, Amendment, HandoffOutcome, Resting, Window};
-use concilium::verdict::VerdictWindow;
 use concilium::{
-    Accusation, ConciliumConfig, DropContext, ForwardingCommitment, Verdict,
+    Accusation, ConciliumConfig, DropContext, ForwardingCommitment, Verdict, VerdictBook,
 };
 use concilium_obs::{
     ppb, CausalLedger, EntityRef, FaultKind, LinkObsSummary, Registry, Trace, TraceEvent,
@@ -115,11 +114,6 @@ impl Gathered {
     }
 }
 
-struct PairState {
-    window: VerdictWindow,
-    accused: bool,
-}
-
 /// Dense per-episode event counters, folded into the registry once by
 /// `flush`. The key set crosses the digest boundary with the metrics
 /// snapshot, so it is part of the contract: a key exists iff its count is
@@ -205,7 +199,9 @@ pub(super) struct Episode<'w> {
     // Ordered containers only: the episode feeds emit()/trace hashing, so
     // any iterable state on this struct must have a deterministic order
     // (crates/sim/clippy.toml bans HashMap/HashSet).
-    pairs: BTreeMap<(usize, usize), PairState>,
+    verdicts: VerdictBook<(usize, usize)>,
+    /// (judge, accused) pairs already escalated: each pair escalates once.
+    escalated: BTreeSet<(usize, usize)>,
     dht: AccusationDht,
     queue: EventQueue<Ev>,
     ticks: BTreeSet<u64>,
@@ -327,7 +323,8 @@ impl<'w> Episode<'w> {
             infos: vec![None; num_msgs],
             msg_state: vec![MsgState::Unregistered; num_msgs],
             retrans: RetransmitQueue::new(data_retry_policy()),
-            pairs: BTreeMap::new(),
+            verdicts: VerdictBook::new(&protocol),
+            escalated: BTreeSet::new(),
             dht,
             queue: EventQueue::new(),
             ticks: BTreeSet::new(),
@@ -677,7 +674,8 @@ impl<'w> Episode<'w> {
     }
 
     /// The steward concludes a drop: judge the first forwarder, push the
-    /// verdict into the pair's m-of-w window, escalate at the quota.
+    /// verdict into the pair's m-of-w window, escalate the first time the
+    /// pair meets the quota.
     fn judge(&mut self, idx: usize, now: SimTime) -> Result<(), Violation> {
         let _span = concilium_obs::span("episode.judge");
         let info = self.infos[idx].clone().expect("expired messages have info");
@@ -740,26 +738,10 @@ impl<'w> Episode<'w> {
         if verdict.is_guilty() {
             self.stats.guilty += 1;
         }
-        let window_cap = self.protocol.window;
-        let quota = self.protocol.guilty_quota;
-        let (escalates, window_violation, window_guilty, window_len) = {
-            let pair = self
-                .pairs
-                .entry((a, b))
-                .or_insert_with(|| PairState { window: VerdictWindow::new(window_cap), accused: false });
-            pair.window.push(verdict);
-            let escalates =
-                verdict.is_guilty() && !pair.accused && pair.window.should_accuse(quota);
-            if escalates {
-                pair.accused = true;
-            }
-            (
-                escalates,
-                check_window(&pair.window, now),
-                pair.window.guilty_count() as u64,
-                pair.window.len() as u64,
-            )
-        };
+        let (quota_met, window) = self.verdicts.record((a, b), verdict);
+        let (window_violation, window_guilty, window_len) =
+            (check_window(window, now), window.guilty_count() as u64, window.len() as u64);
+        let escalates = quota_met && self.escalated.insert((a, b));
         self.emit(
             now,
             TraceEvent::VerdictAccumulated {
@@ -870,7 +852,7 @@ impl<'w> Episode<'w> {
                 if window == Window::Midpoint && judge > 0 {
                     cited.push(ev);
                 }
-                blame >= self.protocol.blame_threshold
+                Verdict::from_blame(blame, self.protocol.blame_threshold).is_guilty()
             });
         (resting, amendments, cited)
     }

@@ -285,3 +285,29 @@ fn stewardship_is_decided_once() {
     }
     assert_eq!(defined, ["crates/core/src/revision.rs"], "files defining `fn steward(`");
 }
+
+#[test]
+fn the_m_of_w_rule_is_decided_once() {
+    // §3.4's windows and quota live in `core::verdict::VerdictBook`; each
+    // driver records into a book and keeps only its own latch.
+    let mut opened = Vec::new();
+    let mut asked = Vec::new();
+    for (rel, src) in first_party_sources() {
+        if rel.starts_with("crates/sim/") {
+            assert!(!code(&src).contains("PairState"), "{rel}: `PairState` is back; use a VerdictBook");
+        }
+        let production =
+            rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"));
+        if production {
+            let code = code(non_test(&src));
+            if code.contains("VerdictWindow::new(") {
+                opened.push(rel.clone());
+            }
+            if code.contains(".should_accuse(") {
+                asked.push(rel.clone());
+            }
+        }
+    }
+    assert_eq!(opened, ["crates/core/src/verdict.rs"], "production files calling `VerdictWindow::new(`");
+    assert_eq!(asked, ["crates/core/src/verdict.rs"], "production files calling `should_accuse(`");
+}

@@ -139,6 +139,20 @@ fn thirty_two_seed_chaos_sweep_holds_all_invariants() {
     assert_eq!(serial.aggregate_digest, fanned.aggregate_digest, "jobs must not affect the sweep");
 }
 
+/// The `serve-chaos` arm exactly as `dst-sweep --seeds 32` runs it (world
+/// seed 77, 64-report workloads), pinned: a change to how the daemon
+/// judges, files or journals moves this digest.
+#[test]
+fn dst_sweep_serve_chaos_digest_is_pinned() {
+    let spec = WorkloadSpec { reports: 64, ..WorkloadSpec::default() };
+    let chaos = chaos_sweep(&ServeConfig::default(), &spec, 77, 32, 2);
+    assert_eq!(chaos.total_violations, 0);
+    assert_eq!(
+        chaos.aggregate_digest,
+        "8b19300f5ba20ac62d9080e4ea4c1d5451897e697e60b6ca08d2ab545f07b6c1"
+    );
+}
+
 /// A small mailbox under 2× saturation, so both admission outcomes occur.
 fn overloaded() -> (ServeConfig, Vec<FailureReport>) {
     let cfg = ServeConfig {
