@@ -65,6 +65,9 @@ pub enum ShedReason {
     DeadlineExceeded,
     /// The daemon is in degraded read-only mode (restart budget spent).
     Degraded,
+    /// The report is too large for one journal frame: admitting it would
+    /// write a record recovery cannot read back.
+    Oversize,
 }
 
 impl ShedReason {
@@ -74,6 +77,7 @@ impl ShedReason {
             ShedReason::MailboxFull => 0,
             ShedReason::DeadlineExceeded => 1,
             ShedReason::Degraded => 2,
+            ShedReason::Oversize => 3,
         }
     }
 
@@ -83,6 +87,7 @@ impl ShedReason {
             ShedReason::MailboxFull => "mailbox-full",
             ShedReason::DeadlineExceeded => "deadline",
             ShedReason::Degraded => "degraded",
+            ShedReason::Oversize => "oversize",
         }
     }
 }
@@ -733,6 +738,7 @@ fn event_from_json(kind: &str, v: &Json) -> Option<TraceEvent> {
                 "mailbox-full" => ShedReason::MailboxFull,
                 "deadline" => ShedReason::DeadlineExceeded,
                 "degraded" => ShedReason::Degraded,
+                "oversize" => ShedReason::Oversize,
                 _ => return None,
             },
         },
@@ -826,11 +832,26 @@ mod tests {
 
         // Shed reason codes are distinct and stable.
         let codes: Vec<u64> =
-            [ShedReason::MailboxFull, ShedReason::DeadlineExceeded, ShedReason::Degraded]
-                .iter()
-                .map(|r| r.code())
-                .collect();
-        assert_eq!(codes, vec![0, 1, 2]);
+            [
+                ShedReason::MailboxFull,
+                ShedReason::DeadlineExceeded,
+                ShedReason::Degraded,
+                ShedReason::Oversize,
+            ]
+            .iter()
+            .map(|r| r.code())
+            .collect();
+        assert_eq!(codes, vec![0, 1, 2, 3]);
+        // The newest reason round-trips like the rest (the golden exemplars
+        // predate it).
+        let oversize = Traced {
+            at_micros: 7,
+            event: TraceEvent::LoadShed { report: 40, reason: ShedReason::Oversize },
+        };
+        let line = oversize.to_json(&[]);
+        assert!(line.contains("\"reason\":\"oversize\""));
+        let parsed = crate::json::parse(&line).map(|v| traced_from_json_line(&v).map(|t| t.0));
+        assert_eq!(parsed.ok().flatten(), Some(oversize));
     }
 
     #[test]

@@ -164,6 +164,22 @@ impl Registry {
         Registry::default()
     }
 
+    /// Runs `update` on the metric at `key`, inserting `init()` first when
+    /// absent. The key is looked up as `&str` and copied only on insert,
+    /// so updating an existing metric allocates nothing.
+    fn update(
+        &mut self,
+        key: &str,
+        init: impl FnOnce() -> Metric,
+        update: impl FnOnce(&mut Metric),
+    ) {
+        let metric = match self.metrics.get_mut(key) {
+            Some(metric) => metric,
+            None => self.metrics.entry(key.to_owned()).or_insert_with(init),
+        };
+        update(metric);
+    }
+
     /// Increments the counter `key` by `by`, creating it at zero first if
     /// needed.
     ///
@@ -171,14 +187,10 @@ impl Registry {
     ///
     /// Panics if `key` already names a non-counter metric.
     pub fn inc(&mut self, key: &str, by: u64) {
-        match self
-            .metrics
-            .entry(key.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        self.update(key, || Metric::Counter(0), |metric| match metric {
             Metric::Counter(v) => *v += by,
             other => panic!("metric `{key}` is not a counter: {other:?}"),
-        }
+        });
     }
 
     /// Sets the gauge `key` to `value`.
@@ -187,27 +199,19 @@ impl Registry {
     ///
     /// Panics if `key` already names a non-gauge metric.
     pub fn set_gauge(&mut self, key: &str, value: f64) {
-        match self
-            .metrics
-            .entry(key.to_string())
-            .or_insert(Metric::Gauge(value))
-        {
+        self.update(key, || Metric::Gauge(value), |metric| match metric {
             Metric::Gauge(v) => *v = value,
             other => panic!("metric `{key}` is not a gauge: {other:?}"),
-        }
+        });
     }
 
     /// Raises the gauge `key` to `value` if `value` is higher (a
     /// high-water mark).
     pub fn max_gauge(&mut self, key: &str, value: f64) {
-        match self
-            .metrics
-            .entry(key.to_string())
-            .or_insert(Metric::Gauge(value))
-        {
+        self.update(key, || Metric::Gauge(value), |metric| match metric {
             Metric::Gauge(v) => *v = v.max(value),
             other => panic!("metric `{key}` is not a gauge: {other:?}"),
-        }
+        });
     }
 
     /// Observes `x` in the histogram `key`, clamping out-of-range samples
@@ -218,14 +222,10 @@ impl Registry {
     ///
     /// Panics if `key` already names a non-histogram metric.
     pub fn observe(&mut self, key: &str, x: f64, lo: f64, hi: f64, bins: usize) {
-        match self
-            .metrics
-            .entry(key.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new(lo, hi, bins)))
-        {
+        self.update(key, || Metric::Histogram(Histogram::new(lo, hi, bins)), |metric| match metric {
             Metric::Histogram(h) => h.add_clamped(x),
             other => panic!("metric `{key}` is not a histogram: {other:?}"),
-        }
+        });
     }
 
     /// The counter value at `key`, or 0 when absent.

@@ -137,7 +137,8 @@ fn run() -> Result<(), String> {
     let run = Supervisor::new(cfg, store.clone(), kills).run(&inputs);
 
     if let Some(path) = &args.journal {
-        std::fs::write(path, store.snapshot())
+        std::fs::File::create(path)
+            .and_then(|mut file| store.write_to(&mut file))
             .map_err(|e| format!("writing journal {path:?}: {e}"))?;
     }
     if let Some(path) = &args.metrics_out {

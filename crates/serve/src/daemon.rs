@@ -15,19 +15,32 @@
 //! write, and after admission but before the commit), and the daemon
 //! panics there when instructed. Nothing else in the crate may panic —
 //! the crate root's `clippy::panic` warning enforces it, and
-//! `process_input` carries the one `#[expect]` for the two sites.
+//! `process_input` carries the one `#[expect]` for the two sites — save
+//! the asserts that refuse a bad configuration at boot and the one in
+//! `Journal::append` that only a bug past admission can trip.
 
 use concilium::blame::blame_from_path_evidence;
 use concilium::Verdict;
-use concilium_obs::{Registry, Trace};
+use concilium_obs::{Registry, ShedReason, Trace};
 use concilium_types::{SimDuration, SimTime};
 
 use crate::flight::{shed_reason_from_code, trace_event, FlightEntry, FlightRecorder};
-use crate::journal::{Journal, Record, SharedStore};
+use crate::journal::{Journal, Record, SharedStore, MAX_FRAME_WORDS};
 use crate::mailbox::Mailbox;
 use crate::report::FailureReport;
 use crate::state::ServeState;
 use crate::ServeConfig;
+
+/// The counter a shed with `reason` increments.
+#[deny(clippy::wildcard_enum_match_arm)]
+pub(crate) fn shed_metric(reason: ShedReason) -> &'static str {
+    match reason {
+        ShedReason::MailboxFull => "serve.shed.mailbox-full",
+        ShedReason::DeadlineExceeded => "serve.shed.deadline",
+        ShedReason::Degraded => "serve.shed.degraded",
+        ShedReason::Oversize => "serve.shed.oversize",
+    }
+}
 
 /// Where in an input's processing a chaos-injected panic fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,96 +169,86 @@ impl Daemon {
     /// Boots a daemon over `store`, recovering whatever committed journal
     /// prefix it holds. A fresh store boots an empty daemon; a store with
     /// a torn or uncommitted tail is truncated back to the last commit.
+    ///
+    /// Replay is one streaming pass: each committed record goes through
+    /// the fold the live `Daemon::append` uses, and the mailbox and
+    /// in-flight batch are rebuilt as it goes, so recovery holds the
+    /// unbatched reports and the last batch — O(mailbox + state) — never
+    /// the journal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.protocol` is invalid, or if a full mailbox would
+    /// draft a batch whose journal record does not fit one frame.
     pub fn recover(cfg: ServeConfig, store: SharedStore) -> (Daemon, RecoveryStats) {
+        assert!(
+            Record::batch_words(cfg.mailbox_capacity) <= MAX_FRAME_WORDS,
+            "mailbox capacity {} drafts batches too large for one journal frame",
+            cfg.mailbox_capacity
+        );
+        let mut daemon = Daemon {
+            state: ServeState::new(&cfg),
+            trace: Trace::with_capacity(cfg.trace_capacity),
+            cfg,
+            journal: Journal::default(),
+            mailbox: Mailbox::new(),
+            in_flight: None,
+            clock: SimTime::ZERO,
+            next_seq: 0,
+            next_batch: 0,
+            counters: Counters::default(),
+            dirty: false,
+            panic_at: None,
+            metrics: Registry::new(),
+            flight: FlightRecorder::new(),
+            pending_fsync_bytes: 0,
+        };
         let mut journal = Journal::over(store);
-        let recovery = journal.recover();
-        let mut state = ServeState::new(&cfg);
-        let replayed = state.replay(&recovery.records);
-
-        // Rebuild the mailbox and in-flight batch from the committed
-        // prefix: admitted-but-unbatched reports re-enter the queue;
-        // a started-but-uncompleted batch resumes with its original
-        // start time, so its completion lands at the same instant.
-        let mut admitted: Vec<&FailureReport> = Vec::new();
-        let mut batched: Vec<u64> = Vec::new();
-        let mut completed: Vec<u64> = Vec::new();
-        let mut counters = Counters::default();
-        let mut last_batch: Option<(u64, u64, Vec<u64>)> = None;
-        let mut next_batch = 0;
-        for rec in &recovery.records {
-            counters.absorb(rec);
-            match rec {
-                Record::Admitted { report, .. } => admitted.push(report),
+        let (mut replayed, mut batch_start, mut queued) = (0, 0, Vec::new());
+        let recovery = journal.recover(|record| {
+            replayed += usize::from(daemon.fold(&record));
+            // Admitted reports queue up again; a batch takes its reports
+            // back out of the queue, and each verdict retires one.
+            match record {
+                Record::Admitted { report, .. } => queued.push(report),
                 Record::BatchStarted { batch, start_us, report_ids, .. } => {
-                    batched.extend(report_ids.iter().copied());
-                    next_batch = *batch + 1;
-                    last_batch = Some((*batch, *start_us, report_ids.clone()));
+                    let (reports, rest) = std::mem::take(&mut queued)
+                        .into_iter()
+                        .partition(|r| report_ids.contains(&r.id));
+                    (queued, daemon.next_batch, batch_start) = (rest, batch + 1, start_us);
+                    daemon.in_flight = Some(InFlight { batch, reports, done_at: SimTime::ZERO });
                 }
-                Record::VerdictRecorded { report_id, .. } => completed.push(*report_id),
+                Record::VerdictRecorded { report_id, .. } => {
+                    if let Some(b) = &mut daemon.in_flight {
+                        b.reports.retain(|r| r.id != report_id);
+                    }
+                }
                 _ => {}
             }
-        }
-        completed.sort_unstable();
-        batched.sort_unstable();
-
-        let mut mailbox = Mailbox::new();
-        for report in &admitted {
-            if batched.binary_search(&report.id).is_err() {
-                mailbox.push((*report).clone(), &cfg);
-            }
-        }
-        let in_flight = last_batch.and_then(|(batch, start_us, ids)| {
-            let pending: Vec<FailureReport> = admitted
-                .iter()
-                .filter(|r| {
-                    ids.contains(&r.id) && completed.binary_search(&r.id).is_err()
-                })
-                .map(|r| (*r).clone())
-                .collect();
-            if pending.is_empty() {
-                return None;
-            }
-            let cost: u64 = pending.iter().map(|r| r.service_cost(&cfg).as_micros()).sum();
-            Some(InFlight {
-                batch,
-                reports: pending,
-                done_at: SimTime::from_micros(start_us.saturating_add(cost)),
-            })
         });
-
-        let clock = SimTime::from_micros(state.clock_us());
-        let next_seq = state.applied_seq().map_or(0, |s| s + 1);
-        let resumed_input = state.next_input();
+        daemon.journal = journal;
+        for report in queued {
+            daemon.mailbox.push(report, &daemon.cfg);
+        }
+        // A started-but-uncompleted batch resumes with its original start
+        // time, so its completion lands at the same instant.
+        daemon.in_flight = daemon.in_flight.take().filter(|b| !b.reports.is_empty()).map(|b| {
+            let cost: u64 = b.reports.iter().map(|r| r.service_cost(&daemon.cfg).as_micros()).sum();
+            InFlight { done_at: SimTime::from_micros(batch_start.saturating_add(cost)), ..b }
+        });
+        daemon.clock = SimTime::from_micros(daemon.state.clock_us());
+        daemon.next_seq = daemon.state.applied_seq().map_or(0, |s| s + 1);
 
         let stats = RecoveryStats {
             records_replayed: replayed,
             truncated_bytes: recovery.truncated_bytes,
             uncommitted_records: recovery.uncommitted_records,
-            resumed_input,
+            resumed_input: daemon.state.next_input(),
         };
-        let trace = Trace::with_capacity(cfg.trace_capacity);
-        let mut metrics = Registry::new();
         if stats.found_journal() {
-            metrics.inc("serve.recoveries", 1);
-            metrics.inc("serve.recovery.truncated-bytes", recovery.truncated_bytes as u64);
+            daemon.metrics.inc("serve.recoveries", 1);
+            daemon.metrics.inc("serve.recovery.truncated-bytes", recovery.truncated_bytes as u64);
         }
-        let daemon = Daemon {
-            cfg,
-            journal,
-            state,
-            mailbox,
-            in_flight,
-            clock,
-            next_seq,
-            next_batch,
-            counters,
-            dirty: false,
-            panic_at: None,
-            trace,
-            metrics,
-            flight: FlightRecorder::from_records(&recovery.records),
-            pending_fsync_bytes: 0,
-        };
         (daemon, stats)
     }
 
@@ -301,16 +304,11 @@ impl Daemon {
     fn append(&mut self, record: Record) {
         self.dirty = !matches!(record, Record::Commit { .. });
         self.pending_fsync_bytes += self.journal.append(&record) as u64;
-        self.state.apply(&record);
-        if let Some(entry) = FlightEntry::from_record(&record) {
-            self.flight.push(entry);
-        }
-        self.counters.absorb(&record);
+        self.fold(&record);
         match &record {
             Record::Admitted { .. } => self.metrics.inc("serve.admitted", 1),
             Record::Shed { reason_code, .. } => {
-                let reason = shed_reason_from_code(*reason_code);
-                self.metrics.inc(&format!("serve.shed.{}", reason.name()), 1);
+                self.metrics.inc(shed_metric(shed_reason_from_code(*reason_code)), 1);
             }
             Record::BatchStarted { .. } => self.metrics.inc("serve.batches", 1),
             Record::VerdictRecorded { .. } => self.metrics.inc("serve.completed", 1),
@@ -336,6 +334,18 @@ impl Daemon {
             self.trace.push(self.clock.as_micros(), event);
         }
         self.next_seq += 1;
+    }
+
+    /// The per-record fold shared by the live append and recovery replay:
+    /// state, flight ring, counters. Returns whether the state applied the
+    /// record (its sequence number was past the high-water mark).
+    fn fold(&mut self, record: &Record) -> bool {
+        let applied = self.state.apply(record);
+        if let Some(entry) = FlightEntry::from_record(record) {
+            self.flight.push(entry);
+        }
+        self.counters.absorb(record);
+        applied
     }
 
     /// The flight recorder ring (recent journal activity).
@@ -538,6 +548,16 @@ mod tests {
         assert_eq!(d.state().filing(1, 2).map(|f| f.guilty_count), Some(3));
         assert!(d.health().ready);
         assert_eq!(d.health().queue_depth, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for one journal frame")]
+    fn a_mailbox_whose_full_batch_overflows_a_frame_is_refused_at_boot() {
+        // A full mailbox drafts one `BatchStarted` of 5 + capacity words.
+        let largest = ServeConfig { mailbox_capacity: MAX_FRAME_WORDS - 5, ..ServeConfig::default() };
+        let _ = Daemon::recover(largest.clone(), SharedStore::new());
+        let over = ServeConfig { mailbox_capacity: MAX_FRAME_WORDS - 4, ..largest };
+        let _ = Daemon::recover(over, SharedStore::new());
     }
 
     #[test]

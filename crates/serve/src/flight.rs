@@ -38,10 +38,6 @@ use crate::journal::Record;
 /// journal.
 pub const FLIGHT_CAPACITY: usize = 32;
 
-/// Upper bound on entries accepted when decoding a `FlightTail` — far
-/// above [`FLIGHT_CAPACITY`]; beyond it is corruption.
-pub const MAX_TAIL_ENTRIES: usize = 1024;
-
 /// The `report_id` sentinel a supervisor panic flush carries instead of
 /// a real report: the flush is about the crash, not one admission.
 pub const PANIC_FLUSH: u64 = u64::MAX;
@@ -113,18 +109,6 @@ impl FlightRecorder {
     /// An empty ring.
     pub fn new() -> Self {
         FlightRecorder::default()
-    }
-
-    /// Rebuilds the ring a daemon would hold after appending exactly
-    /// `records` — the recovery path and the supervisor's panic flush.
-    pub fn from_records(records: &[Record]) -> Self {
-        let mut ring = FlightRecorder::new();
-        for rec in records {
-            if let Some(entry) = FlightEntry::from_record(rec) {
-                ring.push(entry);
-            }
-        }
-        ring
     }
 
     /// Pushes one entry, evicting the oldest past [`FLIGHT_CAPACITY`].
@@ -230,6 +214,7 @@ pub(crate) fn shed_reason_from_code(code: u64) -> ShedReason {
     match code {
         0 => ShedReason::MailboxFull,
         1 => ShedReason::DeadlineExceeded,
+        3 => ShedReason::Oversize,
         _ => ShedReason::Degraded,
     }
 }
@@ -255,6 +240,15 @@ mod tests {
         }
     }
 
+    /// The ring a daemon holds after appending exactly `records`.
+    fn ring_of(records: &[Record]) -> FlightRecorder {
+        let mut ring = FlightRecorder::new();
+        for entry in records.iter().filter_map(FlightEntry::from_record) {
+            ring.push(entry);
+        }
+        ring
+    }
+
     #[test]
     fn ring_is_a_pure_function_of_the_record_sequence() {
         let records: Vec<Record> = (0..100)
@@ -266,8 +260,8 @@ mod tests {
                 }
             })
             .collect();
-        let whole = FlightRecorder::from_records(&records);
-        let mut incremental = FlightRecorder::from_records(&records[..40]);
+        let whole = ring_of(&records);
+        let mut incremental = ring_of(&records[..40]);
         for rec in &records[40..] {
             if let Some(e) = FlightEntry::from_record(rec) {
                 incremental.push(e);
@@ -281,7 +275,7 @@ mod tests {
     fn flight_tail_records_never_record_themselves() {
         let tail = Record::FlightTail { seq: 9, report_id: 4, entries: Vec::new() };
         assert_eq!(FlightEntry::from_record(&tail), None);
-        assert!(FlightRecorder::from_records(&[tail]).is_empty());
+        assert!(ring_of(&[tail]).is_empty());
     }
 
     #[test]

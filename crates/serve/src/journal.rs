@@ -23,11 +23,17 @@ use std::sync::{Arc, Mutex};
 
 use concilium_crypto::sha256;
 
+use crate::flight::FlightEntry;
 use crate::report::FailureReport;
 
-/// Upper bound on one frame's payload, far above any real record; a
-/// length field beyond it is corruption, not a big record.
+/// Upper bound on one frame's payload; a length field beyond it is
+/// corruption, not a big record. Admission refuses a report whose
+/// `Admitted` record would exceed it, and boot refuses a mailbox whose
+/// full batch would, so every record the daemon writes fits.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// [`MAX_FRAME_BYTES`] in payload words.
+pub(crate) const MAX_FRAME_WORDS: usize = MAX_FRAME_BYTES / 8;
 
 /// One journaled mutation or boundary marker.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,7 +123,7 @@ pub enum Record {
         /// [`crate::flight::PANIC_FLUSH`] for a panic flush.
         report_id: u64,
         /// The ring contents, oldest first.
-        entries: Vec<crate::flight::FlightEntry>,
+        entries: Vec<FlightEntry>,
     },
 }
 
@@ -151,128 +157,94 @@ impl Record {
     /// The record's payload words: a variant tag followed by its fields.
     pub fn encode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(8);
-        match self {
-            Record::Admitted { seq, input, report } => {
-                out.extend([1, *seq, *input]);
-                report.encode_to(&mut out);
-            }
-            Record::Shed { seq, input, report_id, reason_code } => {
-                out.extend([2, *seq, *input, *report_id, *reason_code]);
-            }
-            Record::BatchStarted { seq, batch, start_us, report_ids } => {
-                out.extend([3, *seq, *batch, *start_us, report_ids.len() as u64]);
-                out.extend(report_ids.iter().copied());
-            }
-            Record::VerdictRecorded { seq, report_id, batch, judge, accused, guilty } => {
-                out.extend([4, *seq, *report_id, *batch, *judge, *accused, u64::from(*guilty)]);
-            }
-            Record::AccusationFiled { seq, judge, accused, guilty_count } => {
-                out.extend([5, *seq, *judge, *accused, *guilty_count]);
-            }
-            Record::Commit { seq, next_input, clock_us } => {
-                out.extend([6, *seq, *next_input, *clock_us]);
-            }
-            Record::FlightTail { seq, report_id, entries } => {
-                out.extend([7, *seq, *report_id, entries.len() as u64]);
-                for e in entries {
-                    out.extend([e.seq, e.kind, e.key, e.aux]);
-                }
-            }
-        }
+        self.write_words(&mut |w| out.push(w));
         out
     }
 
+    /// Feeds the record's payload words to `put` in order — the one
+    /// encoder behind [`Record::encode`] and the frame [`Journal::append`]
+    /// writes in place.
+    pub(crate) fn write_words(&self, put: &mut impl FnMut(u64)) {
+        let mut all = |words: &[u64]| words.iter().for_each(|&w| put(w));
+        match self {
+            Record::Admitted { seq, input, report } => {
+                all(&[1, *seq, *input]);
+                report.write_words(put);
+            }
+            Record::Shed { seq, input, report_id, reason_code } => {
+                all(&[2, *seq, *input, *report_id, *reason_code]);
+            }
+            Record::BatchStarted { seq, batch, start_us, report_ids } => {
+                all(&[3, *seq, *batch, *start_us, report_ids.len() as u64]);
+                all(report_ids);
+            }
+            Record::VerdictRecorded { seq, report_id, batch, judge, accused, guilty } => {
+                all(&[4, *seq, *report_id, *batch, *judge, *accused, u64::from(*guilty)]);
+            }
+            Record::AccusationFiled { seq, judge, accused, guilty_count } => {
+                all(&[5, *seq, *judge, *accused, *guilty_count]);
+            }
+            Record::Commit { seq, next_input, clock_us } => {
+                all(&[6, *seq, *next_input, *clock_us]);
+            }
+            Record::FlightTail { seq, report_id, entries } => {
+                all(&[7, *seq, *report_id, entries.len() as u64]);
+                for e in entries {
+                    all(&[e.seq, e.kind, e.key, e.aux]);
+                }
+            }
+        }
+    }
+
+    /// Payload words of the `Admitted` record that journals `report`.
+    pub(crate) fn admitted_words(report: &FailureReport) -> usize {
+        3 + report.encoded_words()
+    }
+
+    /// Payload words of a `BatchStarted` record drafting `reports` reports.
+    pub(crate) fn batch_words(reports: usize) -> usize {
+        5 + reports
+    }
+
     /// Decodes one record from its payload words. `None` on malformed
-    /// input (unknown tag, wrong arity, trailing words).
+    /// input: unknown tag, wrong arity, trailing words, a count that
+    /// disagrees with the words present, or a guilty flag other than 0
+    /// or 1. So a decoded record re-encodes to exactly `words`.
+    ///
+    /// Counts are checked against the words actually present, so the
+    /// only bound on a record is its frame's, [`MAX_FRAME_BYTES`]: every
+    /// frame the writer can produce decodes.
     pub fn decode(words: &[u64]) -> Option<Record> {
-        let tag = *words.first()?;
-        let rec = match tag {
-            1 => {
-                let head = words.get(1..3)?;
-                let mut at = 3;
-                let report = FailureReport::decode_from(words, &mut at)?;
-                if at != words.len() {
+        let (&tag, body) = words.split_first()?;
+        let rec = match (tag, body) {
+            (1, &[seq, input, ref rest @ ..]) => {
+                let mut at = 0;
+                let report = FailureReport::decode_from(rest, &mut at)?;
+                if at != rest.len() {
                     return None;
                 }
-                Record::Admitted { seq: head[0], input: head[1], report }
+                Record::Admitted { seq, input, report }
             }
-            2 => {
-                let f = words.get(1..5)?;
-                if words.len() != 5 {
-                    return None;
-                }
-                Record::Shed { seq: f[0], input: f[1], report_id: f[2], reason_code: f[3] }
+            (2, &[seq, input, report_id, reason_code]) => {
+                Record::Shed { seq, input, report_id, reason_code }
             }
-            3 => {
-                let f = words.get(1..5)?;
-                let n = f[3] as usize;
-                if n > 65_536 {
-                    return None;
-                }
-                let ids = words.get(5..5 + n)?;
-                if words.len() != 5 + n {
-                    return None;
-                }
-                Record::BatchStarted {
-                    seq: f[0],
-                    batch: f[1],
-                    start_us: f[2],
-                    report_ids: ids.to_vec(),
-                }
+            (3, &[seq, batch, start_us, n, ref ids @ ..]) if ids.len() as u64 == n => {
+                Record::BatchStarted { seq, batch, start_us, report_ids: ids.to_vec() }
             }
-            4 => {
-                let f = words.get(1..7)?;
-                if words.len() != 7 {
-                    return None;
-                }
-                Record::VerdictRecorded {
-                    seq: f[0],
-                    report_id: f[1],
-                    batch: f[2],
-                    judge: f[3],
-                    accused: f[4],
-                    guilty: f[5] == 1,
-                }
+            (4, &[seq, report_id, batch, judge, accused, flag @ (0 | 1)]) => {
+                let guilty = flag == 1;
+                Record::VerdictRecorded { seq, report_id, batch, judge, accused, guilty }
             }
-            5 => {
-                let f = words.get(1..5)?;
-                if words.len() != 5 {
-                    return None;
-                }
-                Record::AccusationFiled {
-                    seq: f[0],
-                    judge: f[1],
-                    accused: f[2],
-                    guilty_count: f[3],
-                }
+            (5, &[seq, judge, accused, guilty_count]) => {
+                Record::AccusationFiled { seq, judge, accused, guilty_count }
             }
-            6 => {
-                let f = words.get(1..4)?;
-                if words.len() != 4 {
-                    return None;
-                }
-                Record::Commit { seq: f[0], next_input: f[1], clock_us: f[2] }
-            }
-            7 => {
-                let f = words.get(1..4)?;
-                let n = f[2] as usize;
-                if n > crate::flight::MAX_TAIL_ENTRIES {
-                    return None;
-                }
-                let body = words.get(4..4 + 4 * n)?;
-                if words.len() != 4 + 4 * n {
-                    return None;
-                }
-                let entries = body
-                    .chunks_exact(4)
-                    .map(|c| crate::flight::FlightEntry {
-                        seq: c[0],
-                        kind: c[1],
-                        key: c[2],
-                        aux: c[3],
-                    })
-                    .collect();
-                Record::FlightTail { seq: f[0], report_id: f[1], entries }
+            (6, &[seq, next_input, clock_us]) => Record::Commit { seq, next_input, clock_us },
+            (7, &[seq, report_id, n, ref body @ ..])
+                if body.len() % 4 == 0 && (body.len() / 4) as u64 == n =>
+            {
+                let entry = |c: &[u64]| FlightEntry { seq: c[0], kind: c[1], key: c[2], aux: c[3] };
+                let entries = body.chunks_exact(4).map(entry).collect();
+                Record::FlightTail { seq, report_id, entries }
             }
             _ => return None,
         };
@@ -319,6 +291,16 @@ impl SharedStore {
         self.with(|b| b.clone())
     }
 
+    /// Writes the current bytes to `out` under the lock, without copying
+    /// them first.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns.
+    pub fn write_to(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        self.with(|b| out.write_all(b))
+    }
+
     /// Current length in bytes.
     pub fn len(&self) -> usize {
         self.with(|b| b.len())
@@ -340,11 +322,9 @@ impl SharedStore {
     }
 }
 
-/// What a [`Journal::recover`] pass found and did.
+/// What a [`Journal::recover`] pass dropped.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Recovery {
-    /// The committed records, in journal order, ready to replay.
-    pub records: Vec<Record>,
     /// Bytes discarded from the tail (torn frames plus uncommitted
     /// records).
     pub truncated_bytes: usize,
@@ -356,6 +336,23 @@ pub struct Recovery {
 #[derive(Clone, Debug, Default)]
 pub struct Journal {
     store: SharedStore,
+    /// The frame under construction, reused by every append.
+    frame: Vec<u8>,
+}
+
+/// Frame header bytes: the length field and the checksum.
+const HEADER: usize = 12;
+
+/// The payload of the frame starting at `at`, if a whole frame with an
+/// in-bounds length and a matching checksum starts there.
+fn payload_at(bytes: &[u8], at: usize) -> Option<&[u8]> {
+    let header = bytes.get(at..at + HEADER)?;
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    if len > MAX_FRAME_BYTES || !len.is_multiple_of(8) {
+        return None;
+    }
+    let payload = bytes.get(at + HEADER..at + HEADER + len)?;
+    (sha256(payload).0[..8] == header[4..]).then_some(payload)
 }
 
 impl Journal {
@@ -366,7 +363,7 @@ impl Journal {
 
     /// A journal over an existing store (shared with a supervisor).
     pub fn over(store: SharedStore) -> Self {
-        Journal { store }
+        Journal { store, frame: Vec::new() }
     }
 
     /// The underlying store handle.
@@ -376,100 +373,95 @@ impl Journal {
 
     /// Appends one record as a single framed write; returns the frame's
     /// size in bytes (the write amplification a durability fsync pays).
+    /// The record is encoded straight into one reused frame buffer and
+    /// the header patched in after hashing, so an append allocates
+    /// nothing once the buffer has grown to the largest record.
     pub fn append(&mut self, record: &Record) -> usize {
-        let words = record.encode();
-        let mut payload = Vec::with_capacity(words.len() * 8);
-        for w in &words {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        let digest = sha256(&payload);
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&digest.0[..8]);
-        frame.extend_from_slice(&payload);
-        self.store.append(&frame);
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.resize(HEADER, 0);
+        record.write_words(&mut |w| frame.extend_from_slice(&w.to_le_bytes()));
+        let len = frame.len() - HEADER;
+        // Admission and the boot check keep every record inside a frame;
+        // a longer one would end recovery's valid prefix at this frame.
+        assert!(len <= MAX_FRAME_BYTES, "a {len}-byte record passed admission");
+        let check = sha256(&frame[HEADER..]);
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[4..HEADER].copy_from_slice(&check.0[..8]);
+        self.store.append(frame);
         frame.len()
     }
 
-    /// Scans the longest valid frame prefix, returning the decoded
-    /// records and the byte length of that prefix. Scanning stops at the
-    /// first torn frame (length field past the end), length-field
-    /// corruption, checksum mismatch, or undecodable payload.
-    pub fn scan(&self) -> (Vec<Record>, usize) {
-        let bytes = self.store.snapshot();
-        let mut records = Vec::new();
-        let mut at = 0usize;
-        while at + 12 <= bytes.len() {
-            let mut len4 = [0u8; 4];
-            len4.copy_from_slice(&bytes[at..at + 4]);
-            let len = u32::from_le_bytes(len4) as usize;
-            if len > MAX_FRAME_BYTES || !len.is_multiple_of(8) || at + 12 + len > bytes.len() {
-                break;
-            }
-            let check = &bytes[at + 4..at + 12];
-            let payload = &bytes[at + 12..at + 12 + len];
-            if sha256(payload).0[..8] != *check {
-                break;
-            }
-            let words: Vec<u64> = payload
-                .chunks_exact(8)
-                .map(|c| {
+    /// The one frame reader: visits each frame of the longest valid
+    /// prefix in order as `(record, payload words, end offset)`, under
+    /// the store lock and without copying the store, decoding into one
+    /// reused word buffer. The walk stops at the first torn frame (length
+    /// field past the end), length-field corruption, checksum mismatch,
+    /// or undecodable payload, and returns the prefix's byte length.
+    /// `visit` runs under the lock, so it must not touch the store.
+    pub(crate) fn walk(&self, mut visit: impl FnMut(Record, &[u64], usize)) -> usize {
+        self.store.with(|bytes| {
+            let mut words = Vec::new();
+            let mut at = 0;
+            while let Some(payload) = payload_at(bytes, at) {
+                words.clear();
+                words.extend(payload.chunks_exact(8).map(|c| {
                     let mut w = [0u8; 8];
                     w.copy_from_slice(c);
                     u64::from_le_bytes(w)
-                })
-                .collect();
-            match Record::decode(&words) {
-                Some(rec) => records.push(rec),
-                None => break,
+                }));
+                let Some(record) = Record::decode(&words) else { break };
+                at += HEADER + payload.len();
+                visit(record, &words, at);
             }
-            at += 12 + len;
-        }
-        (records, at)
+            at
+        })
     }
 
-    /// Crash recovery: truncates the store back to the last
-    /// [`Record::Commit`] boundary (discarding torn frames and valid but
-    /// uncommitted records) and returns the committed prefix.
-    pub fn recover(&mut self) -> Recovery {
+    /// Scans the longest valid frame prefix, returning the decoded
+    /// records and the byte length of that prefix.
+    pub fn scan(&self) -> (Vec<Record>, usize) {
+        let mut records = Vec::new();
+        let len = self.walk(|record, _, _| records.push(record));
+        (records, len)
+    }
+
+    /// Crash recovery in one pass: hands every committed record to
+    /// `replay` in journal order, then truncates the store back to the
+    /// end of the last [`Record::Commit`] frame, discarding torn frames
+    /// and valid but uncommitted records. Records are held back only
+    /// until the commit that covers them, so the pass keeps one input's
+    /// records, never the journal. `replay` runs under the store lock.
+    pub fn recover(&mut self, mut replay: impl FnMut(Record)) -> Recovery {
         let total = self.store.len();
-        let (records, valid_len) = self.scan();
-        // Find the byte boundary just after the last Commit.
-        let mut committed_records = 0usize;
-        let mut committed_len = 0usize;
-        let mut at = 0usize;
-        let bytes_of = |rec: &Record| -> usize { 12 + rec.encode().len() * 8 };
-        for (i, rec) in records.iter().enumerate() {
-            at += bytes_of(rec);
-            if matches!(rec, Record::Commit { .. }) {
-                committed_records = i + 1;
-                committed_len = at;
+        let mut pending = Vec::new();
+        let mut committed_len = 0;
+        self.walk(|record, _, end| {
+            let commit = matches!(record, Record::Commit { .. });
+            pending.push(record);
+            if commit {
+                pending.drain(..).for_each(&mut replay);
+                committed_len = end;
             }
-        }
-        debug_assert!(committed_len <= valid_len);
+        });
         self.store.truncate(committed_len);
-        let uncommitted = records.len() - committed_records;
-        let mut records = records;
-        records.truncate(committed_records);
-        Recovery {
-            records,
-            truncated_bytes: total - committed_len,
-            uncommitted_records: uncommitted,
-        }
+        Recovery { truncated_bytes: total - committed_len, uncommitted_records: pending.len() }
     }
 
     /// The journal's digest: chained over every committed-or-not valid
     /// record, in order. Byte-identical journals digest identically, and
     /// because every state mutation flows through the journal this is
-    /// the run's canonical trace digest.
+    /// the run's canonical trace digest. It equals [`records_digest`]
+    /// of [`Journal::scan`]'s records, read off the frames in place.
     pub fn digest(&self) -> String {
-        let (records, _) = self.scan();
-        records_digest(&records)
+        let mut hasher = concilium_sim::TraceHasher::new();
+        self.walk(|record, words, _| hasher.record(record.label(), words));
+        hasher.hex()
     }
 }
 
-/// The chained digest of a record sequence (shared by [`Journal::digest`]
-/// and tests that compare replayed prefixes).
+/// The chained digest of a record sequence — what [`Journal::digest`]
+/// reads off the frames — for comparing replayed prefixes.
 pub fn records_digest(records: &[Record]) -> String {
     let mut hasher = concilium_sim::TraceHasher::new();
     for rec in records {
@@ -532,12 +524,75 @@ mod tests {
             assert_eq!(Record::decode(&rec.encode()).as_ref(), Some(rec));
         }
         let mut j = Journal::new();
+        let mut frames = Vec::new();
         for rec in &records {
-            j.append(rec);
+            frames.push(j.append(rec));
         }
         let (scanned, len) = j.scan();
         assert_eq!(scanned, records);
         assert_eq!(len, j.store().len());
+        assert_eq!(j.digest(), records_digest(&records));
+        // Each frame is its header plus the words `encode` lists, and the
+        // admission and batch size formulas count those words.
+        for (rec, frame) in records.iter().zip(frames) {
+            assert_eq!(frame, 12 + 8 * rec.encode().len());
+        }
+        if let Record::Admitted { report, .. } = &records[0] {
+            assert_eq!(Record::admitted_words(report), records[0].encode().len());
+        }
+        assert_eq!(Record::batch_words(2), records[2].encode().len());
+    }
+
+    #[test]
+    fn appends_write_the_documented_frame_layout() {
+        // The frame layout written out by hand: length, the first eight
+        // bytes of sha256(payload), the little-endian words.
+        let rec = Record::BatchStarted { seq: 9, batch: 2, start_us: 70, report_ids: vec![5, 6] };
+        let payload: Vec<u8> = rec.encode().iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(&sha256(&payload).0[..8]);
+        want.extend_from_slice(&payload);
+        let mut j = Journal::new();
+        j.append(&commit(0, 1));
+        let before = j.store().len();
+        assert_eq!(j.append(&rec), want.len());
+        assert_eq!(j.store().snapshot()[before..], want[..]);
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_frame_not_a_constant() {
+        // A report far past the old 4,096-link decoder cap, and a batch
+        // past the old 65,536-id cap, still decode: the frame bounds them.
+        let mut big = admitted(0, 0, 100);
+        if let Record::Admitted { report, .. } = &mut big {
+            report.links = (0..5_000).map(|l| LinkObs { link: l, up: 0, down: 0 }).collect();
+        }
+        let batch = Record::BatchStarted {
+            seq: 1,
+            batch: 0,
+            start_us: 0,
+            report_ids: (0..70_000).collect(),
+        };
+        for rec in [big, batch] {
+            assert_eq!(Record::decode(&rec.encode()).as_ref(), Some(&rec));
+        }
+        // A count that claims more words than are present, or a guilty
+        // flag that would not re-encode, is refused.
+        let mut short = Record::BatchStarted { seq: 1, batch: 0, start_us: 0, report_ids: vec![4] }
+            .encode();
+        short[4] = u64::MAX;
+        assert_eq!(Record::decode(&short), None);
+        let mut flag = Record::VerdictRecorded {
+            seq: 0,
+            report_id: 1,
+            batch: 0,
+            judge: 1,
+            accused: 2,
+            guilty: true,
+        }
+        .encode();
+        flag[6] = 2;
+        assert_eq!(Record::decode(&flag), None);
     }
 
     #[test]
@@ -554,15 +609,18 @@ mod tests {
         j.append(&commit(1, 1));
         j.append(&admitted(2, 1, 101)); // valid but uncommitted
         let before = j.store().len();
-        let rec = j.recover();
-        assert_eq!(rec.records, vec![admitted(0, 0, 100), commit(1, 1)]);
+        let mut replayed = Vec::new();
+        let rec = j.recover(|r| replayed.push(r));
+        assert_eq!(replayed, vec![admitted(0, 0, 100), commit(1, 1)]);
+        assert_eq!(j.scan().0, replayed);
         assert_eq!(rec.uncommitted_records, 1);
         assert!(rec.truncated_bytes > 0 && rec.truncated_bytes < before);
         // Idempotent: recovering again finds nothing more to drop.
-        let again = j.recover();
-        assert_eq!(again.records.len(), 2);
-        assert_eq!(again.truncated_bytes, 0);
-        assert_eq!(again.uncommitted_records, 0);
+        let mut again = 0;
+        let rec = j.recover(|_| again += 1);
+        assert_eq!(again, 2);
+        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(rec.uncommitted_records, 0);
     }
 
     #[test]
@@ -573,8 +631,9 @@ mod tests {
         let clean_len = j.store().len();
         // A torn frame: a plausible header but half the payload missing.
         j.store().append(&[16, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9]);
-        let rec = j.recover();
-        assert_eq!(rec.records.len(), 2);
+        let mut replayed = 0;
+        j.recover(|_| replayed += 1);
+        assert_eq!(replayed, 2);
         assert_eq!(j.store().len(), clean_len);
     }
 
@@ -591,8 +650,9 @@ mod tests {
         let mut corrupt = Journal::over(SharedStore::from_bytes(bytes));
         let (records, _) = corrupt.scan();
         assert_eq!(records.len(), 1, "corrupt second frame must end the prefix");
-        let rec = corrupt.recover();
-        assert_eq!(rec.records, vec![commit(0, 1)]);
+        let mut replayed = Vec::new();
+        corrupt.recover(|r| replayed.push(r));
+        assert_eq!(replayed, vec![commit(0, 1)]);
     }
 
     #[test]

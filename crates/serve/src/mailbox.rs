@@ -5,15 +5,17 @@
 //! batch's remaining cost. A report is *shed* — refused with a typed
 //! [`ShedReason`], journaled and counted, never silently dropped — when
 //! the mailbox is full, when its predicted wait exceeds the admission
-//! deadline, or when the daemon has escalated to degraded read-only
-//! mode. Because the decision reads only virtual-time quantities, the
-//! same workload sheds the same reports on every run.
+//! deadline, when its journal record would not fit one frame, or when
+//! the daemon has escalated to degraded read-only mode. Because the
+//! decision reads only virtual-time quantities and the report's size,
+//! the same workload sheds the same reports on every run.
 
 use std::collections::VecDeque;
 
 use concilium_obs::ShedReason;
 use concilium_types::SimDuration;
 
+use crate::journal::{Record, MAX_FRAME_WORDS};
 use crate::report::FailureReport;
 use crate::ServeConfig;
 
@@ -61,6 +63,9 @@ impl Mailbox {
     ) -> Result<SimDuration, ShedReason> {
         if degraded {
             return Err(ShedReason::Degraded);
+        }
+        if Record::admitted_words(report) > MAX_FRAME_WORDS {
+            return Err(ShedReason::Oversize);
         }
         if self.queue.len() >= cfg.mailbox_capacity {
             return Err(ShedReason::MailboxFull);

@@ -72,31 +72,32 @@ impl FailureReport {
             .collect()
     }
 
-    /// Appends the report's canonical journal encoding to `out`.
-    pub fn encode_to(&self, out: &mut Vec<u64>) {
-        out.extend([
-            self.id,
-            self.judge,
-            self.accused,
-            self.arrival.as_micros(),
-            self.evidence_at.as_micros(),
-            self.links.len() as u64,
-        ]);
-        for l in &self.links {
-            out.extend([l.link, l.up, l.down]);
-        }
+    /// Feeds the report's canonical journal encoding to `put`, word by
+    /// word.
+    pub(crate) fn write_words(&self, put: &mut impl FnMut(u64)) {
+        let (arrival, evidence_at) = (self.arrival.as_micros(), self.evidence_at.as_micros());
+        [self.id, self.judge, self.accused, arrival, evidence_at, self.links.len() as u64]
+            .into_iter()
+            .chain(self.links.iter().flat_map(|l| [l.link, l.up, l.down]))
+            .for_each(put);
+    }
+
+    /// Words in the report's journal encoding.
+    pub(crate) fn encoded_words(&self) -> usize {
+        6 + 3 * self.links.len()
     }
 
     /// Decodes a report from `words` starting at `*at`, advancing `*at`
     /// past it. `None` on truncated or malformed input.
     pub fn decode_from(words: &[u64], at: &mut usize) -> Option<FailureReport> {
         let head = words.get(*at..*at + 6)?;
-        let n_links = head[5] as usize;
-        // A frame is length-capped well below this; reject absurd counts
-        // before the allocation below.
-        if n_links > 4096 {
+        let n_links = head[5];
+        // The link count is bounded by the words actually present (which
+        // a frame caps), so a corrupt count never sizes the allocation.
+        if n_links > (words.len() - (*at + 6)) as u64 / 3 {
             return None;
         }
+        let n_links = n_links as usize;
         let mut links = Vec::with_capacity(n_links);
         let mut k = *at + 6;
         for _ in 0..n_links {
@@ -139,7 +140,8 @@ mod tests {
     fn encode_decode_round_trips() {
         let r = sample();
         let mut words = vec![99]; // leading noise the cursor skips
-        r.encode_to(&mut words);
+        r.write_words(&mut |w| words.push(w));
+        assert_eq!(words.len(), 1 + r.encoded_words());
         let mut at = 1;
         let decoded = FailureReport::decode_from(&words, &mut at).unwrap();
         assert_eq!(decoded, r);
@@ -150,7 +152,7 @@ mod tests {
     fn truncated_encoding_is_rejected() {
         let r = sample();
         let mut words = Vec::new();
-        r.encode_to(&mut words);
+        r.write_words(&mut |w| words.push(w));
         for cut in 0..words.len() {
             let mut at = 0;
             assert!(

@@ -110,11 +110,6 @@ impl ServeState {
         true
     }
 
-    /// Replays a committed journal prefix in order.
-    pub fn replay(&mut self, records: &[Record]) -> usize {
-        records.iter().filter(|r| self.apply(r)).count()
-    }
-
     /// The verdict window for a (judge, accused) pair, if any verdicts
     /// have been recorded.
     pub fn window(&self, judge: u64, accused: u64) -> Option<&VerdictWindow> {
@@ -220,7 +215,7 @@ mod tests {
             online.apply(r);
         }
         let mut replayed = ServeState::new(&cfg);
-        assert_eq!(replayed.replay(&records), records.len());
+        assert_eq!(records.iter().filter(|r| replayed.apply(r)).count(), records.len());
         assert_eq!(online.digest(), replayed.digest());
         assert_eq!(replayed.next_input(), 3);
         assert_eq!(replayed.clock_us(), 777);

@@ -20,8 +20,8 @@ use std::sync::Once;
 
 use concilium_obs::{Registry, ShedReason, Trace, TraceEvent};
 
-use crate::daemon::{Counters, Daemon, PanicSite, RecoveryStats};
-use crate::flight::{FlightRecorder, PANIC_FLUSH};
+use crate::daemon::{shed_metric, Counters, Daemon, PanicSite, RecoveryStats};
+use crate::flight::{FlightEntry, FlightRecorder, PANIC_FLUSH};
 use crate::journal::{Journal, Record, SharedStore};
 use crate::report::FailureReport;
 use crate::ServeConfig;
@@ -158,9 +158,13 @@ impl Supervisor {
                     // moments for post-mortem `explain`.
                     {
                         let mut journal = Journal::over(self.store.clone());
-                        let (records, _) = journal.scan();
-                        let ring = FlightRecorder::from_records(&records);
-                        let seq = records.last().map_or(0, |r| r.seq() + 1);
+                        let (mut ring, mut seq) = (FlightRecorder::new(), 0);
+                        journal.walk(|record, _, _| {
+                            seq = record.seq() + 1;
+                            if let Some(entry) = FlightEntry::from_record(&record) {
+                                ring.push(entry);
+                            }
+                        });
                         journal.append(&Record::FlightTail {
                             seq,
                             report_id: PANIC_FLUSH,
@@ -217,7 +221,7 @@ impl Supervisor {
                 report.arrival.as_micros(),
                 TraceEvent::LoadShed { report: report.id, reason: ShedReason::Degraded },
             );
-            metrics.inc("serve.shed.degraded", 1);
+            metrics.inc(shed_metric(ShedReason::Degraded), 1);
         }
         SupervisedRun {
             counters: daemon.counters(),

@@ -311,3 +311,37 @@ fn the_m_of_w_rule_is_decided_once() {
     assert_eq!(opened, ["crates/core/src/verdict.rs"], "production files calling `VerdictWindow::new(`");
     assert_eq!(asked, ["crates/core/src/verdict.rs"], "production files calling `should_accuse(`");
 }
+
+#[test]
+fn the_journal_is_framed_once() {
+    // `serve::journal` writes frames in place and reads them with one
+    // walker; digest, recovery and the panic flush all go through it, and
+    // nothing on the production path copies the store.
+    let (mut framers, mut copiers, mut scanners) = (Vec::new(), Vec::new(), Vec::new());
+    for (rel, src) in first_party_sources() {
+        let production =
+            rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"));
+        if !production {
+            continue;
+        }
+        let code = code(non_test(&src));
+        if code.contains("Record::decode(") || code.contains("u32::from_le_bytes(") {
+            framers.push(rel.clone());
+        }
+        if code.contains(".snapshot(") {
+            copiers.push(rel.clone());
+        }
+        if code.contains(".scan(") {
+            scanners.push(rel.clone());
+        }
+    }
+    assert_eq!(framers, ["crates/serve/src/journal.rs"], "production files parsing journal frames");
+    assert!(copiers.is_empty(), "production files copying a store with `.snapshot(`: {copiers:?}");
+    let bin = "crates/serve/src/bin/concilium_serve.rs";
+    assert_eq!(scanners, [bin], "production files materialising a journal with `.scan(`");
+    // In the binary, the one scan answers `--explain`.
+    let bin = code(&read(bin));
+    let explain = bin.find("ifletSome(query)=&args.explain{").expect("the --explain branch");
+    assert_eq!(bin.matches(".scan(").count(), 1);
+    assert!(bin.find(".scan(").is_some_and(|at| at > explain), "`.scan(` outside --explain");
+}
