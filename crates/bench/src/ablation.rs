@@ -153,7 +153,7 @@ fn sample_rules<R: Rng + ?Sized>(
 }
 
 /// The window-size ablation: minimal m for sub-1% errors per window size.
-pub fn window_sweep(p_good: f64, p_faulty: f64) -> Vec<(usize, Option<usize>)> {
+pub(crate) fn window_sweep(p_good: f64, p_faulty: f64) -> Vec<(usize, Option<usize>)> {
     [20usize, 50, 100, 200, 500]
         .into_iter()
         .map(|w| (w, minimal_m(w, p_good, p_faulty, 0.01)))

@@ -23,11 +23,11 @@ pub struct SweepRow {
 
 /// One panel-(c) point: the optimal γ for a colluding fraction.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OptimalRow {
+pub(crate) struct OptimalRow {
     /// Colluding fraction c.
-    pub c: f64,
+    pub(crate) c: f64,
     /// The γ minimising fp + fn, with its error rates.
-    pub choice: GammaChoice,
+    pub(crate) choice: GammaChoice,
 }
 
 /// Collusion fractions plotted by the paper's figures.
@@ -56,7 +56,7 @@ pub fn sweep(suppression: bool) -> Vec<SweepRow> {
 }
 
 /// Panel (c): optimal-γ misclassification across collusion fractions.
-pub fn optimal_curve(suppression: bool) -> Vec<OptimalRow> {
+pub(crate) fn optimal_curve(suppression: bool) -> Vec<OptimalRow> {
     (1..=8)
         .map(|k| {
             let c = k as f64 * 0.05;

@@ -30,12 +30,12 @@ pub struct StretchResult {
 
 impl StretchResult {
     /// Secure-route stretch over the direct IP path.
-    pub fn secure_stretch(&self) -> f64 {
+    pub(crate) fn secure_stretch(&self) -> f64 {
         self.secure_hops / self.direct_hops
     }
 
     /// Standard-route stretch over the direct IP path.
-    pub fn standard_stretch(&self) -> f64 {
+    pub(crate) fn standard_stretch(&self) -> f64 {
         self.standard_hops / self.direct_hops
     }
 }

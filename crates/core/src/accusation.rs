@@ -59,7 +59,9 @@ impl Accusation {
     /// The blame is *computed here* from the supplied evidence so that the
     /// structure is self-verifying by construction; dishonest accusers
     /// that quote doctored evidence are caught by signature checks, and
-    /// ones that quote real evidence cannot inflate the number.
+    /// ones that quote real evidence cannot inflate the number: each
+    /// snapshot counts once, since [`Accusation::verify`] refuses a quote
+    /// of the same snapshot twice.
     pub fn build<R: rand::Rng + ?Sized>(
         context: DropContext,
         commitment: ForwardingCommitment,
@@ -143,9 +145,13 @@ impl Accusation {
             return Err(AccusationError::CommitmentMismatch);
         }
 
-        // 2. Every quoted snapshot must be authentic, timely, and not
-        //    originate from the accused (whose probes are inadmissible).
-        for snap in &self.evidence {
+        // 2. Every quoted snapshot must be authentic, timely, quoted once,
+        //    and not originate from the accused (whose probes are
+        //    inadmissible). A repeat would count as another probe in Eq. 3.
+        for (i, snap) in self.evidence.iter().enumerate() {
+            if self.evidence[..i].contains(snap) {
+                return Err(AccusationError::DuplicateEvidence(snap.origin()));
+            }
             if snap.origin() == self.context.accused {
                 return Err(AccusationError::EvidenceFromAccused);
             }
@@ -243,6 +249,8 @@ pub enum AccusationError {
     BadSnapshotSignature(Id),
     /// A quoted snapshot falls outside `[t − Δ, t + Δ]`.
     EvidenceOutsideWindow(Id),
+    /// The same signed snapshot is quoted more than once.
+    DuplicateEvidence(Id),
     /// The claimed blame is not reproducible from the evidence.
     BlameMismatch {
         /// What the accusation claims.
@@ -272,6 +280,9 @@ impl fmt::Display for AccusationError {
             }
             AccusationError::EvidenceOutsideWindow(id) => {
                 write!(f, "snapshot from {id} is outside the evidence window")
+            }
+            AccusationError::DuplicateEvidence(id) => {
+                write!(f, "snapshot from {id} is quoted more than once")
             }
             AccusationError::BlameMismatch { claimed, recomputed } => write!(
                 f,
@@ -393,6 +404,28 @@ mod tests {
         assert_eq!(
             a.verify(&fx.key_of(), &fx.config),
             Err(AccusationError::BelowThreshold(a.blame()))
+        );
+    }
+
+    #[test]
+    fn repeated_snapshots_cannot_inflate_blame() {
+        let mut fx = Fixture::new();
+        let t = SimTime::from_secs(100);
+        // Witness 3 saw both links up, witnesses 4 and 5 saw them down.
+        let (s3, s4, s5) = (fx.snapshot(3, t, true), fx.snapshot(4, t, false), fx.snapshot(5, t, false));
+        let honest = fx.build(vec![s3.clone(), s4.clone(), s5.clone()]);
+        assert!((honest.blame() - 0.367).abs() < 1e-3, "blame {}", honest.blame());
+        assert_eq!(
+            honest.verify(&fx.key_of(), &fx.config),
+            Err(AccusationError::BelowThreshold(honest.blame()))
+        );
+        // Quoting s3 three times would count it as three probes in Eq. 3
+        // and carry the blame over the threshold.
+        let inflated = fx.build(vec![s3.clone(), s3.clone(), s3, s4, s5]);
+        assert!(inflated.blame() > fx.config.blame_threshold, "blame {}", inflated.blame());
+        assert_eq!(
+            inflated.verify(&fx.key_of(), &fx.config),
+            Err(AccusationError::DuplicateEvidence(Id::from_u64(3)))
         );
     }
 

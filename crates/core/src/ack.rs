@@ -44,13 +44,6 @@ pub enum AckBody {
     Hashes(Vec<Digest>),
 }
 
-impl AckBody {
-    /// Builds a hash acknowledgment from message payloads.
-    pub fn hashes_of(payloads: &[&[u8]]) -> AckBody {
-        AckBody::Hashes(payloads.iter().map(|p| sha256(p)).collect())
-    }
-}
-
 /// A signed acknowledgment from a destination back to a sender.
 ///
 /// # Examples
@@ -129,16 +122,6 @@ impl Ack {
                 Some(p) => digests.contains(&sha256(p)),
                 None => false,
             },
-        }
-    }
-
-    /// The loss rate implied by the acknowledgment, if it carries one.
-    pub fn implied_loss_rate(&self) -> Option<f64> {
-        match &self.body {
-            AckBody::Counter { received, window } if *window > 0 => {
-                Some(1.0 - *received as f64 / *window as f64)
-            }
-            _ => None,
         }
     }
 }
@@ -324,13 +307,6 @@ impl RetransmitQueue {
         self.pending.len()
     }
 
-    /// Read-only view of every in-flight entry, for invariant checkers
-    /// that audit the bookkeeping from outside. Order is not meaningful
-    /// (settlement uses `swap_remove`).
-    pub fn pending_messages(&self) -> &[PendingMessage] {
-        &self.pending
-    }
-
     /// The earliest upcoming retransmission or final timeout across all
     /// pending entries — `None` when nothing is in flight. Event-driven
     /// callers schedule their next poll here instead of ticking.
@@ -406,7 +382,6 @@ mod tests {
         assert!(ack.verify(&z.public()));
         assert!(ack.covers(MsgId(4), None));
         assert!(!ack.covers(MsgId(5), None));
-        assert_eq!(ack.implied_loss_rate(), None);
     }
 
     #[test]
@@ -421,7 +396,7 @@ mod tests {
             &mut rng,
         );
         assert!(ack.verify(&z.public()));
-        assert!((ack.implied_loss_rate().unwrap() - 0.07).abs() < 1e-12);
+        assert_eq!(ack.body, AckBody::Counter { received: 93, window: 100 });
         assert!(!ack.covers(MsgId(1), None), "counters cannot attest specifics");
     }
 
@@ -432,7 +407,7 @@ mod tests {
         let ack = Ack::issue(
             Id::from_u64(9),
             Id::from_u64(1),
-            AckBody::hashes_of(&received),
+            AckBody::Hashes(received.iter().map(|p| sha256(p)).collect()),
             SimTime::from_secs(10),
             &z,
             &mut rng,
@@ -539,7 +514,7 @@ mod tests {
         let ack = Ack::issue(
             dest,
             Id::from_u64(1),
-            AckBody::hashes_of(&[b"payload-1"]),
+            AckBody::Hashes(vec![sha256(b"payload-1")]),
             SimTime::from_secs(12),
             &z,
             &mut rng,
@@ -580,7 +555,6 @@ mod tests {
         );
         assert_eq!(q.on_ack(&ack, None), 1);
         assert_eq!(q.pending(), 0);
-        assert!(q.pending_messages().is_empty());
         assert_eq!(q.next_event_time(), None);
         // A duplicate ack (the retransmit was also answered) is a no-op.
         assert_eq!(q.on_ack(&ack, None), 0, "nothing left to settle twice");
@@ -603,27 +577,12 @@ mod tests {
         assert_eq!(q.next_event_time(), None);
         q.on_send(MsgId(1), Id::from_u64(9), SimTime::from_secs(10), &mut rng);
         q.on_send(MsgId(2), Id::from_u64(8), SimTime::from_secs(20), &mut rng);
-        let inflight = q.pending_messages();
-        assert_eq!(inflight.len(), 2);
-        assert!(inflight.iter().any(|p| p.msg == MsgId(1) && p.dest == Id::from_u64(9)));
+        assert_eq!(q.pending.len(), 2);
+        assert!(q.pending.iter().any(|p| p.msg == MsgId(1) && p.dest == Id::from_u64(9)));
         // Earliest retransmission across both entries: msg 1 at +1 s.
         assert_eq!(q.next_event_time(), Some(SimTime::from_secs(11)));
         let _ = q.due(SimTime::from_secs(11));
         // Msg 1 advanced to its next attempt at +3 s; msg 2 still at +1 s.
         assert_eq!(q.next_event_time(), Some(SimTime::from_secs(13)));
-    }
-
-    #[test]
-    fn degenerate_counter_has_no_rate() {
-        let (z, mut rng) = keys();
-        let ack = Ack::issue(
-            Id::from_u64(9),
-            Id::from_u64(1),
-            AckBody::Counter { received: 0, window: 0 },
-            SimTime::from_secs(10),
-            &z,
-            &mut rng,
-        );
-        assert_eq!(ack.implied_loss_rate(), None);
     }
 }

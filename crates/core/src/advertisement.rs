@@ -64,11 +64,6 @@ impl RoutingAdvertisement {
         &self.table
     }
 
-    /// The advertised leaf-set spacing.
-    pub fn leaf_spacing(&self) -> Option<f64> {
-        self.leaf_spacing
-    }
-
     /// The bundled tomographic snapshot.
     pub fn snapshot(&self) -> &TomographySnapshot {
         &self.snapshot
@@ -318,7 +313,7 @@ mod tests {
         let t = SimTime::from_secs(100);
         let ad = f.advertisement(5, t);
         assert_eq!(ad.table().occupied(), 5);
-        assert_eq!(ad.leaf_spacing(), Some(100.0));
+        assert_eq!(ad.leaf_spacing, Some(100.0));
         assert_eq!(ad.snapshot().origin(), f.origin);
     }
 }

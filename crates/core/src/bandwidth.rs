@@ -84,13 +84,6 @@ impl BandwidthModel {
         pairs * self.stripes_per_pair * self.packets_per_stripe * self.probe_packet_bytes
     }
 
-    /// Lightweight probing is free: it reuses the availability probes
-    /// hosts already send (§4.4 "no additional bandwidth"). Returned for
-    /// uniformity of reporting.
-    pub fn lightweight_probe_bytes(&self) -> u64 {
-        0
-    }
-
     /// §3.7 consolidated probing: `group_size` co-located hosts take turns
     /// probing their collective forest, so each host's *amortised* cost of
     /// one heavyweight probe round is the full cost divided by the group
@@ -151,7 +144,6 @@ mod tests {
         assert!(m.heavyweight_probe_bytes(20) < m.heavyweight_probe_bytes(77));
         assert_eq!(m.heavyweight_probe_bytes(0), 0);
         assert_eq!(m.heavyweight_probe_bytes(1), 0);
-        assert_eq!(m.lightweight_probe_bytes(), 0);
     }
 
     #[test]

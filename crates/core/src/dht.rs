@@ -7,7 +7,7 @@
 //! the key (secure routing makes reaching those replicas reliable); this
 //! module models the replica placement and per-node stores directly.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use concilium_crypto::{sha256, PublicKey};
@@ -26,13 +26,12 @@ pub enum DhtError {
         /// The write quorum required.
         quorum: usize,
     },
-    /// No replica could be read at all.
-    NoReplicaAvailable,
-    /// The replica set itself is degraded: fewer live replicas exist
-    /// than the write quorum requires, so no amount of retrying can
-    /// succeed. Returned *before* any transport attempt is made.
+    /// The replica set itself is degraded: the membership holds fewer
+    /// replicas for the key than the write quorum requires, so no amount
+    /// of retrying can succeed. Returned *before* any transport attempt
+    /// is made.
     DegradedReplicaSet {
-        /// Live (non-faulty) replicas for the key.
+        /// Replicas for the key.
         live: usize,
         /// The write quorum that cannot be met.
         quorum: usize,
@@ -45,7 +44,6 @@ impl fmt::Display for DhtError {
             DhtError::QuorumNotReached { stored, quorum } => {
                 write!(f, "only {stored} replicas stored the accusation, quorum is {quorum}")
             }
-            DhtError::NoReplicaAvailable => write!(f, "no replica answered any read attempt"),
             DhtError::DegradedReplicaSet { live, quorum } => {
                 write!(f, "replica set degraded: {live} live replicas cannot meet quorum {quorum}")
             }
@@ -72,7 +70,6 @@ pub struct AccusationDht {
     members: Vec<Id>,
     replication: usize,
     stores: HashMap<Id, Vec<Accusation>>,
-    faulty: HashSet<Id>,
 }
 
 impl AccusationDht {
@@ -90,13 +87,12 @@ impl AccusationDht {
             members,
             replication,
             stores: HashMap::new(),
-            faulty: HashSet::new(),
         }
     }
 
     /// The DHT key for accusations against the holder of `pk`: the hash of
     /// the public key mapped into the identifier space.
-    pub fn key_for(pk: &PublicKey) -> Id {
+    pub(crate) fn key_for(pk: &PublicKey) -> Id {
         let digest = sha256(&pk.to_bytes());
         let mut bytes = [0u8; 20];
         bytes.copy_from_slice(&digest.as_bytes()[..20]);
@@ -112,22 +108,12 @@ impl AccusationDht {
         members
     }
 
-    /// Marks a member as faulty: it silently drops everything stored at
-    /// it (used to test replication robustness).
-    pub fn mark_faulty(&mut self, member: Id) {
-        self.faulty.insert(member);
-        self.stores.remove(&member);
-    }
-
     /// Inserts an accusation under the accused's public key, returning
     /// the number of replicas that actually stored it.
     pub fn insert(&mut self, accused_pk: &PublicKey, accusation: Accusation) -> usize {
         let key = Self::key_for(accused_pk);
         let mut stored = 0;
         for replica in self.replicas(key) {
-            if self.faulty.contains(&replica) {
-                continue;
-            }
             let store = self.stores.entry(replica).or_default();
             // Deduplicate by (accuser, msg): re-inserts are idempotent.
             let dup = store.iter().any(|a| {
@@ -162,47 +148,9 @@ impl AccusationDht {
         out
     }
 
-    /// Number of live (non-faulty) members.
-    pub fn live_members(&self) -> usize {
-        self.members.len() - self.faulty.len()
-    }
-
-    /// Every stored accusation with the member holding it, in a
-    /// deterministic order (members sorted by identifier, each store in
-    /// insertion order) — lets invariant checkers audit replica contents
-    /// without knowing the keys under which they were filed.
-    pub fn stored_accusations(&self) -> impl Iterator<Item = (Id, &Accusation)> + '_ {
-        let mut holders: Vec<&Id> = self.stores.keys().collect();
-        holders.sort();
-        holders
-            .into_iter()
-            .flat_map(|id| self.stores[id].iter().map(move |a| (*id, a)))
-    }
-
     /// The write quorum: a majority of the replica set.
     pub fn write_quorum(&self) -> usize {
         self.replication / 2 + 1
-    }
-
-    /// Live (non-faulty) replicas currently responsible for `key`.
-    pub fn live_replicas(&self, key: Id) -> usize {
-        self.replicas(key).iter().filter(|r| !self.faulty.contains(r)).count()
-    }
-
-    /// A content fingerprint over every stored replica copy, in the
-    /// deterministic [`AccusationDht::stored_accusations`] order: the
-    /// journalable state hook service-mode checkpointing compares after
-    /// recovery. Two DHTs whose replica stores hold the same accusations
-    /// in the same order fingerprint identically.
-    pub fn content_fingerprint(&self) -> [u8; 32] {
-        let mut bytes = Vec::new();
-        for (holder, acc) in self.stored_accusations() {
-            bytes.extend_from_slice(holder.as_bytes());
-            bytes.extend_from_slice(&acc.context().msg.0.to_le_bytes());
-            bytes.extend_from_slice(acc.accuser().as_bytes());
-            bytes.extend_from_slice(&acc.context().at.as_micros().to_le_bytes());
-        }
-        sha256(&bytes).0
     }
 
     /// Inserts with per-replica retries over a lossy transport. `reaches`
@@ -210,17 +158,16 @@ impl AccusationDht {
     /// is one-based) and returns whether the put message arrived — the
     /// fault-injection harness plugs
     /// [`ack_arrives`-style draws](RetryPolicy) in here. Each unreachable
-    /// replica is retried on `policy`'s schedule; faulty replicas accept
-    /// nothing regardless.
+    /// replica is retried on `policy`'s schedule.
     ///
     /// # Errors
     ///
     /// Returns [`DhtError::DegradedReplicaSet`] — *without spending any
-    /// transport attempt* — when fewer live replicas exist than the
-    /// write quorum: retrying cannot manufacture replicas, so the caller
-    /// learns immediately that the store is degraded. Returns
-    /// [`DhtError::QuorumNotReached`] when enough replicas were live but
-    /// too few were reachable after all retries; the copies that did
+    /// transport attempt* — when fewer replicas exist than the write
+    /// quorum: retrying cannot manufacture replicas, so the caller learns
+    /// immediately that the store is degraded. Returns
+    /// [`DhtError::QuorumNotReached`] when enough replicas existed but too
+    /// few were reachable after all retries; the copies that did
     /// land remain stored (and fetchable): that error tells the accuser
     /// to re-publish later, not that the write vanished.
     pub fn insert_with_retry<R, F>(
@@ -237,15 +184,13 @@ impl AccusationDht {
     {
         let key = Self::key_for(accused_pk);
         let quorum = self.write_quorum();
-        let live = self.live_replicas(key);
+        let replicas = self.replicas(key);
+        let live = replicas.len();
         if live < quorum {
             return Err(DhtError::DegradedReplicaSet { live, quorum });
         }
         let mut stored = 0;
-        for replica in self.replicas(key) {
-            if self.faulty.contains(&replica) {
-                continue;
-            }
+        for replica in replicas {
             let reached = policy
                 .run(rng, |attempt| if reaches(replica, attempt) { Ok(()) } else { Err(()) })
                 .is_ok();
@@ -266,66 +211,6 @@ impl AccusationDht {
         } else {
             Err(DhtError::QuorumNotReached { stored, quorum })
         }
-    }
-
-    /// Fetches with per-replica retries over a lossy transport, falling
-    /// back across the replica set: any replica that answers contributes
-    /// its copies, deduplicated as in [`AccusationDht::fetch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DhtError::DegradedReplicaSet`] — before any transport
-    /// attempt — when fewer live replicas exist than the write quorum:
-    /// a read served by a sub-quorum replica set could miss a write that
-    /// met quorum before the failures, so silence from it must not be
-    /// mistaken for exoneration. Returns
-    /// [`DhtError::NoReplicaAvailable`] when enough replicas were live
-    /// but none answered any attempt.
-    pub fn fetch_quorum<R, F>(
-        &self,
-        accused_pk: &PublicKey,
-        policy: &RetryPolicy,
-        mut reaches: F,
-        rng: &mut R,
-    ) -> Result<Vec<&Accusation>, DhtError>
-    where
-        R: rand::Rng + ?Sized,
-        F: FnMut(Id, u32) -> bool,
-    {
-        let key = Self::key_for(accused_pk);
-        let quorum = self.write_quorum();
-        let live = self.live_replicas(key);
-        if live < quorum {
-            return Err(DhtError::DegradedReplicaSet { live, quorum });
-        }
-        let mut seen: Vec<(Id, u64)> = Vec::new();
-        let mut out = Vec::new();
-        let mut answered = 0usize;
-        for replica in self.replicas(key) {
-            if self.faulty.contains(&replica) {
-                continue;
-            }
-            let reached = policy
-                .run(rng, |attempt| if reaches(replica, attempt) { Ok(()) } else { Err(()) })
-                .is_ok();
-            if !reached {
-                continue;
-            }
-            answered += 1;
-            if let Some(store) = self.stores.get(&replica) {
-                for a in store {
-                    let sig = (a.accuser(), a.context().msg.0);
-                    if !seen.contains(&sig) {
-                        seen.push(sig);
-                        out.push(a);
-                    }
-                }
-            }
-        }
-        if answered == 0 {
-            return Err(DhtError::NoReplicaAvailable);
-        }
-        Ok(out)
     }
 }
 
@@ -409,12 +294,11 @@ mod tests {
         let mut dht = AccusationDht::new(members(10), 3);
         let (acc, keys) = accusation(&mut rng, 1);
         dht.insert(&keys.public(), acc);
-        // Kill one replica.
+        // One replica loses its store.
         let key = AccusationDht::key_for(&keys.public());
         let victim = dht.replicas(key)[0];
-        dht.mark_faulty(victim);
+        dht.stores.remove(&victim);
         assert_eq!(dht.fetch(&keys.public()).len(), 1, "still fetchable");
-        assert_eq!(dht.live_members(), 9);
     }
 
     #[test]
@@ -425,7 +309,7 @@ mod tests {
         dht.insert(&keys.public(), acc);
         let key = AccusationDht::key_for(&keys.public());
         for r in dht.replicas(key) {
-            dht.mark_faulty(r);
+            dht.stores.remove(&r);
         }
         assert!(dht.fetch(&keys.public()).is_empty());
     }
@@ -503,43 +387,14 @@ mod tests {
     }
 
     #[test]
-    fn fetch_quorum_falls_back_across_replicas() {
-        let mut rng = StdRng::seed_from_u64(120);
-        let mut dht = AccusationDht::new(members(10), 3);
-        let (acc, keys) = accusation(&mut rng, 1);
-        dht.insert(&keys.public(), acc.clone());
-        let key = AccusationDht::key_for(&keys.public());
-        let reps = dht.replicas(key);
-        // Only the *last* replica ever answers; the read still succeeds.
-        let only = reps[2];
-        let fetched = dht
-            .fetch_quorum(
-                &keys.public(),
-                &RetryPolicy::default(),
-                |replica, _| replica == only,
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(fetched, vec![&acc]);
-        // Nobody answers: the reader learns it cannot conclude anything.
-        let err = dht
-            .fetch_quorum(&keys.public(), &RetryPolicy::default(), |_, _| false, &mut rng)
-            .unwrap_err();
-        assert_eq!(err, DhtError::NoReplicaAvailable);
-    }
-
-    #[test]
     fn faulty_replicas_do_not_count_toward_the_write_quorum() {
         let mut rng = StdRng::seed_from_u64(121);
-        let mut dht = AccusationDht::new(members(10), 3);
+        // Two of three replicas have left the membership: the one that
+        // remains cannot meet a quorum of two.
+        let mut dht = AccusationDht::new(members(1), 3);
         let (acc, keys) = accusation(&mut rng, 1);
-        let key = AccusationDht::key_for(&keys.public());
-        for r in dht.replicas(key).into_iter().take(2) {
-            dht.mark_faulty(r);
-        }
         assert_eq!(dht.write_quorum(), 2);
-        // One live replica out of three cannot meet a quorum of two, so
-        // the write is refused up front as degraded — no transport
+        // The write is refused up front as degraded — no transport
         // attempt is spent and no partial copy is left behind.
         let err = dht
             .insert_with_retry(&keys.public(), acc, &RetryPolicy::default(), |_, _| true, &mut rng)
@@ -551,85 +406,25 @@ mod tests {
     #[test]
     fn shrinking_replica_set_degrades_without_retrying_to_exhaustion() {
         let mut rng = StdRng::seed_from_u64(123);
-        let mut dht = AccusationDht::new(members(10), 3);
         let (acc, keys) = accusation(&mut rng, 1);
-        let key = AccusationDht::key_for(&keys.public());
-        let replicas = dht.replicas(key);
-
-        // All replicas live: the write reaches full replication.
-        let stored = dht
-            .insert_with_retry(
-                &keys.public(),
-                acc.clone(),
-                &RetryPolicy::default(),
-                |_, _| true,
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(stored, 3);
-
-        // One failure: a quorum of two is still attainable.
-        dht.mark_faulty(replicas[0]);
-        let stored = dht
-            .insert_with_retry(
-                &keys.public(),
-                acc.clone(),
-                &RetryPolicy::default(),
-                |_, _| true,
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(stored, 2);
-
-        // Two failures: the set is degraded. Both the write and the read
-        // must refuse immediately — the transport closure is never
-        // invoked, proving neither path retried to exhaustion.
-        dht.mark_faulty(replicas[1]);
         let mut transport_calls = 0u32;
-        let err = dht
-            .insert_with_retry(
-                &keys.public(),
-                acc.clone(),
-                &RetryPolicy::default(),
-                |_, _| {
-                    transport_calls += 1;
-                    true
-                },
-                &mut rng,
-            )
-            .unwrap_err();
-        assert_eq!(err, DhtError::DegradedReplicaSet { live: 1, quorum: 2 });
-        let err = dht
-            .fetch_quorum(
-                &keys.public(),
-                &RetryPolicy::default(),
-                |_, _| {
-                    transport_calls += 1;
-                    true
-                },
-                &mut rng,
-            )
-            .unwrap_err();
-        assert_eq!(err, DhtError::DegradedReplicaSet { live: 1, quorum: 2 });
-        assert_eq!(transport_calls, 0, "degraded paths must not touch the network");
-        assert_eq!(dht.live_replicas(key), 1);
-    }
-
-    #[test]
-    fn content_fingerprint_tracks_replica_stores() {
-        let mut rng = StdRng::seed_from_u64(124);
-        let mut dht = AccusationDht::new(members(10), 3);
-        let empty = dht.content_fingerprint();
-        let (acc, keys) = accusation(&mut rng, 1);
-        dht.insert(&keys.public(), acc.clone());
-        let filled = dht.content_fingerprint();
-        assert_ne!(empty, filled, "stored content must perturb the fingerprint");
-        // Idempotent re-insert leaves the fingerprint untouched.
-        dht.insert(&keys.public(), acc);
-        assert_eq!(dht.content_fingerprint(), filled);
-        // An identically-populated DHT fingerprints identically.
-        let clone = dht.clone();
-        assert_eq!(clone.content_fingerprint(), filled);
+        let mut insert = |n: u64, rng: &mut StdRng| {
+            let mut dht = AccusationDht::new(members(n), 3);
+            assert_eq!(dht.write_quorum(), 2);
+            let reaches = |_, _| {
+                transport_calls += 1;
+                true
+            };
+            dht.insert_with_retry(&keys.public(), acc.clone(), &RetryPolicy::default(), reaches, rng)
+        };
+        // A full replica set reaches full replication; one member short,
+        // a quorum of two is still attainable.
+        assert_eq!(insert(3, &mut rng), Ok(3));
+        assert_eq!(insert(2, &mut rng), Ok(2));
+        // One replica cannot meet a quorum of two: the write is refused
+        // up front, so the transport is never invoked for it.
+        assert_eq!(insert(1, &mut rng), Err(DhtError::DegradedReplicaSet { live: 1, quorum: 2 }));
+        assert_eq!(transport_calls, 3 + 2, "the degraded path must not touch the network");
     }
 
     #[test]
@@ -637,19 +432,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(122);
         let mut dht = AccusationDht::new(members(10), 3);
         let (acc, keys) = accusation(&mut rng, 1);
-        assert_eq!(dht.stored_accusations().count(), 0);
+        assert!(dht.stores.is_empty());
         dht.insert(&keys.public(), acc.clone());
-        let copies: Vec<(Id, &Accusation)> = dht.stored_accusations().collect();
-        assert_eq!(copies.len(), 3, "one copy per replica");
-        assert!(copies.iter().all(|(_, a)| *a == &acc));
         let key = AccusationDht::key_for(&keys.public());
         let reps = dht.replicas(key);
-        assert!(copies.iter().all(|(holder, _)| reps.contains(holder)));
-        // Holder order is deterministic: sorted by identifier.
-        let holders: Vec<Id> = copies.iter().map(|(h, _)| *h).collect();
-        let mut sorted = holders.clone();
-        sorted.sort();
-        assert_eq!(holders, sorted);
+        assert_eq!(dht.stores.len(), 3, "one store per replica");
+        for (holder, store) in &dht.stores {
+            assert!(reps.contains(holder));
+            assert_eq!(store, &vec![acc.clone()], "one copy per replica");
+        }
     }
 
     #[test]

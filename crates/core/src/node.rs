@@ -3,9 +3,7 @@
 //! [`ConciliumNode`] is the stateful heart of the protocol on one host:
 //! it archives validated snapshots from routing peers, judges message
 //! drops against that archive (Eqs. 2–3), keeps per-peer verdict windows,
-//! and escalates to formal accusations when the m-of-w quota fills. It
-//! also archives the accusations it issues so it can rebut unfair blame
-//! later (§3.5).
+//! and escalates to formal accusations when the m-of-w quota fills.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -38,6 +36,8 @@ pub enum SnapshotError {
     BadSignature,
     /// The snapshot is too old (or future-dated) to archive.
     Stale,
+    /// The same signed snapshot is already archived.
+    Duplicate,
 }
 
 impl fmt::Display for SnapshotError {
@@ -45,6 +45,7 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::BadSignature => f.write_str("snapshot signature is invalid"),
             SnapshotError::Stale => f.write_str("snapshot is stale"),
+            SnapshotError::Duplicate => f.write_str("snapshot is already archived"),
         }
     }
 }
@@ -60,8 +61,6 @@ pub struct ConciliumNode {
     archive: HashMap<Id, Vec<TomographySnapshot>>,
     /// Sliding verdict windows, per judged peer.
     windows: VerdictBook<Id>,
-    /// Accusations this node issued (its rebuttal archive).
-    issued: Vec<Accusation>,
 }
 
 impl ConciliumNode {
@@ -79,7 +78,6 @@ impl ConciliumNode {
             windows: VerdictBook::new(&config),
             config,
             archive: HashMap::new(),
-            issued: Vec::new(),
         }
     }
 
@@ -98,8 +96,9 @@ impl ConciliumNode {
     ///
     /// # Errors
     ///
-    /// Rejects snapshots with bad signatures or outside a freshness
-    /// horizon of 10×Δ.
+    /// Rejects snapshots with bad signatures, outside a freshness horizon
+    /// of 10×Δ, or already archived (the same signed snapshot delivered
+    /// again).
     pub fn receive_snapshot(
         &mut self,
         snap: TomographySnapshot,
@@ -115,19 +114,18 @@ impl ConciliumNode {
         }
         let entry = self.archive.entry(snap.origin()).or_default();
         let pos = entry.partition_point(|s| s.time() <= snap.time());
+        // A re-delivery would be judged as a second probe.
+        if entry[..pos].iter().rev().take_while(|s| s.time() == snap.time()).any(|s| *s == snap) {
+            return Err(SnapshotError::Duplicate);
+        }
         entry.insert(pos, snap);
         Ok(())
-    }
-
-    /// Number of archived snapshots.
-    pub fn archived_snapshots(&self) -> usize {
-        self.archive.values().map(Vec::len).sum()
     }
 
     /// The snapshots admissible as evidence for a drop at `at` judging
     /// `accused`: within `[at − Δ, at + Δ]`, not originated by the
     /// accused, and covering at least one of `path_links`.
-    pub fn admissible_evidence(
+    pub(crate) fn admissible_evidence(
         &self,
         accused: Id,
         path_links: &[LinkId],
@@ -176,8 +174,8 @@ impl ConciliumNode {
 
         // Every verdict meeting the quota accuses again (§3.7's rate
         // sanctions count the repeats).
-        let accusation = if self.windows.record(context.accused, verdict).0 {
-            let acc = Accusation::build(
+        let accusation = self.windows.record(context.accused, verdict).0.then(|| {
+            Accusation::build(
                 context,
                 commitment,
                 path_links.to_vec(),
@@ -185,12 +183,8 @@ impl ConciliumNode {
                 &self.config,
                 &self.keys,
                 rng,
-            );
-            self.issued.push(acc.clone());
-            Some(acc)
-        } else {
-            None
-        };
+            )
+        });
 
         JudgeOutcome { blame, verdict, accusation }
     }
@@ -198,20 +192,6 @@ impl ConciliumNode {
     /// The verdict window for `peer`, if any verdicts were issued.
     pub fn window_for(&self, peer: Id) -> Option<&VerdictWindow> {
         self.windows.window(&peer)
-    }
-
-    /// Looks up an archived accusation usable to rebut `against` (same
-    /// message and destination, issued by this node).
-    pub fn rebuttal_for(&self, against: &Accusation) -> Option<&Accusation> {
-        self.issued.iter().find(|a| {
-            a.context().msg == against.context().msg
-                && a.context().dest == against.context().dest
-        })
-    }
-
-    /// All accusations this node has issued.
-    pub fn issued_accusations(&self) -> &[Accusation] {
-        &self.issued
     }
 }
 
@@ -304,7 +284,22 @@ mod tests {
                 .receive_snapshot(good, &right_key, t + SimDuration::from_secs(700)),
             Err(SnapshotError::Stale)
         );
-        assert_eq!(fx.node.archived_snapshots(), 1);
+        assert_eq!(fx.node.archive.values().map(Vec::len).sum::<usize>(), 1);
+    }
+
+    #[test]
+    fn redelivered_snapshot_is_archived_once() {
+        let mut fx = Fx::new();
+        let t = SimTime::from_secs(100);
+        let key = fx.peers[&Id::from_u64(3)].public();
+        let up = fx.snapshot(3, t, 7, true);
+        assert_eq!(fx.node.receive_snapshot(up.clone(), &key, t), Ok(()));
+        assert_eq!(fx.node.receive_snapshot(up, &key, t), Err(SnapshotError::Duplicate));
+        // A second round stamped with the same time is a separate probe.
+        let again = fx.snapshot(3, t, 7, true);
+        assert_eq!(fx.node.receive_snapshot(again, &key, t), Ok(()));
+        assert_eq!(fx.node.archive[&Id::from_u64(3)].len(), 2);
+        assert_eq!(fx.node.admissible_evidence(Id::from_u64(2), &[LinkId(7)], t).len(), 2);
     }
 
     #[test]
@@ -388,9 +383,6 @@ mod tests {
             }
         };
         assert_eq!(acc.verify(&key_of, fx.node.config()), Ok(()));
-        // And it is archived for future rebuttals.
-        assert_eq!(fx.node.issued_accusations().len(), 1);
-        assert!(fx.node.rebuttal_for(&acc).is_some());
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl PolicyEngine {
 
     /// Number of accusations against `peer` within the rate window ending
     /// at `now`.
-    pub fn recent_accusations(&self, peer: Id, now: SimTime) -> usize {
+    pub(crate) fn recent_accusations(&self, peer: Id, now: SimTime) -> usize {
         let Some(v) = self.accusations.get(&peer) else {
             return 0;
         };

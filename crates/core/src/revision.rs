@@ -180,11 +180,6 @@ impl AccusationChain {
         self.links.last().expect("chains are never empty").accused()
     }
 
-    /// The original judge who started the chain.
-    pub fn original_accuser(&self) -> Id {
-        self.links[0].accuser()
-    }
-
     /// The accusations, original first.
     pub fn links(&self) -> &[Accusation] {
         &self.links
@@ -408,7 +403,7 @@ mod tests {
         chain.amend(s.accuse(C, D, Z)).unwrap();
         // Blame lands on D, the true culprit.
         assert_eq!(chain.culprit(), Id::from_u64(D));
-        assert_eq!(chain.original_accuser(), Id::from_u64(A));
+        assert_eq!(chain.links()[0].accuser(), Id::from_u64(A));
         assert_eq!(chain.len(), 3);
         // The whole amended accusation is self-verifying.
         assert_eq!(chain.verify(&s.key_of(), &s.config), Ok(()));

@@ -66,9 +66,8 @@ impl Verdict {
 /// }
 /// w.push(Verdict::Innocent);
 /// assert_eq!(w.guilty_count(), 5);
-/// assert!(!w.should_accuse(6));
 /// w.push(Verdict::Guilty);
-/// assert!(w.should_accuse(6));
+/// assert_eq!((w.guilty_count(), w.len()), (6, 7));
 /// ```
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct VerdictWindow {
@@ -119,7 +118,7 @@ impl VerdictWindow {
     }
 
     /// Whether the peer has accumulated at least `m` guilty verdicts.
-    pub fn should_accuse(&self, m: usize) -> bool {
+    pub(crate) fn should_accuse(&self, m: usize) -> bool {
         self.guilty >= m
     }
 

@@ -116,11 +116,6 @@ pub fn memo_stats_full() -> MemoStats {
     MEMO.with(|cell| cell.borrow().stats)
 }
 
-/// Number of entries currently cached on this thread.
-pub fn memo_len() -> usize {
-    MEMO.with(|cell| cell.borrow().map.len())
-}
-
 /// Clears this thread's memo and resets its counters. Intended for tests.
 pub fn memo_reset() {
     MEMO.with(|cell| *cell.borrow_mut() = Memo::new());
@@ -174,6 +169,11 @@ mod tests {
             assert_eq!(verify_cached(pk, msg, s), plain);
             assert_eq!(verify_cached(pk, msg, s), plain);
         }
+    }
+
+    /// Number of entries currently cached on this thread.
+    fn memo_len() -> usize {
+        MEMO.with(|cell| cell.borrow().map.len())
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use event::{
     ppb, ppb_from_f64, traced_from_json_line, FaultKind, LinkObsSummary, ShedReason, TraceEvent,
     Traced,
 };
-pub use metrics::{Histogram, Metric, OutOfRange, Registry, Scope};
+pub use metrics::{Histogram, Metric, Registry, Scope};
 pub use profile::{
     profile_report_json, profile_snapshot, profiling_enabled, reset_profile, set_profiling, span,
     PhaseTotals, SpanGuard,

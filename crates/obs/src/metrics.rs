@@ -21,13 +21,13 @@ use crate::json::{self, Json};
 
 /// A sample that [`Histogram::try_add`] refused.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OutOfRange {
+pub(crate) struct OutOfRange {
     /// The rejected sample.
-    pub sample: f64,
+    sample: f64,
     /// Inclusive lower bound of the histogram's range.
-    pub lo: f64,
+    lo: f64,
     /// Inclusive upper bound of the histogram's range.
-    pub hi: f64,
+    hi: f64,
 }
 
 impl std::fmt::Display for OutOfRange {
@@ -67,15 +67,14 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is outside `[lo, hi]`; use [`Histogram::try_add`] or
-    /// [`Histogram::add_clamped`] when out-of-range samples are data.
+    /// Panics if `x` is outside `[lo, hi]` (or NaN).
     pub fn add(&mut self, x: f64) {
         self.try_add(x).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Adds a sample, returning `Err` instead of panicking when `x` is
     /// outside `[lo, hi]` (or NaN). The histogram is unchanged on `Err`.
-    pub fn try_add(&mut self, x: f64) -> Result<(), OutOfRange> {
+    pub(crate) fn try_add(&mut self, x: f64) -> Result<(), OutOfRange> {
         if !(self.lo..=self.hi).contains(&x) {
             return Err(OutOfRange { sample: x, lo: self.lo, hi: self.hi });
         }
@@ -90,7 +89,7 @@ impl Histogram {
 
     /// Adds a sample, saturating it to `[lo, hi]` first. NaN saturates to
     /// `lo`. Use when outliers should still be counted, in the edge bins.
-    pub fn add_clamped(&mut self, x: f64) {
+    pub(crate) fn add_clamped(&mut self, x: f64) {
         let clamped = if x.is_nan() { self.lo } else { x.clamp(self.lo, self.hi) };
         self.try_add(clamped).expect("clamped sample is in range");
     }

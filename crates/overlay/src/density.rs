@@ -12,8 +12,6 @@
 //! Choosing γ trades false positives against false negatives; the analytic
 //! machinery for that trade-off lives in [`occupancy`](crate::occupancy).
 
-use crate::leaf_set::LeafSet;
-
 /// Concilium's jump-table density test: is the advertised density
 /// `d_peer` suspiciously sparse relative to the local density `d_local`?
 ///
@@ -58,23 +56,10 @@ pub fn leaf_set_too_sparse(peer_spacing: f64, local_spacing: f64, gamma: f64) ->
     peer_spacing > gamma * local_spacing
 }
 
-/// Convenience wrapper running Castro's test on concrete leaf sets.
-///
-/// Returns `None` when either set is too small to compute a spacing (the
-/// caller should fall back to other evidence).
-///
-/// # Panics
-///
-/// Panics if `gamma < 1.0`.
-pub fn check_leaf_sets(peer: &LeafSet, local: &LeafSet, gamma: f64) -> Option<bool> {
-    let p = peer.mean_spacing()?;
-    let l = local.mean_spacing()?;
-    Some(leaf_set_too_sparse(p, l, gamma))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leaf_set::LeafSet;
     use concilium_crypto::{CertificateAuthority, KeyPair};
     use concilium_types::{HostAddr, Id, RouterId};
     use rand::rngs::StdRng;
@@ -122,10 +107,11 @@ mod tests {
         for v in [4800u64, 4900, 5100, 5200] {
             peer.insert(issue(v));
         }
-        assert_eq!(check_leaf_sets(&peer, &local, 2.0), Some(true));
-        assert_eq!(check_leaf_sets(&local, &peer, 2.0), Some(false));
+        let (p, l) = (peer.mean_spacing().unwrap(), local.mean_spacing().unwrap());
+        assert!(leaf_set_too_sparse(p, l, 2.0));
+        assert!(!leaf_set_too_sparse(l, p, 2.0));
 
         let empty = LeafSet::new(Id::from_u64(0), 4);
-        assert_eq!(check_leaf_sets(&empty, &local, 2.0), None);
+        assert_eq!(empty.mean_spacing(), None);
     }
 }

@@ -61,7 +61,7 @@ impl JumpTable {
     /// # Panics
     ///
     /// Panics if the space does not fit the concrete `Id` type.
-    pub fn with_space(local: Id, space: IdSpace) -> Self {
+    pub(crate) fn with_space(local: Id, space: IdSpace) -> Self {
         assert!(
             space.digits() <= concilium_types::ID_DIGITS as u32 && space.base() == 16,
             "jump tables require a base-16 space of at most 40 digits"
@@ -120,18 +120,6 @@ impl JumpTable {
             self.slots.resize(((row + 1) * self.space.base()) as usize, None);
         }
         self.slots[idx] = Some(entry);
-    }
-
-    /// Clears the slot at (`row`, `col`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of range.
-    pub fn clear_entry(&mut self, row: u32, col: u8) {
-        let idx = self.slot_index(row, col);
-        if let Some(slot) = self.slots.get_mut(idx) {
-            *slot = None;
-        }
     }
 
     /// Number of occupied slots — the density `d` used by the jump-table
@@ -407,9 +395,8 @@ mod tests {
     fn rows_are_allocated_only_up_to_the_deepest_entry() {
         let mut fx = fixture();
         let mut jt = JumpTable::new(fx.local);
-        // Reads and clears of rows never filled are empty and harmless.
+        // Reads of rows never filled are empty and harmless.
         assert!(jt.entry(39, 0xf).is_none());
-        jt.clear_entry(39, 0xf);
         let (e, _) = fx.entry(2, 0x4, SimTime::ZERO);
         jt.set_entry(2, 0x4, e);
         assert_eq!(jt.slots.len(), 3 * 16);
@@ -436,7 +423,6 @@ mod tests {
         jt.set_entry(1, 0x7, e);
         let all: Vec<(u32, u8)> = jt.entries().map(|(r, c, _)| (r, c)).collect();
         assert_eq!(all, vec![(1, 0x7)]);
-        jt.clear_entry(1, 0x7);
-        assert_eq!(jt.occupied(), 0);
+        assert_eq!(jt.occupied(), 1);
     }
 }

@@ -66,7 +66,7 @@ impl Membership {
 
     /// The certificates whose identifiers share at least the first
     /// `prefix_digits` digits with `point`.
-    pub fn in_prefix_range(&self, point: Id, prefix_digits: usize) -> &[Certificate] {
+    pub(crate) fn in_prefix_range(&self, point: Id, prefix_digits: usize) -> &[Certificate] {
         if prefix_digits == 0 {
             return &self.sorted;
         }
@@ -89,7 +89,7 @@ impl Membership {
     /// are the whole ring, and the flanks wrap around it. Either way one
     /// search finds them, and skipping `exclude` moves a flank by at most
     /// one member.
-    pub fn closest_in_prefix_range(
+    pub(crate) fn closest_in_prefix_range(
         &self,
         point: Id,
         prefix_digits: usize,

@@ -45,8 +45,6 @@ use crate::stats::normal_cdf;
 pub struct OccupancyModel {
     space: IdSpace,
     n: usize,
-    mu: f64,
-    sigma2: f64,
     mu_phi: f64,
     sigma_phi: f64,
 }
@@ -79,27 +77,17 @@ impl OccupancyModel {
         OccupancyModel {
             space,
             n,
-            mu,
-            sigma2,
             mu_phi,
             sigma_phi: var_phi.sqrt(),
         }
     }
 
+    /// Eq. 1: the probability that a slot in (0-based) `row` of a base-`v`
+    /// table is filled in an `n`-node overlay.
     fn row_fill(v: f64, row: u32, n: usize) -> f64 {
         // Eq. 1 with i+1 = row index + 1 (rows are 0-based here).
         let q = (1.0 / v).powi(row as i32 + 1);
         1.0 - (1.0 - q).powf((n - 1) as f64)
-    }
-
-    /// Eq. 1: the probability that a slot in (0-based) `row` is filled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is outside the identifier space.
-    pub fn row_fill_probability(&self, row: u32) -> f64 {
-        assert!(row < self.space.digits(), "row {row} out of range");
-        Self::row_fill(self.space.base() as f64, row, self.n)
     }
 
     /// The identifier space this model describes.
@@ -110,16 +98,6 @@ impl OccupancyModel {
     /// The overlay size N.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// μ: the mean per-slot fill probability.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// σ²: the variance of per-slot fill probabilities.
-    pub fn sigma2(&self) -> f64 {
-        self.sigma2
     }
 
     /// μ_φ: the expected number of occupied slots.
@@ -156,7 +134,7 @@ impl OccupancyModel {
 /// # Panics
 ///
 /// Panics if `gamma < 1.0` (the test requires γ > 1).
-pub fn false_positive_rate(gamma: f64, local: &OccupancyModel, peer: &OccupancyModel) -> f64 {
+pub(crate) fn false_positive_rate(gamma: f64, local: &OccupancyModel, peer: &OccupancyModel) -> f64 {
     assert!(gamma >= 1.0, "gamma must be at least 1, got {gamma}");
     let slots = local.space().table_slots();
     let mut acc = 0.0;
@@ -178,7 +156,7 @@ pub fn false_positive_rate(gamma: f64, local: &OccupancyModel, peer: &OccupancyM
 /// # Panics
 ///
 /// Panics if `gamma < 1.0`.
-pub fn false_negative_rate(
+pub(crate) fn false_negative_rate(
     gamma: f64,
     local: &OccupancyModel,
     attacker: &OccupancyModel,
@@ -313,11 +291,8 @@ mod tests {
 
     #[test]
     fn eq1_row_probabilities_decay() {
-        let m = OccupancyModel::new(space(), 1_131);
-        let p0 = m.row_fill_probability(0);
-        let p1 = m.row_fill_probability(1);
-        let p2 = m.row_fill_probability(2);
-        let p5 = m.row_fill_probability(5);
+        let p = |row| OccupancyModel::row_fill(space().base() as f64, row, 1_131);
+        let (p0, p1, p2, p5) = (p(0), p(1), p(2), p(5));
         assert!(p0 > 0.999, "row 0 nearly always filled, got {p0}");
         assert!(p1 > 0.95 && p1 < 1.0);
         assert!(p2 > 0.2 && p2 < 0.3, "row 2 ≈ 0.24, got {p2}");
@@ -350,7 +325,7 @@ mod tests {
         let m = OccupancyModel::new(space(), 5_000);
         let mut direct = 0.0;
         for i in 0..space().digits() {
-            let p = m.row_fill_probability(i);
+            let p = OccupancyModel::row_fill(space().base() as f64, i, 5_000);
             direct += space().base() as f64 * p * (1.0 - p);
         }
         assert!(

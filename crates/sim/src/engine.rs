@@ -157,7 +157,7 @@ impl<E> EventQueue<E> {
     /// `None` when the queue is empty. Lets drivers decide whether the
     /// simulation has quiesced before a deadline without consuming the
     /// event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
     }
 

@@ -77,11 +77,6 @@ impl IndexedHistory {
     pub fn path_up(&self, links: &[LinkId], t: SimTime) -> bool {
         links.iter().all(|&l| self.was_up(l, t))
     }
-
-    /// Number of links with any recorded downtime.
-    pub fn links_with_failures(&self) -> usize {
-        self.intervals.iter().filter(|iv| !iv.is_empty()).count()
-    }
 }
 
 /// A forward-only reader of one link's downtime intervals, made by
@@ -138,7 +133,7 @@ mod tests {
         assert!(!idx.was_up(LinkId(1), t(99)));
         // Untouched link always up.
         assert!(idx.was_up(LinkId(2), t(50)));
-        assert_eq!(idx.links_with_failures(), 2);
+        assert_eq!(idx.intervals.iter().filter(|iv| !iv.is_empty()).count(), 2);
     }
 
     #[test]

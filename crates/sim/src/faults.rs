@@ -349,11 +349,6 @@ impl FaultPlan {
             && self.rng.gen_bool(self.cfg.burst.bad_loss)
     }
 
-    /// Whether the Gilbert–Elliott channel is currently in its bad state.
-    pub fn burst_state_bad(&self) -> bool {
-        self.burst_bad
-    }
-
     /// Decides the fate of a message sent at `send`. Consumes RNG state:
     /// call in a deterministic order for reproducible runs.
     pub fn fate(&mut self, send: SimTime) -> MessageFate {
@@ -775,7 +770,7 @@ mod tests {
             assert_eq!(a.fate(send), b.fate(send), "message {k}");
             assert_eq!(a.transport_delivers(), b.transport_delivers());
         }
-        assert!(!b.burst_state_bad());
+        assert!(!b.burst_bad);
     }
 
     #[test]

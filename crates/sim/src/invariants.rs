@@ -156,7 +156,7 @@ impl fmt::Display for Violation {
 /// path's fuzzy disjunction is the maximum badness over links with any
 /// evidence, and blame is its complement. With no evidence at all the
 /// accused gets full blame (the §3.5 silence convention).
-pub fn naive_blame(evidence: &[LinkEvidence], accuracy: f64) -> f64 {
+pub(crate) fn naive_blame(evidence: &[LinkEvidence], accuracy: f64) -> f64 {
     let mut max_badness: Option<f64> = None;
     for link in evidence {
         if link.observations.is_empty() {
@@ -374,41 +374,6 @@ pub(crate) fn check_tomography(
     Ok(())
 }
 
-/// Direct evaluation of `P[X ≥ m]` for `X ~ Binomial(w, p)`, written
-/// independently of [`concilium::verdict::binomial_tail_at_least`] as a
-/// cross-check oracle for the verdict window's m-of-w test.
-///
-/// Uses the multiplicative term recurrence
-/// `T(k+1) = T(k) · (w−k)/(k+1) · p/(1−p)` starting from
-/// `T(0) = (1−p)^w`, summing the terms with `k ≥ m`.
-pub fn oracle_binomial_tail_at_least(w: usize, m: usize, p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
-    if m == 0 {
-        return 1.0;
-    }
-    if m > w {
-        return 0.0;
-    }
-    if p <= 0.0 {
-        return 0.0;
-    }
-    if p >= 1.0 {
-        return 1.0;
-    }
-    let ratio = p / (1.0 - p);
-    let mut term = (1.0 - p).powi(w as i32);
-    let mut tail = 0.0;
-    for k in 0..=w {
-        if k >= m {
-            tail += term;
-        }
-        if k < w {
-            term *= (w - k) as f64 / (k + 1) as f64 * ratio;
-        }
-    }
-    tail.min(1.0)
-}
-
 /// Checks that event-derived metric counters agree with independently
 /// maintained oracle counts.
 ///
@@ -557,6 +522,41 @@ mod tests {
             .iter()
             .map(|&(l, obs)| LinkEvidence { link: LinkId(l), observations: obs.to_vec() })
             .collect()
+    }
+
+    /// Direct evaluation of `P[X ≥ m]` for `X ~ Binomial(w, p)`, written
+    /// independently of [`concilium::verdict::binomial_tail_at_least`] as a
+    /// cross-check oracle for the verdict window's m-of-w test.
+    ///
+    /// Uses the multiplicative term recurrence
+    /// `T(k+1) = T(k) · (w−k)/(k+1) · p/(1−p)` starting from
+    /// `T(0) = (1−p)^w`, summing the terms with `k ≥ m`.
+    fn oracle_binomial_tail_at_least(w: usize, m: usize, p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+        if m == 0 {
+            return 1.0;
+        }
+        if m > w {
+            return 0.0;
+        }
+        if p <= 0.0 {
+            return 0.0;
+        }
+        if p >= 1.0 {
+            return 1.0;
+        }
+        let ratio = p / (1.0 - p);
+        let mut term = (1.0 - p).powi(w as i32);
+        let mut tail = 0.0;
+        for k in 0..=w {
+            if k >= m {
+                tail += term;
+            }
+            if k < w {
+                term *= (w - k) as f64 / (k + 1) as f64 * ratio;
+            }
+        }
+        tail.min(1.0)
     }
 
     #[test]

@@ -569,7 +569,7 @@ impl SimWorld {
     /// # Panics
     ///
     /// Panics if `h` is out of range.
-    pub fn observed_near(&self, h: usize, t: SimTime, guard: SimDuration) -> bool {
+    pub(crate) fn observed_near(&self, h: usize, t: SimTime, guard: SimDuration) -> bool {
         self.peer_hosts[h]
             .iter()
             .any(|&p| !self.archives[p].rounds_in_window(t, guard).is_empty())

@@ -37,15 +37,13 @@ use crate::tree::LogicalTree;
 /// let mut ledger = NonceLedger::new();
 /// let n = ledger.issue(0, Id::from_u64(5), &mut rng);
 /// assert!(ledger.validate(0, Id::from_u64(5), n));
-/// // A fabricated ack with a guessed nonce is rejected and counted.
+/// // A fabricated ack with a guessed nonce is rejected.
 /// let forged = concilium_crypto::Nonce::from_raw(12345);
 /// assert!(!ledger.validate(0, Id::from_u64(5), forged));
-/// assert_eq!(ledger.spurious_count(), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct NonceLedger {
     issued: HashMap<(usize, Id), Nonce>,
-    spurious: u64,
 }
 
 impl NonceLedger {
@@ -62,25 +60,9 @@ impl NonceLedger {
     }
 
     /// Validates an echoed nonce. Mismatches and echoes for never-issued
-    /// probes count as spurious acknowledgments.
-    pub fn validate(&mut self, stripe: usize, leaf: Id, echoed: Nonce) -> bool {
-        match self.issued.get(&(stripe, leaf)) {
-            Some(n) if n.matches(echoed) => true,
-            _ => {
-                self.spurious += 1;
-                false
-            }
-        }
-    }
-
-    /// Number of spurious acknowledgments seen so far.
-    pub fn spurious_count(&self) -> u64 {
-        self.spurious
-    }
-
-    /// Number of nonces issued.
-    pub fn issued_count(&self) -> usize {
-        self.issued.len()
+    /// probes are spurious acknowledgments.
+    pub fn validate(&self, stripe: usize, leaf: Id, echoed: Nonce) -> bool {
+        self.issued.get(&(stripe, leaf)).is_some_and(|n| n.matches(echoed))
     }
 }
 
@@ -321,8 +303,7 @@ mod tests {
         assert!(!ledger.validate(1, leaf, n0));
         // Acks for probes never issued fail.
         assert!(!ledger.validate(7, leaf, n0));
-        assert_eq!(ledger.spurious_count(), 2);
-        assert_eq!(ledger.issued_count(), 2);
+        assert_eq!(ledger.issued.len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! incorporates tomographic results from more peer trees: a few trees
 //! cover the highly shared core links, but many are needed for last-mile
 //! links used by only a few hosts. [`Forest`] computes that coverage curve
-//! and the per-link "vouching peer" counts.
+//! and the mean number of "vouching" trees per covered link.
 //!
 //! Everything is computed once, in [`Forest::new`], in one sweep over the
 //! trees in order with a count per link in a table indexed by `LinkId`.
@@ -15,8 +15,6 @@
 //! O(1) read of the table, so a whole coverage curve costs what a single
 //! point used to.
 
-use std::collections::HashMap;
-
 use concilium_types::LinkId;
 
 /// The forest F_H: the union of the host's own probe tree and the trees
@@ -25,8 +23,6 @@ use concilium_types::LinkId;
 pub struct Forest {
     /// Union of all links in the forest, in order of first occurrence.
     universe: Vec<LinkId>,
-    /// Per `universe` entry: how many trees probe that link.
-    vouchers: Vec<u32>,
     /// Entry `k`: `(distinct links, link occurrences)` over trees `..=k`;
     /// index 0 is the host's own tree.
     prefix: Vec<(usize, usize)>,
@@ -54,8 +50,7 @@ impl Forest {
             total += ls.len();
             prefix.push((universe.len(), total));
         }
-        let vouchers = universe.iter().map(|l| count[l.index()]).collect();
-        Forest { universe, vouchers, prefix }
+        Forest { universe, prefix }
     }
 
     /// Total number of distinct links in the forest.
@@ -96,11 +91,6 @@ impl Forest {
         (0..self.num_trees()).map(|k| self.coverage_with(k)).collect()
     }
 
-    /// For each forest link, how many trees probe it ("vouching peers").
-    pub fn vouch_counts(&self) -> HashMap<LinkId, u32> {
-        self.universe.iter().copied().zip(self.vouchers.iter().copied()).collect()
-    }
-
     /// Mean number of vouching trees per covered link, when the host's own
     /// tree plus the first `peer_trees` peer trees are included.
     ///
@@ -122,6 +112,7 @@ mod tests {
     use crate::tree::ProbeTree;
     use concilium_topology::IpPath;
     use concilium_types::{Id, RouterId};
+    use std::collections::HashMap;
 
     fn p(routers: &[u32], links: &[u32]) -> IpPath {
         IpPath::new(
@@ -166,15 +157,6 @@ mod tests {
             assert!(w[1] >= w[0]);
         }
         assert_eq!(f.coverage_with(1), curve[1]);
-    }
-
-    #[test]
-    fn vouch_counts_count_trees() {
-        let f = forest();
-        let counts = f.vouch_counts();
-        assert_eq!(counts[&LinkId(0)], 2); // shared by own tree and peer 1
-        assert_eq!(counts[&LinkId(1)], 1);
-        assert_eq!(counts[&LinkId(3)], 1);
     }
 
     #[test]
@@ -269,11 +251,6 @@ mod tests {
                         "vouchers at k = {}", k
                     );
                 }
-                let mut counts: HashMap<LinkId, u32> = HashMap::new();
-                for &l in trees.iter().flatten() {
-                    *counts.entry(l).or_insert(0) += 1;
-                }
-                prop_assert_eq!(f.vouch_counts(), counts);
             }
         }
     }

@@ -82,25 +82,8 @@ impl AmbiguityClasses {
 
     /// The index of the class `link` belongs to, if the link is covered by
     /// any measurement path.
-    pub fn class_of(&self, link: LinkId) -> Option<usize> {
+    pub(crate) fn class_of(&self, link: LinkId) -> Option<usize> {
         self.class_of.get(&link).copied()
-    }
-
-    /// Whether `link` is *identifiable*: covered, and alone in its class,
-    /// so its loss can in principle be localized to it.
-    pub fn is_identifiable(&self, link: LinkId) -> bool {
-        self.class_of(link)
-            .map(|c| self.classes[c].len() == 1)
-            .unwrap_or(false)
-    }
-
-    /// Whether two covered links are distinguishable — some path separates
-    /// them. Uncovered links are vacuously indistinguishable from nothing.
-    pub fn distinguishable(&self, a: LinkId, b: LinkId) -> bool {
-        match (self.class_of(a), self.class_of(b)) {
-            (Some(ca), Some(cb)) => ca != cb,
-            _ => false,
-        }
     }
 
     /// Whether `links` (in any order, duplicates allowed) is exactly one
@@ -176,10 +159,8 @@ mod tests {
         let a = AmbiguityClasses::from_paths(&[l(&[0, 1, 2]), l(&[0, 1, 3])]);
         assert_eq!(a.num_classes(), 3);
         assert_eq!(a.classes(), &[l(&[0, 1]), l(&[2]), l(&[3])]);
-        assert!(!a.is_identifiable(LinkId(0)));
-        assert!(a.is_identifiable(LinkId(2)));
-        assert!(!a.distinguishable(LinkId(0), LinkId(1)));
-        assert!(a.distinguishable(LinkId(1), LinkId(2)));
+        assert_eq!(a.class_of(LinkId(0)), a.class_of(LinkId(1)));
+        assert_ne!(a.class_of(LinkId(1)), a.class_of(LinkId(2)));
         assert!(a.is_whole_class(&l(&[1, 0])));
         assert!(!a.is_whole_class(&l(&[0])));
         assert_eq!(a.closure(l(&[0, 3])), l(&[0, 1, 3]));
@@ -190,7 +171,6 @@ mod tests {
         let a = AmbiguityClasses::from_paths(&[l(&[5, 6, 7]), l(&[8])]);
         assert_eq!(a.classes(), &[l(&[5, 6, 7]), l(&[8])]);
         assert!(a.class_of(LinkId(9)).is_none());
-        assert!(!a.distinguishable(LinkId(5), LinkId(9)));
         assert!(!a.is_whole_class(&[]));
         assert!(!a.is_whole_class(&l(&[9])));
     }

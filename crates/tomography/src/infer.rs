@@ -62,25 +62,6 @@ impl PassRates {
         self.alpha[edge]
     }
 
-    /// The estimated loss rate of logical edge `edge` (1 − pass rate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is out of range.
-    pub fn edge_loss_rate(&self, edge: usize) -> f64 {
-        1.0 - self.alpha[edge]
-    }
-
-    /// Whether edge `edge` is considered *up* at a loss threshold
-    /// (e.g. 0.5 for the binary up/down verdicts of the evaluation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is out of range.
-    pub fn edge_is_up(&self, edge: usize, loss_threshold: f64) -> bool {
-        self.edge_loss_rate(edge) < loss_threshold
-    }
-
     /// Cumulative root→node pass probability.
     ///
     /// # Panics
@@ -922,7 +903,6 @@ mod tests {
         let rates = infer_pass_rates(&tree, &rec).unwrap();
         let shared = edge_by_links(&tree, &[0]);
         assert_eq!(rates.edge_pass_rate(shared), 0.0);
-        assert!(!rates.edge_is_up(shared, 0.5));
         // Below a dead segment the convention is pass rate 1 (no evidence).
         let leaf1 = edge_by_links(&tree, &[1]);
         assert_eq!(rates.edge_pass_rate(leaf1), 1.0);

@@ -43,7 +43,7 @@ pub struct OracleRates {
 /// production estimator: a non-positive denominator or a solution above
 /// one (sampling noise making the subtree look lossless) clamps to 1,
 /// and `γ_k ≤ 0` yields 0.
-pub fn binary_branch_cumulative(g_k: f64, g_1: f64, g_2: f64) -> f64 {
+pub(crate) fn binary_branch_cumulative(g_k: f64, g_1: f64, g_2: f64) -> f64 {
     if g_k <= 0.0 {
         return 0.0;
     }

@@ -114,20 +114,6 @@ impl ProbeRecord {
             row[leaf] = false;
         }
     }
-
-    /// Adversarial mutation: the leaf acknowledges every probe, including
-    /// ones lost in the network ("respond to probes that were actually
-    /// lost"). Without nonces this would poison last-mile inference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is out of range.
-    pub fn spoof_leaf(&mut self, leaf: usize) {
-        assert!(leaf < self.num_leaves, "leaf {leaf} out of range");
-        for row in &mut self.outcomes {
-            row[leaf] = true;
-        }
-    }
 }
 
 /// A probe record with per-cell uncertainty: `Some(true)` — the leaf
@@ -293,18 +279,6 @@ pub fn simulate_stripes<R: Rng + ?Sized>(
     ProbeRecord::new(outcomes)
 }
 
-/// Simulates one *lightweight* probe round (§3.2): a single stripe against
-/// the current binary up/down state of the links. Returns, per leaf, wheth-
-/// er the probe round-trip succeeded.
-pub fn lightweight_probe(tree: &LogicalTree, link_up: &dyn Fn(LinkId) -> bool) -> Vec<bool> {
-    let edge_up: Vec<bool> = (0..tree.num_edges())
-        .map(|e| tree.edge_links(e).iter().all(|&l| link_up(l)))
-        .collect();
-    (0..tree.num_leaves())
-        .map(|l| tree.leaf_edges(l).iter().all(|&e| edge_up[e]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,19 +362,6 @@ mod tests {
         let mut rec = simulate_stripes(&tree, &|_| 0.7, 200, &mut rng);
         rec.suppress_leaf(0);
         assert_eq!(rec.leaf_ack_rate(0), 0.0);
-        rec.spoof_leaf(1);
-        assert_eq!(rec.leaf_ack_rate(1), 1.0);
-    }
-
-    #[test]
-    fn lightweight_probe_reflects_binary_state() {
-        let tree = two_leaf_tree();
-        let all_up = lightweight_probe(&tree, &|_| true);
-        assert_eq!(all_up, vec![true, true]);
-        let leaf0_down = lightweight_probe(&tree, &|l| l != LinkId(1));
-        assert_eq!(leaf0_down, vec![false, true]);
-        let shared_down = lightweight_probe(&tree, &|l| l != LinkId(0));
-        assert_eq!(shared_down, vec![false, false]);
     }
 
     #[test]

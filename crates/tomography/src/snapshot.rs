@@ -26,24 +26,6 @@ pub enum LossBucket {
 }
 
 impl LossBucket {
-    /// Buckets a measured loss rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not in `[0, 1]`.
-    pub fn from_loss_rate(loss: f64) -> Self {
-        assert!((0.0..=1.0).contains(&loss), "loss rate {loss} out of range");
-        if loss < 0.05 {
-            LossBucket::Up
-        } else if loss < 0.30 {
-            LossBucket::Light
-        } else if loss < 0.90 {
-            LossBucket::Heavy
-        } else {
-            LossBucket::Down
-        }
-    }
-
     /// Whether the bucket counts as "up" for the binary verdicts of the
     /// evaluation (`Up` and `Light`).
     pub fn is_up(&self) -> bool {
@@ -57,22 +39,6 @@ impl LossBucket {
             LossBucket::Light => 1,
             LossBucket::Heavy => 2,
             LossBucket::Down => 3,
-        }
-    }
-
-    /// Decodes a 2-bit code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code > 3`.
-    pub fn from_code(code: u8) -> Self {
-        match code {
-            0 => LossBucket::Up,
-            1 => LossBucket::Light,
-            2 => LossBucket::Heavy,
-            3 => LossBucket::Down,
-            #[expect(clippy::panic, reason = "documented panic: codes come from a 2-bit field, callers mask to 0..=3")]
-            _ => panic!("invalid loss bucket code {code}"),
         }
     }
 }
@@ -256,22 +222,9 @@ mod tests {
 
     #[test]
     fn loss_buckets() {
-        assert_eq!(LossBucket::from_loss_rate(0.0), LossBucket::Up);
-        assert_eq!(LossBucket::from_loss_rate(0.049), LossBucket::Up);
-        assert_eq!(LossBucket::from_loss_rate(0.05), LossBucket::Light);
-        assert_eq!(LossBucket::from_loss_rate(0.31), LossBucket::Heavy);
-        assert_eq!(LossBucket::from_loss_rate(0.95), LossBucket::Down);
-        assert_eq!(LossBucket::from_loss_rate(1.0), LossBucket::Down);
-        for code in 0..4u8 {
-            assert_eq!(LossBucket::from_code(code).code(), code);
-        }
+        let all = [LossBucket::Up, LossBucket::Light, LossBucket::Heavy, LossBucket::Down];
+        assert_eq!(all.map(|b| b.code()), [0, 1, 2, 3]);
         assert!(LossBucket::Light.is_up());
         assert!(!LossBucket::Heavy.is_up());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid loss bucket")]
-    fn bad_code_rejected() {
-        let _ = LossBucket::from_code(4);
     }
 }

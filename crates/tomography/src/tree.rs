@@ -131,9 +131,8 @@ struct LogicalNode {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LogicalTree {
     nodes: Vec<LogicalNode>,
-    /// Leaf overlay ids, in the order used by probe records.
-    leaf_ids: Vec<Id>,
-    /// For each leaf, the node index where it sits.
+    /// For each leaf, in the order used by probe records, the node index
+    /// where it sits.
     leaf_nodes: Vec<usize>,
 }
 
@@ -147,9 +146,7 @@ impl LogicalTree {
             leaf: Option<usize>,
         }
         let mut trie: Vec<TrieNode> = vec![TrieNode::default()];
-        let mut leaf_ids = Vec::with_capacity(tree.num_leaves());
-        for (leaf_idx, (id, path)) in tree.leaves().iter().enumerate() {
-            leaf_ids.push(*id);
+        for (leaf_idx, (_, path)) in tree.leaves().iter().enumerate() {
             let mut cur = 0usize;
             for &link in path.links() {
                 let next = match trie[cur].children.iter().find(|(l, _)| *l == link) {
@@ -170,7 +167,7 @@ impl LogicalTree {
         // logical node whose segment is the chain of single-child,
         // non-leaf trie nodes.
         let mut nodes = vec![LogicalNode { segment: Vec::new(), children: Vec::new(), leaf: None }];
-        let mut leaf_nodes = vec![usize::MAX; leaf_ids.len()];
+        let mut leaf_nodes = vec![usize::MAX; tree.num_leaves()];
         // Stack of (trie node, logical parent).
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
         while let Some((t, parent)) = stack.pop() {
@@ -196,7 +193,7 @@ impl LogicalTree {
             }
         }
         debug_assert!(leaf_nodes.iter().all(|&n| n != usize::MAX));
-        LogicalTree { nodes, leaf_ids, leaf_nodes }
+        LogicalTree { nodes, leaf_nodes }
     }
 
     /// Number of logical nodes (including the root).
@@ -211,12 +208,7 @@ impl LogicalTree {
 
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
-        self.leaf_ids.len()
-    }
-
-    /// The overlay ids of the leaves, in probe-record order.
-    pub fn leaf_ids(&self) -> &[Id] {
-        &self.leaf_ids
+        self.leaf_nodes.len()
     }
 
     /// The physical links making up logical edge `edge`

@@ -109,7 +109,7 @@ impl LinkStatus {
     }
 
     /// Number of links currently down.
-    pub fn num_down(&self) -> usize {
+    pub(crate) fn num_down(&self) -> usize {
         self.down
     }
 
@@ -197,7 +197,7 @@ impl FailureModel {
     /// beta-distributed depth along it. May return a link that is already
     /// down; callers simply skip those (the paper's process keeps the down
     /// count constant, so the simulator retries).
-    pub fn pick_link<R: Rng + ?Sized>(&self, rng: &mut R) -> LinkId {
+    pub(crate) fn pick_link<R: Rng + ?Sized>(&self, rng: &mut R) -> LinkId {
         loop {
             let path = &self.paths[rng.gen_range(0..self.paths.len())];
             let hops = path.hop_count();
@@ -211,7 +211,7 @@ impl FailureModel {
     }
 
     /// Draws a truncated-normal downtime.
-    pub fn sample_downtime<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
+    pub(crate) fn sample_downtime<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         let secs: f64 = self.downtime.sample(rng);
         let min = self.cfg.min_downtime.as_secs_f64();
         SimDuration::from_secs_f64(secs.max(min))

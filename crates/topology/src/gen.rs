@@ -117,7 +117,7 @@ impl TransitStubConfig {
     }
 
     /// Total number of routers this configuration will produce.
-    pub fn total_routers(&self) -> usize {
+    pub(crate) fn total_routers(&self) -> usize {
         self.core + self.transit + self.stubs + self.end_hosts
     }
 

@@ -140,13 +140,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Adds a new isolated router and returns its id.
-    pub fn add_router(&mut self) -> RouterId {
-        let id = RouterId(self.adj.len() as u32);
-        self.adj.push(Vec::new());
-        id
-    }
-
     /// Number of routers added so far.
     pub fn num_routers(&self) -> usize {
         self.adj.len()
@@ -237,9 +230,8 @@ mod tests {
         let disconnected = GraphBuilder::new(2).build();
         assert!(!disconnected.is_connected());
         // A three-router graph missing one router's links is disconnected.
-        let mut b = GraphBuilder::new(2);
+        let mut b = GraphBuilder::new(3);
         b.add_link(RouterId(0), RouterId(1));
-        b.add_router();
         assert!(!b.build().is_connected());
         // Empty graph is connected by convention.
         assert!(GraphBuilder::new(0).build().is_connected());
@@ -271,16 +263,5 @@ mod tests {
     fn self_loop_rejected() {
         let mut b = GraphBuilder::new(1);
         b.add_link(RouterId(0), RouterId(0));
-    }
-
-    #[test]
-    fn add_router_extends() {
-        let mut b = GraphBuilder::new(0);
-        let r0 = b.add_router();
-        let r1 = b.add_router();
-        assert_eq!((r0, r1), (RouterId(0), RouterId(1)));
-        b.add_link(r0, r1);
-        assert!(b.has_link(r0, r1));
-        assert!(b.has_link(r1, RouterId(0)));
     }
 }

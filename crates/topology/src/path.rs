@@ -24,7 +24,7 @@ use concilium_types::{LinkId, RouterId};
 ///     vec![LinkId(2), LinkId(7)],
 /// );
 /// assert_eq!(p.hop_count(), 2);
-/// assert!(p.contains_link(LinkId(7)));
+/// assert_eq!(p.link_at(1), LinkId(7));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct IpPath {
@@ -81,11 +81,6 @@ impl IpPath {
         &self.routers
     }
 
-    /// Whether the path crosses `link`.
-    pub fn contains_link(&self, link: LinkId) -> bool {
-        self.links.contains(&link)
-    }
-
     /// The link at hop `i` (0 = first hop from the source).
     ///
     /// # Panics
@@ -93,15 +88,6 @@ impl IpPath {
     /// Panics if `i >= hop_count()`.
     pub fn link_at(&self, i: usize) -> LinkId {
         self.links[i]
-    }
-
-    /// Returns the path reversed (destination to source).
-    pub fn reversed(&self) -> IpPath {
-        let mut routers = self.routers.clone();
-        let mut links = self.links.clone();
-        routers.reverse();
-        links.reverse();
-        IpPath { routers, links }
     }
 }
 
@@ -119,8 +105,7 @@ mod tests {
         assert_eq!(p.destination(), RouterId(3));
         assert_eq!(p.hop_count(), 2);
         assert_eq!(p.link_at(1), LinkId(11));
-        assert!(p.contains_link(LinkId(10)));
-        assert!(!p.contains_link(LinkId(12)));
+        assert_eq!(p.links(), &[LinkId(10), LinkId(11)]);
     }
 
     #[test]
@@ -129,19 +114,6 @@ mod tests {
         assert_eq!(p.source(), RouterId(5));
         assert_eq!(p.destination(), RouterId(5));
         assert_eq!(p.hop_count(), 0);
-    }
-
-    #[test]
-    fn reversal() {
-        let p = IpPath::new(
-            vec![RouterId(1), RouterId(2), RouterId(3)],
-            vec![LinkId(10), LinkId(11)],
-        );
-        let r = p.reversed();
-        assert_eq!(r.source(), RouterId(3));
-        assert_eq!(r.destination(), RouterId(1));
-        assert_eq!(r.links(), &[LinkId(11), LinkId(10)]);
-        assert_eq!(r.reversed(), p);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! `Relaxed` in `par`/`obs`; no `partial_cmp` call). The dynamic half —
 //! the jobs=1 vs jobs=2 trace comparison — lives in CI.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
@@ -23,6 +24,14 @@ const CLIPPY_BAD: &str = "tests/clippy_bad/src/lib.rs";
 /// Every first-party `.rs` file under `crates`, `src`, `tests` and
 /// `examples`, as (workspace-relative path, contents), sorted by path.
 fn first_party_sources() -> Vec<(String, String)> {
+    let files = sources_under(&["crates", "src", "tests", "examples"]);
+    assert!(files.len() >= 100, "scan looks truncated: only {} files visited", files.len());
+    files
+}
+
+/// Every `.rs` file under the workspace-relative directories `subs`, as
+/// (workspace-relative path, contents), sorted by path.
+fn sources_under(subs: &[&str]) -> Vec<(String, String)> {
     fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
         for entry in fs::read_dir(dir).expect("readable source directory") {
             let path = entry.expect("readable directory entry").path();
@@ -44,11 +53,10 @@ fn first_party_sources() -> Vec<(String, String)> {
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for sub in ["crates", "src", "tests", "examples"] {
+    for sub in subs {
         walk(root, &root.join(sub), &mut files);
     }
     files.sort();
-    assert!(files.len() >= 100, "scan looks truncated: only {} files visited", files.len());
     files
 }
 
@@ -136,7 +144,7 @@ fn suppressions_are_pinned() {
     }
     let total: usize = sites.iter().map(|(_, n)| n).sum();
     assert_eq!(
-        total, 19,
+        total, 18,
         "exemption count changed — audit the new/removed `#[expect(` \
          attributes, then update this pin; per file: {sites:?}"
     );
@@ -344,4 +352,149 @@ fn the_journal_is_framed_once() {
     let explain = bin.find("ifletSome(query)=&args.explain{").expect("the --explain branch");
     assert_eq!(bin.matches(".scan(").count(), 1);
     assert!(bin.find(".scan(").is_some_and(|at| at > explain), "`.scan(` outside --explain");
+}
+
+/// `pub fn`s no other file names, kept by decision: paper-facing entry
+/// points of `concilium` that no driver calls yet. Each entry is (module,
+/// function) and cites the module's row in DESIGN.md's census (§18), which
+/// says why it stays and which ROADMAP item wires it.
+const UNCALLED_BY_DECISION: &[(&str, &str)] = &[
+    ("bandwidth", "routing_state_bytes"),
+    ("bandwidth", "consolidated_probe_bytes_per_host"),
+    ("blame", "link_bad_confidence"),
+    ("rebuttal", "evaluate_rebuttal"),
+];
+
+/// Whether `rel` is a library or binary source of a workspace crate.
+fn is_crate_source(rel: &str) -> bool {
+    rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src")
+}
+
+/// The identifier-shaped words of `src`, prose included.
+fn words(src: &str) -> BTreeSet<&str> {
+    src.split(|c: char| !(c.is_alphanumeric() || c == '_')).filter(|w| !w.is_empty()).collect()
+}
+
+/// The names of the `pub fn`s `src` declares outside `//` comments; a
+/// `pub(crate) fn` is not one.
+fn pub_fns(src: &str) -> Vec<&str> {
+    src.lines()
+        .flat_map(|l| l.split("//").next())
+        .flat_map(|l| l.match_indices("pub fn ").map(move |(i, _)| &l[i + "pub fn ".len()..]))
+        .flat_map(|rest| rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next())
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// Every `pub fn` of a crate source in `files` whose name no other file
+/// of `files` contains, as (path, name). rustc's `dead_code` lint cannot
+/// see these: they are `pub` in a library.
+fn orphan_pub_fns(files: &[(String, String)]) -> Vec<(String, String)> {
+    let vocab: Vec<BTreeSet<&str>> = files.iter().map(|(_, src)| words(src)).collect();
+    let mut orphans = Vec::new();
+    for (i, (rel, src)) in files.iter().enumerate() {
+        if !is_crate_source(rel) {
+            continue;
+        }
+        for name in pub_fns(src) {
+            let named_elsewhere = vocab.iter().enumerate().any(|(j, w)| j != i && w.contains(name));
+            if !named_elsewhere {
+                orphans.push((rel.clone(), name.to_string()));
+            }
+        }
+    }
+    orphans
+}
+
+/// The module column of DESIGN.md's census table (§18), backticks
+/// stripped: `concilium::blame`, `concilium_tomography::delta`, …
+fn census_rows() -> Vec<String> {
+    let design = read("DESIGN.md");
+    let at = design.find("\n## 18. ").expect("DESIGN.md has its §18 census");
+    design[at + 1..]
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split('`').next())
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn every_pub_fn_is_named_outside_its_file() {
+    // A `pub fn` that nothing outside its file names is either dead or
+    // crate-private in all but name; as `pub(crate)`, `dead_code` judges
+    // it. `benchmark/` compiles against the crates, so it counts as a
+    // caller. Only the allow-list may stay public without one.
+    assert!(UNCALLED_BY_DECISION.len() <= 12, "the allow-list is capped at 12 entries");
+    let census = census_rows();
+    let allowed: Vec<(String, String)> = UNCALLED_BY_DECISION
+        .iter()
+        .map(|(module, name)| {
+            let row = format!("concilium::{module}");
+            assert!(census.contains(&row), "`{name}` cites `{row}`, which has no DESIGN.md census row");
+            (format!("crates/core/src/{module}.rs"), name.to_string())
+        })
+        .collect();
+    let mut files = first_party_sources();
+    files.extend(sources_under(&["benchmark/src", "benchmark/tests"]));
+    let orphans = orphan_pub_fns(&files);
+    let unlisted: Vec<&(String, String)> = orphans.iter().filter(|o| !allowed.contains(o)).collect();
+    assert!(
+        unlisted.is_empty(),
+        "`pub fn`s no other file names: make them `pub(crate)` and delete what `dead_code` \
+         then reports: {unlisted:?}"
+    );
+    let stale: Vec<&(String, String)> = allowed.iter().filter(|a| !orphans.contains(a)).collect();
+    assert!(stale.is_empty(), "allow-list entries with an outside caller now, or gone: {stale:?}");
+
+    // Nothing silences the lint that judges the demoted items.
+    for (rel, src) in &files {
+        let code = code(src);
+        if is_crate_source(rel) {
+            assert!(
+                !code.contains("allow(dead_code") && !code.contains("expect(dead_code"),
+                "{rel}: `dead_code` is suppressed"
+            );
+        }
+    }
+
+    // The scanner is not blind: in a two-file tree it finds the one orphan,
+    // and neither a `pub(crate) fn` nor a commented-out one.
+    let synthetic = [
+        (
+            "crates/x/src/lib.rs".to_string(),
+            "pub fn called() {}\npub fn orphan() {}\npub(crate) fn private() {}\n// pub fn old() {}\n"
+                .to_string(),
+        ),
+        ("tests/x.rs".to_string(), "fn main() { x::called(); }\n".to_string()),
+    ];
+    assert_eq!(orphan_pub_fns(&synthetic), [("crates/x/src/lib.rs".to_string(), "orphan".to_string())]);
+}
+
+#[test]
+fn the_module_map_matches_the_modules() {
+    // `concilium`'s crate docs map paper sections to modules; the table
+    // names exactly the `pub mod`s the crate declares, and each has a
+    // census row in DESIGN.md §18.
+    let lib = read("crates/core/src/lib.rs");
+    let mut declared: Vec<&str> =
+        lib.lines().filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';')).collect();
+    let map = lib.find("//! # Module map").expect("crates/core/src/lib.rs has a `# Module map`");
+    let mut mapped: Vec<&str> = lib[map..]
+        .lines()
+        .take_while(|l| l.starts_with("//!"))
+        .filter(|l| l.starts_with("//! |"))
+        .filter_map(|l| l.split("[`").nth(1)?.split("`]").next())
+        .collect();
+    declared.sort_unstable();
+    mapped.sort_unstable();
+    assert!(declared.len() >= 10, "only {} `pub mod`s found", declared.len());
+    assert_eq!(mapped, declared, "the module map and the `pub mod`s disagree");
+    let census = census_rows();
+    for module in declared {
+        let row = format!("concilium::{module}");
+        assert!(census.contains(&row), "DESIGN.md's census has no row for `{row}`");
+    }
 }
