@@ -187,7 +187,7 @@ fn main() -> ExitCode {
             eprintln!("dst-sweep: cannot write {path}: {err}");
             return ExitCode::FAILURE;
         }
-        println!("  metrics registry written to {path} ({} keys)", out.metrics.len());
+        println!("  metrics registry written to {path} ({} keys)", out.metrics.keys().count());
     }
 
     if opts.verbose {

@@ -26,7 +26,7 @@ pub struct Row {
 }
 
 /// The overlay sizes swept (log-spaced, 100 → 100,000).
-pub const SIZES: [usize; 7] = [100, 316, 1_000, 3_162, 10_000, 31_623, 100_000];
+pub(crate) const SIZES: [usize; 7] = [100, 316, 1_000, 3_162, 10_000, 31_623, 100_000];
 
 /// Runs the experiment with `trials` Monte-Carlo tables per size.
 pub fn run<R: Rng + ?Sized>(trials: usize, rng: &mut R) -> Vec<Row> {

@@ -10,7 +10,7 @@ use concilium_types::IdSpace;
 
 /// One (γ, c) grid point of panels (a) and (b).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SweepRow {
+pub(crate) struct SweepRow {
     /// Colluding fraction c.
     pub c: f64,
     /// Density-test threshold γ.
@@ -31,13 +31,13 @@ pub(crate) struct OptimalRow {
 }
 
 /// Collusion fractions plotted by the paper's figures.
-pub const FRACTIONS: [f64; 3] = [0.1, 0.2, 0.3];
+pub(crate) const FRACTIONS: [f64; 3] = [0.1, 0.2, 0.3];
 
 /// Overlay size used for the analysis (the evaluation's 1,131 nodes).
-pub const N: usize = 1_131;
+pub(crate) const N: usize = 1_131;
 
 /// Panels (a)+(b): γ sweep at each collusion fraction.
-pub fn sweep(suppression: bool) -> Vec<SweepRow> {
+pub(crate) fn sweep(suppression: bool) -> Vec<SweepRow> {
     let mut out = Vec::new();
     for &c in &FRACTIONS {
         let scenario = DensityScenario::new(IdSpace::DEFAULT, N, c, suppression);

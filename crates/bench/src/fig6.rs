@@ -19,7 +19,7 @@ pub struct Row {
 }
 
 /// The window size used throughout the paper's Figure 6.
-pub const W: usize = 100;
+pub(crate) const W: usize = 100;
 
 /// Runs the model for measured `(p_good, p_faulty)` and returns the curve
 /// up to `max_m` plus the minimal m driving both errors below 1%.

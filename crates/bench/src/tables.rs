@@ -22,7 +22,7 @@ pub struct Row {
 }
 
 /// The overlay sizes reported.
-pub const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
+pub(crate) const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 /// Runs the analytic model.
 pub fn run(model: &BandwidthModel) -> Vec<Row> {

@@ -104,21 +104,6 @@ impl Accusation {
         self.blame
     }
 
-    /// The quoted snapshots.
-    pub fn evidence(&self) -> &[TomographySnapshot] {
-        &self.evidence
-    }
-
-    /// The B→C link map used.
-    pub fn path_links(&self) -> &[LinkId] {
-        &self.path_links
-    }
-
-    /// The accused's forwarding commitment.
-    pub fn commitment(&self) -> &ForwardingCommitment {
-        &self.commitment
-    }
-
     /// Independently verifies the accusation, as any third party would
     /// before trusting it. `key_of` resolves overlay identifiers to
     /// certified public keys (from certificates).

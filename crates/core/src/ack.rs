@@ -65,7 +65,6 @@ pub enum AckBody {
 ///     &mut rng,
 /// );
 /// assert!(ack.verify(&z.public()));
-/// assert!(ack.covers(MsgId(4), None));
 /// ```
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct Ack {
@@ -92,18 +91,8 @@ impl Ack {
     }
 
     /// The acknowledging host (the message destination).
-    pub fn from(&self) -> Id {
+    pub(crate) fn from(&self) -> Id {
         self.from
-    }
-
-    /// The host being acknowledged (the message sender / steward).
-    pub fn to(&self) -> Id {
-        self.to
-    }
-
-    /// The acknowledgment payload.
-    pub fn body(&self) -> &AckBody {
-        &self.body
     }
 
     /// Verifies the destination's signature.
@@ -114,7 +103,7 @@ impl Ack {
     /// Whether this acknowledgment attests that a specific message
     /// arrived. For hash acks, pass the message payload; counter acks can
     /// never attest a specific message (they only carry a rate).
-    pub fn covers(&self, msg: MsgId, payload: Option<&[u8]>) -> bool {
+    pub(crate) fn covers(&self, msg: MsgId, payload: Option<&[u8]>) -> bool {
         match &self.body {
             AckBody::Single(m) => *m == msg,
             AckBody::Counter { .. } => false,

@@ -59,16 +59,6 @@ impl RoutingAdvertisement {
         ad
     }
 
-    /// The advertised jump table.
-    pub fn table(&self) -> &JumpTable {
-        &self.table
-    }
-
-    /// The bundled tomographic snapshot.
-    pub fn snapshot(&self) -> &TomographySnapshot {
-        &self.snapshot
-    }
-
     /// Runs the full receiver-side validation pipeline:
     ///
     /// 1. the origin's signature over the whole advertisement;
@@ -312,8 +302,8 @@ mod tests {
         let mut f = fx();
         let t = SimTime::from_secs(100);
         let ad = f.advertisement(5, t);
-        assert_eq!(ad.table().occupied(), 5);
+        assert_eq!(ad.table.occupied(), 5);
         assert_eq!(ad.leaf_spacing, Some(100.0));
-        assert_eq!(ad.snapshot().origin(), f.origin);
+        assert_eq!(ad.snapshot.origin(), f.origin);
     }
 }

@@ -64,12 +64,6 @@ impl BandwidthModel {
         OccupancyModel::new(IdSpace::DEFAULT, n).mean_occupied() + self.leaf_entries as f64
     }
 
-    /// Bytes to advertise a routing table with `entries` entries
-    /// (signed entries plus per-path probe summaries).
-    pub fn routing_state_bytes(&self, entries: u64) -> u64 {
-        entries * (self.signed_entry_bytes + self.path_summary_bytes)
-    }
-
     /// Bytes to advertise the expected routing table in an `n`-node
     /// overlay.
     pub fn expected_routing_state_bytes(&self, n: usize) -> f64 {
@@ -82,19 +76,6 @@ impl BandwidthModel {
     pub fn heavyweight_probe_bytes(&self, leaves: u64) -> u64 {
         let pairs = leaves * leaves.saturating_sub(1) / 2;
         pairs * self.stripes_per_pair * self.packets_per_stripe * self.probe_packet_bytes
-    }
-
-    /// §3.7 consolidated probing: `group_size` co-located hosts take turns
-    /// probing their collective forest, so each host's *amortised* cost of
-    /// one heavyweight probe round is the full cost divided by the group
-    /// size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group_size` is zero.
-    pub fn consolidated_probe_bytes_per_host(&self, leaves: u64, group_size: u64) -> u64 {
-        assert!(group_size > 0, "group size must be positive");
-        self.heavyweight_probe_bytes(leaves) / group_size
     }
 }
 
@@ -147,17 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn consolidation_amortises_cost() {
-        let m = BandwidthModel::default();
-        let solo = m.heavyweight_probe_bytes(77);
-        assert_eq!(m.consolidated_probe_bytes_per_host(77, 1), solo);
-        assert_eq!(m.consolidated_probe_bytes_per_host(77, 4), solo / 4);
-    }
-
-    #[test]
     fn entry_arithmetic() {
         let m = BandwidthModel::default();
-        assert_eq!(m.routing_state_bytes(77), 77 * 145);
         // id + timestamp fit inside the signed entry.
         assert!(m.id_bytes + m.timestamp_bytes <= m.signed_entry_bytes);
     }

@@ -25,7 +25,7 @@ use concilium_types::{Id, MsgId, SimTime};
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(6);
 /// let b_keys = KeyPair::generate(&mut rng);
-/// let c = ForwardingCommitment::issue(
+/// let commitment = ForwardingCommitment::issue(
 ///     MsgId(7),
 ///     Id::from_u64(1),          // A
 ///     Id::from_u64(2),          // B (the forwarder)
@@ -34,7 +34,7 @@ use concilium_types::{Id, MsgId, SimTime};
 ///     &b_keys,
 ///     &mut rng,
 /// );
-/// assert!(c.verify(&b_keys.public()));
+/// // A judge checks it against B's key inside `Accusation::verify`.
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ForwardingCommitment {
@@ -64,28 +64,23 @@ impl ForwardingCommitment {
     }
 
     /// The committed message.
-    pub fn msg(&self) -> MsgId {
+    pub(crate) fn msg(&self) -> MsgId {
         self.msg
     }
 
     /// The message's sender (the upstream peer).
-    pub fn src(&self) -> Id {
+    pub(crate) fn src(&self) -> Id {
         self.src
     }
 
     /// The committing forwarder.
-    pub fn forwarder(&self) -> Id {
+    pub(crate) fn forwarder(&self) -> Id {
         self.forwarder
     }
 
     /// The message's final destination.
-    pub fn dest(&self) -> Id {
+    pub(crate) fn dest(&self) -> Id {
         self.dest
-    }
-
-    /// When the commitment was signed.
-    pub fn time(&self) -> SimTime {
-        self.time
     }
 
     /// Verifies the forwarder's signature.
@@ -93,7 +88,7 @@ impl ForwardingCommitment {
     /// Commitments are re-checked by the judge and every consulted peer, so
     /// this goes through the thread-local verification memo; the outcome is
     /// identical to an uncached [`PublicKey::verify`].
-    pub fn verify(&self, forwarder_key: &PublicKey) -> bool {
+    pub(crate) fn verify(&self, forwarder_key: &PublicKey) -> bool {
         concilium_crypto::verify_cached(forwarder_key, &self.to_signable_vec(), &self.sig)
     }
 }

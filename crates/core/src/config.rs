@@ -51,7 +51,7 @@ impl ConciliumConfig {
     /// # Panics
     ///
     /// Panics if any parameter is out of range.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.probe_accuracy > 0.5 && self.probe_accuracy <= 1.0,
             "probe accuracy must be in (0.5, 1], got {}",

@@ -86,11 +86,6 @@ impl ConciliumNode {
         self.cert.id()
     }
 
-    /// The protocol configuration.
-    pub fn config(&self) -> &ConciliumConfig {
-        &self.config
-    }
-
     /// Receives a tomographic snapshot from a peer (or from the local
     /// prober — a node archives its own snapshots the same way).
     ///
@@ -382,7 +377,7 @@ mod tests {
                 peers.get(&id).map(|k| k.public())
             }
         };
-        assert_eq!(acc.verify(&key_of, fx.node.config()), Ok(()));
+        assert_eq!(acc.verify(&key_of, &fx.node.config), Ok(()));
     }
 
     #[test]

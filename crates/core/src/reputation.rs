@@ -39,23 +39,8 @@ impl Vote {
         v
     }
 
-    /// The voting host.
-    pub fn voter(&self) -> Id {
-        self.voter
-    }
-
-    /// The host being voted on.
-    pub fn subject(&self) -> Id {
-        self.subject
-    }
-
-    /// Whether the vote expresses confidence.
-    pub fn confident(&self) -> bool {
-        self.confident
-    }
-
     /// Verifies the voter's signature.
-    pub fn verify(&self, voter_key: &PublicKey) -> bool {
+    pub(crate) fn verify(&self, voter_key: &PublicKey) -> bool {
         voter_key.verify(&self.to_signable_vec(), &self.sig)
     }
 }
@@ -81,7 +66,7 @@ pub struct Tally {
 
 impl Tally {
     /// Total verified votes.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.confident + self.no_confidence
     }
 }
@@ -151,16 +136,6 @@ impl ReputationLedger {
         let t = self.tally(subject);
         t.total() >= min_votes
             && (t.no_confidence as f64) >= threshold * t.total() as f64
-    }
-
-    /// Number of stored votes.
-    pub fn len(&self) -> usize {
-        self.votes.len()
-    }
-
-    /// Whether the ledger is empty.
-    pub fn is_empty(&self) -> bool {
-        self.votes.is_empty()
     }
 }
 
@@ -245,7 +220,7 @@ mod tests {
         let v2 = Vote::cast(voter, subject, true, SimTime::from_secs(2), &keys[0], &mut rng);
         ledger.record(v1, &keys[0].public()).unwrap();
         ledger.record(v2, &keys[0].public()).unwrap();
-        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger.votes.len(), 1);
         assert_eq!(ledger.tally(subject).confident, 1);
         // Stale votes do not roll back newer ones.
         let v0 = Vote::cast(voter, subject, false, SimTime::from_secs(0), &keys[0], &mut rng);
@@ -264,6 +239,6 @@ mod tests {
             ledger.record(forged, &keys[0].public()),
             Err(VoteError::BadSignature)
         );
-        assert!(ledger.is_empty());
+        assert!(ledger.votes.is_empty());
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! * [`RetryPolicy`] — capped exponential backoff with jitter drawn from
 //!   the caller's (simulation) RNG, so retried runs stay deterministic.
-//! * [`RetryPolicy::run`] — drives a fallible operation to success or
+//! * `RetryPolicy::run` — drives a fallible operation to success or
 //!   exhaustion.
-//! * [`RetryPolicy::attempt_times`] — the virtual-time schedule of
+//! * `RetryPolicy::attempt_times` — the virtual-time schedule of
 //!   attempts, for event-driven callers such as
 //!   [`RetransmitQueue`](crate::ack::RetransmitQueue).
 //!
@@ -35,16 +35,11 @@ use concilium_types::{SimDuration, SimTime};
 ///
 /// ```
 /// use concilium::retry::RetryPolicy;
-/// use rand::SeedableRng;
 ///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let policy = RetryPolicy::default();
-/// let mut calls = 0;
-/// let out = policy.run(&mut rng, |_| {
-///     calls += 1;
-///     if calls < 3 { Err("transient") } else { Ok("done") }
-/// });
-/// assert_eq!(out.unwrap(), ("done", 3));
+/// // The ablation arm: the first failure is final.
+/// let once = RetryPolicy::disabled();
+/// assert_eq!(once.max_attempts, 1);
+/// assert_eq!(once.max_delay, RetryPolicy::default().max_delay);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
@@ -90,7 +85,7 @@ impl RetryPolicy {
     /// has long since pinned the delay at `max_delay` by attempt 1024,
     /// and a shrinking one has underflowed to zero, so clamping there
     /// changes no reachable schedule while making the arithmetic total.
-    pub fn backoff_delay<R: Rng + ?Sized>(&self, attempt: u32, rng: &mut R) -> SimDuration {
+    pub(crate) fn backoff_delay<R: Rng + ?Sized>(&self, attempt: u32, rng: &mut R) -> SimDuration {
         const EXPONENT_SATURATION: u32 = 1024;
         let exponent = attempt.min(EXPONENT_SATURATION) as i32;
         let raw = self.base_delay.as_secs_f64() * self.multiplier.powi(exponent);
@@ -105,7 +100,11 @@ impl RetryPolicy {
 
     /// The virtual times of every attempt, the first at `start`. Length
     /// is `max_attempts`.
-    pub fn attempt_times<R: Rng + ?Sized>(&self, start: SimTime, rng: &mut R) -> Vec<SimTime> {
+    pub(crate) fn attempt_times<R: Rng + ?Sized>(
+        &self,
+        start: SimTime,
+        rng: &mut R,
+    ) -> Vec<SimTime> {
         let mut t = start;
         let mut times = vec![t];
         for attempt in 0..self.max_attempts.saturating_sub(1) {
@@ -127,7 +126,7 @@ impl RetryPolicy {
     /// # Panics
     ///
     /// Panics if `max_attempts` is zero.
-    pub fn run<T, E, R, F>(&self, rng: &mut R, mut op: F) -> Result<(T, u32), RetryError<E>>
+    pub(crate) fn run<T, E, R, F>(&self, rng: &mut R, mut op: F) -> Result<(T, u32), RetryError<E>>
     where
         R: Rng + ?Sized,
         F: FnMut(u32) -> Result<T, E>,
@@ -156,7 +155,7 @@ impl RetryPolicy {
 
 /// All attempts failed; carries the last underlying error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryError<E> {
+pub(crate) struct RetryError<E> {
     /// Attempts made before giving up.
     pub attempts: u32,
     /// The error from the final attempt.

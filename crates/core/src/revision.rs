@@ -195,22 +195,6 @@ impl AccusationChain {
         false
     }
 
-    /// Appends the chain's canonical encoding to `out`: length, then per
-    /// link the accuser, accused, message id, and drop time. The
-    /// journalable state hook service-mode checkpointing uses — two
-    /// chains encode identically iff they tell the same blame story,
-    /// signatures aside (those are re-verified on load, not re-hashed).
-    pub fn encode_to(&self, out: &mut Vec<u64>) {
-        out.push(self.links.len() as u64);
-        for link in &self.links {
-            let ctx = link.context();
-            out.push(link.accuser().low_u64());
-            out.push(ctx.accused.low_u64());
-            out.push(ctx.msg.0);
-            out.push(ctx.at.as_micros());
-        }
-    }
-
     /// Retried steward handoff: asks the currently blamed node for its
     /// own revision, retrying unanswered requests on `policy`'s backoff
     /// schedule. `fetch` is called as `fetch(blamed, attempt)` (attempt
@@ -532,21 +516,6 @@ mod tests {
         // No revision from C arrives.
         assert_eq!(chain.culprit(), Id::from_u64(C));
         assert_eq!(chain.verify(&s.key_of(), &s.config), Ok(()));
-    }
-
-    #[test]
-    fn encode_to_captures_the_blame_story() {
-        let mut s = Scenario::new();
-        let mut chain = AccusationChain::new(s.accuse(A, B, C));
-        let mut one = Vec::new();
-        chain.encode_to(&mut one);
-        assert_eq!(one, vec![1, A, B, 42, 100_000_000]);
-
-        chain.amend(s.accuse(B, C, D)).unwrap();
-        let mut two = Vec::new();
-        chain.encode_to(&mut two);
-        assert_eq!(two, vec![2, A, B, 42, 100_000_000, B, C, 42, 100_000_000]);
-        assert_ne!(one, two, "amending must change the encoding");
     }
 
     /// §3.5 read literally, one evidence window per defence: blame starts

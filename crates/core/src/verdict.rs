@@ -161,7 +161,7 @@ impl<K: Ord> VerdictBook<K> {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid ([`ConciliumConfig::validate`]).
+    /// Panics if `config` is invalid (`ConciliumConfig::validate`).
     pub fn new(config: &ConciliumConfig) -> Self {
         config.validate();
         VerdictBook { windows: BTreeMap::new(), window: config.window, quota: config.guilty_quota }

@@ -14,7 +14,7 @@
 //! never changes a verification outcome, it only skips recomputing one.
 //!
 //! The cache is thread-local and bounded (FIFO eviction at
-//! [`MEMO_CAPACITY`] entries). Thread-locality keeps the fast path free of
+//! `MEMO_CAPACITY` entries). Thread-locality keeps the fast path free of
 //! locks and — together with the determinism contract of `concilium-par` —
 //! means parallel workers each see their own cache, so caching cannot
 //! introduce cross-thread nondeterminism.
@@ -26,7 +26,7 @@ use crate::schnorr::{PublicKey, Signature};
 use crate::sha256::sha256;
 
 /// Maximum number of memoized verification outcomes per thread.
-pub const MEMO_CAPACITY: usize = 8192;
+pub(crate) const MEMO_CAPACITY: usize = 8192;
 
 /// Cache key: the verify inputs, with the message collapsed to its full
 /// SHA-256 digest so keys are fixed-size without losing injectivity (up to
@@ -60,7 +60,7 @@ pub struct MemoStats {
     pub hits: u64,
     /// Lookups that ran the real verification.
     pub misses: u64,
-    /// Entries discarded by FIFO eviction at [`MEMO_CAPACITY`].
+    /// Entries discarded by FIFO eviction at `MEMO_CAPACITY`.
     pub evictions: u64,
 }
 

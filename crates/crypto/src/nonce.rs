@@ -35,16 +35,6 @@ impl Nonce {
         Nonce(rng.gen())
     }
 
-    /// Builds a nonce from a raw value (tests and replay scenarios).
-    pub const fn from_raw(v: u64) -> Self {
-        Nonce(v)
-    }
-
-    /// The raw value.
-    pub const fn raw(&self) -> u64 {
-        self.0
-    }
-
     /// Whether an echoed nonce matches this one.
     pub fn matches(&self, echoed: Nonce) -> bool {
         self.0 == echoed.0
@@ -79,14 +69,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_round_trip() {
-        let n = Nonce::from_raw(0xdead_beef);
-        assert_eq!(n.raw(), 0xdead_beef);
-        assert!(n.matches(Nonce::from_raw(0xdead_beef)));
-    }
-
-    #[test]
     fn debug_formats_hex() {
-        assert_eq!(format!("{:?}", Nonce::from_raw(1)), "Nonce(0000000000000001)");
+        assert_eq!(format!("{:?}", Nonce(1)), "Nonce(0000000000000001)");
     }
 }

@@ -23,13 +23,13 @@ use serde::{Deserialize, Serialize};
 use crate::sha256::Sha256;
 
 /// Safe prime modulus `p = 2q + 1` (62 bits).
-pub const P: u64 = 0x3fff_ffff_ffff_d6bb;
+pub(crate) const P: u64 = 0x3fff_ffff_ffff_d6bb;
 
 /// Prime order of the subgroup, `q = (p − 1) / 2`.
-pub const Q: u64 = 0x1fff_ffff_ffff_eb5d;
+pub(crate) const Q: u64 = 0x1fff_ffff_ffff_eb5d;
 
 /// Generator of the order-`q` subgroup (a quadratic residue).
-pub const G: u64 = 4;
+pub(crate) const G: u64 = 4;
 
 /// Modular multiplication in Z_p via 128-bit intermediates.
 fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
@@ -130,7 +130,7 @@ pub struct PublicKey(u64);
 
 impl PublicKey {
     /// The group element.
-    pub const fn element(&self) -> u64 {
+    pub(crate) const fn element(&self) -> u64 {
         self.0
     }
 
@@ -176,12 +176,12 @@ pub struct Signature {
 
 impl Signature {
     /// The challenge scalar.
-    pub const fn challenge_scalar(&self) -> u64 {
+    pub(crate) const fn challenge_scalar(&self) -> u64 {
         self.e
     }
 
     /// The response scalar.
-    pub const fn response_scalar(&self) -> u64 {
+    pub(crate) const fn response_scalar(&self) -> u64 {
         self.s
     }
 

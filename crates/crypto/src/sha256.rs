@@ -74,7 +74,7 @@ impl Digest {
     ///
     /// Used to derive group scalars and nonce material from digests.
     #[expect(clippy::expect_used, reason = "slice length is the fixed 32-byte digest")]
-    pub fn to_u64(&self) -> u64 {
+    pub(crate) fn to_u64(self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().expect("digest has 32 bytes"))
     }
 }

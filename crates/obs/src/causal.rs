@@ -56,7 +56,7 @@ pub enum EntityKind {
 
 impl EntityKind {
     /// Stable short name used in `kind:id` spellings.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EntityKind::Message => "message",
             EntityKind::Report => "report",
@@ -84,17 +84,17 @@ impl EntityRef {
     }
 
     /// A report entity.
-    pub fn report(id: u64) -> EntityRef {
+    pub(crate) fn report(id: u64) -> EntityRef {
         EntityRef { kind: EntityKind::Report, id }
     }
 
     /// A flow entity.
-    pub fn flow(id: u64) -> EntityRef {
+    pub(crate) fn flow(id: u64) -> EntityRef {
         EntityRef { kind: EntityKind::Flow, id }
     }
 
     /// A link entity.
-    pub fn link(id: u64) -> EntityRef {
+    pub(crate) fn link(id: u64) -> EntityRef {
         EntityRef { kind: EntityKind::Link, id }
     }
 
@@ -104,7 +104,7 @@ impl EntityRef {
     }
 
     /// An accusation entity (stream escalation order).
-    pub fn accusation(id: u64) -> EntityRef {
+    pub(crate) fn accusation(id: u64) -> EntityRef {
         EntityRef { kind: EntityKind::Accusation, id }
     }
 
@@ -505,7 +505,7 @@ impl CausalIndex {
     }
 
     /// The causal parent of event `i`, if the link rules attach one.
-    pub fn parent(&self, i: usize) -> Option<usize> {
+    pub(crate) fn parent(&self, i: usize) -> Option<usize> {
         self.parents.get(i).copied().flatten()
     }
 

@@ -4,7 +4,7 @@
 //! and metrics exercised, reduced to stable `u64` bucket identifiers:
 //!
 //! * **Event-kind bigrams** — consecutive pairs of trace-event kinds
-//!   ([`TraceEvent::kind_code`]), capturing orderings like
+//!   (`TraceEvent::kind_code`), capturing orderings like
 //!   "retry → expire" vs "retry → ack" that single-event counts miss.
 //! * **Bucketed counters** — every metrics counter, log2-bucketed, so
 //!   "some retries" and "a retry storm" are different features while raw
@@ -82,17 +82,6 @@ impl CoverageSet {
         self.buckets.contains(&bucket)
     }
 
-    /// The buckets in deterministic (sorted) order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.buckets.iter().copied()
-    }
-
-    /// Inserts a raw bucket id (used by replay tooling; the absorb
-    /// methods are the normal producers).
-    pub fn insert(&mut self, bucket: u64) -> bool {
-        self.buckets.insert(bucket)
-    }
-
     /// Buckets in `self` missing from `other`, in sorted order.
     pub fn difference(&self, other: &CoverageSet) -> Vec<u64> {
         self.buckets.difference(&other.buckets).copied().collect()
@@ -112,11 +101,6 @@ impl CoverageSet {
             }
         }
         added
-    }
-
-    /// Whether every bucket of `other` is already in `self`.
-    pub fn covers(&self, other: &CoverageSet) -> bool {
-        other.buckets.is_subset(&self.buckets)
     }
 
     /// Extracts features from an episode trace: kind bigrams, verdict
@@ -277,20 +261,15 @@ mod tests {
 
     #[test]
     fn set_algebra_is_consistent() {
-        let mut a = CoverageSet::new();
-        a.insert(1);
-        a.insert(2);
-        let mut b = CoverageSet::new();
-        b.insert(2);
-        b.insert(3);
+        let mut a = CoverageSet { buckets: [1, 2].into() };
+        let b = CoverageSet { buckets: [2, 3].into() };
         assert_eq!(a.novelty_of(&b), 1);
         assert_eq!(b.difference(&a), vec![3]);
-        assert!(!a.covers(&b));
         assert_eq!(a.absorb(&b), 1);
-        assert!(a.covers(&b));
+        assert_eq!(a.novelty_of(&b), 0);
         assert_eq!(a.len(), 3);
         assert!(a.contains(3));
         assert!(!a.is_empty());
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(a.buckets.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 }

@@ -35,7 +35,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable numeric encoding used in the trace hash.
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             FaultKind::TransportDrop => 0,
             FaultKind::HostDrop => 1,
@@ -44,7 +44,7 @@ impl FaultKind {
     }
 
     /// Stable short name used in JSON and pretty output.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultKind::TransportDrop => "transport-drop",
             FaultKind::HostDrop => "host-drop",
@@ -82,7 +82,7 @@ impl ShedReason {
     }
 
     /// Stable short name used in JSON, pretty output, and metric names.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ShedReason::MailboxFull => "mailbox-full",
             ShedReason::DeadlineExceeded => "deadline",
@@ -117,7 +117,7 @@ pub fn ppb(x: f64) -> u64 {
 /// just below the true value, and truncation would then re-encode
 /// `0.123456789` as `123456788` — a silent one-ppb drift on every JSON
 /// round trip.
-pub fn ppb_from_f64(x: f64) -> u64 {
+pub(crate) fn ppb_from_f64(x: f64) -> u64 {
     (x.clamp(0.0, 1.0) * 1e9).round() as u64
 }
 
@@ -338,7 +338,7 @@ impl TraceEvent {
     /// coverage extractor builds its bigrams over. Codes are append-only:
     /// new variants take the next free code so existing coverage corpora
     /// keep their meaning.
-    pub fn kind_code(&self) -> u64 {
+    pub(crate) fn kind_code(&self) -> u64 {
         match self {
             TraceEvent::MessageSent { .. } => 0,
             TraceEvent::ChurnBlocked { .. } => 1,

@@ -9,7 +9,7 @@
 //!
 //! Not a general-purpose parser: no `\u` escapes beyond BMP pass-through,
 //! integers and floats both land in [`Json::Num`] as `f64`, and nesting
-//! deeper than [`MAX_DEPTH`] is refused rather than recursed into.
+//! deeper than `MAX_DEPTH` is refused rather than recursed into.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -17,7 +17,7 @@ use std::fmt::{self, Write as _};
 /// The deepest array/object nesting [`parse`] accepts. Far above what
 /// this workspace writes (traces and metrics nest 3 levels, benchmark
 /// result files 5), and far below what would exhaust the stack.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// 2^53: above it an `f64` no longer holds every integer.
 const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;

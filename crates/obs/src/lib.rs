@@ -43,12 +43,11 @@ pub use causal::{
 };
 pub use coverage::CoverageSet;
 pub use event::{
-    ppb, ppb_from_f64, traced_from_json_line, FaultKind, LinkObsSummary, ShedReason, TraceEvent,
-    Traced,
+    ppb, traced_from_json_line, FaultKind, LinkObsSummary, ShedReason, TraceEvent, Traced,
 };
-pub use metrics::{Histogram, Metric, Registry, Scope};
+pub use metrics::{Histogram, Metric, Registry};
 pub use profile::{
-    profile_report_json, profile_snapshot, profiling_enabled, reset_profile, set_profiling, span,
-    PhaseTotals, SpanGuard,
+    profile_report_json, profile_snapshot, reset_profile, set_profiling, span, PhaseTotals,
+    SpanGuard,
 };
 pub use trace::{Trace, DEFAULT_TRACE_CAPACITY};

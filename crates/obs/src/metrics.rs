@@ -3,8 +3,7 @@
 //! A [`Registry`] maps dotted `scope.name` keys to [`Metric`]s in a
 //! `BTreeMap`, so iteration, snapshots, and JSON output are always in the
 //! same (lexicographic) order — the property that lets CI diff metric
-//! snapshots byte-for-byte between worker counts. Use [`Registry::scope`]
-//! to hand a subsystem a prefixed view.
+//! snapshots byte-for-byte between worker counts.
 //!
 //! Determinism note: a registry is deterministic exactly when the values
 //! pushed into it are. Per-episode protocol counters (messages sent,
@@ -99,11 +98,6 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all samples (after clamping, for clamped adds).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Sample mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         if self.count == 0 {
@@ -116,11 +110,6 @@ impl Histogram {
     /// The raw bin counts.
     pub fn bins(&self) -> &[u64] {
         &self.bins
-    }
-
-    /// The inclusive range `[lo, hi]`.
-    pub fn range(&self) -> (f64, f64) {
-        (self.lo, self.hi)
     }
 
     /// Merges another histogram with the same shape into this one.
@@ -243,38 +232,14 @@ impl Registry {
         }
     }
 
-    /// The histogram at `key`, if present.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        match self.metrics.get(key) {
-            Some(Metric::Histogram(h)) => Some(h),
-            _ => None,
-        }
-    }
-
     /// All keys, in deterministic (lexicographic) order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.metrics.keys().map(String::as_str)
     }
 
     /// All metrics, in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// A prefixed view: every operation through the scope prepends
-    /// `prefix` and a dot to the key.
-    pub fn scope<'a>(&'a mut self, prefix: &'a str) -> Scope<'a> {
-        Scope { registry: self, prefix }
     }
 
     /// Merges `other` into this registry: counters add, gauges keep the
@@ -402,45 +367,16 @@ impl Registry {
     }
 }
 
-/// A prefixed view of a [`Registry`]; see [`Registry::scope`].
-pub struct Scope<'a> {
-    registry: &'a mut Registry,
-    prefix: &'a str,
-}
-
-impl Scope<'_> {
-    fn key(&self, name: &str) -> String {
-        format!("{}.{}", self.prefix, name)
-    }
-
-    /// [`Registry::inc`] under this scope's prefix.
-    pub fn inc(&mut self, name: &str, by: u64) {
-        let key = self.key(name);
-        self.registry.inc(&key, by);
-    }
-
-    /// [`Registry::set_gauge`] under this scope's prefix.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        let key = self.key(name);
-        self.registry.set_gauge(&key, value);
-    }
-
-    /// [`Registry::max_gauge`] under this scope's prefix.
-    pub fn max_gauge(&mut self, name: &str, value: f64) {
-        let key = self.key(name);
-        self.registry.max_gauge(&key, value);
-    }
-
-    /// [`Registry::observe`] under this scope's prefix.
-    pub fn observe(&mut self, name: &str, x: f64, lo: f64, hi: f64, bins: usize) {
-        let key = self.key(name);
-        self.registry.observe(&key, x, lo, hi, bins);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn histogram<'a>(r: &'a Registry, key: &str) -> Option<&'a Histogram> {
+        match r.metrics.get(key) {
+            Some(Metric::Histogram(h)) => Some(h),
+            _ => None,
+        }
+    }
 
     #[test]
     fn histogram_add_try_add_clamped() {
@@ -455,7 +391,7 @@ mod tests {
         h.add_clamped(f64::NAN);
         assert_eq!(h.bins(), &[3, 0, 0, 0, 2]);
         assert_eq!(h.count(), 5);
-        assert!((h.sum() - 20.0).abs() < 1e-12);
+        assert!((h.sum - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -475,18 +411,8 @@ mod tests {
         r.observe("c.dist", 0.5, 0.0, 1.0, 4);
         assert_eq!(r.counter("a.count"), 5);
         assert_eq!(r.gauge("b.depth"), Some(9.0));
-        assert_eq!(r.histogram("c.dist").unwrap().count(), 1);
+        assert_eq!(histogram(&r, "c.dist").unwrap().count(), 1);
         assert_eq!(r.counter("missing"), 0);
-    }
-
-    #[test]
-    fn scope_prefixes_keys() {
-        let mut r = Registry::new();
-        let mut s = r.scope("episode");
-        s.inc("sent", 7);
-        s.max_gauge("queue_high_water", 3.0);
-        assert_eq!(r.counter("episode.sent"), 7);
-        assert_eq!(r.gauge("episode.queue_high_water"), Some(3.0));
     }
 
     #[test]
@@ -514,7 +440,7 @@ mod tests {
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.counter("only_b"), 9);
         assert_eq!(a.gauge("g"), Some(5.0));
-        assert_eq!(a.histogram("h").unwrap().bins(), &[1, 1]);
+        assert_eq!(histogram(&a, "h").unwrap().bins(), &[1, 1]);
     }
 
     #[test]

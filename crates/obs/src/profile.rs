@@ -54,7 +54,7 @@ pub fn set_profiling(on: bool) {
 }
 
 /// Whether profiling is currently enabled.
-pub fn profiling_enabled() -> bool {
+pub(crate) fn profiling_enabled() -> bool {
     ENABLED.load(Ordering::Acquire)
 }
 

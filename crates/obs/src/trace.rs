@@ -51,11 +51,6 @@ impl Trace {
         self.events.iter()
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Whether nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -64,11 +59,6 @@ impl Trace {
     /// Events evicted (or never stored) because of the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The ring's capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Renders the buffered events as human-readable lines, one per event,
@@ -114,7 +104,7 @@ mod tests {
         for i in 0..5 {
             t.push(i * 10, ev(i));
         }
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.events.len(), 3);
         assert_eq!(t.dropped(), 2);
         let msgs: Vec<u64> = t
             .events()

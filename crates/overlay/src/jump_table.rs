@@ -75,7 +75,7 @@ impl JumpTable {
     }
 
     /// The identifier space.
-    pub fn space(&self) -> IdSpace {
+    pub(crate) fn space(&self) -> IdSpace {
         self.space
     }
 
@@ -90,7 +90,7 @@ impl JumpTable {
     /// # Panics
     ///
     /// Panics if the coordinates are out of range.
-    pub fn entry(&self, row: u32, col: u8) -> Option<&JumpTableEntry> {
+    pub(crate) fn entry(&self, row: u32, col: u8) -> Option<&JumpTableEntry> {
         self.slots.get(self.slot_index(row, col))?.as_ref()
     }
 
@@ -139,7 +139,7 @@ impl JumpTable {
     /// The routing entry for `target`: row = length of the common prefix,
     /// column = `target`'s digit there. Returns `None` for an empty slot
     /// or when `target` equals the local identifier.
-    pub fn route(&self, target: Id) -> Option<&JumpTableEntry> {
+    pub(crate) fn route(&self, target: Id) -> Option<&JumpTableEntry> {
         let row = self.local.common_prefix_len(&target);
         if row >= self.space.digits() as usize {
             return None;

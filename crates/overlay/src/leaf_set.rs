@@ -19,12 +19,22 @@ const RING_SIZE: f64 = 1.461_501_637_330_903e48; // 2^160
 /// # Examples
 ///
 /// ```
-/// use concilium_overlay::LeafSet;
-/// use concilium_types::Id;
+/// use concilium_crypto::{CertificateAuthority, KeyPair};
+/// use concilium_overlay::build_overlay;
+/// use concilium_types::{HostAddr, RouterId, SimTime};
+/// use rand::SeedableRng;
 ///
-/// let mut ls = LeafSet::new(Id::from_u64(1000), 4);
-/// assert_eq!(ls.len(), 0);
-/// assert!(ls.mean_spacing().is_none());
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let ca = CertificateAuthority::new(&mut rng);
+/// let members: Vec<_> = (0..64)
+///     .map(|i| {
+///         let keys = KeyPair::generate(&mut rng);
+///         (ca.issue(HostAddr(RouterId(i)), keys.public(), &mut rng), keys)
+///     })
+///     .collect();
+/// let overlay = build_overlay(&members, 8, SimTime::ZERO, None, &mut rng);
+/// let estimate = overlay[0].leaf_set().estimate_network_size().unwrap();
+/// assert!((16.0..256.0).contains(&estimate), "{estimate}");
 /// ```
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LeafSet {
@@ -43,29 +53,19 @@ impl LeafSet {
     /// # Panics
     ///
     /// Panics if `capacity` is zero or odd.
-    pub fn new(local: Id, capacity: usize) -> Self {
+    pub(crate) fn new(local: Id, capacity: usize) -> Self {
         assert!(capacity > 0 && capacity.is_multiple_of(2), "capacity must be even and positive");
         LeafSet { local, capacity, cw: Vec::new(), ccw: Vec::new() }
     }
 
     /// The local identifier this leaf set is centred on.
-    pub fn local(&self) -> Id {
+    pub(crate) fn local(&self) -> Id {
         self.local
     }
 
-    /// Maximum number of peers held.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of peers held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cw.len() + self.ccw.len()
-    }
-
-    /// Whether the leaf set holds no peers.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Offers a peer to the leaf set. Returns `true` if it was retained.
@@ -74,7 +74,7 @@ impl LeafSet {
     /// is nearer to the local identifier; each side keeps its
     /// `capacity / 2` closest peers. The local identifier itself and
     /// duplicates are ignored.
-    pub fn insert(&mut self, cert: Certificate) -> bool {
+    pub(crate) fn insert(&mut self, cert: Certificate) -> bool {
         let id = cert.id();
         if id == self.local || self.contains(id) {
             return false;
@@ -105,12 +105,12 @@ impl LeafSet {
     }
 
     /// Whether a peer with identifier `id` is present.
-    pub fn contains(&self, id: Id) -> bool {
+    pub(crate) fn contains(&self, id: Id) -> bool {
         self.cw.iter().chain(self.ccw.iter()).any(|c| c.id() == id)
     }
 
     /// Iterates over all member certificates.
-    pub fn iter(&self) -> impl Iterator<Item = &Certificate> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Certificate> {
         self.ccw.iter().rev().chain(self.cw.iter())
     }
 
@@ -118,7 +118,7 @@ impl LeafSet {
     /// (between the furthest counter-clockwise and furthest clockwise
     /// members). A leaf set with no member on one side covers only the
     /// other side's arc up to the local identifier.
-    pub fn covers(&self, target: Id) -> bool {
+    pub(crate) fn covers(&self, target: Id) -> bool {
         if target == self.local {
             return true;
         }
@@ -131,7 +131,7 @@ impl LeafSet {
 
     /// The member (or the local node, represented by `None`) closest to
     /// `target` on the ring.
-    pub fn closest_to(&self, target: Id) -> Option<&Certificate> {
+    pub(crate) fn closest_to(&self, target: Id) -> Option<&Certificate> {
         let local_d = self.local.ring_distance(&target);
         let best = self
             .iter()
@@ -149,7 +149,7 @@ impl LeafSet {
     /// This is the statistic Castro's leaf-set density test compares: a
     /// leaf set whose spacing is significantly larger than the local one
     /// is "too sparse" and hence suspicious.
-    pub fn mean_spacing(&self) -> Option<f64> {
+    pub(crate) fn mean_spacing(&self) -> Option<f64> {
         let count = self.len() + 1; // members plus local
         if count < 3 {
             return None;

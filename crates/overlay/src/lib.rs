@@ -54,4 +54,3 @@ pub use jump_table::{JumpTable, JumpTableEntry, JumpTableViolation};
 pub use leaf_set::LeafSet;
 pub use membership::{build_overlay, Membership};
 pub use node::{compute_route, NextHop, OverlayNode, RoutingMode};
-pub use stats::normal_cdf;

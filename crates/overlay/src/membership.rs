@@ -33,7 +33,7 @@ impl Membership {
     ///
     /// Panics if two certificates share an identifier (the CA assigns
     /// unique random identifiers).
-    pub fn new(mut certs: Vec<Certificate>) -> Self {
+    pub(crate) fn new(mut certs: Vec<Certificate>) -> Self {
         certs.sort_by_key(|c| c.id());
         for w in certs.windows(2) {
             assert_ne!(w[0].id(), w[1].id(), "duplicate overlay identifier {}", w[0].id());
@@ -41,27 +41,9 @@ impl Membership {
         Membership { sorted: certs }
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the membership is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Iterates over certificates in identifier order.
-    pub fn iter(&self) -> impl Iterator<Item = &Certificate> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Certificate> {
         self.sorted.iter()
-    }
-
-    /// Looks up a certificate by identifier.
-    pub fn get(&self, id: Id) -> Option<&Certificate> {
-        self.sorted
-            .binary_search_by_key(&id, |c| c.id())
-            .ok()
-            .map(|i| &self.sorted[i])
     }
 
     /// The certificates whose identifiers share at least the first
@@ -217,6 +199,7 @@ pub fn build_overlay<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::RoutingMode;
     use concilium_crypto::CertificateAuthority;
     use concilium_types::RouterId;
     use rand::rngs::StdRng;
@@ -232,17 +215,6 @@ mod tests {
             nodes.push((cert, keys));
         }
         (nodes, rng)
-    }
-
-    #[test]
-    fn membership_lookup() {
-        let (nodes, _) = make_nodes(20, 1);
-        let m = Membership::new(nodes.iter().map(|(c, _)| *c).collect());
-        assert_eq!(m.len(), 20);
-        for (c, _) in &nodes {
-            assert_eq!(m.get(c.id()).unwrap().id(), c.id());
-        }
-        assert!(m.get(Id::from_u64(12345)).is_none());
     }
 
     #[test]
@@ -324,18 +296,11 @@ mod tests {
         };
         let overlay =
             build_overlay(&nodes, 8, SimTime::ZERO, Some(&prox), &mut rng);
-        // At least one node should have a standard entry differing from
-        // its secure entry (proximity rarely agrees with id-closeness).
-        let mut differs = false;
-        for node in &overlay {
-            for (row, col, e) in node.jump_table().entries() {
-                if let Some(se) = node.standard_table().entry(row, col) {
-                    if se.cert.id() != e.cert.id() {
-                        differs = true;
-                    }
-                }
-            }
-        }
+        // At least one node's standard peers should differ from its secure
+        // peers (proximity rarely agrees with id-closeness).
+        let differs = overlay.iter().any(|node| {
+            node.routing_peers(RoutingMode::Standard) != node.routing_peers(RoutingMode::Secure)
+        });
         assert!(differs, "proximity oracle had no effect");
     }
 

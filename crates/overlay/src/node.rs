@@ -51,7 +51,7 @@ impl OverlayNode {
     ///
     /// Panics if the certificate, leaf set and tables disagree about the
     /// local identifier or key.
-    pub fn new(
+    pub(crate) fn new(
         cert: Certificate,
         keys: KeyPair,
         leaf_set: LeafSet,
@@ -98,11 +98,6 @@ impl OverlayNode {
     /// The secure jump table.
     pub fn jump_table(&self) -> &JumpTable {
         &self.secure_table
-    }
-
-    /// The standard (proximity-optimised) jump table.
-    pub fn standard_table(&self) -> &JumpTable {
-        &self.standard_table
     }
 
     /// All distinct routing peers: leaf-set members plus jump-table

@@ -91,13 +91,8 @@ impl OccupancyModel {
     }
 
     /// The identifier space this model describes.
-    pub fn space(&self) -> IdSpace {
+    pub(crate) fn space(&self) -> IdSpace {
         self.space
-    }
-
-    /// The overlay size N.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// μ_φ: the expected number of occupied slots.
@@ -112,14 +107,14 @@ impl OccupancyModel {
 
     /// The cumulative distribution function φ(μ_φ, σ_φ) evaluated at `d`
     /// occupied slots.
-    pub fn cdf(&self, d: f64) -> f64 {
+    pub(crate) fn cdf(&self, d: f64) -> f64 {
         normal_cdf(d, self.mu_phi, self.sigma_phi)
     }
 
     /// The probability that the table contains exactly `d` occupied slots,
     /// via the continuity-corrected normal approximation
     /// φ(d + ½) − φ(d − ½).
-    pub fn pmf(&self, d: u32) -> f64 {
+    pub(crate) fn pmf(&self, d: u32) -> f64 {
         self.cdf(d as f64 + 0.5) - self.cdf(d as f64 - 0.5)
     }
 }

@@ -26,19 +26,10 @@ pub(crate) fn erf(x: f64) -> f64 {
 ///
 /// Degenerate distributions (σ = 0) step at μ.
 ///
-/// # Examples
-///
-/// ```
-/// use concilium_overlay::normal_cdf;
-///
-/// assert!((normal_cdf(0.0, 0.0, 1.0) - 0.5).abs() < 1e-7);
-/// assert!(normal_cdf(3.0, 0.0, 1.0) > 0.99);
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `sd` is negative or any argument is NaN.
-pub fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
+pub(crate) fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
     assert!(!x.is_nan() && !mean.is_nan() && !sd.is_nan(), "NaN argument");
     assert!(sd >= 0.0, "standard deviation must be non-negative, got {sd}");
     if sd == 0.0 {

@@ -36,7 +36,7 @@ use std::thread;
 
 /// Environment variable consulted by [`Jobs::resolve`] when no explicit
 /// worker count is given.
-pub const JOBS_ENV: &str = "CONCILIUM_JOBS";
+pub(crate) const JOBS_ENV: &str = "CONCILIUM_JOBS";
 
 /// A resolved worker count (always ≥ 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -88,7 +88,7 @@ pub struct ChaosOutcome {
 
 /// Runs one chaos episode: uninterrupted baseline vs supervised
 /// kill/recover run, digest comparison, conservation checks.
-pub fn chaos_episode(cfg: &ServeConfig, spec: &WorkloadSpec, seed: u64) -> ChaosOutcome {
+pub(crate) fn chaos_episode(cfg: &ServeConfig, spec: &WorkloadSpec, seed: u64) -> ChaosOutcome {
     let inputs = spec.generate(cfg, seed);
     let kills = chaos_plan(cfg, inputs.len() as u64, seed);
 

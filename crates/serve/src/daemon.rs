@@ -252,11 +252,6 @@ impl Daemon {
         (daemon, stats)
     }
 
-    /// The daemon's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
     /// The journal-derived counters.
     pub fn counters(&self) -> Counters {
         self.counters
@@ -268,23 +263,18 @@ impl Daemon {
     }
 
     /// The trace ring.
-    pub fn trace(&self) -> &Trace {
+    pub(crate) fn trace(&self) -> &Trace {
         &self.trace
     }
 
     /// The metrics registry.
-    pub fn metrics(&self) -> &Registry {
+    pub(crate) fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
     /// The journal digest — the run's canonical trace digest.
     pub fn journal_digest(&self) -> String {
         self.journal.digest()
-    }
-
-    /// The underlying journal store handle.
-    pub fn store(&self) -> SharedStore {
-        self.journal.store().clone()
     }
 
     /// The health/readiness surface.
@@ -545,7 +535,7 @@ mod tests {
         assert_eq!(c.shed, 0);
         assert_eq!(c.completed, 5);
         assert_eq!(c.accusations, 1, "one filing when the window crosses m");
-        assert_eq!(d.state().filing(1, 2).map(|f| f.guilty_count), Some(3));
+        assert!(!d.state().filing_due(1, 2), "the pair is filed once");
         assert!(d.health().ready);
         assert_eq!(d.health().queue_depth, 0);
     }

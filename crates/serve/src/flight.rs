@@ -126,18 +126,8 @@ impl FlightRecorder {
 
     /// The buffered entries as an owned tail, oldest first — the
     /// payload of a [`Record::FlightTail`].
-    pub fn tail(&self) -> Vec<FlightEntry> {
+    pub(crate) fn tail(&self) -> Vec<FlightEntry> {
         self.entries.iter().copied().collect()
-    }
-
-    /// Number of buffered entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -268,14 +258,14 @@ mod tests {
             }
         }
         assert_eq!(whole.tail(), incremental.tail());
-        assert_eq!(whole.len(), FLIGHT_CAPACITY, "ring must evict past capacity");
+        assert_eq!(whole.entries.len(), FLIGHT_CAPACITY, "ring must evict past capacity");
     }
 
     #[test]
     fn flight_tail_records_never_record_themselves() {
         let tail = Record::FlightTail { seq: 9, report_id: 4, entries: Vec::new() };
         assert_eq!(FlightEntry::from_record(&tail), None);
-        assert!(ring_of(&[tail]).is_empty());
+        assert!(ring_of(&[tail]).entries.is_empty());
     }
 
     #[test]

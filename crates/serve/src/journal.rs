@@ -142,7 +142,7 @@ impl Record {
     }
 
     /// Stable short label, used in digests and diagnostics.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Record::Admitted { .. } => "admitted",
             Record::Shed { .. } => "shed",
@@ -214,7 +214,7 @@ impl Record {
     /// Counts are checked against the words actually present, so the
     /// only bound on a record is its frame's, [`MAX_FRAME_BYTES`]: every
     /// frame the writer can produce decodes.
-    pub fn decode(words: &[u64]) -> Option<Record> {
+    pub(crate) fn decode(words: &[u64]) -> Option<Record> {
         let (&tag, body) = words.split_first()?;
         let rec = match (tag, body) {
             (1, &[seq, input, ref rest @ ..]) => {
@@ -257,7 +257,7 @@ impl Record {
 /// supervisor can hold one handle while daemons (which may panic and
 /// unwind) write through another. Frames are appended atomically under
 /// the lock; torn writes are *simulated* explicitly via
-/// [`SharedStore::truncate`] / appended garbage, never produced by a
+/// `SharedStore::truncate` / appended garbage, never produced by a
 /// panicking writer.
 #[derive(Clone, Debug, Default)]
 pub struct SharedStore {
@@ -317,7 +317,7 @@ impl SharedStore {
     }
 
     /// Truncates to `len` bytes — the torn-write / recovery primitive.
-    pub fn truncate(&self, len: usize) {
+    pub(crate) fn truncate(&self, len: usize) {
         self.with(|b| b.truncate(len));
     }
 }
@@ -453,14 +453,14 @@ impl Journal {
     /// because every state mutation flows through the journal this is
     /// the run's canonical trace digest. It equals [`records_digest`]
     /// of [`Journal::scan`]'s records, read off the frames in place.
-    pub fn digest(&self) -> String {
+    pub(crate) fn digest(&self) -> String {
         let mut hasher = concilium_sim::TraceHasher::new();
         self.walk(|record, words, _| hasher.record(record.label(), words));
         hasher.hex()
     }
 }
 
-/// The chained digest of a record sequence — what [`Journal::digest`]
+/// The chained digest of a record sequence — what `Journal::digest`
 /// reads off the frames — for comparing replayed prefixes.
 pub fn records_digest(records: &[Record]) -> String {
     let mut hasher = concilium_sim::TraceHasher::new();

@@ -38,7 +38,7 @@ pub mod state;
 pub mod supervisor;
 pub mod workload;
 
-pub use chaos::{chaos_episode, chaos_plan, chaos_sweep, ChaosOutcome, ChaosSweepReport};
+pub use chaos::{chaos_plan, chaos_sweep, ChaosOutcome, ChaosSweepReport};
 pub use daemon::{Counters, Daemon, Health, PanicSite, RecoveryStats};
 pub use flight::{records_to_traced, FlightEntry, FlightRecorder, FLIGHT_CAPACITY, PANIC_FLUSH};
 pub use journal::{records_digest, Journal, Record, Recovery, SharedStore};

@@ -34,18 +34,13 @@ impl Mailbox {
     }
 
     /// Current queue depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total service cost of the queued backlog.
-    pub fn backlog(&self) -> SimDuration {
-        self.backlog
     }
 
     /// Decides admission for `report` without enqueueing it.
@@ -179,6 +174,6 @@ mod tests {
         let rest = mb.take_batch(&cfg);
         assert_eq!(rest.len(), 1);
         assert!(mb.is_empty());
-        assert_eq!(mb.backlog(), SimDuration::ZERO);
+        assert_eq!(mb.backlog, SimDuration::ZERO);
     }
 }

@@ -43,14 +43,14 @@ pub struct FailureReport {
 
 impl FailureReport {
     /// Total probe observations across every link.
-    pub fn observations(&self) -> u64 {
+    pub(crate) fn observations(&self) -> u64 {
         self.links.iter().map(|l| l.up + l.down).sum()
     }
 
     /// The deterministic virtual service cost of evaluating this report:
     /// a fixed base plus a per-observation term. This model is what
     /// defines 1× saturation for the open-loop driver.
-    pub fn service_cost(&self, cfg: &ServeConfig) -> SimDuration {
+    pub(crate) fn service_cost(&self, cfg: &ServeConfig) -> SimDuration {
         SimDuration::from_micros(
             cfg.base_service
                 .as_micros()
@@ -60,7 +60,7 @@ impl FailureReport {
 
     /// Expands the tallies into the [`LinkEvidence`] form the Eq. 2–3
     /// combinator consumes (`true` = probed up).
-    pub fn evidence(&self) -> Vec<LinkEvidence> {
+    pub(crate) fn evidence(&self) -> Vec<LinkEvidence> {
         self.links
             .iter()
             .map(|l| {
@@ -89,7 +89,7 @@ impl FailureReport {
 
     /// Decodes a report from `words` starting at `*at`, advancing `*at`
     /// past it. `None` on truncated or malformed input.
-    pub fn decode_from(words: &[u64], at: &mut usize) -> Option<FailureReport> {
+    pub(crate) fn decode_from(words: &[u64], at: &mut usize) -> Option<FailureReport> {
         let head = words.get(*at..*at + 6)?;
         let n_links = head[5];
         // The link count is bounded by the words actually present (which

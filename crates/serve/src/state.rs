@@ -112,18 +112,13 @@ impl ServeState {
 
     /// The verdict window for a (judge, accused) pair, if any verdicts
     /// have been recorded.
-    pub fn window(&self, judge: u64, accused: u64) -> Option<&VerdictWindow> {
+    pub(crate) fn window(&self, judge: u64, accused: u64) -> Option<&VerdictWindow> {
         self.book.window(&(judge, accused))
-    }
-
-    /// The filing for a (judge, accused) pair, if one was made.
-    pub fn filing(&self, judge: u64, accused: u64) -> Option<&Filing> {
-        self.filings.get(&(judge, accused))
     }
 
     /// Whether the pair's last verdict met the m-of-w quota and no filing
     /// exists yet — the daemon files exactly when this is true.
-    pub fn filing_due(&self, judge: u64, accused: u64) -> bool {
+    pub(crate) fn filing_due(&self, judge: u64, accused: u64) -> bool {
         self.book.quota_met(&(judge, accused)) && !self.filings.contains_key(&(judge, accused))
     }
 
@@ -138,7 +133,7 @@ impl ServeState {
     }
 
     /// The highest applied record sequence number.
-    pub fn applied_seq(&self) -> Option<u64> {
+    pub(crate) fn applied_seq(&self) -> Option<u64> {
         self.applied_seq
     }
 
@@ -219,7 +214,7 @@ mod tests {
         assert_eq!(online.digest(), replayed.digest());
         assert_eq!(replayed.next_input(), 3);
         assert_eq!(replayed.clock_us(), 777);
-        let filing = replayed.filing(1, 2).cloned();
+        let filing = replayed.filings.get(&(1, 2)).cloned();
         assert!(filing.is_some_and(|f| f.guilty_count == 3
             && f.replicas.len() == cfg.protocol.dht_replication
             && f.replicas.iter().all(|&r| r < cfg.members as u64)));

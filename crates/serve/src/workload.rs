@@ -49,11 +49,6 @@ impl Shape {
             _ => None,
         }
     }
-
-    /// All shapes, for sweeps.
-    pub fn all() -> [Shape; 3] {
-        [Shape::Uniform, Shape::Bursty, Shape::Diurnal]
-    }
 }
 
 /// Parameters of a workload trace.
@@ -248,7 +243,7 @@ mod tests {
         assert!(max_gap(&bursty) > max_gap(&uniform));
         assert_eq!(Shape::from_name("diurnal"), Some(Shape::Diurnal));
         assert_eq!(Shape::from_name("nope"), None);
-        for s in Shape::all() {
+        for s in [Shape::Uniform, Shape::Bursty, Shape::Diurnal] {
             assert_eq!(Shape::from_name(s.name()), Some(s));
         }
     }

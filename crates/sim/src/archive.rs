@@ -32,7 +32,7 @@ impl ProbeArchive {
     /// [`ProbeTree::link_set`] returns it).
     ///
     /// [`ProbeTree::link_set`]: https://docs.rs/concilium-tomography
-    pub fn new(links: &[LinkId]) -> Self {
+    pub(crate) fn new(links: &[LinkId]) -> Self {
         assert!(
             links.windows(2).all(|w| w[0] < w[1]),
             "tree links must be sorted and distinct"
@@ -51,40 +51,6 @@ impl ProbeArchive {
         self.columns.binary_search(&link).ok()
     }
 
-    /// Whether this host's tree covers `link`.
-    pub fn covers(&self, link: LinkId) -> bool {
-        self.column_of(link).is_some()
-    }
-
-    /// Number of probe rounds recorded.
-    pub fn num_probes(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Number of links per round.
-    pub fn num_links(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Appends a probe round at `time` with per-link observations supplied
-    /// by `observed(column, link) -> up?` evaluated in this archive's
-    /// column order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` precedes the previous round (rounds are appended
-    /// in chronological order).
-    pub fn record_round(
-        &mut self,
-        time: SimTime,
-        mut observed: impl FnMut(usize, LinkId) -> bool,
-    ) {
-        self.record_words(time, |first, links| {
-            let cells = links.iter().enumerate();
-            cells.fold(0, |word, (i, &link)| word | u64::from(observed(first + i, link)) << i)
-        });
-    }
-
     /// Appends a probe round at `time` one word of observations at a
     /// time: `word(first, links)` returns the bits of columns `first..`,
     /// bit `i` for `links[i]` (up to 64 links, the columns' links), and is
@@ -94,7 +60,11 @@ impl ProbeArchive {
     ///
     /// Panics if `time` precedes the previous round (rounds are appended
     /// in chronological order).
-    pub fn record_words(&mut self, time: SimTime, mut word: impl FnMut(usize, &[LinkId]) -> u64) {
+    pub(crate) fn record_words(
+        &mut self,
+        time: SimTime,
+        mut word: impl FnMut(usize, &[LinkId]) -> u64,
+    ) {
         if let Some(&last) = self.times.last() {
             assert!(time >= last, "probe rounds must be appended in time order");
         }
@@ -108,24 +78,13 @@ impl ProbeArchive {
         self.times.push(time);
     }
 
-    /// The observation of `link` in probe round `round`, or `None` if the
-    /// tree does not cover the link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round` is out of range.
-    pub fn observation(&self, round: usize, link: LinkId) -> Option<bool> {
-        let col = self.column_of(link)?;
-        self.column_observations(col, round..round + 1).next()
-    }
-
     /// The observations, oldest first, that probe rounds `rounds` made of
     /// the link in column `col` (its position in [`ProbeArchive::links`]).
     ///
     /// # Panics
     ///
     /// Panics if `col` or `rounds` is out of range.
-    pub fn column_observations(
+    pub(crate) fn column_observations(
         &self,
         col: usize,
         rounds: std::ops::Range<usize>,
@@ -194,21 +153,34 @@ mod tests {
         (0..n).map(LinkId).collect()
     }
 
+    /// Appends a round with `observed(link) -> up?` per column.
+    fn record(a: &mut ProbeArchive, time: SimTime, observed: impl Fn(LinkId) -> bool) {
+        a.record_words(time, |_, links| {
+            let cells = links.iter().enumerate();
+            cells.fold(0, |word, (i, &link)| word | u64::from(observed(link)) << i)
+        });
+    }
+
+    /// `link`'s observation in `round`, or `None` if the tree lacks it.
+    fn observation(a: &ProbeArchive, round: usize, link: LinkId) -> Option<bool> {
+        let col = a.column_of(link)?;
+        a.column_observations(col, round..round + 1).next()
+    }
+
     #[test]
     fn record_and_read_back() {
         let ls = links(70); // spans two u64 words
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(10), |_, l| l.0 % 2 == 0);
-        a.record_round(t(20), |_, l| l.0 == 69);
-        assert_eq!(a.num_probes(), 2);
-        assert_eq!(a.num_links(), 70);
-        assert_eq!(a.observation(0, LinkId(0)), Some(true));
-        assert_eq!(a.observation(0, LinkId(1)), Some(false));
-        assert_eq!(a.observation(0, LinkId(68)), Some(true));
-        assert_eq!(a.observation(1, LinkId(69)), Some(true));
-        assert_eq!(a.observation(1, LinkId(68)), Some(false));
-        assert_eq!(a.observation(0, LinkId(99)), None);
-        assert!(!a.covers(LinkId(99)));
+        record(&mut a, t(10), |l| l.0 % 2 == 0);
+        record(&mut a, t(20), |l| l.0 == 69);
+        assert_eq!(a.times.len(), 2);
+        assert_eq!(a.columns.len(), 70);
+        assert_eq!(observation(&a, 0, LinkId(0)), Some(true));
+        assert_eq!(observation(&a, 0, LinkId(1)), Some(false));
+        assert_eq!(observation(&a, 0, LinkId(68)), Some(true));
+        assert_eq!(observation(&a, 1, LinkId(69)), Some(true));
+        assert_eq!(observation(&a, 1, LinkId(68)), Some(false));
+        assert_eq!(observation(&a, 0, LinkId(99)), None);
     }
 
     #[test]
@@ -216,7 +188,7 @@ mod tests {
         let ls = links(4);
         let mut a = ProbeArchive::new(&ls);
         for s in [10u64, 70, 130, 190, 250] {
-            a.record_round(t(s), |_, _| true);
+            record(&mut a, t(s), |_| true);
         }
         // Window [130−60, 130+60] = [70, 190].
         let w = a.rounds_in_window(t(130), SimDuration::from_secs(60));
@@ -238,7 +210,7 @@ mod tests {
     fn saturating_window_at_time_zero() {
         let ls = links(1);
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(5), |_, _| false);
+        record(&mut a, t(5), |_| false);
         let w = a.rounds_in_window(t(10), SimDuration::from_secs(60));
         assert_eq!(w, 0..1);
     }
@@ -248,8 +220,8 @@ mod tests {
     fn out_of_order_rounds_rejected() {
         let ls = links(1);
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(10), |_, _| true);
-        a.record_round(t(5), |_, _| true);
+        record(&mut a, t(10), |_| true);
+        record(&mut a, t(5), |_| true);
     }
 
     #[test]
@@ -263,24 +235,23 @@ mod tests {
         // Sparse ids: a column is the link's rank among the tree's links.
         let ls: Vec<LinkId> = [2u32, 5, 9, 400, 70_000].map(LinkId).to_vec();
         let mut a = ProbeArchive::new(&ls);
-        a.record_round(t(1), |_, l| l.0 >= 9);
+        record(&mut a, t(1), |l| l.0 >= 9);
         assert_eq!(a.links(), &ls[..]);
         for (col, &l) in ls.iter().enumerate() {
-            assert!(a.covers(l));
-            assert_eq!(a.observation(0, l), Some(l.0 >= 9));
+            assert_eq!(a.column_of(l), Some(col));
+            assert_eq!(observation(&a, 0, l), Some(l.0 >= 9));
             assert_eq!(a.column_observations(col, 0..1).collect::<Vec<_>>(), [l.0 >= 9]);
         }
         for absent in [0u32, 3, 10, 69_999, 70_001] {
-            assert!(!a.covers(LinkId(absent)));
-            assert_eq!(a.observation(0, LinkId(absent)), None);
+            assert_eq!(a.column_of(LinkId(absent)), None);
         }
     }
 
     #[test]
     fn empty_tree_archive_is_harmless() {
         let mut a = ProbeArchive::new(&[]);
-        a.record_round(t(1), |_, _| true);
-        assert_eq!(a.num_links(), 0);
+        record(&mut a, t(1), |_| true);
+        assert!(a.columns.is_empty());
         assert!(a.observations_in_window(LinkId(0), t(1), SimDuration::from_secs(1)).is_empty());
     }
 
@@ -313,7 +284,7 @@ mod tests {
                 let mut now = 0;
                 for gap in gaps {
                     now += gap;
-                    a.record_round(t(now), |_, _| true);
+                    record(&mut a, t(now), |_| true);
                 }
                 let fixed = [(now / 2, 0), (1, 5), (now / 2, now + 1), (now + 1, 1)];
                 for (at, delta) in queries.into_iter().chain(fixed) {
@@ -321,7 +292,7 @@ mod tests {
                     prop_assert_eq!(
                         a.rounds_in_window(at, delta),
                         two_searches(&a.times, at, delta),
-                        "t {:?} Δ {:?} over {} rounds", at, delta, a.num_probes()
+                        "t {:?} Δ {:?} over {} rounds", at, delta, a.times.len()
                     );
                 }
             }

@@ -14,7 +14,7 @@ pub struct HostSet {
 
 impl HostSet {
     /// The empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -30,7 +30,7 @@ impl HostSet {
     }
 
     /// Whether host `h` is in the set.
-    pub fn contains(&self, h: usize) -> bool {
+    pub(crate) fn contains(&self, h: usize) -> bool {
         self.words.get(h / 64).is_some_and(|w| w >> (h % 64) & 1 == 1)
     }
 
@@ -45,7 +45,7 @@ impl HostSet {
     }
 
     /// The hosts in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &w)| {
             let mut rest = w;
             std::iter::from_fn(move || {
@@ -56,14 +56,6 @@ impl HostSet {
                 })
             })
         })
-    }
-
-    /// Whether every host of `self` is in `other`.
-    pub fn is_subset(&self, other: &HostSet) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
     }
 }
 
@@ -190,7 +182,7 @@ impl AdversarySets {
     /// # Panics
     ///
     /// Panics if any fraction is outside `[0, 1]`.
-    pub fn sample_byzantine<R: Rng + ?Sized>(
+    pub(crate) fn sample_byzantine<R: Rng + ?Sized>(
         mut self,
         num_hosts: usize,
         withholder_fraction: f64,
@@ -212,7 +204,7 @@ impl AdversarySets {
     /// # Panics
     ///
     /// Panics if either fraction is outside `[0, 1]`.
-    pub fn sample_extended<R: Rng + ?Sized>(
+    pub(crate) fn sample_extended<R: Rng + ?Sized>(
         mut self,
         num_hosts: usize,
         coalition_fraction: f64,
@@ -235,45 +227,45 @@ impl AdversarySets {
     }
 
     /// Whether host `h` withholds acknowledgments for delivered messages.
-    pub fn is_ack_withholder(&self, h: usize) -> bool {
+    pub(crate) fn is_ack_withholder(&self, h: usize) -> bool {
         self.ack_withholders.contains(h)
     }
 
     /// Whether host `h` delays its snapshots past admissibility.
-    pub fn is_probe_delayer(&self, h: usize) -> bool {
+    pub(crate) fn is_probe_delayer(&self, h: usize) -> bool {
         self.probe_delayers.contains(h)
     }
 
     /// Whether host `h` replays stale snapshots.
-    pub fn is_stale_replayer(&self, h: usize) -> bool {
+    pub(crate) fn is_stale_replayer(&self, h: usize) -> bool {
         self.stale_replayers.contains(h)
     }
 
     /// Whether host `h` belongs to the colluding accuser coalition.
-    pub fn is_coalition(&self, h: usize) -> bool {
+    pub(crate) fn is_coalition(&self, h: usize) -> bool {
         self.coalition.contains(h)
     }
 
     /// Whether host `h` drops messages adaptively (only while unprobed).
-    pub fn is_adaptive_dropper(&self, h: usize) -> bool {
+    pub(crate) fn is_adaptive_dropper(&self, h: usize) -> bool {
         self.adaptive_droppers.contains(h)
     }
 
     /// Whether host `h` lies in probe snapshots — plain colluders and
     /// coalition members share the §4.3 flip rule.
-    pub fn lies_in_snapshots(&self, h: usize) -> bool {
+    pub(crate) fn lies_in_snapshots(&self, h: usize) -> bool {
         self.is_colluder(h) || self.is_coalition(h)
     }
 
     /// Whether host `h` is protected by the lie: colluders shield fellow
     /// colluders, the coalition shields its members.
-    pub fn is_shielded(&self, h: usize) -> bool {
+    pub(crate) fn is_shielded(&self, h: usize) -> bool {
         self.is_colluder(h) || self.is_coalition(h)
     }
 
     /// Whether host `h` plays any adversarial role at all — the complement
     /// of the explorer's "honest host" predicate.
-    pub fn is_adversarial(&self, h: usize) -> bool {
+    pub(crate) fn is_adversarial(&self, h: usize) -> bool {
         self.is_dropper(h)
             || self.is_colluder(h)
             || self.is_ack_withholder(h)
@@ -303,6 +295,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn subset(a: &HostSet, b: &HostSet) -> bool {
+        a.iter().all(|h| b.contains(h))
+    }
+
     #[test]
     fn host_set_is_a_set() {
         let mut s = HostSet::new();
@@ -316,17 +312,17 @@ mod tests {
         assert!(s.contains(63) && s.contains(130) && !s.contains(65) && !s.contains(10_000));
         assert_eq!(format!("{s:?}"), "{0, 3, 63, 64, 130}");
 
-        // Equality and inclusion ignore storage grown past the last member.
+        // Equality ignores storage grown past the last member.
         let mut wide: HostSet = [0, 3, 63, 64, 130].into_iter().collect();
         wide.insert(5_000);
         assert_ne!(s, wide);
-        assert!(s.is_subset(&wide) && !wide.is_subset(&s));
+        assert!(subset(&s, &wide) && !subset(&wide, &s));
         let narrow: HostSet = [3, 64].into_iter().collect();
-        assert!(narrow.is_subset(&s) && !s.is_subset(&narrow));
+        assert!(subset(&narrow, &s) && !subset(&s, &narrow));
         let grown_empty = HostSet { words: vec![0; 12] };
         assert_eq!(grown_empty, HostSet::new());
         assert_eq!(HostSet::new(), grown_empty);
-        assert!(grown_empty.is_empty() && grown_empty.is_subset(&HostSet::new()));
+        assert!(grown_empty.is_empty() && subset(&grown_empty, &HostSet::new()));
         let same = HostSet { words: [s.words.clone(), vec![0; 4]].concat() };
         assert_eq!(s, same);
         assert_eq!(same, s);
@@ -348,7 +344,7 @@ mod tests {
         let a = AdversarySets::sample(100, 0.1, 0.3, &mut rng);
         assert_eq!(a.droppers.len(), 10);
         assert_eq!(a.colluders.len(), 30);
-        assert!(a.droppers.is_subset(&a.colluders));
+        assert!(subset(&a.droppers, &a.colluders));
     }
 
     #[test]

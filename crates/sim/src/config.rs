@@ -88,7 +88,7 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics if any parameter is out of range.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.overlay_fraction > 0.0 && self.overlay_fraction <= 1.0,
             "overlay fraction must be in (0,1], got {}",

@@ -72,7 +72,6 @@ impl<E> Ord for Scheduled<E> {
 /// q.schedule(SimTime::from_secs(5), "b");
 /// q.schedule(SimTime::from_secs(1), "a");
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "a")));
-/// assert_eq!(q.now(), SimTime::from_secs(1));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(5), "b")));
 /// assert_eq!(q.pop(), None);
 /// ```
@@ -96,11 +95,6 @@ impl<E> EventQueue<E> {
         EventQueue { heap: BinaryHeap::new(), seq: 0, now: SimTime::ZERO, high_water: 0 }
     }
 
-    /// The current virtual time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules `event` at time `at`.
     ///
     /// # Panics
@@ -116,7 +110,7 @@ impl<E> EventQueue<E> {
     /// [`ScheduleError`] instead of panicking when `at` is in the past —
     /// the non-panicking entry point used by the fault-injection layer,
     /// whose perturbed delivery times are data, not programmer invariants.
-    pub fn try_schedule(&mut self, at: SimTime, event: E) -> Result<(), (ScheduleError, E)> {
+    pub(crate) fn try_schedule(&mut self, at: SimTime, event: E) -> Result<(), (ScheduleError, E)> {
         if at < self.now {
             return Err((ScheduleError { at, now: self.now }, event));
         }
@@ -135,22 +129,12 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event only if it is scheduled at or before
     /// `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         if self.peek_time()? <= deadline {
             self.pop()
         } else {
             None
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// The time of the earliest pending event, without popping it —
@@ -164,7 +148,7 @@ impl<E> EventQueue<E> {
     /// The largest number of events ever pending at once — a virtual-time
     /// fact (scheduling order is deterministic), so it is safe to report
     /// in per-episode metrics.
-    pub fn depth_high_water(&self) -> usize {
+    pub(crate) fn depth_high_water(&self) -> usize {
         self.high_water
     }
 }
@@ -202,11 +186,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10), ());
         q.schedule(SimTime::from_secs(4), ());
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.now, SimTime::ZERO);
         q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(4));
+        assert_eq!(q.now, SimTime::from_secs(4));
         q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(10));
+        assert_eq!(q.now, SimTime::from_secs(10));
     }
 
     #[test]
@@ -215,8 +199,8 @@ mod tests {
         q.schedule(SimTime::from_secs(5), 5);
         assert_eq!(q.pop_until(SimTime::from_secs(4)), None);
         assert_eq!(q.pop_until(SimTime::from_secs(5)), Some((SimTime::from_secs(5), 5)));
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        assert!(q.heap.is_empty());
+        assert_eq!(q.heap.len(), 0);
     }
 
     #[test]
@@ -238,7 +222,7 @@ mod tests {
         assert_eq!(err.at, SimTime::from_secs(1));
         assert_eq!(err.now, SimTime::from_secs(5));
         assert!(err.to_string().contains("cannot schedule"));
-        assert!(q.is_empty(), "rejected events are not enqueued");
+        assert!(q.heap.is_empty(), "rejected events are not enqueued");
         // At or after `now` succeeds.
         assert!(q.try_schedule(SimTime::from_secs(5), "ok").is_ok());
         assert_eq!(q.pop(), Some((SimTime::from_secs(5), "ok")));
@@ -247,22 +231,22 @@ mod tests {
     #[test]
     fn inspection_api_tracks_queue_state() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        assert!(q.heap.is_empty());
+        assert_eq!(q.heap.len(), 0);
         assert_eq!(q.peek_time(), None);
         q.schedule(SimTime::from_secs(7), "late");
         q.schedule(SimTime::from_secs(2), "early");
-        assert!(!q.is_empty());
-        assert_eq!(q.len(), 2);
+        assert!(!q.heap.is_empty());
+        assert_eq!(q.heap.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
         // Peeking never pops or advances the clock.
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.now, SimTime::ZERO);
         q.pop();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.heap.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
         q.pop();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.depth_high_water(), 2, "high-water survives draining");
     }
@@ -304,8 +288,8 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "soon");
         assert_eq!(q.pop().unwrap().1, "almost");
         assert_eq!(q.pop().unwrap().1, "eot");
-        assert_eq!(q.now(), SimTime::from_micros(u64::MAX));
-        assert!(q.is_empty());
+        assert_eq!(q.now, SimTime::from_micros(u64::MAX));
+        assert!(q.heap.is_empty());
     }
 
     #[test]
@@ -334,7 +318,7 @@ mod tests {
     fn default_does_not_require_a_default_event() {
         struct NoDefault;
         let q: EventQueue<NoDefault> = EventQueue::default();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 
     /// One operation of the model driver below.
@@ -416,7 +400,7 @@ mod tests {
                 let tag = tag as u32;
                 match op {
                     Op::Schedule(dt) => {
-                        let at = q.now() + SimDuration::from_micros(dt);
+                        let at = q.now + SimDuration::from_micros(dt);
                         q.schedule(at, tag);
                         prop_assert_eq!(model.try_schedule(at, tag), Ok(()));
                     }
@@ -428,13 +412,13 @@ mod tests {
                         prop_assert_eq!(q.pop(), model.pop());
                     }
                     Op::PopUntil(dt) => {
-                        let deadline = q.now() + SimDuration::from_micros(dt);
+                        let deadline = q.now + SimDuration::from_micros(dt);
                         prop_assert_eq!(q.pop_until(deadline), model.pop_until(deadline));
                     }
                 }
-                prop_assert_eq!(q.now(), model.now);
-                prop_assert_eq!(q.len(), model.pending.len());
-                prop_assert_eq!(q.is_empty(), model.pending.is_empty());
+                prop_assert_eq!(q.now, model.now);
+                prop_assert_eq!(q.heap.len(), model.pending.len());
+                prop_assert_eq!(q.heap.is_empty(), model.pending.is_empty());
                 prop_assert_eq!(q.peek_time(), model.peek_time());
                 prop_assert_eq!(q.depth_high_water(), model.high_water);
             }

@@ -142,7 +142,7 @@ impl PathEvidence {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn link(&self, i: usize) -> &[(usize, bool)] {
+    pub(crate) fn link(&self, i: usize) -> &[(usize, bool)] {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         &self.observations[start..self.ends[i]]
     }

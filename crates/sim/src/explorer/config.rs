@@ -55,11 +55,14 @@ impl Default for EpisodeConfig {
 
 impl EpisodeConfig {
     /// No injected faults at all: only the world's ambient link failures.
-    pub fn transparent() -> Self {
+    pub(crate) fn transparent() -> Self {
         EpisodeConfig::default()
     }
 
-    /// A lossy, jittery transport with no Byzantine hosts.
+    /// A lossy transport (15% message and 15% ack loss) with no Byzantine
+    /// hosts. Its duplicate, reorder and latency settings deliver nothing
+    /// extra: the episode reads only whether a fate delivers, so they
+    /// change only the plan's rng stream (ROADMAP item 2 makes them real).
     pub fn lossy() -> Self {
         EpisodeConfig {
             faults: FaultConfig {
@@ -109,7 +112,7 @@ impl EpisodeConfig {
     /// a shared outage window takes a third of the crashing population
     /// down together while coalition members withhold acks and flip
     /// evidence for each other.
-    pub fn coalition_storm() -> Self {
+    pub(crate) fn coalition_storm() -> Self {
         EpisodeConfig {
             faults: FaultConfig {
                 churn: ChurnConfig {
@@ -133,7 +136,7 @@ impl EpisodeConfig {
     /// peer has probed nearby in virtual time and drop otherwise. Inert
     /// on densely probed worlds by design — pair with a sparse-probe
     /// world (see `fuzz::bottleneck_world`) to expose the behaviour.
-    pub fn adaptive() -> Self {
+    pub(crate) fn adaptive() -> Self {
         EpisodeConfig {
             adaptive_fraction: 0.2,
             ..EpisodeConfig::default()
@@ -194,7 +197,7 @@ impl EpisodeConfig {
     /// alike — flip the very evidence the no-false-blame check relies on
     /// (§4.3's documented attack, not a bug in the checker), so all
     /// three disqualify a configuration from strict enforcement.
-    pub fn network_only(&self) -> bool {
+    pub(crate) fn network_only(&self) -> bool {
         self.faults.drop_probability == 0.0
             && self.faults.ack_drop_probability == 0.0
             && !(self.faults.burst.enabled() && self.faults.burst.bad_loss > 0.0)

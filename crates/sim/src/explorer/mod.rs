@@ -46,7 +46,7 @@ use crate::SimWorld;
 /// accuracy to a blame value. Production episodes use
 /// [`concilium::blame::blame_from_path_evidence`]; tests can substitute a
 /// deliberately broken mutant to prove the invariants catch it.
-pub type BlameFn = fn(&[LinkEvidence], f64) -> f64;
+pub(crate) type BlameFn = fn(&[LinkEvidence], f64) -> f64;
 
 fn production_blame(evidence: &[LinkEvidence], accuracy: f64) -> f64 {
     blame_from_path_evidence(evidence, accuracy)

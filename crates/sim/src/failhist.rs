@@ -34,7 +34,7 @@ impl IndexedHistory {
     ///
     /// `num_links` is the number of links `status` tracks; panics if
     /// `status` holds a downtime for a link at or past it.
-    pub fn from_status(status: &LinkStatus, num_links: usize, end_of_time: SimTime) -> Self {
+    pub(crate) fn from_status(status: &LinkStatus, num_links: usize, end_of_time: SimTime) -> Self {
         let mut intervals: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); num_links];
         for &(link, from, to) in status.history() {
             intervals[link.index()].push((from, to));
@@ -53,7 +53,7 @@ impl IndexedHistory {
     /// link repaired at `t` is up at `t`), matching
     /// [`LinkStatus::was_up`]. A link the history does not know — one
     /// beyond `num_links` — never failed, so it is up.
-    pub fn was_up(&self, link: LinkId, t: SimTime) -> bool {
+    pub(crate) fn was_up(&self, link: LinkId, t: SimTime) -> bool {
         let Some(iv) = self.intervals.get(link.index()) else {
             return true;
         };
@@ -74,7 +74,7 @@ impl IndexedHistory {
     }
 
     /// Whether every link of `links` was up at `t`.
-    pub fn path_up(&self, links: &[LinkId], t: SimTime) -> bool {
+    pub(crate) fn path_up(&self, links: &[LinkId], t: SimTime) -> bool {
         links.iter().all(|&l| self.was_up(l, t))
     }
 }

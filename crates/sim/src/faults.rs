@@ -3,20 +3,23 @@
 //! A [`FaultPlan`] perturbs two layers of the simulation:
 //!
 //! * **Message delivery** — each injected message can be dropped,
-//!   delayed, duplicated, or reordered ([`FaultPlan::fate`]), and the
+//!   delayed, duplicated, or reordered (`FaultPlan::fate`), and the
 //!   resulting delivery events are driven through the existing
 //!   [`EventQueue`] ([`FaultPlan::inject`]) so perturbed runs stay fully
 //!   deterministic: the queue's insertion-order tie-break plus the plan's
 //!   private seeded RNG make every run with the same seed and
-//!   [`FaultConfig`] bit-identical.
+//!   [`FaultConfig`] bit-identical. The DST episode does not inject: it
+//!   reads only [`MessageFate::delivered`], so there duplication,
+//!   reordering and extra latency are drawn and discarded, and their four
+//!   knobs change only the plan's rng stream (ROADMAP item 2).
 //! * **Node lifecycle** — a configurable fraction of hosts crash during
-//!   the run and restart after a sampled outage ([`FaultPlan::host_up`]),
+//!   the run and restart after a sampled outage (`FaultPlan::host_up`),
 //!   giving churn windows the recovery layer must ride out.
 //!
 //! The plan also parameterises the Byzantine roles of
 //! [`AdversarySets`] that go beyond droppers and
 //! colluders: acknowledgment withholding ([`FaultPlan::ack_arrives`]) and
-//! snapshot delaying/stale replay ([`FaultPlan::snapshot_time`]).
+//! snapshot delaying/stale replay (`FaultPlan::snapshot_time`).
 //!
 //! The plan draws from its *own* seeded RNG rather than the world's, so
 //! adding fault injection to an experiment does not desynchronise the
@@ -43,15 +46,19 @@ pub struct FaultConfig {
     /// by [`FaultPlan::ack_arrives`], independently per attempt).
     pub ack_drop_probability: f64,
     /// Probability that a delivered message is duplicated (two delivery
-    /// events are scheduled).
+    /// events are scheduled by [`FaultPlan::inject`]; the DST episode only
+    /// draws it, see the module docs).
     pub duplicate_probability: f64,
     /// Probability that a delivered message is reordered: it is held for
     /// an extra [`FaultConfig::reorder_delay`], letting later sends
-    /// overtake it.
+    /// overtake it (through [`FaultPlan::inject`]; the DST episode only
+    /// draws it).
     pub reorder_probability: f64,
-    /// Upper bound of the uniform extra latency added to every delivery.
+    /// Upper bound of the uniform extra latency added to every delivery
+    /// (through [`FaultPlan::inject`]; the DST episode only draws it).
     pub extra_latency_max: SimDuration,
-    /// How long a reordered message is held beyond its normal latency.
+    /// How long a reordered message is held beyond its normal latency
+    /// (through [`FaultPlan::inject`]; the DST episode discards it).
     pub reorder_delay: SimDuration,
     /// How far a probe-delayer's snapshot timestamps are shifted into the
     /// past (pick > the judge's Δ to defeat admissibility).
@@ -111,7 +118,7 @@ impl Default for BurstConfig {
 
 impl BurstConfig {
     /// Whether the channel ever leaves the good state.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.good_to_bad > 0.0
     }
 }
@@ -229,7 +236,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Builds a plan for `num_hosts` hosts over a run of `duration`,
     /// seeding its private RNG from `seed`. Churn windows are sampled up
-    /// front so [`FaultPlan::host_up`] is a pure query.
+    /// front so `FaultPlan::host_up` is a pure query.
     ///
     /// # Errors
     ///
@@ -295,17 +302,6 @@ impl FaultPlan {
         Ok(FaultPlan { cfg, rng, outages, burst_bad: false })
     }
 
-    /// A plan that perturbs nothing (useful as a baseline arm).
-    pub fn transparent(num_hosts: usize, duration: SimDuration) -> Self {
-        FaultPlan::new(FaultConfig::default(), 0, num_hosts, duration)
-            .expect("the default config is valid")
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Whether host `h` is alive at `t` (false inside its churn window).
     /// Crash starts are inclusive, restarts exclusive, mirroring
     /// [`crate::IndexedHistory::was_up`].
@@ -313,7 +309,7 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if `h` is out of range.
-    pub fn host_up(&self, h: usize, t: SimTime) -> bool {
+    pub(crate) fn host_up(&self, h: usize, t: SimTime) -> bool {
         match self.outages[h] {
             Some((down, up)) => t < down || t >= up,
             None => true,
@@ -351,7 +347,7 @@ impl FaultPlan {
 
     /// Decides the fate of a message sent at `send`. Consumes RNG state:
     /// call in a deterministic order for reproducible runs.
-    pub fn fate(&mut self, send: SimTime) -> MessageFate {
+    pub(crate) fn fate(&mut self, send: SimTime) -> MessageFate {
         if self.burst_drops() {
             return MessageFate::Dropped;
         }
@@ -417,7 +413,7 @@ impl FaultPlan {
     /// that no longer overlaps the judged instant) and stale replayers by
     /// [`FaultConfig::replay_age`] (old enough to trip the freshness
     /// check). Honest hosts return `t` unchanged.
-    pub fn snapshot_time(
+    pub(crate) fn snapshot_time(
         &self,
         adversaries: &AdversarySets,
         origin: usize,
@@ -438,7 +434,7 @@ impl FaultPlan {
     /// an independent draw, mirroring [`FaultPlan::ack_arrives`]; when no
     /// loss is configured no RNG state is consumed, so transparent plans
     /// stay stream-compatible with plans that never ask.
-    pub fn transport_delivers(&mut self) -> bool {
+    pub(crate) fn transport_delivers(&mut self) -> bool {
         if self.burst_drops() {
             return false;
         }
@@ -467,7 +463,8 @@ mod tests {
 
     #[test]
     fn transparent_plan_changes_nothing() {
-        let mut p = FaultPlan::transparent(10, SimDuration::from_mins(30));
+        let mut p =
+            FaultPlan::new(FaultConfig::default(), 0, 10, SimDuration::from_mins(30)).unwrap();
         for s in 0..100 {
             let send = SimTime::from_secs(s);
             assert_eq!(p.fate(send), MessageFate::Delivered { at: vec![send] });
@@ -531,7 +528,8 @@ mod tests {
         // but a message injected by a transparent plan in between lands
         // first.
         p.inject(&mut q, SimTime::from_secs(10), 0).unwrap();
-        let mut honest = FaultPlan::transparent(1, SimDuration::from_mins(30));
+        let mut honest =
+            FaultPlan::new(FaultConfig::default(), 0, 1, SimDuration::from_mins(30)).unwrap();
         honest.inject(&mut q, SimTime::from_secs(11), 1).unwrap();
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 0], "the held message is overtaken");
@@ -700,7 +698,7 @@ mod tests {
         assert!((frac - 0.7).abs() < 0.04, "ack fraction {frac}");
         // For snapshots, the stale-replay role dominates the delay role.
         let t = SimTime::from_secs(2_000);
-        assert_eq!(p.snapshot_time(&adv, 4, t), t.saturating_sub(p.config().replay_age));
+        assert_eq!(p.snapshot_time(&adv, 4, t), t.saturating_sub(p.cfg.replay_age));
     }
 
     #[test]
@@ -711,8 +709,10 @@ mod tests {
         let frac = through as f64 / 4_000.0;
         assert!((frac - 0.75).abs() < 0.03, "delivery fraction {frac}");
         // Lossless plans answer without consuming RNG state.
-        let mut a = FaultPlan::transparent(4, SimDuration::from_mins(1));
-        let mut b = FaultPlan::transparent(4, SimDuration::from_mins(1));
+        let mut a =
+            FaultPlan::new(FaultConfig::default(), 0, 4, SimDuration::from_mins(1)).unwrap();
+        let mut b =
+            FaultPlan::new(FaultConfig::default(), 0, 4, SimDuration::from_mins(1)).unwrap();
         for _ in 0..10 {
             assert!(a.transport_delivers());
         }
@@ -911,6 +911,6 @@ mod tests {
             MessageFate::Delivered { at } => assert_eq!(at.len(), 2),
             MessageFate::Dropped => panic!("no drops configured"),
         }
-        assert_eq!(q.len(), 2);
+        assert_eq!(std::iter::from_fn(|| q.pop()).count(), 2);
     }
 }

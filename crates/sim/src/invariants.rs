@@ -180,7 +180,7 @@ pub(crate) fn naive_blame(evidence: &[LinkEvidence], accuracy: f64) -> f64 {
 
 /// Checks a blame value produced by the system under test against the
 /// range invariant and (when `oracle` is set) the direct oracle.
-pub fn check_blame(
+pub(crate) fn check_blame(
     evidence: &[LinkEvidence],
     accuracy: f64,
     produced: f64,
@@ -214,7 +214,7 @@ pub fn check_blame(
 }
 
 /// Recounts a verdict window and compares against its cached tallies.
-pub fn check_window(window: &VerdictWindow, at: SimTime) -> Option<Violation> {
+pub(crate) fn check_window(window: &VerdictWindow, at: SimTime) -> Option<Violation> {
     let recounted_guilty = window.verdicts().filter(|v| v.is_guilty()).count();
     let recounted_len = window.verdicts().count();
     if recounted_guilty != window.guilty_count() || recounted_len != window.len() {
@@ -236,7 +236,7 @@ pub fn check_window(window: &VerdictWindow, at: SimTime) -> Option<Violation> {
 
 /// Checks the message-conservation ledger: everything a steward registered
 /// must be settled, expired, or still pending — exactly once.
-pub fn check_conservation(
+pub(crate) fn check_conservation(
     sent: usize,
     settled: usize,
     expired: usize,
@@ -384,7 +384,7 @@ pub(crate) fn check_tomography(
 /// value; any disagreement means an event was emitted without the step
 /// happening, or a step happened without its event — either way the trace
 /// is lying about the run.
-pub fn check_metrics_conservation(
+pub(crate) fn check_metrics_conservation(
     metrics: &concilium_obs::Registry,
     expected: &[(&str, u64)],
     at: SimTime,

@@ -83,8 +83,6 @@ pub use fuzz::{
     bottleneck_world, episode_coverage, fuzz, grid_coverage, CorpusEntry, FuzzConfig, FuzzOutcome,
     WorldKind,
 };
-pub use invariants::{
-    check_metrics_conservation, check_serve_conservation, InvariantKind, TraceHasher, Violation,
-};
+pub use invariants::{check_serve_conservation, InvariantKind, TraceHasher, Violation};
 pub use metrics::Histogram;
 pub use world::{RouteFate, SimWorld, ADAPTIVE_GUARD};

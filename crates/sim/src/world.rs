@@ -82,7 +82,7 @@ impl RouteFate {
     }
 
     /// Number of hosts that held the message, source included.
-    pub fn hops(&self) -> usize {
+    pub(crate) fn hops(&self) -> usize {
         match *self {
             RouteFate::Delivered { hops }
             | RouteFate::DroppedByHost { hops, .. }
@@ -127,7 +127,7 @@ impl SimWorld {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`SimConfig::validate`])
+    /// Panics if the configuration is invalid (see `SimConfig::validate`)
     /// or produces fewer than 2 overlay hosts.
     pub fn build<R: Rng + ?Sized>(config: SimConfig, rng: &mut R) -> Self {
         let _span = concilium_obs::span("world.build");
@@ -384,7 +384,7 @@ impl SimWorld {
     /// chain verification expect.
     ///
     /// [`Accusation::verify`]: https://docs.rs/concilium
-    pub fn public_key_of(&self, id: Id) -> Option<concilium_crypto::PublicKey> {
+    pub(crate) fn public_key_of(&self, id: Id) -> Option<concilium_crypto::PublicKey> {
         self.index_of(id).map(|h| self.nodes[h].public_key())
     }
 
@@ -679,6 +679,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Every probe round of host `h`'s archive: all fall inside the run.
+    fn all_rounds(w: &SimWorld, h: usize) -> std::ops::Range<usize> {
+        w.archive(h)
+            .rounds_in_window(SimTime::ZERO, w.config().duration)
+    }
+
     fn tiny_world(seed: u64) -> SimWorld {
         let mut rng = StdRng::seed_from_u64(seed);
         SimWorld::build(SimConfig::tiny(), &mut rng)
@@ -698,7 +704,7 @@ mod tests {
             }
             // The archive has probes spread over the duration, one column
             // per tree link.
-            assert!(w.archive(h).num_probes() >= 2);
+            assert!(all_rounds(&w, h).len() >= 2);
             assert_eq!(w.archive(h).links(), &w.tree(h).link_set()[..]);
         }
     }
@@ -965,14 +971,12 @@ mod tests {
         let mut total = 0u64;
         for h in 0..w.num_hosts() {
             let a = w.archive(h);
-            for round in 0..a.num_probes() {
-                let t = a.round_time(round);
-                for link in w.tree(h).link_set() {
-                    if let Some(o) = a.observation(round, link) {
-                        total += 1;
-                        if o == w.link_up_at(link, t) {
-                            agree += 1;
-                        }
+            for (col, &link) in a.links().iter().enumerate() {
+                let seen = a.column_observations(col, all_rounds(&w, h));
+                for (round, o) in all_rounds(&w, h).zip(seen) {
+                    total += 1;
+                    if o == w.link_up_at(link, a.round_time(round)) {
+                        agree += 1;
                     }
                 }
             }
@@ -1110,7 +1114,7 @@ mod tests {
         assert_eq!(a.num_hosts(), b.num_hosts());
         for h in 0..a.num_hosts() {
             assert_eq!(a.node(h).id(), b.node(h).id());
-            assert_eq!(a.archive(h).num_probes(), b.archive(h).num_probes());
+            assert_eq!(all_rounds(&a, h), all_rounds(&b, h));
         }
     }
 
@@ -1170,12 +1174,14 @@ mod tests {
         }
         for host in 0..n {
             let a = w.archive(host);
-            let links = w.tree(host).link_set();
-            h.update(&(a.num_probes() as u64).to_le_bytes());
-            for round in 0..a.num_probes() {
+            assert_eq!(a.links(), &w.tree(host).link_set()[..]);
+            let rounds = all_rounds(w, host);
+            h.update(&(rounds.len() as u64).to_le_bytes());
+            for round in rounds {
                 h.update(&a.round_time(round).as_micros().to_le_bytes());
-                for &l in &links {
-                    h.update(&[a.observation(round, l).expect("tree links are covered") as u8]);
+                for col in 0..a.links().len() {
+                    let up = a.column_observations(col, round..round + 1).next() == Some(true);
+                    h.update(&[u8::from(up)]);
                 }
             }
         }

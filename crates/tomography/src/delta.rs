@@ -68,16 +68,6 @@ impl SnapshotDelta {
         delta
     }
 
-    /// The origin host.
-    pub fn origin(&self) -> Id {
-        self.origin
-    }
-
-    /// Time of the resulting snapshot.
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
     /// Verifies the origin's signature.
     pub fn verify(&self, origin_key: &PublicKey) -> bool {
         origin_key.verify(&self.to_signable_vec(), &self.sig)

@@ -3,7 +3,7 @@
 //! Probe records and snapshots arrive from *other hosts*; malformed or
 //! incomplete input is a protocol condition, not a programmer bug, so
 //! the fallible entry points (`ProbeRecord::try_new`,
-//! [`infer_pass_rates_tolerant`](crate::infer::infer_pass_rates_tolerant),
+//! [`infer_pass_rates_tolerant_batch`](crate::infer::infer_pass_rates_tolerant_batch),
 //! [`try_suspicious_leaves`](crate::feedback::try_suspicious_leaves))
 //! return this error instead of panicking. The original panicking
 //! constructors remain as thin wrappers for callers holding

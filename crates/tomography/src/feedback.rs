@@ -38,7 +38,7 @@ use crate::tree::LogicalTree;
 /// let n = ledger.issue(0, Id::from_u64(5), &mut rng);
 /// assert!(ledger.validate(0, Id::from_u64(5), n));
 /// // A fabricated ack with a guessed nonce is rejected.
-/// let forged = concilium_crypto::Nonce::from_raw(12345);
+/// let forged = concilium_crypto::Nonce::random(&mut rng);
 /// assert!(!ledger.validate(0, Id::from_u64(5), forged));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -84,7 +84,7 @@ impl NonceLedger {
 /// # Panics
 ///
 /// Panics if the record's leaf count does not match the tree, or if
-/// `ratio_threshold` is not in `(0, 1)`. Use [`try_suspicious_leaves`]
+/// `ratio_threshold` is not in `(0, 1)`. Use `try_suspicious_leaves`
 /// for records received from other hosts.
 pub fn suspicious_leaves(
     tree: &LogicalTree,
@@ -106,7 +106,7 @@ pub fn suspicious_leaves(
 /// [`TomographyError::LeafMismatch`] when the record does not match the
 /// tree, [`TomographyError::BadThreshold`] when `ratio_threshold` is
 /// outside `(0, 1)`.
-pub fn try_suspicious_leaves(
+pub(crate) fn try_suspicious_leaves(
     tree: &LogicalTree,
     record: &ProbeRecord,
     min_evidence: usize,

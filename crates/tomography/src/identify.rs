@@ -31,7 +31,7 @@ impl AmbiguityClasses {
     /// Computes the classes for an arbitrary path matrix: `paths[i]` is
     /// the (ordered or unordered) set of links measurement path `i`
     /// crosses. Links never crossed by any path do not appear.
-    pub fn from_paths<P: AsRef<[LinkId]>>(paths: &[P]) -> Self {
+    pub(crate) fn from_paths<P: AsRef<[LinkId]>>(paths: &[P]) -> Self {
         // Row for a link = sorted set of path indices containing it. Links
         // sharing a row are mutually unidentifiable.
         let mut rows: BTreeMap<LinkId, Vec<usize>> = BTreeMap::new();
@@ -102,22 +102,6 @@ impl AmbiguityClasses {
         sorted == self.classes[idx]
     }
 
-    /// The *closure* of a link set: the union of every class touched. This
-    /// is the finest set any inference may blame without splitting an
-    /// ambiguity class; a localization naming a proper subset of it
-    /// overclaims.
-    pub fn closure<I: IntoIterator<Item = LinkId>>(&self, links: I) -> Vec<LinkId> {
-        let mut idxs: Vec<usize> = links.into_iter().filter_map(|l| self.class_of(l)).collect();
-        idxs.sort_unstable();
-        idxs.dedup();
-        let mut out = Vec::new();
-        for idx in idxs {
-            out.extend_from_slice(&self.classes[idx]);
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Structural theory check: for a tree matrix, the ambiguity classes
     /// must be exactly the per-edge link segments of the collapsed
     /// [`LogicalTree`] — links on one unbranched segment sit below the
@@ -163,7 +147,6 @@ mod tests {
         assert_ne!(a.class_of(LinkId(1)), a.class_of(LinkId(2)));
         assert!(a.is_whole_class(&l(&[1, 0])));
         assert!(!a.is_whole_class(&l(&[0])));
-        assert_eq!(a.closure(l(&[0, 3])), l(&[0, 1, 3]));
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl PassRates {
     pub fn cumulative(&self, node: usize) -> f64 {
         self.cumulative[node]
     }
-
-    /// Number of edges estimated.
-    pub fn num_edges(&self) -> usize {
-        self.alpha.len()
-    }
 }
 
 /// Errors from inference.
@@ -121,9 +116,8 @@ impl std::error::Error for InferError {}
 ///   once warm.
 ///
 /// Using a scratch value never changes results: the `_batch` entry points
-/// are bit-identical, record by record, to [`infer_pass_rates`] /
-/// [`infer_pass_rates_tolerant`], which run the same kernel on a fresh
-/// scratch.
+/// are bit-identical, record by record, to [`infer_pass_rates`], which
+/// runs the same kernel on a fresh scratch.
 #[derive(Default)]
 pub struct InferScratch {
     /// Encoded shape of the cached tree (empty = nothing cached).
@@ -160,18 +154,9 @@ pub struct InferScratch {
     stack: Vec<usize>,
     /// Effective children γ's for one bisection solve.
     child_gammas: Vec<f64>,
-    /// Inference passes that ran on this scratch.
-    uses: u64,
 }
 
 impl InferScratch {
-    /// How many inference passes have run on this scratch — every use
-    /// past the first reused its buffers instead of allocating fresh
-    /// ones. A buffer-reuse counter for the metrics registry.
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-
     /// Flattens `tree` into the SoA shape cache unless the cached shape
     /// already matches it exactly (structural comparison, not identity).
     fn ensure_shape(&mut self, tree: &LogicalTree) {
@@ -209,7 +194,6 @@ impl std::fmt::Debug for InferScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InferScratch")
             .field("capacity_nodes", &self.gamma.capacity())
-            .field("uses", &self.uses)
             .finish()
     }
 }
@@ -271,8 +255,9 @@ pub fn infer_pass_rates_batch(
     records.iter().map(|record| scratch.strict(tree, record)).collect()
 }
 
-/// Runs the MINC estimator over a *partial* probe record, discounting
-/// indeterminate feedback instead of misreading it as loss.
+/// Runs the MINC estimator over *partial* probe records, one call per
+/// verdict window, discounting indeterminate feedback instead of
+/// misreading it as loss.
 ///
 /// A stripe is *informative* for a logical node only when the feedback
 /// of **every** leaf in the node's subtree is known; any missing cell
@@ -293,24 +278,12 @@ pub fn infer_pass_rates_batch(
 ///
 /// # Errors
 ///
+/// Per record, each without disturbing the others:
 /// [`TomographyError::LeafMismatch`] when the record does not match the
 /// tree, and [`TomographyError::NoInformativeStripes`] when every stripe
 /// of some node is indeterminate — so much feedback is missing that no
 /// estimate exists; callers should treat this like an unprobed link, not
 /// as evidence either way.
-pub fn infer_pass_rates_tolerant(
-    tree: &LogicalTree,
-    record: &PartialProbeRecord,
-) -> Result<PassRates, TomographyError> {
-    let _span = concilium_obs::span("tomo.infer");
-    let mut scratch = InferScratch::default();
-    scratch.ensure_shape(tree);
-    scratch.tolerant(tree, record)
-}
-
-/// Tolerant counterpart of [`infer_pass_rates_batch`]: one call per
-/// verdict window, per-record results bit-identical to per-record
-/// [`infer_pass_rates_tolerant`] calls.
 pub fn infer_pass_rates_tolerant_batch(
     tree: &LogicalTree,
     records: &[PartialProbeRecord],
@@ -362,7 +335,6 @@ fn check_leaves(tree: &LogicalTree, record_leaves: usize) -> Result<(), InferErr
 /// The per-record estimators. Both assume the shape cache matches `tree`.
 impl InferScratch {
     fn strict(&mut self, tree: &LogicalTree, record: &ProbeRecord) -> Result<PassRates, InferError> {
-        self.uses += 1;
         check_leaves(tree, record.num_leaves())?;
         self.pack_gammas(record.rows());
         Ok(self.solve(tree))
@@ -373,7 +345,6 @@ impl InferScratch {
         tree: &LogicalTree,
         record: &PartialProbeRecord,
     ) -> Result<PassRates, TomographyError> {
-        self.uses += 1;
         check_leaves(tree, record.num_leaves())?;
         self.pack_gammas(record.rows());
         // A leaf with no known cell starves its own node, so this scan
@@ -641,6 +612,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// One partial record through the batch entry point on a fresh scratch.
+    fn tolerant_one(
+        tree: &LogicalTree,
+        record: &PartialProbeRecord,
+    ) -> Result<PassRates, TomographyError> {
+        let mut scratch = InferScratch::default();
+        infer_pass_rates_tolerant_batch(tree, std::slice::from_ref(record), &mut scratch).remove(0)
+    }
+
+    /// `record` with every ack of leaf 0 lost.
+    fn starve_leaf_0(record: &ProbeRecord) -> PartialProbeRecord {
+        let mut rows = PartialProbeRecord::from_complete(record).rows().to_vec();
+        for row in &mut rows {
+            row[0] = None;
+        }
+        PartialProbeRecord::try_new(rows).unwrap()
+    }
+
     fn p(routers: &[u32], links: &[u32]) -> IpPath {
         IpPath::new(
             routers.iter().copied().map(RouterId).collect(),
@@ -709,7 +698,7 @@ mod tests {
             });
         }
         let n_nodes = tree.num_nodes();
-        let stripes = record.num_stripes();
+        let stripes = record.rows().len();
 
         // γ̂_k: fraction of stripes where any leaf in k's subtree acked.
         // Computed bottom-up per stripe with an explicit post-order.
@@ -754,7 +743,7 @@ mod tests {
             });
         }
         let n_nodes = tree.num_nodes();
-        let stripes = record.num_stripes();
+        let stripes = record.rows().len();
         let mut order = Vec::new();
         let mut stack = Vec::new();
         post_order_into(tree, &mut order, &mut stack);
@@ -764,7 +753,7 @@ mod tests {
         let mut state = vec![StripeView::Indeterminate; n_nodes];
         for s in 0..stripes {
             for &node in &order {
-                let own = tree.leaf_at(node).map(|leaf| record.outcome(s, leaf));
+                let own = tree.leaf_at(node).map(|leaf| record.rows()[s][leaf]);
                 let mut any_ack = own == Some(Some(true));
                 let mut any_unknown = own == Some(None);
                 for &c in tree.children(node) {
@@ -799,7 +788,7 @@ mod tests {
             let mut acks = 0u64;
             let mut known = 0u64;
             for s in 0..stripes {
-                match record.outcome(s, leaf) {
+                match record.rows()[s][leaf] {
                     Some(true) => {
                         acks += 1;
                         known += 1;
@@ -925,7 +914,7 @@ mod tests {
         let rec = simulate_stripes(&tree, &|_| 0.9, 5_000, &mut rng);
         let full = infer_pass_rates(&tree, &rec).unwrap();
         let partial = crate::probe::PartialProbeRecord::from_complete(&rec);
-        let tolerant = infer_pass_rates_tolerant(&tree, &partial).unwrap();
+        let tolerant = tolerant_one(&tree, &partial).unwrap();
         assert_eq!(full, tolerant, "no censoring ⇒ identical estimates");
     }
 
@@ -944,8 +933,10 @@ mod tests {
         let rec = simulate_stripes(&tree, &pass, 30_000, &mut rng);
         let mut partial = crate::probe::PartialProbeRecord::from_complete(&rec);
         partial.censor_random(0.2, &mut rng);
-        assert!((partial.censored_fraction() - 0.2).abs() < 0.01);
-        let rates = infer_pass_rates_tolerant(&tree, &partial).unwrap();
+        let cells = partial.rows().iter().flatten();
+        let missing = cells.clone().filter(|c| c.is_none()).count();
+        assert!((missing as f64 / cells.count() as f64 - 0.2).abs() < 0.01);
+        let rates = tolerant_one(&tree, &partial).unwrap();
         for (links, want) in [(vec![0u32], 0.9), (vec![1], 0.8), (vec![2], 0.95)] {
             let e = edge_by_links(&tree, &links);
             assert!(
@@ -957,12 +948,10 @@ mod tests {
 
         // The naive reading of the same censored data is visibly biased
         // on the last-mile edges (each loses ~20% of its acks).
-        let naive_rows: Vec<Vec<bool>> = (0..partial.num_stripes())
-            .map(|s| {
-                (0..partial.num_leaves())
-                    .map(|l| partial.outcome(s, l).unwrap_or(false))
-                    .collect()
-            })
+        let naive_rows: Vec<Vec<bool>> = partial
+            .rows()
+            .iter()
+            .map(|row| row.iter().map(|c| c.unwrap_or(false)).collect())
             .collect();
         let naive = infer_pass_rates(&tree, &ProbeRecord::new(naive_rows)).unwrap();
         let leaf1 = edge_by_links(&tree, &[1]);
@@ -978,11 +967,8 @@ mod tests {
         let tree = y_tree();
         let mut rng = StdRng::seed_from_u64(107);
         let rec = simulate_stripes(&tree, &|_| 0.9, 100, &mut rng);
-        let mut partial = crate::probe::PartialProbeRecord::from_complete(&rec);
-        for s in 0..partial.num_stripes() {
-            partial.censor(s, 0);
-        }
-        let err = infer_pass_rates_tolerant(&tree, &partial).unwrap_err();
+        let partial = starve_leaf_0(&rec);
+        let err = tolerant_one(&tree, &partial).unwrap_err();
         assert!(
             matches!(err, TomographyError::NoInformativeStripes { .. }),
             "got {err:?}"
@@ -995,7 +981,7 @@ mod tests {
         let partial =
             crate::probe::PartialProbeRecord::try_new(vec![vec![Some(true); 3]]).unwrap();
         assert_eq!(
-            infer_pass_rates_tolerant(&tree, &partial),
+            tolerant_one(&tree, &partial),
             Err(TomographyError::LeafMismatch { tree: 2, record: 3 })
         );
     }
@@ -1015,9 +1001,12 @@ mod tests {
 
             let mut partial = crate::probe::PartialProbeRecord::from_complete(&rec);
             partial.censor_random(0.1, &mut rng);
-            let reused_t =
-                infer_pass_rates_tolerant_batch(&tree, std::slice::from_ref(&partial), &mut scratch);
-            assert_eq!(bits(infer_pass_rates_tolerant(&tree, &partial)), bits(reused_t[0].clone()));
+            let reused_t = infer_pass_rates_tolerant_batch(
+                &tree,
+                std::slice::from_ref(&partial),
+                &mut scratch,
+            );
+            assert_eq!(bits(tolerant_one(&tree, &partial)), bits(reused_t[0].clone()));
         }
 
         // Error paths leave the scratch reusable too.
@@ -1028,7 +1017,6 @@ mod tests {
         let out = infer_pass_rates_batch(&tree, &[bad, rec.clone()], &mut scratch);
         assert!(out[0].is_err());
         assert_eq!(bits(infer_pass_rates(&tree, &rec)), bits(out[1].clone()));
-        assert_eq!(scratch.uses(), 8, "every record of every batch counts as one use");
     }
 
     #[test]
@@ -1078,10 +1066,7 @@ mod tests {
 
         // Tolerant batch, with a fully starved record in the middle.
         let p64 = crate::probe::PartialProbeRecord::from_complete(&r64);
-        let mut starved = crate::probe::PartialProbeRecord::from_complete(&r64);
-        for s in 0..starved.num_stripes() {
-            starved.censor(s, 0);
-        }
+        let starved = starve_leaf_0(&r64);
         let p65 = crate::probe::PartialProbeRecord::from_complete(&r65);
         let out =
             infer_pass_rates_tolerant_batch(&tree, &[p64.clone(), starved.clone(), p65.clone()], &mut scratch);
@@ -1189,7 +1174,7 @@ mod tests {
                 let want_t = bits(infer_pass_rates_tolerant_reference(&tree, &partial));
                 prop_assert_eq!(
                     &want_t,
-                    &bits(infer_pass_rates_tolerant(&tree, &partial)),
+                    &bits(tolerant_one(&tree, &partial)),
                     "tolerant round {}", round
                 );
                 let mut batch_t =

@@ -17,9 +17,8 @@
 //! * [`infer`] — the MINC maximum-likelihood estimator recovering
 //!   per-edge pass rates from leaf acknowledgment patterns: one
 //!   bit-packed kernel behind [`infer_pass_rates`] (complete records)
-//!   and [`infer_pass_rates_tolerant`] (partial records), each with a
-//!   `_batch` form that reuses an [`InferScratch`] across a verdict
-//!   window.
+//!   and [`infer_pass_rates_tolerant_batch`] (partial records), both
+//!   reusing an [`InferScratch`] across a verdict window.
 //! * [`snapshot`] — signed, timestamped tomographic snapshots with the
 //!   compact loss-bucket encoding of §4.4.
 //! * [`feedback`] — defences against lying leaves: probe nonces and the
@@ -28,7 +27,7 @@
 //! * [`identify`] — Boolean-tomography identifiability: which link
 //!   subsets the probe/route matrix can distinguish at all, as ambiguity
 //!   classes bounding how finely any inference may assign blame.
-//! * [`PartialProbeRecord`] / [`infer_pass_rates_tolerant`] — inference
+//! * [`PartialProbeRecord`] / [`infer_pass_rates_tolerant_batch`] — inference
 //!   under *missing* feedback: stripes whose acknowledgment fate is
 //!   unknown (lost acks, crashed leaves) are discounted rather than
 //!   misread as loss, with [`TomographyError`] replacing panics on
@@ -81,8 +80,7 @@ pub use error::TomographyError;
 pub use forest::Forest;
 pub use identify::AmbiguityClasses;
 pub use infer::{
-    infer_pass_rates, infer_pass_rates_batch, infer_pass_rates_tolerant,
-    infer_pass_rates_tolerant_batch, InferScratch,
+    infer_pass_rates, infer_pass_rates_batch, infer_pass_rates_tolerant_batch, InferScratch,
 };
 pub use probe::PartialProbeRecord;
 pub use snapshot::{LinkObservation, LossBucket, TomographySnapshot};

@@ -30,7 +30,7 @@ impl ProbeRecord {
     /// # Panics
     ///
     /// Panics if rows have inconsistent lengths or there are no stripes.
-    /// Use [`ProbeRecord::try_new`] for records received from other
+    /// Use `ProbeRecord::try_new` for records received from other
     /// hosts, where malformation is protocol input rather than a bug.
     pub fn new(outcomes: Vec<Vec<bool>>) -> Self {
         match Self::try_new(outcomes) {
@@ -47,7 +47,7 @@ impl ProbeRecord {
     /// [`TomographyError::EmptyRecord`] with no stripes,
     /// [`TomographyError::NoLeaves`] with no leaves, and
     /// [`TomographyError::RaggedRecord`] when rows disagree on length.
-    pub fn try_new(outcomes: Vec<Vec<bool>>) -> Result<Self, TomographyError> {
+    pub(crate) fn try_new(outcomes: Vec<Vec<bool>>) -> Result<Self, TomographyError> {
         if outcomes.is_empty() {
             return Err(TomographyError::EmptyRecord);
         }
@@ -68,12 +68,12 @@ impl ProbeRecord {
     }
 
     /// Number of stripes probed.
-    pub fn num_stripes(&self) -> usize {
+    pub(crate) fn num_stripes(&self) -> usize {
         self.outcomes.len()
     }
 
     /// Number of leaves probed.
-    pub fn num_leaves(&self) -> usize {
+    pub(crate) fn num_leaves(&self) -> usize {
         self.num_leaves
     }
 
@@ -82,7 +82,7 @@ impl ProbeRecord {
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn received(&self, stripe: usize, leaf: usize) -> bool {
+    pub(crate) fn received(&self, stripe: usize, leaf: usize) -> bool {
         self.outcomes[stripe][leaf]
     }
 
@@ -97,7 +97,7 @@ impl ProbeRecord {
     /// # Panics
     ///
     /// Panics if `leaf` is out of range.
-    pub fn leaf_ack_rate(&self, leaf: usize) -> f64 {
+    pub(crate) fn leaf_ack_rate(&self, leaf: usize) -> f64 {
         let acks = self.outcomes.iter().filter(|row| row[leaf]).count();
         acks as f64 / self.num_stripes() as f64
     }
@@ -125,10 +125,10 @@ impl ProbeRecord {
 /// Treating a lost ack as `false` is exactly the confusion the
 /// fault-injection harness manufactures: it deflates the leaf's apparent
 /// ack rate and skews every shared-segment estimate above it. Tolerant
-/// inference ([`infer_pass_rates_tolerant`]) discounts indeterminate
+/// inference ([`infer_pass_rates_tolerant_batch`]) discounts indeterminate
 /// cells instead.
 ///
-/// [`infer_pass_rates_tolerant`]: crate::infer::infer_pass_rates_tolerant
+/// [`infer_pass_rates_tolerant_batch`]: crate::infer::infer_pass_rates_tolerant_batch
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartialProbeRecord {
     outcomes: Vec<Vec<Option<bool>>>,
@@ -140,7 +140,7 @@ impl PartialProbeRecord {
     ///
     /// # Errors
     ///
-    /// Same shape validation as [`ProbeRecord::try_new`].
+    /// Same shape validation as `ProbeRecord::try_new`.
     pub fn try_new(outcomes: Vec<Vec<Option<bool>>>) -> Result<Self, TomographyError> {
         if outcomes.is_empty() {
             return Err(TomographyError::EmptyRecord);
@@ -169,38 +169,15 @@ impl PartialProbeRecord {
         PartialProbeRecord { outcomes, num_leaves: record.num_leaves() }
     }
 
-    /// Number of stripes probed.
-    pub fn num_stripes(&self) -> usize {
-        self.outcomes.len()
-    }
-
     /// Number of leaves probed.
-    pub fn num_leaves(&self) -> usize {
+    pub(crate) fn num_leaves(&self) -> usize {
         self.num_leaves
-    }
-
-    /// The (possibly unknown) outcome for `leaf` on `stripe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn outcome(&self, stripe: usize, leaf: usize) -> Option<bool> {
-        self.outcomes[stripe][leaf]
     }
 
     /// Every stripe's tri-state outcomes across all leaves — see
     /// [`ProbeRecord::rows`].
     pub(crate) fn rows(&self) -> &[Vec<Option<bool>>] {
         &self.outcomes
-    }
-
-    /// Marks one cell indeterminate (its ack never made it back).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn censor(&mut self, stripe: usize, leaf: usize) {
-        self.outcomes[stripe][leaf] = None;
     }
 
     /// Censors each cell independently with probability `fraction` —
@@ -221,14 +198,6 @@ impl PartialProbeRecord {
                 }
             }
         }
-    }
-
-    /// Fraction of cells that are indeterminate.
-    pub fn censored_fraction(&self) -> f64 {
-        let total = self.num_stripes() * self.num_leaves;
-        let missing: usize =
-            self.outcomes.iter().map(|row| row.iter().filter(|c| c.is_none()).count()).sum();
-        missing as f64 / total as f64
     }
 }
 

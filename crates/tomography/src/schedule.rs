@@ -75,11 +75,6 @@ impl Prober {
         Prober { schedule, pending_retry: false, last_heavyweight: None }
     }
 
-    /// The schedule in use.
-    pub fn schedule(&self) -> &ProbeSchedule {
-        &self.schedule
-    }
-
     /// Draws the next lightweight probe time: `now + U[0, max_probe_time]`.
     pub fn next_lightweight<R: Rng + ?Sized>(&self, now: SimTime, rng: &mut R) -> SimTime {
         now + SimDuration::from_micros(

@@ -28,12 +28,12 @@ pub enum LossBucket {
 impl LossBucket {
     /// Whether the bucket counts as "up" for the binary verdicts of the
     /// evaluation (`Up` and `Light`).
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         matches!(self, LossBucket::Up | LossBucket::Light)
     }
 
     /// The 2-bit wire encoding.
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             LossBucket::Up => 0,
             LossBucket::Light => 1,
@@ -123,7 +123,7 @@ impl TomographySnapshot {
     }
 
     /// The advertised per-link observations.
-    pub fn observations(&self) -> &[LinkObservation] {
+    pub(crate) fn observations(&self) -> &[LinkObservation] {
         &self.observations
     }
 

@@ -86,11 +86,6 @@ impl ProbeTree {
         self.leaves.len()
     }
 
-    /// The path to a given leaf, if present.
-    pub fn path_to(&self, leaf: Id) -> Option<&IpPath> {
-        self.leaves.iter().find(|(id, _)| *id == leaf).map(|(_, p)| p)
-    }
-
     /// The distinct physical links in the tree.
     pub fn link_set(&self) -> Vec<LinkId> {
         let mut links: Vec<LinkId> = self
@@ -226,12 +221,12 @@ impl LogicalTree {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn children(&self, node: usize) -> &[usize] {
+    pub(crate) fn children(&self, node: usize) -> &[usize] {
         &self.nodes[node].children
     }
 
     /// The leaf index at `node`, if that node is a leaf.
-    pub fn leaf_at(&self, node: usize) -> Option<usize> {
+    pub(crate) fn leaf_at(&self, node: usize) -> Option<usize> {
         self.nodes[node].leaf
     }
 
@@ -240,7 +235,7 @@ impl LogicalTree {
     /// # Panics
     ///
     /// Panics if `leaf` is out of range.
-    pub fn leaf_node(&self, leaf: usize) -> usize {
+    pub(crate) fn leaf_node(&self, leaf: usize) -> usize {
         self.leaf_nodes[leaf]
     }
 
@@ -354,13 +349,6 @@ mod tests {
             t.link_set(),
             vec![LinkId(0), LinkId(1), LinkId(2), LinkId(3), LinkId(4)]
         );
-    }
-
-    #[test]
-    fn path_lookup() {
-        let t = sample_tree();
-        assert_eq!(t.path_to(Id::from_u64(2)).unwrap().hop_count(), 3);
-        assert!(t.path_to(Id::from_u64(9)).is_none());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! IP routes in the reproduction are static per topology (see [`BfsTree`]:
 //! stable for at least a day, §3.2), so a caller that asks for routes from
 //! the same sources again and again need not search again.
-//! A [`PathCache`] memoizes both the per-source trees and the extracted
-//! `(source, destination)` paths. Because [`BfsTree::compute`] is a pure,
+//! A [`PathCache`] memoizes the per-source trees. Because [`BfsTree::compute`] is a pure,
 //! deterministic function of `(graph, source)`, a cache hit returns exactly
 //! the tree a fresh computation would have produced: caching is invisible
 //! to results.
@@ -24,7 +23,6 @@
 use concilium_types::RouterId;
 
 use crate::graph::Graph;
-use crate::path::IpPath;
 use crate::routing::BfsTree;
 
 /// Hit/miss counters for shortest-path tree lookups: the simulator's
@@ -37,12 +35,12 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A per-topology cache of BFS trees and extracted paths.
+/// A per-topology cache of BFS trees.
 ///
 /// # Examples
 ///
 /// ```
-/// use concilium_topology::{generate, PathCache, TransitStubConfig};
+/// use concilium_topology::{generate, BfsTree, PathCache, TransitStubConfig};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -50,10 +48,10 @@ pub struct CacheStats {
 /// let mut cache = PathCache::new();
 /// let src = topo.end_hosts[0];
 /// let dst = topo.end_hosts[1];
-/// let first = cache.path(&topo.graph, src, dst).cloned();
-/// let second = cache.path(&topo.graph, src, dst).cloned();
-/// assert_eq!(first, second);
-/// assert_eq!(cache.num_trees(), 1);
+/// let fresh = BfsTree::compute(&topo.graph, src).path_to(dst);
+/// assert_eq!(cache.tree(&topo.graph, src).path_to(dst), fresh);
+/// // The second lookup is answered from the cache.
+/// assert_eq!(cache.tree(&topo.graph, src).path_to(dst), fresh);
 /// ```
 #[derive(Debug, Default)]
 pub struct PathCache {
@@ -63,14 +61,8 @@ pub struct PathCache {
     /// per-message hot path, and no hash iteration order to worry
     /// about.
     trees: Vec<Option<BfsTree>>,
-    /// Extracted paths, outer index = source, inner index = destination.
-    /// A source's row is allocated lazily on its first path lookup; within
-    /// a row, `None` = not yet computed, `Some(None)` = unreachable.
-    paths: Vec<Vec<Option<Option<IpPath>>>>,
     /// Shape of the graph this cache was first used with.
     shape: Option<(usize, usize)>,
-    /// Number of distinct source trees computed so far.
-    trees_computed: usize,
 }
 
 impl PathCache {
@@ -89,42 +81,11 @@ impl PathCache {
         self.check_shape(graph);
         let slot = &mut self.trees[source.index()];
         if slot.is_none() {
-            self.trees_computed += 1;
             *slot = Some(BfsTree::compute(graph, source));
         }
         self.trees[source.index()]
             .as_ref()
             .expect("slot filled above")
-    }
-
-    /// The shortest path `source → destination`, computing and memoizing it
-    /// on first use. `None` means the destination is unreachable.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`PathCache::tree`].
-    pub fn path(&mut self, graph: &Graph, source: RouterId, destination: RouterId) -> Option<&IpPath> {
-        self.check_shape(graph);
-        let n = self.trees.len();
-        let (src, dst) = (source.index(), destination.index());
-        let row_ready = self.paths[src].get(dst).is_some_and(Option::is_some);
-        if !row_ready {
-            let extracted = self.tree(graph, source).path_to(destination);
-            let row = &mut self.paths[src];
-            if row.is_empty() {
-                row.resize(n, None);
-            }
-            row[dst] = Some(extracted);
-        }
-        self.paths[src][dst]
-            .as_ref()
-            .expect("slot filled above")
-            .as_ref()
-    }
-
-    /// Number of distinct source trees currently cached.
-    pub fn num_trees(&self) -> usize {
-        self.trees_computed
     }
 
     fn check_shape(&mut self, graph: &Graph) {
@@ -133,7 +94,6 @@ impl PathCache {
             None => {
                 self.shape = Some(shape);
                 self.trees.resize_with(shape.0, || None);
-                self.paths.resize_with(shape.0, Vec::new);
             }
             Some(seen) => assert_eq!(
                 seen, shape,
@@ -163,29 +123,12 @@ mod tests {
                 assert_eq!(cached.path_to(dst), fresh.path_to(dst));
             }
         }
-        assert_eq!(cache.num_trees(), 4);
+        assert_eq!(cache.trees.iter().flatten().count(), 4);
         // Second round: all hits, no new trees.
         for &src in topo.end_hosts.iter().take(4) {
             cache.tree(&topo.graph, src);
         }
-        assert_eq!(cache.num_trees(), 4);
-    }
-
-    #[test]
-    fn cached_path_matches_fresh_extraction() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let topo = generate(&TransitStubConfig::tiny(), &mut rng);
-        let mut cache = PathCache::new();
-        let src = topo.end_hosts[0];
-        for &dst in topo.end_hosts.iter().take(6) {
-            let fresh = BfsTree::compute(&topo.graph, src).path_to(dst);
-            assert_eq!(cache.path(&topo.graph, src, dst), fresh.as_ref());
-            // And again, from the memo this time.
-            assert_eq!(cache.path(&topo.graph, src, dst), fresh.as_ref());
-        }
-        assert_eq!(cache.paths[src.index()].iter().filter(|p| p.is_some()).count(), 6);
-        // Six path misses share one tree computation.
-        assert_eq!(cache.num_trees(), 1);
+        assert_eq!(cache.trees.iter().flatten().count(), 4);
     }
 
     #[test]

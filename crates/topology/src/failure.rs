@@ -81,7 +81,7 @@ impl LinkStatus {
     }
 
     /// Whether `link` is currently up.
-    pub fn is_up(&self, link: LinkId) -> bool {
+    pub(crate) fn is_up(&self, link: LinkId) -> bool {
         self.down_since[link.index()].is_none()
     }
 
@@ -181,16 +181,6 @@ impl FailureModel {
         let depth = Beta::new(cfg.depth_alpha, cfg.depth_beta)
             .expect("beta parameters must be positive");
         FailureModel { cfg, paths, target_down, downtime, depth }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FailureModelConfig {
-        &self.cfg
-    }
-
-    /// How many links should be down at any moment.
-    pub fn target_down(&self) -> usize {
-        self.target_down
     }
 
     /// Picks the next link to fail: a random candidate path, then a
@@ -331,7 +321,7 @@ mod tests {
     fn seed_reaches_target() {
         let paths = vec![path(&[0, 1, 2, 3, 4]), path(&[5, 6, 7, 8, 9])];
         let m = model(paths, 100); // 5% of 100 = 5 links down
-        assert_eq!(m.target_down(), 5);
+        assert_eq!(m.target_down, 5);
         let mut s = LinkStatus::new(100);
         let mut rng = StdRng::seed_from_u64(3);
         let repairs = m.seed_initial(&mut s, SimTime::ZERO, &mut rng);
@@ -352,7 +342,7 @@ mod tests {
         let repairs = m.seed_initial(&mut s, SimTime::ZERO, &mut rng);
         let first = repairs[0];
         let next = m.on_repair(&mut s, first.link, first.at, &mut rng);
-        assert_eq!(s.num_down(), m.target_down());
+        assert_eq!(s.num_down(), m.target_down);
         assert!(s.is_up(first.link));
         assert!(!s.is_up(next.link));
         assert!(next.at > first.at);

@@ -6,7 +6,7 @@ use concilium_types::{LinkId, RouterId};
 
 /// An undirected multigraph of routers and links with dense indices.
 ///
-/// Built once via [`GraphBuilder`] and immutable afterwards; the failure
+/// Built once (by [`generate`](crate::generate)) and immutable afterwards; the failure
 /// process tracks link up/down state separately (see
 /// [`LinkStatus`](crate::LinkStatus)) so a single graph can be shared by
 /// every host in a simulation.
@@ -14,15 +14,13 @@ use concilium_types::{LinkId, RouterId};
 /// # Examples
 ///
 /// ```
-/// use concilium_topology::GraphBuilder;
-/// use concilium_types::RouterId;
+/// use concilium_topology::{generate, TransitStubConfig};
+/// use rand::SeedableRng;
 ///
-/// let mut b = GraphBuilder::new(3);
-/// b.add_link(RouterId(0), RouterId(1));
-/// b.add_link(RouterId(1), RouterId(2));
-/// let g = b.build();
-/// assert_eq!(g.degree(RouterId(1)), 2);
-/// assert!(g.is_connected());
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let g = generate(&TransitStubConfig::tiny(), &mut rng).graph;
+/// assert_eq!(g.links().count(), g.num_links());
+/// assert!(g.num_links() >= g.num_routers() - 1, "connected");
 /// ```
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
@@ -50,24 +48,6 @@ impl Graph {
         self.endpoints.len()
     }
 
-    /// The two endpoints of a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn endpoints(&self, link: LinkId) -> (RouterId, RouterId) {
-        self.endpoints[link.index()]
-    }
-
-    /// Degree (number of incident links) of a router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `router` is out of range.
-    pub fn degree(&self, router: RouterId) -> usize {
-        self.neighbors(router).len()
-    }
-
     /// The (neighbor, link) pairs incident to `router`, in the order the
     /// links were added (the CSR flattening preserves it, so BFS tie-break
     /// order — and with it every downstream route and trace digest — is
@@ -76,23 +56,14 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `router` is out of range.
-    pub fn neighbors(&self, router: RouterId) -> &[(RouterId, LinkId)] {
+    pub(crate) fn neighbors(&self, router: RouterId) -> &[(RouterId, LinkId)] {
         let lo = self.adj_offsets[router.index()] as usize;
         let hi = self.adj_offsets[router.index() + 1] as usize;
         &self.adj_pairs[lo..hi]
     }
 
-    /// All routers with exactly one link — the paper's definition of an end
-    /// host.
-    pub fn degree_one_routers(&self) -> Vec<RouterId> {
-        (0..self.num_routers() as u32)
-            .map(RouterId)
-            .filter(|r| self.degree(*r) == 1)
-            .collect()
-    }
-
     /// Whether the graph is connected (true for the empty graph).
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         let n = self.num_routers();
         if n == 0 {
             return true;
@@ -117,37 +88,22 @@ impl Graph {
     pub fn links(&self) -> impl Iterator<Item = LinkId> + '_ {
         (0..self.num_links() as u32).map(LinkId)
     }
-
-    /// Iterates over all router ids.
-    pub fn routers(&self) -> impl Iterator<Item = RouterId> + '_ {
-        (0..self.num_routers() as u32).map(RouterId)
-    }
 }
 
 /// Incremental builder for [`Graph`].
 #[derive(Clone, Debug, Default)]
-pub struct GraphBuilder {
+pub(crate) struct GraphBuilder {
     endpoints: Vec<(RouterId, RouterId)>,
     adj: Vec<Vec<(RouterId, LinkId)>>,
 }
 
 impl GraphBuilder {
     /// Creates a builder pre-sized for `routers` routers (no links yet).
-    pub fn new(routers: usize) -> Self {
+    pub(crate) fn new(routers: usize) -> Self {
         GraphBuilder {
             endpoints: Vec::new(),
             adj: vec![Vec::new(); routers],
         }
-    }
-
-    /// Number of routers added so far.
-    pub fn num_routers(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of links added so far.
-    pub fn num_links(&self) -> usize {
-        self.endpoints.len()
     }
 
     /// Adds an undirected link between `a` and `b`, returning its id.
@@ -158,7 +114,7 @@ impl GraphBuilder {
     /// # Panics
     ///
     /// Panics if `a == b` or either endpoint is out of range.
-    pub fn add_link(&mut self, a: RouterId, b: RouterId) -> LinkId {
+    pub(crate) fn add_link(&mut self, a: RouterId, b: RouterId) -> LinkId {
         assert_ne!(a, b, "self-loop at {a}");
         assert!(a.index() < self.adj.len(), "router {a} out of range");
         assert!(b.index() < self.adj.len(), "router {b} out of range");
@@ -170,14 +126,14 @@ impl GraphBuilder {
     }
 
     /// Whether `a` and `b` are already directly linked.
-    pub fn has_link(&self, a: RouterId, b: RouterId) -> bool {
+    pub(crate) fn has_link(&self, a: RouterId, b: RouterId) -> bool {
         self.adj[a.index()].iter().any(|&(nbr, _)| nbr == b)
     }
 
     /// Finalises the graph, flattening the per-router adjacency lists
     /// into the CSR layout (insertion order preserved within each
     /// router, so BFS and routing behave identically).
-    pub fn build(self) -> Graph {
+    pub(crate) fn build(self) -> Graph {
         let total: usize = self.adj.iter().map(Vec::len).sum();
         assert!(u32::try_from(total).is_ok(), "graph exceeds u32 adjacency capacity");
         let mut adj_offsets = Vec::with_capacity(self.adj.len() + 1);
@@ -208,8 +164,8 @@ mod tests {
         let g = triangle();
         assert_eq!(g.num_routers(), 3);
         assert_eq!(g.num_links(), 3);
-        for r in g.routers() {
-            assert_eq!(g.degree(r), 2);
+        for r in 0..3 {
+            assert_eq!(g.neighbors(RouterId(r)).len(), 2);
         }
     }
 
@@ -217,7 +173,7 @@ mod tests {
     fn endpoints_match_adjacency() {
         let g = triangle();
         for l in g.links() {
-            let (a, b) = g.endpoints(l);
+            let (a, b) = g.endpoints[l.index()];
             assert!(g.neighbors(a).iter().any(|&(n, ll)| n == b && ll == l));
             assert!(g.neighbors(b).iter().any(|&(n, ll)| n == a && ll == l));
         }
@@ -238,24 +194,13 @@ mod tests {
     }
 
     #[test]
-    fn degree_one_routers_found() {
-        let mut b = GraphBuilder::new(4);
-        b.add_link(RouterId(0), RouterId(1));
-        b.add_link(RouterId(1), RouterId(2));
-        b.add_link(RouterId(1), RouterId(3));
-        let g = b.build();
-        let hosts = g.degree_one_routers();
-        assert_eq!(hosts, vec![RouterId(0), RouterId(2), RouterId(3)]);
-    }
-
-    #[test]
     fn parallel_links_allowed() {
         let mut b = GraphBuilder::new(2);
         b.add_link(RouterId(0), RouterId(1));
         b.add_link(RouterId(0), RouterId(1));
         let g = b.build();
         assert_eq!(g.num_links(), 2);
-        assert_eq!(g.degree(RouterId(0)), 2);
+        assert_eq!(g.neighbors(RouterId(0)).len(), 2);
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //! # Examples
 //!
 //! ```
-//! use concilium_topology::{generate, TransitStubConfig};
+//! use concilium_topology::{generate, BfsTree, TransitStubConfig};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let topo = generate(&TransitStubConfig::tiny(), &mut rng);
-//! assert!(topo.graph.is_connected());
+//! let tree = BfsTree::compute(&topo.graph, topo.end_hosts[0]);
+//! assert!(topo.end_hosts.iter().all(|&h| tree.distance(h).is_some()));
 //! assert!(!topo.end_hosts.is_empty());
 //! ```
 
@@ -49,6 +50,6 @@ mod routing;
 pub use cache::{CacheStats, PathCache};
 pub use failure::{FailureModel, FailureModelConfig, LinkStatus, PendingRepair};
 pub use gen::{generate, Topology, TransitStubConfig};
-pub use graph::{Graph, GraphBuilder};
+pub use graph::Graph;
 pub use path::IpPath;
 pub use routing::{BfsPass, BfsTree, MultiBfs};

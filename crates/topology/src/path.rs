@@ -24,7 +24,7 @@ use concilium_types::{LinkId, RouterId};
 ///     vec![LinkId(2), LinkId(7)],
 /// );
 /// assert_eq!(p.hop_count(), 2);
-/// assert_eq!(p.link_at(1), LinkId(7));
+/// assert_eq!(p.links()[1], LinkId(7));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct IpPath {
@@ -51,19 +51,9 @@ impl IpPath {
         IpPath { routers, links }
     }
 
-    /// The trivial path from a router to itself.
-    pub fn trivial(router: RouterId) -> Self {
-        IpPath { routers: vec![router], links: Vec::new() }
-    }
-
     /// First router on the path.
     pub fn source(&self) -> RouterId {
         self.routers[0]
-    }
-
-    /// Last router on the path.
-    pub fn destination(&self) -> RouterId {
-        *self.routers.last().expect("paths are non-empty")
     }
 
     /// Number of links crossed.
@@ -86,7 +76,7 @@ impl IpPath {
     /// # Panics
     ///
     /// Panics if `i >= hop_count()`.
-    pub fn link_at(&self, i: usize) -> LinkId {
+    pub(crate) fn link_at(&self, i: usize) -> LinkId {
         self.links[i]
     }
 }
@@ -102,7 +92,6 @@ mod tests {
             vec![LinkId(10), LinkId(11)],
         );
         assert_eq!(p.source(), RouterId(1));
-        assert_eq!(p.destination(), RouterId(3));
         assert_eq!(p.hop_count(), 2);
         assert_eq!(p.link_at(1), LinkId(11));
         assert_eq!(p.links(), &[LinkId(10), LinkId(11)]);
@@ -110,9 +99,9 @@ mod tests {
 
     #[test]
     fn trivial_path() {
-        let p = IpPath::trivial(RouterId(5));
+        let p = IpPath::new(vec![RouterId(5)], Vec::new());
         assert_eq!(p.source(), RouterId(5));
-        assert_eq!(p.destination(), RouterId(5));
+        assert_eq!(p.routers(), &[RouterId(5)]);
         assert_eq!(p.hop_count(), 0);
     }
 

@@ -25,20 +25,18 @@ use crate::path::IpPath;
 /// # Examples
 ///
 /// ```
-/// use concilium_topology::{GraphBuilder, BfsTree};
-/// use concilium_types::RouterId;
+/// use concilium_topology::{generate, BfsTree, TransitStubConfig};
+/// use rand::SeedableRng;
 ///
-/// let mut b = GraphBuilder::new(3);
-/// b.add_link(RouterId(0), RouterId(1));
-/// b.add_link(RouterId(1), RouterId(2));
-/// let g = b.build();
-/// let tree = BfsTree::compute(&g, RouterId(0));
-/// let path = tree.path_to(RouterId(2)).unwrap();
-/// assert_eq!(path.hop_count(), 2);
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let topo = generate(&TransitStubConfig::tiny(), &mut rng);
+/// let (a, b) = (topo.end_hosts[0], topo.end_hosts[1]);
+/// let tree = BfsTree::compute(&topo.graph, a);
+/// let path = tree.path_to(b).unwrap();
+/// assert_eq!(tree.distance(b), Some(path.hop_count() as u32));
 /// ```
 #[derive(Clone, Debug)]
 pub struct BfsTree {
-    source: RouterId,
     /// For each router: the (parent router, link to parent), or None if the
     /// router is the source or unreachable.
     parent: Vec<Option<(RouterId, LinkId)>>,
@@ -78,12 +76,7 @@ impl BfsTree {
                 }
             }
         }
-        BfsTree { source, parent, dist }
-    }
-
-    /// The source router.
-    pub fn source(&self) -> RouterId {
-        self.source
+        BfsTree { parent, dist }
     }
 
     /// Hop distance from the source to `target`, or `None` if unreachable.
@@ -139,26 +132,24 @@ fn path_up(target: RouterId, parent: impl Fn(RouterId) -> Option<(RouterId, Link
 /// # Examples
 ///
 /// ```
-/// use concilium_topology::{BfsTree, GraphBuilder, MultiBfs};
-/// use concilium_types::RouterId;
+/// use concilium_topology::{generate, BfsTree, MultiBfs, TransitStubConfig};
+/// use rand::SeedableRng;
 ///
-/// let mut b = GraphBuilder::new(4);
-/// b.add_link(RouterId(0), RouterId(1));
-/// b.add_link(RouterId(1), RouterId(2));
-/// b.add_link(RouterId(1), RouterId(3));
-/// let g = b.build();
-/// let sources = [RouterId(0), RouterId(3)];
-/// let mut dist = [[0u32; 4]; 2];
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let topo = generate(&TransitStubConfig::tiny(), &mut rng);
+/// let (g, hosts) = (&topo.graph, &topo.end_hosts);
+/// let mut dist = vec![vec![0u32; g.num_routers()]; 2];
 /// let mut search = MultiBfs::new();
-/// let pass = search.run(&g, &sources, |router, mut lanes, depth| {
+/// let pass = search.run(g, &hosts[..2], |router, mut lanes, depth| {
 ///     while lanes != 0 {
 ///         dist[lanes.trailing_zeros() as usize][router.index()] = depth;
 ///         lanes &= lanes - 1;
 ///     }
 /// });
-/// assert_eq!(dist, [[0, 1, 2, 2], [2, 1, 2, 0]]);
-/// let paths = search.paths_to(&g, &pass, 1, &[RouterId(2)]);
-/// assert_eq!(paths[0], BfsTree::compute(&g, RouterId(3)).path_to(RouterId(2)));
+/// let tree = BfsTree::compute(g, hosts[1]);
+/// assert_eq!(tree.distance(hosts[2]), Some(dist[1][hosts[2].index()]));
+/// let paths = search.paths_to(g, &pass, 1, &[hosts[2]]);
+/// assert_eq!(paths[0], tree.path_to(hosts[2]));
 /// ```
 #[derive(Debug, Default)]
 pub struct MultiBfs {
@@ -410,7 +401,7 @@ mod tests {
         let t = BfsTree::compute(&g, RouterId(0));
         let p = t.path_to(RouterId(4)).unwrap();
         assert_eq!(p.source(), RouterId(0));
-        assert_eq!(p.destination(), RouterId(4));
+        assert_eq!(p.routers().last(), Some(&RouterId(4)));
         assert_eq!(p.hop_count(), 4);
     }
 
@@ -444,9 +435,8 @@ mod tests {
             let p = tree.path_to(dst).expect("connected topology");
             // Every consecutive router pair must be joined by the claimed link.
             for (i, &link) in p.links().iter().enumerate() {
-                let (a, b) = g.endpoints(link);
                 let (x, y) = (p.routers()[i], p.routers()[i + 1]);
-                assert!((a, b) == (x, y) || (a, b) == (y, x));
+                assert!(g.neighbors(x).contains(&(y, link)));
             }
             // BFS path length equals the reported distance.
             assert_eq!(p.hop_count() as u32, tree.distance(dst).unwrap());
@@ -500,7 +490,7 @@ mod tests {
         for (pass, dist) in passes.iter().rev() {
             for (lane, &s) in pass.sources().iter().enumerate() {
                 let tree = BfsTree::compute(g, s);
-                for r in g.routers() {
+                for r in (0..g.num_routers() as u32).map(RouterId) {
                     let (got, want) = (dist[lane][r.index()], tree.distance(r));
                     if got != want {
                         return Err(format!("{s} → {r}: {got:?} vs {want:?}"));
@@ -525,7 +515,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let topo = generate(&TransitStubConfig::tiny(), &mut rng);
         // Every router a source: a full pass and a partial one.
-        let sources: Vec<RouterId> = topo.graph.routers().collect();
+        let sources: Vec<RouterId> = (0..topo.graph.num_routers() as u32).map(RouterId).collect();
         assert!(sources.len() > MultiBfs::WIDTH);
         let targets = &topo.end_hosts[..topo.end_hosts.len().min(12)];
         check_against_trees(&topo.graph, &sources, targets).unwrap();

@@ -37,9 +37,6 @@ impl Id {
     /// The all-zero identifier.
     pub const ZERO: Id = Id([0; ID_BYTES]);
 
-    /// The all-ones identifier (largest point on the ring).
-    pub const MAX: Id = Id([0xff; ID_BYTES]);
-
     /// Creates an identifier from raw big-endian bytes.
     pub const fn from_bytes(bytes: [u8; ID_BYTES]) -> Self {
         Id(bytes)
@@ -74,7 +71,7 @@ impl Id {
     }
 
     /// Formats the identifier as 40 lowercase hex characters.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         let mut s = String::with_capacity(ID_DIGITS);
         for b in &self.0 {
             use fmt::Write;
@@ -217,9 +214,6 @@ impl From<[u8; ID_BYTES]> for Id {
 pub struct Distance([u8; ID_BYTES]);
 
 impl Distance {
-    /// Zero distance.
-    pub const ZERO: Distance = Distance([0; ID_BYTES]);
-
     /// Returns the distance truncated to an `f64`.
     ///
     /// Accurate to 53 bits of mantissa; used only for statistics such as
@@ -230,11 +224,6 @@ impl Distance {
             acc = acc * 256.0 + b as f64;
         }
         acc
-    }
-
-    /// Returns the raw big-endian bytes of the distance.
-    pub const fn as_bytes(&self) -> &[u8; ID_BYTES] {
-        &self.0
     }
 }
 
@@ -369,7 +358,7 @@ mod tests {
 
     #[test]
     fn clockwise_distance_wraps() {
-        let a = Id::MAX;
+        let a = Id([0xff; ID_BYTES]);
         let b = Id::from_u64(4); // 5 steps clockwise from MAX
         let d = a.clockwise_distance(&b);
         assert_eq!(d.to_f64(), 5.0);
@@ -383,7 +372,7 @@ mod tests {
         assert_eq!(a.ring_distance(&b).to_f64(), 8.0);
 
         // Wrap-around: distance between MAX and ZERO is 1, not 2^160 - 1.
-        assert_eq!(Id::MAX.ring_distance(&Id::ZERO).to_f64(), 1.0);
+        assert_eq!(Id([0xff; ID_BYTES]).ring_distance(&Id::ZERO).to_f64(), 1.0);
     }
 
     #[test]
@@ -391,7 +380,7 @@ mod tests {
         let near = Id::from_u64(1).ring_distance(&Id::from_u64(3));
         let far = Id::from_u64(1).ring_distance(&Id::from_u64(1000));
         assert!(near < far);
-        assert_eq!(Id::from_u64(7).ring_distance(&Id::from_u64(7)), Distance::ZERO);
+        assert_eq!(Id::from_u64(7).ring_distance(&Id::from_u64(7)), Distance([0; ID_BYTES]));
     }
 
     #[test]
@@ -447,8 +436,8 @@ mod tests {
                 let cw = a.clockwise_distance(&b);
                 let ccw = b.clockwise_distance(&a);
                 if a == b {
-                    prop_assert_eq!(cw, Distance::ZERO);
-                    prop_assert_eq!(ccw, Distance::ZERO);
+                    prop_assert_eq!(cw, Distance([0; ID_BYTES]));
+                    prop_assert_eq!(ccw, Distance([0; ID_BYTES]));
                 } else {
                     // min distance is <= 2^159, i.e. ring_distance is the
                     // smaller of the two.

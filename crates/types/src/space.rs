@@ -9,8 +9,8 @@ use crate::id::ID_DIGITS;
 /// The paper's analytic models (jump-table occupancy, density-test error
 /// rates) are parameterised over ℓ (identifier length in digits) and v
 /// (values per digit): "ℓ is typically 32 or 40, and v is usually 16".
-/// The concrete [`Id`] type fixes ℓ = 40 and v = 16; the analytic code
-/// accepts any `IdSpace` so that Figure 1–3 sweeps can vary them.
+/// The concrete [`Id`] type fixes ℓ = 40 and v = 16, and
+/// [`IdSpace::DEFAULT`] is the one space the analytic code is given.
 ///
 /// [`Id`]: crate::Id
 ///
@@ -35,17 +35,6 @@ impl IdSpace {
     /// ℓ = 40 digits, v = 16.
     pub const DEFAULT: IdSpace = IdSpace { digits: ID_DIGITS as u32, base: 16 };
 
-    /// Creates an identifier space with ℓ = `digits` and v = `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `digits` is 0 or `base` < 2.
-    pub fn new(digits: u32, base: u32) -> Self {
-        assert!(digits > 0, "identifier space needs at least one digit");
-        assert!(base >= 2, "identifier space base must be at least 2");
-        IdSpace { digits, base }
-    }
-
     /// ℓ: the number of digits in an identifier.
     pub const fn digits(&self) -> u32 {
         self.digits
@@ -59,16 +48,6 @@ impl IdSpace {
     /// ℓ·v: the number of slots in a full jump table.
     pub const fn table_slots(&self) -> u32 {
         self.digits * self.base
-    }
-
-    /// The number of *useful* jump-table slots per row: v − 1, because the
-    /// slot matching the local host's own next digit is never used.
-    ///
-    /// The paper's occupancy model (Eq. 1) treats all v columns uniformly,
-    /// so most analytic code uses [`table_slots`](Self::table_slots); this
-    /// accessor exists for the concrete routing-table implementation.
-    pub const fn useful_columns(&self) -> u32 {
-        self.base - 1
     }
 }
 
@@ -91,20 +70,8 @@ mod tests {
 
     #[test]
     fn custom_space() {
-        let s = IdSpace::new(32, 16);
+        let s = IdSpace { digits: 32, base: 16 };
+        assert_eq!((s.digits(), s.base()), (32, 16));
         assert_eq!(s.table_slots(), 512);
-        assert_eq!(s.useful_columns(), 15);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one digit")]
-    fn zero_digits_panics() {
-        let _ = IdSpace::new(0, 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "base must be at least 2")]
-    fn unary_base_panics() {
-        let _ = IdSpace::new(40, 1);
     }
 }

@@ -46,7 +46,7 @@ impl SimTime {
     }
 
     /// Seconds since simulation start, as a float.
-    pub fn as_secs_f64(&self) -> f64 {
+    pub(crate) fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e6
     }
 

@@ -354,20 +354,26 @@ fn the_journal_is_framed_once() {
     assert!(bin.find(".scan(").is_some_and(|at| at > explain), "`.scan(` outside --explain");
 }
 
-/// `pub fn`s no other file names, kept by decision: paper-facing entry
-/// points of `concilium` that no driver calls yet. Each entry is (module,
-/// function) and cites the module's row in DESIGN.md's census (§18), which
-/// says why it stays and which ROADMAP item wires it.
-const UNCALLED_BY_DECISION: &[(&str, &str)] = &[
-    ("bandwidth", "routing_state_bytes"),
-    ("bandwidth", "consolidated_probe_bytes_per_host"),
-    ("blame", "link_bad_confidence"),
-    ("rebuttal", "evaluate_rebuttal"),
+/// `pub fn`s that no file outside their crate's library names, kept by
+/// decision. Each entry is (file, function, reason); the reason is the
+/// DESIGN.md §18 census row that says why the function stays
+/// (`concilium::blame`), or the ROADMAP item that will call it
+/// (`ROADMAP 22`).
+const UNCALLED_BY_DECISION: &[(&str, &str, &str)] = &[
+    ("crates/core/src/blame.rs", "link_bad_confidence", "concilium::blame"),
+    ("crates/core/src/rebuttal.rs", "evaluate_rebuttal", "concilium::rebuttal"),
+    ("crates/sim/src/archive.rs", "round_time", "ROADMAP 22"),
+    ("crates/tomography/src/probe.rs", "try_new", "concilium_tomography::probe"),
 ];
 
-/// Whether `rel` is a library or binary source of a workspace crate.
-fn is_crate_source(rel: &str) -> bool {
-    rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src")
+/// The library a source file belongs to (`crates/core/src` for
+/// `crates/core/src/blame.rs`), or `None` outside every library: a
+/// crate's `src/bin`, its `tests`, and everything outside `crates`.
+fn library_of(rel: &str) -> Option<&str> {
+    let mut parts = rel.splitn(4, '/');
+    let (top, _, src, rest) = (parts.next()?, parts.next()?, parts.next()?, parts.next()?);
+    let inside = top == "crates" && src == "src" && !rest.starts_with("bin/");
+    inside.then(|| &rel[..rel.len() - rest.len() - 1])
 }
 
 /// The identifier-shaped words of `src`, prose included.
@@ -375,30 +381,32 @@ fn words(src: &str) -> BTreeSet<&str> {
     src.split(|c: char| !(c.is_alphanumeric() || c == '_')).filter(|w| !w.is_empty()).collect()
 }
 
-/// The names of the `pub fn`s `src` declares outside `//` comments; a
-/// `pub(crate) fn` is not one.
+/// The names of the `pub fn`s and `pub const fn`s `src` declares outside
+/// `//` comments; a `pub(crate) fn` is not one.
 fn pub_fns(src: &str) -> Vec<&str> {
     src.lines()
         .flat_map(|l| l.split("//").next())
-        .flat_map(|l| l.match_indices("pub fn ").map(move |(i, _)| &l[i + "pub fn ".len()..]))
+        .flat_map(|l| l.split("pub ").skip(1))
+        .flat_map(|rest| rest.strip_prefix("const ").unwrap_or(rest).strip_prefix("fn "))
         .flat_map(|rest| rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next())
         .filter(|name| !name.is_empty())
         .collect()
 }
 
-/// Every `pub fn` of a crate source in `files` whose name no other file
-/// of `files` contains, as (path, name). rustc's `dead_code` lint cannot
+/// Every `pub fn` of a crate library in `files` whose name no file outside
+/// that library contains, as (path, name). rustc's `dead_code` lint cannot
 /// see these: they are `pub` in a library.
 fn orphan_pub_fns(files: &[(String, String)]) -> Vec<(String, String)> {
-    let vocab: Vec<BTreeSet<&str>> = files.iter().map(|(_, src)| words(src)).collect();
+    let vocab: Vec<(Option<&str>, BTreeSet<&str>)> =
+        files.iter().map(|(rel, src)| (library_of(rel), words(src))).collect();
     let mut orphans = Vec::new();
-    for (i, (rel, src)) in files.iter().enumerate() {
-        if !is_crate_source(rel) {
+    for (rel, src) in files {
+        let Some(library) = library_of(rel) else {
             continue;
-        }
+        };
         for name in pub_fns(src) {
-            let named_elsewhere = vocab.iter().enumerate().any(|(j, w)| j != i && w.contains(name));
-            if !named_elsewhere {
+            let outside = vocab.iter().any(|(lib, w)| *lib != Some(library) && w.contains(name));
+            if !outside {
                 orphans.push((rel.clone(), name.to_string()));
             }
         }
@@ -422,37 +430,41 @@ fn census_rows() -> Vec<String> {
 }
 
 #[test]
-fn every_pub_fn_is_named_outside_its_file() {
-    // A `pub fn` that nothing outside its file names is either dead or
+fn every_pub_fn_is_named_outside_its_crate() {
+    // A `pub fn` that nothing outside its crate's library names is
     // crate-private in all but name; as `pub(crate)`, `dead_code` judges
-    // it. `benchmark/` compiles against the crates, so it counts as a
-    // caller. Only the allow-list may stay public without one.
+    // it. The crate's bins, every other crate, `tests/`, `examples/` and
+    // `benchmark/` compile against the library, so they count as callers.
+    // Only the allow-list may stay public without one.
     assert!(UNCALLED_BY_DECISION.len() <= 12, "the allow-list is capped at 12 entries");
     let census = census_rows();
-    let allowed: Vec<(String, String)> = UNCALLED_BY_DECISION
-        .iter()
-        .map(|(module, name)| {
-            let row = format!("concilium::{module}");
-            assert!(census.contains(&row), "`{name}` cites `{row}`, which has no DESIGN.md census row");
-            (format!("crates/core/src/{module}.rs"), name.to_string())
-        })
-        .collect();
+    let roadmap = read("ROADMAP.md");
+    let mut allowed = Vec::new();
+    for &(file, name, reason) in UNCALLED_BY_DECISION {
+        let cited = match reason.strip_prefix("ROADMAP ") {
+            Some(item) => roadmap.contains(&format!("\n{item}. **")),
+            None => census.iter().any(|row| row == reason),
+        };
+        assert!(cited, "`{name}` cites `{reason}`: no such census row or ROADMAP item");
+        allowed.push((file.to_string(), name.to_string()));
+    }
     let mut files = first_party_sources();
     files.extend(sources_under(&["benchmark/src", "benchmark/tests"]));
     let orphans = orphan_pub_fns(&files);
     let unlisted: Vec<&(String, String)> = orphans.iter().filter(|o| !allowed.contains(o)).collect();
     assert!(
         unlisted.is_empty(),
-        "`pub fn`s no other file names: make them `pub(crate)` and delete what `dead_code` \
-         then reports: {unlisted:?}"
+        "`pub fn`s no file outside their crate's library names: make them `pub(crate)` and \
+         delete what `cargo check --workspace --lib --bins --examples` then reports as dead: \
+         {unlisted:?}"
     );
     let stale: Vec<&(String, String)> = allowed.iter().filter(|a| !orphans.contains(a)).collect();
     assert!(stale.is_empty(), "allow-list entries with an outside caller now, or gone: {stale:?}");
 
     // Nothing silences the lint that judges the demoted items.
     for (rel, src) in &files {
-        let code = code(src);
-        if is_crate_source(rel) {
+        if rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src") {
+            let code = code(src);
             assert!(
                 !code.contains("allow(dead_code") && !code.contains("expect(dead_code"),
                 "{rel}: `dead_code` is suppressed"
@@ -460,17 +472,20 @@ fn every_pub_fn_is_named_outside_its_file() {
         }
     }
 
-    // The scanner is not blind: in a two-file tree it finds the one orphan,
-    // and neither a `pub(crate) fn` nor a commented-out one.
+    // The scanner is not blind: it reports a name only a sibling module of
+    // the same library uses, and neither one its own bin calls, a
+    // `pub(crate) fn`, nor a commented-out one.
+    let lib = "pub fn called() {}\npub fn orphan() {}\npub fn sibling_only() {}\n\
+               pub const fn bin_only() {}\npub(crate) fn private() {}\n// pub fn old() {}\n";
     let synthetic = [
-        (
-            "crates/x/src/lib.rs".to_string(),
-            "pub fn called() {}\npub fn orphan() {}\npub(crate) fn private() {}\n// pub fn old() {}\n"
-                .to_string(),
-        ),
-        ("tests/x.rs".to_string(), "fn main() { x::called(); }\n".to_string()),
-    ];
-    assert_eq!(orphan_pub_fns(&synthetic), [("crates/x/src/lib.rs".to_string(), "orphan".to_string())]);
+        ("crates/x/src/lib.rs", lib),
+        ("crates/x/src/other.rs", "fn f() { crate::sibling_only(); }\n"),
+        ("crates/x/src/bin/x.rs", "fn main() { x::bin_only(); }\n"),
+        ("tests/x.rs", "fn main() { x::called(); }\n"),
+    ]
+    .map(|(rel, src)| (rel.to_string(), src.to_string()));
+    let at = |name: &str| ("crates/x/src/lib.rs".to_string(), name.to_string());
+    assert_eq!(orphan_pub_fns(&synthetic), [at("orphan"), at("sibling_only")]);
 }
 
 #[test]
