@@ -8,7 +8,8 @@
 //! `fixtures/experiments_small.golden` byte for byte, and the one that
 //! runs a two-seed sweep checks that `--trace-out` holds whole episodes,
 //! by asking `concilium-explain --orphans`, and that `concilium-explain
-//! list` reads it back byte for byte.
+//! list` reads it back byte for byte — as it does a killed and recovered
+//! `concilium-serve` run's trace.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -143,20 +144,23 @@ fn small_scale_figures_match_the_golden() {
     assert_eq!(String::from_utf8(printed).expect("utf-8 tables"), golden);
 }
 
-/// `concilium-explain` is `concilium-obs`'s binary, which cargo builds for
-/// this package's tests only when asked: same profile, same directory as
-/// the driver binaries it did build.
-fn explain_exe() -> PathBuf {
+/// Binary `bin` of another workspace package, which cargo builds for this
+/// package's tests only when asked: same profile, same directory as the
+/// driver binaries it did build.
+fn workspace_exe(package: &str, bin: &str) -> PathBuf {
     let bin_dir = Path::new(env!("CARGO_BIN_EXE_dst-sweep")).parent().expect("binary directory");
     let mut build = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()));
-    build.args(["build", "--quiet", "--offline", "-p", "concilium-obs"]);
-    build.args(["--bin", "concilium-explain", "--target-dir"]);
+    build.args(["build", "--quiet", "--offline", "-p", package, "--bin", bin, "--target-dir"]);
     build.arg(bin_dir.parent().expect("target directory"));
     if !cfg!(debug_assertions) {
         build.arg("--release");
     }
-    assert!(build.status().expect("cargo runs").success(), "building concilium-explain");
-    bin_dir.join("concilium-explain")
+    assert!(build.status().expect("cargo runs").success(), "building {bin}");
+    bin_dir.join(bin)
+}
+
+fn explain_exe() -> PathBuf {
+    workspace_exe("concilium-obs", "concilium-explain")
 }
 
 /// An exported trace holds whole episodes, not ring tails: the offline
@@ -199,4 +203,47 @@ fn trace_out_exports_whole_episodes() {
         }
     }
     assert_eq!(streams.len(), 8, "4 arms x 2 seeds");
+}
+
+/// `--kind` takes the trace's kind labels and nothing else: `blame`, the
+/// word a `judge` event renders as, is refused with the labels listed,
+/// where it used to list nothing and exit 0.
+#[test]
+fn list_refuses_an_unknown_kind() {
+    let explain = explain_exe();
+    let (ok, text) = run(&explain, &["-", "list", "--kind", "judge,blame"]);
+    assert!(!ok && text.contains("unknown kind `blame`"), "{text}");
+    let labels: Vec<&str> = concilium_obs::event::KINDS.iter().map(|row| row.0).collect();
+    assert!(text.contains(&format!("(kinds: {})", labels.join(","))), "{text}");
+    let (ok, text) = run(&explain, &["-", "list", "--kind", "judge,verdict", "--stats"]);
+    assert!(ok && text.ends_with("0 of 0 event(s) listed\n"), "{text}");
+}
+
+/// A daemon trace goes through the binaries whole: a killed and recovered
+/// `concilium-serve` run's `--trace-out` lists back byte for byte, and
+/// holds every daemon kind the run produces.
+#[test]
+fn a_daemon_trace_reads_back_through_explain() {
+    let trace = std::env::temp_dir().join(format!("serve_trace_{}.jsonl", std::process::id()));
+    let path = trace.to_str().expect("utf-8 temp path");
+    let serve = workspace_exe("concilium-serve", "concilium-serve");
+    let args = ["--seed", "3", "--reports", "192", "--load", "2.0", "--kill-at", "96"];
+    let (ok, text) = run(&serve, &[&args[..], &["--trace-out", path]].concat());
+    assert!(ok, "{text}");
+    let explain = explain_exe();
+    let listed = Command::new(&explain).args([path, "list", "--json"]).output().expect("runs");
+    let (ok, stats) = run(&explain, &[path, "list", "--stats"]);
+    let jsonl = std::fs::read(&trace).expect("trace written");
+    std::fs::remove_file(&trace).expect("trace removed");
+    assert!(listed.status.success(), "{}", String::from_utf8_lossy(&listed.stderr));
+    assert!(listed.stdout == jsonl, "list --json differs from the daemon's export");
+    assert!(ok, "{stats}");
+    let counted: BTreeSet<&str> = stats
+        .lines()
+        .skip_while(|l| *l != "---")
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for kind in ["admit", "shed", "complete", "journal-commit", "recovered"] {
+        assert!(counted.contains(kind), "no `{kind}` in the daemon trace's stats:\n{stats}");
+    }
 }

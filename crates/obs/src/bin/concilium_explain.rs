@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 use std::io::Read as _;
 use std::process::ExitCode;
 
+use concilium_obs::event::KINDS;
 use concilium_obs::json::{self, Json};
 use concilium_obs::{explain, AmbiguityNote, CausalIndex, EntityRef, ExplainQuery, Explanation};
 
@@ -103,6 +104,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--orphans" => orphans = true,
             "--kind" => {
                 filter.kinds = value("--kind")?.split(',').map(str::to_string).collect();
+                let labels: Vec<&str> = KINDS.iter().map(|row| row.0).collect();
+                if let Some(bad) = filter.kinds.iter().find(|k| !labels.contains(&k.as_str())) {
+                    return Err(format!("unknown kind `{bad}` (kinds: {})", labels.join(",")));
+                }
             }
             "--id" => {
                 let raw = value("--id")?;

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::event::{LinkObsSummary, TraceEvent, Traced};
+use crate::event::{Field, LinkObsSummary, TraceEvent, Traced};
 
 /// What kind of thing an [`EntityRef`] names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -88,11 +88,6 @@ impl EntityRef {
         EntityRef { kind: EntityKind::Report, id }
     }
 
-    /// A flow entity.
-    pub(crate) fn flow(id: u64) -> EntityRef {
-        EntityRef { kind: EntityKind::Flow, id }
-    }
-
     /// A link entity.
     pub(crate) fn link(id: u64) -> EntityRef {
         EntityRef { kind: EntityKind::Link, id }
@@ -133,56 +128,30 @@ impl fmt::Display for EntityRef {
 }
 
 /// The correlation keys an event carries, derived purely from its
-/// existing fields. Accusation keys are *not* produced here — they are
-/// positional (assigned by [`CausalIndex`] in stream order), because the
+/// existing fields by their [`Field`] type: a message, flow, host or
+/// report field keys that entity, and each link of a `Links` field keys
+/// the link; counts, flags, probabilities and reasons key nothing.
+/// Accusation keys are *not* produced here — they are positional
+/// (assigned by [`CausalIndex`] in stream order), because the
 /// dissolve/standing/revise/store events carry no accusation field.
 #[deny(clippy::wildcard_enum_match_arm)]
 pub fn entities(event: &TraceEvent, out: &mut Vec<EntityRef>) {
     out.clear();
-    match event {
-        TraceEvent::MessageSent { msg, flow } => {
-            out.push(EntityRef::message(*msg));
-            out.push(EntityRef::flow(*flow));
-        }
-        TraceEvent::ChurnBlocked { msg }
-        | TraceEvent::RouteOutcome { msg, .. }
-        | TraceEvent::FaultInjected { msg, .. }
-        | TraceEvent::AckReceived { msg }
-        | TraceEvent::RetryFired { msg, .. }
-        | TraceEvent::MessageExpired { msg }
-        | TraceEvent::Dissolved { msg } => out.push(EntityRef::message(*msg)),
-        TraceEvent::SnapshotsGathered { .. } => {}
-        TraceEvent::BlameComputed { msg, links, .. } => {
-            out.push(EntityRef::message(*msg));
-            for l in links {
-                out.push(EntityRef::link(l.link));
+    let mut words = Vec::new();
+    event.hash_fields(&mut words);
+    for (_, field, w) in event.fields(&words) {
+        let kind = match field {
+            Field::Msg => EntityKind::Message,
+            Field::Flow => EntityKind::Flow,
+            Field::Host => EntityKind::Host,
+            Field::Report => EntityKind::Report,
+            Field::Links => {
+                out.extend(w[1..].chunks_exact(3).map(|l| EntityRef::link(l[0])));
+                continue;
             }
-        }
-        TraceEvent::VerdictAccumulated { judge, accused, .. } => {
-            out.push(EntityRef::host(*judge));
-            out.push(EntityRef::host(*accused));
-        }
-        TraceEvent::Escalated { msg, judge, accused } => {
-            out.push(EntityRef::message(*msg));
-            out.push(EntityRef::host(*judge));
-            out.push(EntityRef::host(*accused));
-        }
-        TraceEvent::CulpritStanding { msg, culprit, .. } => {
-            out.push(EntityRef::message(*msg));
-            out.push(EntityRef::host(*culprit));
-        }
-        TraceEvent::AccusationRevised { .. } => {}
-        TraceEvent::AccusationStored { culprit, .. } | TraceEvent::DhtRefused { culprit } => {
-            out.push(EntityRef::host(*culprit))
-        }
-        TraceEvent::ReportAdmitted { report, .. }
-        | TraceEvent::LoadShed { report, .. }
-        | TraceEvent::ReportCompleted { report, .. } => out.push(EntityRef::report(*report)),
-        TraceEvent::JournalCommitted { .. }
-        | TraceEvent::SupervisorRestarted { .. }
-        | TraceEvent::DegradedEntered { .. }
-        | TraceEvent::RecoveryReplayed { .. }
-        | TraceEvent::Tick => {}
+            Field::Int | Field::Flag | Field::Ppb | Field::Fault | Field::Shed => continue,
+        };
+        out.push(EntityRef { kind, id: w[0] });
     }
 }
 

@@ -4,7 +4,7 @@
 //! and metrics exercised, reduced to stable `u64` bucket identifiers:
 //!
 //! * **Event-kind bigrams** — consecutive pairs of trace-event kinds
-//!   (`TraceEvent::kind_code`), capturing orderings like
+//!   (`TraceEvent::kind`), capturing orderings like
 //!   "retry → expire" vs "retry → ack" that single-event counts miss.
 //! * **Bucketed counters** — every metrics counter, log2-bucketed, so
 //!   "some retries" and "a retry storm" are different features while raw
@@ -108,7 +108,7 @@ impl CoverageSet {
     pub fn absorb_trace<'a, I: IntoIterator<Item = &'a Traced>>(&mut self, events: I) {
         let mut prev: Option<u64> = None;
         for traced in events {
-            let code = traced.event.kind_code();
+            let code = traced.event.kind() as u64;
             self.buckets.insert(bucket("kind", &[code]));
             if let Some(p) = prev {
                 self.buckets.insert(bucket("bigram", &[p, code]));

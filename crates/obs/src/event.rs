@@ -8,15 +8,23 @@
 //! clock, so a recorded trace is bit-identical across worker counts and
 //! machines.
 //!
-//! Each event defines three renderings that must stay in sync:
+//! The wire schema is stated once, as data: [`KINDS`] holds one row per
+//! kind, in kind-code order, with the kind's label and its fields as
+//! (JSON key, [`Field`] type), in the order of its hash words. Two
+//! listings turn an event into words and back:
 //!
-//! * [`TraceEvent::label`] + [`TraceEvent::hash_fields`] — the canonical
-//!   `(label, u64 fields)` encoding fed to the chained trace hasher. This
-//!   is what makes the trace part of the replay-determinism contract.
-//! * [`Traced::to_json`] — one flat-ish JSON object per event, the JSONL
-//!   export format behind `--trace-out`.
-//! * [`Traced::render`] — the human-readable line used by
-//!   `concilium-explain list` and by failing-case reproducers.
+//! * [`TraceEvent::hash_fields`] — the canonical `u64` words fed, after
+//!   [`TraceEvent::label`], to the chained trace hasher. This is what
+//!   makes the trace part of the replay-determinism contract.
+//! * `TraceEvent::from_words` — the one constructor, its inverse.
+//!
+//! Everything else is a fold over the event's row, which one match
+//! (`TraceEvent::kind`) picks, and its words: the label,
+//! [`Traced::to_json`] (the JSONL export behind `--trace-out`),
+//! [`traced_from_json_line`] (its parser) and the causal layer's
+//! correlation keys (`causal::entities`). Only [`Traced::render`], the
+//! human-readable line of `concilium-explain list` and failing-case
+//! reproducers, is written per kind.
 
 use std::fmt::Write as _;
 
@@ -34,22 +42,31 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every fault kind with its stable short name (JSON and pretty
+    /// output), in code order: a kind's index here is its numeric
+    /// encoding in the trace hash.
+    pub const ALL: [(FaultKind, &'static str); 3] = [
+        (FaultKind::TransportDrop, "transport-drop"),
+        (FaultKind::HostDrop, "host-drop"),
+        (FaultKind::NetworkDrop, "network-drop"),
+    ];
+
     /// Stable numeric encoding used in the trace hash.
     pub(crate) fn code(self) -> u64 {
-        match self {
-            FaultKind::TransportDrop => 0,
-            FaultKind::HostDrop => 1,
-            FaultKind::NetworkDrop => 2,
-        }
+        Self::ALL.iter().position(|row| row.0 == self).unwrap_or(Self::ALL.len()) as u64
     }
 
     /// Stable short name used in JSON and pretty output.
     pub(crate) fn name(self) -> &'static str {
-        match self {
-            FaultKind::TransportDrop => "transport-drop",
-            FaultKind::HostDrop => "host-drop",
-            FaultKind::NetworkDrop => "network-drop",
-        }
+        Self::ALL[self.code() as usize].1
+    }
+
+    fn from_code(code: u64) -> Option<FaultKind> {
+        Self::ALL.get(usize::try_from(code).ok()?).map(|row| row.0)
+    }
+
+    fn from_name(name: &str) -> Option<FaultKind> {
+        Self::ALL.iter().find(|row| row.1 == name).map(|row| row.0)
     }
 }
 
@@ -71,26 +88,105 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
-    /// Stable numeric encoding used in the trace hash.
+    /// Every reason with its stable short name (JSON and pretty output)
+    /// and the metrics counter a shed for it increments, in code order: a
+    /// reason's index here is its numeric encoding in the trace hash and
+    /// the daemon's journal.
+    pub const ALL: [(ShedReason, &'static str, &'static str); 4] = [
+        (ShedReason::MailboxFull, "mailbox-full", "serve.shed.mailbox-full"),
+        (ShedReason::DeadlineExceeded, "deadline", "serve.shed.deadline"),
+        (ShedReason::Degraded, "degraded", "serve.shed.degraded"),
+        (ShedReason::Oversize, "oversize", "serve.shed.oversize"),
+    ];
+
+    /// Stable numeric encoding used in the trace hash and the journal.
     pub fn code(self) -> u64 {
-        match self {
-            ShedReason::MailboxFull => 0,
-            ShedReason::DeadlineExceeded => 1,
-            ShedReason::Degraded => 2,
-            ShedReason::Oversize => 3,
-        }
+        Self::ALL.iter().position(|row| row.0 == self).unwrap_or(Self::ALL.len()) as u64
     }
 
-    /// Stable short name used in JSON, pretty output, and metric names.
+    /// The reason with code `code`; `None` for a code no reason has.
+    pub fn from_code(code: u64) -> Option<ShedReason> {
+        Self::ALL.get(usize::try_from(code).ok()?).map(|row| row.0)
+    }
+
+    /// Stable short name used in JSON and pretty output.
     pub(crate) fn name(self) -> &'static str {
-        match self {
-            ShedReason::MailboxFull => "mailbox-full",
-            ShedReason::DeadlineExceeded => "deadline",
-            ShedReason::Degraded => "degraded",
-            ShedReason::Oversize => "oversize",
-        }
+        Self::ALL[self.code() as usize].1
+    }
+
+    /// The metrics counter a shed for this reason increments.
+    pub fn metric(self) -> &'static str {
+        Self::ALL[self.code() as usize].2
+    }
+
+    fn from_name(name: &str) -> Option<ShedReason> {
+        Self::ALL.iter().find(|row| row.1 == name).map(|row| row.0)
     }
 }
+
+/// The type of one event field: how its words read, how it is spelled in
+/// JSON, and which entity it keys. Every type but `Links` is one word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Field {
+    /// A message index: keys a `message` entity.
+    Msg,
+    /// A flow index: keys a `flow` entity.
+    Flow,
+    /// An overlay host: keys a `host` entity.
+    Host,
+    /// A failure report id: keys a `report` entity.
+    Report,
+    /// A plain count or index.
+    Int,
+    /// A boolean word, 0 or 1; `true`/`false` in JSON.
+    Flag,
+    /// A probability in parts per billion ([`ppb`]); nine decimals in JSON.
+    Ppb,
+    /// A [`FaultKind`] code; its name in JSON.
+    Fault,
+    /// A [`ShedReason`] code; its name in JSON.
+    Shed,
+    /// A count `n`, then `n` (link, up, down) triples ([`LinkObsSummary`]),
+    /// each keying a `link` entity; an array of objects in JSON. Only
+    /// ever a kind's last field.
+    Links,
+}
+
+/// The trace schema: one row per [`TraceEvent`] kind, indexed by kind
+/// code (`TraceEvent::kind`). A row is the kind's stable label (the hashed
+/// label and the JSON `kind`) and its fields as (JSON key, type), in
+/// hash-word order. Codes are append-only — a new kind takes the next
+/// row — so existing coverage corpora keep their meaning.
+pub const KINDS: [(&str, &[(&str, Field)]); 24] = {
+    use Field::{Fault, Flag, Flow, Host, Int, Links, Msg, Ppb, Report, Shed};
+    [
+        ("send", &[("msg", Msg), ("flow", Flow)]),
+        ("churn-blocked", &[("msg", Msg)]),
+        ("outcome", &[("msg", Msg), ("received_upto", Int), ("delivered", Flag)]),
+        ("fault", &[("msg", Msg), ("fault", Fault)]),
+        ("ack", &[("msg", Msg)]),
+        ("retx", &[("msg", Msg), ("attempt", Int)]),
+        ("expire", &[("msg", Msg)]),
+        ("snapshots", &[("links", Int), ("observations", Int)]),
+        ("judge", &[("msg", Msg), ("blame", Ppb), ("accuracy", Ppb), ("links", Links)]),
+        ("verdict", &[("judge", Host), ("accused", Host), ("guilty", Flag),
+            ("window_guilty", Int), ("window_len", Int)]),
+        ("escalate", &[("msg", Msg), ("judge", Host), ("accused", Host)]),
+        ("dissolve", &[("msg", Msg)]),
+        ("standing", &[("msg", Msg), ("position", Int), ("culprit", Host)]),
+        ("revise", &[("step", Int), ("accuser_pos", Int), ("accused_pos", Int), ("amended", Flag)]),
+        ("stored", &[("culprit", Host), ("replicas", Int)]),
+        ("dht-refused", &[("culprit", Host)]),
+        ("admit", &[("report", Report), ("queue_depth", Int)]),
+        ("shed", &[("report", Report), ("reason", Shed)]),
+        ("complete", &[("report", Report), ("batch", Int)]),
+        ("journal-commit", &[("seq", Int), ("next_input", Int)]),
+        ("restart", &[("incident", Int), ("budget_left", Int)]),
+        ("degraded", &[("incidents", Int)]),
+        ("recovered", &[("records", Int), ("resumed_input", Int)]),
+        ("tick", &[]),
+    ]
+};
 
 /// Per-link observation tallies: one link of the Eq. 2 evidence behind a
 /// blame computation.
@@ -111,13 +207,12 @@ pub fn ppb(x: f64) -> u64 {
     (x.clamp(0.0, 1.0) * 1e9) as u64
 }
 
-/// Parse-side inverse of the `{:.9}` probability printing in
-/// [`Traced::to_json`]. Must *round*, not truncate like [`ppb`]: the
-/// printed decimal is exact to nine places but its nearest `f64` can sit
-/// just below the true value, and truncation would then re-encode
-/// `0.123456789` as `123456788` — a silent one-ppb drift on every JSON
-/// round trip.
-pub(crate) fn ppb_from_f64(x: f64) -> u64 {
+/// Parse-side inverse of the `{:.9}` JSON printing of a [`Field::Ppb`].
+/// Must *round*, not truncate like [`ppb`]: the printed decimal is exact
+/// to nine places but its nearest `f64` can sit just below the true
+/// value, and truncation would then re-encode `0.123456789` as
+/// `123456788` — a silent one-ppb drift on every JSON round trip.
+fn ppb_from_f64(x: f64) -> u64 {
     (x.clamp(0.0, 1.0) * 1e9).round() as u64
 }
 
@@ -304,41 +399,10 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event's stable label, the first component of its hash encoding.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEvent::MessageSent { .. } => "send",
-            TraceEvent::ChurnBlocked { .. } => "churn-blocked",
-            TraceEvent::RouteOutcome { .. } => "outcome",
-            TraceEvent::FaultInjected { .. } => "fault",
-            TraceEvent::AckReceived { .. } => "ack",
-            TraceEvent::RetryFired { .. } => "retx",
-            TraceEvent::MessageExpired { .. } => "expire",
-            TraceEvent::SnapshotsGathered { .. } => "snapshots",
-            TraceEvent::BlameComputed { .. } => "judge",
-            TraceEvent::VerdictAccumulated { .. } => "verdict",
-            TraceEvent::Escalated { .. } => "escalate",
-            TraceEvent::Dissolved { .. } => "dissolve",
-            TraceEvent::CulpritStanding { .. } => "standing",
-            TraceEvent::AccusationRevised { .. } => "revise",
-            TraceEvent::AccusationStored { .. } => "stored",
-            TraceEvent::DhtRefused { .. } => "dht-refused",
-            TraceEvent::ReportAdmitted { .. } => "admit",
-            TraceEvent::LoadShed { .. } => "shed",
-            TraceEvent::ReportCompleted { .. } => "complete",
-            TraceEvent::JournalCommitted { .. } => "journal-commit",
-            TraceEvent::SupervisorRestarted { .. } => "restart",
-            TraceEvent::DegradedEntered { .. } => "degraded",
-            TraceEvent::RecoveryReplayed { .. } => "recovered",
-            TraceEvent::Tick => "tick",
-        }
-    }
-
-    /// A stable dense numeric code for the event's kind — the alphabet the
-    /// coverage extractor builds its bigrams over. Codes are append-only:
-    /// new variants take the next free code so existing coverage corpora
-    /// keep their meaning.
-    pub(crate) fn kind_code(&self) -> u64 {
+    /// The event's kind code: its row of [`KINDS`], and the alphabet the
+    /// coverage extractor builds its bigrams over.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub(crate) fn kind(&self) -> usize {
         match self {
             TraceEvent::MessageSent { .. } => 0,
             TraceEvent::ChurnBlocked { .. } => 1,
@@ -365,6 +429,78 @@ impl TraceEvent {
             TraceEvent::RecoveryReplayed { .. } => 22,
             TraceEvent::Tick => 23,
         }
+    }
+
+    /// The event's stable label, the first component of its hash encoding.
+    pub fn label(&self) -> &'static str {
+        KINDS[self.kind()].0
+    }
+
+    /// The event of kind code `kind` whose [`TraceEvent::hash_fields`]
+    /// words are `words`. `None` unless the words are exactly what some
+    /// event of that kind hashes to: an unknown kind or code, the wrong
+    /// number of words, or a flag other than 0 or 1.
+    fn from_words(kind: usize, words: &[u64]) -> Option<TraceEvent> {
+        Some(match (kind, words) {
+            (0, &[msg, flow]) => TraceEvent::MessageSent { msg, flow },
+            (1, &[msg]) => TraceEvent::ChurnBlocked { msg },
+            (2, &[msg, received_upto, delivered @ (0 | 1)]) => {
+                TraceEvent::RouteOutcome { msg, received_upto, delivered: delivered == 1 }
+            }
+            (3, &[msg, code]) => TraceEvent::FaultInjected { msg, kind: FaultKind::from_code(code)? },
+            (4, &[msg]) => TraceEvent::AckReceived { msg },
+            (5, &[msg, attempt]) => TraceEvent::RetryFired { msg, attempt },
+            (6, &[msg]) => TraceEvent::MessageExpired { msg },
+            (7, &[links, observations]) => TraceEvent::SnapshotsGathered { links, observations },
+            (8, &[msg, blame_ppb, accuracy_ppb, n, ref rest @ ..])
+                if rest.len() % 3 == 0 && (rest.len() / 3) as u64 == n =>
+            {
+                let link = |c: &[u64]| LinkObsSummary { link: c[0], up: c[1], down: c[2] };
+                let links = rest.chunks_exact(3).map(link).collect();
+                TraceEvent::BlameComputed { msg, blame_ppb, accuracy_ppb, links }
+            }
+            (9, &[judge, accused, guilty @ (0 | 1), window_guilty, window_len]) => {
+                let guilty = guilty == 1;
+                TraceEvent::VerdictAccumulated { judge, accused, guilty, window_guilty, window_len }
+            }
+            (10, &[msg, judge, accused]) => TraceEvent::Escalated { msg, judge, accused },
+            (11, &[msg]) => TraceEvent::Dissolved { msg },
+            (12, &[msg, position, culprit]) => TraceEvent::CulpritStanding { msg, position, culprit },
+            (13, &[step, accuser_pos, accused_pos, amended @ (0 | 1)]) => {
+                let amended = amended == 1;
+                TraceEvent::AccusationRevised { step, accuser_pos, accused_pos, amended }
+            }
+            (14, &[culprit, replicas]) => TraceEvent::AccusationStored { culprit, replicas },
+            (15, &[culprit]) => TraceEvent::DhtRefused { culprit },
+            (16, &[report, queue_depth]) => TraceEvent::ReportAdmitted { report, queue_depth },
+            (17, &[report, code]) => {
+                TraceEvent::LoadShed { report, reason: ShedReason::from_code(code)? }
+            }
+            (18, &[report, batch]) => TraceEvent::ReportCompleted { report, batch },
+            (19, &[seq, next_input]) => TraceEvent::JournalCommitted { seq, next_input },
+            (20, &[incident, budget_left]) => {
+                TraceEvent::SupervisorRestarted { incident, budget_left }
+            }
+            (21, &[incidents]) => TraceEvent::DegradedEntered { incidents },
+            (22, &[records, resumed_input]) => TraceEvent::RecoveryReplayed { records, resumed_input },
+            (23, &[]) => TraceEvent::Tick,
+            _ => return None,
+        })
+    }
+
+    /// The event's [`KINDS`] fields in order, each with its JSON key, its
+    /// type and the words of `words` (its hash words) that encode it.
+    pub(crate) fn fields<'w>(
+        &self,
+        words: &'w [u64],
+    ) -> impl Iterator<Item = (&'static str, Field, &'w [u64])> {
+        let mut rest = words;
+        KINDS[self.kind()].1.iter().map(move |&(key, field)| {
+            let width = if field == Field::Links { 1 + 3 * rest[0] as usize } else { 1 };
+            let (own, tail) = rest.split_at(width);
+            rest = tail;
+            (key, field, own)
+        })
     }
 
     /// Appends the event's numeric fields, in canonical order, to `out`.
@@ -441,7 +577,9 @@ fn fmt_vtime(micros: u64) -> String {
 }
 
 impl Traced {
-    /// Renders the event as one JSON object (no trailing newline).
+    /// Renders the event as one JSON object (no trailing newline): the
+    /// `extra` annotations, `t_us`, `kind`, then the kind's [`KINDS`]
+    /// fields in row order.
     ///
     /// Field order is fixed, so two identical traces serialize to
     /// byte-identical JSONL — the property the CI `--trace-out` equality
@@ -453,98 +591,11 @@ impl Traced {
             let _ = write!(s, "{}:{},", escape(k), escape(v));
         }
         let _ = write!(s, "\"t_us\":{},\"kind\":{:?}", self.at_micros, self.event.label());
-        match &self.event {
-            TraceEvent::MessageSent { msg, flow } => {
-                let _ = write!(s, ",\"msg\":{msg},\"flow\":{flow}");
-            }
-            TraceEvent::ChurnBlocked { msg }
-            | TraceEvent::AckReceived { msg }
-            | TraceEvent::MessageExpired { msg }
-            | TraceEvent::Dissolved { msg } => {
-                let _ = write!(s, ",\"msg\":{msg}");
-            }
-            TraceEvent::RouteOutcome { msg, received_upto, delivered } => {
-                let _ = write!(
-                    s,
-                    ",\"msg\":{msg},\"received_upto\":{received_upto},\"delivered\":{delivered}"
-                );
-            }
-            TraceEvent::FaultInjected { msg, kind } => {
-                let _ = write!(s, ",\"msg\":{msg},\"fault\":{:?}", kind.name());
-            }
-            TraceEvent::RetryFired { msg, attempt } => {
-                let _ = write!(s, ",\"msg\":{msg},\"attempt\":{attempt}");
-            }
-            TraceEvent::SnapshotsGathered { links, observations } => {
-                let _ = write!(s, ",\"links\":{links},\"observations\":{observations}");
-            }
-            TraceEvent::BlameComputed { msg, blame_ppb, accuracy_ppb, links } => {
-                let _ = write!(
-                    s,
-                    ",\"msg\":{msg},\"blame\":{:.9},\"accuracy\":{:.9},\"links\":[",
-                    *blame_ppb as f64 / 1e9,
-                    *accuracy_ppb as f64 / 1e9
-                );
-                for (i, l) in links.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "{{\"link\":{},\"up\":{},\"down\":{}}}",
-                        l.link, l.up, l.down
-                    );
-                }
-                s.push(']');
-            }
-            TraceEvent::VerdictAccumulated { judge, accused, guilty, window_guilty, window_len } => {
-                let _ = write!(
-                    s,
-                    ",\"judge\":{judge},\"accused\":{accused},\"guilty\":{guilty},\
-                     \"window_guilty\":{window_guilty},\"window_len\":{window_len}"
-                );
-            }
-            TraceEvent::Escalated { msg, judge, accused } => {
-                let _ = write!(s, ",\"msg\":{msg},\"judge\":{judge},\"accused\":{accused}");
-            }
-            TraceEvent::CulpritStanding { msg, position, culprit } => {
-                let _ = write!(s, ",\"msg\":{msg},\"position\":{position},\"culprit\":{culprit}");
-            }
-            TraceEvent::AccusationRevised { step, accuser_pos, accused_pos, amended } => {
-                let _ = write!(
-                    s,
-                    ",\"step\":{step},\"accuser_pos\":{accuser_pos},\
-                     \"accused_pos\":{accused_pos},\"amended\":{amended}"
-                );
-            }
-            TraceEvent::AccusationStored { culprit, replicas } => {
-                let _ = write!(s, ",\"culprit\":{culprit},\"replicas\":{replicas}");
-            }
-            TraceEvent::DhtRefused { culprit } => {
-                let _ = write!(s, ",\"culprit\":{culprit}");
-            }
-            TraceEvent::ReportAdmitted { report, queue_depth } => {
-                let _ = write!(s, ",\"report\":{report},\"queue_depth\":{queue_depth}");
-            }
-            TraceEvent::LoadShed { report, reason } => {
-                let _ = write!(s, ",\"report\":{report},\"reason\":{:?}", reason.name());
-            }
-            TraceEvent::ReportCompleted { report, batch } => {
-                let _ = write!(s, ",\"report\":{report},\"batch\":{batch}");
-            }
-            TraceEvent::JournalCommitted { seq, next_input } => {
-                let _ = write!(s, ",\"seq\":{seq},\"next_input\":{next_input}");
-            }
-            TraceEvent::SupervisorRestarted { incident, budget_left } => {
-                let _ = write!(s, ",\"incident\":{incident},\"budget_left\":{budget_left}");
-            }
-            TraceEvent::DegradedEntered { incidents } => {
-                let _ = write!(s, ",\"incidents\":{incidents}");
-            }
-            TraceEvent::RecoveryReplayed { records, resumed_input } => {
-                let _ = write!(s, ",\"records\":{records},\"resumed_input\":{resumed_input}");
-            }
-            TraceEvent::Tick => {}
+        let mut words = Vec::new();
+        self.event.hash_fields(&mut words);
+        for (key, field, w) in self.event.fields(&words) {
+            let _ = write!(s, ",{key:?}:");
+            field.write_json(w, &mut s);
         }
         s.push('}');
         s
@@ -642,139 +693,73 @@ impl Traced {
     }
 }
 
-fn field_u64(v: &Json, key: &str) -> Option<u64> {
-    v.get(key).and_then(Json::as_u64)
-}
+impl Field {
+    /// Appends the JSON value of a field whose words are `w`.
+    fn write_json(self, w: &[u64], s: &mut String) {
+        let _ = match self {
+            Field::Msg | Field::Flow | Field::Host | Field::Report | Field::Int => {
+                write!(s, "{}", w[0])
+            }
+            Field::Flag => write!(s, "{}", w[0] != 0),
+            Field::Ppb => write!(s, "{:.9}", w[0] as f64 / 1e9),
+            Field::Fault => write!(s, "{:?}", FaultKind::ALL[w[0] as usize].1),
+            Field::Shed => write!(s, "{:?}", ShedReason::ALL[w[0] as usize].1),
+            Field::Links => {
+                let links: Vec<String> = w[1..]
+                    .chunks_exact(3)
+                    .map(|l| format!("{{\"link\":{},\"up\":{},\"down\":{}}}", l[0], l[1], l[2]))
+                    .collect();
+                write!(s, "[{}]", links.join(","))
+            }
+        };
+    }
 
-fn field_bool(v: &Json, key: &str) -> Option<bool> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Some(*b),
-        _ => None,
+    /// Appends the words of a field whose JSON value is `v`, the inverse
+    /// of [`Field::write_json`]; `None` when `v` does not decode —
+    /// integers must be non-negative, integral and at most 2^53
+    /// ([`Json::as_u64`]).
+    fn read_json(self, v: &Json, out: &mut Vec<u64>) -> Option<()> {
+        match self {
+            Field::Msg | Field::Flow | Field::Host | Field::Report | Field::Int => {
+                out.push(v.as_u64()?)
+            }
+            Field::Flag => match v {
+                Json::Bool(b) => out.push(u64::from(*b)),
+                _ => return None,
+            },
+            Field::Ppb => out.push(ppb_from_f64(v.as_num()?)),
+            Field::Fault => out.push(FaultKind::from_name(v.as_str()?)?.code()),
+            Field::Shed => out.push(ShedReason::from_name(v.as_str()?)?.code()),
+            Field::Links => {
+                let links = v.as_arr()?;
+                out.push(links.len() as u64);
+                for l in links {
+                    for key in ["link", "up", "down"] {
+                        out.push(l.get(key)?.as_u64()?);
+                    }
+                }
+            }
+        }
+        Some(())
     }
 }
 
-/// Rebuilds the typed event from one parsed `--trace-out` JSONL object,
-/// the inverse of [`Traced::to_json`]. `None` for unknown kinds and for
-/// missing or malformed fields.
-fn event_from_json(kind: &str, v: &Json) -> Option<TraceEvent> {
-    let msg = || field_u64(v, "msg");
-    Some(match kind {
-        "send" => TraceEvent::MessageSent { msg: msg()?, flow: field_u64(v, "flow")? },
-        "churn-blocked" => TraceEvent::ChurnBlocked { msg: msg()? },
-        "outcome" => TraceEvent::RouteOutcome {
-            msg: msg()?,
-            received_upto: field_u64(v, "received_upto")?,
-            delivered: field_bool(v, "delivered")?,
-        },
-        "fault" => TraceEvent::FaultInjected {
-            msg: msg()?,
-            kind: match v.get("fault").and_then(Json::as_str)? {
-                "transport-drop" => FaultKind::TransportDrop,
-                "host-drop" => FaultKind::HostDrop,
-                "network-drop" => FaultKind::NetworkDrop,
-                _ => return None,
-            },
-        },
-        "ack" => TraceEvent::AckReceived { msg: msg()? },
-        "retx" => TraceEvent::RetryFired { msg: msg()?, attempt: field_u64(v, "attempt")? },
-        "expire" => TraceEvent::MessageExpired { msg: msg()? },
-        "snapshots" => TraceEvent::SnapshotsGathered {
-            links: field_u64(v, "links")?,
-            observations: field_u64(v, "observations")?,
-        },
-        "judge" => TraceEvent::BlameComputed {
-            msg: msg()?,
-            blame_ppb: ppb_from_f64(v.get("blame").and_then(Json::as_num)?),
-            accuracy_ppb: ppb_from_f64(v.get("accuracy").and_then(Json::as_num)?),
-            links: v
-                .get("links")
-                .and_then(Json::as_arr)?
-                .iter()
-                .map(|l| {
-                    Some(LinkObsSummary {
-                        link: field_u64(l, "link")?,
-                        up: field_u64(l, "up")?,
-                        down: field_u64(l, "down")?,
-                    })
-                })
-                .collect::<Option<_>>()?,
-        },
-        "verdict" => TraceEvent::VerdictAccumulated {
-            judge: field_u64(v, "judge")?,
-            accused: field_u64(v, "accused")?,
-            guilty: field_bool(v, "guilty")?,
-            window_guilty: field_u64(v, "window_guilty")?,
-            window_len: field_u64(v, "window_len")?,
-        },
-        "escalate" => TraceEvent::Escalated {
-            msg: msg()?,
-            judge: field_u64(v, "judge")?,
-            accused: field_u64(v, "accused")?,
-        },
-        "dissolve" => TraceEvent::Dissolved { msg: msg()? },
-        "standing" => TraceEvent::CulpritStanding {
-            msg: msg()?,
-            position: field_u64(v, "position")?,
-            culprit: field_u64(v, "culprit")?,
-        },
-        "revise" => TraceEvent::AccusationRevised {
-            step: field_u64(v, "step")?,
-            accuser_pos: field_u64(v, "accuser_pos")?,
-            accused_pos: field_u64(v, "accused_pos")?,
-            amended: field_bool(v, "amended")?,
-        },
-        "stored" => TraceEvent::AccusationStored {
-            culprit: field_u64(v, "culprit")?,
-            replicas: field_u64(v, "replicas")?,
-        },
-        "dht-refused" => TraceEvent::DhtRefused { culprit: field_u64(v, "culprit")? },
-        "admit" => TraceEvent::ReportAdmitted {
-            report: field_u64(v, "report")?,
-            queue_depth: field_u64(v, "queue_depth")?,
-        },
-        "shed" => TraceEvent::LoadShed {
-            report: field_u64(v, "report")?,
-            reason: match v.get("reason").and_then(Json::as_str)? {
-                "mailbox-full" => ShedReason::MailboxFull,
-                "deadline" => ShedReason::DeadlineExceeded,
-                "degraded" => ShedReason::Degraded,
-                "oversize" => ShedReason::Oversize,
-                _ => return None,
-            },
-        },
-        "complete" => TraceEvent::ReportCompleted {
-            report: field_u64(v, "report")?,
-            batch: field_u64(v, "batch")?,
-        },
-        "journal-commit" => TraceEvent::JournalCommitted {
-            seq: field_u64(v, "seq")?,
-            next_input: field_u64(v, "next_input")?,
-        },
-        "restart" => TraceEvent::SupervisorRestarted {
-            incident: field_u64(v, "incident")?,
-            budget_left: field_u64(v, "budget_left")?,
-        },
-        "degraded" => TraceEvent::DegradedEntered { incidents: field_u64(v, "incidents")? },
-        "recovered" => TraceEvent::RecoveryReplayed {
-            records: field_u64(v, "records")?,
-            resumed_input: field_u64(v, "resumed_input")?,
-        },
-        "tick" => TraceEvent::Tick,
-        _ => return None,
-    })
-}
-
 /// Parses one `--trace-out` JSONL line into a [`Traced`] event, returning
-/// any `episode`/`seed` annotations alongside. `None` when the line's
-/// kind is unknown (forward compatibility: never invent an event) or a
-/// field does not decode — integers must be non-negative, integral and
-/// at most 2^53 ([`Json::as_u64`]).
+/// any `episode`/`seed` annotations alongside — the inverse of
+/// [`Traced::to_json`]. `None` when the line's kind is unknown (forward
+/// compatibility: never invent an event) or a field is missing or does
+/// not decode.
 pub fn traced_from_json_line(
     v: &Json,
 ) -> Option<(Traced, Option<String>, Option<String>)> {
-    let at_micros = field_u64(v, "t_us")?;
-    let kind = v.get("kind").and_then(Json::as_str)?;
-    let event = event_from_json(kind, v)?;
+    let at_micros = v.get("t_us").and_then(Json::as_u64)?;
+    let label = v.get("kind").and_then(Json::as_str)?;
+    let kind = KINDS.iter().position(|row| row.0 == label)?;
+    let mut words = Vec::new();
+    for &(key, field) in KINDS[kind].1 {
+        field.read_json(v.get(key)?, &mut words)?;
+    }
+    let event = TraceEvent::from_words(kind, &words)?;
     let episode = v.get("episode").and_then(Json::as_str).map(str::to_string);
     let seed = v.get("seed").and_then(Json::as_str).map(str::to_string);
     Some((Traced { at_micros, event }, episode, seed))
@@ -793,86 +778,30 @@ mod tests {
         assert_eq!(ppb(0.25), 250_000_000);
     }
 
+    /// A reason's code is its row of `ShedReason::ALL`, and its metric is
+    /// named after it.
     #[test]
-    fn hash_fields_are_stable_per_variant() {
-        let ev = TraceEvent::BlameComputed {
-            msg: 7,
-            blame_ppb: ppb(0.5),
-            accuracy_ppb: ppb(0.9),
-            links: vec![LinkObsSummary { link: 3, up: 5, down: 1 }],
-        };
-        let mut fields = Vec::new();
-        ev.hash_fields(&mut fields);
-        assert_eq!(fields, vec![7, 500_000_000, 900_000_000, 1, 3, 5, 1]);
-        assert_eq!(ev.label(), "judge");
+    fn shed_reasons_read_their_row() {
+        for (code, (reason, name, metric)) in ShedReason::ALL.into_iter().enumerate() {
+            assert_eq!((reason.code(), reason.name(), reason.metric()), (code as u64, name, metric));
+            assert_eq!(metric, format!("serve.shed.{name}"));
+        }
     }
 
     #[test]
-    fn serve_events_encode_all_three_renderings() {
-        let shed = Traced {
-            at_micros: 2_000_000,
-            event: TraceEvent::LoadShed { report: 9, reason: ShedReason::DeadlineExceeded },
-        };
-        let mut fields = Vec::new();
-        shed.event.hash_fields(&mut fields);
-        assert_eq!(fields, vec![9, 1]);
-        assert_eq!(shed.event.label(), "shed");
-        assert!(shed.to_json(&[]).contains("\"reason\":\"deadline\""));
-        assert!(shed.render().contains("reason=deadline"));
-
-        let recovered = Traced {
-            at_micros: 0,
-            event: TraceEvent::RecoveryReplayed { records: 12, resumed_input: 5 },
-        };
-        let mut fields = Vec::new();
-        recovered.event.hash_fields(&mut fields);
-        assert_eq!(fields, vec![12, 5]);
-        assert!(recovered.to_json(&[]).contains("\"records\":12"));
-        assert!(recovered.render().contains("resuming at input 5"));
-
-        // Shed reason codes are distinct and stable.
-        let codes: Vec<u64> =
-            [
-                ShedReason::MailboxFull,
-                ShedReason::DeadlineExceeded,
-                ShedReason::Degraded,
-                ShedReason::Oversize,
-            ]
-            .iter()
-            .map(|r| r.code())
-            .collect();
-        assert_eq!(codes, vec![0, 1, 2, 3]);
-        // The newest reason round-trips like the rest (the golden exemplars
-        // predate it).
-        let oversize = Traced {
-            at_micros: 7,
-            event: TraceEvent::LoadShed { report: 40, reason: ShedReason::Oversize },
-        };
-        let line = oversize.to_json(&[]);
-        assert!(line.contains("\"reason\":\"oversize\""));
-        let parsed = crate::json::parse(&line).map(|v| traced_from_json_line(&v).map(|t| t.0));
-        assert_eq!(parsed.ok().flatten(), Some(oversize));
-    }
-
-    #[test]
-    fn json_and_render_are_deterministic() {
-        let traced = Traced {
-            at_micros: 1_500_000,
-            event: TraceEvent::VerdictAccumulated {
-                judge: 1,
-                accused: 2,
-                guilty: true,
-                window_guilty: 3,
-                window_len: 4,
-            },
-        };
-        let a = traced.to_json(&[("episode", "lossy")]);
-        let b = traced.to_json(&[("episode", "lossy")]);
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\"episode\":\"lossy\","), "{a}");
-        assert!(a.contains("\"kind\":\"verdict\""));
-        assert!(traced.render().contains("GUILTY"));
-        assert!(traced.render().contains("[1.500000s]"));
+    fn from_words_refuses_what_no_event_hashes_to() {
+        assert_eq!(TraceEvent::from_words(4, &[7]), Some(TraceEvent::AckReceived { msg: 7 }));
+        for (kind, words) in [
+            (4, &[][..]),              // too few words
+            (4, &[7, 8][..]),          // trailing word
+            (2, &[1, 2, 2][..]),       // a flag other than 0 or 1
+            (3, &[1, 3][..]),          // no fault kind 3
+            (17, &[1, 4][..]),         // no shed reason 4
+            (8, &[1, 2, 3, 2, 4, 5, 6][..]), // two links announced, one present
+            (KINDS.len(), &[][..]),    // no such kind
+        ] {
+            assert_eq!(TraceEvent::from_words(kind, words), None, "{kind} {words:?}");
+        }
     }
 
     /// One exemplar per variant, with field values chosen to be mutually
@@ -940,14 +869,24 @@ mod tests {
     /// a new variant fails here instead of silently corrupting exports.
     #[test]
     fn every_kind_round_trips_through_json() {
-        let exemplars = one_of_each();
+        let mut exemplars = one_of_each();
+        // Every fault kind beside every shed reason, `Oversize` included
+        // (the golden exemplars predate it).
+        for (i, ((kind, _), (reason, ..))) in FaultKind::ALL
+            .into_iter()
+            .flat_map(|f| ShedReason::ALL.into_iter().map(move |r| (f, r)))
+            .enumerate()
+        {
+            exemplars.push(TraceEvent::FaultInjected { msg: 40 + i as u64, kind });
+            exemplars.push(TraceEvent::LoadShed { report: 60 + i as u64, reason });
+        }
         // First: the exemplar list covers every kind code.
-        let mut covered: Vec<u64> = exemplars.iter().map(TraceEvent::kind_code).collect();
+        let mut covered: Vec<usize> = exemplars.iter().map(TraceEvent::kind).collect();
         covered.sort_unstable();
         covered.dedup();
         assert_eq!(
             covered,
-            (0..=23).collect::<Vec<u64>>(),
+            (0..KINDS.len()).collect::<Vec<usize>>(),
             "round-trip exemplars must cover every TraceEvent kind code"
         );
         for event in exemplars {
@@ -992,7 +931,7 @@ mod tests {
                 out,
                 "{} code={} words={words:?} entities=[{}]\n  {}\n  {}",
                 traced.event.label(),
-                traced.event.kind_code(),
+                traced.event.kind(),
                 entity_keys.join(" "),
                 traced.to_json(&[("episode", "rt"), ("seed", "5")]),
                 traced.render(),

@@ -21,26 +21,15 @@
 
 use concilium::blame::blame_from_path_evidence;
 use concilium::Verdict;
-use concilium_obs::{Registry, ShedReason, Trace};
+use concilium_obs::{Registry, Trace};
 use concilium_types::{SimDuration, SimTime};
 
-use crate::flight::{shed_reason_from_code, trace_event, FlightEntry, FlightRecorder};
+use crate::flight::{trace_event, FlightEntry, FlightRecorder};
 use crate::journal::{Journal, Record, SharedStore, MAX_FRAME_WORDS};
 use crate::mailbox::Mailbox;
 use crate::report::FailureReport;
 use crate::state::ServeState;
 use crate::ServeConfig;
-
-/// The counter a shed with `reason` increments.
-#[deny(clippy::wildcard_enum_match_arm)]
-pub(crate) fn shed_metric(reason: ShedReason) -> &'static str {
-    match reason {
-        ShedReason::MailboxFull => "serve.shed.mailbox-full",
-        ShedReason::DeadlineExceeded => "serve.shed.deadline",
-        ShedReason::Degraded => "serve.shed.degraded",
-        ShedReason::Oversize => "serve.shed.oversize",
-    }
-}
 
 /// Where in an input's processing a chaos-injected panic fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -297,9 +286,7 @@ impl Daemon {
         self.fold(&record);
         match &record {
             Record::Admitted { .. } => self.metrics.inc("serve.admitted", 1),
-            Record::Shed { reason_code, .. } => {
-                self.metrics.inc(shed_metric(shed_reason_from_code(*reason_code)), 1);
-            }
+            Record::Shed { reason, .. } => self.metrics.inc(reason.metric(), 1),
             Record::BatchStarted { .. } => self.metrics.inc("serve.batches", 1),
             Record::VerdictRecorded { .. } => self.metrics.inc("serve.completed", 1),
             Record::AccusationFiled { .. } => self.metrics.inc("serve.accusations", 1),
@@ -384,7 +371,7 @@ impl Daemon {
                     seq: self.next_seq,
                     input,
                     report_id: report.id,
-                    reason_code: reason.code(),
+                    reason,
                 });
                 // Flush the flight ring into the WAL alongside the
                 // refusal: `explain shed <report>` can then render the

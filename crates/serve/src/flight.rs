@@ -29,7 +29,7 @@
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 
-use concilium_obs::{ShedReason, TraceEvent, Traced};
+use concilium_obs::{TraceEvent, Traced};
 
 use crate::journal::Record;
 
@@ -63,7 +63,7 @@ impl FlightEntry {
     pub fn from_record(record: &Record) -> Option<FlightEntry> {
         let (kind, key, aux) = match record {
             Record::Admitted { input, report, .. } => (1, report.id, *input),
-            Record::Shed { report_id, reason_code, .. } => (2, *report_id, *reason_code),
+            Record::Shed { report_id, reason, .. } => (2, *report_id, reason.code()),
             Record::BatchStarted { batch, start_us, .. } => (3, *batch, *start_us),
             Record::VerdictRecorded { report_id, guilty, .. } => {
                 (4, *report_id, u64::from(*guilty))
@@ -142,10 +142,9 @@ pub(crate) fn trace_event(record: &Record, queue_depth: u64) -> Option<TraceEven
         Record::Admitted { report, .. } => {
             Some(TraceEvent::ReportAdmitted { report: report.id, queue_depth })
         }
-        Record::Shed { report_id, reason_code, .. } => Some(TraceEvent::LoadShed {
-            report: *report_id,
-            reason: shed_reason_from_code(*reason_code),
-        }),
+        Record::Shed { report_id, reason, .. } => {
+            Some(TraceEvent::LoadShed { report: *report_id, reason: *reason })
+        }
         Record::VerdictRecorded { report_id, batch, .. } => {
             Some(TraceEvent::ReportCompleted { report: *report_id, batch: *batch })
         }
@@ -197,22 +196,11 @@ pub fn records_to_traced(records: &[Record]) -> Vec<Traced> {
     out
 }
 
-/// Inverse of [`ShedReason::code`]; unknown codes map to the most
-/// conservative reason rather than failing (journal corruption is
-/// caught by checksums, not here).
-pub(crate) fn shed_reason_from_code(code: u64) -> ShedReason {
-    match code {
-        0 => ShedReason::MailboxFull,
-        1 => ShedReason::DeadlineExceeded,
-        3 => ShedReason::Oversize,
-        _ => ShedReason::Degraded,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::FailureReport;
+    use concilium_obs::ShedReason;
     use concilium_types::SimTime;
 
     fn admitted(seq: u64, input: u64, id: u64, arrival_us: u64) -> Record {
@@ -273,7 +261,7 @@ mod tests {
         let records = vec![
             admitted(0, 0, 100, 1_000),
             Record::Commit { seq: 1, next_input: 1, clock_us: 1_000 },
-            Record::Shed { seq: 2, input: 1, report_id: 101, reason_code: 0 },
+            Record::Shed { seq: 2, input: 1, report_id: 101, reason: ShedReason::MailboxFull },
             Record::Commit { seq: 3, next_input: 2, clock_us: 1_500 },
             Record::BatchStarted { seq: 4, batch: 0, start_us: 2_000, report_ids: vec![100] },
             Record::VerdictRecorded {

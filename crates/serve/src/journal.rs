@@ -22,6 +22,7 @@
 use std::sync::{Arc, Mutex};
 
 use concilium_crypto::sha256;
+use concilium_obs::ShedReason;
 
 use crate::flight::FlightEntry;
 use crate::report::FailureReport;
@@ -48,9 +49,7 @@ pub enum Record {
         /// from these.
         report: FailureReport,
     },
-    /// A report was refused; `reason_code` is [`ShedReason::code`].
-    ///
-    /// [`ShedReason::code`]: concilium_obs::ShedReason::code
+    /// A report was refused.
     Shed {
         /// Record sequence number.
         seq: u64,
@@ -58,8 +57,8 @@ pub enum Record {
         input: u64,
         /// The refused report's identifier.
         report_id: u64,
-        /// Typed refusal reason, as its stable code.
-        reason_code: u64,
+        /// Typed refusal reason, journaled as [`ShedReason::code`].
+        reason: ShedReason,
     },
     /// A batch of admitted reports left the mailbox for evaluation.
     BatchStarted {
@@ -171,8 +170,8 @@ impl Record {
                 all(&[1, *seq, *input]);
                 report.write_words(put);
             }
-            Record::Shed { seq, input, report_id, reason_code } => {
-                all(&[2, *seq, *input, *report_id, *reason_code]);
+            Record::Shed { seq, input, report_id, reason } => {
+                all(&[2, *seq, *input, *report_id, reason.code()]);
             }
             Record::BatchStarted { seq, batch, start_us, report_ids } => {
                 all(&[3, *seq, *batch, *start_us, report_ids.len() as u64]);
@@ -208,8 +207,9 @@ impl Record {
 
     /// Decodes one record from its payload words. `None` on malformed
     /// input: unknown tag, wrong arity, trailing words, a count that
-    /// disagrees with the words present, or a guilty flag other than 0
-    /// or 1. So a decoded record re-encodes to exactly `words`.
+    /// disagrees with the words present, a guilty flag other than 0
+    /// or 1, or a shed reason code no [`ShedReason`] has. So a decoded
+    /// record re-encodes to exactly `words`.
     ///
     /// Counts are checked against the words actually present, so the
     /// only bound on a record is its frame's, [`MAX_FRAME_BYTES`]: every
@@ -225,8 +225,8 @@ impl Record {
                 }
                 Record::Admitted { seq, input, report }
             }
-            (2, &[seq, input, report_id, reason_code]) => {
-                Record::Shed { seq, input, report_id, reason_code }
+            (2, &[seq, input, report_id, code]) => {
+                Record::Shed { seq, input, report_id, reason: ShedReason::from_code(code)? }
             }
             (3, &[seq, batch, start_us, n, ref ids @ ..]) if ids.len() as u64 == n => {
                 Record::BatchStarted { seq, batch, start_us, report_ids: ids.to_vec() }
@@ -499,7 +499,7 @@ mod tests {
     fn every_record_kind_round_trips() {
         let records = vec![
             admitted(0, 0, 100),
-            Record::Shed { seq: 1, input: 1, report_id: 101, reason_code: 1 },
+            Record::Shed { seq: 1, input: 1, report_id: 101, reason: ShedReason::DeadlineExceeded },
             Record::BatchStarted { seq: 2, batch: 0, start_us: 50, report_ids: vec![100, 102] },
             Record::VerdictRecorded {
                 seq: 3,
@@ -653,6 +653,27 @@ mod tests {
         let mut replayed = Vec::new();
         corrupt.recover(|r| replayed.push(r));
         assert_eq!(replayed, vec![commit(0, 1)]);
+    }
+
+    #[test]
+    fn an_unknown_shed_reason_ends_the_valid_prefix() {
+        // Every reason round-trips through its code…
+        for (reason, ..) in ShedReason::ALL {
+            let rec = Record::Shed { seq: 0, input: 0, report_id: 7, reason };
+            assert_eq!(Record::decode(&rec.encode()), Some(rec));
+        }
+        // …and a checksum-valid frame with a code no reason has is
+        // malformed, not a shed "for some reason".
+        let mut j = Journal::new();
+        j.append(&commit(0, 1));
+        let payload: Vec<u8> = [2u64, 1, 1, 7, 4].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&sha256(&payload).0[..8]);
+        frame.extend_from_slice(&payload);
+        j.store().append(&frame);
+        j.append(&commit(2, 2));
+        let (records, _) = j.scan();
+        assert_eq!(records, vec![commit(0, 1)], "the code-4 frame must end the prefix");
     }
 
     #[test]

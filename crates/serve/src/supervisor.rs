@@ -20,7 +20,7 @@ use std::sync::Once;
 
 use concilium_obs::{Registry, ShedReason, Trace, TraceEvent};
 
-use crate::daemon::{shed_metric, Counters, Daemon, PanicSite, RecoveryStats};
+use crate::daemon::{Counters, Daemon, PanicSite, RecoveryStats};
 use crate::flight::{FlightEntry, FlightRecorder, PANIC_FLUSH};
 use crate::journal::{Journal, Record, SharedStore};
 use crate::report::FailureReport;
@@ -221,7 +221,7 @@ impl Supervisor {
                 report.arrival.as_micros(),
                 TraceEvent::LoadShed { report: report.id, reason: ShedReason::Degraded },
             );
-            metrics.inc(shed_metric(ShedReason::Degraded), 1);
+            metrics.inc(ShedReason::Degraded.metric(), 1);
         }
         SupervisedRun {
             counters: daemon.counters(),

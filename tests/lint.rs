@@ -9,9 +9,12 @@
 //! `Relaxed` in `par`/`obs`; no `partial_cmp` call). The dynamic half —
 //! the jobs=1 vs jobs=2 trace comparison — lives in CI.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
+
+use concilium_obs::event::KINDS;
+use concilium_obs::{FaultKind, ShedReason};
 
 /// Directories never scanned: build output, offline dependency stand-ins,
 /// golden fixtures, and the negative-control crate, which breaks every
@@ -191,9 +194,11 @@ fn every_per_kind_consumer_denies_wildcard_arms() {
     // when a kind is added, and `#[deny(clippy::wildcard_enum_match_arm)]`
     // keeps a catch-all arm out. Only CI's clippy step reads that
     // attribute, so its place directly on each per-kind consumer is
-    // pinned here.
+    // pinned here. `TraceEvent::kind` is the schema's kind-code listing;
+    // its inverse `from_words` matches on codes, not on the enum, so the
+    // round trip in `obs::event`'s tests covers it instead.
     const CONSUMERS: &[(&str, &str)] = &[
-        ("crates/obs/src/causal.rs", "pub fn entities("),
+        ("crates/obs/src/event.rs", "pub(crate) fn kind("),
         ("crates/obs/src/causal.rs", "fn step("),
         ("crates/sim/src/explorer/episode.rs", "fn count("),
         ("crates/serve/src/flight.rs", "pub(crate) fn trace_event("),
@@ -206,6 +211,66 @@ fn every_per_kind_consumer_denies_wildcard_arms() {
             format!("#[deny(clippy::wildcard_enum_match_arm)]{}", signature.replace(' ', ""));
         assert!(code(&read(rel)).contains(&attributed), "{rel}: `{signature}` lost its deny attribute");
     }
+}
+
+/// Where a string literal spelling one of `labels` sits in the non-test
+/// code of `sources`, `//` comments excluded: (file, label) → count.
+fn label_spellings<'a>(
+    sources: &'a [(String, String)],
+    labels: &[&'a str],
+) -> BTreeMap<(&'a str, &'a str), usize> {
+    let mut found = BTreeMap::new();
+    for (rel, src) in sources {
+        let code = code(non_test(src));
+        for &label in labels {
+            let n = code.matches(&format!("\"{label}\"")).count();
+            if n > 0 {
+                found.insert((rel.as_str(), label), n);
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn the_trace_schema_is_stated_once() {
+    // `obs::event::KINDS` is the trace's wire schema: each kind's label
+    // and its fields as (JSON key, type). Hashing, JSONL out, JSONL in and
+    // entity keys fold over it, so a label spelled anywhere else in the
+    // crate states the schema a second time. In `event.rs` a label recurs
+    // only where the same word is also a field key of the table or a name
+    // in `FaultKind::ALL`/`ShedReason::ALL`; elsewhere only as one of the
+    // listed coincidences, which name something else.
+    const EVENT_RS: &str = "crates/obs/src/event.rs";
+    const COINCIDENCES: &[(&str, &str, &str)] = &[
+        ("crates/obs/src/causal.rs", "shed", "the `shed:R` explain query verb"),
+        ("crates/obs/src/bin/concilium_explain.rs", "judge", "the meta-ambiguity sidecar's key"),
+    ];
+    let labels: Vec<&str> = KINDS.iter().map(|row| row.0).collect();
+    let mut table_words: Vec<&str> = KINDS.iter().flat_map(|row| row.1.iter().map(|f| f.0)).collect();
+    table_words.extend(FaultKind::ALL.iter().map(|row| row.1));
+    table_words.extend(ShedReason::ALL.iter().map(|row| row.1));
+    let mut expected = BTreeMap::new();
+    for &label in &labels {
+        let recurs = table_words.iter().filter(|w| **w == label).count();
+        expected.insert((EVENT_RS, label), 1 + recurs);
+    }
+    for &(rel, label, _) in COINCIDENCES {
+        *expected.entry((rel, label)).or_insert(0) += 1;
+    }
+    let sources = sources_under(&["crates/obs/src"]);
+    let found = label_spellings(&sources, &labels);
+    assert_eq!(found, expected, "trace kind labels spelled in crates/obs/src (left)");
+
+    // The scanner is not blind: it finds a label matched on in another
+    // file, and skips prose, comments and test modules.
+    let synthetic = [
+        ("crates/obs/src/x.rs", "fn f(k: &str) -> bool { k == \"send\" } // \"tick\"\n"),
+        ("crates/obs/src/y.rs", "//! `\"send\"`\n#[cfg(test)]\nmod t { const K: &str = \"tick\"; }\n"),
+    ]
+    .map(|(rel, src)| (rel.to_string(), src.to_string()));
+    let found = label_spellings(&synthetic, &["send", "tick"]);
+    assert_eq!(found.into_iter().collect::<Vec<_>>(), [(("crates/obs/src/x.rs", "send"), 1)]);
 }
 
 #[test]
@@ -366,6 +431,47 @@ const UNCALLED_BY_DECISION: &[(&str, &str, &str)] = &[
     ("crates/tomography/src/probe.rs", "try_new", "concilium_tomography::probe"),
 ];
 
+/// `pub fn`s kept public with no caller outside their crate, by decision
+/// (DESIGN.md §18): safety checks a host receiving the data needs, and the
+/// entry points of modules a ROADMAP item will wire. Each entry is (file,
+/// type, function). Their names are words other crates use, so the
+/// name-matching pin below passes them whether or not anything calls
+/// them; this list is their record, and §18's `KEPT_PUBLIC` bullet must
+/// name exactly these.
+const KEPT_PUBLIC: &[(&str, &str, &str)] = &[
+    ("crates/crypto/src/cert.rs", "Certificate", "verify"),
+    ("crates/crypto/src/cert.rs", "CertificateAuthority", "public_key"),
+    ("crates/tomography/src/delta.rs", "SnapshotDelta", "verify"),
+    ("crates/tomography/src/delta.rs", "SnapshotDelta", "between"),
+    ("crates/tomography/src/delta.rs", "SnapshotDelta", "apply"),
+    ("crates/core/src/advertisement.rs", "RoutingAdvertisement", "build"),
+    ("crates/core/src/advertisement.rs", "RoutingAdvertisement", "validate"),
+    ("crates/tomography/src/feedback.rs", "NonceLedger", "new"),
+    ("crates/tomography/src/feedback.rs", "NonceLedger", "issue"),
+    ("crates/tomography/src/feedback.rs", "NonceLedger", "validate"),
+];
+
+/// The `Type::function` names a DESIGN.md bullet spells in backticks,
+/// with `Type::{a, b}` expanded: the bullet of §18 that names
+/// `KEPT_PUBLIC`.
+fn kept_public_prose(design: &str) -> BTreeSet<(String, String)> {
+    let at = design.find("\n## 18. ").expect("DESIGN.md has its §18 census");
+    let bullet: String = design[at..]
+        .split("\n- ")
+        .find(|b| b.contains("`KEPT_PUBLIC`"))
+        .expect("a §18 bullet names `KEPT_PUBLIC`")
+        .replace('\n', " ");
+    let mut named = BTreeSet::new();
+    for span in bullet.split('`').skip(1).step_by(2) {
+        let Some((ty, fns)) = span.split_once("::") else { continue };
+        let fns = fns.trim_start_matches('{').trim_end_matches('}');
+        for name in fns.split(", ") {
+            named.insert((ty.to_string(), name.to_string()));
+        }
+    }
+    named
+}
+
 /// The library a source file belongs to (`crates/core/src` for
 /// `crates/core/src/blame.rs`), or `None` outside every library: a
 /// crate's `src/bin`, its `tests`, and everything outside `crates`.
@@ -460,6 +566,24 @@ fn every_pub_fn_is_named_outside_its_crate() {
     );
     let stale: Vec<&(String, String)> = allowed.iter().filter(|a| !orphans.contains(a)).collect();
     assert!(stale.is_empty(), "allow-list entries with an outside caller now, or gone: {stale:?}");
+
+    // The keepers the name match cannot judge are recorded, both ways:
+    // each is still a `pub fn` of its type, and §18 names exactly them.
+    for &(file, ty, name) in KEPT_PUBLIC {
+        let src = read(file);
+        let declared = src
+            .split("\nimpl ")
+            .filter(|block| block.starts_with(&format!("{ty} ")))
+            .any(|block| pub_fns(block.split("\n}").next().unwrap_or(block)).contains(&name));
+        assert!(declared, "KEPT_PUBLIC entry `{ty}::{name}` is no `pub fn` of `impl {ty}` in {file}");
+    }
+    let kept: BTreeSet<(String, String)> =
+        KEPT_PUBLIC.iter().map(|&(_, ty, name)| (ty.into(), name.into())).collect();
+    let named = kept_public_prose(&read("DESIGN.md"));
+    assert_eq!(named, kept, "the functions DESIGN.md §18's `KEPT_PUBLIC` bullet names (left)");
+    let prose = "\n## 18. x\n- kept, `KEPT_PUBLIC`: `A::f` (with\n  `B::{g, h}`) and `lint.rs`\n- `C::i`\n";
+    let named: Vec<(String, String)> = kept_public_prose(prose).into_iter().collect();
+    assert_eq!(named, [("A", "f"), ("B", "g"), ("B", "h")].map(|(t, f)| (t.into(), f.into())));
 
     // Nothing silences the lint that judges the demoted items.
     for (rel, src) in &files {
