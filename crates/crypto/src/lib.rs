@@ -69,9 +69,11 @@ pub trait Signable {
     /// Appends the canonical byte rendering of `self` to `out`.
     fn signable_bytes(&self, out: &mut Vec<u8>);
 
-    /// Convenience: renders to a fresh buffer.
+    /// Convenience: renders to a fresh buffer, allocated once at a size
+    /// that holds the per-message renderings (an ack is 60–68 bytes, a
+    /// forwarding commitment 82), so they never regrow.
     fn to_signable_vec(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(128);
         self.signable_bytes(&mut out);
         out
     }

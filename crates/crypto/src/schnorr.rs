@@ -31,19 +31,20 @@ pub(crate) const Q: u64 = 0x1fff_ffff_ffff_eb5d;
 /// Generator of the order-`q` subgroup (a quadratic residue).
 pub(crate) const G: u64 = 4;
 
-/// Modular multiplication in Z_p via 128-bit intermediates.
-fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+/// Modular multiplication via 128-bit intermediates.
+const fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
 /// Montgomery arithmetic over an odd modulus `m < 2^63`, radix `R = 2^64`.
 ///
-/// Signing and verifying both reduce to `pow_mod`, which the DST calls on
-/// every acknowledgment and accusation — tens of thousands of times per
+/// Signing and verifying both reduce to exponentiation, which the DST runs
+/// on every acknowledgment and accusation — tens of thousands of times per
 /// sweep. Naive square-and-multiply pays a 128-bit division (`__umodti3`)
 /// per step; Montgomery replaces each with two 64×64 multiplies and a
 /// shift while computing *exactly* the same residues, so signatures and
-/// digests are unchanged.
+/// digests are unchanged. The group's two moduli have their constants
+/// derived at compile time ([`MONT_P`], [`MONT_Q`]).
 struct Mont {
     m: u64,
     /// `-m^{-1} mod 2^64`.
@@ -53,22 +54,24 @@ struct Mont {
 }
 
 impl Mont {
-    fn new(m: u64) -> Self {
-        debug_assert!(m & 1 == 1 && m > 1);
+    const fn new(m: u64) -> Self {
+        assert!(m & 1 == 1 && m > 1 && m < 1 << 63, "Montgomery form needs an odd m < 2^63");
         // Newton–Hensel lifting: `inv = 1` is `m^{-1} mod 2` for any odd
         // `m`, and each iteration doubles the number of valid low bits,
         // so six iterations reach `mod 2^64`.
         let mut inv: u64 = 1;
-        for _ in 0..6 {
+        let mut i = 0;
+        while i < 6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+            i += 1;
         }
-        debug_assert_eq!(m.wrapping_mul(inv), 1);
+        assert!(m.wrapping_mul(inv) == 1, "Newton–Hensel lifting must reach the inverse mod 2^64");
         let r1 = ((1u128 << 64) % m as u128) as u64;
         Mont { m, neg_inv: inv.wrapping_neg(), r2: mul_mod(r1, r1, m) }
     }
 
     /// Montgomery reduction: `t·R^{-1} mod m` for `t < m·R`.
-    fn redc(&self, t: u128) -> u64 {
+    const fn redc(&self, t: u128) -> u64 {
         let k = (t as u64).wrapping_mul(self.neg_inv);
         // Low 64 bits of `t + k·m` cancel by construction of `k`; the sum
         // stays below `2·m·R < 2^128` because `m < 2^63`.
@@ -81,31 +84,79 @@ impl Mont {
     }
 
     /// Product of two Montgomery-form values, in Montgomery form.
-    fn mul(&self, a: u64, b: u64) -> u64 {
+    const fn mul(&self, a: u64, b: u64) -> u64 {
         self.redc(a as u128 * b as u128)
     }
 
     /// Converts `x < m` into Montgomery form (`x·R mod m`).
-    fn to_mont(&self, x: u64) -> u64 {
+    const fn to_mont(&self, x: u64) -> u64 {
         self.redc(x as u128 * self.r2 as u128)
+    }
+
+    /// Converts a Montgomery-form value back (`x·R^{-1} mod m`).
+    const fn to_plain(&self, x: u64) -> u64 {
+        self.redc(x as u128)
+    }
+
+    /// `base^exp` by square-and-multiply, both in Montgomery form.
+    fn pow(&self, mut base: u64, mut exp: u64) -> u64 {
+        let mut acc = self.to_mont(1);
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = self.mul(acc, base);
+            }
+            base = self.mul(base, base);
+            exp >>= 1;
+        }
+        acc
     }
 }
 
-/// Modular exponentiation by squaring, in Montgomery form: the modulus
-/// must be odd, as every group operation's is (`p` and `q` are prime).
-fn pow_mod(base: u64, mut exp: u64, m: u64) -> u64 {
-    debug_assert!(m & 1 == 1, "Montgomery form needs an odd modulus");
-    let mont = Mont::new(m);
-    let mut base_m = mont.to_mont(base % m);
-    let mut acc_m = mont.to_mont(1);
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc_m = mont.mul(acc_m, base_m);
+/// Montgomery constants of the group modulus `p`.
+const MONT_P: Mont = Mont::new(P);
+
+/// Montgomery constants of the subgroup order `q`.
+const MONT_Q: Mont = Mont::new(Q);
+
+/// `x·y mod q`, by two Montgomery reductions instead of a 128-bit division.
+fn mul_mod_q(x: u64, y: u64) -> u64 {
+    MONT_Q.mul(MONT_Q.to_mont(x % Q), y % Q)
+}
+
+/// `G^(d·256^w)` in Montgomery form at `[w][d]`: one row per byte of a
+/// 64-bit exponent. 16 KB, evaluated at compile time.
+static G_TABLE: [[u64; 256]; 8] = {
+    let mut table = [[0u64; 256]; 8];
+    let mut unit = MONT_P.to_mont(G); // G^(256^w)
+    let mut w = 0;
+    while w < 8 {
+        let mut acc = MONT_P.to_mont(1);
+        let mut d = 0;
+        while d < 256 {
+            table[w][d] = acc;
+            acc = MONT_P.mul(acc, unit);
+            d += 1;
         }
-        base_m = mont.mul(base_m, base_m);
-        exp >>= 1;
+        unit = acc; // G^(256·256^w)
+        w += 1;
     }
-    mont.redc(acc_m as u128)
+    table
+};
+
+/// `G^exp` in Montgomery form: one table entry per exponent byte, so 7
+/// multiplies where square-and-multiply needs about 93.
+fn g_pow_mont(exp: u64) -> u64 {
+    let bytes = exp.to_le_bytes();
+    let mut acc = G_TABLE[0][usize::from(bytes[0])];
+    for (row, &byte) in G_TABLE.iter().zip(&bytes).skip(1) {
+        acc = MONT_P.mul(acc, row[usize::from(byte)]);
+    }
+    acc
+}
+
+/// `G^exp mod p`.
+fn g_pow(exp: u64) -> u64 {
+    MONT_P.to_plain(g_pow_mont(exp))
 }
 
 /// A Schnorr secret key: a scalar in `[1, q)`.
@@ -148,9 +199,9 @@ impl PublicKey {
             return false;
         }
         // r' = g^s * y^{-e} = g^s * y^{q-e}   (y has order q)
-        let gs = pow_mod(G, sig.s, P);
-        let y_neg_e = pow_mod(self.0, Q - (sig.e % Q), P);
-        let r = mul_mod(gs, y_neg_e, P);
+        let gs = g_pow_mont(sig.s);
+        let y_neg_e = MONT_P.pow(MONT_P.to_mont(self.0 % P), Q - (sig.e % Q));
+        let r = MONT_P.to_plain(MONT_P.mul(gs, y_neg_e));
         challenge(r, msg) == sig.e
     }
 }
@@ -217,7 +268,7 @@ impl KeyPair {
         let x = rng.gen_range(1..Q);
         KeyPair {
             secret: SecretKey(x),
-            public: PublicKey(pow_mod(G, x, P)),
+            public: PublicKey(g_pow(x)),
         }
     }
 
@@ -230,13 +281,14 @@ impl KeyPair {
     pub fn sign<R: Rng + ?Sized>(&self, msg: &[u8], rng: &mut R) -> Signature {
         loop {
             let k = rng.gen_range(1..Q);
-            let r = pow_mod(G, k, P);
+            let r = g_pow(k);
             let e = challenge(r, msg);
             if e == 0 {
                 continue; // astronomically unlikely; retry for a clean proof
             }
-            let s = (k as u128 + mul_mod(self.secret.0, e, Q) as u128) % Q as u128;
-            return Signature { e, s: s as u64 };
+            // k, x·e < q, so one conditional subtraction reduces the sum.
+            let s = k + mul_mod_q(self.secret.0, e);
+            return Signature { e, s: if s >= Q { s - Q } else { s } };
         }
     }
 }
@@ -254,6 +306,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Exponentiation in Montgomery form for any odd modulus below 2^63.
+    fn pow_mod(base: u64, exp: u64, m: u64) -> u64 {
+        let mont = Mont::new(m);
+        mont.to_plain(mont.pow(mont.to_mont(base % m), exp))
+    }
 
     #[test]
     fn group_parameters_are_consistent() {
@@ -351,6 +409,50 @@ mod tests {
         }
     }
 
+    /// Keys and signatures as the square-and-multiply implementation
+    /// produced them, before the fixed-base table: `(rng seed, message,
+    /// public key, e, s)`, each key drawn first and then the three
+    /// messages signed in order from the same rng.
+    const KNOWN_ANSWERS: [(u64, &str, u64, u64, u64); 9] = [
+        (1, "", 0x3d16c07d043afd1b, 0x069a3673fe8dec49, 0x1ba0c0e5a217f04d),
+        (1, "concilium", 0x3d16c07d043afd1b, 0x1879714b61b8b1ad, 0x146e2ab367e88041),
+        (1, "ack 0 -> 1", 0x3d16c07d043afd1b, 0x1f218cad410bb7e1, 0x0ce4d4eb326cd011),
+        (2, "", 0x1b9cd3a30d12bcd4, 0x06638c4a401e72ad, 0x054fd79e0c8e7052),
+        (2, "concilium", 0x1b9cd3a30d12bcd4, 0x1499beb57d1f02e2, 0x19a23639a640d4f8),
+        (2, "ack 0 -> 1", 0x1b9cd3a30d12bcd4, 0x1744aff25b9d94b0, 0x0a6055c7831fc55b),
+        (2007, "", 0x2fa45a7f6eabbdd8, 0x11cc3c42e160a7ae, 0x17db28449891a3a7),
+        (2007, "concilium", 0x2fa45a7f6eabbdd8, 0x073994485e02745e, 0x1999de3c27947723),
+        (2007, "ack 0 -> 1", 0x2fa45a7f6eabbdd8, 0x0bd94d949c26d839, 0x021e25c0f3dfd757),
+    ];
+
+    #[test]
+    fn keys_and_signatures_match_known_answers() {
+        for rows in KNOWN_ANSWERS.chunks(3) {
+            let mut rng = StdRng::seed_from_u64(rows[0].0);
+            let kp = KeyPair::generate(&mut rng);
+            for &(seed, msg, y, e, s) in rows {
+                assert_eq!(kp.public(), PublicKey(y), "seed {seed}");
+                let sig = kp.sign(msg.as_bytes(), &mut rng);
+                assert_eq!(sig, Signature { e, s }, "seed {seed}, message {msg:?}");
+                assert!(kp.public().verify(msg.as_bytes(), &sig));
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_table_matches_reference_at_the_edges() {
+        for exp in [0, 1, 255, 256, 65_535, 65_536, Q - 1, Q, u64::MAX] {
+            assert_eq!(g_pow(exp), pow_mod_reference(G, exp, P), "exponent {exp:#x}");
+        }
+    }
+
+    #[test]
+    fn montgomery_product_mod_q_matches_reference() {
+        for (x, y) in [(0, 0), (1, Q - 1), (Q - 1, Q - 1), (Q, 5), (u64::MAX, u64::MAX)] {
+            assert_eq!(mul_mod_q(x, y), mul_mod(x % Q, y % Q, Q), "{x:#x} * {y:#x}");
+        }
+    }
+
     mod pow_props {
         use super::*;
         use proptest::prelude::*;
@@ -368,6 +470,16 @@ mod tests {
                 // domain. The reference is modulus-agnostic.
                 let m = (m % (1u64 << 62)).max(1) * 2 + 1;
                 prop_assert_eq!(pow_mod(base % m, exp, m), pow_mod_reference(base % m, exp, m));
+            }
+
+            #[test]
+            fn fixed_base_table_matches_reference(exp in any::<u64>()) {
+                prop_assert_eq!(g_pow(exp), pow_mod_reference(G, exp, P));
+            }
+
+            #[test]
+            fn product_mod_q_matches_reference(x in any::<u64>(), y in any::<u64>()) {
+                prop_assert_eq!(mul_mod_q(x, y), mul_mod(x % Q, y % Q, Q));
             }
         }
     }

@@ -21,28 +21,20 @@
 
 use std::collections::BTreeSet;
 
-use crate::event::{Traced, TraceEvent};
+use crate::event::{Traced, TraceEvent, KINDS};
 use crate::metrics::{Metric, Registry};
 
-/// 64-bit FNV-1a over a byte string — tiny, portable, stable.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// 64-bit FNV-1a over a byte stream — tiny, portable, stable.
+fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// Hashes a feature tag plus its numeric payload into one bucket id.
+/// Hashes a feature tag plus its numeric payload into one bucket id: FNV-1a
+/// over `tag ‖ 0 ‖ payload` (each word little-endian), folded in place.
 fn bucket(tag: &str, payload: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(tag.len() + 1 + payload.len() * 8);
-    bytes.extend_from_slice(tag.as_bytes());
-    bytes.push(0);
-    for v in payload {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv1a64(&bytes)
+    fnv1a64(tag.bytes().chain([0]).chain(payload.iter().flat_map(|v| v.to_le_bytes())))
 }
 
 /// The log2 bucket of a count: 0 → 0, otherwise `1 + floor(log2 n)`, so
@@ -53,6 +45,18 @@ fn log2_bucket(n: u64) -> u64 {
     } else {
         64 - u64::from(n.leading_zeros())
     }
+}
+
+// `absorb_trace` keeps one bit per kind in a `u32`.
+const _: () = assert!(KINDS.len() <= u32::BITS as usize);
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u32) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let bit = mask.trailing_zeros();
+        mask &= mask.wrapping_sub(1);
+        (bit < u32::BITS).then_some(u64::from(bit))
+    })
 }
 
 /// A set of exercised coverage buckets.
@@ -105,13 +109,19 @@ impl CoverageSet {
 
     /// Extracts features from an episode trace: kind bigrams, verdict
     /// window shapes, fault kinds, shed reasons, and revision outcomes.
+    ///
+    /// Kinds and bigrams are gathered as first-seen bit masks while the
+    /// trace streams past, then each distinct one is hashed and inserted
+    /// once: a trace holds thousands of events over a few dozen kinds.
     pub fn absorb_trace<'a, I: IntoIterator<Item = &'a Traced>>(&mut self, events: I) {
-        let mut prev: Option<u64> = None;
+        let mut kinds: u32 = 0;
+        let mut bigrams = [0u32; KINDS.len()];
+        let mut prev: Option<usize> = None;
         for traced in events {
-            let code = traced.event.kind() as u64;
-            self.buckets.insert(bucket("kind", &[code]));
+            let code = traced.event.kind();
+            kinds |= 1 << code;
             if let Some(p) = prev {
-                self.buckets.insert(bucket("bigram", &[p, code]));
+                bigrams[p] |= 1 << code;
             }
             prev = Some(code);
             match &traced.event {
@@ -140,6 +150,14 @@ impl CoverageSet {
                     ));
                 }
                 _ => {}
+            }
+        }
+        for kind in bits(kinds) {
+            self.buckets.insert(bucket("kind", &[kind]));
+        }
+        for (p, &next) in (0u64..).zip(&bigrams) {
+            for code in bits(next) {
+                self.buckets.insert(bucket("bigram", &[p, code]));
             }
         }
     }
@@ -181,8 +199,73 @@ mod tests {
     #[test]
     fn fnv_is_stable() {
         // Pinned value: committed corpora depend on this never changing.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// The bytes the bucket hash covers, built the long way round.
+    fn bucket_bytes(tag: &str, payload: &[u64]) -> Vec<u8> {
+        let mut bytes = tag.as_bytes().to_vec();
+        bytes.push(0);
+        for v in payload {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn bucket_hashes_tag_nul_and_le_payload() {
+        let check = |tag: &str, payload: &[u64]| {
+            assert_eq!(
+                bucket(tag, payload),
+                fnv1a64(bucket_bytes(tag, payload)),
+                "{tag} {payload:?}"
+            );
+        };
+        let n = KINDS.len() as u64;
+        for a in 0..n {
+            check("kind", &[a]);
+            for b in 0..n {
+                check("bigram", &[a, b]);
+            }
+        }
+        for tag in ["verdict-shape", "fault-kind", "shed-reason", "revise-amended"] {
+            check(tag, &[0, 1, u64::MAX]);
+        }
+        check("retry-attempt", &[3]);
+        check("outcome-shape", &[64, 1]);
+        check("episode.retries", &[log2_bucket(40)]);
+        check("", &[]);
+    }
+
+    #[test]
+    fn kind_masks_match_a_per_event_fold() {
+        let events: Vec<Traced> = [
+            TraceEvent::MessageSent { msg: 0, flow: 0 },
+            TraceEvent::Tick,
+            TraceEvent::AckReceived { msg: 0 },
+            TraceEvent::Tick,
+            TraceEvent::Tick,
+            TraceEvent::MessageSent { msg: 1, flow: 0 },
+            TraceEvent::RetryFired { msg: 1, attempt: 2 },
+            TraceEvent::MessageExpired { msg: 1 },
+        ]
+        .into_iter()
+        .map(traced)
+        .collect();
+        let mut folded = CoverageSet::new();
+        folded.absorb_trace(&events);
+        let mut per_event = CoverageSet::new();
+        for (i, t) in events.iter().enumerate() {
+            let code = t.event.kind() as u64;
+            per_event.buckets.insert(bucket("kind", &[code]));
+            if i > 0 {
+                let prev = events[i - 1].event.kind() as u64;
+                per_event.buckets.insert(bucket("bigram", &[prev, code]));
+            }
+        }
+        per_event.buckets.insert(bucket("retry-attempt", &[2]));
+        assert_eq!(folded, per_event);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 
-use concilium_obs::{TraceEvent, Traced};
+use concilium_obs::{ShedReason, TraceEvent, Traced};
 
 use crate::journal::Record;
 
@@ -81,7 +81,12 @@ impl FlightEntry {
     pub fn render(&self) -> String {
         match self.kind {
             1 => format!("#{} admitted report {} (input {})", self.seq, self.key, self.aux),
-            2 => format!("#{} shed report {} (reason {})", self.seq, self.key, self.aux),
+            2 => match usize::try_from(self.aux).ok().and_then(|code| ShedReason::ALL.get(code)) {
+                Some(&(_, name, _)) => {
+                    format!("#{} shed report {} (reason {name})", self.seq, self.key)
+                }
+                None => format!("#{} shed report {} (reason {})", self.seq, self.key, self.aux),
+            },
             3 => format!("#{} batch {} started at {}us", self.seq, self.key, self.aux),
             4 => format!(
                 "#{} verdict on report {}: {}",
@@ -200,7 +205,6 @@ pub fn records_to_traced(records: &[Record]) -> Vec<Traced> {
 mod tests {
     use super::*;
     use crate::report::FailureReport;
-    use concilium_obs::ShedReason;
     use concilium_types::SimTime;
 
     fn admitted(seq: u64, input: u64, id: u64, arrival_us: u64) -> Record {
@@ -247,6 +251,17 @@ mod tests {
         }
         assert_eq!(whole.tail(), incremental.tail());
         assert_eq!(whole.entries.len(), FLIGHT_CAPACITY, "ring must evict past capacity");
+    }
+
+    #[test]
+    fn shed_entries_render_their_reason_by_name() {
+        let shed = |aux| FlightEntry { seq: 7, kind: 2, key: 42, aux }.render();
+        for (reason, name, _) in ShedReason::ALL {
+            assert_eq!(shed(reason.code()), format!("#7 shed report 42 (reason {name})"));
+        }
+        assert_eq!(shed(0), "#7 shed report 42 (reason mailbox-full)");
+        let unknown = ShedReason::ALL.len() as u64;
+        assert_eq!(shed(unknown), format!("#7 shed report 42 (reason {unknown})"));
     }
 
     #[test]

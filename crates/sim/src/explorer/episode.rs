@@ -219,6 +219,10 @@ pub(super) struct Episode<'w> {
     /// Reusable buffer for an event's hash fields (`emit` is per-event).
     fields_scratch: Vec<u64>,
     stats: EpisodeStats,
+    /// `gather_evidence`'s two query buffers (the judge's vantage and the
+    /// accused's vouching peers), reused across judgments.
+    from_judge: PathEvidence,
+    from_accused: PathEvidence,
     enforce_no_false_blame: bool,
     /// Streaming causal-reachability monitor (DESIGN.md §17): sees every
     /// emitted event — unlike the ring-buffered trace, which may evict
@@ -335,6 +339,8 @@ impl<'w> Episode<'w> {
             tallies: EventTallies::default(),
             fields_scratch: Vec::with_capacity(8),
             stats: EpisodeStats::default(),
+            from_judge: PathEvidence::new(),
+            from_accused: PathEvidence::new(),
             enforce_no_false_blame,
             causal: CausalLedger::new(),
         }
@@ -785,12 +791,12 @@ impl<'w> Episode<'w> {
             return Gathered::default();
         };
         let links = path.links();
-        let (mut from_judge, mut from_accused) = (PathEvidence::new(), PathEvidence::new());
-        world.path_evidence(judge, links, t0, self.delta, Some(accused), &mut from_judge);
-        world.path_evidence(accused, links, t0, self.delta, Some(accused), &mut from_accused);
+        let (from_judge, from_accused) = (&mut self.from_judge, &mut self.from_accused);
+        world.path_evidence(judge, links, t0, self.delta, Some(accused), from_judge);
+        world.path_evidence(accused, links, t0, self.delta, Some(accused), from_accused);
         let mut per_link = Vec::with_capacity(links.len());
         for ((&link, own), vouching) in
-            links.iter().zip(from_judge.per_link()).zip(from_accused.per_link())
+            links.iter().zip(self.from_judge.per_link()).zip(self.from_accused.per_link())
         {
             let unseen =
                 vouching.iter().filter(|(origin, _)| !own.iter().any(|(o, _)| o == origin));

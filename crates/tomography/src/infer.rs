@@ -111,9 +111,9 @@ impl std::error::Error for InferError {}
 ///   different trees is always correct, merely fastest when consecutive
 ///   calls share a shape (as the per-host DST loop and the experiment
 ///   sweeps do).
-/// * **Bit planes.** Per-leaf and per-node stripe indicators live in
-///   flat `u64` blocks (64 stripes each), resized but never reallocated
-///   once warm.
+/// * **Bit planes.** Per-node stripe indicators live in flat `u64`
+///   blocks (64 stripes each), resized but never reallocated once warm.
+///   The per-leaf rows are the record's own planes, read in place.
 ///
 /// Using a scratch value never changes results: the `_batch` entry points
 /// are bit-identical, record by record, to [`infer_pass_rates`], which
@@ -136,10 +136,6 @@ pub struct InferScratch {
     kids: Vec<u32>,
     /// Per post position: leaf index + 1, or 0 when not a leaf.
     leaf_of_pos: Vec<u32>,
-    /// Per-leaf stripe-ack bitmask rows (`leaves × blocks`).
-    leaf_ack: Vec<u64>,
-    /// Per-leaf unknown-cell bitmask rows (partial records only).
-    leaf_unk: Vec<u64>,
     /// Per-node subtree-ack bitmask rows (post-position-major).
     node_ack: Vec<u64>,
     /// Per-node unknown bitmask rows (partial records only).
@@ -294,36 +290,6 @@ pub fn infer_pass_rates_tolerant_batch(
     records.iter().map(|record| scratch.tolerant(tree, record)).collect()
 }
 
-/// One cell of a probe record as the packed kernel reads it: `bool` for
-/// complete records, `Option<bool>` for partial ones.
-trait Cell: Copy {
-    /// Whether a cell can be unknown. `false` compiles the unknown plane
-    /// and its masks out of the kernel.
-    const MAY_BE_UNKNOWN: bool;
-    fn acked(self) -> bool;
-    fn unknown(self) -> bool;
-}
-
-impl Cell for bool {
-    const MAY_BE_UNKNOWN: bool = false;
-    fn acked(self) -> bool {
-        self
-    }
-    fn unknown(self) -> bool {
-        false
-    }
-}
-
-impl Cell for Option<bool> {
-    const MAY_BE_UNKNOWN: bool = true;
-    fn acked(self) -> bool {
-        self == Some(true)
-    }
-    fn unknown(self) -> bool {
-        self.is_none()
-    }
-}
-
 fn check_leaves(tree: &LogicalTree, record_leaves: usize) -> Result<(), InferError> {
     if record_leaves == tree.num_leaves() {
         Ok(())
@@ -336,7 +302,7 @@ fn check_leaves(tree: &LogicalTree, record_leaves: usize) -> Result<(), InferErr
 impl InferScratch {
     fn strict(&mut self, tree: &LogicalTree, record: &ProbeRecord) -> Result<PassRates, InferError> {
         check_leaves(tree, record.num_leaves())?;
-        self.pack_gammas(record.rows());
+        self.pack_gammas(record.ack_plane(), None, record.num_stripes());
         Ok(self.solve(tree))
     }
 
@@ -346,7 +312,8 @@ impl InferScratch {
         record: &PartialProbeRecord,
     ) -> Result<PassRates, TomographyError> {
         check_leaves(tree, record.num_leaves())?;
-        self.pack_gammas(record.rows());
+        let (ack, unknown) = record.planes();
+        self.pack_gammas(ack, Some(unknown), record.num_stripes());
         // A leaf with no known cell starves its own node, so this scan
         // also covers the per-leaf rates.
         if let Some(node) = self.informative.iter().position(|&n| n == 0) {
@@ -356,46 +323,25 @@ impl InferScratch {
     }
 
     /// The bit-packed bottom-up pass: fills `gamma` and `informative` per
-    /// node and `leaf_rates` per leaf from one record's rows
-    /// (`rows[stripe][leaf]`, one row per stripe, at least one stripe).
+    /// node and `leaf_rates` per leaf from one record's leaf-major planes
+    /// (one row of `⌈stripes / 64⌉` words per leaf, at least one stripe):
+    /// the ack plane, plus the unknown plane of a partial record.
     ///
-    /// A partial cell becomes an (ack, unknown) bit pair. Unknown-ness ORs
-    /// upward like acks do; the ack plane may carry set bits in unknown
-    /// positions (a known-acked grandchild under an indeterminate child),
-    /// but those positions are masked out of every count, so the integer
-    /// (acked, informative) pairs match the per-stripe recurrence exactly.
-    /// A node or leaf with no informative stripe gets NaN.
-    fn pack_gammas<C: Cell>(&mut self, rows: &[Vec<C>]) {
+    /// Unknown-ness ORs upward like acks do; the ack plane may carry set
+    /// bits in unknown positions (a known-acked grandchild under an
+    /// indeterminate child), but those positions are masked out of every
+    /// count, so the integer (acked, informative) pairs match the
+    /// per-stripe recurrence exactly. A node or leaf with no informative
+    /// stripe gets NaN.
+    fn pack_gammas(&mut self, leaf_ack: &[u64], leaf_unk: Option<&[u64]>, stripes: usize) {
         let n_nodes = self.post.len();
-        let n_leaves = rows[0].len();
-        let stripes = rows.len();
         let blocks = stripes.div_ceil(64);
-
-        // Transpose the record once: one stripe-bit row per leaf.
-        self.leaf_ack.clear();
-        self.leaf_ack.resize(n_leaves * blocks, 0);
-        if C::MAY_BE_UNKNOWN {
-            self.leaf_unk.clear();
-            self.leaf_unk.resize(n_leaves * blocks, 0);
-        }
-        for (s, row) in rows.iter().enumerate() {
-            let blk = s / 64;
-            let bit = 1u64 << (s % 64);
-            for (leaf, &cell) in row.iter().enumerate() {
-                if cell.acked() {
-                    self.leaf_ack[leaf * blocks + blk] |= bit;
-                }
-                if cell.unknown() {
-                    self.leaf_unk[leaf * blocks + blk] |= bit;
-                }
-            }
-        }
 
         // Bottom-up subtree-OR, 64 stripes per word: a node's row is the
         // OR of its children's rows and its own leaf row.
         self.node_ack.clear();
         self.node_ack.resize(n_nodes * blocks, 0);
-        if C::MAY_BE_UNKNOWN {
+        if leaf_unk.is_some() {
             self.node_unk.clear();
             self.node_unk.resize(n_nodes * blocks, 0);
         }
@@ -410,11 +356,11 @@ impl InferScratch {
                 leaf_plus_one => Some((leaf_plus_one - 1) as usize * blocks),
             };
             let row = i * blocks..(i + 1) * blocks;
-            or_subtree(&mut self.node_ack, &self.leaf_ack, row.clone(), kids, leaf_row);
-            if C::MAY_BE_UNKNOWN {
-                or_subtree(&mut self.node_unk, &self.leaf_unk, row.clone(), kids, leaf_row);
+            or_subtree(&mut self.node_ack, leaf_ack, row.clone(), kids, leaf_row);
+            if let Some(leaf_unk) = leaf_unk {
+                or_subtree(&mut self.node_unk, leaf_unk, row.clone(), kids, leaf_row);
             }
-            let unk = C::MAY_BE_UNKNOWN.then(|| &self.node_unk[row.clone()]);
+            let unk = leaf_unk.map(|_| &self.node_unk[row.clone()]);
             let (acked, informative) = count_row(&self.node_ack[row], unk, stripes);
             let node = self.post[i] as usize;
             self.gamma[node] = acked as f64 / informative as f64;
@@ -423,10 +369,9 @@ impl InferScratch {
 
         // Per-leaf direct-stream rates over the known cells only.
         self.leaf_rates.clear();
-        for leaf in 0..n_leaves {
-            let row = leaf * blocks..(leaf + 1) * blocks;
-            let unk = C::MAY_BE_UNKNOWN.then(|| &self.leaf_unk[row.clone()]);
-            let (acks, known) = count_row(&self.leaf_ack[row], unk, stripes);
+        for (leaf, ack) in leaf_ack.chunks_exact(blocks).enumerate() {
+            let unk = leaf_unk.map(|plane| &plane[leaf * blocks..][..blocks]);
+            let (acks, known) = count_row(ack, unk, stripes);
             self.leaf_rates.push(acks as f64 / known as f64);
         }
     }
@@ -623,10 +568,13 @@ mod tests {
 
     /// `record` with every ack of leaf 0 lost.
     fn starve_leaf_0(record: &ProbeRecord) -> PartialProbeRecord {
-        let mut rows = PartialProbeRecord::from_complete(record).rows().to_vec();
-        for row in &mut rows {
-            row[0] = None;
-        }
+        let rows = (0..record.num_stripes())
+            .map(|s| {
+                (0..record.num_leaves())
+                    .map(|l| (l > 0).then(|| record.received(s, l)))
+                    .collect()
+            })
+            .collect();
         PartialProbeRecord::try_new(rows).unwrap()
     }
 
@@ -698,7 +646,7 @@ mod tests {
             });
         }
         let n_nodes = tree.num_nodes();
-        let stripes = record.rows().len();
+        let stripes = record.num_stripes();
 
         // γ̂_k: fraction of stripes where any leaf in k's subtree acked.
         // Computed bottom-up per stripe with an explicit post-order.
@@ -743,7 +691,7 @@ mod tests {
             });
         }
         let n_nodes = tree.num_nodes();
-        let stripes = record.rows().len();
+        let stripes = record.num_stripes();
         let mut order = Vec::new();
         let mut stack = Vec::new();
         post_order_into(tree, &mut order, &mut stack);
@@ -753,7 +701,7 @@ mod tests {
         let mut state = vec![StripeView::Indeterminate; n_nodes];
         for s in 0..stripes {
             for &node in &order {
-                let own = tree.leaf_at(node).map(|leaf| record.rows()[s][leaf]);
+                let own = tree.leaf_at(node).map(|leaf| record.outcome(s, leaf));
                 let mut any_ack = own == Some(Some(true));
                 let mut any_unknown = own == Some(None);
                 for &c in tree.children(node) {
@@ -788,7 +736,7 @@ mod tests {
             let mut acks = 0u64;
             let mut known = 0u64;
             for s in 0..stripes {
-                match record.rows()[s][leaf] {
+                match record.outcome(s, leaf) {
                     Some(true) => {
                         acks += 1;
                         known += 1;
@@ -933,7 +881,9 @@ mod tests {
         let rec = simulate_stripes(&tree, &pass, 30_000, &mut rng);
         let mut partial = crate::probe::PartialProbeRecord::from_complete(&rec);
         partial.censor_random(0.2, &mut rng);
-        let cells = partial.rows().iter().flatten();
+        let cells = (0..rec.num_stripes())
+            .flat_map(|s| (0..rec.num_leaves()).map(move |l| (s, l)))
+            .map(|(s, l)| partial.outcome(s, l));
         let missing = cells.clone().filter(|c| c.is_none()).count();
         assert!((missing as f64 / cells.count() as f64 - 0.2).abs() < 0.01);
         let rates = tolerant_one(&tree, &partial).unwrap();
@@ -948,10 +898,8 @@ mod tests {
 
         // The naive reading of the same censored data is visibly biased
         // on the last-mile edges (each loses ~20% of its acks).
-        let naive_rows: Vec<Vec<bool>> = partial
-            .rows()
-            .iter()
-            .map(|row| row.iter().map(|c| c.unwrap_or(false)).collect())
+        let naive_rows: Vec<Vec<bool>> = (0..rec.num_stripes())
+            .map(|s| (0..rec.num_leaves()).map(|l| partial.outcome(s, l) == Some(true)).collect())
             .collect();
         let naive = infer_pass_rates(&tree, &ProbeRecord::new(naive_rows)).unwrap();
         let leaf1 = edge_by_links(&tree, &[1]);

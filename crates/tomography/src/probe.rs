@@ -15,17 +15,48 @@ use concilium_types::LinkId;
 use crate::error::TomographyError;
 use crate::tree::LogicalTree;
 
+/// Words per leaf in a stripe-bit plane: 64 stripes each.
+fn blocks(stripes: usize) -> usize {
+    stripes.div_ceil(64)
+}
+
+/// Checks a stripe-major outcome table's shape; returns its leaf count.
+fn leaves_of<T>(outcomes: &[Vec<T>]) -> Result<usize, TomographyError> {
+    let Some(first) = outcomes.first() else {
+        return Err(TomographyError::EmptyRecord);
+    };
+    let num_leaves = first.len();
+    if num_leaves == 0 {
+        return Err(TomographyError::NoLeaves);
+    }
+    for (stripe, row) in outcomes.iter().enumerate() {
+        if row.len() != num_leaves {
+            return Err(TomographyError::RaggedRecord {
+                stripe,
+                expected: num_leaves,
+                found: row.len(),
+            });
+        }
+    }
+    Ok(num_leaves)
+}
+
 /// The acknowledgment record of a probing session: which leaves
 /// acknowledged which stripes.
+///
+/// Cells are stored leaf-major as bits, the layout the MINC kernel ORs up
+/// the tree: stripe `s` of leaf `l` is bit `s % 64` of word
+/// `l · ⌈stripes / 64⌉ + s / 64`. Bits past the last stripe are zero.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProbeRecord {
-    /// `outcomes[stripe][leaf]` — true iff the leaf acked that stripe.
-    outcomes: Vec<Vec<bool>>,
+    /// The ack plane: a set bit means the leaf acked that stripe.
+    acked: Vec<u64>,
+    num_stripes: usize,
     num_leaves: usize,
 }
 
 impl ProbeRecord {
-    /// Creates a record from raw outcomes.
+    /// Creates a record from raw outcomes, `outcomes[stripe][leaf]`.
     ///
     /// # Panics
     ///
@@ -48,28 +79,45 @@ impl ProbeRecord {
     /// [`TomographyError::NoLeaves`] with no leaves, and
     /// [`TomographyError::RaggedRecord`] when rows disagree on length.
     pub(crate) fn try_new(outcomes: Vec<Vec<bool>>) -> Result<Self, TomographyError> {
-        if outcomes.is_empty() {
-            return Err(TomographyError::EmptyRecord);
-        }
-        let num_leaves = outcomes[0].len();
-        if num_leaves == 0 {
-            return Err(TomographyError::NoLeaves);
-        }
+        let mut record = ProbeRecord::lost(outcomes.len(), leaves_of(&outcomes)?);
         for (stripe, row) in outcomes.iter().enumerate() {
-            if row.len() != num_leaves {
-                return Err(TomographyError::RaggedRecord {
-                    stripe,
-                    expected: num_leaves,
-                    found: row.len(),
-                });
+            for (leaf, &acked) in row.iter().enumerate() {
+                if acked {
+                    let (word, bit) = record.cell(stripe, leaf);
+                    record.acked[word] |= bit;
+                }
             }
         }
-        Ok(ProbeRecord { outcomes, num_leaves })
+        Ok(record)
+    }
+
+    /// A record of `stripes × leaves` cells, none acknowledged.
+    fn lost(stripes: usize, leaves: usize) -> Self {
+        ProbeRecord {
+            acked: vec![0; leaves * blocks(stripes)],
+            num_stripes: stripes,
+            num_leaves: leaves,
+        }
+    }
+
+    /// The word index and bit mask of one cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    fn cell(&self, stripe: usize, leaf: usize) -> (usize, u64) {
+        assert!(
+            stripe < self.num_stripes && leaf < self.num_leaves,
+            "cell ({stripe}, {leaf}) outside a {}×{} record",
+            self.num_stripes,
+            self.num_leaves
+        );
+        (leaf * blocks(self.num_stripes) + stripe / 64, 1 << (stripe % 64))
     }
 
     /// Number of stripes probed.
     pub(crate) fn num_stripes(&self) -> usize {
-        self.outcomes.len()
+        self.num_stripes
     }
 
     /// Number of leaves probed.
@@ -83,13 +131,13 @@ impl ProbeRecord {
     ///
     /// Panics if either index is out of range.
     pub(crate) fn received(&self, stripe: usize, leaf: usize) -> bool {
-        self.outcomes[stripe][leaf]
+        let (word, bit) = self.cell(stripe, leaf);
+        self.acked[word] & bit != 0
     }
 
-    /// Every stripe's outcomes across all leaves — the packed inference
-    /// kernel transposes rows into per-leaf bitmasks in a single pass.
-    pub(crate) fn rows(&self) -> &[Vec<bool>] {
-        &self.outcomes
+    /// The whole ack plane, one row of `⌈stripes / 64⌉` words per leaf.
+    pub(crate) fn ack_plane(&self) -> &[u64] {
+        &self.acked
     }
 
     /// The fraction of stripes `leaf` acknowledged.
@@ -98,8 +146,8 @@ impl ProbeRecord {
     ///
     /// Panics if `leaf` is out of range.
     pub(crate) fn leaf_ack_rate(&self, leaf: usize) -> f64 {
-        let acks = self.outcomes.iter().filter(|row| row[leaf]).count();
-        acks as f64 / self.num_stripes() as f64
+        let acks = (0..self.num_stripes).filter(|&s| self.received(s, leaf)).count();
+        acks as f64 / self.num_stripes as f64
     }
 
     /// Adversarial mutation: the leaf suppresses every acknowledgment
@@ -110,9 +158,8 @@ impl ProbeRecord {
     /// Panics if `leaf` is out of range.
     pub fn suppress_leaf(&mut self, leaf: usize) {
         assert!(leaf < self.num_leaves, "leaf {leaf} out of range");
-        for row in &mut self.outcomes {
-            row[leaf] = false;
-        }
+        let row = blocks(self.num_stripes);
+        self.acked[leaf * row..][..row].fill(0);
     }
 }
 
@@ -128,60 +175,64 @@ impl ProbeRecord {
 /// inference ([`infer_pass_rates_tolerant_batch`]) discounts indeterminate
 /// cells instead.
 ///
+/// Stored as two [`ProbeRecord`]-layout planes: acks, and unknown cells
+/// (whose ack bit is always clear).
+///
 /// [`infer_pass_rates_tolerant_batch`]: crate::infer::infer_pass_rates_tolerant_batch
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartialProbeRecord {
-    outcomes: Vec<Vec<Option<bool>>>,
-    num_leaves: usize,
+    /// The ack plane and the record's shape.
+    known: ProbeRecord,
+    /// The unknown plane: a set bit means that cell's feedback was lost.
+    unknown: Vec<u64>,
 }
 
 impl PartialProbeRecord {
-    /// Creates a partial record from raw tri-state outcomes.
+    /// Creates a partial record from raw tri-state outcomes,
+    /// `outcomes[stripe][leaf]`.
     ///
     /// # Errors
     ///
     /// Same shape validation as `ProbeRecord::try_new`.
     pub fn try_new(outcomes: Vec<Vec<Option<bool>>>) -> Result<Self, TomographyError> {
-        if outcomes.is_empty() {
-            return Err(TomographyError::EmptyRecord);
-        }
-        let num_leaves = outcomes[0].len();
-        if num_leaves == 0 {
-            return Err(TomographyError::NoLeaves);
-        }
+        let known = ProbeRecord::lost(outcomes.len(), leaves_of(&outcomes)?);
+        let mut record = PartialProbeRecord { unknown: vec![0; known.acked.len()], known };
         for (stripe, row) in outcomes.iter().enumerate() {
-            if row.len() != num_leaves {
-                return Err(TomographyError::RaggedRecord {
-                    stripe,
-                    expected: num_leaves,
-                    found: row.len(),
-                });
+            for (leaf, &outcome) in row.iter().enumerate() {
+                let (word, bit) = record.known.cell(stripe, leaf);
+                match outcome {
+                    Some(true) => record.known.acked[word] |= bit,
+                    Some(false) => {}
+                    None => record.unknown[word] |= bit,
+                }
             }
         }
-        Ok(PartialProbeRecord { outcomes, num_leaves })
+        Ok(record)
     }
 
     /// Lifts a complete record: every cell becomes known.
     pub fn from_complete(record: &ProbeRecord) -> Self {
-        let outcomes = (0..record.num_stripes())
-            .map(|s| (0..record.num_leaves()).map(|l| Some(record.received(s, l))).collect())
-            .collect();
-        PartialProbeRecord { outcomes, num_leaves: record.num_leaves() }
+        PartialProbeRecord { known: record.clone(), unknown: vec![0; record.acked.len()] }
+    }
+
+    /// Number of stripes probed.
+    pub(crate) fn num_stripes(&self) -> usize {
+        self.known.num_stripes
     }
 
     /// Number of leaves probed.
     pub(crate) fn num_leaves(&self) -> usize {
-        self.num_leaves
+        self.known.num_leaves
     }
 
-    /// Every stripe's tri-state outcomes across all leaves — see
-    /// [`ProbeRecord::rows`].
-    pub(crate) fn rows(&self) -> &[Vec<Option<bool>>] {
-        &self.outcomes
+    /// The ack and unknown planes, laid out as [`ProbeRecord::ack_plane`].
+    pub(crate) fn planes(&self) -> (&[u64], &[u64]) {
+        (&self.known.acked, &self.unknown)
     }
 
     /// Censors each cell independently with probability `fraction` —
-    /// the uniform feedback-loss model of the fault experiments.
+    /// the uniform feedback-loss model of the fault experiments. Cells are
+    /// drawn stripe by stripe, each stripe's leaves in order.
     ///
     /// # Panics
     ///
@@ -191,13 +242,24 @@ impl PartialProbeRecord {
             (0.0..=1.0).contains(&fraction),
             "censor fraction must be in [0,1], got {fraction}"
         );
-        for row in &mut self.outcomes {
-            for cell in row.iter_mut() {
+        for stripe in 0..self.known.num_stripes {
+            for leaf in 0..self.known.num_leaves {
                 if rng.gen_bool(fraction) {
-                    *cell = None;
+                    let (word, bit) = self.known.cell(stripe, leaf);
+                    self.known.acked[word] &= !bit;
+                    self.unknown[word] |= bit;
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl PartialProbeRecord {
+    /// One cell as a tri-state outcome.
+    pub(crate) fn outcome(&self, stripe: usize, leaf: usize) -> Option<bool> {
+        let (word, bit) = self.known.cell(stripe, leaf);
+        (self.unknown[word] & bit == 0).then_some(self.known.acked[word] & bit != 0)
     }
 }
 
@@ -233,19 +295,20 @@ pub fn simulate_stripes<R: Rng + ?Sized>(
     let leaf_paths: Vec<Vec<usize>> =
         (0..tree.num_leaves()).map(|l| tree.leaf_edges(l)).collect();
 
-    let mut outcomes = Vec::with_capacity(stripes);
+    let mut record = ProbeRecord::lost(stripes, tree.num_leaves());
     let mut edge_up = vec![false; tree.num_edges()];
-    for _ in 0..stripes {
+    for stripe in 0..stripes {
         for (e, up) in edge_up.iter_mut().enumerate() {
             *up = rng.gen_bool(edge_pass[e]);
         }
-        let row: Vec<bool> = leaf_paths
-            .iter()
-            .map(|path| path.iter().all(|&e| edge_up[e]))
-            .collect();
-        outcomes.push(row);
+        for (leaf, path) in leaf_paths.iter().enumerate() {
+            if path.iter().all(|&e| edge_up[e]) {
+                let (word, bit) = record.cell(stripe, leaf);
+                record.acked[word] |= bit;
+            }
+        }
     }
-    ProbeRecord::new(outcomes)
+    record
 }
 
 #[cfg(test)]
@@ -255,7 +318,7 @@ mod tests {
     use concilium_topology::IpPath;
     use concilium_types::{Id, RouterId};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn two_leaf_tree() -> LogicalTree {
         let p = |routers: &[u32], links: &[u32]| {
@@ -331,6 +394,102 @@ mod tests {
         let mut rec = simulate_stripes(&tree, &|_| 0.7, 200, &mut rng);
         rec.suppress_leaf(0);
         assert_eq!(rec.leaf_ack_rate(0), 0.0);
+    }
+
+    #[test]
+    fn rows_round_trip_through_the_planes() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for stripes in [1, 63, 64, 65, 300] {
+            for leaves in [1, 64, 65] {
+                let rows: Vec<Vec<bool>> = (0..stripes)
+                    .map(|_| (0..leaves).map(|_| rng.gen_bool(0.5)).collect())
+                    .collect();
+                let rec = ProbeRecord::new(rows.clone());
+                assert_eq!((rec.num_stripes(), rec.num_leaves()), (stripes, leaves));
+                for (s, row) in rows.iter().enumerate() {
+                    for (l, &acked) in row.iter().enumerate() {
+                        assert_eq!(rec.received(s, l), acked, "{stripes}×{leaves} cell ({s}, {l})");
+                    }
+                }
+                let acks = rows.iter().filter(|row| row[leaves - 1]).count();
+                assert_eq!(rec.leaf_ack_rate(leaves - 1), acks as f64 / stripes as f64);
+
+                let cells: Vec<Vec<Option<bool>>> = rows
+                    .iter()
+                    .map(|row| {
+                        row.iter().map(|&a| (!a || rng.gen_bool(0.5)).then_some(a)).collect()
+                    })
+                    .collect();
+                let partial = PartialProbeRecord::try_new(cells.clone()).unwrap();
+                for (s, row) in cells.iter().enumerate() {
+                    for (l, &cell) in row.iter().enumerate() {
+                        let at = format!("{stripes}×{leaves} cell ({s}, {l})");
+                        assert_eq!(partial.outcome(s, l), cell, "{at}");
+                    }
+                }
+                let lifted =
+                    rows.iter().map(|row| row.iter().map(|&a| Some(a)).collect()).collect();
+                assert_eq!(
+                    PartialProbeRecord::from_complete(&rec),
+                    PartialProbeRecord::try_new(lifted).unwrap()
+                );
+
+                let mut suppressed = rec.clone();
+                suppressed.suppress_leaf(0);
+                for (s, row) in rows.iter().enumerate() {
+                    assert!(!suppressed.received(s, 0));
+                    for (l, &acked) in row.iter().enumerate().skip(1) {
+                        assert_eq!(suppressed.received(s, l), acked);
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over a stripe-major sequence of cell codes.
+    fn cell_digest(cells: impl Iterator<Item = u64>) -> u64 {
+        cells.fold(0xcbf2_9ce4_8422_2325, |h, v| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// Pins the rng draw order of `simulate_stripes` and `censor_random`:
+    /// the digests were recorded when records were stored stripe-major as
+    /// `Vec<Vec<bool>>`, before the planes.
+    #[test]
+    fn simulation_and_censoring_keep_their_draw_order() {
+        let p = |routers: &[u32], links: &[u32]| {
+            IpPath::new(
+                routers.iter().copied().map(RouterId).collect(),
+                links.iter().copied().map(LinkId).collect(),
+            )
+        };
+        let tree = ProbeTree::from_paths(
+            RouterId(0),
+            vec![
+                (Id::from_u64(1), p(&[0, 1, 2, 4], &[0, 1, 3])),
+                (Id::from_u64(2), p(&[0, 1, 2, 5], &[0, 1, 4])),
+                (Id::from_u64(3), p(&[0, 1, 3, 6], &[0, 2, 5])),
+                (Id::from_u64(4), p(&[0, 1, 3, 7], &[0, 2, 6])),
+                (Id::from_u64(5), p(&[0, 8], &[7])),
+            ],
+        )
+        .unwrap()
+        .logical();
+        let mut rng = StdRng::seed_from_u64(2007);
+        let pass = |l: LinkId| 0.6 + 0.05 * f64::from(l.0);
+        let rec = simulate_stripes(&tree, &pass, 130, &mut rng);
+        let cells = |f: &dyn Fn(usize, usize) -> u64| {
+            cell_digest((0..130).flat_map(|s| (0..5).map(move |l| (s, l))).map(|(s, l)| f(s, l)))
+        };
+        assert_eq!(cells(&|s, l| u64::from(rec.received(s, l))), 0x11b1_834e_7f28_256b);
+        let mut partial = PartialProbeRecord::from_complete(&rec);
+        partial.censor_random(0.3, &mut rng);
+        let code = |s, l| match partial.outcome(s, l) {
+            Some(true) => 1,
+            Some(false) => 0,
+            None => 2,
+        };
+        assert_eq!(cells(&code), 0x7ce0_7564_140a_ce91);
+        assert_eq!(rng.gen::<u64>(), 6_071_973_364_563_762_264);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Four contracts, mirroring DESIGN.md §15:
 //!
 //! 1. **Corpus regression** — every committed entry under `tests/corpus/`
-//!    parses, replays on its recorded world to its recorded trace hash,
-//!    and does so bit-identically whether the batch is replayed serially
-//!    or fanned out over four `concilium-par` workers.
+//!    parses, replays on its recorded world to its recorded trace hash and
+//!    its recorded novel coverage buckets, and does so bit-identically
+//!    whether the batch is replayed serially or fanned out over four
+//!    `concilium-par` workers.
 //! 2. **Coverage beats the grid** — a fixed seed and budget reach
 //!    strictly more coverage buckets than the static four-arm grid given
 //!    the same episode count.
@@ -20,7 +21,7 @@ use std::sync::OnceLock;
 
 use concilium::blame::LinkEvidence;
 use concilium_sim::{
-    dst_world, fuzz, grid_coverage, run_episode, CorpusEntry, EpisodeConfig,
+    dst_world, episode_coverage, fuzz, grid_coverage, run_episode, CorpusEntry, EpisodeConfig,
     EpisodeOptions, EpisodeStats, FuzzConfig, InvariantKind, SimWorld, WorldKind,
 };
 
@@ -90,7 +91,9 @@ fn corpus_replays_bit_identically_at_any_worker_count() {
             "{path}: replay diverged from the recorded trace hash"
         );
     }
-    // Replayed corpus episodes are regressions: they must still pass.
+    // Replayed corpus episodes are regressions: they must still pass, and
+    // still exercise every bucket id their `// novel-buckets:` header
+    // recorded (the ids are a function of the coverage fold's hashing).
     for (path, entry, world, world_seed) in &entries {
         let w = &worlds[&(world.name(), *world_seed)];
         let report = run_episode(w, &entry.config, entry.seed, &opts);
@@ -99,6 +102,14 @@ fn corpus_replays_bit_identically_at_any_worker_count() {
             "{path}: corpus episode now violates an invariant: {:?}",
             report.violation
         );
+        assert!(!entry.novel.is_empty(), "{path}: no novel buckets recorded");
+        let coverage = episode_coverage(&report);
+        for &bucket in &entry.novel {
+            assert!(
+                coverage.contains(bucket),
+                "{path}: replay no longer reaches recorded bucket {bucket:#018x}"
+            );
+        }
     }
 }
 
