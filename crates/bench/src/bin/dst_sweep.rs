@@ -109,6 +109,11 @@ fn print_outcome(out: &ExploreOutcome) {
         t.judged, t.guilty, t.escalations, t.dissolved, t.chains_checked, t.dht_refused
     );
     println!("  trace digest {}", out.trace_digest);
+    // One line per lane (label, events, fold): a digest move names the
+    // kinds that moved, and CI's `grep digest` diff gates each lane.
+    for lane in out.digest.lanes() {
+        println!("  kind digest {lane}");
+    }
 }
 
 fn main() -> ExitCode {

@@ -14,8 +14,9 @@
 //! listings turn an event into words and back:
 //!
 //! * [`TraceEvent::hash_fields`] — the canonical `u64` words fed, after
-//!   [`TraceEvent::label`], to the chained trace hasher. This is what
-//!   makes the trace part of the replay-determinism contract.
+//!   the timestamp, to the trace fingerprint's lane for the event's
+//!   kind. This is what makes the trace part of the replay-determinism
+//!   contract.
 //! * `TraceEvent::from_words` — the one constructor, its inverse.
 //!
 //! Everything else is a fold over the event's row, which one match
@@ -399,10 +400,11 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event's kind code: its row of [`KINDS`], and the alphabet the
-    /// coverage extractor builds its bigrams over.
+    /// The event's kind code: its row of [`KINDS`], the alphabet the
+    /// coverage extractor builds its bigrams over, and the trace
+    /// fingerprint's lane.
     #[deny(clippy::wildcard_enum_match_arm)]
-    pub(crate) fn kind(&self) -> usize {
+    pub fn kind(&self) -> usize {
         match self {
             TraceEvent::MessageSent { .. } => 0,
             TraceEvent::ChurnBlocked { .. } => 1,
@@ -431,7 +433,7 @@ impl TraceEvent {
         }
     }
 
-    /// The event's stable label, the first component of its hash encoding.
+    /// The event's stable label: its [`KINDS`] row's first column.
     pub fn label(&self) -> &'static str {
         KINDS[self.kind()].0
     }
@@ -505,9 +507,9 @@ impl TraceEvent {
 
     /// Appends the event's numeric fields, in canonical order, to `out`.
     ///
-    /// Together with [`TraceEvent::label`] and the virtual timestamp this
-    /// is the exact encoding the chained trace hasher absorbs, so any
-    /// change here changes every trace digest.
+    /// Together with the kind and the virtual timestamp this is the exact
+    /// encoding the trace fingerprint absorbs, so any change here changes
+    /// every trace digest.
     pub fn hash_fields(&self, out: &mut Vec<u64>) {
         match self {
             TraceEvent::MessageSent { msg, flow } => out.extend([*msg, *flow]),

@@ -6,9 +6,9 @@
 //! - **Structured tracing** ([`Trace`], [`TraceEvent`]): typed protocol
 //!   events timestamped in *virtual* time. Traces are bit-identical
 //!   across worker counts; their canonical u64 encodings
-//!   ([`TraceEvent::hash_fields`]) are what the simulator's chained
-//!   trace hash consumes, so the trace *is* the digest's input, not a
-//!   side channel.
+//!   ([`TraceEvent::hash_fields`]) are what the simulator's per-kind
+//!   trace fingerprint consumes, so the trace *is* the digest's input,
+//!   not a side channel.
 //! - **Metrics** ([`Registry`]): named counters/gauges/histograms with
 //!   deterministic (sorted) ordering. Deterministic exactly when their
 //!   inputs are — per-episode protocol counters reproduce exactly;

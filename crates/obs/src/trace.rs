@@ -2,7 +2,7 @@
 //!
 //! A [`Trace`] holds the most recent `capacity` events of one episode.
 //! Recording is append-only and purely a function of the recorded events,
-//! so keeping a trace alongside a chained trace hash never perturbs
+//! so keeping a trace alongside the trace fingerprint never perturbs
 //! determinism: the ring is evidence *about* the run, not part of it.
 //!
 //! When the buffer is full the oldest events are discarded and counted in

@@ -151,7 +151,7 @@ pub(crate) fn chaos_episode(cfg: &ServeConfig, spec: &WorkloadSpec, seed: u64) -
 pub struct ChaosSweepReport {
     /// Per-seed outcomes, in seed-index order.
     pub outcomes: Vec<ChaosOutcome>,
-    /// Chained digest over every outcome, independent of `--jobs`.
+    /// Trace fingerprint over every outcome, independent of `--jobs`.
     pub aggregate_digest: String,
     /// Total violations across the sweep.
     pub total_violations: usize,

@@ -448,8 +448,8 @@ impl Journal {
         Recovery { truncated_bytes: total - committed_len, uncommitted_records: pending.len() }
     }
 
-    /// The journal's digest: chained over every committed-or-not valid
-    /// record, in order. Byte-identical journals digest identically, and
+    /// The journal's digest: the trace fingerprint of every
+    /// committed-or-not valid record, in order. Byte-identical journals digest identically, and
     /// because every state mutation flows through the journal this is
     /// the run's canonical trace digest. It equals [`records_digest`]
     /// of [`Journal::scan`]'s records, read off the frames in place.
@@ -460,7 +460,7 @@ impl Journal {
     }
 }
 
-/// The chained digest of a record sequence — what `Journal::digest`
+/// The trace fingerprint of a record sequence — what `Journal::digest`
 /// reads off the frames — for comparing replayed prefixes.
 pub fn records_digest(records: &[Record]) -> String {
     let mut hasher = concilium_sim::TraceHasher::new();

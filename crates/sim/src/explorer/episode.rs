@@ -347,8 +347,8 @@ impl<'w> Episode<'w> {
     }
 
     /// Records `event` at virtual time `at` in every sink that must
-    /// agree: the chained trace hash (canonical encoding: timestamp
-    /// first, then the event's own fields), the ring-buffered structured
+    /// agree: the trace fingerprint (its kind's lane absorbs the
+    /// timestamp, then the event's own fields), the ring-buffered structured
     /// trace, and the per-episode metrics registry. One choke point makes
     /// the metric counters *derived from* the event stream, which is what
     /// lets [`check_metrics_conservation`] cross-check them against the
@@ -358,7 +358,7 @@ impl<'w> Episode<'w> {
         self.fields_scratch.clear();
         self.fields_scratch.push(at.as_micros());
         event.hash_fields(&mut self.fields_scratch);
-        self.hasher.record(event.label(), &self.fields_scratch);
+        self.hasher.record_kind(event.kind(), &self.fields_scratch);
         self.count(&event);
         // The causal ledger observes the same stream the hasher absorbs —
         // a read-only derivation, so digests are untouched. An orphan
@@ -469,6 +469,7 @@ impl<'w> Episode<'w> {
         EpisodeReport {
             violation: checked.err(),
             trace_hash: self.hasher.hex(),
+            digest: self.hasher,
             stats: self.stats,
             trace: self.trace,
             metrics: self.metrics,

@@ -18,7 +18,7 @@
 //! that event, which is still hashed, counted and kept in the trace ring.
 //!
 //! Episodes are bit-deterministic: the same world, seed, and
-//! [`EpisodeConfig`] produce the same chained trace hash. The
+//! [`EpisodeConfig`] produce the same per-kind trace fingerprint. The
 //! [`explore_jobs`] sweep runs a seed × configuration grid and reports the
 //! first failure; [`shrink`] then minimises the failing configuration —
 //! dropping adversary roles, zeroing fault knobs, halving magnitudes and
@@ -159,8 +159,10 @@ impl EpisodeStats {
 pub struct EpisodeReport {
     /// The first invariant violation, if any.
     pub violation: Option<Violation>,
-    /// Chained hash of the full event trace (replay fingerprint).
+    /// Digest of the full event trace (replay fingerprint): `digest`'s hex.
     pub trace_hash: String,
+    /// The trace's per-kind lanes, which say which kinds a move touched.
+    pub digest: TraceHasher,
     /// Counters accumulated while the episode ran.
     pub stats: EpisodeStats,
     /// Ring-buffered structured trace — the newest
@@ -193,11 +195,13 @@ pub struct ExploreOutcome {
     pub failure: Option<FailingCase>,
     /// Counters summed over every episode run.
     pub totals: EpisodeStats,
-    /// Chained hash over every episode's trace hash, in sweep submission
-    /// order. Two sweeps over the same grid and seeds are bit-identical
-    /// iff their digests match — the equality CI checks between `--jobs 1`
-    /// and `--jobs N` runs.
+    /// Digest over every episode's lanes, folded in sweep submission
+    /// order: `digest`'s hex. Two sweeps over the same grid and seeds are
+    /// bit-identical iff their digests match — the equality CI checks
+    /// between `--jobs 1` and `--jobs N` runs.
     pub trace_digest: String,
+    /// The sweep's per-kind lanes: lane k folds every episode's lane k.
+    pub digest: TraceHasher,
     /// Per-episode metrics merged in submission order (counters add,
     /// gauges keep the maximum), so the merged registry is independent of
     /// worker count.
@@ -282,7 +286,7 @@ pub fn explore_jobs(
     let mut traces = Vec::new();
     for (i, report) in reports.iter().enumerate() {
         totals.absorb(&report.stats);
-        digest.record(&report.trace_hash, &[i as u64]);
+        digest.absorb(&report.digest);
         metrics.merge(&report.metrics);
         let (arm, seed) = tasks[i];
         let (name, config) = &grid[arm];
@@ -299,6 +303,7 @@ pub fn explore_jobs(
         failure,
         totals,
         trace_digest: digest.hex(),
+        digest,
         metrics,
         traces,
     }

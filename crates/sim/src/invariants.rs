@@ -28,7 +28,8 @@
 //!
 //! This module holds the invariant vocabulary ([`InvariantKind`],
 //! [`Violation`]), the direct-evaluation oracles the checks compare
-//! against, and the chained trace hasher used to prove replay determinism.
+//! against, and the per-kind trace fingerprint used to prove replay
+//! determinism.
 
 use std::fmt;
 
@@ -37,13 +38,15 @@ use rand::SeedableRng;
 
 use concilium::blame::LinkEvidence;
 use concilium::verdict::VerdictWindow;
-use concilium_crypto::{sha256, Digest, Sha256};
+use concilium_crypto::Sha256;
+use concilium_obs::event::KINDS;
 use concilium_obs::EntityRef;
 use concilium_tomography::infer::infer_pass_rates_batch;
 use concilium_tomography::oracle::oracle_pass_rates;
 use concilium_tomography::probe::simulate_stripes;
 use concilium_tomography::{
-    infer_pass_rates_tolerant_batch, AmbiguityClasses, InferScratch, PartialProbeRecord,
+    infer_pass_rates_tolerant_batch, AmbiguityClasses, InferScratch, LogicalTree,
+    PartialProbeRecord,
 };
 use concilium_types::{LinkId, SimTime};
 
@@ -258,6 +261,44 @@ pub(crate) fn check_conservation(
     None
 }
 
+/// One host's tree as the tomography check reads it: everything that
+/// depends on the world alone, so [`SimWorld::checked_trees`] builds it
+/// once per world rather than once per episode.
+#[derive(Debug)]
+pub(crate) struct CheckedTree {
+    host: usize,
+    logical: LogicalTree,
+    classes: AmbiguityClasses,
+    /// Whether the probe matrix's ambiguity classes coincide with the
+    /// logical-tree edges inference assigns rates to.
+    matches: bool,
+}
+
+impl CheckedTree {
+    /// Hosts 0 and n/2, skipping any whose tree has fewer than two
+    /// leaves (nothing to infer).
+    pub(crate) fn for_world(world: &SimWorld) -> Vec<CheckedTree> {
+        let n = world.num_hosts();
+        let mut hosts = vec![0];
+        if n > 1 {
+            hosts.push(n / 2);
+        }
+        hosts.dedup();
+        let mut checked = Vec::new();
+        for host in hosts {
+            let tree = world.tree(host);
+            let logical = tree.logical();
+            if logical.num_leaves() < 2 {
+                continue;
+            }
+            let classes = AmbiguityClasses::from_probe_tree(tree);
+            let matches = classes.matches_logical(&logical);
+            checked.push(CheckedTree { host, logical, classes, matches });
+        }
+        checked
+    }
+}
+
 /// End-of-episode tomography cross-check, a function of `(world, seed)`
 /// alone: simulate `stripes` fresh stripes on a couple of hosts' trees
 /// against the world's ground-truth link state, then require tolerant
@@ -270,30 +311,19 @@ pub(crate) fn check_tomography(
     stripes: usize,
 ) -> Result<(), Violation> {
     let mut trng = StdRng::seed_from_u64(seed ^ TOMO_SALT);
-    let n = world.num_hosts();
     let t_mid = SimTime::from_micros(world.config().duration.as_micros() / 2);
-    let mut hosts = vec![0];
-    if n > 1 {
-        hosts.push(n / 2);
-    }
-    hosts.dedup();
     let mut scratch = InferScratch::default();
-    for h in hosts {
+    for CheckedTree { host: h, logical, classes, matches } in world.checked_trees() {
+        let h = *h;
         let violated = |kind: InvariantKind, detail: String| {
             Violation::new(kind, t_mid, EntityRef::host(h as u64), format!("host {h}: {detail}"))
         };
         let disagree = |detail: String| violated(InvariantKind::TomographyDisagreement, detail);
-        let tree = world.tree(h);
-        let logical = tree.logical();
-        if logical.num_leaves() < 2 {
-            continue;
-        }
         // Identifiability bound: the ambiguity classes the probe/route
         // matrix admits must coincide with the logical-tree edges the
         // inference assigns rates to. A mismatch means the estimator
         // claims per-edge localization the matrix cannot support.
-        let classes = AmbiguityClasses::from_probe_tree(tree);
-        if !classes.matches_logical(&logical) {
+        if !*matches {
             return Err(violated(
                 InvariantKind::IdentifiabilityBound,
                 format!(
@@ -303,15 +333,15 @@ pub(crate) fn check_tomography(
             ));
         }
         let pass = |l: LinkId| if world.link_up_at(l, t_mid) { 0.95 } else { 0.05 };
-        let record = simulate_stripes(&logical, &pass, stripes, &mut trng);
+        let record = simulate_stripes(logical, &pass, stripes, &mut trng);
         // Batched entry points, reusing `scratch` across the episode's
         // checks, so the DST inner loop exercises the same kernel the
         // verdict-window experiments run.
-        let full = infer_pass_rates_batch(&logical, std::slice::from_ref(&record), &mut scratch)
+        let full = infer_pass_rates_batch(logical, std::slice::from_ref(&record), &mut scratch)
             .remove(0);
         let partial = PartialProbeRecord::from_complete(&record);
         let tolerant =
-            infer_pass_rates_tolerant_batch(&logical, std::slice::from_ref(&partial), &mut scratch)
+            infer_pass_rates_tolerant_batch(logical, std::slice::from_ref(&partial), &mut scratch)
                 .remove(0);
         let (strict, tol) = match (full, tolerant) {
             (Ok(strict), Ok(tol)) => (strict, tol),
@@ -359,7 +389,7 @@ pub(crate) fn check_tomography(
                 ));
             }
         }
-        let oracle = oracle_pass_rates(&logical, &record).map_err(|err| {
+        let oracle = oracle_pass_rates(logical, &record).map_err(|err| {
             disagree(format!("oracle refused a record the MLE accepted: {err:?}"))
         })?;
         for node in 1..logical.num_nodes() {
@@ -446,61 +476,169 @@ pub fn check_serve_conservation(
     None
 }
 
-/// A chained hash over an episode's event trace.
-///
-/// After every popped event the explorer feeds the event's encoding into
-/// the hasher; the final digest fingerprints the entire run. Two episodes
-/// with the same world, seed, and configuration must produce bit-identical
-/// digests — the replay-determinism invariant checked by the acceptance
-/// suite and the CI sweep.
-#[derive(Clone, Debug)]
-pub struct TraceHasher {
-    state: Digest,
+/// The fold's multiplier: odd, so multiplying by it permutes `u128`.
+const LANE_MUL: u128 = 0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645;
+/// Every lane's starting state.
+const LANE_IV: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835;
+/// The lane of records whose label is not a [`KINDS`] row.
+const OTHER: usize = KINDS.len();
+/// The lane that folds every record's lane code: the interleaving.
+const ORDER: usize = KINDS.len() + 1;
+const LANES: usize = KINDS.len() + 2;
+
+/// Bit n is set iff some [`KINDS`] label is n bytes long, so most labels
+/// outside the table skip the scan.
+const KIND_LENGTHS: u64 = {
+    let mut mask = 0;
+    let mut i = 0;
+    while i < KINDS.len() {
+        mask |= 1 << KINDS[i].0.len();
+        i += 1;
+    }
+    mask
+};
+
+/// One lane of a [`TraceHasher`]: the records it absorbed and their fold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Fold {
+    count: u64,
+    state: u128,
 }
 
-impl TraceHasher {
-    /// Starts a fresh trace with a fixed domain-separation tag.
-    pub fn new() -> Self {
-        TraceHasher { state: sha256(b"concilium-dst-trace-v1") }
-    }
+impl Fold {
+    const EMPTY: Fold = Fold { count: 0, state: LANE_IV };
 
-    /// Absorbs one event: a short label plus its numeric fields.
-    pub fn record(&mut self, label: &str, fields: &[u64]) {
-        // The hashed byte sequence is exactly `state ‖ len ‖ label ‖ fields`
-        // (little-endian lengths/fields). This runs once per popped event,
-        // making it the hottest hash in the DST, so the message is
-        // assembled in a stack buffer and absorbed in one call — one
-        // `update` instead of eight tiny ones — whenever it fits. The
-        // fallback streams piecewise; both paths feed the hasher the same
-        // bytes, so the digest is identical either way.
-        let mut buf = [0u8; 256];
-        let need = 40 + label.len() + 8 * fields.len();
-        if need <= buf.len() {
-            buf[..32].copy_from_slice(&self.state.0);
-            buf[32..40].copy_from_slice(&(label.len() as u64).to_le_bytes());
-            let mut n = 40;
-            buf[n..n + label.len()].copy_from_slice(label.as_bytes());
-            n += label.len();
-            for f in fields {
-                buf[n..n + 8].copy_from_slice(&f.to_le_bytes());
-                n += 8;
-            }
-            self.state = sha256(&buf[..n]);
-        } else {
-            let mut h = Sha256::new();
-            h.update(&self.state.0);
-            h.update(&(label.len() as u64).to_le_bytes());
-            h.update(label.as_bytes());
-            for f in fields {
-                h.update(&f.to_le_bytes());
-            }
-            self.state = h.finalize();
+    /// Absorbs `words` two to a step. A step xors the pair into the state
+    /// (the first word low, the second high; an odd last word pairs with
+    /// 0), multiplies it by an odd constant and xors its high half into
+    /// its low. Each of the three permutes the state, so for any state two
+    /// different words leave two different states, and equal suffixes
+    /// keep them different.
+    #[inline]
+    fn absorb(&mut self, words: impl IntoIterator<Item = u64>) {
+        let mut words = words.into_iter();
+        while let Some(lo) = words.next() {
+            let hi = words.next().unwrap_or(0);
+            let s = (self.state ^ (u128::from(hi) << 64 | u128::from(lo))).wrapping_mul(LANE_MUL);
+            self.state = s ^ (s >> 64);
         }
     }
 
-    /// The current digest as lowercase hex.
+    /// Absorbs one record: `words`, prefixed by their count.
+    #[inline]
+    fn record(&mut self, words: &[u64]) {
+        self.count += 1;
+        self.absorb(std::iter::once(words.len() as u64).chain(words.iter().copied()));
+    }
+}
+
+/// One lane of a [`TraceHasher`], by name: a [`KINDS`] label or `order`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lane {
+    /// The kind's label, or `order` for the interleaving lane.
+    pub label: &'static str,
+    /// Records absorbed (for `order`, records of every kind).
+    pub count: u64,
+    /// The lane's 128-bit fold.
+    pub state: u128,
+}
+
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} {:032x}", self.label, self.count, self.state)
+    }
+}
+
+/// The replay fingerprint of an event trace, one 128-bit fold per kind.
+///
+/// Each [`KINDS`] row has a lane that absorbs its events' words in order
+/// (timestamp first, prefixed by their count); a record under any other
+/// label folds its label's bytes and its words into one shared lane; and
+/// an `order` lane folds each record's lane code, so the interleaving is
+/// certified too. A changed word moves exactly its own lane (each step
+/// permutes the lane state), so the lanes say *which* kinds a digest move
+/// touched. It is a fingerprint against accidents, not a signature: the
+/// fold is not collision-resistant against an adversary. Two episodes
+/// with the same world, seed and configuration give bit-identical lanes —
+/// the replay-determinism invariant checked by the acceptance suite and
+/// the CI sweep.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceHasher {
+    lanes: [Fold; LANES],
+}
+
+impl TraceHasher {
+    /// A trace with no records.
+    pub fn new() -> Self {
+        TraceHasher { lanes: [Fold::EMPTY; LANES] }
+    }
+
+    /// Absorbs one record: a [`KINDS`] label goes to its kind's lane, any
+    /// other label (with its bytes) to the shared one.
+    pub fn record(&mut self, label: &str, fields: &[u64]) {
+        let maybe_kind = label.len() < 64 && KIND_LENGTHS & (1 << label.len()) != 0;
+        if maybe_kind {
+            if let Some(kind) = KINDS.iter().position(|row| row.0 == label) {
+                return self.record_kind(kind, fields);
+            }
+        }
+        let label_words = label.as_bytes().chunks(8).map(|chunk| {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(w)
+        });
+        let lane = &mut self.lanes[OTHER];
+        lane.absorb(std::iter::once(label.len() as u64).chain(label_words));
+        lane.record(fields);
+        self.order(OTHER);
+    }
+
+    /// Absorbs one event of kind code `kind` (its [`KINDS`] row) with its
+    /// words: the episode's path, which needs no label lookup.
+    #[inline]
+    pub(crate) fn record_kind(&mut self, kind: usize, words: &[u64]) {
+        self.lanes[kind].record(words);
+        self.order(kind);
+    }
+
+    #[inline]
+    fn order(&mut self, lane: usize) {
+        let order = &mut self.lanes[ORDER];
+        order.count += 1;
+        order.absorb([lane as u64]);
+    }
+
+    /// Folds `other`'s lanes into this one's, lane by lane: each lane
+    /// adds `other`'s count and absorbs its (count, state) as three
+    /// words. The sweep aggregate is its episodes folded in submission
+    /// order.
+    pub(crate) fn absorb(&mut self, other: &TraceHasher) {
+        for (mine, &Fold { count, state }) in self.lanes.iter_mut().zip(&other.lanes) {
+            mine.count += count;
+            mine.absorb([count, state as u64, (state >> 64) as u64]);
+        }
+    }
+
+    /// The [`KINDS`] lanes in kind-code order, then `order`.
+    pub fn lanes(&self) -> impl Iterator<Item = Lane> + '_ {
+        let labels = KINDS.iter().map(|row| row.0).chain(["order"]);
+        let folds = self.lanes[..OTHER].iter().chain(&self.lanes[ORDER..]);
+        labels.zip(folds).map(|(label, f)| Lane { label, count: f.count, state: f.state })
+    }
+
+    /// The digest as lowercase hex: one SHA-256 over the
+    /// `concilium-dst-trace-v2` tag and each lane's (code, count, state)
+    /// in little-endian, lanes in code order (the kinds, the shared lane,
+    /// `order`).
     pub fn hex(&self) -> String {
-        self.state.to_hex()
+        let mut h = Sha256::new();
+        h.update(b"concilium-dst-trace-v2");
+        for (code, lane) in self.lanes.iter().enumerate() {
+            h.update(&(code as u64).to_le_bytes());
+            h.update(&lane.count.to_le_bytes());
+            h.update(&lane.state.to_le_bytes());
+        }
+        h.finalize().to_hex()
     }
 }
 
@@ -514,6 +652,7 @@ impl Default for TraceHasher {
 mod tests {
     use super::*;
     use concilium::blame::blame_from_path_evidence;
+    use proptest::prelude::*;
     use concilium::verdict::{binomial_tail_at_least, Verdict};
     use concilium_types::LinkId;
 
@@ -690,10 +829,39 @@ mod tests {
         assert_ne!(run(&[("send", 1)]), run(&[("send", 2)]));
     }
 
-    /// The chained form itself, held apart from any sweep digest: the hex
-    /// was computed outside this workspace (Python's `hashlib`) over
-    /// `state ‖ len ‖ label ‖ fields`. The last record is wider than the
-    /// 256-byte stack buffer, so the streaming fallback is pinned too.
+    /// The fold itself, held apart from any sweep digest: the hex and the
+    /// lanes were computed outside this workspace by this Python
+    /// big-integer reimplementation (the last record's label is not a
+    /// [`KINDS`] row, so the shared lane's label bytes are pinned too):
+    ///
+    /// ```text
+    /// import hashlib
+    /// MUL, IV, M = 0x2360ED051FC65DA44385DF649FCCF645, 0x9E3779B97F4A7C15F39CC0605CEDC835, 2**128
+    /// KIND = {"send": 0, "ack": 4, "verdict": 9}  # KINDS rows; 24 = shared, 25 = order
+    /// lanes = [[0, IV] for _ in range(26)]
+    /// def absorb(lane, ws):
+    ///     ws = ws + [0] * (len(ws) % 2)
+    ///     for lo, hi in zip(ws[::2], ws[1::2]):
+    ///         s = ((lane[1] ^ (hi << 64 | lo)) * MUL) % M
+    ///         lane[1] = s ^ (s >> 64)
+    /// def record(label, ws):
+    ///     code = KIND.get(label, 24)
+    ///     lane = lanes[code]
+    ///     if code == 24:
+    ///         b = label.encode()
+    ///         absorb(lane, [len(b)] + [int.from_bytes(b[i:i + 8], "little") for i in range(0, len(b), 8)])
+    ///     lane[0] += 1
+    ///     absorb(lane, [len(ws)] + ws)
+    ///     lanes[25][0] += 1
+    ///     absorb(lanes[25], [code])
+    /// record("send", [1, 2, 3]); record("ack", []); record("verdict", [2**64 - 1, 7])
+    /// record("message-delivered", list(range(30)))
+    /// tag = b"concilium-dst-trace-v2" + b"".join(
+    ///     c.to_bytes(8, "little") + n.to_bytes(8, "little") + s.to_bytes(16, "little")
+    ///     for c, (n, s) in enumerate(lanes))
+    /// print(hashlib.sha256(tag).hexdigest())
+    /// print("%032x" % lanes[0][1], "%032x" % lanes[25][1])
+    /// ```
     #[test]
     fn trace_hasher_golden() {
         let wide: Vec<u64> = (0..30).collect();
@@ -701,7 +869,94 @@ mod tests {
         h.record("send", &[1, 2, 3]);
         h.record("ack", &[]);
         h.record("verdict", &[u64::MAX, 7]);
-        h.record("wide", &wide);
-        assert_eq!(h.hex(), "9627dafc350786ff0528ee757f32300462f8178e9631a5d183a3a575ddbad1ca");
+        h.record("message-delivered", &wide);
+        assert_eq!(h.hex(), "48fdb71410f44b621f897f7840137e1e9094799e4d1eb4d9405df52f93a8f9df");
+        let lanes: Vec<Lane> = h.lanes().collect();
+        assert_eq!(lanes.len(), KINDS.len() + 1);
+        assert_eq!(lanes[0].to_string(), "send 1 a7c0499709f7a059cef6758c9a211bdf");
+        assert_eq!(lanes[KINDS.len()].to_string(), "order 4 ccd11b315648c3cf44051eab80e83ad4");
+    }
+
+    /// A trace as (kind code, words) records of 0..6 words each.
+    fn trace_strategy() -> impl Strategy<Value = Vec<(usize, Vec<u64>)>> {
+        let record = (0..KINDS.len(), proptest::collection::vec(any::<u64>(), 0..6));
+        proptest::collection::vec(record, 1..40)
+    }
+
+    fn fold(trace: &[(usize, Vec<u64>)]) -> TraceHasher {
+        let mut h = TraceHasher::new();
+        for (kind, words) in trace {
+            h.record(KINDS[*kind].0, words);
+        }
+        h
+    }
+
+    /// The labels of the lanes on which `a` and `b` differ.
+    fn moved(a: &TraceHasher, b: &TraceHasher) -> Vec<&'static str> {
+        a.lanes().zip(b.lanes()).filter(|(x, y)| x != y).map(|(x, _)| x.label).collect()
+    }
+
+    proptest! {
+        /// A label lookup and the episode's kind-code path fold alike.
+        #[test]
+        fn record_by_label_equals_record_by_kind(trace in trace_strategy()) {
+            let mut by_kind = TraceHasher::new();
+            for (kind, words) in &trace {
+                by_kind.record_kind(*kind, words);
+            }
+            prop_assert_eq!(fold(&trace), by_kind);
+        }
+
+        /// One changed word moves its kind's lane and the digest, and no
+        /// other lane: each step permutes the lane state.
+        #[test]
+        fn one_changed_word_moves_only_its_lane(
+            trace in trace_strategy(),
+            at in any::<usize>(),
+            delta in 1u64..u64::MAX,
+        ) {
+            let (i, j) = {
+                let i = at % trace.len();
+                prop_assume!(!trace[i].1.is_empty());
+                (i, (at / trace.len()) % trace[i].1.len())
+            };
+            let mut changed = trace.clone();
+            changed[i].1[j] = changed[i].1[j].wrapping_add(delta);
+            let (a, b) = (fold(&trace), fold(&changed));
+            prop_assert_eq!(moved(&a, &b), vec![KINDS[trace[i].0].0]);
+            prop_assert_ne!(a.hex(), b.hex());
+        }
+
+        /// Swapping two adjacent events of different kinds moves `order`
+        /// and the digest, and no kind's lane.
+        #[test]
+        fn an_adjacent_swap_moves_only_order(trace in trace_strategy(), at in any::<usize>()) {
+            prop_assume!(trace.len() >= 2);
+            let i = at % (trace.len() - 1);
+            prop_assume!(trace[i].0 != trace[i + 1].0);
+            let mut swapped = trace.clone();
+            swapped.swap(i, i + 1);
+            let (a, b) = (fold(&trace), fold(&swapped));
+            prop_assert_eq!(moved(&a, &b), vec!["order"]);
+            prop_assert_ne!(a.hex(), b.hex());
+        }
+    }
+
+    #[test]
+    fn absorb_folds_lanes_and_counts() {
+        let mut one = TraceHasher::new();
+        one.record("send", &[5, 1]);
+        one.record("tick", &[9]);
+        let mut sweep = TraceHasher::new();
+        sweep.absorb(&one);
+        sweep.absorb(&one);
+        let counts: Vec<(&str, u64)> =
+            sweep.lanes().filter(|l| l.count > 0).map(|l| (l.label, l.count)).collect();
+        assert_eq!(counts, [("send", 2), ("tick", 2), ("order", 4)]);
+        // An empty episode still moves every lane: the sweep certifies
+        // how many episodes it folded.
+        let mut longer = sweep.clone();
+        longer.absorb(&TraceHasher::new());
+        assert!(sweep.lanes().zip(longer.lanes()).all(|(a, b)| a != b));
     }
 }

@@ -6,6 +6,7 @@
 )]
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use rand::Rng;
 
@@ -21,6 +22,7 @@ use crate::config::SimConfig;
 use crate::engine::EventQueue;
 use crate::evidence::{EvidenceIndex, PathEvidence};
 use crate::failhist::{HistoryCursor, IndexedHistory};
+use crate::invariants::CheckedTree;
 
 /// How close (in virtual time) a routing peer's probe round must be for an
 /// adaptive adversary to consider itself "observed" and behave. Slightly
@@ -117,6 +119,9 @@ pub struct SimWorld {
     /// Search passes (misses) and the host searches they ran (hits) while
     /// building the world.
     build_tree_stats: concilium_topology::CacheStats,
+    /// The tomography check's world-only inputs, built on its first call,
+    /// never here: `build` stays the cost of the world alone.
+    checked_trees: OnceLock<Vec<CheckedTree>>,
 }
 
 impl SimWorld {
@@ -338,6 +343,7 @@ impl SimWorld {
             host_dist,
             peer_paths,
             build_tree_stats,
+            checked_trees: OnceLock::new(),
         }
     }
 
@@ -395,6 +401,12 @@ impl SimWorld {
     /// Panics if `h` is out of range.
     pub fn tree(&self, h: usize) -> &ProbeTree {
         &self.trees[h]
+    }
+
+    /// The trees the end-of-episode tomography check probes, built once
+    /// per world on first use (every episode on the world shares them).
+    pub(crate) fn checked_trees(&self) -> &[CheckedTree] {
+        self.checked_trees.get_or_init(|| CheckedTree::for_world(self))
     }
 
     /// The probe archive of host `h`.

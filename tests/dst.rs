@@ -8,14 +8,16 @@
 //! copy-pasteable reproducer) when it is not. A judge that never convicts
 //! must fail the sweep's completeness checks.
 
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use concilium::blame::LinkEvidence;
-use concilium_obs::TraceEvent;
+use concilium_obs::{TraceEvent, DEFAULT_TRACE_CAPACITY};
 use concilium_sim::{
-    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions, ExploreOutcome,
-    FailingCase, InvariantKind, SimWorld,
+    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions, EpisodeReport,
+    ExploreOutcome, FailingCase, InvariantKind, SimWorld,
 };
+use proptest::prelude::*;
 use concilium_types::SimTime;
 
 fn world() -> &'static SimWorld {
@@ -90,7 +92,7 @@ fn honest_sweep_satisfies_all_invariants() {
     // protocol's behaviour; a change that moves it on purpose edits it here.
     assert_eq!(
         out.trace_digest,
-        "f5bad5df764b38fb35413a2b251e07b79599a982b4eee524265a2a4b85b02bab"
+        "d613ffb499098f62018b4b8f4de195b42cf6ab7c2e6789da7d95a382f60ae397"
     );
     // The sweep must actually exercise the protocol, not vacuously pass.
     check_completeness(&out).unwrap();
@@ -128,20 +130,84 @@ fn episodes_replay_bit_identically() {
     }
 }
 
-#[test]
-fn trace_ring_capacity_never_feeds_the_digest() {
-    // Capacity 0 still hashes, counts and causally checks every event; it
-    // only stops retaining them. Retention must be invisible to the digest.
-    let retained = EpisodeOptions::default();
-    let unretained = EpisodeOptions { trace_capacity: 0, ..EpisodeOptions::default() };
-    for (name, cfg) in EpisodeConfig::standard_grid() {
-        let on = run_episode(world(), &cfg, 0, &retained);
-        let off = run_episode(world(), &cfg, 0, &unretained);
-        assert_eq!(
-            on.trace_hash, off.trace_hash,
-            "{name}: trace ring capacity changed the digest"
-        );
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Capacity 0 still hashes, counts and causally checks every event; it
+    /// only stops retaining them. Retention must be invisible to the
+    /// digest and to every lane, at any capacity.
+    #[test]
+    fn trace_ring_capacity_never_feeds_the_digest(seed in 0u64..4096, small in 1usize..64) {
+        for (name, cfg) in EpisodeConfig::standard_grid() {
+            let run = |trace_capacity| {
+                let opts = EpisodeOptions { trace_capacity, ..EpisodeOptions::default() };
+                run_episode(world(), &cfg, seed, &opts)
+            };
+            let retained = run(DEFAULT_TRACE_CAPACITY);
+            for capacity in [0, small] {
+                let other = run(capacity);
+                prop_assert_eq!(
+                    &other.trace_hash, &retained.trace_hash,
+                    "{} seed {}: ring capacity {} changed the digest", name, seed, capacity
+                );
+                prop_assert_eq!(&other.digest, &retained.digest);
+            }
+        }
     }
+}
+
+/// The kinds whose lanes differ between two runs of one episode.
+fn moved_kinds(a: &EpisodeReport, b: &EpisodeReport) -> BTreeSet<&'static str> {
+    a.digest.lanes().zip(b.digest.lanes()).filter(|(x, y)| x != y).map(|(x, _)| x.label).collect()
+}
+
+/// The per-kind lanes name what a planted blame mutant (constant 1.0, its
+/// oracle off) moved, episode by episode against the honest run:
+///
+/// * an episode the mutant cuts short moves every kind the honest run
+///   emits after the cut — truncation moves every later kind;
+/// * an episode it lets finish with the same verdicts moves `judge` (the
+///   blame values) and nothing else — never `send`, `ack`, `retx`,
+///   `outcome`, `fault` or `tick`;
+/// * an episode it lets finish with a flipped verdict also escalates
+///   differently, and an escalation draws from the fault plan's stream,
+///   so every later transport fate may move with it (world 77, `lossy`
+///   and `byzantine` seed 6).
+#[test]
+fn a_blame_mutant_moves_only_the_lanes_it_reaches() {
+    let honest = EpisodeOptions { trace_capacity: usize::MAX, ..EpisodeOptions::default() };
+    let mutant = EpisodeOptions { blame_fn: broken_blame, check_blame_oracle: false, ..honest };
+    let (mut judge_only, mut cut_short) = (0, 0);
+    for (name, cfg) in EpisodeConfig::standard_grid() {
+        for seed in 0..8 {
+            let a = run_episode(world(), &cfg, seed, &honest);
+            let b = run_episode(world(), &cfg, seed, &mutant);
+            assert!(a.violation.is_none(), "{name} seed {seed}: the honest run failed");
+            let moved = moved_kinds(&a, &b);
+            let at = format!("{name} seed {seed}: moved {moved:?}");
+            match &b.violation {
+                Some(v) => {
+                    assert!(
+                        matches!(v.kind, InvariantKind::FalseAccusation | InvariantKind::ChainIntegrity),
+                        "{at}: {v}"
+                    );
+                    for e in a.trace.events().filter(|e| e.at_micros > v.at.as_micros()) {
+                        let kind = e.event.label();
+                        assert!(moved.contains(kind), "{at}: `{kind}` has events after the cut");
+                    }
+                    cut_short += 1;
+                }
+                None if !moved.contains("verdict") => {
+                    assert!(moved.iter().all(|&k| k == "judge"), "{at}");
+                    judge_only += usize::from(moved.contains("judge"));
+                }
+                None => assert!(moved.contains("escalate"), "{at}: a verdict flipped"),
+            }
+        }
+    }
+    // World 77: `lossy` seeds 1 and 4, `byzantine` seeds 1, 3 and 4 finish
+    // with only `judge` moved; twelve episodes are cut short.
+    assert!(judge_only >= 3 && cut_short >= 3, "{judge_only} judge-only, {cut_short} cut short");
 }
 
 #[test]

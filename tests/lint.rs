@@ -198,7 +198,7 @@ fn every_per_kind_consumer_denies_wildcard_arms() {
     // its inverse `from_words` matches on codes, not on the enum, so the
     // round trip in `obs::event`'s tests covers it instead.
     const CONSUMERS: &[(&str, &str)] = &[
-        ("crates/obs/src/event.rs", "pub(crate) fn kind("),
+        ("crates/obs/src/event.rs", "pub fn kind("),
         ("crates/obs/src/causal.rs", "fn step("),
         ("crates/sim/src/explorer/episode.rs", "fn count("),
         ("crates/serve/src/flight.rs", "pub(crate) fn trace_event("),

@@ -162,7 +162,7 @@ fn dst_sweep_serve_chaos_digest_is_pinned() {
     assert_eq!(chaos.total_violations, 0);
     assert_eq!(
         chaos.aggregate_digest,
-        "8b19300f5ba20ac62d9080e4ea4c1d5451897e697e60b6ca08d2ab545f07b6c1"
+        "e784585a15844ba6214bbf0fbab5c3f29bcb592a2f3cfc33c5979e5d2992c308"
     );
 }
 
