@@ -9,7 +9,7 @@
 //! runs a two-seed sweep checks that `--trace-out` holds whole episodes,
 //! by asking `concilium-explain --orphans`, and that `concilium-explain
 //! list` reads it back byte for byte — as it does a killed and recovered
-//! `concilium-serve` run's trace.
+//! `concilium-serve` run's trace, whose WAL `--explain shed:N` reads.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -221,7 +221,9 @@ fn list_refuses_an_unknown_kind() {
 
 /// A daemon trace goes through the binaries whole: a killed and recovered
 /// `concilium-serve` run's `--trace-out` lists back byte for byte, and
-/// holds every daemon kind the run produces.
+/// holds every daemon kind the run produces. It is read from the journal,
+/// so the incarnation the kill ended is in it too: one `admit` line per
+/// admitted report, and the `restart` stamped at the recovery's clock.
 #[test]
 fn a_daemon_trace_reads_back_through_explain() {
     let trace = std::env::temp_dir().join(format!("serve_trace_{}.jsonl", std::process::id()));
@@ -246,4 +248,37 @@ fn a_daemon_trace_reads_back_through_explain() {
     for kind in ["admit", "shed", "complete", "journal-commit", "recovered"] {
         assert!(counted.contains(kind), "no `{kind}` in the daemon trace's stats:\n{stats}");
     }
+    let jsonl = String::from_utf8(jsonl).expect("utf-8 trace");
+    let admits = jsonl.lines().filter(|l| l.contains("\"kind\":\"admit\"")).count();
+    assert!(text.contains(&format!(" admitted={admits} ")), "{admits} admit lines:\n{text}");
+    let restarts: Vec<&str> =
+        jsonl.lines().filter(|l| l.contains("\"kind\":\"restart\"")).collect();
+    assert_eq!(restarts.len(), 1, "{restarts:?}");
+    assert!(!restarts[0].contains("\"t_us\":0,"), "{}", restarts[0]);
+}
+
+/// `--explain shed:N` answers from a WAL alone: after the run above, with
+/// `--reports 0` so nothing more is processed, it prints the 32 journal
+/// records that end at the shed and leaves the journal as it found it.
+#[test]
+fn explain_shed_prints_the_journal_records_that_end_at_it() {
+    let wal = std::env::temp_dir().join(format!("serve_explain_{}.wal", std::process::id()));
+    let path = wal.to_str().expect("utf-8 temp path");
+    let serve = workspace_exe("concilium-serve", "concilium-serve");
+    let args = ["--seed", "3", "--reports", "192", "--load", "2.0", "--kill-at", "96"];
+    let (ok, text) = run(&serve, &[&args[..], &["--journal", path]].concat());
+    assert!(ok, "{text}");
+    let written = std::fs::read(&wal).expect("journal written");
+    let query = ["--explain", "shed:144", "--reports", "0", "--journal", path, "--quiet"];
+    let (ok, text) = run(&serve, &query);
+    let after = std::fs::read(&wal).expect("journal kept");
+    std::fs::remove_file(&wal).expect("journal removed");
+    assert!(ok, "{text}");
+    assert!(after == written, "explaining rewrote the journal");
+    assert!(text.contains("] shed        report=144 reason=mailbox-full"), "{text}");
+    let (_, tail) = text.split_once("tail at shed of report 144:\n").expect("a tail");
+    let tail: Vec<&str> = tail.lines().map(str::trim).collect();
+    assert_eq!(tail.len(), 32, "{text}");
+    assert_eq!(tail[0], "#302 commit next_input=129 clock=1460115us");
+    assert_eq!(tail[31], "#333 shed report 144 (reason mailbox-full)");
 }

@@ -111,7 +111,7 @@ impl ShedReason {
     }
 
     /// Stable short name used in JSON and pretty output.
-    pub(crate) fn name(self) -> &'static str {
+    pub fn name(self) -> &'static str {
         Self::ALL[self.code() as usize].1
     }
 

@@ -22,8 +22,8 @@ use std::process::ExitCode;
 
 use concilium_obs::{explain, CausalIndex, ExplainQuery};
 use concilium_serve::{
-    records_to_traced, Journal, KillPoint, PanicSite, Record, ServeConfig, Shape, SharedStore,
-    Supervisor, WorkloadSpec, PANIC_FLUSH,
+    records_to_traced, render, shed_tail, Journal, KillPoint, PanicSite, ServeConfig, Shape,
+    SharedStore, Supervisor, WorkloadSpec,
 };
 
 struct Args {
@@ -46,9 +46,10 @@ fn usage() -> &'static str {
      \u{20}                      [--explain report:N] [--quiet]\n\
      \n\
      --explain answers from the journal alone (admit → complete → commit,\n\
-     or shed with its flushed flight-recorder tail), so it works on a WAL\n\
-     left behind by a crashed run; pass --reports 0 with --journal to\n\
-     explain without processing further inputs."
+     or shed with the 32 journal records that end at it), so it works on a\n\
+     WAL left behind by a crashed run; pass --reports 0 with --journal to\n\
+     explain without processing further inputs. --trace-out, too, is read\n\
+     from the journal, across every restart."
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -134,7 +135,7 @@ fn run() -> Result<(), String> {
         .unwrap_or_default();
     let injected = kills.len();
 
-    let run = Supervisor::new(cfg, store.clone(), kills).run(&inputs);
+    let run = Supervisor::new(cfg.clone(), store.clone(), kills).run(&inputs);
 
     if let Some(path) = &args.journal {
         std::fs::File::create(path)
@@ -147,38 +148,24 @@ fn run() -> Result<(), String> {
     }
     if let Some(path) = &args.trace_out {
         let seed_s = args.seed.to_string();
-        std::fs::write(path, run.trace.to_jsonl(&[("episode", "serve"), ("seed", &seed_s)]))
-            .map_err(|e| format!("writing trace {path:?}: {e}"))?;
+        let extra = [("episode", "serve"), ("seed", seed_s.as_str())];
+        let jsonl: String = run.trace().iter().map(|t| t.to_json(&extra) + "\n").collect();
+        std::fs::write(path, jsonl).map_err(|e| format!("writing trace {path:?}: {e}"))?;
     }
     if let Some(query) = &args.explain {
         // Answer from the WAL alone: derive the daemon's causal event
         // stream from the journal records and walk the index. This is
-        // the post-crash path — the in-memory trace ring of a crashed
-        // incarnation is gone, but its journal (including any flushed
-        // flight-recorder tails) is not.
+        // the post-crash path: a crashed run leaves nothing but its
+        // journal, and the journal is all the daemon ever recorded.
         let (records, _) = Journal::over(store.clone()).scan();
-        let traced = records_to_traced(&records);
+        let traced = records_to_traced(&cfg, &records);
         let index = CausalIndex::from_events(traced.iter());
-        let explanation = explain(&index, query);
-        println!("{}", explanation.render_text());
-        for rec in &records {
-            if let Record::FlightTail { report_id, entries, .. } = rec {
-                let about = match (query, report_id) {
-                    (_, id) if *id == PANIC_FLUSH => true,
-                    (ExplainQuery::Shed(want), id) => id == want,
-                    _ => false,
-                };
-                if !about {
-                    continue;
-                }
-                let trigger = if *report_id == PANIC_FLUSH {
-                    "panic".to_string()
-                } else {
-                    format!("shed of report {report_id}")
-                };
-                println!("flight recorder tail at {trigger}:");
-                for e in entries {
-                    println!("  {}", e.render());
+        println!("{}", explain(&index, query).render_text());
+        if let ExplainQuery::Shed(report) = query {
+            if let Some(tail) = shed_tail(&records, *report) {
+                println!("flight recorder tail at shed of report {report}:");
+                for record in tail {
+                    println!("  {}", render(record));
                 }
             }
         }

@@ -21,10 +21,9 @@
 
 use concilium::blame::blame_from_path_evidence;
 use concilium::Verdict;
-use concilium_obs::{Registry, Trace};
+use concilium_obs::Registry;
 use concilium_types::{SimDuration, SimTime};
 
-use crate::flight::{trace_event, FlightEntry, FlightRecorder};
 use crate::journal::{Journal, Record, SharedStore, MAX_FRAME_WORDS};
 use crate::mailbox::Mailbox;
 use crate::report::FailureReport;
@@ -86,8 +85,8 @@ impl Counters {
             Record::BatchStarted { .. } => self.batches += 1,
             Record::VerdictRecorded { .. } => self.completed += 1,
             Record::AccusationFiled { .. } => self.accusations += 1,
-            // Boundary marker and observability only: never counted.
-            Record::Commit { .. } | Record::FlightTail { .. } => {}
+            // Boundary marker only: never counted.
+            Record::Commit { .. } => {}
         }
     }
 }
@@ -143,12 +142,7 @@ pub struct Daemon {
     dirty: bool,
     /// Chaos hook: panic when processing this input index at this site.
     pub panic_at: Option<(u64, PanicSite)>,
-    trace: Trace,
     metrics: Registry,
-    /// The flight recorder ring: recent journal activity, maintained at
-    /// the append choke point (and identically by recovery replay), so
-    /// it is a pure function of the journal prefix.
-    flight: FlightRecorder,
     /// Frame bytes appended since the last commit boundary — the write
     /// set one durability fsync would flush.
     pending_fsync_bytes: u64,
@@ -177,7 +171,6 @@ impl Daemon {
         );
         let mut daemon = Daemon {
             state: ServeState::new(&cfg),
-            trace: Trace::with_capacity(cfg.trace_capacity),
             cfg,
             journal: Journal::default(),
             mailbox: Mailbox::new(),
@@ -189,7 +182,6 @@ impl Daemon {
             dirty: false,
             panic_at: None,
             metrics: Registry::new(),
-            flight: FlightRecorder::new(),
             pending_fsync_bytes: 0,
         };
         let mut journal = Journal::over(store);
@@ -251,11 +243,6 @@ impl Daemon {
         &self.state
     }
 
-    /// The trace ring.
-    pub(crate) fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// The metrics registry.
     pub(crate) fn metrics(&self) -> &Registry {
         &self.metrics
@@ -277,9 +264,9 @@ impl Daemon {
         }
     }
 
-    /// Journals `record`, applies it, and emits everything observable
-    /// that follows from it — flight entry, counter, metric, trace event.
-    /// The daemon's single emit point: callers decide, then append.
+    /// Journals `record`, applies it, and counts it in the metrics. The
+    /// daemon's single emit point: callers decide, then append; the trace
+    /// is read back out of the journal (`crate::flight`).
     fn append(&mut self, record: Record) {
         self.dirty = !matches!(record, Record::Commit { .. });
         self.pending_fsync_bytes += self.journal.append(&record) as u64;
@@ -303,31 +290,23 @@ impl Daemon {
                 );
                 self.pending_fsync_bytes = 0;
             }
-            Record::FlightTail { .. } => {}
-        }
-        // An admission is journaled before its report enters the mailbox,
-        // so the depth it takes effect at is one more than the depth now.
-        if let Some(event) = trace_event(&record, self.mailbox.depth() as u64 + 1) {
-            self.trace.push(self.clock.as_micros(), event);
         }
         self.next_seq += 1;
     }
 
     /// The per-record fold shared by the live append and recovery replay:
-    /// state, flight ring, counters. Returns whether the state applied the
-    /// record (its sequence number was past the high-water mark).
+    /// state and counters. Returns whether the state applied the record
+    /// (its sequence number was past the high-water mark).
     fn fold(&mut self, record: &Record) -> bool {
         let applied = self.state.apply(record);
-        if let Some(entry) = FlightEntry::from_record(record) {
-            self.flight.push(entry);
-        }
         self.counters.absorb(record);
         applied
     }
 
-    /// The flight recorder ring (recent journal activity).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+    /// The sequence number the next appended record takes: where this
+    /// incarnation's records begin in the journal.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Runs every workload input at or past the recovered resume point.
@@ -373,14 +352,6 @@ impl Daemon {
                     report_id: report.id,
                     reason,
                 });
-                // Flush the flight ring into the WAL alongside the
-                // refusal: `explain shed <report>` can then render the
-                // context from the journal alone, post-crash included.
-                // The tail is committed with this input, and the ring is
-                // a pure function of the journal prefix, so baseline and
-                // chaos runs journal identical tails.
-                let (seq, entries) = (self.next_seq, self.flight.tail());
-                self.append(Record::FlightTail { seq, report_id: report.id, entries });
             }
         }
         self.maybe_start_batch();

@@ -1,146 +1,70 @@
-//! The in-memory flight recorder: a small ring of recent journal
-//! activity, flushed into the WAL at interesting moments.
+//! The journal read back: everything observable about a run, derived
+//! from its WAL when it is asked for.
 //!
-//! Every journal record the daemon appends also pushes one compact
-//! [`FlightEntry`] into a bounded [`FlightRecorder`] ring. Because the
-//! pushes happen at the single append choke point *and* identically
-//! during recovery replay, the ring is a pure function of the journal's
-//! committed byte prefix — a recovered daemon's ring matches the ring
-//! the crashed daemon had for those same committed records, and chaos
-//! byte-equality sweeps are untouched.
+//! The journal is the daemon's only record (DESIGN.md §17). The daemon
+//! keeps no ring of recent activity and no trace while it runs: both
+//! would be pure functions of the journal prefix, and a crashed
+//! incarnation's copy would die with it while the journal survives.
+//! Instead:
 //!
-//! Two flushes put the ring where post-crash tooling can read it:
-//!
-//! - **On shed**, the daemon journals a [`Record::FlightTail`] carrying
-//!   the ring at refusal time — the committed context a later
-//!   `explain shed <report>` renders from the WAL alone.
-//! - **On panic**, the supervisor rebuilds the ring from the journal's
-//!   valid prefix (committed or not — every append became a frame) and
-//!   writes it as an *uncommitted* `FlightTail`. Recovery truncates it,
-//!   so digests and byte-equality are preserved, but the on-disk image
-//!   a crashed process leaves behind still carries its last moments.
-//!
-//! [`records_to_traced`] bridges the journal back into the causal
-//! layer: it derives the daemon's [`TraceEvent`] stream from the
-//! records, so `concilium-serve --explain report:N` (and the
-//! `concilium-explain` binary, via `--trace-out`) can answer
-//! "why was this report shed?" from the WAL after a crash.
+//! - [`records_to_traced`] lifts the daemon's [`TraceEvent`] stream out
+//!   of the records, each stamped with the time the daemon's clock read
+//!   when it appended the record. `--trace-out` and `--explain` read it,
+//!   after a crash as well.
+//! - [`shed_tail`] is the flight recorder: the [`TAIL_RECORDS`] journal
+//!   records that end at a shed, rendered by [`render`], which
+//!   `concilium-serve --explain shed:N` prints as the refusal's context.
 
-use std::collections::BTreeSet;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 
-use concilium_obs::{ShedReason, TraceEvent, Traced};
+use concilium_obs::{TraceEvent, Traced};
 
 use crate::journal::Record;
+use crate::ServeConfig;
 
-/// Ring capacity: enough to cover a full mailbox drain plus the
-/// surrounding commits without letting `FlightTail` frames bloat the
-/// journal.
-pub const FLIGHT_CAPACITY: usize = 32;
+/// How many journal records `--explain shed:N` prints: enough to cover a
+/// full mailbox drain plus the surrounding commits.
+pub const TAIL_RECORDS: usize = 32;
 
-/// The `report_id` sentinel a supervisor panic flush carries instead of
-/// a real report: the flush is about the crash, not one admission.
-pub const PANIC_FLUSH: u64 = u64::MAX;
-
-/// One compact ring entry: a journal record projected to four words.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlightEntry {
-    /// The source record's sequence number.
-    pub seq: u64,
-    /// The source record's journal tag (1..=6).
-    pub kind: u64,
-    /// Primary correlation key (report id, batch id, accused, input).
-    pub key: u64,
-    /// Secondary detail (input, reason code, start µs, guilty flag,
-    /// guilty count, clock µs).
-    pub aux: u64,
+/// The [`TAIL_RECORDS`] records that end at the shed of `report`, if the
+/// journal holds one.
+pub fn shed_tail(records: &[Record], report: u64) -> Option<&[Record]> {
+    let end = records
+        .iter()
+        .position(|r| matches!(r, Record::Shed { report_id, .. } if *report_id == report))?;
+    Some(&records[(end + 1).saturating_sub(TAIL_RECORDS)..=end])
 }
 
-impl FlightEntry {
-    /// Projects a journal record into a ring entry. `FlightTail` records
-    /// project to `None`: a flush never records itself.
-    #[deny(clippy::wildcard_enum_match_arm)]
-    pub fn from_record(record: &Record) -> Option<FlightEntry> {
-        let (kind, key, aux) = match record {
-            Record::Admitted { input, report, .. } => (1, report.id, *input),
-            Record::Shed { report_id, reason, .. } => (2, *report_id, reason.code()),
-            Record::BatchStarted { batch, start_us, .. } => (3, *batch, *start_us),
-            Record::VerdictRecorded { report_id, guilty, .. } => {
-                (4, *report_id, u64::from(*guilty))
-            }
-            Record::AccusationFiled { accused, guilty_count, .. } => {
-                (5, *accused, *guilty_count)
-            }
-            Record::Commit { next_input, clock_us, .. } => (6, *next_input, *clock_us),
-            Record::FlightTail { .. } => return None,
-        };
-        Some(FlightEntry { seq: record.seq(), kind, key, aux })
-    }
-
-    /// Stable short rendering for diagnostics.
-    pub fn render(&self) -> String {
-        match self.kind {
-            1 => format!("#{} admitted report {} (input {})", self.seq, self.key, self.aux),
-            2 => match usize::try_from(self.aux).ok().and_then(|code| ShedReason::ALL.get(code)) {
-                Some(&(_, name, _)) => {
-                    format!("#{} shed report {} (reason {name})", self.seq, self.key)
-                }
-                None => format!("#{} shed report {} (reason {})", self.seq, self.key, self.aux),
-            },
-            3 => format!("#{} batch {} started at {}us", self.seq, self.key, self.aux),
-            4 => format!(
-                "#{} verdict on report {}: {}",
-                self.seq,
-                self.key,
-                if self.aux == 1 { "GUILTY" } else { "innocent" }
-            ),
-            5 => format!(
-                "#{} accusation filed against {} ({} guilty)",
-                self.seq, self.key, self.aux
-            ),
-            6 => format!("#{} commit next_input={} clock={}us", self.seq, self.key, self.aux),
-            other => format!("#{} unknown-kind {} {} {}", self.seq, other, self.key, self.aux),
+/// One record as a stable short line for diagnostics.
+#[deny(clippy::wildcard_enum_match_arm)]
+pub fn render(record: &Record) -> String {
+    let seq = record.seq();
+    match record {
+        Record::Admitted { input, report, .. } => {
+            format!("#{seq} admitted report {} (input {input})", report.id)
         }
-    }
-}
-
-/// A bounded ring of the most recent [`FlightEntry`]s.
-#[derive(Clone, Debug, Default)]
-pub struct FlightRecorder {
-    entries: VecDeque<FlightEntry>,
-}
-
-impl FlightRecorder {
-    /// An empty ring.
-    pub fn new() -> Self {
-        FlightRecorder::default()
-    }
-
-    /// Pushes one entry, evicting the oldest past [`FLIGHT_CAPACITY`].
-    pub fn push(&mut self, entry: FlightEntry) {
-        if self.entries.len() == FLIGHT_CAPACITY {
-            self.entries.pop_front();
+        Record::Shed { report_id, reason, .. } => {
+            format!("#{seq} shed report {report_id} (reason {})", reason.name())
         }
-        self.entries.push_back(entry);
-    }
-
-    /// The buffered entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &FlightEntry> {
-        self.entries.iter()
-    }
-
-    /// The buffered entries as an owned tail, oldest first — the
-    /// payload of a [`Record::FlightTail`].
-    pub(crate) fn tail(&self) -> Vec<FlightEntry> {
-        self.entries.iter().copied().collect()
+        Record::BatchStarted { batch, start_us, .. } => {
+            format!("#{seq} batch {batch} started at {start_us}us")
+        }
+        Record::VerdictRecorded { report_id, guilty, .. } => format!(
+            "#{seq} verdict on report {report_id}: {}",
+            if *guilty { "GUILTY" } else { "innocent" }
+        ),
+        Record::AccusationFiled { accused, guilty_count, .. } => {
+            format!("#{seq} accusation filed against {accused} ({guilty_count} guilty)")
+        }
+        Record::Commit { next_input, clock_us, .. } => {
+            format!("#{seq} commit next_input={next_input} clock={clock_us}us")
+        }
     }
 }
 
 /// The trace event a journal record stands for, if any: the one
-/// `Record` → [`TraceEvent`] mapping, behind both the daemon's live ring
-/// (`Daemon::append`) and [`records_to_traced`]. `queue_depth` is the
-/// mailbox depth once the record has taken effect; only an admission
-/// reads it.
+/// `Record` → [`TraceEvent`] mapping. `queue_depth` is the mailbox depth
+/// once the record has taken effect; only an admission reads it.
 #[deny(clippy::wildcard_enum_match_arm)]
 pub(crate) fn trace_event(record: &Record, queue_depth: u64) -> Option<TraceEvent> {
     match record {
@@ -156,55 +80,90 @@ pub(crate) fn trace_event(record: &Record, queue_depth: u64) -> Option<TraceEven
         Record::Commit { seq, next_input, .. } => {
             Some(TraceEvent::JournalCommitted { seq: *seq, next_input: *next_input })
         }
-        Record::BatchStarted { .. }
-        | Record::AccusationFiled { .. }
-        | Record::FlightTail { .. } => None,
+        Record::BatchStarted { .. } | Record::AccusationFiled { .. } => None,
     }
 }
 
 /// Derives the daemon's trace-event stream from a journal record
 /// sequence, so the causal layer (`CausalIndex`, `concilium-explain`)
-/// can answer queries from the WAL alone — including after a crash,
-/// when the in-memory trace ring is gone.
+/// answers from the WAL alone.
 ///
-/// The events are `trace_event`'s; what is reconstructed here is what
-/// the live daemon reads off its own state. Timestamps come from the
-/// times the records carry (arrival, batch start, commit clock) on a
-/// monotone running clock; records without a time reuse the latest.
-/// Queue depth is replayed from admissions minus batch drafts — the
-/// same arithmetic the live mailbox performs. The derivation is a pure
+/// Each event is stamped with the daemon's clock when it appended the
+/// record, replayed from the times the records carry: an admission at
+/// its arrival (or the clock, if that is later), a completion when its
+/// batch finishes (`start_us` plus the service cost of the batch's
+/// reports under `cfg`), a shed and a commit at the commit that closes
+/// their input. Queue depth is replayed from admissions minus batch
+/// drafts, the mailbox's own arithmetic. The derivation is a pure
 /// function of the records, so byte-identical journals explain
 /// byte-identically.
-pub fn records_to_traced(records: &[Record]) -> Vec<Traced> {
-    let mut out = Vec::with_capacity(records.len());
-    let mut clock = 0u64;
-    let mut queued: BTreeSet<u64> = BTreeSet::new();
-    for rec in records {
-        match rec {
+pub fn records_to_traced(cfg: &ServeConfig, records: &[Record]) -> Vec<Traced> {
+    let mut lift = Lift::new(cfg);
+    records.iter().for_each(|record| lift.record(record));
+    lift.events
+}
+
+/// [`records_to_traced`] one record at a time, so a journal can be lifted
+/// as it is walked, with other events spliced in between its records.
+pub(crate) struct Lift<'c> {
+    cfg: &'c ServeConfig,
+    /// The events lifted so far.
+    pub(crate) events: Vec<Traced>,
+    clock: u64,
+    /// Admitted reports not yet drafted into a batch, with their service
+    /// cost.
+    queued: BTreeMap<u64, u64>,
+    /// When the batch in flight finishes.
+    done_us: u64,
+    /// The current input's sheds, as indices into `events`.
+    sheds: Vec<usize>,
+}
+
+impl<'c> Lift<'c> {
+    pub(crate) fn new(cfg: &'c ServeConfig) -> Self {
+        let (events, queued, sheds) = (Vec::new(), BTreeMap::new(), Vec::new());
+        Lift { cfg, events, clock: 0, queued, done_us: 0, sheds }
+    }
+
+    /// Adds `event` at the clock of the records lifted so far.
+    pub(crate) fn mark(&mut self, event: TraceEvent) {
+        self.events.push(Traced { at_micros: self.clock, event });
+    }
+
+    /// Lifts the next record.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub(crate) fn record(&mut self, record: &Record) {
+        match record {
             Record::Admitted { report, .. } => {
-                clock = clock.max(report.arrival.as_micros());
-                queued.insert(report.id);
+                self.clock = self.clock.max(report.arrival.as_micros());
+                self.queued.insert(report.id, report.service_cost(self.cfg).as_micros());
             }
             Record::BatchStarted { start_us, report_ids, .. } => {
-                clock = clock.max(*start_us);
-                for id in report_ids {
-                    queued.remove(id);
+                self.clock = self.clock.max(*start_us);
+                let costs = report_ids.iter().filter_map(|id| self.queued.remove(id));
+                self.done_us = costs.fold(*start_us, u64::saturating_add);
+            }
+            Record::VerdictRecorded { .. } => self.clock = self.clock.max(self.done_us),
+            Record::Shed { .. } => self.sheds.push(self.events.len()),
+            Record::Commit { clock_us, .. } => {
+                self.clock = self.clock.max(*clock_us);
+                for at in self.sheds.drain(..) {
+                    self.events[at].at_micros = self.clock;
                 }
             }
-            Record::Commit { clock_us, .. } => clock = clock.max(*clock_us),
-            _ => {}
+            Record::AccusationFiled { .. } => {}
         }
-        if let Some(event) = trace_event(rec, queued.len() as u64) {
-            out.push(Traced { at_micros: clock, event });
+        if let Some(event) = trace_event(record, self.queued.len() as u64) {
+            self.mark(event);
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::FailureReport;
+    use concilium_obs::ShedReason;
     use concilium_types::SimTime;
 
     fn admitted(seq: u64, input: u64, id: u64, arrival_us: u64) -> Record {
@@ -222,57 +181,31 @@ mod tests {
         }
     }
 
-    /// The ring a daemon holds after appending exactly `records`.
-    fn ring_of(records: &[Record]) -> FlightRecorder {
-        let mut ring = FlightRecorder::new();
-        for entry in records.iter().filter_map(FlightEntry::from_record) {
-            ring.push(entry);
-        }
-        ring
-    }
-
     #[test]
-    fn ring_is_a_pure_function_of_the_record_sequence() {
+    fn a_shed_tail_is_the_records_that_end_at_the_shed() {
+        let reason = ShedReason::MailboxFull;
+        let shed = |seq| Record::Shed { seq, input: seq, report_id: seq, reason };
         let records: Vec<Record> = (0..100)
-            .map(|i| {
-                if i % 3 == 0 {
-                    admitted(i, i, 1000 + i, 10 * i)
-                } else {
-                    Record::Commit { seq: i, next_input: i, clock_us: 10 * i }
-                }
-            })
+            .map(|i| if i % 10 == 9 { shed(i) } else { admitted(i, i, 1000 + i, 10 * i) })
             .collect();
-        let whole = ring_of(&records);
-        let mut incremental = ring_of(&records[..40]);
-        for rec in &records[40..] {
-            if let Some(e) = FlightEntry::from_record(rec) {
-                incremental.push(e);
-            }
-        }
-        assert_eq!(whole.tail(), incremental.tail());
-        assert_eq!(whole.entries.len(), FLIGHT_CAPACITY, "ring must evict past capacity");
+        let tail = shed_tail(&records, 59).expect("report 59 was shed");
+        assert_eq!(tail.len(), TAIL_RECORDS);
+        assert_eq!(tail.last(), Some(&shed(59)));
+        assert_eq!(shed_tail(&records, 9).map(<[Record]>::len), Some(10), "the journal's start");
+        assert_eq!(shed_tail(&records, 58), None, "report 58 was never shed");
     }
 
     #[test]
     fn shed_entries_render_their_reason_by_name() {
-        let shed = |aux| FlightEntry { seq: 7, kind: 2, key: 42, aux }.render();
         for (reason, name, _) in ShedReason::ALL {
-            assert_eq!(shed(reason.code()), format!("#7 shed report 42 (reason {name})"));
+            let shed = Record::Shed { seq: 7, input: 7, report_id: 42, reason };
+            assert_eq!(render(&shed), format!("#7 shed report 42 (reason {name})"));
         }
-        assert_eq!(shed(0), "#7 shed report 42 (reason mailbox-full)");
-        let unknown = ShedReason::ALL.len() as u64;
-        assert_eq!(shed(unknown), format!("#7 shed report 42 (reason {unknown})"));
-    }
-
-    #[test]
-    fn flight_tail_records_never_record_themselves() {
-        let tail = Record::FlightTail { seq: 9, report_id: 4, entries: Vec::new() };
-        assert_eq!(FlightEntry::from_record(&tail), None);
-        assert!(ring_of(&[tail]).entries.is_empty());
     }
 
     #[test]
     fn records_replay_into_a_causal_trace_stream() {
+        let cfg = ServeConfig::default();
         let records = vec![
             admitted(0, 0, 100, 1_000),
             Record::Commit { seq: 1, next_input: 1, clock_us: 1_000 },
@@ -287,13 +220,37 @@ mod tests {
                 accused: 2,
                 guilty: true,
             },
-            Record::Commit { seq: 6, next_input: 2, clock_us: 2_500 },
+            Record::Commit { seq: 6, next_input: 2, clock_us: 42_000 },
         ];
-        let traced = records_to_traced(&records);
-        let kinds: Vec<&str> = traced.iter().map(|t| t.event.label()).collect();
+        let restart = TraceEvent::SupervisorRestarted { incident: 1, budget_left: 2 };
+        let mut lift = Lift::new(&cfg);
+        for (i, record) in records.iter().enumerate() {
+            if i == 4 {
+                lift.mark(restart.clone());
+            }
+            lift.record(record);
+        }
+        lift.mark(restart);
+        let traced = lift.events;
+        let unmarked = traced.iter().filter(|t| t.event.label() != "restart");
+        assert!(records_to_traced(&cfg, &records).iter().eq(unmarked));
+        let stamped: Vec<(u64, &str)> =
+            traced.iter().map(|t| (t.at_micros, t.event.label())).collect();
+        // The shed takes its input's commit clock, the completion its
+        // batch's start plus the report's 20 ms base cost, and a mark the
+        // clock where it is spliced in.
         assert_eq!(
-            kinds,
-            ["admit", "journal-commit", "shed", "journal-commit", "complete", "journal-commit"]
+            stamped,
+            [
+                (1_000, "admit"),
+                (1_000, "journal-commit"),
+                (1_500, "shed"),
+                (1_500, "journal-commit"),
+                (1_500, "restart"),
+                (22_000, "complete"),
+                (42_000, "journal-commit"),
+                (42_000, "restart"),
+            ]
         );
         // The causal layer accepts the derived stream: the completion
         // chains back to its admission, the shed stands alone.

@@ -4,9 +4,12 @@
 //! through journal records (see [`crate::state::ServeState::apply`]), so
 //! the journal is both the recovery log and the canonical trace of the
 //! run: two runs whose journals are byte-identical went through exactly
-//! the same mutations. A crash at any byte boundary is recoverable —
-//! recovery scans valid frames, truncates the torn or uncommitted tail
-//! back to the last [`Record::Commit`] boundary, and replays.
+//! the same mutations. It is also the daemon's only record: the trace and
+//! the context `--explain` prints are read back out of it
+//! ([`crate::flight`]), never kept beside it. A crash at any byte
+//! boundary is recoverable — recovery scans valid frames, truncates the
+//! torn or uncommitted tail back to the last [`Record::Commit`]
+//! boundary, and replays.
 //!
 //! # Frame format
 //!
@@ -24,7 +27,6 @@ use std::sync::{Arc, Mutex};
 use concilium_crypto::sha256;
 use concilium_obs::ShedReason;
 
-use crate::flight::FlightEntry;
 use crate::report::FailureReport;
 
 /// Upper bound on one frame's payload; a length field beyond it is
@@ -109,21 +111,6 @@ pub enum Record {
         /// The daemon's virtual clock at the boundary, µs.
         clock_us: u64,
     },
-    /// A flushed flight-recorder tail: the ring of recent journal
-    /// activity at a shed (journaled and committed with its input) or a
-    /// supervisor-captured panic (written *uncommitted*, so recovery
-    /// truncates it and digests are unchanged). Replay ignores it — it
-    /// exists so post-crash `explain` can read the daemon's last
-    /// moments from the WAL alone.
-    FlightTail {
-        /// Record sequence number.
-        seq: u64,
-        /// The shed report that triggered the flush, or
-        /// [`crate::flight::PANIC_FLUSH`] for a panic flush.
-        report_id: u64,
-        /// The ring contents, oldest first.
-        entries: Vec<FlightEntry>,
-    },
 }
 
 impl Record {
@@ -135,8 +122,7 @@ impl Record {
             | Record::BatchStarted { seq, .. }
             | Record::VerdictRecorded { seq, .. }
             | Record::AccusationFiled { seq, .. }
-            | Record::Commit { seq, .. }
-            | Record::FlightTail { seq, .. } => *seq,
+            | Record::Commit { seq, .. } => *seq,
         }
     }
 
@@ -149,7 +135,6 @@ impl Record {
             Record::VerdictRecorded { .. } => "verdict",
             Record::AccusationFiled { .. } => "accusation",
             Record::Commit { .. } => "commit",
-            Record::FlightTail { .. } => "flight-tail",
         }
     }
 
@@ -185,12 +170,6 @@ impl Record {
             }
             Record::Commit { seq, next_input, clock_us } => {
                 all(&[6, *seq, *next_input, *clock_us]);
-            }
-            Record::FlightTail { seq, report_id, entries } => {
-                all(&[7, *seq, *report_id, entries.len() as u64]);
-                for e in entries {
-                    all(&[e.seq, e.kind, e.key, e.aux]);
-                }
             }
         }
     }
@@ -239,13 +218,6 @@ impl Record {
                 Record::AccusationFiled { seq, judge, accused, guilty_count }
             }
             (6, &[seq, next_input, clock_us]) => Record::Commit { seq, next_input, clock_us },
-            (7, &[seq, report_id, n, ref body @ ..])
-                if body.len() % 4 == 0 && (body.len() / 4) as u64 == n =>
-            {
-                let entry = |c: &[u64]| FlightEntry { seq: c[0], kind: c[1], key: c[2], aux: c[3] };
-                let entries = body.chunks_exact(4).map(entry).collect();
-                Record::FlightTail { seq, report_id, entries }
-            }
             _ => return None,
         };
         Some(rec)
@@ -511,14 +483,6 @@ mod tests {
             },
             Record::AccusationFiled { seq: 4, judge: 1, accused: 2, guilty_count: 3 },
             commit(5, 2),
-            Record::FlightTail {
-                seq: 6,
-                report_id: 101,
-                entries: vec![
-                    crate::flight::FlightEntry { seq: 0, kind: 1, key: 100, aux: 0 },
-                    crate::flight::FlightEntry { seq: 1, kind: 2, key: 101, aux: 1 },
-                ],
-            },
         ];
         for rec in &records {
             assert_eq!(Record::decode(&rec.encode()).as_ref(), Some(rec));

@@ -13,7 +13,9 @@
 //! - **Journaled recovery** ([`journal`], [`state`]): every state
 //!   mutation is a checksummed write-ahead record; a crash at any byte
 //!   boundary recovers by truncate-to-commit and idempotent replay, to
-//!   byte-identical state.
+//!   byte-identical state. The journal is the daemon's only record: its
+//!   trace and the context of a shed are read back out of it
+//!   ([`flight`]) when asked for, across crashes.
 //! - **Supervision** ([`supervisor`]): panic capture with a bounded
 //!   restart budget, escalating to degraded read-only mode when spent.
 //!
@@ -40,7 +42,7 @@ pub mod workload;
 
 pub use chaos::{chaos_plan, chaos_sweep, ChaosOutcome, ChaosSweepReport};
 pub use daemon::{Counters, Daemon, Health, PanicSite, RecoveryStats};
-pub use flight::{records_to_traced, FlightEntry, FlightRecorder, FLIGHT_CAPACITY, PANIC_FLUSH};
+pub use flight::{records_to_traced, render, shed_tail};
 pub use journal::{records_digest, Journal, Record, Recovery, SharedStore};
 pub use mailbox::Mailbox;
 pub use report::{FailureReport, LinkObs};
@@ -73,8 +75,6 @@ pub struct ServeConfig {
     pub members: usize,
     /// Restarts the supervisor allows before degrading to read-only.
     pub restart_budget: usize,
-    /// Trace ring capacity.
-    pub trace_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -96,7 +96,6 @@ impl Default for ServeConfig {
             },
             members: 32,
             restart_budget: 3,
-            trace_capacity: 2048,
         }
     }
 }

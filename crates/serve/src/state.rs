@@ -83,11 +83,7 @@ impl ServeState {
         match record {
             Record::Admitted { .. }
             | Record::Shed { .. }
-            | Record::BatchStarted { .. }
-            // Flight tails are pure observability: replay ignores them
-            // (beyond the seq high-water mark they share with every
-            // record).
-            | Record::FlightTail { .. } => {}
+            | Record::BatchStarted { .. } => {}
             Record::VerdictRecorded { judge, accused, guilty, .. } => {
                 let verdict = if *guilty { Verdict::Guilty } else { Verdict::Innocent };
                 self.book.record((*judge, *accused), verdict);

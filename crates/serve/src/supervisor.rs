@@ -13,16 +13,20 @@
 //! Because recovery truncates to the last commit and the daemon
 //! reprocesses from there with identical sequence numbers, the journal
 //! a supervised run leaves behind is byte-identical to an uninterrupted
-//! run's — the property [`crate::chaos`] sweeps verify.
+//! run's — the property [`crate::chaos`] sweeps verify. The supervisor
+//! journals nothing itself: its restarts, recoveries and degraded entry
+//! are kept as marks at the journal position of the boot they belong to,
+//! and [`SupervisedRun::trace`] splices them into the trace it lifts from
+//! the final journal.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
-use concilium_obs::{Registry, ShedReason, Trace, TraceEvent};
+use concilium_obs::{Registry, ShedReason, TraceEvent, Traced};
 
 use crate::daemon::{Counters, Daemon, PanicSite, RecoveryStats};
-use crate::flight::{FlightEntry, FlightRecorder, PANIC_FLUSH};
-use crate::journal::{Journal, Record, SharedStore};
+use crate::flight::Lift;
+use crate::journal::{Journal, SharedStore};
 use crate::report::FailureReport;
 use crate::ServeConfig;
 
@@ -39,7 +43,7 @@ pub struct KillPoint {
 }
 
 /// The outcome of a supervised run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SupervisedRun {
     /// Journal-derived counters from the final daemon incarnation.
     pub counters: Counters,
@@ -58,26 +62,67 @@ pub struct SupervisedRun {
     /// Reports still in flight when the run ended (nonzero only
     /// degraded).
     pub in_flight: u64,
-    /// Recovery stats per restart, in order.
+    /// Recovery stats per boot (the first, one per restart, the degraded
+    /// one), in order.
     pub recoveries: Vec<RecoveryStats>,
-    /// Supervisor-level trace (restart / degraded / recovery events).
-    pub trace: Trace,
     /// Supervisor-level metrics, merged with the final daemon's.
     pub metrics: Registry,
+    /// The supervisor's restart / recovered / degraded events, each with
+    /// the sequence number its boot resumed the journal at.
+    marks: Vec<(u64, TraceEvent)>,
+    /// Degraded-mode sheds, at their arrival: never journaled.
+    degraded_sheds: Vec<Traced>,
+    cfg: ServeConfig,
+    store: SharedStore,
 }
 
-/// Records one recovery in the supervisor's trace. The supervisor is the
-/// fact's only producer: it outlives every incarnation, while a crashed
-/// daemon's own ring dies with it.
-fn push_recovery(trace: &mut Trace, daemon: &Daemon, stats: &RecoveryStats) {
-    if stats.found_journal() {
-        trace.push(
-            daemon.health().clock_us,
-            TraceEvent::RecoveryReplayed {
-                records: stats.records_replayed as u64,
-                resumed_input: stats.resumed_input,
-            },
-        );
+impl SupervisedRun {
+    /// The run's trace, built when asked for from the final journal:
+    /// [`crate::records_to_traced`]'s events, with the supervisor's own
+    /// at the journal positions of the boots they belong to, then the
+    /// degraded-mode sheds. A killed run's trace is its uninterrupted
+    /// twin's plus one `restart` and one `recovered` event per kill.
+    pub fn trace(&self) -> Vec<Traced> {
+        let mut lift = Lift::new(&self.cfg);
+        let mut marks = self.marks.iter().peekable();
+        Journal::over(self.store.clone()).walk(|record, _, _| {
+            while let Some((_, event)) = marks.next_if(|(seq, _)| *seq <= record.seq()) {
+                lift.mark(event.clone());
+            }
+            lift.record(&record);
+        });
+        marks.for_each(|(_, event)| lift.mark(event.clone()));
+        lift.events.extend(self.degraded_sheds.iter().cloned());
+        lift.events
+    }
+
+    /// Marks one boot at the journal position `daemon` resumes at: the
+    /// events that led to it, then one `recovered` event if it found a
+    /// journal. The supervisor is these facts' only producer: it outlives
+    /// every incarnation.
+    fn boot(&mut self, daemon: &Daemon, stats: RecoveryStats, cause: Vec<TraceEvent>) {
+        let at = daemon.next_seq();
+        self.marks.extend(cause.into_iter().map(|event| (at, event)));
+        if stats.found_journal() {
+            let records = stats.records_replayed as u64;
+            let resumed_input = stats.resumed_input;
+            self.marks.push((at, TraceEvent::RecoveryReplayed { records, resumed_input }));
+        }
+        self.recoveries.push(stats);
+    }
+
+    /// Takes the final incarnation's counters, digests, backlog and
+    /// metrics.
+    fn close(mut self, daemon: &Daemon) -> SupervisedRun {
+        let health = daemon.health();
+        self.counters = daemon.counters();
+        self.journal_digest = daemon.journal_digest();
+        self.state_digest = daemon.state().digest();
+        self.queued = health.queue_depth as u64;
+        self.in_flight = health.in_flight as u64;
+        self.metrics.merge(daemon.metrics());
+        self.metrics.inc("serve.restarts", self.incidents);
+        self
     }
 }
 
@@ -101,93 +146,38 @@ impl Supervisor {
     /// supervision.
     pub fn run(self, inputs: &[FailureReport]) -> SupervisedRun {
         silence_chaos_panics();
-        let mut trace = Trace::with_capacity(self.cfg.trace_capacity);
-        let mut metrics = Registry::new();
-        let mut recoveries = Vec::new();
-        let mut incidents: u64 = 0;
-        let mut next_kill = 0usize;
+        let mut run = SupervisedRun {
+            cfg: self.cfg.clone(),
+            store: self.store.clone(),
+            ..SupervisedRun::default()
+        };
+        let mut cause = Vec::new();
+        let mut kills = self.kills.iter();
 
         loop {
             let (mut daemon, stats) = Daemon::recover(self.cfg.clone(), self.store.clone());
-            push_recovery(&mut trace, &daemon, &stats);
-            recoveries.push(stats);
-            if let Some(kill) = self.kills.get(next_kill) {
-                daemon.panic_at = Some((kill.input, kill.site));
-            }
+            run.boot(&daemon, stats, std::mem::take(&mut cause));
+            let kill = kills.next();
+            daemon.panic_at = kill.map(|k| (k.input, k.site));
 
             let outcome = catch_unwind(AssertUnwindSafe(move || {
                 daemon.run(inputs);
                 daemon.finish();
                 daemon
             }));
-            match outcome {
-                Ok(daemon) => {
-                    let health = daemon.health();
-                    metrics.merge(daemon.metrics());
-                    metrics.inc("serve.restarts", incidents);
-                    // Fold the final incarnation's trace ring into the
-                    // supervisor trace, so `--trace-out` carries the
-                    // daemon-level causal stream (admit/shed/complete/
-                    // commit), not just restart markers.
-                    for t in daemon.trace().events() {
-                        trace.push(t.at_micros, t.event.clone());
-                    }
-                    return SupervisedRun {
-                        counters: daemon.counters(),
-                        degraded_shed: 0,
-                        incidents,
-                        degraded: false,
-                        journal_digest: daemon.journal_digest(),
-                        state_digest: daemon.state().digest(),
-                        queued: health.queue_depth as u64,
-                        in_flight: health.in_flight as u64,
-                        recoveries,
-                        trace,
-                        metrics,
-                    };
-                }
-                Err(_) => {
-                    incidents += 1;
-                    // Panic flush: rebuild the crashed incarnation's
-                    // flight ring from the journal's valid prefix (every
-                    // append became a frame, committed or not) and write
-                    // it as an *uncommitted* FlightTail. The next
-                    // recovery truncates it — digests and byte-equality
-                    // sweeps are unchanged — but the on-disk image a
-                    // crash leaves behind carries the daemon's last
-                    // moments for post-mortem `explain`.
-                    {
-                        let mut journal = Journal::over(self.store.clone());
-                        let (mut ring, mut seq) = (FlightRecorder::new(), 0);
-                        journal.walk(|record, _, _| {
-                            seq = record.seq() + 1;
-                            if let Some(entry) = FlightEntry::from_record(&record) {
-                                ring.push(entry);
-                            }
-                        });
-                        journal.append(&Record::FlightTail {
-                            seq,
-                            report_id: PANIC_FLUSH,
-                            entries: ring.tail(),
-                        });
-                    }
-                    if let Some(kill) = self.kills.get(next_kill) {
-                        if !kill.torn_garbage.is_empty() {
-                            self.store.append(&kill.torn_garbage);
-                        }
-                        next_kill += 1;
-                    }
-                    let budget_left =
-                        (self.cfg.restart_budget as u64).saturating_sub(incidents);
-                    trace.push(0, TraceEvent::SupervisorRestarted {
-                        incident: incidents,
-                        budget_left,
-                    });
-                    metrics.inc("serve.incidents", 1);
-                    if incidents > self.cfg.restart_budget as u64 {
-                        return self.enter_degraded(inputs, incidents, recoveries, trace, metrics);
-                    }
-                }
+            if let Ok(daemon) = outcome {
+                return run.close(&daemon);
+            }
+            run.incidents += 1;
+            if let Some(kill) = kill {
+                self.store.append(&kill.torn_garbage);
+            }
+            let budget_left = (self.cfg.restart_budget as u64).saturating_sub(run.incidents);
+            cause.push(TraceEvent::SupervisorRestarted { incident: run.incidents, budget_left });
+            run.metrics.inc("serve.incidents", 1);
+            if run.incidents > self.cfg.restart_budget as u64 {
+                cause.push(TraceEvent::DegradedEntered { incidents: run.incidents });
+                return self.enter_degraded(inputs, run, cause);
             }
         }
     }
@@ -195,47 +185,24 @@ impl Supervisor {
     /// Budget exhausted: stop processing, shed the remaining workload
     /// with typed events, report from the recovered (read-only) state.
     fn enter_degraded(
-        self,
+        &self,
         inputs: &[FailureReport],
-        incidents: u64,
-        recoveries: Vec<RecoveryStats>,
-        mut trace: Trace,
-        mut metrics: Registry,
+        mut run: SupervisedRun,
+        cause: Vec<TraceEvent>,
     ) -> SupervisedRun {
         let (daemon, stats) = Daemon::recover(self.cfg.clone(), self.store.clone());
-        let health = daemon.health();
-        trace.push(health.clock_us, TraceEvent::DegradedEntered { incidents });
-        push_recovery(&mut trace, &daemon, &stats);
-        for t in daemon.trace().events() {
-            trace.push(t.at_micros, t.event.clone());
-        }
-        metrics.merge(daemon.metrics());
-        metrics.inc("serve.restarts", incidents);
-        metrics.set_gauge("serve.degraded", 1.0);
-
+        run.boot(&daemon, stats, cause);
+        let mut run = run.close(&daemon);
+        run.degraded = true;
+        run.metrics.set_gauge("serve.degraded", 1.0);
         let resume = daemon.state().next_input() as usize;
-        let mut degraded_shed = 0u64;
         for report in inputs.iter().skip(resume) {
-            degraded_shed += 1;
-            trace.push(
-                report.arrival.as_micros(),
-                TraceEvent::LoadShed { report: report.id, reason: ShedReason::Degraded },
-            );
-            metrics.inc(ShedReason::Degraded.metric(), 1);
+            let event = TraceEvent::LoadShed { report: report.id, reason: ShedReason::Degraded };
+            run.degraded_sheds.push(Traced { at_micros: report.arrival.as_micros(), event });
+            run.metrics.inc(ShedReason::Degraded.metric(), 1);
         }
-        SupervisedRun {
-            counters: daemon.counters(),
-            degraded_shed,
-            incidents,
-            degraded: true,
-            journal_digest: daemon.journal_digest(),
-            state_digest: daemon.state().digest(),
-            queued: health.queue_depth as u64,
-            in_flight: health.in_flight as u64,
-            recoveries,
-            trace,
-            metrics,
-        }
+        run.degraded_shed = run.degraded_sheds.len() as u64;
+        run
     }
 }
 
@@ -328,9 +295,6 @@ mod tests {
             run.counters.admitted
         );
         assert_eq!(run.metrics.counter("serve.shed.degraded"), run.degraded_shed);
-        assert!(run
-            .trace
-            .events()
-            .any(|t| matches!(t.event, TraceEvent::DegradedEntered { .. })));
+        assert!(run.trace().iter().any(|t| matches!(t.event, TraceEvent::DegradedEntered { .. })));
     }
 }

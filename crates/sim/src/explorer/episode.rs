@@ -182,7 +182,6 @@ pub(super) struct Episode<'w> {
     opts: &'w EpisodeOptions,
     seed: u64,
     protocol: ConciliumConfig,
-    accuracy: f64,
     delta: SimDuration,
     plan: FaultPlan,
     adv: AdversarySets,
@@ -297,7 +296,12 @@ impl<'w> Episode<'w> {
             }
         }
 
-        let protocol = ConciliumConfig::default();
+        // One probe accuracy per episode, the world's: accusations are
+        // built, judged and verified under it.
+        let protocol = ConciliumConfig {
+            probe_accuracy: world.config().probe_accuracy,
+            ..ConciliumConfig::default()
+        };
         // Strict no-false-blame needs two things: losses explained by the
         // network alone (no transport/coalition interference with the
         // evidence), and probing dense enough that every Δ window is
@@ -315,7 +319,6 @@ impl<'w> Episode<'w> {
             world,
             opts,
             seed,
-            accuracy: world.config().probe_accuracy,
             delta: protocol.delta,
             protocol,
             plan,
@@ -718,13 +721,14 @@ impl<'w> Episode<'w> {
             },
         )?;
         let link_ev = ev.to_link_evidence();
-        let blame = (self.opts.blame_fn)(&link_ev, self.accuracy);
+        let accuracy = self.protocol.probe_accuracy;
+        let blame = (self.opts.blame_fn)(&link_ev, accuracy);
         self.emit(
             now,
             TraceEvent::BlameComputed {
                 msg: idx as u64,
                 blame_ppb: ppb(blame),
-                accuracy_ppb: ppb(self.accuracy),
+                accuracy_ppb: ppb(accuracy),
                 links: ev
                     .per_link
                     .iter()
@@ -737,7 +741,7 @@ impl<'w> Episode<'w> {
             },
         )?;
         ensure(
-            check_blame(&link_ev, self.accuracy, blame, self.opts.check_blame_oracle, now),
+            check_blame(&link_ev, accuracy, blame, self.opts.check_blame_oracle, now),
             Some(EntityRef::message(idx as u64)),
         )?;
         let verdict = Verdict::from_blame(blame, self.protocol.blame_threshold);
@@ -854,7 +858,8 @@ impl<'w> Episode<'w> {
                     Window::Expiry => now,
                 };
                 let ev = self.gather_evidence(route[judge], route[accused], route[next], t0);
-                let blame = (self.opts.blame_fn)(&ev.to_link_evidence(), self.accuracy);
+                let accuracy = self.protocol.probe_accuracy;
+                let blame = (self.opts.blame_fn)(&ev.to_link_evidence(), accuracy);
                 // Judge 0's evidence is a rebuttal, which no revision cites.
                 if window == Window::Midpoint && judge > 0 {
                     cited.push(ev);

@@ -211,8 +211,14 @@ pub struct ExploreOutcome {
     pub traces: Vec<EpisodeTrace>,
 }
 
-/// Builds the canonical DST world: [`crate::SimConfig::tiny`] with link
-/// repairs fast enough to matter inside the ten-minute run.
+/// Builds the canonical DST world over [`dst_config`].
+pub fn dst_world(world_seed: u64) -> SimWorld {
+    let mut rng = StdRng::seed_from_u64(world_seed);
+    SimWorld::build(dst_config(), &mut rng)
+}
+
+/// The canonical DST world's configuration: [`crate::SimConfig::tiny`]
+/// with link repairs fast enough to matter inside the ten-minute run.
 ///
 /// The paper's ambient failure model (5% of links bad, 15-minute mean
 /// downtime) never repairs a link within a tiny run, which starves the
@@ -221,7 +227,7 @@ pub struct ExploreOutcome {
 /// the opposite — every protocol path exercised — so the explorer's world
 /// keeps the depth-weighted failure process but makes outages short and
 /// rarer (2% of links, ~60-second downtime).
-pub fn dst_world(world_seed: u64) -> SimWorld {
+pub fn dst_config() -> crate::SimConfig {
     let mut cfg = crate::SimConfig::tiny();
     cfg.failure.fraction_bad = 0.02;
     // Outages must outlast the episode retry horizon: an expired message
@@ -231,8 +237,7 @@ pub fn dst_world(world_seed: u64) -> SimWorld {
     cfg.failure.mean_downtime = SimDuration::from_secs(240);
     cfg.failure.sd_downtime = SimDuration::from_secs(30);
     cfg.failure.min_downtime = SimDuration::from_secs(180);
-    let mut rng = StdRng::seed_from_u64(world_seed);
-    SimWorld::build(cfg, &mut rng)
+    cfg
 }
 
 /// Runs one episode of `cfg` with `seed` over `world` and reports the

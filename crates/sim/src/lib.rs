@@ -72,7 +72,7 @@ pub use config::SimConfig;
 pub use engine::{EventQueue, ScheduleError};
 pub use evidence::PathEvidence;
 pub use explorer::{
-    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions,
+    dst_config, dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions,
     EpisodeReport, EpisodeStats, EpisodeTrace, ExploreOutcome, FailingCase,
 };
 pub use failhist::IndexedHistory;

@@ -14,10 +14,12 @@ use std::sync::OnceLock;
 use concilium::blame::LinkEvidence;
 use concilium_obs::{TraceEvent, DEFAULT_TRACE_CAPACITY};
 use concilium_sim::{
-    dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions, EpisodeReport,
-    ExploreOutcome, FailingCase, InvariantKind, SimWorld,
+    dst_config, dst_world, explore_jobs, run_episode, shrink, EpisodeConfig, EpisodeOptions,
+    EpisodeReport, ExploreOutcome, FailingCase, InvariantKind, SimConfig, SimWorld,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use concilium_types::SimTime;
 
 fn world() -> &'static SimWorld {
@@ -96,6 +98,21 @@ fn honest_sweep_satisfies_all_invariants() {
     );
     // The sweep must actually exercise the protocol, not vacuously pass.
     check_completeness(&out).unwrap();
+}
+
+/// An episode builds its accusations and judges them at one probe
+/// accuracy, its world's. On a world probing at a = 0.8, `byzantine` seed
+/// 43 failed `ChainIntegrity` with `BelowThreshold(0.391)` while
+/// accusations were still built at the protocol default a = 0.9.
+#[test]
+fn accusations_are_built_at_the_worlds_probe_accuracy() {
+    let config = SimConfig { probe_accuracy: 0.8, ..dst_config() };
+    let world = SimWorld::build(config, &mut StdRng::seed_from_u64(77));
+    let report = run_episode(&world, &EpisodeConfig::byzantine(), 43, &EpisodeOptions::default());
+    if let Some(v) = &report.violation {
+        panic!("{:?} at {}: {}", v.kind, v.at, v.detail);
+    }
+    assert!(report.stats.escalations > 0, "the episode must reach the accusation path");
 }
 
 #[test]

@@ -202,7 +202,8 @@ fn every_per_kind_consumer_denies_wildcard_arms() {
         ("crates/obs/src/causal.rs", "fn step("),
         ("crates/sim/src/explorer/episode.rs", "fn count("),
         ("crates/serve/src/flight.rs", "pub(crate) fn trace_event("),
-        ("crates/serve/src/flight.rs", "pub fn from_record("),
+        ("crates/serve/src/flight.rs", "pub fn render("),
+        ("crates/serve/src/flight.rs", "pub(crate) fn record("),
         ("crates/serve/src/daemon.rs", "fn absorb("),
         ("crates/serve/src/state.rs", "pub fn apply("),
     ];
@@ -360,6 +361,32 @@ fn stewardship_is_decided_once() {
 }
 
 #[test]
+fn the_journal_is_the_daemons_only_record() {
+    // `concilium-serve` records its history once, in the journal: the
+    // trace and a shed's context are read back out of it. No flight ring,
+    // flushed tail or live trace ring keeps a second copy, and one
+    // function maps a record to its trace event.
+    let mut defined = Vec::new();
+    for (rel, src) in first_party_sources() {
+        let code = code(&src);
+        if rel.starts_with("crates/serve/src/") {
+            for gone in ["FlightTail", "FlightRecorder", "trace_capacity"] {
+                assert!(!code.contains(gone), "{rel}: `{gone}` is back; read the journal instead");
+            }
+        }
+        if rel == "crates/serve/src/daemon.rs" {
+            let fields = code.split("pubstructDaemon{").nth(1).expect("`Daemon` is defined");
+            let fields = fields.split('}').next().unwrap_or_default();
+            assert!(!fields.contains(":Trace"), "`Daemon` keeps a `Trace` again");
+        }
+        for _ in code.matches("fntrace_event(") {
+            defined.push(rel.clone());
+        }
+    }
+    assert_eq!(defined, ["crates/serve/src/flight.rs"], "files defining `fn trace_event(`");
+}
+
+#[test]
 fn the_m_of_w_rule_is_decided_once() {
     // §3.4's windows and quota live in `core::verdict::VerdictBook`; each
     // driver records into a book and keeps only its own latch.
@@ -388,7 +415,7 @@ fn the_m_of_w_rule_is_decided_once() {
 #[test]
 fn the_journal_is_framed_once() {
     // `serve::journal` writes frames in place and reads them with one
-    // walker; digest, recovery and the panic flush all go through it, and
+    // walker; digest, recovery and the trace all go through it, and
     // nothing on the production path copies the store.
     let (mut framers, mut copiers, mut scanners) = (Vec::new(), Vec::new(), Vec::new());
     for (rel, src) in first_party_sources() {

@@ -13,9 +13,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use concilium_obs::{json, traced_from_json_line, CausalIndex, ShedReason, TraceEvent, Traced};
 use concilium_serve::journal::MAX_FRAME_BYTES;
 use concilium_serve::{
-    chaos_plan, chaos_sweep, records_digest, records_to_traced, Counters, Daemon, FailureReport,
-    FlightEntry, FlightRecorder, Journal, KillPoint, LinkObs, PanicSite, Record, ServeConfig,
-    ServeState, Shape, SharedStore, Supervisor, WorkloadSpec,
+    chaos_plan, chaos_sweep, records_digest, Counters, Daemon, FailureReport, Journal, KillPoint,
+    LinkObs, PanicSite, Record, ServeConfig, ServeState, Shape, SharedStore, Supervisor,
+    WorkloadSpec,
 };
 use concilium_types::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -200,27 +200,46 @@ fn two_x_saturation_sheds_typed_and_conserves() {
     assert!(peak <= cfg.mailbox_capacity as f64, "queue peaked at {peak}");
 }
 
-/// The trace an uninterrupted daemon emits live and the trace lifted back
-/// out of its journal are the same events — kind for kind, report for
-/// report, queue depth for queue depth — because both come from one
-/// `Record` → `TraceEvent` mapping at `Daemon::append`: what
-/// `concilium-serve --explain` answers from a WAL is what `--trace-out`
-/// showed. Times are not compared: a shed record carries none, so the
-/// lifted stream dates it at the latest journaled time.
-#[test]
-fn live_trace_equals_the_trace_lifted_from_the_journal() {
-    let (cfg, inputs) = overloaded();
-    let store = SharedStore::new();
-    let run = Supervisor::new(cfg, store.clone(), Vec::new()).run(&inputs);
-    assert_eq!(run.trace.dropped(), 0, "the ring must hold the whole run");
-    let live: Vec<&TraceEvent> = run.trace.events().map(|t| &t.event).collect();
-    for label in ["admit", "shed", "complete", "journal-commit"] {
-        assert!(live.iter().any(|e| e.label() == label), "no {label} event in the run");
-    }
+/// Kills at inputs 60 and 140 of the overloaded workload, one at each
+/// crash site.
+fn two_kills() -> Vec<KillPoint> {
+    [(60, PanicSite::AfterAdmission), (140, PanicSite::BeforeInput)]
+        .map(|(input, site)| KillPoint { input, site, torn_garbage: Vec::new() })
+        .to_vec()
+}
 
-    let (records, _) = Journal::over(store).scan();
-    let lifted = records_to_traced(&records);
-    assert_eq!(live, lifted.iter().map(|t| &t.event).collect::<Vec<_>>());
+/// A run's trace is read from the journal it leaves, so a killed run's
+/// trace is the uninterrupted run's plus the supervisor's own events:
+/// without its `restart` and `recovered` events, a twice-killed run
+/// exports the clean run's events, times included — not just the last
+/// incarnation's.
+#[test]
+fn a_twice_killed_run_exports_the_uninterrupted_trace() {
+    let (cfg, inputs) = overloaded();
+    let export =
+        |kills| Supervisor::new(cfg.clone(), SharedStore::new(), kills).run(&inputs).trace();
+    let clean = export(Vec::new());
+    for label in ["admit", "shed", "complete", "journal-commit"] {
+        assert!(clean.iter().any(|t| t.event.label() == label), "no {label} event in the run");
+    }
+    let killed = export(two_kills());
+    // Each recovery sits where it resumed the journal, at that commit's
+    // clock, so the export stays in time order.
+    assert!(killed.windows(2).all(|w| w[0].at_micros <= w[1].at_micros), "out of time order");
+    let mut resumed_at = None;
+    for t in &killed {
+        match t.event {
+            TraceEvent::JournalCommitted { next_input, .. } => resumed_at = Some(next_input),
+            TraceEvent::RecoveryReplayed { resumed_input, .. } => {
+                assert_eq!(resumed_at, Some(resumed_input), "recovered away from its commit");
+            }
+            _ => {}
+        }
+    }
+    let (supervisor, daemon): (Vec<Traced>, Vec<Traced>) =
+        killed.into_iter().partition(|t| matches!(t.event.label(), "restart" | "recovered"));
+    assert_eq!(supervisor.len(), 4, "one restart and one recovered event per kill");
+    assert!(daemon == clean, "the killed run's daemon events differ from the clean run's");
 }
 
 /// Each recovery is one `recovered` event in the exported trace — the
@@ -231,19 +250,15 @@ fn live_trace_equals_the_trace_lifted_from_the_journal() {
 #[test]
 fn a_twice_killed_run_exports_one_recovered_event_per_recovery() {
     let (cfg, inputs) = overloaded();
-    let kills = [(60, PanicSite::AfterAdmission), (140, PanicSite::BeforeInput)]
-        .map(|(input, site)| KillPoint { input, site, torn_garbage: Vec::new() })
-        .to_vec();
-    let run = Supervisor::new(cfg, SharedStore::new(), kills).run(&inputs);
+    let run = Supervisor::new(cfg, SharedStore::new(), two_kills()).run(&inputs);
     assert_eq!((run.incidents, run.degraded), (2, false));
-    assert_eq!(run.trace.dropped(), 0, "the ring must hold the whole run");
 
     let exported: Vec<Traced> = run
-        .trace
-        .to_jsonl(&[("episode", "serve"), ("seed", "99")])
-        .lines()
-        .map(|line| {
-            let parsed = json::parse(line).expect("exported line parses");
+        .trace()
+        .iter()
+        .map(|t| {
+            let line = t.to_json(&[("episode", "serve"), ("seed", "99")]);
+            let parsed = json::parse(&line).expect("exported line parses");
             traced_from_json_line(&parsed).expect("exported line decodes").0
         })
         .collect();
@@ -267,7 +282,6 @@ struct Rebuilt {
     queue_depth: usize,
     in_flight: usize,
     clock_us: u64,
-    flight: Vec<FlightEntry>,
 }
 
 fn rebuilt(daemon: &Daemon) -> Rebuilt {
@@ -278,13 +292,12 @@ fn rebuilt(daemon: &Daemon) -> Rebuilt {
         queue_depth: health.queue_depth,
         in_flight: health.in_flight,
         clock_us: health.clock_us,
-        flight: daemon.flight().entries().copied().collect(),
     }
 }
 
 /// The reference `Daemon::recover` is held to: recovery done the
 /// materialising way. Every committed record is collected into a `Vec`,
-/// then state, counters, flight ring, mailbox and in-flight batch are
+/// then state, counters, mailbox and in-flight batch are
 /// each derived from the whole list in a pass of their own.
 fn materialised_recovery(cfg: &ServeConfig, image: &[u8]) -> Rebuilt {
     let (records, _) = Journal::over(SharedStore::from_bytes(image.to_vec())).scan();
@@ -295,13 +308,9 @@ fn materialised_recovery(cfg: &ServeConfig, image: &[u8]) -> Rebuilt {
     replay(&mut state, records);
 
     let mut counters = Counters::default();
-    let mut ring = FlightRecorder::new();
     let (mut admitted, mut batched, mut completed) = (Vec::new(), Vec::new(), Vec::new());
     let mut last_batch: &[u64] = &[];
     for rec in records {
-        if let Some(entry) = FlightEntry::from_record(rec) {
-            ring.push(entry);
-        }
         match rec {
             Record::Admitted { report, .. } => {
                 counters.offered += 1;
@@ -322,7 +331,7 @@ fn materialised_recovery(cfg: &ServeConfig, image: &[u8]) -> Rebuilt {
                 completed.push(*report_id);
             }
             Record::AccusationFiled { .. } => counters.accusations += 1,
-            Record::Commit { .. } | Record::FlightTail { .. } => {}
+            Record::Commit { .. } => {}
         }
     }
     Rebuilt {
@@ -334,7 +343,6 @@ fn materialised_recovery(cfg: &ServeConfig, image: &[u8]) -> Rebuilt {
             .filter(|id| last_batch.contains(id) && !completed.contains(id))
             .count(),
         clock_us: state.clock_us(),
-        flight: ring.entries().copied().collect(),
     }
 }
 
@@ -357,7 +365,7 @@ fn recovers_like_the_reference(
 }
 
 /// Streaming recovery rebuilds what the materialising reference does —
-/// state, counters, queue and in-flight counts, clock and flight ring —
+/// state, counters, queue and in-flight counts and clock —
 /// at every commit boundary of a 2x-load round and at seeded chaos kill
 /// points (uncommitted tails and torn garbage included), and a daemon
 /// recovered there continues to the uninterrupted run's exact bytes.
@@ -462,8 +470,8 @@ fn an_over_frame_report_is_shed_as_oversize() {
     assert_eq!(c.admitted + c.shed, c.offered);
     assert_eq!(run.metrics.counter("serve.shed.oversize"), 1);
     assert!(run
-        .trace
-        .events()
+        .trace()
+        .iter()
         .any(|t| t.event == TraceEvent::LoadShed { report: 2, reason: ShedReason::Oversize }));
     let (recovered, stats) = Daemon::recover(cfg, store);
     assert_eq!((stats.truncated_bytes, stats.resumed_input), (0, 4));
