@@ -235,6 +235,13 @@ fn main() -> ExitCode {
         if out.failures.len() == 1 { "" } else { "s" },
     );
 
+    // The run's lanes, as `dst-sweep` prints a sweep's: a digest move names
+    // the kinds that moved.
+    println!("  trace digest {}", out.digest.hex());
+    for lane in out.digest.lanes() {
+        println!("  kind digest {lane}");
+    }
+
     if opts.compare_grid {
         let seeds: Vec<u64> = (0..8).collect();
         let grid = EpisodeConfig::standard_grid();
@@ -246,6 +253,14 @@ fn main() -> ExitCode {
             grid_cov.len(),
             grid_cov.novelty_of(&out.coverage),
         );
+    }
+
+    // Each corpus entry's replayed lanes, the kinds it never emits left out.
+    for entry in &out.corpus {
+        let replay = run_episode(&world, &entry.config, entry.seed, &episode_opts);
+        for lane in replay.digest.lanes().filter(|lane| lane.count > 0) {
+            println!("  {} kind digest {lane}", entry.name);
+        }
     }
 
     if let Some(dir) = &opts.corpus_out {

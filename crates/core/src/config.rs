@@ -62,6 +62,15 @@ impl ConciliumConfig {
             "blame threshold must be in [0,1], got {}",
             self.blame_threshold
         );
+        // Eq. 2–3 exonerate only on an observed down-fraction above
+        // f* = (a − θ)/(2a − 1) (DESIGN.md §10); at a ≤ 1 − θ, f* ≥ 1 and
+        // no evidence can clear a forwarder.
+        assert!(
+            self.probe_accuracy > 1.0 - self.blame_threshold,
+            "probe accuracy {} must exceed 1 − blame threshold {}, or no evidence can exonerate",
+            self.probe_accuracy,
+            self.blame_threshold
+        );
         assert!(self.window > 0, "window must be positive");
         assert!(
             self.guilty_quota > 0 && self.guilty_quota <= self.window,
@@ -94,5 +103,22 @@ mod tests {
     fn quota_above_window_rejected() {
         let c = ConciliumConfig { guilty_quota: 101, ..Default::default() };
         c.validate();
+    }
+
+    #[test]
+    fn accuracy_must_exceed_one_minus_the_threshold() {
+        let at = |probe_accuracy, blame_threshold| ConciliumConfig {
+            probe_accuracy,
+            blame_threshold,
+            ..Default::default()
+        };
+        // The paper's 0.9 / 0.4 and the daemon's 0.9 / 0.5 pass.
+        at(0.9, 0.4).validate();
+        at(0.9, 0.5).validate();
+        // At a = 1 − θ, f* = 1: no window can exonerate.
+        let boundary = std::panic::catch_unwind(|| at(0.6, 0.4).validate());
+        let err = boundary.expect_err("a = 0.6, θ = 0.4 must be refused");
+        let text = err.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(text.contains("no evidence can exonerate"), "{text}");
     }
 }

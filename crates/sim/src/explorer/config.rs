@@ -60,17 +60,12 @@ impl EpisodeConfig {
     }
 
     /// A lossy transport (15% message and 15% ack loss) with no Byzantine
-    /// hosts. Its duplicate, reorder and latency settings deliver nothing
-    /// extra: the episode reads only whether a fate delivers, so they
-    /// change only the plan's rng stream (ROADMAP item 2 makes them real).
+    /// hosts.
     pub fn lossy() -> Self {
         EpisodeConfig {
             faults: FaultConfig {
                 drop_probability: 0.15,
                 ack_drop_probability: 0.15,
-                duplicate_probability: 0.05,
-                reorder_probability: 0.05,
-                extra_latency_max: SimDuration::from_millis(50),
                 ..FaultConfig::default()
             },
             ..EpisodeConfig::default()
@@ -183,8 +178,8 @@ impl EpisodeConfig {
 
     /// Whether every lost message is explained by the network alone:
     /// no plan-level transport loss of messages or acknowledgments.
-    /// Duplication, reordering, latency, and churn do not lose messages,
-    /// so they keep a configuration network-only.
+    /// Churn does not lose messages, so it keeps a configuration
+    /// network-only.
     ///
     /// The no-false-blame invariant is enforced exactly in this regime.
     /// Under ambient transport loss, Concilium's §3.4 evidence can
@@ -211,9 +206,6 @@ impl EpisodeConfig {
         [
             f.drop_probability > 0.0,
             f.ack_drop_probability > 0.0,
-            f.duplicate_probability > 0.0,
-            f.reorder_probability > 0.0,
-            f.extra_latency_max > SimDuration::ZERO,
             f.churn.crash_fraction > 0.0,
             f.burst.enabled(),
             f.storm.fraction > 0.0,
@@ -240,10 +232,6 @@ impl EpisodeConfig {
              \x20   faults: FaultConfig {{\n\
              \x20       drop_probability: {:?},\n\
              \x20       ack_drop_probability: {:?},\n\
-             \x20       duplicate_probability: {:?},\n\
-             \x20       reorder_probability: {:?},\n\
-             \x20       extra_latency_max: SimDuration::from_micros({}),\n\
-             \x20       reorder_delay: SimDuration::from_micros({}),\n\
              \x20       delayer_shift: SimDuration::from_micros({}),\n\
              \x20       replay_age: SimDuration::from_micros({}),\n\
              \x20       churn: ChurnConfig {{\n\
@@ -274,10 +262,6 @@ impl EpisodeConfig {
              }}",
             f.drop_probability,
             f.ack_drop_probability,
-            f.duplicate_probability,
-            f.reorder_probability,
-            f.extra_latency_max.as_micros(),
-            f.reorder_delay.as_micros(),
             f.delayer_shift.as_micros(),
             f.replay_age.as_micros(),
             f.churn.crash_fraction,
@@ -360,10 +344,6 @@ impl EpisodeConfig {
             match key {
                 "drop_probability" => f.drop_probability = f64v(key, value)?,
                 "ack_drop_probability" => f.ack_drop_probability = f64v(key, value)?,
-                "duplicate_probability" => f.duplicate_probability = f64v(key, value)?,
-                "reorder_probability" => f.reorder_probability = f64v(key, value)?,
-                "extra_latency_max" => f.extra_latency_max = durv(key, value)?,
-                "reorder_delay" => f.reorder_delay = durv(key, value)?,
                 "delayer_shift" => f.delayer_shift = durv(key, value)?,
                 "replay_age" => f.replay_age = durv(key, value)?,
                 "crash_fraction" => f.churn.crash_fraction = f64v(key, value)?,

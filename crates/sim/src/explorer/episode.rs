@@ -24,6 +24,7 @@ use concilium_tomography::{LinkObservation, TomographySnapshot};
 use concilium_types::{Id, LinkId, MsgId, SimDuration, SimTime};
 
 use super::{EpisodeConfig, EpisodeOptions, EpisodeReport, EpisodeStats};
+use crate::faults::key;
 use crate::invariants::{
     check_blame, check_conservation, check_metrics_conservation, check_tomography, check_window,
     InvariantKind, TraceHasher, Violation,
@@ -56,6 +57,52 @@ fn data_retry_policy() -> RetryPolicy {
 const ADV_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 const MSG_SALT: u64 = 0xd1b5_4a32_d192_ed03;
 
+/// What a keyed draw decides (DESIGN.md §7). A draw's key is the episode
+/// seed, its stage and the ids listed here, so no draw depends on how many
+/// came before it: a flipped verdict or a zeroed knob moves only the
+/// decisions it reaches.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Whether a data attempt crosses the transport: (msg, attempt).
+    Transport,
+    /// Whether an attempt's ack comes back: (msg, attempt).
+    Ack,
+    /// Whether a remote snapshot reaches the judge: (judge, accused,
+    /// window centre, link, origin).
+    Evidence,
+    /// A message's retransmit schedule: (msg).
+    RetryJitter,
+    /// Whether a revision handoff attempt arrives: (msg, step, attempt).
+    Handoff,
+    /// The backoff a handoff's retries draw and discard: (msg, step).
+    HandoffJitter,
+    /// Whether a DHT put reaches a replica: (msg, replica, attempt).
+    DhtPut,
+    /// The backoff a DHT insert's retries draw and discard: (msg).
+    DhtJitter,
+    /// An ack's signature nonce: (msg, attempt).
+    AckNonce,
+    /// A forwarding commitment's nonce: (msg, accuser position).
+    CommitNonce,
+    /// A re-signed snapshot's nonce: (msg, accuser position, snapshot).
+    SnapshotNonce,
+    /// An accusation's nonce: (msg, accuser position).
+    AccuseNonce,
+}
+
+impl Stage {
+    /// The key of the decision this stage makes about `ids` in the
+    /// episode seeded `seed`.
+    fn key(self, seed: u64, ids: &[u64]) -> u64 {
+        key(seed, self as u64, ids)
+    }
+
+    /// A generator for an API that takes `&mut R`, seeded by the key.
+    fn rng(self, seed: u64, ids: &[u64]) -> StdRng {
+        StdRng::seed_from_u64(self.key(seed, ids))
+    }
+}
+
 /// Lifts an `invariants::check_*` answer onto the step's error path,
 /// naming the entity the violation is about.
 fn ensure(check: Option<Violation>, entity: Option<EntityRef>) -> Result<(), Violation> {
@@ -87,7 +134,8 @@ struct MsgInfo {
 #[derive(Clone)]
 enum Ev {
     Send(usize),
-    Ack(usize),
+    /// The ack of a message's numbered attempt.
+    Ack(usize, u32),
     Tick,
 }
 
@@ -185,7 +233,6 @@ pub(super) struct Episode<'w> {
     delta: SimDuration,
     plan: FaultPlan,
     adv: AdversarySets,
-    rng: StdRng,
     flows: Vec<(usize, usize)>,
     /// Overlay route per flow, computed once at construction: routing
     /// tables are static within an episode, so every send and retransmit
@@ -256,6 +303,8 @@ impl<'w> Episode<'w> {
                     cfg.adaptive_fraction,
                     &mut arng,
                 );
+        // Flows and send times are drawn once, here, in order; every later
+        // draw is keyed by what it decides (`Stage`).
         let mut rng = StdRng::seed_from_u64(seed ^ MSG_SALT);
 
         // Pick flows, preferring routes with at least one intermediate hop
@@ -323,7 +372,6 @@ impl<'w> Episode<'w> {
             protocol,
             plan,
             adv,
-            rng,
             flows,
             flow_routes,
             sends,
@@ -491,7 +539,7 @@ impl<'w> Episode<'w> {
             self.stats.events += 1;
             match ev {
                 Ev::Send(idx) => self.on_send(idx, t)?,
-                Ev::Ack(idx) => self.on_ack_event(idx, t)?,
+                Ev::Ack(idx, attempt) => self.on_ack_event(idx, attempt, t)?,
                 Ev::Tick => self.emit(t, TraceEvent::Tick)?,
             }
             self.poll_retransmits(t)?;
@@ -525,15 +573,17 @@ impl<'w> Episode<'w> {
             return self.emit(t, TraceEvent::ChurnBlocked { msg: idx as u64 });
         }
         let outcome = self.world.route_fate_on_route(&route, t, &self.adv);
-        let fate = self.plan.fate(t);
         // Plan-level drops model loss on the first overlay hop: the next
         // hop never receives the message and never commits to it.
-        let plan_dropped = !fate.delivered();
+        let m = idx as u64;
+        self.plan.step_burst();
+        let plan_dropped = !self.plan.delivers(Stage::Transport.key(self.seed, &[m, 1]));
         let taken = outcome.hops();
         let received_upto = if plan_dropped { 0 } else { taken - 1 };
         let truly_delivered = !plan_dropped && outcome.delivered();
         let msg = MsgId(idx as u64 + 1);
-        self.retrans.on_send(msg, target, t, &mut self.rng);
+        let mut jitter = Stage::RetryJitter.rng(self.seed, &[m]);
+        self.retrans.on_send(msg, target, t, &mut jitter);
         self.msg_state[idx] = MsgState::InFlight;
         self.stats.sent += 1;
         if truly_delivered {
@@ -572,14 +622,15 @@ impl<'w> Episode<'w> {
                 self.emit(t, TraceEvent::FaultInjected { msg: idx as u64, kind })?;
             }
         }
-        if truly_delivered && self.plan.host_up(dst, t) && self.plan.ack_arrives(&self.adv, dst)
-        {
-            self.queue.schedule(t + RTT, Ev::Ack(idx));
+        let ack_key = Stage::Ack.key(self.seed, &[m, 1]);
+        let acked = self.plan.host_up(dst, t) && self.plan.ack_arrives(&self.adv, dst, ack_key);
+        if truly_delivered && acked {
+            self.queue.schedule(t + RTT, Ev::Ack(idx, 1));
         }
         Ok(())
     }
 
-    fn on_ack_event(&mut self, idx: usize, t: SimTime) -> Result<(), Violation> {
+    fn on_ack_event(&mut self, idx: usize, attempt: u32, t: SimTime) -> Result<(), Violation> {
         let _span = concilium_obs::span("episode.ack");
         self.emit(t, TraceEvent::AckReceived { msg: idx as u64 })?;
         let info = self.infos[idx].clone().expect("acks only follow sends");
@@ -591,7 +642,7 @@ impl<'w> Episode<'w> {
             AckBody::Single(info.msg),
             t,
             dest.keys(),
-            &mut self.rng,
+            &mut Stage::AckNonce.rng(self.seed, &[idx as u64, u64::from(attempt)]),
         );
         if !ack.verify(&dest.public_key()) {
             // A steward discards unverifiable acks; ours are well-formed
@@ -626,11 +677,13 @@ impl<'w> Episode<'w> {
                 t,
                 TraceEvent::RetryFired { msg: idx as u64, attempt: u64::from(p.attempt) },
             )?;
+            let decision = [idx as u64, u64::from(p.attempt)];
             let info = self.infos[idx].clone().expect("registered messages have info");
             let (_, dst) = self.flows[info.flow];
             // The retransmission crosses the network as it is *now*, along
             // the flow's (static) route.
-            let transported = self.plan.transport_delivers();
+            self.plan.step_burst();
+            let transported = self.plan.delivers(Stage::Transport.key(self.seed, &decision));
             let route_up = info.route.iter().all(|&h| self.plan.host_up(h, t));
             let reaches = transported
                 && route_up
@@ -645,8 +698,8 @@ impl<'w> Episode<'w> {
                         i.received_upto = i.route.len() - 1;
                     }
                 }
-                if self.plan.ack_arrives(&self.adv, dst) {
-                    let _ = self.queue.try_schedule(t + RTT, Ev::Ack(idx));
+                if self.plan.ack_arrives(&self.adv, dst, Stage::Ack.key(self.seed, &decision)) {
+                    let _ = self.queue.try_schedule(t + RTT, Ev::Ack(idx, p.attempt));
                 }
             }
         }
@@ -808,7 +861,9 @@ impl<'w> Episode<'w> {
             let mut kept = Vec::new();
             for &(origin, up) in own.iter().chain(unseen) {
                 if origin != judge {
-                    if !self.plan.transport_delivers() {
+                    let (window, link) = (t0.as_micros(), u64::from(link.0));
+                    let ids = [judge as u64, accused as u64, window, link, origin as u64];
+                    if !self.plan.delivers(Stage::Evidence.key(self.seed, &ids)) {
                         continue;
                     }
                     if !self.plan.host_up(origin, t0) {
@@ -919,10 +974,11 @@ impl<'w> Episode<'w> {
         amendments: &[Amendment],
         cited: &[Gathered],
     ) -> Result<(), Violation> {
-        let world = self.world;
+        let (world, seed) = (self.world, self.seed);
         let route = &info.route;
+        let m = info.msg.0 - 1;
         let broken = |detail: String| {
-            let entity = EntityRef::message(info.msg.0 - 1);
+            let entity = EntityRef::message(m);
             Violation::new(InvariantKind::ChainIntegrity, now, entity, detail)
         };
         let next_pos = 2.min(route.len() - 1);
@@ -940,11 +996,14 @@ impl<'w> Episode<'w> {
                 Amendment::Commitment => &uncited,
             };
             let revision = self.build_accusation(info, accuser_pos, accused_pos, next_pos, ev);
-            let plan = &mut self.plan;
+            let step = j as u64;
+            let arrives = |attempt: u32| {
+                self.plan.delivers(Stage::Handoff.key(seed, &[m, step, u64::from(attempt)]))
+            };
             let outcome = chain.amend_with_retry(
                 &policy,
-                |_, _| if plan.transport_delivers() { Some(revision.clone()) } else { None },
-                &mut self.rng,
+                |_, attempt| arrives(attempt).then(|| revision.clone()),
+                &mut Stage::HandoffJitter.rng(seed, &[m, step]),
             );
             let amended = match outcome {
                 Ok(HandoffOutcome::Amended { .. }) => true,
@@ -1006,16 +1065,19 @@ impl<'w> Episode<'w> {
             let entity = EntityRef::host(culprit as u64);
             Violation::new(InvariantKind::DhtDurability, now, entity, detail)
         };
-        let plan = &mut self.plan;
+        let plan = &self.plan;
         let result = self.dht.insert_with_retry(
             &culprit_pk,
             final_acc.clone(),
             &policy,
-            |replica, _| match world.index_of(replica) {
-                Some(h) => plan.host_up(h, now) && plan.transport_delivers(),
+            |replica, attempt| match world.index_of(replica) {
+                Some(h) => {
+                    let put = Stage::DhtPut.key(seed, &[m, h as u64, u64::from(attempt)]);
+                    plan.host_up(h, now) && plan.delivers(put)
+                }
                 None => false,
             },
-            &mut self.rng,
+            &mut Stage::DhtJitter.rng(seed, &[m]),
         );
         match result {
             Ok(stored) => {
@@ -1049,15 +1111,16 @@ impl<'w> Episode<'w> {
     /// `route[accused_pos]`, re-signing the gathered observations as the
     /// snapshots the verifier would recompute blame from.
     fn build_accusation(
-        &mut self,
+        &self,
         info: &MsgInfo,
         accuser_pos: usize,
         accused_pos: usize,
         next_pos: usize,
         ev: &Gathered,
     ) -> Accusation {
-        let world = self.world;
+        let (world, seed) = (self.world, self.seed);
         let route = &info.route;
+        let position = [info.msg.0 - 1, accuser_pos as u64];
         let accuser = world.node(route[accuser_pos]);
         let accused = world.node(route[accused_pos]);
         let dest_id = world.node(*route.last().expect("routes are non-empty")).id();
@@ -1077,7 +1140,7 @@ impl<'w> Episode<'w> {
             dest_id,
             t0,
             accused.keys(),
-            &mut self.rng,
+            &mut Stage::CommitNonce.rng(seed, &position),
         );
         let path_links = ev.per_link.iter().map(|(link, _)| *link).collect();
         let mut snapshots = Vec::new();
@@ -1085,12 +1148,15 @@ impl<'w> Episode<'w> {
             for &(origin, up) in obs {
                 let o = world.node(origin);
                 let stamped = self.plan.snapshot_time(&self.adv, origin, t0);
+                // One origin may report a link several times in the window:
+                // the snapshot's index in the accusation tells them apart.
+                let snapshot = [position[0], position[1], snapshots.len() as u64];
                 snapshots.push(TomographySnapshot::new_signed(
                     o.id(),
                     stamped,
                     vec![LinkObservation::binary(*link, up)],
                     o.keys(),
-                    &mut self.rng,
+                    &mut Stage::SnapshotNonce.rng(seed, &snapshot),
                 ));
             }
         }
@@ -1101,7 +1167,7 @@ impl<'w> Episode<'w> {
             snapshots,
             &self.protocol,
             accuser.keys(),
-            &mut self.rng,
+            &mut Stage::AccuseNonce.rng(seed, &position),
         )
     }
 }

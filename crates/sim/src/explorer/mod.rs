@@ -8,8 +8,8 @@
 //! forwarder when every attempt expires, accumulate verdicts in m-of-w
 //! windows, and escalate to formal accusations that walk the §3.5
 //! revision chain and land in the accusation DHT. A seeded
-//! [`crate::FaultPlan`] perturbs the transport (drops, duplicates,
-//! reordering, latency, churn) and an [`crate::AdversarySets`] assigns
+//! [`crate::FaultPlan`] perturbs the transport (message and ack loss, burst
+//! loss, churn) and an [`crate::AdversarySets`] assigns
 //! Byzantine roles. Every invariant from [`crate::invariants`] is
 //! evaluated as the episode runs, and the types carry the abort: each
 //! step of the engine returns `Result<(), Violation>`, so the first
@@ -18,7 +18,9 @@
 //! that event, which is still hashed, counted and kept in the trace ring.
 //!
 //! Episodes are bit-deterministic: the same world, seed, and
-//! [`EpisodeConfig`] produce the same per-kind trace fingerprint. The
+//! [`EpisodeConfig`] produce the same per-kind trace fingerprint. Every
+//! draw after construction is keyed by what it decides (DESIGN.md §7), so
+//! a change reaches only the decisions it touches. The
 //! [`explore_jobs`] sweep runs a seed × configuration grid and reports the
 //! first failure; [`shrink`] then minimises the failing configuration —
 //! dropping adversary roles, zeroing fault knobs, halving magnitudes and

@@ -165,15 +165,6 @@ pub(crate) fn shrink_candidates(cfg: &EpisodeConfig) -> Vec<EpisodeConfig> {
     if cfg.faults.ack_drop_probability > 0.0 {
         push(&|c| c.faults.ack_drop_probability = 0.0);
     }
-    if cfg.faults.duplicate_probability > 0.0 {
-        push(&|c| c.faults.duplicate_probability = 0.0);
-    }
-    if cfg.faults.reorder_probability > 0.0 {
-        push(&|c| c.faults.reorder_probability = 0.0);
-    }
-    if cfg.faults.extra_latency_max > SimDuration::ZERO {
-        push(&|c| c.faults.extra_latency_max = SimDuration::ZERO);
-    }
     // Remove churn, the burst channel, and the churn storm.
     if cfg.faults.churn.crash_fraction > 0.0 {
         push(&|c| c.faults.churn.crash_fraction = 0.0);

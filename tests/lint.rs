@@ -386,6 +386,45 @@ fn the_journal_is_the_daemons_only_record() {
     assert_eq!(defined, ["crates/serve/src/flight.rs"], "files defining `fn trace_event(`");
 }
 
+/// The names of `struct_name`'s fields (in `src`) whose type is `StdRng`.
+fn rng_fields(src: &str, struct_name: &str) -> Vec<String> {
+    let code = code(src);
+    let opener = format!("struct{struct_name}{{");
+    let body = code.split(&opener).nth(1).unwrap_or_else(|| panic!("`{struct_name}` is defined"));
+    let body = body.split('}').next().unwrap_or_default();
+    body.split(',').filter_map(|field| field.strip_suffix(":StdRng")).map(str::to_string).collect()
+}
+
+#[test]
+fn the_episode_draws_are_keyed() {
+    // Every draw an episode makes after construction is keyed by what it
+    // decides (DESIGN.md §7): neither the episode nor its fault plan keeps
+    // a positional stream, except the Gilbert–Elliott channel, whose
+    // transitions are state by definition. The delivery surface no driver
+    // observed — fates with copies and times, `inject`, and the four knobs
+    // only it read — stays gone until ROADMAP item 2 schedules deliveries.
+    let episode = read("crates/sim/src/explorer/episode.rs");
+    assert_eq!(rng_fields(&episode, "Episode<'w>"), Vec::<String>::new(), "`Episode` keeps an rng");
+    let faults = read("crates/sim/src/faults.rs");
+    assert_eq!(rng_fields(&faults, "FaultPlan"), ["burst_rng"], "`FaultPlan`'s rng fields");
+    let gone = [
+        "MessageFate",
+        "duplicate_probability",
+        "reorder_probability",
+        "extra_latency_max",
+        "reorder_delay",
+    ];
+    for (rel, src) in first_party_sources() {
+        for name in gone {
+            assert!(!src.contains(name), "{rel}: `{name}` is back");
+        }
+        assert!(!code(&src).contains("fninject"), "{rel}: `fn inject` is back");
+    }
+    // The check is not blind: a struct with an rng field is reported.
+    let planted = "pub struct FaultPlan {\n    cfg: FaultConfig,\n    rng: StdRng,\n}";
+    assert_eq!(rng_fields(planted, "FaultPlan"), ["rng"]);
+}
+
 #[test]
 fn the_m_of_w_rule_is_decided_once() {
     // §3.4's windows and quota live in `core::verdict::VerdictBook`; each
