@@ -105,8 +105,8 @@ fn print_outcome(out: &ExploreOutcome) {
         out.episodes_run, t.sent, t.delivered, t.settled, t.expired
     );
     println!(
-        "  judged {}  guilty {}  escalations {}  dissolved {}  chains {}  dht-refused {}",
-        t.judged, t.guilty, t.escalations, t.dissolved, t.chains_checked, t.dht_refused
+        "  judged {}  guilty {}  escalations {}  honest-escalations {}  dissolved {}  chains {}  dht-refused {}",
+        t.judged, t.guilty, t.escalations, t.honest_escalations, t.dissolved, t.chains_checked, t.dht_refused
     );
     println!("  trace digest {}", out.trace_digest);
     // One line per lane (label, events, fold): a digest move names the

@@ -172,48 +172,28 @@ impl AdversarySets {
         }
     }
 
-    /// Samples the Byzantine roles of the fault-injection harness on top
-    /// of existing assignments: `withholder_fraction` of hosts withhold
-    /// acknowledgments, `delayer_fraction` delay their snapshots past the
-    /// admissibility window, and `replayer_fraction` replay stale
-    /// snapshots. The three draws are independent of each other and of the
-    /// dropper/colluder sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any fraction is outside `[0, 1]`.
-    pub(crate) fn sample_byzantine<R: Rng + ?Sized>(
-        mut self,
+    /// Samples the fault-injection harness's other five roles on top of
+    /// existing assignments, one independent draw each, in the order of
+    /// `fractions`: ack withholders, probe delayers (snapshots shifted past
+    /// the admissibility window), stale replayers, a colluding accuser
+    /// coalition, and adaptive droppers (drop only while unprobed). The
+    /// episode range-checks every fraction (`EpisodeConfig::validate`) first.
+    pub(crate) fn sample_roles<R: Rng + ?Sized>(
+        self,
         num_hosts: usize,
-        withholder_fraction: f64,
-        delayer_fraction: f64,
-        replayer_fraction: f64,
+        fractions: [f64; 5],
         rng: &mut R,
     ) -> Self {
-        self.ack_withholders = draw("ack withholder", num_hosts, withholder_fraction, rng);
-        self.probe_delayers = draw("probe delayer", num_hosts, delayer_fraction, rng);
-        self.stale_replayers = draw("stale replayer", num_hosts, replayer_fraction, rng);
-        self
-    }
-
-    /// Samples the extended scenario-family roles the fuzzer opens:
-    /// `coalition_fraction` of hosts form a colluding accuser coalition
-    /// and `adaptive_fraction` drop messages only while unprobed. Both
-    /// draws are independent of every other role set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either fraction is outside `[0, 1]`.
-    pub(crate) fn sample_extended<R: Rng + ?Sized>(
-        mut self,
-        num_hosts: usize,
-        coalition_fraction: f64,
-        adaptive_fraction: f64,
-        rng: &mut R,
-    ) -> Self {
-        self.coalition = draw("coalition", num_hosts, coalition_fraction, rng);
-        self.adaptive_droppers = draw("adaptive dropper", num_hosts, adaptive_fraction, rng);
-        self
+        let [ack_withholders, probe_delayers, stale_replayers, coalition, adaptive_droppers] =
+            fractions.map(|fraction| draw(num_hosts, fraction, rng));
+        AdversarySets {
+            ack_withholders,
+            probe_delayers,
+            stale_replayers,
+            coalition,
+            adaptive_droppers,
+            ..self
+        }
     }
 
     /// Whether host `h` drops messages.
@@ -277,12 +257,7 @@ impl AdversarySets {
 }
 
 /// `fraction` of `num_hosts`, the head of one shuffle of every host.
-///
-/// # Panics
-///
-/// Panics if `fraction` is outside `[0, 1]`.
-fn draw<R: Rng + ?Sized>(name: &str, num_hosts: usize, fraction: f64, rng: &mut R) -> HostSet {
-    assert!((0.0..=1.0).contains(&fraction), "{name} fraction must be in [0,1], got {fraction}");
+fn draw<R: Rng + ?Sized>(num_hosts: usize, fraction: f64, rng: &mut R) -> HostSet {
     let mut order: Vec<usize> = (0..num_hosts).collect();
     order.shuffle(rng);
     let k = (num_hosts as f64 * fraction).round() as usize;
@@ -361,7 +336,7 @@ mod tests {
     fn byzantine_roles_sample_independently() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = AdversarySets::sample(100, 0.2, 0.0, &mut rng)
-            .sample_byzantine(100, 0.1, 0.3, 0.05, &mut rng);
+            .sample_roles(100, [0.1, 0.3, 0.05, 0.0, 0.0], &mut rng);
         assert_eq!(a.droppers.len(), 20);
         assert_eq!(a.ack_withholders.len(), 10);
         assert_eq!(a.probe_delayers.len(), 30);
@@ -373,7 +348,7 @@ mod tests {
     fn extended_roles_sample_independently() {
         let mut rng = StdRng::seed_from_u64(11);
         let a = AdversarySets::sample(100, 0.1, 0.0, &mut rng)
-            .sample_extended(100, 0.15, 0.2, &mut rng);
+            .sample_roles(100, [0.0, 0.0, 0.0, 0.15, 0.2], &mut rng);
         assert_eq!(a.coalition.len(), 15);
         assert_eq!(a.adaptive_droppers.len(), 20);
         let c = a.coalition.iter().next().unwrap();
@@ -386,20 +361,6 @@ mod tests {
             .expect("most hosts stay honest");
         assert!(!a.is_coalition(honest));
         assert!(!a.is_adaptive_dropper(honest));
-    }
-
-    #[test]
-    #[should_panic(expected = "coalition fraction")]
-    fn bad_coalition_fraction_rejected() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let _ = AdversarySets::none().sample_extended(10, 1.5, 0.0, &mut rng);
-    }
-
-    #[test]
-    #[should_panic(expected = "ack withholder fraction")]
-    fn bad_byzantine_fraction_rejected() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let _ = AdversarySets::none().sample_byzantine(10, -0.1, 0.0, 0.0, &mut rng);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! The fault grid: [`EpisodeConfig`], its seven presets, and the
 //! copy-pasteable literal corpus entries and reproducers are written in.
 
+use std::fmt::{self, Write};
+use std::ops::Range;
+
 use concilium_types::SimDuration;
 
-use crate::faults::{BurstConfig, StormConfig};
+use self::Slot::{D, N, P};
+use crate::faults::{BurstConfig, FaultError, StormConfig};
 use crate::{ChurnConfig, FaultConfig};
 
 /// One arm of the fault grid: a [`FaultConfig`] for the transport plus
@@ -200,118 +204,136 @@ impl EpisodeConfig {
             && self.coalition_fraction == 0.0
     }
 
-    /// Number of fault dimensions that are active (non-zero).
+    /// Number of fault dimensions that are active: the probabilities
+    /// that are off by default (the transport losses, churn, the burst
+    /// channel's entry, the storm and the seven roles) and non-zero here.
     pub fn active_dimensions(&self) -> usize {
-        let f = &self.faults;
+        let (mut cfg, mut off) = (self.clone(), EpisodeConfig::default());
+        cfg.knobs()
+            .into_iter()
+            .zip(off.knobs())
+            .filter(|((_, v), (_, d))| matches!((v, d), (P(v), P(d)) if **d == 0.0 && **v > 0.0))
+            .count()
+    }
+
+    /// Every knob with its literal path, in literal line order: the one
+    /// statement of the grid's knobs. Rendering, parsing, [`Self::validate`],
+    /// [`Self::active_dimensions`] and the role and transport passes of the
+    /// shrinker and the fuzzer fold over it. The destructuring names every
+    /// field, so a new one does not compile until it has a row.
+    pub(crate) fn knobs(&mut self) -> [(&'static str, Slot<'_>); 22] {
+        let EpisodeConfig {
+            faults, dropper_fraction, colluder_fraction, withholder_fraction, delayer_fraction,
+            replayer_fraction, coalition_fraction, adaptive_fraction, flows, messages_per_flow,
+        } = self;
+        let FaultConfig {
+            drop_probability, ack_drop_probability, delayer_shift, replay_age, churn, burst, storm,
+        } = faults;
+        let ChurnConfig { crash_fraction, mean_outage, min_outage } = churn;
+        let BurstConfig { good_to_bad, bad_to_good, bad_loss } = burst;
+        let StormConfig { fraction, start_frac, duration } = storm;
         [
-            f.drop_probability > 0.0,
-            f.ack_drop_probability > 0.0,
-            f.churn.crash_fraction > 0.0,
-            f.burst.enabled(),
-            f.storm.fraction > 0.0,
-            self.dropper_fraction > 0.0,
-            self.colluder_fraction > 0.0,
-            self.withholder_fraction > 0.0,
-            self.delayer_fraction > 0.0,
-            self.replayer_fraction > 0.0,
-            self.coalition_fraction > 0.0,
-            self.adaptive_fraction > 0.0,
+            ("faults.drop_probability", P(drop_probability)),
+            ("faults.ack_drop_probability", P(ack_drop_probability)),
+            ("faults.delayer_shift", D(delayer_shift)),
+            ("faults.replay_age", D(replay_age)),
+            ("faults.churn.crash_fraction", P(crash_fraction)),
+            ("faults.churn.mean_outage", D(mean_outage)),
+            ("faults.churn.min_outage", D(min_outage)),
+            ("faults.burst.good_to_bad", P(good_to_bad)),
+            ("faults.burst.bad_to_good", P(bad_to_good)),
+            ("faults.burst.bad_loss", P(bad_loss)),
+            ("faults.storm.fraction", P(fraction)),
+            ("faults.storm.start_frac", P(start_frac)),
+            ("faults.storm.duration", D(duration)),
+            ("dropper_fraction", P(dropper_fraction)),
+            ("colluder_fraction", P(colluder_fraction)),
+            ("withholder_fraction", P(withholder_fraction)),
+            ("delayer_fraction", P(delayer_fraction)),
+            ("replayer_fraction", P(replayer_fraction)),
+            ("coalition_fraction", P(coalition_fraction)),
+            ("adaptive_fraction", P(adaptive_fraction)),
+            ("flows", N(flows)),
+            ("messages_per_flow", N(messages_per_flow)),
         ]
-        .iter()
-        .filter(|&&active| active)
-        .count()
+    }
+
+    /// The probability in row `row` of [`Self::knobs`]; panics if that
+    /// row holds none.
+    pub(crate) fn p(&mut self, row: usize) -> &mut f64 {
+        match self.knobs().into_iter().nth(row) {
+            Some((_, P(v))) => v,
+            _ => panic!("knob row {row} holds no probability"),
+        }
+    }
+
+    /// Checks that every probability and fraction lies in `[0, 1]` (NaN
+    /// does not), naming the first that does not by its literal path, and
+    /// that the churn outage bounds are consistent.
+    pub(crate) fn validate(&self) -> Result<(), FaultError> {
+        let mut cfg = self.clone();
+        for (knob, slot) in cfg.knobs() {
+            if let P(&mut value) = slot {
+                if !(0.0..=1.0).contains(&value) {
+                    return Err(FaultError::BadProbability { knob, value });
+                }
+            }
+        }
+        if self.faults.churn.mean_outage < self.faults.churn.min_outage {
+            return Err(FaultError::BadOutage);
+        }
+        Ok(())
     }
 
     /// Renders the configuration as a copy-pasteable Rust literal with the
     /// seed that reproduces the episode.
     pub fn to_literal(&self, seed: u64) -> String {
-        let f = &self.faults;
-        format!(
-            "// seed: {seed}\n\
-             EpisodeConfig {{\n\
-             \x20   faults: FaultConfig {{\n\
-             \x20       drop_probability: {:?},\n\
-             \x20       ack_drop_probability: {:?},\n\
-             \x20       delayer_shift: SimDuration::from_micros({}),\n\
-             \x20       replay_age: SimDuration::from_micros({}),\n\
-             \x20       churn: ChurnConfig {{\n\
-             \x20           crash_fraction: {:?},\n\
-             \x20           mean_outage: SimDuration::from_micros({}),\n\
-             \x20           min_outage: SimDuration::from_micros({}),\n\
-             \x20       }},\n\
-             \x20       burst: BurstConfig {{\n\
-             \x20           good_to_bad: {:?},\n\
-             \x20           bad_to_good: {:?},\n\
-             \x20           bad_loss: {:?},\n\
-             \x20       }},\n\
-             \x20       storm: StormConfig {{\n\
-             \x20           fraction: {:?},\n\
-             \x20           start_frac: {:?},\n\
-             \x20           duration: SimDuration::from_micros({}),\n\
-             \x20       }},\n\
-             \x20   }},\n\
-             \x20   dropper_fraction: {:?},\n\
-             \x20   colluder_fraction: {:?},\n\
-             \x20   withholder_fraction: {:?},\n\
-             \x20   delayer_fraction: {:?},\n\
-             \x20   replayer_fraction: {:?},\n\
-             \x20   coalition_fraction: {:?},\n\
-             \x20   adaptive_fraction: {:?},\n\
-             \x20   flows: {},\n\
-             \x20   messages_per_flow: {},\n\
-             }}",
-            f.drop_probability,
-            f.ack_drop_probability,
-            f.delayer_shift.as_micros(),
-            f.replay_age.as_micros(),
-            f.churn.crash_fraction,
-            f.churn.mean_outage.as_micros(),
-            f.churn.min_outage.as_micros(),
-            f.burst.good_to_bad,
-            f.burst.bad_to_good,
-            f.burst.bad_loss,
-            f.storm.fraction,
-            f.storm.start_frac,
-            f.storm.duration.as_micros(),
-            self.dropper_fraction,
-            self.colluder_fraction,
-            self.withholder_fraction,
-            self.delayer_fraction,
-            self.replayer_fraction,
-            self.coalition_fraction,
-            self.adaptive_fraction,
-            self.flows,
-            self.messages_per_flow,
-        )
+        let mut out = format!("// seed: {seed}\nEpisodeConfig {{\n");
+        // The struct fields open around the next line.
+        let mut open: Vec<&str> = Vec::new();
+        let mut cfg = self.clone();
+        for (path, slot) in cfg.knobs() {
+            let mut groups: Vec<&str> = path.split('.').collect();
+            let leaf = groups.pop().unwrap_or(path);
+            while !groups.starts_with(&open) {
+                open.pop();
+                let _ = writeln!(out, "{:1$}}},", "", 4 * open.len() + 4);
+            }
+            for &group in &groups[open.len()..] {
+                let ty = GROUPS.iter().find(|g| g.0 == group).map_or("", |g| g.1);
+                let _ = writeln!(out, "{:1$}{group}: {ty} {{", "", 4 * open.len() + 4);
+                open.push(group);
+            }
+            let value = match slot {
+                P(v) => format!("{v:?}"),
+                D(d) => format!("SimDuration::from_micros({})", d.as_micros()),
+                N(n) => n.to_string(),
+            };
+            let _ = writeln!(out, "{:1$}{leaf}: {value},", "", 4 * open.len() + 4);
+        }
+        while open.pop().is_some() {
+            let _ = writeln!(out, "{:1$}}},", "", 4 * open.len() + 4);
+        }
+        out.push('}');
+        out
     }
 
     /// Parses a [`EpisodeConfig::to_literal`] rendering (plus its
     /// `// seed:` header) back into a configuration and seed.
     ///
-    /// The parser is line-based and keyed on field names, so it tolerates
+    /// The parser is line-based and keyed on field paths, so it tolerates
     /// surrounding comment lines (corpus headers) and indentation changes,
     /// but rejects unknown fields — a corpus entry written by a newer
-    /// serializer fails loudly instead of replaying the wrong scenario.
+    /// serializer fails loudly instead of replaying the wrong scenario —
+    /// a missing, unterminated or malformed literal, and out-of-range
+    /// values: a probability or fraction outside `[0, 1]` (NaN included)
+    /// or a mean outage below the minimum.
     pub fn parse_literal(text: &str) -> Result<(EpisodeConfig, u64), String> {
-        fn f64v(key: &str, v: &str) -> Result<f64, String> {
-            v.parse::<f64>().map_err(|e| format!("{key}: {e}"))
-        }
-        fn usizev(key: &str, v: &str) -> Result<usize, String> {
-            v.parse::<usize>().map_err(|e| format!("{key}: {e}"))
-        }
-        fn durv(key: &str, v: &str) -> Result<SimDuration, String> {
-            let inner = v
-                .strip_prefix("SimDuration::from_micros(")
-                .and_then(|s| s.strip_suffix(')'))
-                .ok_or_else(|| format!("{key}: expected SimDuration::from_micros(..), got {v}"))?;
-            Ok(SimDuration::from_micros(
-                inner.parse().map_err(|e| format!("{key}: {e}"))?,
-            ))
-        }
-
         let mut cfg = EpisodeConfig::default();
         let mut seed: Option<u64> = None;
-        let mut depth = 0usize;
+        // The struct fields open around the current line; `None` until the
+        // `EpisodeConfig` literal opens.
+        let (mut open, mut closed): (Option<Vec<&str>>, bool) = (None, false);
         for raw in text.lines() {
             let line = raw.trim();
             if let Some(rest) = line.strip_prefix("// seed:") {
@@ -324,50 +346,72 @@ impl EpisodeConfig {
             // Field lines only count inside the `EpisodeConfig` literal;
             // anything before it (corpus headers) or after it (a
             // reproducer's rendered event trace) is ignored.
-            if depth == 0 {
+            let Some(groups) = open.as_mut() else {
                 if line.starts_with("EpisodeConfig") && line.ends_with('{') {
-                    depth = 1;
+                    open = Some(Vec::new());
+                }
+                continue;
+            };
+            if line.starts_with('}') {
+                if groups.pop().is_none() {
+                    closed = true;
+                    break;
                 }
                 continue;
             }
-            depth = (depth + line.matches('{').count())
-                .saturating_sub(line.matches('}').count());
             let Some((key, value)) = line.split_once(':') else {
-                continue; // closing braces
+                return Err(format!("malformed line `{line}`"));
             };
-            let key = key.trim();
-            let value = value.trim().trim_end_matches(',');
+            let (key, value) = (key.trim(), value.trim().trim_end_matches(','));
             if value.ends_with('{') {
-                continue; // struct openers like `faults: FaultConfig {`
+                groups.push(key); // struct openers like `faults: FaultConfig {`
+                continue;
             }
-            let f = &mut cfg.faults;
-            match key {
-                "drop_probability" => f.drop_probability = f64v(key, value)?,
-                "ack_drop_probability" => f.ack_drop_probability = f64v(key, value)?,
-                "delayer_shift" => f.delayer_shift = durv(key, value)?,
-                "replay_age" => f.replay_age = durv(key, value)?,
-                "crash_fraction" => f.churn.crash_fraction = f64v(key, value)?,
-                "mean_outage" => f.churn.mean_outage = durv(key, value)?,
-                "min_outage" => f.churn.min_outage = durv(key, value)?,
-                "good_to_bad" => f.burst.good_to_bad = f64v(key, value)?,
-                "bad_to_good" => f.burst.bad_to_good = f64v(key, value)?,
-                "bad_loss" => f.burst.bad_loss = f64v(key, value)?,
-                "fraction" => f.storm.fraction = f64v(key, value)?,
-                "start_frac" => f.storm.start_frac = f64v(key, value)?,
-                "duration" => f.storm.duration = durv(key, value)?,
-                "dropper_fraction" => cfg.dropper_fraction = f64v(key, value)?,
-                "colluder_fraction" => cfg.colluder_fraction = f64v(key, value)?,
-                "withholder_fraction" => cfg.withholder_fraction = f64v(key, value)?,
-                "delayer_fraction" => cfg.delayer_fraction = f64v(key, value)?,
-                "replayer_fraction" => cfg.replayer_fraction = f64v(key, value)?,
-                "coalition_fraction" => cfg.coalition_fraction = f64v(key, value)?,
-                "adaptive_fraction" => cfg.adaptive_fraction = f64v(key, value)?,
-                "flows" => cfg.flows = usizev(key, value)?,
-                "messages_per_flow" => cfg.messages_per_flow = usizev(key, value)?,
-                other => return Err(format!("unknown field `{other}`")),
+            let path = groups.iter().chain([&key]).copied().collect::<Vec<_>>().join(".");
+            let bad = |e: &dyn fmt::Display| format!("{path}: {e}");
+            match cfg.knobs().into_iter().find(|(knob, _)| *knob == path) {
+                Some((_, P(v))) => *v = value.parse().map_err(|e| bad(&e))?,
+                Some((_, N(n))) => *n = value.parse().map_err(|e| bad(&e))?,
+                Some((_, D(d))) => {
+                    let micros = value
+                        .strip_prefix("SimDuration::from_micros(")
+                        .and_then(|v| v.strip_suffix(')'))
+                        .ok_or_else(|| bad(&format!("expected SimDuration::from_micros(..), got {value}")))?;
+                    *d = SimDuration::from_micros(micros.parse().map_err(|e| bad(&e))?);
+                }
+                None => return Err(format!("unknown field `{path}`")),
             }
         }
+        if !closed {
+            return Err("missing or unterminated `EpisodeConfig { .. }` literal".to_string());
+        }
         let seed = seed.ok_or_else(|| "missing `// seed:` header".to_string())?;
+        cfg.validate().map_err(|e| e.to_string())?;
         Ok((cfg, seed))
     }
 }
+
+/// A typed borrow of one knob in [`EpisodeConfig::knobs`].
+pub(crate) enum Slot<'a> {
+    /// A probability or a fraction of hosts, in `[0, 1]`.
+    P(&'a mut f64),
+    /// A virtual-time span, written in microseconds.
+    D(&'a mut SimDuration),
+    /// A count.
+    N(&'a mut usize),
+}
+
+/// The rows of [`EpisodeConfig::knobs`] holding the two transport loss
+/// probabilities.
+pub(crate) const TRANSPORT: Range<usize> = 0..2;
+/// The rows of [`EpisodeConfig::knobs`] holding the seven adversary-role
+/// fractions.
+pub(crate) const ROLES: Range<usize> = 13..20;
+
+/// The struct each knob group of [`EpisodeConfig::to_literal`] opens.
+const GROUPS: [(&str, &str); 4] = [
+    ("faults", "FaultConfig"),
+    ("churn", "ChurnConfig"),
+    ("burst", "BurstConfig"),
+    ("storm", "StormConfig"),
+];

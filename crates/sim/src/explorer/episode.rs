@@ -285,24 +285,18 @@ impl<'w> Episode<'w> {
     ) -> Self {
         let n = world.num_hosts();
         let duration = world.config().duration;
-        let plan = FaultPlan::new(cfg.faults, seed, n, duration)
-            .expect("episode fault configurations are validated by construction");
+        let plan = cfg.validate().and_then(|()| FaultPlan::new(cfg.faults, seed, n, duration));
+        let plan = plan.unwrap_or_else(|e| panic!("run_episode needs a valid EpisodeConfig: {e}"));
         let mut arng = StdRng::seed_from_u64(seed ^ ADV_SALT);
-        let adv =
-            AdversarySets::sample(n, cfg.dropper_fraction, cfg.colluder_fraction, &mut arng)
-                .sample_byzantine(
-                    n,
-                    cfg.withholder_fraction,
-                    cfg.delayer_fraction,
-                    cfg.replayer_fraction,
-                    &mut arng,
-                )
-                .sample_extended(
-                    n,
-                    cfg.coalition_fraction,
-                    cfg.adaptive_fraction,
-                    &mut arng,
-                );
+        let roles = [
+            cfg.withholder_fraction,
+            cfg.delayer_fraction,
+            cfg.replayer_fraction,
+            cfg.coalition_fraction,
+            cfg.adaptive_fraction,
+        ];
+        let adv = AdversarySets::sample(n, cfg.dropper_fraction, cfg.colluder_fraction, &mut arng)
+            .sample_roles(n, roles, &mut arng);
         // Flows and send times are drawn once, here, in order; every later
         // draw is keyed by what it decides (`Stage`).
         let mut rng = StdRng::seed_from_u64(seed ^ MSG_SALT);
@@ -819,6 +813,9 @@ impl<'w> Episode<'w> {
         ensure(window_violation, Some(EntityRef::host(b as u64)))?;
         if escalates {
             self.stats.escalations += 1;
+            if !self.adv.is_adversarial(b) {
+                self.stats.honest_escalations += 1;
+            }
             self.emit(
                 now,
                 TraceEvent::Escalated { msg: idx as u64, judge: a as u64, accused: b as u64 },

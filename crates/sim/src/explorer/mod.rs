@@ -39,6 +39,7 @@ use concilium_obs::{Registry, Trace};
 use concilium_types::SimDuration;
 
 pub use self::config::EpisodeConfig;
+pub(crate) use self::config::{ROLES, TRANSPORT};
 pub(crate) use self::shrink::shrink_candidates;
 pub use self::shrink::{shrink, FailingCase};
 use crate::invariants::{TraceHasher, Violation};
@@ -118,6 +119,10 @@ pub struct EpisodeStats {
     pub skipped_judge_down: usize,
     /// Verdict windows that crossed the accusation quota.
     pub escalations: usize,
+    /// Escalations whose accused plays no adversarial role: the judge
+    /// accusing an honest host, whether or not the steward then
+    /// dissolves it. A statistic only, kept out of the metrics registry.
+    pub honest_escalations: usize,
     /// Escalations dissolved (ack proof or network exoneration).
     pub dissolved: usize,
     /// Accusation chains built, verified, and stored.
@@ -148,6 +153,7 @@ impl EpisodeStats {
         self.skipped_uncovered += other.skipped_uncovered;
         self.skipped_judge_down += other.skipped_judge_down;
         self.escalations += other.escalations;
+        self.honest_escalations += other.honest_escalations;
         self.dissolved += other.dissolved;
         self.chains_checked += other.chains_checked;
         self.handoffs_withheld += other.handoffs_withheld;
@@ -244,6 +250,7 @@ pub fn dst_config() -> crate::SimConfig {
 
 /// Runs one episode of `cfg` with `seed` over `world` and reports the
 /// first invariant violation, the trace hash, and the episode counters.
+/// Panics if `cfg` has a knob out of range, which `parse_literal` refuses.
 pub fn run_episode(
     world: &SimWorld,
     cfg: &EpisodeConfig,
@@ -369,8 +376,17 @@ mod tests {
 
     #[test]
     fn active_dimensions_counts_nonzero_knobs() {
-        assert_eq!(EpisodeConfig::transparent().active_dimensions(), 0);
-        assert_eq!(EpisodeConfig::churning().active_dimensions(), 1);
-        assert!(EpisodeConfig::byzantine().active_dimensions() >= 5);
+        let grid = EpisodeConfig::extended_grid();
+        let dims: Vec<_> = grid.iter().map(|(_, c)| c.active_dimensions()).collect();
+        assert_eq!(dims, [0, 2, 1, 6, 3, 1, 1], "transparent .. bursty");
+    }
+
+    #[test]
+    fn the_transport_and_role_rows_hold_what_they_name() {
+        let mut cfg = EpisodeConfig::default();
+        let paths: Vec<&str> = cfg.knobs().iter().map(|k| k.0).collect();
+        assert_eq!(paths[TRANSPORT], ["faults.drop_probability", "faults.ack_drop_probability"]);
+        assert_eq!(paths[ROLES][..2], ["dropper_fraction", "colluder_fraction"], "never halved");
+        assert!(paths[ROLES].iter().all(|p| !p.contains('.') && p.ends_with("_fraction")));
     }
 }

@@ -3,6 +3,7 @@
 use concilium_obs::{CausalIndex, EntityRef, Trace};
 use concilium_types::SimDuration;
 
+use super::config::{ROLES, TRANSPORT};
 use super::{run_episode, EpisodeConfig, EpisodeOptions, EpisodeReport};
 use crate::faults::{BurstConfig, StormConfig};
 use crate::invariants::Violation;
@@ -136,34 +137,13 @@ pub(crate) fn shrink_candidates(cfg: &EpisodeConfig) -> Vec<EpisodeConfig> {
         edit(&mut c);
         out.push(c);
     };
-    // Drop whole adversary roles.
-    if cfg.dropper_fraction > 0.0 {
-        push(&|c| c.dropper_fraction = 0.0);
-    }
-    if cfg.colluder_fraction > 0.0 {
-        push(&|c| c.colluder_fraction = 0.0);
-    }
-    if cfg.withholder_fraction > 0.0 {
-        push(&|c| c.withholder_fraction = 0.0);
-    }
-    if cfg.delayer_fraction > 0.0 {
-        push(&|c| c.delayer_fraction = 0.0);
-    }
-    if cfg.replayer_fraction > 0.0 {
-        push(&|c| c.replayer_fraction = 0.0);
-    }
-    if cfg.coalition_fraction > 0.0 {
-        push(&|c| c.coalition_fraction = 0.0);
-    }
-    if cfg.adaptive_fraction > 0.0 {
-        push(&|c| c.adaptive_fraction = 0.0);
-    }
-    // Zero transport knobs outright.
-    if cfg.faults.drop_probability > 0.0 {
-        push(&|c| c.faults.drop_probability = 0.0);
-    }
-    if cfg.faults.ack_drop_probability > 0.0 {
-        push(&|c| c.faults.ack_drop_probability = 0.0);
+    // Drop whole adversary roles, then zero transport knobs outright.
+    // `p` borrows its configuration mutably, so values are read from a copy.
+    let mut read = cfg.clone();
+    for row in ROLES.chain(TRANSPORT) {
+        if *read.p(row) > 0.0 {
+            push(&|c| *c.p(row) = 0.0);
+        }
     }
     // Remove churn, the burst channel, and the churn storm.
     if cfg.faults.churn.crash_fraction > 0.0 {
@@ -175,33 +155,12 @@ pub(crate) fn shrink_candidates(cfg: &EpisodeConfig) -> Vec<EpisodeConfig> {
     if cfg.faults.storm.fraction > 0.0 {
         push(&|c| c.faults.storm = StormConfig::default());
     }
-    // Halve surviving magnitudes (flooring tiny values to zero).
+    // Halve surviving magnitudes (flooring tiny values to zero). Colluders
+    // (the second role row) are only ever dropped whole.
     let halved = |v: f64| if v / 2.0 < 1e-3 { 0.0 } else { v / 2.0 };
-    for knob in 0..8 {
-        let value = match knob {
-            0 => cfg.faults.drop_probability,
-            1 => cfg.faults.ack_drop_probability,
-            2 => cfg.dropper_fraction,
-            3 => cfg.withholder_fraction,
-            4 => cfg.delayer_fraction,
-            5 => cfg.replayer_fraction,
-            6 => cfg.coalition_fraction,
-            _ => cfg.adaptive_fraction,
-        };
-        if value > 0.0 {
-            push(&move |c| {
-                let slot = match knob {
-                    0 => &mut c.faults.drop_probability,
-                    1 => &mut c.faults.ack_drop_probability,
-                    2 => &mut c.dropper_fraction,
-                    3 => &mut c.withholder_fraction,
-                    4 => &mut c.delayer_fraction,
-                    5 => &mut c.replayer_fraction,
-                    6 => &mut c.coalition_fraction,
-                    _ => &mut c.adaptive_fraction,
-                };
-                *slot = halved(*slot);
-            });
+    for row in TRANSPORT.chain(ROLES).filter(|&row| row != ROLES.start + 1) {
+        if *read.p(row) > 0.0 {
+            push(&|c| *c.p(row) = halved(*c.p(row)));
         }
     }
     // Soften the burst channel without removing it.

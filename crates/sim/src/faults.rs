@@ -33,6 +33,7 @@ use concilium_par::derive_seed;
 use concilium_types::{SimDuration, SimTime};
 
 use crate::behavior::AdversarySets;
+use crate::EpisodeConfig;
 
 /// Salt of the burst channel's transition stream.
 const BURST_SALT: u64 = 0x6a09_e667_f3bc_c908;
@@ -170,12 +171,12 @@ impl Default for ChurnConfig {
     }
 }
 
-/// An invalid [`FaultConfig`] knob.
+/// An invalid [`FaultConfig`] or [`EpisodeConfig`] knob.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultError {
     /// A probability knob is outside `[0, 1]`.
     BadProbability {
-        /// Which knob.
+        /// Which knob, by its literal path (`faults.drop_probability`).
         knob: &'static str,
         /// The offending value.
         value: f64,
@@ -226,23 +227,8 @@ impl FaultPlan {
         num_hosts: usize,
         duration: SimDuration,
     ) -> Result<Self, FaultError> {
-        for (knob, value) in [
-            ("drop probability", cfg.drop_probability),
-            ("ack drop probability", cfg.ack_drop_probability),
-            ("crash fraction", cfg.churn.crash_fraction),
-            ("burst good-to-bad", cfg.burst.good_to_bad),
-            ("burst bad-to-good", cfg.burst.bad_to_good),
-            ("burst bad loss", cfg.burst.bad_loss),
-            ("storm fraction", cfg.storm.fraction),
-            ("storm start fraction", cfg.storm.start_frac),
-        ] {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(FaultError::BadProbability { knob, value });
-            }
-        }
-        if cfg.churn.mean_outage < cfg.churn.min_outage {
-            return Err(FaultError::BadOutage);
-        }
+        // The grid's one range check; the role fractions sit at their defaults.
+        EpisodeConfig { faults: cfg, ..EpisodeConfig::default() }.validate()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let span = duration.as_micros().max(1);
         let outage_span = 2 * cfg.churn.mean_outage.as_micros()
@@ -657,46 +643,19 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_typed_errors() {
-        let bad = FaultConfig { drop_probability: 1.5, ..Default::default() };
-        match FaultPlan::new(bad, 0, 4, SimDuration::from_mins(1)) {
-            Err(FaultError::BadProbability { knob, value }) => {
-                assert_eq!(knob, "drop probability");
-                assert_eq!(value, 1.5);
-            }
-            other => panic!("expected BadProbability, got {other:?}"),
-        }
-        let bad = FaultConfig {
-            churn: ChurnConfig {
-                crash_fraction: 0.1,
-                mean_outage: SimDuration::from_secs(5),
-                min_outage: SimDuration::from_secs(10),
-            },
-            ..Default::default()
-        };
-        assert_eq!(
-            FaultPlan::new(bad, 0, 4, SimDuration::from_mins(1)).unwrap_err(),
-            FaultError::BadOutage
-        );
+        let bad = |cfg: FaultConfig| FaultPlan::new(cfg, 0, 4, SimDuration::from_mins(1)).unwrap_err();
+        let (secs, default) = (SimDuration::from_secs, FaultConfig::default());
+        let churn = ChurnConfig { crash_fraction: 0.1, mean_outage: secs(5), min_outage: secs(10) };
+        assert_eq!(bad(FaultConfig { churn, ..default }), FaultError::BadOutage);
         assert!(FaultError::BadOutage.to_string().contains("outage"));
-        let bad = FaultConfig {
-            burst: BurstConfig { good_to_bad: 0.2, bad_to_good: -0.1, bad_loss: 0.5 },
-            ..Default::default()
-        };
-        match FaultPlan::new(bad, 0, 4, SimDuration::from_mins(1)) {
-            Err(FaultError::BadProbability { knob, .. }) => {
-                assert_eq!(knob, "burst bad-to-good");
-            }
-            other => panic!("expected BadProbability, got {other:?}"),
-        }
-        let bad = FaultConfig {
-            storm: StormConfig { fraction: 0.1, start_frac: 1.2, ..Default::default() },
-            ..Default::default()
-        };
-        match FaultPlan::new(bad, 0, 4, SimDuration::from_mins(1)) {
-            Err(FaultError::BadProbability { knob, .. }) => {
-                assert_eq!(knob, "storm start fraction");
-            }
-            other => panic!("expected BadProbability, got {other:?}"),
+        let burst = BurstConfig { good_to_bad: 0.2, bad_to_good: -0.1, bad_loss: 0.5 };
+        let storm = StormConfig { fraction: 0.1, start_frac: 1.2, ..Default::default() };
+        for (cfg, knob, value) in [
+            (FaultConfig { drop_probability: 1.5, ..default }, "faults.drop_probability", 1.5),
+            (FaultConfig { burst, ..default }, "faults.burst.bad_to_good", -0.1),
+            (FaultConfig { storm, ..default }, "faults.storm.start_frac", 1.2),
+        ] {
+            assert_eq!(bad(cfg), FaultError::BadProbability { knob, value });
         }
     }
 }

@@ -253,6 +253,20 @@ fn a_blame_mutant_moves_only_the_lanes_it_reaches() {
     );
 }
 
+/// `honest_escalations` counts escalations of hosts with no adversarial
+/// role: all of them in the arms without roles, at most all in `byzantine`.
+#[test]
+fn honest_escalations_count_only_hosts_without_a_role() {
+    let (opts, mut honest) = (EpisodeOptions::default(), 0);
+    for arm in EpisodeConfig::standard_grid() {
+        let t = explore_jobs(world(), std::slice::from_ref(&arm), &seeds(32), &opts, 2).totals;
+        assert!(t.honest_escalations <= t.escalations, "{}: {t:?}", arm.0);
+        assert!(arm.0 == "byzantine" || t.honest_escalations == t.escalations, "{}: {t:?}", arm.0);
+        honest += t.honest_escalations;
+    }
+    assert_eq!(honest, 8, "`dst-sweep --seeds 32` prints 8 of its 30 escalations as honest");
+}
+
 /// A knob reaches only the decisions it draws for. Zeroing the ack loss
 /// of `lossy` changes which acks come back — and so `ack`, `retx`,
 /// `expire` and everything judged — but every send, its route outcome and

@@ -222,11 +222,14 @@ fn reproducer_round_trips_to_same_trace_hash() {
     );
 }
 
-/// Contract 4b: `to_literal` round-trips every extended-family preset
-/// exactly (field-for-field, via re-rendering).
+/// Contract 4b: `to_literal` round-trips every extended-family preset and
+/// every committed corpus configuration exactly (field-for-field, via
+/// re-rendering), fuzzed values like `0.3423735262278522` included.
 #[test]
 fn literal_round_trips_every_preset() {
-    for (name, cfg) in EpisodeConfig::extended_grid() {
+    let presets = EpisodeConfig::extended_grid().into_iter().map(|(n, c)| (n.to_string(), c));
+    let corpus = load_corpus().into_iter().map(|(path, entry, ..)| (path, entry.config));
+    for (name, cfg) in presets.chain(corpus) {
         let literal = cfg.to_literal(99);
         let (parsed, seed) = EpisodeConfig::parse_literal(&literal)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -237,6 +240,37 @@ fn literal_round_trips_every_preset() {
             "{name}: parse → render must be the identity"
         );
     }
+}
+
+/// Contract 4b': a literal with a knob out of range is refused by name
+/// instead of parsing into an episode that panics (and so is a malformed
+/// or unterminated one), and an episode handed such a configuration
+/// directly names the knob in its panic.
+#[test]
+fn out_of_range_literals_are_refused_by_name() {
+    let lossy = EpisodeConfig::lossy().to_literal(5);
+    let churning = EpisodeConfig::churning().to_literal(5);
+    let (outage, longer) = ("min_outage: SimDuration::from_micros(", "min_outage: SimDuration::from_micros(9");
+    for (literal, from, to, knob) in [
+        (&lossy, "\n        drop_probability: 0.15", "\n        drop_probability: 1.5", "faults.drop_probability"),
+        (&lossy, "dropper_fraction: 0.0", "dropper_fraction: NaN", "dropper_fraction"),
+        (&churning, outage, longer, "outage"),
+        (&lossy, "flows: 6,", "flows 6,", "malformed line `flows 6,`"),
+        (&lossy, "\n}", "", "unterminated"),
+    ] {
+        assert!(literal.contains(from), "the edit for {knob} must land");
+        let text = literal.replacen(from, to, 1);
+        let parsed = std::panic::catch_unwind(|| EpisodeConfig::parse_literal(&text));
+        let err = parsed.expect("must not panic").expect_err("must not parse");
+        assert!(err.contains(knob), "`{err}` must name {knob}");
+    }
+    let mut bad = EpisodeConfig::lossy();
+    bad.faults.drop_probability = 1.5;
+    let opts = EpisodeOptions::default();
+    let panic = std::panic::catch_unwind(|| run_episode(dst(), &bad, 5, &opts));
+    let message = panic.expect_err("an invalid configuration cannot run");
+    let message = message.downcast::<String>().expect("a formatted panic message");
+    assert!(message.contains("faults.drop_probability must be in [0,1], got 1.5"), "{message}");
 }
 
 /// Contract 4c: `EpisodeStats::absorb` is order-insensitive — merging the
