@@ -30,7 +30,6 @@
 //!   and (when the caller supplies one) the ambiguity-class partition
 //!   the verdict was confined to.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -218,7 +217,10 @@ impl Step {
 struct Grammar {
     /// Events stepped so far: the index of the next one.
     len: usize,
-    msgs: BTreeMap<u64, MsgTail>,
+    /// Each message's tail, in pages of 64 keyed by `msg >> 6`. An
+    /// episode's ids are dense from 0, so it touches a few pages; ids
+    /// read from untrusted input cost at most one 1 KiB page per event.
+    msgs: BTreeMap<u64, Box<[Option<MsgTail>; 64]>>,
     /// Admit event index per report.
     admit_of: BTreeMap<u64, usize>,
     last_serve: Option<usize>,
@@ -245,16 +247,19 @@ struct Grammar {
 }
 
 impl Grammar {
+    /// `msg`'s slot in the message table.
+    fn tail(&mut self, msg: u64) -> &mut Option<MsgTail> {
+        let page = self.msgs.entry(msg >> 6).or_insert_with(|| Box::new([None; 64]));
+        &mut page[(msg & 63) as usize]
+    }
+
     /// Moves `msg`'s tail to event `i`; returns the tail it had and
     /// whether a send opened the message.
     fn touch(&mut self, msg: u64, i: usize) -> (Option<usize>, bool) {
-        match self.msgs.entry(msg) {
-            Entry::Occupied(mut e) => {
-                let tail = e.get_mut();
-                (Some(std::mem::replace(&mut tail.at, i)), tail.sent)
-            }
-            Entry::Vacant(e) => {
-                e.insert(MsgTail { at: i, sent: false });
+        match self.tail(msg) {
+            Some(tail) => (Some(std::mem::replace(&mut tail.at, i)), tail.sent),
+            slot @ None => {
+                *slot = Some(MsgTail { at: i, sent: false });
                 (None, false)
             }
         }
@@ -268,7 +273,7 @@ impl Grammar {
         let mut out = Step::default();
         out.parent = match event {
             TraceEvent::MessageSent { msg, .. } => {
-                self.msgs.insert(*msg, MsgTail { at: i, sent: true });
+                *self.tail(*msg) = Some(MsgTail { at: i, sent: true });
                 None
             }
             TraceEvent::ChurnBlocked { msg }
@@ -1071,6 +1076,71 @@ mod tests {
         ];
         render_links("recovered-completion", &recovered, &mut out);
         assert_eq!(out, include_str!("../fixtures/causal_links.golden"));
+    }
+
+    /// Sends, retries, expiries, a judgment and orphan terminals over
+    /// message ids at page edges (0, 63, 64), far apart (2^40, 2^40 + 1)
+    /// and at `u64::MAX`.
+    fn sparse_story() -> Vec<Traced> {
+        let (far, max) = (1u64 << 40, u64::MAX);
+        vec![
+            t(1, TraceEvent::MessageSent { msg: 0, flow: 0 }),
+            t(1, TraceEvent::MessageSent { msg: max, flow: 1 }),
+            t(2, TraceEvent::RetryFired { msg: 63, attempt: 2 }),
+            t(2, TraceEvent::MessageSent { msg: 63, flow: 0 }),
+            t(3, TraceEvent::RetryFired { msg: 63, attempt: 2 }),
+            t(3, TraceEvent::AckReceived { msg: 64 }),
+            t(4, TraceEvent::RetryFired { msg: max, attempt: 2 }),
+            t(4, TraceEvent::MessageExpired { msg: far + 1 }),
+            t(5, TraceEvent::MessageSent { msg: far, flow: 2 }),
+            t(5, TraceEvent::FaultInjected { msg: far, kind: FaultKind::TransportDrop }),
+            t(6, TraceEvent::AckReceived { msg: 0 }),
+            t(7, TraceEvent::MessageExpired { msg: max }),
+            t(
+                7,
+                TraceEvent::BlameComputed {
+                    msg: max,
+                    blame_ppb: 900_000_000,
+                    accuracy_ppb: 900_000_000,
+                    links: vec![LinkObsSummary { link: 7, up: 1, down: 4 }],
+                },
+            ),
+            t(7, TraceEvent::Escalated { msg: max, judge: 0, accused: 4 }),
+            t(7, TraceEvent::CulpritStanding { msg: max, position: 1, culprit: 4 }),
+            t(7, TraceEvent::AccusationStored { culprit: 4, replicas: 3 }),
+            t(8, TraceEvent::MessageExpired { msg: far }),
+            t(8, TraceEvent::MessageExpired { msg: 63 }),
+            t(9, TraceEvent::DhtRefused { culprit: 5 }),
+            t(9, TraceEvent::MessageExpired { msg: 64 }),
+        ]
+    }
+
+    #[test]
+    fn sparse_and_huge_message_ids_link_as_pinned() {
+        let index = CausalIndex::from_events(&sparse_story());
+        let parents: Vec<_> = (0..index.events().len()).map(|i| index.parent(i)).collect();
+        // Recorded before the message table was paged.
+        let pinned = [
+            None, None, None, None, Some(3), None, Some(1), None, None, Some(8), Some(0), Some(6),
+            Some(11), None, Some(13), Some(14), Some(9), Some(4), None, Some(5),
+        ];
+        assert_eq!(parents, pinned);
+        let orphans = index.orphan_terminals();
+        let orphans: Vec<_> = orphans.iter().map(|(i, rule)| (*i, rule.as_str())).collect();
+        assert_eq!(
+            orphans,
+            [
+                (2, "retx for message 63 with no originating send in the stream"),
+                (5, "ack for message 64 with no originating send in the stream"),
+                (7, "expiry for message 1099511627777 with no originating send in the stream"),
+                (18, "terminal accusation against host 5 with no standing accusation in the stream"),
+                (19, "expiry for message 64 with no originating send in the stream"),
+            ]
+        );
+        assert_eq!(std::mem::size_of::<[Option<MsgTail>; 64]>(), 1024, "a page is 1 KiB");
+        // One page per distinct `msg >> 6`: {0, 63}, {64}, {2^40, 2^40 + 1}
+        // and {u64::MAX}.
+        assert_eq!(index.grammar.msgs.len(), 4);
     }
 
     #[test]

@@ -325,18 +325,23 @@ impl EpisodeConfig {
     /// surrounding comment lines (corpus headers) and indentation changes,
     /// but rejects unknown fields — a corpus entry written by a newer
     /// serializer fails loudly instead of replaying the wrong scenario —
-    /// a missing, unterminated or malformed literal, and out-of-range
-    /// values: a probability or fraction outside `[0, 1]` (NaN included)
-    /// or a mean outage below the minimum.
+    /// a missing, unterminated or malformed literal, a field or `// seed:`
+    /// header given twice, and out-of-range values: a probability or
+    /// fraction outside `[0, 1]` (NaN included) or a mean outage below the
+    /// minimum.
     pub fn parse_literal(text: &str) -> Result<(EpisodeConfig, u64), String> {
         let mut cfg = EpisodeConfig::default();
         let mut seed: Option<u64> = None;
         // The struct fields open around the current line; `None` until the
         // `EpisodeConfig` literal opens.
         let (mut open, mut closed): (Option<Vec<&str>>, bool) = (None, false);
+        let mut given: Vec<String> = Vec::new();
         for raw in text.lines() {
             let line = raw.trim();
             if let Some(rest) = line.strip_prefix("// seed:") {
+                if seed.is_some() {
+                    return Err("`// seed:` given twice".to_string());
+                }
                 seed = Some(rest.trim().parse().map_err(|e| format!("seed: {e}"))?);
                 continue;
             }
@@ -368,6 +373,9 @@ impl EpisodeConfig {
                 continue;
             }
             let path = groups.iter().chain([&key]).copied().collect::<Vec<_>>().join(".");
+            if given.contains(&path) {
+                return Err(format!("{path} given twice"));
+            }
             let bad = |e: &dyn fmt::Display| format!("{path}: {e}");
             match cfg.knobs().into_iter().find(|(knob, _)| *knob == path) {
                 Some((_, P(v))) => *v = value.parse().map_err(|e| bad(&e))?,
@@ -381,6 +389,7 @@ impl EpisodeConfig {
                 }
                 None => return Err(format!("unknown field `{path}`")),
             }
+            given.push(path);
         }
         if !closed {
             return Err("missing or unterminated `EpisodeConfig { .. }` literal".to_string());

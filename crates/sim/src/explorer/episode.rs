@@ -250,11 +250,10 @@ pub(super) struct Episode<'w> {
     escalated: BTreeSet<(usize, usize)>,
     dht: AccusationDht,
     queue: EventQueue<Ev>,
-    ticks: BTreeSet<u64>,
-    /// Most recent tick time handed to `ticks` — `schedule_tick` runs
-    /// after every popped event and usually re-derives the same next
-    /// retransmission time, so this one-entry memo skips the set probe.
-    last_tick: Option<u64>,
+    /// Times of the scheduled ticks that have not fired yet. A fired
+    /// tick's time never recurs: after `poll_retransmits` at `t` every
+    /// pending `next_send` is later than `t`.
+    ticks: Vec<SimTime>,
     hasher: TraceHasher,
     trace: Trace,
     metrics: Registry,
@@ -376,8 +375,7 @@ impl<'w> Episode<'w> {
             escalated: BTreeSet::new(),
             dht,
             queue: EventQueue::new(),
-            ticks: BTreeSet::new(),
-            last_tick: None,
+            ticks: Vec::new(),
             hasher: TraceHasher::new(),
             trace: Trace::with_capacity(opts.trace_capacity),
             metrics: Registry::new(),
@@ -534,7 +532,11 @@ impl<'w> Episode<'w> {
             match ev {
                 Ev::Send(idx) => self.on_send(idx, t)?,
                 Ev::Ack(idx, attempt) => self.on_ack_event(idx, attempt, t)?,
-                Ev::Tick => self.emit(t, TraceEvent::Tick)?,
+                Ev::Tick => {
+                    let fired = self.ticks.iter().position(|&tick| tick == t);
+                    self.ticks.swap_remove(fired.expect("a tick stays in `ticks` until it fires"));
+                    self.emit(t, TraceEvent::Tick)?;
+                }
             }
             self.poll_retransmits(t)?;
             let conserved = check_conservation(
@@ -717,14 +719,8 @@ impl<'w> Episode<'w> {
 
     fn schedule_tick(&mut self) {
         if let Some(next) = self.retrans.next_event_time() {
-            let micros = next.as_micros();
-            // Consecutive events usually re-derive the same next
-            // retransmission time; the memo skips the set probe for them.
-            if self.last_tick == Some(micros) {
-                return;
-            }
-            self.last_tick = Some(micros);
-            if self.ticks.insert(micros) {
+            if !self.ticks.contains(&next) {
+                self.ticks.push(next);
                 let _ = self.queue.try_schedule(next, Ev::Tick);
             }
         }

@@ -273,6 +273,23 @@ fn out_of_range_literals_are_refused_by_name() {
     assert!(message.contains("faults.drop_probability must be in [0,1], got 1.5"), "{message}");
 }
 
+/// A literal names each knob once and carries one `// seed:` header; a
+/// repeat is refused by name instead of letting the last value win.
+#[test]
+fn repeated_fields_are_refused_by_name() {
+    let lossy = EpisodeConfig::lossy().to_literal(5);
+    let drop = "\n        drop_probability: 0.15,";
+    for (from, to, refusal) in [
+        ("flows: 6,", "flows: 6,\n    flows: 2,", "flows given twice"),
+        (drop, &format!("{drop}{drop}")[..], "faults.drop_probability given twice"),
+        ("// seed: 5", "// seed: 5\n// seed: 7", "`// seed:` given twice"),
+    ] {
+        assert!(lossy.contains(from), "the edit `{from}` must land");
+        let err = EpisodeConfig::parse_literal(&lossy.replacen(from, to, 1)).expect_err(refusal);
+        assert_eq!(err, refusal);
+    }
+}
+
 /// Contract 4c: `EpisodeStats::absorb` is order-insensitive — merging the
 /// same episode reports in any order yields identical totals.
 #[test]
